@@ -1,12 +1,11 @@
 package rept
 
-// Batch is a reusable buffer of signed stream events for the wholesale
+// Batch is a reusable buffer of signed stream events for the bulk
 // ingest path (Concurrent.ApplyBatch): callers accumulate a request's
 // (or an interval's) events into a Batch and hand the whole thing to
-// the estimator at once, so ticket acquisition, ordered delivery,
-// degree tracking, and barrier bookkeeping are paid once per batch
-// instead of once per internal BatchSize chunk — and the shard engines
-// take the presence-mask fast path across the batch.
+// the estimator at once, so the ingest mutex, ticket acquisition,
+// ordered delivery, degree tracking, and barrier bookkeeping are paid
+// per BatchSize segment instead of per event.
 //
 // The zero value is ready to use. Reset keeps the backing array, so a
 // long-lived Batch reaches a steady state where filling and applying

@@ -5,7 +5,7 @@
 //	go test -bench=. -benchmem
 //
 // For full-size reproductions use cmd/reptbench with -profile default or
-// -profile full; EXPERIMENTS.md records paper-vs-measured outcomes.
+// -profile full.
 package rept_test
 
 import (
@@ -209,44 +209,33 @@ func BenchmarkConcurrentPerEdge(b *testing.B) { benchConcurrentPerEdge(b, false)
 // always-on-instrumentation budget.
 func BenchmarkREPTPerEdgeInstrumented(b *testing.B) { benchConcurrentPerEdge(b, true) }
 
-// batchStream is the workload for the wholesale-ingest benchmarks: a
+// batchStream is the workload for the steady-state ingest benchmarks: a
 // sparse Erdős–Rényi stream (2000 nodes, mean degree 8) whose working
 // set stays cache-resident, so the numbers measure the ingest path —
-// dispatch, ring hand-off, mask-pruned apply — rather than DRAM latency
+// dispatch, ring hand-off, mask walk — rather than DRAM latency
 // on a growing graph. Degree 8 also keeps the presence-mask
 // intersection tight: most events visit only their storing processor.
 var batchStream = gen.Shuffle(gen.ErdosRenyi(2000, 8000, 7), 5)
 
-// benchBatchSteady drives wholesale 8192-event batches through one warm
-// Concurrent estimator: two priming passes build the graph and settle
-// every pool and table, then the timed region cycles the stream (edge
-// re-arrivals are ordinary stream events — REPT pins duplicates — so
-// the measurement is the steady-state per-event cost of the batch path,
-// free of setup-phase growth and GC traffic).
-func benchBatchSteady(b *testing.B, cfg rept.ConcurrentConfig) {
+// benchSteady drives the batchStream through one warm Concurrent
+// estimator in 8192-event spans, each handed to apply: two priming passes
+// build the graph and settle every pool and table, then the timed region
+// cycles the stream (edge re-arrivals are ordinary stream events — REPT
+// pins duplicates — so the measurement is the steady-state per-event cost
+// of the ingest path, free of setup-phase growth and GC traffic).
+func benchSteady(b *testing.B, cfg rept.ConcurrentConfig, apply func(*rept.Concurrent, []rept.Edge)) {
 	const span = 8192
 	est, err := rept.NewConcurrent(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer est.Close()
-	var batch rept.Batch
 	feed := func(n int) {
 		done := 0
 		for done < n {
 			for i := 0; i < len(batchStream) && done < n; i += span {
-				end := i + span
-				if end > len(batchStream) {
-					end = len(batchStream)
-				}
-				if rem := n - done; end-i > rem {
-					end = i + rem
-				}
-				batch.Reset()
-				for _, e := range batchStream[i:end] {
-					batch.Insert(e.U, e.V)
-				}
-				est.ApplyBatch(&batch)
+				end := min(i+span, len(batchStream), i+n-done)
+				apply(est, batchStream[i:end])
 				done += end - i
 			}
 		}
@@ -257,21 +246,45 @@ func benchBatchSteady(b *testing.B, cfg rept.ConcurrentConfig) {
 	feed(b.N)
 }
 
+// benchBatchSteady is benchSteady with every span sent as one
+// Concurrent.ApplyBatch body from a reused Batch.
+func benchBatchSteady(b *testing.B, cfg rept.ConcurrentConfig) {
+	var batch rept.Batch
+	benchSteady(b, cfg, func(est *rept.Concurrent, edges []rept.Edge) {
+		batch.Reset()
+		for _, e := range edges {
+			batch.Insert(e.U, e.V)
+		}
+		est.ApplyBatch(&batch)
+	})
+}
+
 // BenchmarkBatchIngestPerEvent measures the steady-state per-event cost
-// of wholesale batch ingest — whole bodies through Concurrent.ApplyBatch,
-// the path an NDJSON request takes through reptserve — on one shard of
-// 64 processors in a single group (m = c = 64, counting only), the
-// engine's presence-mask fast path. CI holds it to at most half of
-// BenchmarkApplyAllPerEvent (benchdiff -pair @0.5).
+// of bulk ingest — whole bodies through Concurrent.ApplyBatch, the path
+// an NDJSON request takes through reptserve — on one shard of 64
+// processors in a single group (m = c = 64, counting only), where the
+// engine's presence-mask walk visits a handful of processors per event.
 func BenchmarkBatchIngestPerEvent(b *testing.B) {
 	benchBatchSteady(b, rept.ConcurrentConfig{M: 64, C: 64, Shards: 1, Seed: 1})
 }
 
-// BenchmarkApplyAllPerEvent is the chunked-broadcast twin of
+// BenchmarkAddPerEvent is the event-at-a-time twin of
 // BenchmarkBatchIngestPerEvent: the identical stream, configuration, and
-// steady-state harness, fed through ApplyAll in 512-event request
-// chunks — the pre-wholesale ingest shape, which broadcasts every event
-// to every processor. The pair ratio is the speedup the batch path buys.
+// steady-state harness, fed one Concurrent.Add per edge, so every event
+// pays the ingest mutex and the shared-buffer append. CI holds it to at
+// most 1.5× the batch path (benchdiff -pair @1.5).
+func BenchmarkAddPerEvent(b *testing.B) {
+	benchSteady(b, rept.ConcurrentConfig{M: 64, C: 64, Shards: 1, Seed: 1}, func(est *rept.Concurrent, edges []rept.Edge) {
+		for _, e := range edges {
+			est.Add(e.U, e.V)
+		}
+	})
+}
+
+// BenchmarkApplyAllPerEvent is BenchmarkBatchIngestPerEvent's stream,
+// configuration, and warm estimator fed through ApplyAll in 512-event
+// request chunks: the same producer and walk at half the request size of
+// reptserve's largest benchmark body.
 func BenchmarkApplyAllPerEvent(b *testing.B) {
 	cfg := rept.ConcurrentConfig{M: 64, C: 64, Shards: 1, Seed: 1}
 	est, err := rept.NewConcurrent(cfg)
@@ -307,7 +320,7 @@ func BenchmarkApplyAllPerEvent(b *testing.B) {
 
 // benchShardIngest is the steady-state harness for the accounting-cost
 // pair below, one level under Concurrent: a shard coordinator fed the
-// wholesale batchStream through ApplyBatch in 8192-event bodies, with
+// batchStream through ApplyBatch in 8192-event bodies, with
 // the byte ledger attached or absent. Concurrent always creates a
 // ledger, so the unaccounted baseline only exists at this level — which
 // is also where every ledger charge site lives.
@@ -344,7 +357,7 @@ func benchShardIngest(b *testing.B, ac *mem.Accountant) {
 	feed(b.N)
 }
 
-// BenchmarkIngestAccountedPerEvent is the wholesale ingest path with the
+// BenchmarkIngestAccountedPerEvent is the batch ingest path with the
 // memory ledger attached — the configuration every Concurrent estimator
 // runs. Its pair twin below is the identical workload with no ledger;
 // CI holds the ratio to 1.02 (benchdiff -pair @1.02), the accounting
@@ -362,7 +375,7 @@ func BenchmarkIngestUnaccountedPerEvent(b *testing.B) {
 }
 
 // benchScalingShards is the shard-scaling curve of the bench artifact:
-// the same steady-state wholesale workload with a fixed processor
+// the same steady-state batch workload with a fixed processor
 // budget (m=8, c=64, so 8 groups) spread across k engine shards. On a
 // single-core runner the curve is flat-to-rising — extra shards only
 // add hand-off work — while on a multi-core box it bends down until the
@@ -375,18 +388,6 @@ func BenchmarkScalingShards1(b *testing.B) { benchScalingShards(b, 1) }
 func BenchmarkScalingShards2(b *testing.B) { benchScalingShards(b, 2) }
 func BenchmarkScalingShards4(b *testing.B) { benchScalingShards(b, 4) }
 func BenchmarkScalingShards8(b *testing.B) { benchScalingShards(b, 8) }
-
-// BenchmarkREPTPerEdgeParallel is the same configuration spread over
-// worker goroutines.
-func BenchmarkREPTPerEdgeParallel(b *testing.B) {
-	feedCounter(b, func(seed int64) rept.Counter {
-		est, err := rept.New(rept.Config{M: 10, C: 10, Seed: seed, Workers: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return est
-	})
-}
 
 // BenchmarkFullyDynamicChurnPerEvent measures the per-event cost of the
 // fully-dynamic mode on a 35%-deletion churn stream (m=10, c=10) — the

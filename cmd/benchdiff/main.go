@@ -22,8 +22,8 @@
 // overhead of always-on instrumentation (the instrumented ingest
 // benchmark must stay within 5% of its uninstrumented twin). An entry
 // may carry an explicit ratio cap as A=B@maxRatio — e.g.
-// BenchmarkBatchIngestPerEvent=BenchmarkApplyAllPerEvent@0.5 fails
-// unless A is at least 2× faster than B — which overrides
+// BenchmarkAddPerEvent=BenchmarkBatchIngestPerEvent@1.5 fails unless A
+// stays within 1.5× of B — which overrides
 // -pair-threshold for that entry. -pair composes with the baseline gate
 // or runs alone with just -new.
 //

@@ -1,6 +1,6 @@
 // Command reptbench regenerates the REPT paper's evaluation tables and
-// figures on synthetic dataset analogs (see DESIGN.md for the experiment
-// index and EXPERIMENTS.md for recorded results).
+// figures on synthetic dataset analogs (the internal/exper package
+// documentation indexes the experiments and explains the analogs).
 //
 // Usage:
 //

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"time"
 
@@ -37,16 +36,15 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("reptcount", flag.ContinueOnError)
 	var (
-		in      = fs.String("in", "", "input edge list (required)")
-		algo    = fs.String("algo", "rept", "algorithm: rept|mascot|triest|gps|exact")
-		m       = fs.Int("m", 10, "sampling denominator; p = 1/m (rept, mascot)")
-		c       = fs.Int("c", 10, "logical processors (rept)")
-		budget  = fs.Int("budget", 0, "edge budget for triest/gps (default |E|/m)")
-		seed    = fs.Int64("seed", 1, "random seed")
-		local   = fs.Bool("local", false, "track local (per-node) counts")
-		top     = fs.Int("top", 10, "print the top-K nodes by local count (with -local)")
-		workers = fs.Int("workers", runtime.NumCPU(), "worker goroutines (rept)")
-		dedup   = fs.Bool("dedup", false, "drop duplicate edges and self-loops on the fly")
+		in     = fs.String("in", "", "input edge list (required)")
+		algo   = fs.String("algo", "rept", "algorithm: rept|mascot|triest|gps|exact")
+		m      = fs.Int("m", 10, "sampling denominator; p = 1/m (rept, mascot)")
+		c      = fs.Int("c", 10, "logical processors (rept)")
+		budget = fs.Int("budget", 0, "edge budget for triest/gps (default |E|/m)")
+		seed   = fs.Int64("seed", 1, "random seed")
+		local  = fs.Bool("local", false, "track local (per-node) counts")
+		top    = fs.Int("top", 10, "print the top-K nodes by local count (with -local)")
+		dedup  = fs.Bool("dedup", false, "drop duplicate edges and self-loops on the fly")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -70,7 +68,7 @@ func run(args []string, out io.Writer) error {
 			printTopUint(out, res.TauV, *top)
 		}
 	case "rept":
-		est, err := rept.New(rept.Config{M: *m, C: *c, Seed: *seed, TrackLocal: *local, Workers: *workers})
+		est, err := rept.New(rept.Config{M: *m, C: *c, Seed: *seed, TrackLocal: *local})
 		if err != nil {
 			return err
 		}

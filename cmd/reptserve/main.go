@@ -275,7 +275,6 @@ func run(args []string) error {
 		degrees  = fs.Bool("degrees", true, "with -local, also track per-node degrees (disable to restore degree-less snapshots, e.g. pre-upgrade checkpoints)")
 		eta      = fs.Bool("eta", false, "force η̂ tracking (variance for every config)")
 		batch    = fs.Int("batch", 0, "ingest hand-off batch length (0 = default)")
-		hubDeg   = fs.Int("hub-degree", 0, "with -local, split oversized ingest batches touching vertices at or above this stream degree (0 = off); requires degree tracking")
 		grace    = fs.Duration("grace", 10*time.Second, "shutdown grace period")
 		snapshot = fs.String("snapshot", "", "checkpoint destination path; enables POST /checkpoint")
 		restore  = fs.String("restore", "", "boot from this snapshot file instead of empty state")
@@ -348,7 +347,6 @@ func run(args []string) error {
 		// restores a checkpoint taken before degree tracking existed
 		// (the table is part of the snapshot fingerprint contract).
 		TrackDegrees: *local && *degrees,
-		HubDegree:    *hubDeg,
 		BatchSize:    *batch,
 		// The telemetry bundle wires stage-latency histograms, per-shard
 		// series, and the flight recorder through the whole pipeline; the

@@ -24,10 +24,10 @@ import (
 
 // maxBodyBatch is the most parsed NDJSON events buffered before a
 // forced hand-off to the estimator. Whole request bodies below it are
-// ingested as ONE wholesale batch (one delivery ticket, one ring
-// message per shard — the amortization ApplyBatch exists for); it
-// bounds per-request memory for unbounded streaming bodies at ~1 MiB
-// of events.
+// ingested by ONE ApplyBatch call (one pass through the ingest mutex,
+// shipped as ring messages of at most BatchSize events — the
+// amortization ApplyBatch exists for); it bounds per-request memory for
+// unbounded streaming bodies at ~1 MiB of events.
 const maxBodyBatch = 65536
 
 // maxLineLen bounds one NDJSON line (1 MiB, matching the stream reader).
@@ -563,7 +563,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	// NDJSON lines — is one rept_stage_parse_seconds observation.
 	segStart := time.Now()
 	// flush hands the whole parsed body (or a maxBodyBatch-long slab of
-	// an oversized one) to the estimator as one wholesale batch; false
+	// an oversized one) to the estimator as one batch; false
 	// means the server is shutting down (503) or, on a durable server,
 	// the log refused the batch (walErr set, 500) — either way the
 	// batch's pending tallies are discarded, not reported, because the
@@ -654,7 +654,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		// Self-loops ride along so the estimator's own SelfLoops counter
-		// (surfaced by /estimate) stays consistent; ApplyAll skips them.
+		// (surfaced by /estimate) stays consistent; ApplyBatch skips them.
 		if u == v {
 			pend.loops++
 		} else {

@@ -41,20 +41,10 @@ type ConcurrentConfig struct {
 	// need. Degrees count non-loop edge arrivals: on streams where every
 	// edge arrives once they equal graph degrees.
 	TrackDegrees bool
-	// HubDegree enables hub-aware batch routing: once a vertex's stream
-	// degree (from the degree table, so TrackDegrees is required)
-	// reaches this threshold, ApplyBatch splits oversized batches that
-	// touch it into BatchSize-long segments so the hub's heavy
-	// closing-edge work pipelines across the shard consumers instead of
-	// serializing in one monolithic apply. 0 disables splitting. Purely
-	// an execution detail: estimates, snapshots, and the WAL fingerprint
-	// are unaffected.
-	HubDegree int
-	// Workers is the per-shard engine worker count (default 1: each shard
-	// is already its own goroutine).
-	Workers int
 	// BatchSize is the ingest hand-off batch length (default 1024). Adds
-	// are buffered under a mutex and broadcast to shards in batches.
+	// are buffered under a mutex and broadcast to shards in batches of
+	// this length; bulk calls ship segments of at most this many events.
+	// An execution detail: estimates do not depend on it.
 	BatchSize int
 	// QueueLen is the per-shard queue depth in batches (default 8);
 	// producers block when a shard falls this far behind.
@@ -117,8 +107,6 @@ func (c ConcurrentConfig) shardConfig() shard.Config {
 		FullyDynamic: c.FullyDynamic,
 		TrackEta:     c.TrackEta,
 		TrackDegrees: c.TrackDegrees,
-		HubDegree:    c.HubDegree,
-		Workers:      c.Workers,
 		BatchSize:    c.BatchSize,
 		QueueLen:     c.QueueLen,
 		Obs:          c.Telemetry.obsPipeline(),
@@ -147,28 +135,40 @@ func (c *Concurrent) Add(u, v NodeID) { c.sh.Add(u, v) }
 // AddEdge feeds one stream edge.
 func (c *Concurrent) AddEdge(edge Edge) { c.sh.Add(edge.U, edge.V) }
 
-// AddAll feeds a slice of stream edges in order under one critical
-// section; bulk callers should prefer it over per-edge Add.
-func (c *Concurrent) AddAll(edges []Edge) { c.sh.AddAll(edges) }
+// AddAll feeds a slice of stream edges in order, through ApplyBatch in
+// bodies of up to addAllChunk edges; bulk callers should prefer it over
+// per-edge Add.
+func (c *Concurrent) AddAll(edges []Edge) {
+	var buf [addAllChunk]Update
+	for len(edges) > 0 {
+		n := min(len(edges), len(buf))
+		for i, e := range edges[:n] {
+			buf[i] = Update{U: e.U, V: e.V}
+		}
+		c.sh.ApplyBatch(buf[:n])
+		edges = edges[n:]
+	}
+}
+
+// addAllChunk is the body length AddAll converts edges into on the stack:
+// the default BatchSize, so each body ships as one segment.
+const addAllChunk = 1024
 
 // Delete feeds one stream edge deletion; estimates then track the net
 // (live) graph. Requires ConcurrentConfig.FullyDynamic (panics with
 // ErrNotDynamic otherwise). Safe for concurrent use.
 func (c *Concurrent) Delete(u, v NodeID) { c.sh.Delete(u, v) }
 
-// ApplyAll feeds a slice of signed stream events in order under one
-// critical section — the bulk fully-dynamic ingest path. Deletion events
-// require ConcurrentConfig.FullyDynamic.
-func (c *Concurrent) ApplyAll(ups []Update) { c.sh.ApplyAll(ups) }
+// ApplyAll feeds a slice of signed stream events in order — ApplyBatch
+// without the Batch wrapper. Deletion events require
+// ConcurrentConfig.FullyDynamic.
+func (c *Concurrent) ApplyAll(ups []Update) { c.sh.ApplyBatch(ups) }
 
-// ApplyBatch feeds every event in b, in order, as one wholesale
-// delivery: the batch gets a single delivery ticket, travels the shard
-// rings as one message, and each shard engine applies it through the
-// presence-mask fast path — bit-identical results to ApplyAll, at a
-// fraction of the per-event dispatch cost. With
-// ConcurrentConfig.HubDegree set, oversized batches touching a hub
-// vertex are split into BatchSize-long segments (see HubDegree). The
-// batch is copied during the call; the caller may Reset and refill it
+// ApplyBatch feeds every event in b, in order, under one critical
+// section: the events ship as ticketed segments of at most BatchSize
+// events, each traveling the shard rings as one message, and every shard
+// engine applies them through its presence-mask walk. The batch is
+// copied during the call; the caller may Reset and refill it
 // immediately. Deletion events require ConcurrentConfig.FullyDynamic.
 // Safe for concurrent use (one goroutine per Batch).
 func (c *Concurrent) ApplyBatch(b *Batch) {
@@ -265,8 +265,8 @@ func (c *Concurrent) WriteSnapshot(w io.Writer) error { return c.sh.WriteSnapsho
 // fingerprint must match cfg's statistical fields (M, C, Seed,
 // TrackLocal, TrackEta — and TrackDegrees, whose table is carried in the
 // snapshot) and the effective shard count must equal the one cfg implies,
-// because per-shard hash seeds derive from (Seed, shard index). Workers,
-// BatchSize, and QueueLen may differ. Mismatches are rejected with an
+// because per-shard hash seeds derive from (Seed, shard index). BatchSize
+// and QueueLen may differ. Mismatches are rejected with an
 // error wrapping ErrSnapshotMismatch.
 func ResumeConcurrent(cfg ConcurrentConfig, r io.Reader) (*Concurrent, error) {
 	ac := mem.New()

@@ -132,24 +132,29 @@ func TestNewConcurrentValidation(t *testing.T) {
 	}
 }
 
-// TestBatchSizePlumbed checks the Config.BatchSize fix: a custom batch
-// size must reach the parallel engine and must not change results, which
-// are defined to be independent of Workers and BatchSize.
+// TestBatchSizePlumbed: a custom ConcurrentConfig.BatchSize must reach
+// the shard producer — odd sizes split every body into several segments
+// and leave per-event Adds straddling them — and must not change results,
+// which are defined to be independent of BatchSize.
 func TestBatchSizePlumbed(t *testing.T) {
 	edges := concurrentStream()
-	run := func(workers, batch int) float64 {
-		est, err := rept.New(rept.Config{M: 3, C: 9, Seed: 5, Workers: workers, BatchSize: batch})
+	run := func(batch int) float64 {
+		est, err := rept.NewConcurrent(rept.ConcurrentConfig{M: 3, C: 9, Shards: 2, Seed: 5, BatchSize: batch})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer est.Close()
-		est.AddAll(edges)
+		half := len(edges) / 2
+		est.AddAll(edges[:half])
+		for _, e := range edges[half:] {
+			est.Add(e.U, e.V)
+		}
 		return est.Global()
 	}
-	want := run(0, 0)
+	want := run(0)
 	for _, batch := range []int{1, 7, 4096} {
-		if got := run(3, batch); got != want {
-			t.Errorf("Workers=3 BatchSize=%d: Global = %v, sequential = %v", batch, got, want)
+		if got := run(batch); got != want {
+			t.Errorf("BatchSize=%d: Global = %v, default = %v", batch, got, want)
 		}
 	}
 }

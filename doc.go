@@ -28,9 +28,9 @@
 // # Concurrency model
 //
 // An Estimator is driven by ONE caller: Add must not be called from
-// multiple goroutines, even though the estimator may parallelize
-// internally over Config.Workers. For ingestion from many goroutines —
-// network handlers, partitioned readers — use NewConcurrent instead:
+// multiple goroutines. For ingestion from many goroutines — network
+// handlers, partitioned readers — or over several cores, use
+// NewConcurrent instead:
 //
 //	est, err := rept.NewConcurrent(rept.ConcurrentConfig{M: 10, C: 40, Shards: 4, Seed: 1})
 //	if err != nil { ... }
@@ -44,12 +44,13 @@
 // independent engine shards (whole processor groups with independent hash
 // seeds, the distributed layout of paper Section III-B) and broadcasts
 // batched edges to them through single-producer/single-consumer ring
-// buffers. Callers that already hold many events hand them over
-// wholesale: fill a reusable Batch and call ApplyBatch (or
-// ApplyBatchDurable with a WAL) to deliver the whole batch as one ring
-// message per shard instead of re-buffering it event by event.
-// Snapshots are
-// consistent — every shard reports at the same stream prefix — and its
+// buffers. Per-event Adds share one buffer under a mutex; callers that
+// already hold many events fill a reusable Batch and call ApplyBatch (or
+// ApplyBatchDurable with a WAL), which takes the mutex once and ships the
+// batch as ring messages of at most BatchSize events. Shards are the only
+// parallelism: each engine runs single-threaded in its shard's
+// goroutine. Snapshots are consistent — every shard reports at the same
+// stream prefix — and its
 // estimates follow the same distribution as a single-caller Estimator
 // with equal M and C. cmd/reptserve wraps a Concurrent estimator in an
 // HTTP service (NDJSON ingest, mid-stream estimate queries).
@@ -167,20 +168,20 @@
 // trajectory (cmd/benchdiff fails CI on >25% per-event regression)
 // keeping it that way.
 //
-// The batch ingest path goes further. A wholesale batch travels from the
-// caller to each shard's consumer as ONE ticket through an SPSC ring
-// (padded head/tail indexes, brief spin then futex-style park — no
-// channel machinery on the hand-off), and each engine applies it through
-// a presence-mask fast path: a 64-bit per-node processor-membership mask
-// lets the engine visit, per edge, only the storing processor and the
-// processors holding BOTH endpoints — any other processor cannot close a
-// triangle on that event. Estimates are bit-identical to the per-event
-// path (gated by tests), and steady-state batch ingest runs at ~0.18 µs
-// per event, ≥2× faster than the chunked broadcast path (the ratio is a
-// CI gate), still at 0 allocs/op. ConcurrentConfig.HubDegree optionally
-// re-splits oversized batches around high-degree vertices so hub work
-// pipelines across shards — a granularity-only policy that never changes
-// the estimates.
+// Every event, insertion or deletion, reaches the engine the same way.
+// Batches travel from the producer to each shard's consumer as one
+// ticket per segment through an SPSC ring (padded head/tail indexes,
+// brief spin then futex-style park — no channel machinery on the
+// hand-off), and each engine applies every event through one
+// presence-mask walk: per-node processor-membership masks, one 64-bit
+// table per 64 processors, let the engine visit only each group's
+// storing processor and the processors holding BOTH endpoints — any
+// other processor cannot close a triangle on that event, and the one
+// deletion tally it would advance (d_o) is derived instead of counted.
+// Estimates are bit-identical to visiting every processor (gated by tests
+// against an all-processor reference walk), and steady-state ingest
+// allocates nothing (gated by AllocsPerRun tests; the README lists
+// measured per-event costs).
 //
 // # Durability
 //
@@ -207,7 +208,8 @@
 // write-ahead log closes the rest of the gap. ResumeDurable opens a
 // Concurrent estimator on a segmented, CRC-checked log of accepted
 // events (WALOptions: local-disk directory or any WALBackend), and
-// ApplyAllDurable returns only once the log acknowledges its events —
+// ApplyBatchDurable (or ApplyAllDurable) returns only once the log
+// acknowledges its events —
 // fsynced in per-batch mode (zero loss window), appended in interval
 // mode (loss window of at most the sync interval on power failure).
 // Appends are group-committed by a dedicated logger goroutine off the
@@ -300,5 +302,6 @@
 // (TheoreticalVariance, ParallelMascotVariance).
 //
 // Reproduction of the paper's tables and figures lives in cmd/reptbench
-// and the root-level benchmarks; see DESIGN.md and EXPERIMENTS.md.
+// and the root-level benchmarks; see the internal/exper package
+// documentation for the experiment index and the dataset analogs.
 package rept

@@ -51,8 +51,8 @@ type WALOptions struct {
 	// under Dir).
 	Backend WALBackend
 	// SyncInterval selects the sync mode. Zero (the default) is
-	// per-batch: ApplyAllDurable returns only after its events are
-	// fsynced — group commit amortizes the sync across concurrent
+	// per-batch: the durable ingest calls return only after their events
+	// are fsynced — group commit amortizes the sync across concurrent
 	// callers, but the floor is one sync per call. A positive interval
 	// acknowledges on append and syncs on this period instead: much
 	// cheaper, with a loss window of at most the interval on a crash.
@@ -86,9 +86,9 @@ type WALOptions struct {
 // log.
 //
 // The returned estimator accepts all the usual methods; events fed
-// through any ingest path are logged, but only ApplyAllDurable waits for
-// the log's acknowledgment. Close flushes, group-commits the tail, and
-// closes the log.
+// through any ingest path are logged, but only ApplyBatchDurable and
+// ApplyAllDurable wait for the log's acknowledgment. Close flushes,
+// group-commits the tail, and closes the log.
 func ResumeDurable(cfg ConcurrentConfig, opt WALOptions) (*Concurrent, error) {
 	be := opt.Backend
 	if be == nil {
@@ -131,7 +131,7 @@ func ResumeDurable(cfg ConcurrentConfig, opt WALOptions) (*Concurrent, error) {
 				}
 			}
 		}
-		sh.ApplyAll(ups)
+		sh.ApplyBatch(ups)
 		return nil
 	})
 	if err != nil {
@@ -180,31 +180,26 @@ func ResumeDurable(cfg ConcurrentConfig, opt WALOptions) (*Concurrent, error) {
 // must not be acknowledged to any upstream client (they may or may not
 // have reached the in-memory estimate, and a restart may not recover
 // them); the log failure is sticky and every later call fails too.
-// Without a WAL (NewConcurrent) it degrades to ApplyAll and returns nil.
+// Without a WAL (NewConcurrent) it is ApplyAll and returns nil.
 func (c *Concurrent) ApplyAllDurable(ups []Update) error {
-	err := c.sh.ApplyAllDurable(ups)
-	if err == nil && c.compactCh != nil {
-		st := c.lg.Stats()
-		if st.DurablePos-st.CheckpointPos >= c.compactEvery {
-			select {
-			case c.compactCh <- struct{}{}:
-			default: // a compaction is already pending or running
-			}
-		}
-	}
-	return err
+	return c.compactAfter(c.sh.ApplyBatchDurable(ups))
 }
 
 // ApplyBatchDurable is ApplyBatch with ApplyAllDurable's durability
-// barrier: the batch travels as wholesale ring deliveries (hub
-// splitting included) and the call returns only once the write-ahead
-// log acknowledges every event under the configured sync mode. Without
-// a WAL (NewConcurrent) it degrades to ApplyBatch and returns nil.
+// barrier: the call returns only once the write-ahead log acknowledges
+// every event under the configured sync mode. Without a WAL
+// (NewConcurrent) it is ApplyBatch and returns nil.
 func (c *Concurrent) ApplyBatchDurable(b *Batch) error {
 	if b == nil {
 		return nil
 	}
-	err := c.sh.ApplyBatchDurable(b.ups)
+	return c.compactAfter(c.sh.ApplyBatchDurable(b.ups))
+}
+
+// compactAfter passes a durable ingest's result through, first waking the
+// compactor once the log has grown CompactEvery events past its last
+// checkpoint.
+func (c *Concurrent) compactAfter(err error) error {
 	if err == nil && c.compactCh != nil {
 		st := c.lg.Stats()
 		if st.DurablePos-st.CheckpointPos >= c.compactEvery {

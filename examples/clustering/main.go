@@ -40,7 +40,7 @@ func main() {
 // clustering streams the edges once, tracking degrees exactly and τ via
 // REPT with η̂ bookkeeping for the confidence interval.
 func clustering(edges []rept.Edge) (exact, estimated, ci95 float64) {
-	est, err := rept.New(rept.Config{M: 8, C: 8, Seed: 11, TrackEta: true, Workers: 2})
+	est, err := rept.New(rept.Config{M: 8, C: 8, Seed: 11, TrackEta: true})
 	if err != nil {
 		log.Fatal(err)
 	}

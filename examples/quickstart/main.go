@@ -28,7 +28,6 @@ func main() {
 		C:          10,
 		Seed:       1,
 		TrackLocal: true,
-		Workers:    4,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -33,7 +33,7 @@ func main() {
 	fmt.Printf("stream: %d edges, %d honest nodes, %d sybils\n",
 		len(edges), honestNodes, sybils)
 
-	est, err := rept.New(rept.Config{M: 4, C: 4, Seed: 3, TrackLocal: true, Workers: 2})
+	est, err := rept.New(rept.Config{M: 4, C: 4, Seed: 3, TrackLocal: true})
 	if err != nil {
 		log.Fatal(err)
 	}

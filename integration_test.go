@@ -36,7 +36,7 @@ func TestPipelineFileToEstimate(t *testing.T) {
 	defer src.Close()
 	clean := stream.Dedup(src, true)
 
-	est, err := rept.New(rept.Config{M: 4, C: 8, Seed: 5, TrackLocal: true, Workers: 2})
+	est, err := rept.New(rept.Config{M: 4, C: 8, Seed: 5, TrackLocal: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,10 @@ import (
 	"rept/internal/graph"
 )
 
+// allocLayouts are the processor counts the zero-allocation gates run
+// at: one presence-mask block, and one past it (two blocks).
+var allocLayouts = []int{4, 65}
+
 // TestApplyAllSteadyStateZeroAlloc gates the engine's steady-state
 // zero-allocation claim: with the working set warmed up, a fully-dynamic
 // churn block over a stable node universe — deletions, re-insertions,
@@ -14,7 +18,13 @@ import (
 // This is what keeps long-running ingest free of GC pressure regardless
 // of stream length.
 func TestApplyAllSteadyStateZeroAlloc(t *testing.T) {
-	e, err := NewEngine(Config{M: 2, C: 4, Seed: 7, FullyDynamic: true, TrackLocal: true, TrackEta: true})
+	for _, c := range allocLayouts {
+		testApplyAllZeroAlloc(t, c)
+	}
+}
+
+func testApplyAllZeroAlloc(t *testing.T, c int) {
+	e, err := NewEngine(Config{M: 2, C: c, Seed: 7, FullyDynamic: true, TrackLocal: true, TrackEta: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +48,7 @@ func TestApplyAllSteadyStateZeroAlloc(t *testing.T) {
 		e.ApplyAll(block)
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state ApplyAll allocates %.1f per %d-event block, want 0", allocs, len(block))
+		t.Errorf("C=%d: steady-state ApplyAll allocates %.1f per %d-event block, want 0", c, allocs, len(block))
 	}
 }
 
@@ -47,7 +57,13 @@ func TestApplyAllSteadyStateZeroAlloc(t *testing.T) {
 // re-insertion of the same edges — the tombstone-recycling churn the ctab
 // ping-pong buffers exist for — must not allocate.
 func TestDeleteSteadyStateZeroAlloc(t *testing.T) {
-	e, err := NewEngine(Config{M: 2, C: 4, Seed: 7, FullyDynamic: true, TrackLocal: true, TrackEta: true})
+	for _, c := range allocLayouts {
+		testDeleteZeroAlloc(t, c)
+	}
+}
+
+func testDeleteZeroAlloc(t *testing.T, c int) {
+	e, err := NewEngine(Config{M: 2, C: c, Seed: 7, FullyDynamic: true, TrackLocal: true, TrackEta: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,6 +82,6 @@ func TestDeleteSteadyStateZeroAlloc(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state Delete/Add churn allocates %.1f per %d-event round, want 0", allocs, 2*len(slice))
+		t.Errorf("C=%d: steady-state Delete/Add churn allocates %.1f per %d-event round, want 0", c, allocs, 2*len(slice))
 	}
 }

@@ -7,8 +7,11 @@
 //
 //   - Engine: the deployable implementation. C logical processors, each
 //     storing only its own sampled edge set E⁽ⁱ⁾ (expected p·|E| edges),
-//     optionally spread over W goroutines with batched edge broadcast.
-//     This matches the paper's distributed-memory model (Algorithms 1, 2).
+//     as in the paper's distributed-memory model (Algorithms 1, 2). Every
+//     event, insertion or deletion, takes one presence-mask walk that
+//     visits each group's storing processor plus the processors whose
+//     sample holds both endpoints — the only processors whose counters
+//     can move — so an event costs a handful of visits, not C.
 //
 //   - Sim: a single-pass evaluator over one shared colored adjacency
 //     structure that computes every processor's counters simultaneously.
@@ -63,12 +66,6 @@ type Config struct {
 	// the variance-validation experiment). When C > M with C%M ≠ 0 the
 	// bookkeeping is enabled regardless, as Algorithm 2 requires η̂.
 	TrackEta bool
-	// Workers is the number of goroutines the parallel Engine uses.
-	// Values <= 1 select the sequential path. Ignored by Sim.
-	Workers int
-	// BatchSize is the broadcast batch length of the parallel Engine
-	// (default 2048). Ignored by Sim and by the sequential path.
-	BatchSize int
 	// HashFamily overrides the edge-hash family (one Hasher per processor
 	// group, each mapping edge keys uniformly to [0, M)). Nil selects the
 	// default seeded 64-bit mixer family. Used by the hash-quality

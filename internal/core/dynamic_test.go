@@ -16,8 +16,8 @@ import (
 // nothing on insert-only workloads.
 func TestFullyDynamicInsertOnlyBitIdentical(t *testing.T) {
 	edges := gen.Shuffle(gen.HolmeKim(300, 4, 0.4, 21), 5)
-	for _, workers := range []int{1, 4} {
-		cfg := Config{M: 4, C: 10, Seed: 7, TrackLocal: true, TrackEta: true, Workers: workers}
+	for _, c := range []int{10, 70} {
+		cfg := Config{M: 4, C: c, Seed: 7, TrackLocal: true, TrackEta: true}
 		plain, err := NewEngine(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -31,10 +31,10 @@ func TestFullyDynamicInsertOnlyBitIdentical(t *testing.T) {
 		dyn.ApplyAll(graph.Inserts(edges))
 		ap, ad := plain.Aggregates(), dyn.Aggregates()
 		if !reflect.DeepEqual(ap, ad) {
-			t.Fatalf("workers=%d: insert-only counters diverge between FullyDynamic on/off", workers)
+			t.Fatalf("C=%d: insert-only counters diverge between FullyDynamic on/off", c)
 		}
 		if ps := dyn.PairingCounters(); ps != (PairingStats{}) {
-			t.Errorf("workers=%d: pairing counters %+v on an insert-only stream", workers, ps)
+			t.Errorf("C=%d: pairing counters %+v on an insert-only stream", c, ps)
 		}
 		plain.Close()
 		dyn.Close()
@@ -157,10 +157,12 @@ func checkDynamicInvariants(t *testing.T, eng *Engine) {
 
 // FuzzFullyDynamicCore throws arbitrary signed sequences — including
 // malformed ones that delete absent edges or re-insert live ones — at a
-// fully-dynamic engine and asserts the state invariants hold: no panics,
-// no NaN/Inf estimates, no negative sampled-set sizes, the per-processor
-// counter maps consistent with the sampled sets, and the whole state
-// snapshot-round-trippable into an engine with bit-identical counters.
+// fully-dynamic engine and asserts that it matches the all-processor
+// reference walk bit for bit (derived d_o included) and that the state
+// invariants hold: no panics, no NaN/Inf estimates, no negative
+// sampled-set sizes, the per-processor counter maps consistent with the
+// sampled sets, and the whole state snapshot-round-trippable into an
+// engine with bit-identical counters.
 func FuzzFullyDynamicCore(f *testing.F) {
 	f.Add(uint8(3), uint8(7), int64(1), []byte{0x10, 0x21, 0x20, 0x91, 0x30})
 	f.Add(uint8(2), uint8(5), int64(2), []byte{0x10, 0x21, 0x20, 0xa0, 0xa0, 0x20})
@@ -180,10 +182,15 @@ func FuzzFullyDynamicCore(f *testing.F) {
 		// Each byte is one event: low nibbles pick endpoints in [0, 8), the
 		// top bit selects deletion — so duplicate inserts, deletes of
 		// absent edges, and self-loops all occur naturally.
+		ref := newRefEngine(t, cfg)
+		defer ref.Close()
 		for _, b := range data {
 			u, v := graph.NodeID(b&0x7), graph.NodeID((b>>3)&0x7)
-			eng.Apply(graph.Update{U: u, V: v, Del: b&0x80 != 0})
+			up := graph.Update{U: u, V: v, Del: b&0x80 != 0}
+			eng.Apply(up)
+			ref.apply(up)
 		}
+		sameAsRef(t, "fuzz", ref, eng)
 		checkDynamicInvariants(t, eng)
 
 		// Snapshot round trip: the restored engine must carry bit-identical

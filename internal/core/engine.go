@@ -3,42 +3,43 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"rept/internal/graph"
 	"rept/internal/hashing"
-	"rept/internal/obs"
 )
 
-const defaultBatchSize = 2048
+// maskBlock is the number of processors one presence-mask table covers,
+// one uint64 bit each.
+const maskBlock = 64
 
 // Engine is the deployable parallel REPT implementation: C logical
-// processors, each with its own sampled edge set, fed by batched
-// broadcast over up to Workers goroutines.
+// processors, each with its own sampled edge set E⁽ⁱ⁾. Every event takes
+// one walk (see walk) that visits only the processors able to move a
+// counter on it.
 //
-// Engine is not safe for concurrent use by multiple callers; a single
-// streaming caller drives Add/Delete, and the engine parallelizes
-// internally.
+// Engine is not safe for concurrent use: a single streaming caller drives
+// Add/Delete. Parallelism lives one layer up, where shard.Sharded runs one
+// engine per goroutine over disjoint processor groups.
 type Engine struct {
 	cfg      Config
 	lay      layout
 	trackEta bool
 	procs    []*proc
 	fam      []Hasher
-	seqCols  []int // per-group color scratch for the sequential path
 
-	// masks is the presence-mask table behind ApplyBatch's
-	// processor-skipping fast path, maintained by every sample mutation
-	// on every processor. Nil when the engine runs worker goroutines
-	// (the table is single-writer) or has more than 64 processors (one
-	// uint64 bit per processor).
-	masks *graph.MaskTable
+	// masks holds one presence-mask table per block of 64 processors:
+	// masks[b] maps a node to the bitmask of processors 64b … 64b+63 whose
+	// sampled adjacency contains it. Every sample mutation keeps them
+	// current; the walk reads them to find the processors holding both
+	// endpoints of an event.
+	masks []*graph.MaskTable
+	// cols and store are per-event walk scratch: each group's color of
+	// the event, and per mask block the bits of the groups' storing
+	// processors.
+	cols  []int
+	store []uint64
 
-	workers int
-	batch   []graph.Update
-	chans   []chan []graph.Update
-	wg      sync.WaitGroup
-	closed  bool
+	closed bool
 
 	processed uint64
 	deleted   uint64
@@ -47,15 +48,7 @@ type Engine struct {
 	// shift is the cumulative sample down-shift applied by Downsample;
 	// the effective sampling denominator is M·2^shift.
 	shift uint
-
-	applied *obs.Counter // optional telemetry: events applied, nil when off
 }
-
-// Instrument attaches an events-applied counter incremented once per
-// non-loop event the engine processes. Pass nil to detach. Call before
-// feeding events; the counter must be allocation-free to record into
-// (obs.Counter is), because apply is the hot path.
-func (e *Engine) Instrument(applied *obs.Counter) { e.applied = applied }
 
 // NewEngine builds an Engine for cfg. The hash family (one hash per
 // processor group) is derived deterministically from cfg.Seed.
@@ -65,72 +58,38 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	lay := newLayout(cfg.M, cfg.C)
 	trackEta := cfg.TrackEta || lay.needsEta()
-	fam := cfg.hashFamily(lay.groups)
+	blocks := (cfg.C + maskBlock - 1) / maskBlock
 
-	e := &Engine{cfg: cfg, lay: lay, trackEta: trackEta, fam: fam}
-	e.seqCols = make([]int, lay.groups)
-	e.procs = make([]*proc, cfg.C)
+	e := &Engine{
+		cfg:      cfg,
+		lay:      lay,
+		trackEta: trackEta,
+		fam:      cfg.hashFamily(lay.groups),
+		masks:    make([]*graph.MaskTable, blocks),
+		cols:     make([]int, lay.groups),
+		store:    make([]uint64, blocks),
+		procs:    make([]*proc, cfg.C),
+	}
+	for b := range e.masks {
+		e.masks[b] = graph.NewMaskTable()
+		if cfg.Mem != nil {
+			e.masks[b].SetAccountant(cfg.Mem)
+		}
+	}
 	downSeeds := downSeedFamily(uint64(cfg.Seed), lay.groups)
 	for i := range e.procs {
 		g := lay.groupOf(i)
-		e.procs[i] = newProc(g, lay.colorOf(i), cfg.TrackLocal, trackEta, downSeeds[g], cfg.Mem)
-	}
-
-	e.workers = cfg.Workers
-	if e.workers > cfg.C {
-		e.workers = cfg.C
-	}
-	if e.workers <= 1 && cfg.C <= 64 {
-		e.masks = graph.NewMaskTable()
-		if cfg.Mem != nil {
-			e.masks.SetAccountant(cfg.Mem)
-		}
-		for i, p := range e.procs {
-			p.masks = e.masks
-			p.maskBit = 1 << uint(i)
-		}
-	}
-	if e.workers > 1 {
-		bs := cfg.BatchSize
-		if bs <= 0 {
-			bs = defaultBatchSize
-		}
-		e.batch = make([]graph.Update, 0, bs)
-		e.chans = make([]chan []graph.Update, e.workers)
-		for w := 0; w < e.workers; w++ {
-			e.chans[w] = make(chan []graph.Update)
-			go e.worker(w, e.chans[w])
-		}
+		p := newProc(g, lay.colorOf(i), cfg.TrackLocal, trackEta, downSeeds[g], cfg.Mem)
+		p.masks = e.masks[i/maskBlock]
+		p.maskBit = 1 << uint(i%maskBlock)
+		e.procs[i] = p
 	}
 	return e, nil
 }
 
-// worker processes the logical processors owned by worker w (those with
-// index ≡ w mod workers) for every broadcast batch. Batches are read-only
-// shared slices; the coordinator waits for all workers before reusing the
-// buffer, so no copies are needed.
-func (e *Engine) worker(w int, ch <-chan []graph.Update) {
-	cols := make([]int, len(e.fam))
-	for batch := range ch {
-		for _, up := range batch {
-			key := graph.Key(up.U, up.V)
-			for g, h := range e.fam {
-				cols[g] = h.Color(key)
-			}
-			for i := w; i < len(e.procs); i += e.workers {
-				p := e.procs[i]
-				p.apply(up, key, cols[p.group])
-			}
-		}
-		e.wg.Done()
-	}
-}
-
 // Add feeds one stream edge insertion. Self-loops are skipped (a
 // self-loop cannot be part of a triangle).
-func (e *Engine) Add(u, v graph.NodeID) {
-	e.apply(graph.Update{U: u, V: v})
-}
+func (e *Engine) Add(u, v graph.NodeID) { e.walk(graph.Update{U: u, V: v}) }
 
 // Delete feeds one stream edge deletion. It requires Config.FullyDynamic
 // and panics with ErrNotDynamic otherwise; self-loops are skipped like
@@ -138,29 +97,53 @@ func (e *Engine) Add(u, v graph.NodeID) {
 // case and costs nothing extra; deleting an edge that was never inserted
 // (a malformed stream) keeps the engine deterministic and finite but
 // poisons the estimate (see PairingCounters).
-func (e *Engine) Delete(u, v graph.NodeID) {
-	if !e.cfg.FullyDynamic {
-		panic(ErrNotDynamic)
-	}
-	e.apply(graph.Update{U: u, V: v, Del: true})
-}
+func (e *Engine) Delete(u, v graph.NodeID) { e.walk(graph.Update{U: u, V: v, Del: true}) }
 
 // Apply feeds one signed stream event. Deletions require
 // Config.FullyDynamic (see Delete).
-func (e *Engine) Apply(up graph.Update) {
-	if up.Del && !e.cfg.FullyDynamic {
-		panic(ErrNotDynamic)
+func (e *Engine) Apply(up graph.Update) { e.walk(up) }
+
+// AddEdge feeds one stream edge insertion.
+func (e *Engine) AddEdge(edge graph.Edge) { e.walk(graph.Update{U: edge.U, V: edge.V}) }
+
+// AddAll feeds a slice of stream edge insertions in order.
+func (e *Engine) AddAll(edges []graph.Edge) {
+	for _, edge := range edges {
+		e.walk(graph.Update{U: edge.U, V: edge.V})
 	}
-	e.apply(up)
 }
 
-// apply routes one event: inline fan-out in sequential mode, batch
-// buffering (self-append into the retained buffer) in worker mode.
+// ApplyAll feeds a slice of signed stream events in order. Deletions
+// require Config.FullyDynamic; a rejected deletion panics with every
+// earlier event of the slice applied.
+func (e *Engine) ApplyAll(ups []graph.Update) {
+	for _, up := range ups {
+		e.walk(up)
+	}
+}
+
+// ApplyBatch is ApplyAll under the bulk name the shard layer uses.
+func (e *Engine) ApplyBatch(ups []graph.Update) { e.ApplyAll(ups) }
+
+// walk applies one signed event, the engine's only ingest code. It visits
+// each group's storing processor — the only one that can sample, remove,
+// or phantom-track the edge — plus exactly the processors whose sample
+// holds both endpoints, and skips the rest. A skipped processor is
+// provably inert on the event: with an endpoint absent its common
+// neighborhood is empty, so τ/τ_v/η/η_v and the per-edge counters stay
+// put, and the one tally a deletion would advance there, d_o, is derived
+// instead (see unsampledDeletes). Processors share no mutable state but
+// their own mask bits, so the visiting order is free and the results are
+// bit-identical to visiting every processor; what changes is cost — on a
+// 1/m-sampled layout most processors hold neither endpoint.
 //
 //rept:hotpath
-func (e *Engine) apply(up graph.Update) {
+func (e *Engine) walk(up graph.Update) {
 	if e.closed {
 		panic(ErrClosed)
+	}
+	if up.Del && !e.cfg.FullyDynamic {
+		panic(ErrNotDynamic)
 	}
 	if up.U == up.V {
 		e.selfLoops++
@@ -170,136 +153,38 @@ func (e *Engine) apply(up graph.Update) {
 	if up.Del {
 		e.deleted++
 	}
-	if e.applied != nil {
-		e.applied.Inc()
-	}
-	if e.workers <= 1 {
-		key := graph.Key(up.U, up.V)
-		for g, h := range e.fam {
-			e.seqCols[g] = h.Color(key)
+	key := graph.Key(up.U, up.V)
+	clear(e.store)
+	for g, h := range e.fam {
+		col := h.Color(key)
+		// Record the color for every group — including a partial group
+		// whose storing processor does not exist — because any processor
+		// of the group may still hold both endpoints.
+		e.cols[g] = col
+		if i := g*e.lay.m + col; i < len(e.procs) {
+			e.store[i/maskBlock] |= 1 << uint(i%maskBlock)
 		}
-		for _, p := range e.procs {
-			p.apply(up, key, e.seqCols[p.group])
-		}
-		return
 	}
-	e.batch = append(e.batch, up)
-	if len(e.batch) == cap(e.batch) {
-		e.flush()
-	}
-}
-
-// AddEdge feeds one stream edge insertion.
-func (e *Engine) AddEdge(edge graph.Edge) { e.Add(edge.U, edge.V) }
-
-// AddAll feeds a slice of stream edge insertions in order.
-func (e *Engine) AddAll(edges []graph.Edge) {
-	for _, edge := range edges {
-		e.Add(edge.U, edge.V)
-	}
-}
-
-// ApplyAll feeds a slice of signed stream events in order. Deletions
-// require Config.FullyDynamic.
-func (e *Engine) ApplyAll(ups []graph.Update) {
-	for _, up := range ups {
-		e.Apply(up)
-	}
-}
-
-// ApplyBatch feeds a slice of signed stream events in order, like
-// ApplyAll, through the presence-mask fast path: for each insertion it
-// visits the per-group storing processors (which may sample the edge)
-// plus exactly the processors whose adjacency already contains BOTH
-// endpoints, and skips the rest. A skipped processor is provably inert
-// on the event — with an endpoint absent its common-neighborhood is
-// empty, so τ/τ_v/η/η_v and the per-edge counters are all untouched —
-// which makes the skip invisible to every estimator and snapshot:
-// results stay bit-identical to ApplyAll. What changes is cost: on a
-// 1/m-sampled layout most processors hold neither endpoint, so the
-// per-event work drops from C processor visits to the handful that
-// matter.
-//
-// Deletions take the classic all-processor path unconditionally — the
-// per-processor deletion tallies (d_i/d_o/phantom) must advance on
-// every processor to keep snapshot parity.
-//
-// When the fast path is unavailable (worker mode, or C > 64) it
-// degrades to ApplyAll.
-func (e *Engine) ApplyBatch(ups []graph.Update) {
-	if e.masks == nil {
-		e.ApplyAll(ups)
-		return
-	}
-	if e.closed {
-		panic(ErrClosed)
-	}
-	for _, up := range ups {
-		if up.Del && !e.cfg.FullyDynamic {
-			panic(ErrNotDynamic)
-		}
-		if up.U == up.V {
-			e.selfLoops++
-			continue
-		}
-		e.processed++
-		if e.applied != nil {
-			e.applied.Inc()
-		}
-		key := graph.Key(up.U, up.V)
-		if up.Del {
-			e.deleted++
-			for g, h := range e.fam {
-				e.seqCols[g] = h.Color(key)
-			}
-			for _, p := range e.procs {
-				p.deleteEdge(up.U, up.V, key, e.seqCols[p.group])
-			}
-			continue
-		}
-		// Processors holding both endpoints, snapshotted BEFORE any
-		// storing processor runs: a store below may set fresh mask bits
-		// for u or v, and those processors must not be revisited for
-		// this event.
-		both := e.masks.Get(up.U) & e.masks.Get(up.V)
-		for g, h := range e.fam {
-			col := h.Color(key)
-			// Record the color for every group — including a partial
-			// group whose storing processor does not exist — because the
-			// mask loop below needs it for any processor of the group.
-			e.seqCols[g] = col
-			i := g*e.lay.m + col
-			if i < len(e.procs) {
-				e.procs[i].processEdge(up.U, up.V, key, col)
-				both &^= 1 << uint(i)
+	for b, mt := range e.masks {
+		// The block's visit set is fixed before any of its processors
+		// runs: a store below may set fresh bits for u or v, and those
+		// processors must not be revisited for this event.
+		visit := e.store[b] | mt.Get(up.U)&mt.Get(up.V)
+		for visit != 0 {
+			p := e.procs[b*maskBlock+bits.TrailingZeros64(visit)]
+			visit &= visit - 1
+			if up.Del {
+				p.deleteEdge(up.U, up.V, key, e.cols[p.group])
+			} else {
+				p.processEdge(up.U, up.V, key, e.cols[p.group])
 			}
 		}
-		for both != 0 {
-			i := bits.TrailingZeros64(both)
-			both &= both - 1
-			p := e.procs[i]
-			p.processEdge(up.U, up.V, key, e.seqCols[p.group])
-		}
 	}
 }
 
-// flush broadcasts the pending batch to all workers and waits for them,
-// after which the batch buffer can be reused.
-func (e *Engine) flush() {
-	if len(e.batch) == 0 {
-		return
-	}
-	e.wg.Add(e.workers)
-	for _, ch := range e.chans {
-		ch <- e.batch
-	}
-	e.wg.Wait()
-	e.batch = e.batch[:0]
-}
-
-// Aggregates drains pending work and gathers the per-processor counters.
-// The engine remains usable afterwards, so interval workloads can snapshot
-// estimates mid-stream. Its result must not depend on iteration order
+// Aggregates gathers the per-processor counters. The engine remains
+// usable afterwards, so interval workloads can snapshot estimates
+// mid-stream. Its result must not depend on iteration order
 // (merges and snapshots consume it); the only map walks are commutative
 // int64 accumulations.
 //
@@ -307,9 +192,6 @@ func (e *Engine) flush() {
 func (e *Engine) Aggregates() *Aggregates {
 	if e.closed {
 		panic(ErrClosed)
-	}
-	if e.workers > 1 {
-		e.flush()
 	}
 	agg := &Aggregates{M: e.cfg.M, C: e.cfg.C, Shift: int(e.shift), TauProc: make([]int64, e.cfg.C)}
 	if e.trackEta {
@@ -346,7 +228,7 @@ func (e *Engine) Aggregates() *Aggregates {
 	return agg
 }
 
-// Result drains pending work and evaluates the REPT estimators.
+// Result evaluates the REPT estimators.
 func (e *Engine) Result() Estimate { return e.Aggregates().Estimate() }
 
 // Processed returns the number of non-loop events (insertions plus
@@ -386,36 +268,36 @@ type PairingStats struct {
 	PhantomDeletes uint64
 }
 
-// PairingCounters drains pending work and returns the engine-wide
-// random-pairing deletion tallies.
+// unsampledDeletes is p's d_o, derived rather than counted: every non-loop
+// deletion advances exactly one of p's d_i, d_o and phantom tallies, and
+// only p's own storing visits can advance d_i or phantom, so
+// d_o = Deleted − d_i − phantom. That is what lets the walk skip the
+// processors holding neither endpoint of a deletion.
+func (e *Engine) unsampledDeletes(p *proc) uint64 { return e.deleted - p.di - p.phantom }
+
+// PairingCounters returns the engine-wide random-pairing deletion
+// tallies.
 func (e *Engine) PairingCounters() PairingStats {
 	if e.closed {
 		panic(ErrClosed)
 	}
-	if e.workers > 1 {
-		e.flush()
-	}
 	var ps PairingStats
 	for _, p := range e.procs {
 		ps.SampledDeletes += p.di
-		ps.UnsampledDeletes += p.do
+		ps.UnsampledDeletes += e.unsampledDeletes(p)
 		ps.PhantomDeletes += p.phantom
 	}
 	return ps
 }
 
-// EtaSaturations drains pending work and returns how many per-edge
-// closing-counter updates were clamped at the int32 boundary instead of
-// wrapping (see ctab). Zero on every realistic stream; a non-zero value
+// EtaSaturations returns how many per-edge closing-counter updates were
+// clamped at the int32 boundary instead of wrapping (see ctab). Zero on every realistic stream; a non-zero value
 // flags an adversarially hot edge whose η̂ contribution is now a bounded
 // under-estimate rather than silent wrap-around garbage. The tally is a
 // diagnostic: it is not part of snapshots and resets on restore.
 func (e *Engine) EtaSaturations() uint64 {
 	if e.closed {
 		panic(ErrClosed)
-	}
-	if e.workers > 1 {
-		e.flush()
 	}
 	var n uint64
 	for _, p := range e.procs {
@@ -511,9 +393,6 @@ func (e *Engine) Downsample(extra int) error {
 	if newShift > maxSampleShift {
 		return fmt.Errorf("core: Downsample: cumulative shift %d exceeds max %d", newShift, maxSampleShift)
 	}
-	if e.workers > 1 {
-		e.flush()
-	}
 	s := 2 * uint(extra)
 	var buf []graph.Edge
 	for _, p := range e.procs {
@@ -524,13 +403,11 @@ func (e *Engine) Downsample(extra int) error {
 				continue
 			}
 			_, goneU, goneV := p.adj.RemoveReport(ed.U, ed.V)
-			if p.masks != nil {
-				if goneU {
-					p.masks.AndNot(ed.U, p.maskBit)
-				}
-				if goneV {
-					p.masks.AndNot(ed.V, p.maskBit)
-				}
+			if goneU {
+				p.masks.AndNot(ed.U, p.maskBit)
+			}
+			if goneV {
+				p.masks.AndNot(ed.V, p.maskBit)
 			}
 		}
 		p.tau = scaleHalfAway(p.tau, s)
@@ -557,17 +434,6 @@ func (e *Engine) Downsample(extra int) error {
 // probability is 1/(M·2^shift).
 func (e *Engine) SampleShift() int { return int(e.shift) }
 
-// Close stops the worker goroutines. The engine must not be used after
-// Close. Close is idempotent.
-func (e *Engine) Close() {
-	if e.closed {
-		return
-	}
-	if e.workers > 1 {
-		e.flush()
-		for _, ch := range e.chans {
-			close(ch)
-		}
-	}
-	e.closed = true
-}
+// Close retires the engine: any later use panics with ErrClosed (State
+// and Aggregates included). Close is idempotent.
+func (e *Engine) Close() { e.closed = true }

@@ -7,10 +7,12 @@ import (
 )
 
 // proc is the state of one logical REPT processor in the parallel Engine.
-// It sees every stream edge (to count semi-triangles closed against its
-// sampled set) but stores only the edges its group hash colors with its
+// It counts the semi-triangles every stream edge closes against its
+// sampled set but stores only the edges its group hash colors with its
 // own color — the paper's distributed-memory model where each processor
-// keeps an expected p·|E| edges.
+// keeps an expected p·|E| edges. The engine's walk visits it only for the
+// edges it stores and the edges whose endpoints its sample both holds:
+// for every other edge the intersection is empty and nothing moves.
 //
 // Counters are signed: in fully-dynamic mode a processor's τ⁽ⁱ⁾ can go
 // negative transiently (a deletion may be observed against sampled wedge
@@ -42,19 +44,22 @@ type proc struct {
 	// ctab).
 	tcnt *ctab
 
-	// Random-pairing deletion counters (TRIÈST-FD's d_i/d_o, specialized
-	// to hash-partition sampling): di counts deletions of edges that were
-	// in this processor's sample (each immediately compensated by its own
+	// Random-pairing deletion counters (TRIÈST-FD's d_i, specialized to
+	// hash-partition sampling): di counts deletions of edges that were in
+	// this processor's sample (each immediately compensated by its own
 	// removal — the pairing is deterministic here, so the unbiasing factor
-	// stays exactly 1), do counts deletions of edges outside the sample.
-	// phantom counts malformed deletions: the hash says the edge would
-	// have been sampled, yet it is absent — i.e. it was never inserted.
-	di, do, phantom uint64
+	// stays exactly 1). phantom counts malformed deletions: the hash says
+	// the edge would have been sampled, yet it is absent — i.e. it was
+	// never inserted. d_o, the deletions outside the sample, is derived
+	// from these two and the engine's deletion count (see
+	// Engine.unsampledDeletes).
+	di, phantom uint64
 
-	// masks, when non-nil, is the engine-wide presence-mask table
-	// (NodeID → bitmask of processors whose sampled adjacency contains
-	// the node) and maskBit is this processor's bit. Every sample
-	// mutation keeps them current; only Engine.ApplyBatch consumes them.
+	// masks is the presence-mask table of this processor's 64-processor
+	// block (NodeID → bitmask of the block's processors whose sampled
+	// adjacency contains the node) and maskBit is this processor's bit.
+	// Every sample mutation keeps them current; the engine's walk reads
+	// them.
 	masks   *graph.MaskTable
 	maskBit uint64
 
@@ -70,8 +75,8 @@ type proc struct {
 
 	// ac/acLocal reconcile the per-node counter maps (tauV, etaV) against
 	// the byte ledger under mem.CompCounters. The maps mutate on the hot
-	// path, so the reconciliation runs only at the engine's drain points
-	// (Aggregates, State, Downsample) — the ledger for this slice of
+	// path, so the reconciliation runs only at the engine's reporting
+	// points (Aggregates, State, Downsample) — the ledger for this slice of
 	// CompCounters is barrier-fresh rather than transition-exact, which is
 	// what its consumers (metrics scrapes, controller ticks) need.
 	ac      *mem.Accountant
@@ -107,7 +112,8 @@ func newProc(group, color int, trackLocal, trackEta bool, downSeed uint64, ac *m
 const localCounterEntryBytes = 28
 
 // reaccountLocal reconciles the per-node counter maps' footprint against
-// the ledger. Called only from the engine's drain points, never per event.
+// the ledger. Called only from the engine's reporting points, never per
+// event.
 func (p *proc) reaccountLocal() {
 	b := int64(len(p.tauV)+len(p.etaV)) * localCounterEntryBytes
 	p.ac.Add(mem.CompCounters, b-p.acLocal)
@@ -176,13 +182,11 @@ func (p *proc) processEdge(u, v graph.NodeID, key uint64, color int) {
 			if p.trackEta {
 				p.tcnt.setClamped(key, n)
 			}
-			if p.masks != nil {
-				if newU {
-					p.masks.Or(u, p.maskBit)
-				}
-				if newV {
-					p.masks.Or(v, p.maskBit)
-				}
+			if newU {
+				p.masks.Or(u, p.maskBit)
+			}
+			if newV {
+				p.masks.Or(v, p.maskBit)
 			}
 		}
 	}
@@ -211,19 +215,15 @@ func (p *proc) deleteEdge(u, v graph.NodeID, key uint64, color int) {
 			if p.trackEta {
 				p.tcnt.del(key)
 			}
-			if p.masks != nil {
-				if goneU {
-					p.masks.AndNot(u, p.maskBit)
-				}
-				if goneV {
-					p.masks.AndNot(v, p.maskBit)
-				}
+			if goneU {
+				p.masks.AndNot(u, p.maskBit)
+			}
+			if goneV {
+				p.masks.AndNot(v, p.maskBit)
 			}
 		} else {
 			p.phantom++
 		}
-	} else {
-		p.do++
 	}
 	var n int64
 	if p.trackLocal || p.trackEta {
@@ -258,16 +258,5 @@ func (p *proc) deleteEdge(u, v graph.NodeID, key uint64, color int) {
 				}
 			}
 		}
-	}
-}
-
-// apply dispatches one signed stream event.
-//
-//rept:hotpath
-func (p *proc) apply(up graph.Update, key uint64, color int) {
-	if up.Del {
-		p.deleteEdge(up.U, up.V, key, color)
-	} else {
-		p.processEdge(up.U, up.V, key, color)
 	}
 }

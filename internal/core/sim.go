@@ -48,7 +48,7 @@ type simWedge struct {
 	eidUW, eidVW int32
 }
 
-// NewSim builds a Sim for cfg. Workers and BatchSize are ignored.
+// NewSim builds a Sim for cfg.
 func NewSim(cfg Config) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

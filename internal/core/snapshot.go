@@ -10,10 +10,8 @@ import (
 )
 
 // fingerprint returns the statistical identity of the configuration: the
-// fields that determine estimator state. Workers and BatchSize are
-// execution details and excluded, so a snapshot can be restored under a
-// different parallelism. A custom HashFamily cannot be fingerprinted; the
-// caller must supply the identical family on restore.
+// fields that determine estimator state. A custom HashFamily cannot be
+// fingerprinted; the caller must supply the identical family on restore.
 func (c Config) fingerprint() snapshot.Fingerprint {
 	return snapshot.Fingerprint{
 		M:            c.M,
@@ -25,17 +23,13 @@ func (c Config) fingerprint() snapshot.Fingerprint {
 	}
 }
 
-// State drains pending batches and captures the engine's complete state:
-// the config fingerprint, every processor's sampled adjacency and
-// counters, and the processed/self-loop tallies. The returned state is a
-// deep copy — the engine may keep ingesting edges afterwards without
-// invalidating it.
+// State captures the engine's complete state: the config fingerprint,
+// every processor's sampled adjacency and counters, and the
+// processed/self-loop tallies. The returned state is a deep copy — the
+// engine may keep ingesting edges afterwards without invalidating it.
 func (e *Engine) State() *snapshot.EngineState {
 	if e.closed {
 		panic(ErrClosed)
-	}
-	if e.workers > 1 {
-		e.flush()
 	}
 	st := &snapshot.EngineState{
 		Fingerprint: e.cfg.fingerprint(),
@@ -49,7 +43,7 @@ func (e *Engine) State() *snapshot.EngineState {
 		p.reaccountLocal()
 		ps := &st.Procs[i]
 		ps.Tau, ps.Eta = p.tau, p.eta
-		ps.Di, ps.Do, ps.Phantom = p.di, p.do, p.phantom
+		ps.Di, ps.Do, ps.Phantom = p.di, e.unsampledDeletes(p), p.phantom
 		ps.Edges = p.adj.AppendEdges(make([]graph.Edge, 0, p.adj.Edges()))
 		ps.TauV = maps.Clone(p.tauV)
 		ps.EtaV = maps.Clone(p.etaV)
@@ -60,9 +54,9 @@ func (e *Engine) State() *snapshot.EngineState {
 	return st
 }
 
-// WriteSnapshot drains pending batches and writes the engine's full state
-// to w in the versioned binary snapshot format. The engine stays usable:
-// checkpoints can be taken mid-stream. Restoring the snapshot with
+// WriteSnapshot writes the engine's full state to w in the versioned
+// binary snapshot format. The engine stays usable: checkpoints can be
+// taken mid-stream. Restoring the snapshot with
 // ResumeEngine under the same Config yields an estimator that produces
 // identical estimates on any suffix stream.
 func (e *Engine) WriteSnapshot(w io.Writer) error {
@@ -146,8 +140,15 @@ func (e *Engine) loadState(st *snapshot.EngineState) error {
 				}
 			}
 		}
+		// Every deletion advanced exactly one of the processor's three
+		// tallies (see Engine.unsampledDeletes); the engine keeps only d_i
+		// and phantom and derives d_o, so a record that breaks the sum
+		// cannot be represented.
+		if ps.Di > st.Deleted || ps.Phantom > st.Deleted-ps.Di || ps.Do != st.Deleted-ps.Di-ps.Phantom {
+			return fmt.Errorf("%w: processor %d deletion tallies d_i=%d d_o=%d phantom=%d do not sum to %d deletions", snapshot.ErrCorrupt, i, ps.Di, ps.Do, ps.Phantom, st.Deleted)
+		}
 		p.tau, p.eta = ps.Tau, ps.Eta
-		p.di, p.do, p.phantom = ps.Di, ps.Do, ps.Phantom
+		p.di, p.phantom = ps.Di, ps.Phantom
 		if ps.TauV != nil {
 			p.tauV = ps.TauV
 		}
@@ -166,14 +167,10 @@ func (e *Engine) loadState(st *snapshot.EngineState) error {
 	return nil
 }
 
-// rebuildMasks repopulates the presence-mask table from the processors'
-// current sampled adjacencies (no-op when the fast path is disabled).
+// rebuildMasks repopulates the presence-mask tables from the processors'
+// current sampled adjacencies.
 func (e *Engine) rebuildMasks() {
-	if e.masks == nil {
-		return
-	}
 	for _, p := range e.procs {
-		bit := p.maskBit
-		p.adj.EachNode(func(u graph.NodeID) { e.masks.Or(u, bit) })
+		p.adj.EachNode(func(u graph.NodeID) { p.masks.Or(u, p.maskBit) })
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"rept/internal/gen"
 	"rept/internal/graph"
+	"rept/internal/mem"
 	"rept/internal/snapshot"
 )
 
@@ -48,8 +49,6 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 			Seed:       int64(rng.Uint64()),
 			TrackLocal: rng.IntN(2) == 0,
 			TrackEta:   rng.IntN(2) == 0,
-			Workers:    rng.IntN(3), // 0..2: both sequential and parallel paths
-			BatchSize:  64,
 		}
 		cut := rng.IntN(len(edges) + 1)
 
@@ -122,8 +121,8 @@ func TestSnapshotResumeStateCounters(t *testing.T) {
 }
 
 // TestResumeRejectsConfigMismatch: restoring under any differing
-// statistical parameter must fail with a descriptive error; execution
-// details (Workers, BatchSize) must not be rejected.
+// statistical parameter must fail with a descriptive error; operational
+// fields (the byte ledger) must not be rejected.
 func TestResumeRejectsConfigMismatch(t *testing.T) {
 	base := Config{M: 6, C: 15, Seed: 3, TrackLocal: true, TrackEta: true}
 	e, err := NewEngine(base)
@@ -144,7 +143,7 @@ func TestResumeRejectsConfigMismatch(t *testing.T) {
 		want string // substring the error must contain; "" means must succeed
 	}{
 		{"SameConfig", func(c *Config) {}, ""},
-		{"DifferentWorkers", func(c *Config) { c.Workers = 4; c.BatchSize = 32 }, ""},
+		{"WithLedger", func(c *Config) { c.Mem = mem.New() }, ""},
 		{"DifferentM", func(c *Config) { c.M = 7 }, "M = 6 in snapshot, 7 in config"},
 		{"DifferentC", func(c *Config) { c.C = 16 }, "C = 15 in snapshot, 16 in config"},
 		{"DifferentSeed", func(c *Config) { c.Seed = 4 }, "Seed = 3 in snapshot, 4 in config"},
@@ -192,6 +191,8 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 			p := &s.Procs[0]
 			p.Tcnt[graph.Key(1000, 1001)] = 1 // counter for an edge not sampled
 		}},
+		{"InconsistentDo", func(s *snapshot.EngineState) { s.Procs[1].Do++ }},
+		{"DeletionTallySkew", func(s *snapshot.EngineState) { s.Procs[2].Di, s.Procs[2].Do = 1, ^uint64(0) }},
 		{"DuplicateEdge", func(s *snapshot.EngineState) {
 			p := &s.Procs[0]
 			if len(p.Edges) == 0 {
@@ -225,7 +226,7 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 // TestSnapshotAfterResumeIsCanonical: state → bytes → state → bytes is
 // byte-identical, so repeated checkpoint/restore cycles cannot drift.
 func TestSnapshotAfterResumeIsCanonical(t *testing.T) {
-	cfg := Config{M: 5, C: 12, Seed: 9, TrackLocal: true, TrackEta: true, Workers: 3}
+	cfg := Config{M: 5, C: 12, Seed: 9, TrackLocal: true, TrackEta: true}
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,14 @@
 // Package exper is the experiment harness that regenerates every table
 // and figure of the REPT paper's evaluation (Section IV) on synthetic
 // analogs of its datasets, plus validation and ablation experiments.
-// See DESIGN.md for the experiment index and the dataset substitution
-// rationale.
+// ExperimentIDs indexes the experiments; cmd/reptbench runs them.
+//
+// Dataset substitution. The paper's eight graphs are not
+// redistributable, so the registry (Names, Load) stands in deterministic
+// generator analogs from internal/gen, one per paper dataset (PaperRef).
+// They match the paper datasets' η/τ spread — the ratio that decides how
+// much the covariance term matters — not their absolute sizes, so η/τ
+// must span a wide range across the registry.
 package exper
 
 import (

@@ -53,8 +53,9 @@ func TestLoadAndCache(t *testing.T) {
 }
 
 func TestDatasetEtaSpread(t *testing.T) {
-	// The substitution promise (DESIGN.md §4): η/τ must span a wide range
-	// so that the covariance term matters on some datasets and not others.
+	// The substitution promise (see the package documentation): η/τ must
+	// span a wide range so that the covariance term matters on some
+	// datasets and not others.
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, name := range []string{"sim-flickr", "sim-youtube", "sim-wikitalk", "sim-webgoogle"} {
 		d, err := Load(name, 0.06)

@@ -34,8 +34,8 @@ type GlobalResult struct {
 // run yields the estimates of every c at once). The parallel baselines
 // average c independent *unbiased* instances, so their NRMSE is derived
 // analytically from Trials single-instance trials as sqrt(MSE_single/c)/τ
-// (exact for independent unbiased instances — see stats.MSE.NRMSEOfAverage
-// and DESIGN.md §4.4). Per the paper's memory accounting, TRIÈST gets
+// (exact for independent unbiased instances — see
+// stats.MSE.NRMSEOfAverage). Per the paper's memory accounting, TRIÈST gets
 // budget |E|/invP and GPS half of that.
 func GlobalAccuracy(p Profile, invP int, cvals []int, seed int64) (*GlobalResult, error) {
 	if invP < 1 {

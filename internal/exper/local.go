@@ -19,7 +19,7 @@ import (
 // p = 0.01 the per-node sampling events are so rare (≈p² per trial) that
 // feasible trial counts systematically under-observe the error tails, so
 // the empirical columns are downward-biased for all methods there; the
-// theory columns are exact and carry the comparison (see EXPERIMENTS.md).
+// theory columns are exact and carry the comparison.
 type LocalPoint struct {
 	Dataset              string
 	C                    int

@@ -6,7 +6,8 @@ import (
 	"time"
 )
 
-// ExperimentIDs lists every runnable experiment in DESIGN.md order.
+// ExperimentIDs lists every runnable experiment, in the order "all" runs
+// them.
 var ExperimentIDs = []string{
 	"table2", "fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
 	"variance", "ablation-combine", "ablation-hash",

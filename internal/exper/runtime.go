@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"rept/internal/baselines"
-	"rept/internal/core"
 	"rept/internal/graph"
+	"rept/internal/shard"
 )
 
 // RuntimePoint is one (dataset, 1/p) cell of the runtime figure: seconds
@@ -27,7 +27,8 @@ type RuntimeResult struct {
 
 // RuntimeFig7 measures wall-clock runtime of the four parallel methods for
 // varying 1/p at fixed c (paper: c = 10). All methods run over the same
-// worker-goroutine budget so the comparison is per-edge work, as in the
+// goroutine budget — REPT as that many engine shards, the baselines as
+// that many workers — so the comparison is per-edge work, as in the
 // paper. Expected shape: REPT ≈ MASCOT < TRIÈST < GPS.
 func RuntimeFig7(p Profile, seed int64) (*RuntimeResult, error) {
 	workers := p.Workers
@@ -42,6 +43,7 @@ func RuntimeFig7(p Profile, seed int64) (*RuntimeResult, error) {
 			return nil, err
 		}
 		edges := d.Edges
+		ups := graph.Inserts(edges)
 		if !warmed {
 			// Untimed warmup so the first measured cell does not pay
 			// one-time allocator and code-path costs.
@@ -49,13 +51,9 @@ func RuntimeFig7(p Profile, seed int64) (*RuntimeResult, error) {
 			if len(warm) > 4096 {
 				warm = warm[:4096]
 			}
-			eng, err := core.NewEngine(core.Config{M: 4, C: p.RuntimeC, Seed: seed, Workers: workers})
-			if err != nil {
+			if _, err := timeREPT(graph.Inserts(warm), 4, p.RuntimeC, workers, seed); err != nil {
 				return nil, err
 			}
-			eng.AddAll(warm)
-			_ = eng.Result()
-			eng.Close()
 			if _, err := timeParallel(warm, p.RuntimeC, workers, func(_ int, s int64) (baselines.Estimator, error) {
 				return baselines.NewMascot(0.25, s, false)
 			}); err != nil {
@@ -68,19 +66,10 @@ func RuntimeFig7(p Profile, seed int64) (*RuntimeResult, error) {
 		for _, invP := range p.InvPs {
 			pt.InvP = invP
 
-			// REPT.
-			start := time.Now()
-			eng, err := core.NewEngine(core.Config{
-				M: invP, C: p.RuntimeC, Seed: seed, Workers: workers,
-			})
-			if err != nil {
+			var err error
+			if pt.REPT, err = timeREPT(ups, invP, p.RuntimeC, workers, seed); err != nil {
 				return nil, err
 			}
-			eng.AddAll(edges)
-			_ = eng.Result()
-			eng.Close()
-			pt.REPT = time.Since(start).Seconds()
-
 			// Parallel MASCOT.
 			pt.Mascot, err = timeParallel(edges, p.RuntimeC, workers, func(_ int, s int64) (baselines.Estimator, error) {
 				return baselines.NewMascot(1/float64(invP), s, false)
@@ -108,6 +97,25 @@ func RuntimeFig7(p Profile, seed int64) (*RuntimeResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// timeREPT times one REPT pass over ups on a shard.Sharded coordinator
+// with the given shard budget (shard.Config caps it at the processor-group
+// count), fed in request-sized batches and ending with a merged estimate
+// so every in-flight batch is counted.
+func timeREPT(ups []graph.Update, m, c, shards int, seed int64) (float64, error) {
+	const chunk = 1024
+	start := time.Now()
+	s, err := shard.New(shard.Config{M: m, C: c, Shards: shards, Seed: seed})
+	if err != nil {
+		return 0, err
+	}
+	for i := 0; i < len(ups); i += chunk {
+		s.ApplyBatch(ups[i:min(i+chunk, len(ups))])
+	}
+	_ = s.Snapshot()
+	s.Close()
+	return time.Since(start).Seconds(), nil
 }
 
 func timeParallel(edges []graph.Edge, c, workers int, factory baselines.Factory) (float64, error) {

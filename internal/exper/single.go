@@ -7,6 +7,7 @@ import (
 
 	"rept/internal/baselines"
 	"rept/internal/core"
+	"rept/internal/graph"
 	"rept/internal/stats"
 )
 
@@ -43,6 +44,7 @@ func Fig8(p Profile, seed int64) (*SingleResult, error) {
 	}
 	res := &SingleResult{Dataset: dataset}
 	tau := d.Tau()
+	ups := graph.Inserts(d.Edges)
 
 	configs := []struct {
 		invP  int
@@ -56,21 +58,16 @@ func Fig8(p Profile, seed int64) (*SingleResult, error) {
 			pt := SinglePoint{InvP: cf.invP, C: c}
 
 			// --- Runtime (one timed pass each). ---
-			start := time.Now()
-			eng, err := core.NewEngine(core.Config{M: cf.invP, C: c, Seed: seed, Workers: workers})
-			if err != nil {
+			var err error
+			if pt.REPTTime, err = timeREPT(ups, cf.invP, c, workers, seed); err != nil {
 				return nil, err
 			}
-			eng.AddAll(d.Edges)
-			_ = eng.Result()
-			eng.Close()
-			pt.REPTTime = time.Since(start).Seconds()
 
 			pEff := float64(c) / float64(cf.invP)
 			if pEff > 1 {
 				pEff = 1
 			}
-			start = time.Now()
+			start := time.Now()
 			ms, err := baselines.NewMascot(pEff, seed, false)
 			if err != nil {
 				return nil, err

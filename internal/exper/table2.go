@@ -12,7 +12,7 @@ func Table2(p Profile) (*Table, error) {
 			"eta", "eta/tau", "max-deg",
 		},
 		Notes: []string{
-			"paper datasets are not redistributable; analogs match the η/τ spread, not absolute sizes (DESIGN.md §4)",
+			"paper datasets are not redistributable; analogs match the η/τ spread, not absolute sizes (go doc rept/internal/exper)",
 		},
 	}
 	for _, name := range p.Datasets {

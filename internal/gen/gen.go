@@ -1,7 +1,8 @@
 // Package gen generates synthetic graph streams. The REPT paper evaluates
 // on eight public social/web graphs that are not redistributable with this
 // repository; the dataset registry in internal/exper substitutes synthetic
-// analogs produced by the models in this package (see DESIGN.md §4).
+// analogs produced by the models in this package (see the internal/exper
+// package documentation).
 //
 // All generators are deterministic given their seed, emit simple graphs
 // (no self-loops, no duplicate edges) with dense node ids in [0, n), and

@@ -33,8 +33,8 @@ type Pipeline struct {
 	ViewPublish *Histogram
 	// BatchSizes is the events-per-delivered-batch size histogram — the
 	// direct readout of how well callers amortize dispatch overhead
-	// (ApplyBatch should land hundreds per ticket, per-event feeding
-	// lands BatchSize at best).
+	// (ApplyBatch lands a body's length per ticket up to BatchSize,
+	// per-event feeding lands BatchSize unless a barrier cuts in).
 	BatchSizes *Histogram
 
 	// Flight records the last N pipeline events for /debug/flight.

@@ -7,13 +7,14 @@ import (
 	"rept/internal/graph"
 )
 
-// TestDispatchSteadyStateZeroAlloc gates the broadcast dispatch path:
-// with the batch free list warm, an ApplyAll block sized exactly to the
-// batch length — so every call detaches and delivers exactly one full
-// batch through the ticketed send path — must not allocate on the
-// producer side, and the consumer goroutines (engine shards plus the
-// degree tracker) must stay allocation-free on churn too, since
-// AllocsPerRun counts every goroutine's allocations.
+// TestDispatchSteadyStateZeroAlloc gates the per-event dispatch path:
+// with the batch free list warm, a churn block fed one event at a time
+// through Delete and Add and sized exactly to the batch length — so each
+// round fills the shared buffer once and delivers exactly one full batch
+// through the ticketed send path — must not allocate on the producer
+// side, and the consumer goroutines (engine shards plus the degree
+// tracker) must stay allocation-free on churn too, since AllocsPerRun
+// counts every goroutine's allocations.
 func TestDispatchSteadyStateZeroAlloc(t *testing.T) {
 	const batchLen = 256
 	s, err := New(Config{
@@ -27,10 +28,10 @@ func TestDispatchSteadyStateZeroAlloc(t *testing.T) {
 	defer s.Close()
 
 	base := gen.Shuffle(gen.HolmeKim(300, 6, 0.4, 5), 2)
-	s.AddAll(base)
+	s.ApplyBatch(graph.Inserts(base))
 
 	// The churn block deletes and re-inserts live edges (LIFO), sized to
-	// exactly one batch so each ApplyAll triggers exactly one dispatch.
+	// exactly one batch so each round triggers exactly one dispatch.
 	slice := base[:batchLen/2]
 	block := make([]graph.Update, 0, batchLen)
 	for i := len(slice) - 1; i >= 0; i-- {
@@ -40,15 +41,22 @@ func TestDispatchSteadyStateZeroAlloc(t *testing.T) {
 		block = append(block, graph.Update{U: ed.U, V: ed.V})
 	}
 
+	perEvent := func() {
+		for _, up := range block {
+			if up.Del {
+				s.Delete(up.U, up.V)
+			} else {
+				s.Add(up.U, up.V)
+			}
+		}
+	}
 	// Warm the batch free list, the engines' working sets, and the degree
 	// tracker's membership set before measuring.
 	for i := 0; i < 64; i++ {
-		s.ApplyAll(block)
+		perEvent()
 	}
 
-	allocs := testing.AllocsPerRun(100, func() {
-		s.ApplyAll(block)
-	})
+	allocs := testing.AllocsPerRun(100, perEvent)
 	if allocs != 0 {
 		t.Errorf("steady-state dispatch allocates %.1f per %d-event batch, want 0", allocs, len(block))
 	}

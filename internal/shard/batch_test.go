@@ -30,19 +30,18 @@ func signedStream(t *testing.T) []graph.Update {
 	return ups
 }
 
-// TestApplyBatchMatchesApplyAll is the wholesale-path determinism
-// contract: one ApplyBatch call, the chunked ApplyAll path, the
+// TestApplyBatchMatchesApplyAll is the single producer's determinism
+// contract: one ApplyBatch call, uneven ApplyBatch slabs interleaved with
+// per-event calls (so segments straddle the shared buffer), the
 // per-event apply loop, and hand-driven per-shard engines merged with
-// MergeGroups must all land on bit-identical aggregates. The batch path
-// goes through core.Engine.ApplyBatch's presence-mask pruning, so this
-// is also the proof the mask skip visits every processor that matters.
+// MergeGroups must all land on bit-identical aggregates.
 func TestApplyBatchMatchesApplyAll(t *testing.T) {
 	ups := signedStream(t)
 	for _, cfg := range []Config{
 		{M: 3, C: 12, Shards: 3, Seed: 42, TrackLocal: true, FullyDynamic: true},
 		{M: 4, C: 10, Shards: 3, Seed: 42, TrackLocal: true, TrackEta: true, FullyDynamic: true}, // partial group + η
-		{M: 5, C: 5, Shards: 1, Seed: 42, FullyDynamic: true},
-		{M: 2, C: 70, Shards: 2, Seed: 42, FullyDynamic: true}, // > 64 procs per coordinator, mask path off on wide shards
+		{M: 5, C: 5, Shards: 1, Seed: 42, FullyDynamic: true, BatchSize: 64},
+		{M: 2, C: 140, Shards: 2, Seed: 42, FullyDynamic: true}, // 70 processors per shard: two mask blocks
 	} {
 		run := func(feed func(*Sharded)) *core.Aggregates {
 			s, err := New(cfg)
@@ -53,9 +52,7 @@ func TestApplyBatchMatchesApplyAll(t *testing.T) {
 			feed(s)
 			return s.Aggregates()
 		}
-		batch := run(func(s *Sharded) { s.ApplyBatch(ups) })
-		chunked := run(func(s *Sharded) { s.ApplyAll(ups) })
-		perEvent := run(func(s *Sharded) {
+		perEvent := func(s *Sharded, ups []graph.Update) {
 			for _, up := range ups {
 				if up.Del {
 					s.Delete(up.U, up.V)
@@ -63,7 +60,17 @@ func TestApplyBatchMatchesApplyAll(t *testing.T) {
 					s.Add(up.U, up.V)
 				}
 			}
+		}
+		batch := run(func(s *Sharded) { s.ApplyBatch(ups) })
+		slabs := run(func(s *Sharded) {
+			for i := 0; i < len(ups); i += 97 {
+				perEvent(s, ups[i:min(i+13, len(ups))])
+				if i+13 < len(ups) {
+					s.ApplyBatch(ups[i+13 : min(i+97, len(ups))])
+				}
+			}
 		})
+		events := run(func(s *Sharded) { perEvent(s, ups) })
 
 		merged := make([]*core.Aggregates, 0, len(cfg.shardConfigs()))
 		for _, sc := range cfg.shardConfigs() {
@@ -80,48 +87,15 @@ func TestApplyBatchMatchesApplyAll(t *testing.T) {
 			t.Fatalf("MergeGroups: %v", err)
 		}
 
-		if !reflect.DeepEqual(batch, chunked) {
-			t.Errorf("cfg %+v: ApplyBatch aggregates diverge from ApplyAll", cfg)
+		if !reflect.DeepEqual(batch, slabs) {
+			t.Errorf("cfg %+v: one ApplyBatch call diverges from slabs mixed with per-event calls", cfg)
 		}
-		if !reflect.DeepEqual(batch, perEvent) {
+		if !reflect.DeepEqual(batch, events) {
 			t.Errorf("cfg %+v: ApplyBatch aggregates diverge from per-event apply", cfg)
 		}
 		if !reflect.DeepEqual(batch, hand) {
 			t.Errorf("cfg %+v: ApplyBatch aggregates diverge from hand-merged engines", cfg)
 		}
-	}
-}
-
-// TestApplyBatchHubSplitBitIdentical: hub-aware splitting is an
-// execution detail — estimates with HubDegree set (and hubs actually
-// promoted by the degree tracker) must be bit-identical to the same
-// stream with splitting off, whether delivered as one giant batch or
-// many. A tiny BatchSize plus a tiny hub threshold forces real splits.
-func TestApplyBatchHubSplitBitIdentical(t *testing.T) {
-	ups := signedStream(t)
-	base := Config{M: 3, C: 12, Shards: 3, Seed: 7, TrackLocal: true,
-		FullyDynamic: true, TrackDegrees: true, BatchSize: 64}
-	split := base
-	split.HubDegree = 4 // HolmeKim hubs blow far past this
-
-	run := func(cfg Config) *core.Aggregates {
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		// First half primes the degree table (and thereby the hub set);
-		// a snapshot barrier makes the promotions visible before the
-		// second half arrives as one oversized batch.
-		s.ApplyBatch(ups[:len(ups)/2])
-		_ = s.Snapshot()
-		s.ApplyBatch(ups[len(ups)/2:])
-		return s.Aggregates()
-	}
-	plain := run(base)
-	hubbed := run(split)
-	if !reflect.DeepEqual(plain, hubbed) {
-		t.Error("hub splitting changed the aggregates; it must be granularity only")
 	}
 }
 
@@ -260,11 +234,11 @@ func TestApplyBatchSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestApplyBatchSteadyStateZeroAlloc gates the wholesale producer path:
-// with the free list and engine working sets warm, an ApplyBatch churn
-// block must cost 0 allocs/op across every goroutine — the copy into
-// the pooled segment, the ring hand-off, and the engines' mask-pruned
-// applies all reuse standing memory.
+// TestApplyBatchSteadyStateZeroAlloc gates the bulk producer path: with
+// the free list and engine working sets warm, an ApplyBatch churn block
+// must cost 0 allocs/op across every goroutine — the copy into the
+// pooled segment, the ring hand-off, and the engines' mask walks all
+// reuse standing memory.
 func TestApplyBatchSteadyStateZeroAlloc(t *testing.T) {
 	s, err := New(Config{
 		M: 2, C: 4, Seed: 7,
@@ -277,7 +251,7 @@ func TestApplyBatchSteadyStateZeroAlloc(t *testing.T) {
 	defer s.Close()
 
 	base := gen.Shuffle(gen.HolmeKim(300, 6, 0.4, 5), 2)
-	s.AddAll(base)
+	s.ApplyBatch(graph.Inserts(base))
 
 	slice := base[:128]
 	block := make([]graph.Update, 0, 256)

@@ -1,4 +1,4 @@
-package shard
+package shard_test
 
 import (
 	"reflect"
@@ -9,6 +9,7 @@ import (
 	"rept/internal/exper"
 	"rept/internal/gen"
 	"rept/internal/graph"
+	"rept/internal/shard"
 	"rept/internal/stream"
 )
 
@@ -30,18 +31,18 @@ func dynStream(t *testing.T, seed uint64) []graph.Update {
 // the FD extension of the shard determinism contract.
 func TestFullyDynamicShardedMatchesEngines(t *testing.T) {
 	ups := dynStream(t, 3)
-	cfg := Config{M: 4, C: 14, Shards: 2, Seed: 5, TrackLocal: true, FullyDynamic: true, TrackDegrees: true}
+	cfg := shard.Config{M: 4, C: 14, Shards: 2, Seed: 5, TrackLocal: true, FullyDynamic: true, TrackDegrees: true}
 
-	s, err := New(cfg)
+	s, err := shard.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.ApplyAll(ups)
+	s.ApplyBatch(ups)
 	got := s.Snapshot()
 
 	var aggs []*core.Aggregates
-	for _, sc := range cfg.shardConfigs() {
+	for _, sc := range cfg.ShardConfigs() {
 		eng, err := core.NewEngine(sc)
 		if err != nil {
 			t.Fatal(err)
@@ -95,7 +96,7 @@ func TestFullyDynamicShardedMatchesEngines(t *testing.T) {
 // single-threaded feed of any concatenation.
 func TestFullyDynamicConcurrentDisjoint(t *testing.T) {
 	const producers = 4
-	cfg := Config{M: 3, C: 9, Shards: 3, Seed: 12, TrackLocal: true, FullyDynamic: true}
+	cfg := shard.Config{M: 3, C: 9, Shards: 3, Seed: 12, TrackLocal: true, FullyDynamic: true}
 
 	schedules := make([][]graph.Update, producers)
 	for p := range schedules {
@@ -108,7 +109,7 @@ func TestFullyDynamicConcurrentDisjoint(t *testing.T) {
 		schedules[p] = exper.DynStream(base, exper.DynOptions{Pattern: exper.Churn, DeleteFrac: 0.3, Seed: uint64(p + 1)})
 	}
 
-	conc, err := New(cfg)
+	conc, err := shard.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,23 +119,23 @@ func TestFullyDynamicConcurrentDisjoint(t *testing.T) {
 		wg.Add(1)
 		go func(ups []graph.Update) {
 			defer wg.Done()
-			// Chunked ApplyAll exercises batch boundaries under contention.
+			// Small bodies exercise batch boundaries under contention.
 			for i := 0; i < len(ups); i += 97 {
 				end := min(i+97, len(ups))
-				conc.ApplyAll(ups[i:end])
+				conc.ApplyBatch(ups[i:end])
 			}
 		}(sched)
 	}
 	wg.Wait()
 	got := conc.Snapshot()
 
-	seq, err := New(cfg)
+	seq, err := shard.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer seq.Close()
 	for _, sched := range schedules {
-		seq.ApplyAll(sched)
+		seq.ApplyBatch(sched)
 	}
 	want := seq.Snapshot()
 
@@ -150,15 +151,15 @@ func TestFullyDynamicConcurrentDisjoint(t *testing.T) {
 // deletions (per-edge and bulk) unless configured for them, before any
 // state is touched.
 func TestShardedDeleteRequiresFullyDynamic(t *testing.T) {
-	s, err := New(Config{M: 2, C: 4, Seed: 1})
+	s, err := shard.New(shard.Config{M: 2, C: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	s.Add(1, 2)
 	for name, call := range map[string]func(){
-		"Delete":   func() { s.Delete(1, 2) },
-		"ApplyAll": func() { s.ApplyAll([]graph.Update{{U: 1, V: 2, Del: true}}) },
+		"Delete":     func() { s.Delete(1, 2) },
+		"ApplyBatch": func() { s.ApplyBatch([]graph.Update{{U: 1, V: 2, Del: true}}) },
 	} {
 		func() {
 			defer func() {

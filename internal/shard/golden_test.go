@@ -1,4 +1,4 @@
-package shard
+package shard_test
 
 import (
 	"bytes"
@@ -9,6 +9,7 @@ import (
 	"rept/internal/exper"
 	"rept/internal/gen"
 	"rept/internal/graph"
+	"rept/internal/shard"
 	"rept/internal/snapshot"
 )
 
@@ -23,8 +24,8 @@ func TestResumeVersion2Snapshot(t *testing.T) {
 	}
 	// Must match the generator: M 3, C 10, Shards 2, Seed 99,
 	// local+eta+degrees, fed HolmeKim(60, 4, 0.4, 5) shuffled with seed 13.
-	cfg := Config{M: 3, C: 10, Shards: 2, Seed: 99, TrackLocal: true, TrackEta: true, TrackDegrees: true}
-	s, err := Resume(cfg, bytes.NewReader(data))
+	cfg := shard.Config{M: 3, C: 10, Shards: 2, Seed: 99, TrackLocal: true, TrackEta: true, TrackDegrees: true}
+	s, err := shard.Resume(cfg, bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("version-2 snapshot no longer restores: %v", err)
 	}
@@ -50,15 +51,15 @@ func TestResumeVersion2Snapshot(t *testing.T) {
 	// deletions on counters that were never meant to go signed.
 	dyn := cfg
 	dyn.FullyDynamic = true
-	if _, err := Resume(dyn, bytes.NewReader(data)); !errors.Is(err, snapshot.ErrMismatch) {
+	if _, err := shard.Resume(dyn, bytes.NewReader(data)); !errors.Is(err, snapshot.ErrMismatch) {
 		t.Errorf("v2 restore with FullyDynamic on: err = %v, want ErrMismatch", err)
 	}
 }
 
 // goldenV3Config and goldenV3Stream must match the sharded_v3.snap
 // generator exactly.
-func goldenV3Config() Config {
-	return Config{M: 3, C: 10, Shards: 2, Seed: 99, TrackLocal: true, TrackEta: true, TrackDegrees: true, FullyDynamic: true}
+func goldenV3Config() shard.Config {
+	return shard.Config{M: 3, C: 10, Shards: 2, Seed: 99, TrackLocal: true, TrackEta: true, TrackDegrees: true, FullyDynamic: true}
 }
 
 func goldenV3Stream() []graph.Update {
@@ -79,11 +80,11 @@ func TestGoldenVersion3Snapshot(t *testing.T) {
 	cfg := goldenV3Config()
 	ups := goldenV3Stream()
 
-	s, err := New(cfg)
+	s, err := shard.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ApplyAll(ups)
+	s.ApplyBatch(ups)
 	var buf bytes.Buffer
 	if err := s.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -93,7 +94,7 @@ func TestGoldenVersion3Snapshot(t *testing.T) {
 		t.Fatalf("version-3 encoding drifted: regenerated snapshot is %d bytes and differs from the %d-byte golden blob (bump the format version instead of silently changing the encoding)", buf.Len(), len(golden))
 	}
 
-	r, err := Resume(cfg, bytes.NewReader(golden))
+	r, err := shard.Resume(cfg, bytes.NewReader(golden))
 	if err != nil {
 		t.Fatalf("golden v3 snapshot does not restore: %v", err)
 	}
@@ -112,7 +113,7 @@ func TestGoldenVersion3Snapshot(t *testing.T) {
 	// must be rejected: the FullyDynamic flag is part of the contract.
 	plain := cfg
 	plain.FullyDynamic = false
-	if _, err := Resume(plain, bytes.NewReader(golden)); !errors.Is(err, snapshot.ErrMismatch) {
+	if _, err := shard.Resume(plain, bytes.NewReader(golden)); !errors.Is(err, snapshot.ErrMismatch) {
 		t.Errorf("v3 FD restore with FullyDynamic off: err = %v, want ErrMismatch", err)
 	}
 }

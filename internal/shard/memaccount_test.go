@@ -26,16 +26,16 @@ func runAccountedStream(t *testing.T, ac *mem.Accountant) ([]byte, float64, int)
 
 	stream := gen.Shuffle(gen.HolmeKim(500, 6, 0.4, 3), 11)
 	half := len(stream) / 2
-	s.AddAll(stream[:half])
+	s.ApplyBatch(graph.Inserts(stream[:half]))
 	if err := s.Downsample(1); err != nil {
 		t.Fatal(err)
 	}
-	s.AddAll(stream[half:])
+	s.ApplyBatch(graph.Inserts(stream[half:]))
 	dels := make([]graph.Update, 0, 100)
 	for _, e := range stream[:100] {
 		dels = append(dels, graph.Update{U: e.U, V: e.V, Del: true})
 	}
-	s.ApplyAll(dels)
+	s.ApplyBatch(dels)
 
 	var buf bytes.Buffer
 	if err := s.WriteSnapshot(&buf); err != nil {
@@ -78,7 +78,7 @@ func TestLedgerComponentsPopulated(t *testing.T) {
 	}
 	defer s.Close()
 
-	s.AddAll(gen.Shuffle(gen.HolmeKim(2000, 8, 0.3, 5), 7))
+	s.ApplyBatch(graph.Inserts(gen.Shuffle(gen.HolmeKim(2000, 8, 0.3, 5), 7)))
 	s.Snapshot() // barrier: every in-flight capacity change lands
 
 	for _, comp := range []mem.Component{
@@ -122,7 +122,7 @@ func TestAccountedDispatchSteadyStateZeroAlloc(t *testing.T) {
 	defer s.Close()
 
 	base := gen.Shuffle(gen.HolmeKim(300, 6, 0.4, 5), 2)
-	s.AddAll(base)
+	s.ApplyBatch(graph.Inserts(base))
 
 	slice := base[:batchLen/2]
 	block := make([]graph.Update, 0, batchLen)
@@ -134,10 +134,10 @@ func TestAccountedDispatchSteadyStateZeroAlloc(t *testing.T) {
 	}
 
 	for i := 0; i < 64; i++ {
-		s.ApplyAll(block)
+		s.ApplyBatch(block)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		s.ApplyAll(block)
+		s.ApplyBatch(block)
 	})
 	if allocs != 0 {
 		t.Errorf("accounted steady-state dispatch allocates %.1f per %d-event batch, want 0", allocs, len(block))

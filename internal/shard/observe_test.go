@@ -21,7 +21,7 @@ func TestObserveConsistency(t *testing.T) {
 	}
 	defer s.Close()
 	edges := testStream(t)
-	s.AddAll(edges)
+	s.ApplyBatch(graph.Inserts(edges))
 
 	obs := s.Observe()
 	if obs.Processed != uint64(len(edges)) {
@@ -83,7 +83,7 @@ func TestSnapshotCarriesDegrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	edges := testStream(t)
-	s.AddAll(edges)
+	s.ApplyBatch(graph.Inserts(edges))
 	before := s.Observe().Degrees
 
 	var buf bytes.Buffer

@@ -15,19 +15,18 @@
 // is safe for any number of goroutines: producers append to a shared batch
 // under a short critical section, and full batches are handed off to the
 // per-shard goroutines over single-producer/single-consumer ring buffers
-// (the batched broadcast pattern of core.Engine, lifted to a concurrent
-// front door; ticket-ordered delivery makes the producer side of each
-// ring single-threaded). Snapshots use an in-band barrier message so
-// every shard reports its counters at exactly the same stream prefix,
-// without stopping ingestion for longer than a flush.
+// (ticket-ordered delivery makes the producer side of each ring
+// single-threaded). The shard goroutines are the only parallelism: each
+// engine runs single-threaded in its own. Snapshots use an in-band
+// barrier message so every shard reports its counters at exactly the
+// same stream prefix, without stopping ingestion for longer than a flush.
 //
-// ApplyBatch is the bulk fast path: a whole caller batch becomes one
-// ticket and one ring message, and each shard engine applies it through
-// core.Engine.ApplyBatch — ticket acquisition, degree tracking, and
-// barrier bookkeeping are amortized over the entire batch instead of
-// paid per BatchSize chunk, and the engine's presence-mask skip prunes
-// the per-processor broadcast down to the processors that can actually
-// see a triangle.
+// ApplyBatch is the one bulk producer: a caller batch becomes a few
+// ticketed segments of at most BatchSize events, issued in one critical
+// section, so ticket acquisition, degree tracking, and barrier
+// bookkeeping are paid per segment rather than per event. Every shard
+// engine applies every delivery through core.Engine's presence-mask walk,
+// which visits only the processors that can actually see a triangle.
 package shard
 
 import (
@@ -76,7 +75,7 @@ type Config struct {
 	// TrackLocal enables per-node estimates on every shard.
 	TrackLocal bool
 	// FullyDynamic enables signed streams on every shard: Delete and
-	// deletion-bearing ApplyAll. Part of the snapshot fingerprint, like
+	// deletion-bearing ApplyBatch. Part of the snapshot fingerprint, like
 	// the other statistical flags.
 	FullyDynamic bool
 	// TrackEta forces η bookkeeping on every shard. It is enabled
@@ -90,29 +89,15 @@ type Config struct {
 	// at exactly the same stream prefix as the estimates. Needed for
 	// clustering-coefficient queries; costs O(V) memory.
 	TrackDegrees bool
-	// Workers is the per-shard core.Engine worker count. The default 1
-	// runs each shard single-threaded inside its own goroutine, which is
-	// the right choice unless shards are few and wide.
-	Workers int
 	// BatchSize is the ingest hand-off batch length (default 1024): Add
 	// appends under a mutex and full batches are broadcast to the shard
-	// channels. Larger batches cut contention, smaller ones cut snapshot
-	// staleness.
+	// rings, and ApplyBatch ships segments of at most this many events.
+	// Larger batches cut contention, smaller ones cut snapshot staleness.
 	BatchSize int
 	// QueueLen is the per-shard ring depth in batches (default 8, rounded
 	// up to a power of two). Producers block once a shard falls this far
 	// behind (backpressure).
 	QueueLen int
-	// HubDegree enables hub-aware batch routing: once a vertex's stream
-	// degree reaches this threshold it is marked a hub, and ApplyBatch
-	// splits oversized batches containing hub events into BatchSize
-	// segments so their closing-edge work pipelines across the shard
-	// rings instead of arriving as one monolithic message. 0 disables;
-	// a positive value requires TrackDegrees (the degree table is where
-	// hubs are detected). Hub routing is an execution detail: it never
-	// changes which processor samples which edge, so estimates and
-	// snapshots are bit-identical with it on or off.
-	HubDegree int
 	// Obs attaches pipeline telemetry: dispatch/queue-wait/apply/barrier
 	// stage histograms, per-shard queue-depth and events-applied series,
 	// and flight-recorder events. Nil disables instrumentation at zero
@@ -130,15 +115,7 @@ type Config struct {
 }
 
 // Validate reports whether the configuration is usable.
-func (c Config) Validate() error {
-	if err := (core.Config{M: c.M, C: c.C}).Validate(); err != nil {
-		return err
-	}
-	if c.HubDegree > 0 && !c.TrackDegrees {
-		return fmt.Errorf("shard: HubDegree = %d requires TrackDegrees (hubs are detected in the degree table)", c.HubDegree)
-	}
-	return nil
-}
+func (c Config) Validate() error { return (core.Config{M: c.M, C: c.C}).Validate() }
 
 // groups returns the number of processor groups of the merged layout.
 func (c Config) groups() int {
@@ -195,7 +172,6 @@ func (c Config) shardConfigs() []core.Config {
 			TrackLocal:   c.TrackLocal,
 			FullyDynamic: c.FullyDynamic,
 			TrackEta:     trackEta,
-			Workers:      c.Workers,
 			Mem:          c.Mem,
 		}
 	}
@@ -203,18 +179,13 @@ func (c Config) shardConfigs() []core.Config {
 }
 
 // batch is a broadcast update buffer shared read-only by all shards; the
-// last shard to release it returns it to the pool. Insert-only streams
-// fill it with Del == false events. wholesale marks a batch produced by
-// ApplyBatch: shard engines apply it through core.Engine.ApplyBatch (the
-// mask-pruned bulk path) instead of the per-event ApplyAll loop.
+// last shard to release it returns it to the pool. Every producer detaches
+// it once it holds BatchSize events, so it never outgrows the capacity it
+// was allocated (and accounted) with. Insert-only streams fill it with
+// Del == false events.
 type batch struct {
-	ups       []graph.Update
-	wholesale bool
-	refs      atomic.Int32
-	// acCap is the buffer capacity (in events) last reported to the byte
-	// ledger; putBatch reconciles against it so wholesale batches that
-	// outgrew their pooled capacity are re-accounted off the hot path.
-	acCap int64
+	ups  []graph.Update
+	refs atomic.Int32
 }
 
 // barrier asks every shard to report its aggregates (and sampled-edge
@@ -245,9 +216,11 @@ type barrier struct {
 }
 
 // msg is one item of a shard ring: either an edge batch or a barrier.
-// ticket is the delivery ticket the message was sent under; the WAL
-// goroutine uses it as the durability watermark (engine shards ignore
-// it — their ordering comes from the ring sequence itself).
+// ticket is the delivery ticket the message was issued under: send
+// delivers tickets in issue order, and the WAL goroutine uses the ticket
+// as the durability watermark (engine shards ignore it — their ordering
+// comes from the ring sequence itself). Tickets start at 1, so a zero
+// msg means "nothing to send".
 type msg struct {
 	b      *batch
 	bar    *barrier
@@ -271,13 +244,6 @@ type Sharded struct {
 	walRing  *ring
 	wal      *walRunner
 	queueLen int
-
-	// hubs is the promoted-vertex set the degree tracker maintains once
-	// Config.HubDegree is set; nil otherwise. ApplyBatch consults it to
-	// decide whether to split an oversized batch. hubDeg caches the
-	// threshold.
-	hubs   *hubSet
-	hubDeg uint32
 
 	// mu guards cur, closed, and delivery-ticket issue. It is the ingest
 	// critical section every producer passes through, so no channel send
@@ -331,11 +297,12 @@ type Sharded struct {
 	// acct is the optional byte ledger (Config.Mem); nil-safe throughout.
 	acct *mem.Accountant
 
-	// obs is the optional pipeline telemetry (Config.Obs); batchEv holds
-	// the per-shard last-batch-size gauges, indexed like engines. Both
-	// are nil when telemetry is off.
+	// obs is the optional pipeline telemetry (Config.Obs); batchEv and
+	// applied hold the per-shard last-batch-size gauges and events-applied
+	// counters, indexed like engines. All are nil when telemetry is off.
 	obs     *obs.Pipeline
 	batchEv []*obs.Gauge
+	applied []*obs.Counter
 }
 
 // New builds a Sharded coordinator and starts its shard goroutines.
@@ -406,17 +373,14 @@ func build(cfg Config, restore []snapshot.EngineState, restoreDegrees map[graph.
 	if cfg.Obs != nil {
 		s.obs = cfg.Obs
 		s.batchEv = make([]*obs.Gauge, len(s.engines))
+		s.applied = make([]*obs.Counter, len(s.engines))
 		for i := range s.engines {
 			lbl := obs.ShardLabel(i)
 			r := s.rings[i]
 			s.obs.ShardQueueDepth.Func(lbl, func() float64 { return float64(r.Len()) })
 			s.batchEv[i] = s.obs.ShardBatchEvents.With(lbl)
-			s.engines[i].Instrument(s.obs.ShardApplied.With(lbl))
+			s.applied[i] = s.obs.ShardApplied.With(lbl)
 		}
-	}
-	if cfg.HubDegree > 0 {
-		s.hubs = newHubSet()
-		s.hubDeg = uint32(cfg.HubDegree)
 	}
 	s.cur = s.getBatch()
 	s.done.Add(len(s.engines))
@@ -450,28 +414,19 @@ func (s *Sharded) getBatch() *batch {
 	case b := <-s.free:
 		return b
 	default:
-		b := &batch{ups: make([]graph.Update, 0, s.batchLen)}
-		b.acCap = int64(cap(b.ups))
-		s.acct.Add(mem.CompBatches, b.acCap*updateBytes)
-		return b
+		s.acct.Add(mem.CompBatches, int64(s.batchLen)*updateBytes)
+		return &batch{ups: make([]graph.Update, 0, s.batchLen)}
 	}
 }
 
-// putBatch recycles a fully released batch buffer, reconciling the
-// ledger when the buffer's capacity drifted (wholesale batches append
-// past the pooled capacity) and crediting back buffers the full free
-// list drops to the GC.
+// putBatch recycles a fully released batch buffer, crediting back
+// buffers the full free list drops to the GC.
 func (s *Sharded) putBatch(b *batch) {
 	b.ups = b.ups[:0]
-	b.wholesale = false
-	if c := int64(cap(b.ups)); c != b.acCap {
-		s.acct.Add(mem.CompBatches, (c-b.acCap)*updateBytes)
-		b.acCap = c
-	}
 	select {
 	case s.free <- b:
 	default: // free list full: let the GC have it
-		s.acct.Add(mem.CompBatches, -b.acCap*updateBytes)
+		s.acct.Add(mem.CompBatches, -int64(s.batchLen)*updateBytes)
 	}
 }
 
@@ -500,17 +455,6 @@ func (s *Sharded) runDegrees(table *graph.DegreeTable) {
 		}
 		for _, up := range m.b.ups {
 			table.ApplyUpdate(up)
-			if s.hubs != nil && !up.Del {
-				// Promote endpoints crossing the hub threshold. add is
-				// idempotent, so the two extra degree lookups per insert are
-				// the whole steady-state cost of hub detection.
-				if table.Degree(up.U) >= s.hubDeg {
-					s.hubs.add(up.U)
-				}
-				if table.Degree(up.V) >= s.hubDeg {
-					s.hubs.add(up.V)
-				}
-			}
 		}
 		if fp := table.FootprintBytes(); fp != acBytes {
 			s.acct.Add(mem.CompDegrees, fp-acBytes)
@@ -536,10 +480,8 @@ func (s *Sharded) fanout() int {
 }
 
 // run is the shard goroutine: it drains shard i's ring, feeding edge
-// batches to the shard engine and answering barriers in stream order.
-// Wholesale batches (ApplyBatch) go through the engine's mask-pruned
-// bulk path; dispatcher-accumulated batches keep the per-event loop, so
-// the historical per-event ingest behavior is untouched.
+// batches to the shard engine's walk and answering barriers in stream
+// order.
 func (s *Sharded) run(i int) {
 	defer s.done.Done()
 	eng := s.engines[i]
@@ -565,28 +507,22 @@ func (s *Sharded) run(i int) {
 		}
 		if s.obs != nil {
 			start := time.Now()
-			s.applyToEngine(eng, m.b)
+			eng.ApplyBatch(m.b.ups)
 			d := time.Since(start)
 			s.obs.Apply.ObserveDuration(d)
+			// Self-loops never enter a batch, so its length is exactly
+			// the events the engine applied.
+			s.applied[i].Add(uint64(len(m.b.ups)))
 			s.batchEv[i].SetInt(len(m.b.ups))
 			s.obs.Flight.Record(obs.KindApply, int32(i), uint64(len(m.b.ups)), d)
 		} else {
-			s.applyToEngine(eng, m.b)
+			eng.ApplyBatch(m.b.ups)
 		}
 		if m.b.refs.Add(-1) == 0 {
 			s.putBatch(m.b)
 		}
 	}
 	eng.Close()
-}
-
-// applyToEngine routes one batch to the right engine entry point.
-func (s *Sharded) applyToEngine(eng *core.Engine, b *batch) {
-	if b.wholesale {
-		eng.ApplyBatch(b.ups)
-	} else {
-		eng.ApplyAll(b.ups)
-	}
 }
 
 // Add feeds one stream edge insertion. Safe for concurrent use;
@@ -609,10 +545,7 @@ func (s *Sharded) Delete(u, v graph.NodeID) {
 //
 //rept:hotpath
 func (s *Sharded) apply(up graph.Update) {
-	var (
-		ticket uint64
-		full   *batch
-	)
+	var full msg
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -625,7 +558,7 @@ func (s *Sharded) apply(up graph.Update) {
 	}
 	s.cur.ups = append(s.cur.ups, up)
 	if len(s.cur.ups) >= s.batchLen {
-		ticket, full = s.detachLocked()
+		full = s.detachLocked()
 	}
 	// Counted before the unlock so a concurrent Snapshot can never
 	// reflect an event that Processed does not yet count.
@@ -634,66 +567,38 @@ func (s *Sharded) apply(up graph.Update) {
 		s.deleted.Add(1)
 	}
 	s.mu.Unlock()
-	if full != nil {
-		s.send(ticket, msg{b: full})
+	if full.ticket != 0 {
+		s.send(full)
 	}
 }
 
-// AddAll feeds a slice of stream edge insertions in order under one
-// critical section, which is markedly cheaper than per-edge Add for bulk
-// callers (the HTTP ingest path batches request bodies through here).
-func (s *Sharded) AddAll(edges []graph.Edge) {
-	var (
-		accepted, loops uint64
-		buf             [pendInline]sendItem
-	)
-	var start time.Time
-	if s.obs != nil {
-		start = time.Now()
-	}
-	pend := buf[:0]
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		panic(core.ErrClosed)
-	}
-	for _, e := range edges {
-		if e.U == e.V {
-			loops++
-			continue
-		}
-		s.cur.ups = append(s.cur.ups, graph.Update{U: e.U, V: e.V})
-		accepted++
-		if len(s.cur.ups) >= s.batchLen {
-			ticket, b := s.detachLocked()
-			pend = append(pend, sendItem{ticket: ticket, m: msg{b: b}})
-		}
-	}
-	s.processed.Add(accepted)
-	s.selfLoops.Add(loops)
-	s.mu.Unlock()
-	s.sendAll(pend)
-	if s.obs != nil {
-		d := time.Since(start)
-		s.obs.Dispatch.ObserveDuration(d)
-		s.obs.Flight.Record(obs.KindDispatch, -1, accepted, d)
-	}
-}
+// ApplyBatch feeds a slice of signed stream events in order — the one
+// bulk producer. Under one critical section it appends the call's events
+// behind whatever earlier per-event Adds left in the shared buffer and
+// detaches the buffer every BatchSize events and once more at the end,
+// so the call ships as ticketed segments of at most BatchSize events and
+// nothing it accepted waits in the buffer after it returns. Each segment
+// travels every ring as one message and is applied by each shard engine
+// through its presence-mask walk.
+//
+// Self-loops are skipped (and tallied) like everywhere else. Deletion
+// events require Config.FullyDynamic and panic with core.ErrNotDynamic
+// before any event is accepted. Safe for concurrent use; panics with
+// core.ErrClosed after Close.
+func (s *Sharded) ApplyBatch(ups []graph.Update) { s.ingest(ups) }
 
-// ApplyAll feeds a slice of signed stream events in order under one
-// critical section — the bulk entry point for fully-dynamic streams.
-// Deletion events require Config.FullyDynamic (panics with
-// core.ErrNotDynamic before touching the batch).
-func (s *Sharded) ApplyAll(ups []graph.Update) {
+// ingest is ApplyBatch's body. It returns the ticket of the last batch
+// holding the call's events — the watermark a durable caller waits on —
+// and the WAL runner to wait with, nil until StartWAL.
+func (s *Sharded) ingest(ups []graph.Update) (uint64, *walRunner) {
 	var (
 		accepted, dels, loops uint64
-		buf                   [pendInline]sendItem
+		buf                   [pendInline]msg
 	)
 	var start time.Time
 	if s.obs != nil {
 		start = time.Now()
 	}
-	pend := buf[:0]
 	if !s.cfg.FullyDynamic {
 		for _, up := range ups {
 			if up.Del {
@@ -701,6 +606,7 @@ func (s *Sharded) ApplyAll(ups []graph.Update) {
 			}
 		}
 	}
+	pend := buf[:0]
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -717,139 +623,31 @@ func (s *Sharded) ApplyAll(ups []graph.Update) {
 			dels++
 		}
 		if len(s.cur.ups) >= s.batchLen {
-			ticket, b := s.detachLocked()
-			pend = append(pend, sendItem{ticket: ticket, m: msg{b: b}})
+			pend = append(pend, s.detachLocked())
 		}
 	}
-	s.processed.Add(accepted)
-	s.deleted.Add(dels)
-	s.selfLoops.Add(loops)
-	s.mu.Unlock()
-	s.sendAll(pend)
-	if s.obs != nil {
-		d := time.Since(start)
-		s.obs.Dispatch.ObserveDuration(d)
-		s.obs.Flight.Record(obs.KindDispatch, -1, accepted, d)
-	}
-}
-
-// ApplyBatch feeds a slice of signed stream events in order as ONE
-// wholesale delivery (or a handful of segments, see below): the whole
-// batch is copied into a pooled buffer under a single critical section,
-// gets a single delivery ticket, travels every ring as a single
-// message, and is applied by each shard engine through
-// core.Engine.ApplyBatch — the presence-mask fast path that skips
-// logical processors provably unable to close a triangle on the event.
-// Compared with ApplyAll, the per-event cost of ticket issue, ordered
-// delivery, degree tracking hand-off, and barrier bookkeeping is
-// divided by the batch length instead of by BatchSize.
-//
-// Hub-aware routing: with Config.HubDegree set, a batch longer than
-// BatchSize that touches at least one promoted (hub) vertex is split
-// into BatchSize-long segments, each its own ticket and ring message,
-// so the hub's heavy closing-edge work pipelines across the shard
-// consumers instead of serializing behind one monolithic apply. The
-// split changes delivery granularity only — event order is preserved
-// and every shard still sees every event — so results stay
-// bit-identical.
-//
-// Self-loops are skipped (and tallied) like everywhere else. Deletion
-// events require Config.FullyDynamic and panic with core.ErrNotDynamic
-// before any event is accepted. Safe for concurrent use; panics with
-// core.ErrClosed after Close.
-func (s *Sharded) ApplyBatch(ups []graph.Update) {
-	var (
-		accepted, dels, loops uint64
-		buf                   [pendInline]sendItem
-	)
-	var start time.Time
-	if s.obs != nil {
-		start = time.Now()
-	}
-	if !s.cfg.FullyDynamic {
-		for _, up := range ups {
-			if up.Del {
-				panic(core.ErrNotDynamic)
-			}
-		}
-	}
-	// Segment length: whole batch by default; BatchSize-long slices when
-	// the hub splitting policy applies. Decided outside the mutex — the
-	// hub set is read lock-free (racy by design: a vertex promoted while
-	// we scan may miss this batch's split, which only costs granularity).
-	segLen := len(ups)
-	if segLen == 0 {
-		segLen = 1
-	}
-	if s.hubs != nil && len(ups) > s.batchLen && s.hubs.containsAny(ups) {
-		segLen = s.batchLen
-	}
-	pend := buf[:0]
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		panic(core.ErrClosed)
-	}
-	// Earlier per-event Adds may sit in the shared buffer; flush them
-	// first so stream order (arrival order of critical sections) holds.
 	if len(s.cur.ups) > 0 {
-		ticket, b := s.detachLocked()
-		pend = append(pend, sendItem{ticket: ticket, m: msg{b: b}})
+		pend = append(pend, s.detachLocked())
 	}
-	var seg *batch
-	for _, up := range ups {
-		if up.U == up.V {
-			loops++
-			continue
-		}
-		if seg == nil {
-			seg = s.getBatch()
-			seg.wholesale = true
-		}
-		seg.ups = append(seg.ups, up)
-		accepted++
-		if up.Del {
-			dels++
-		}
-		if len(seg.ups) >= segLen {
-			ticket := s.ticketLocked(seg)
-			pend = append(pend, sendItem{ticket: ticket, m: msg{b: seg}})
-			seg = nil
-		}
-	}
-	if seg != nil {
-		ticket := s.ticketLocked(seg)
-		pend = append(pend, sendItem{ticket: ticket, m: msg{b: seg}})
-	}
+	// The shared buffer is empty now, so everything this call accepted
+	// sits at or below the last batch ticket. Tallies are credited before
+	// unlock: barrier-consistency of snapshots versus Processed is what
+	// aligns checkpoint positions with the log.
+	wait := s.lastBatch
 	s.processed.Add(accepted)
 	s.deleted.Add(dels)
 	s.selfLoops.Add(loops)
+	w := s.wal
 	s.mu.Unlock()
 	s.sendAll(pend)
 	if s.obs != nil {
+		// Dispatch covers batching and fan-out; a durable caller's wait is
+		// accounted to the WAL append/fsync histograms instead.
 		d := time.Since(start)
 		s.obs.Dispatch.ObserveDuration(d)
 		s.obs.Flight.Record(obs.KindDispatch, -1, accepted, d)
 	}
-}
-
-// ticketLocked issues a delivery ticket for a caller-assembled batch
-// (ApplyBatch segments, which never pass through s.cur). Caller holds
-// s.mu and guarantees the batch is non-empty.
-//
-//rept:locksheld
-func (s *Sharded) ticketLocked(b *batch) uint64 {
-	b.refs.Store(int32(s.fanout()))
-	s.seq++
-	s.lastBatch = s.seq
-	return s.seq
-}
-
-// sendItem is one ticketed delivery detached under the ingest mutex and
-// pending hand-off to the consumer rings.
-type sendItem struct {
-	ticket uint64
-	m      msg
+	return wait, w
 }
 
 // pendInline sizes the stack buffers that collect detached batches inside
@@ -858,15 +656,16 @@ type sendItem struct {
 const pendInline = 8
 
 // detachLocked issues the filled current batch a delivery ticket,
-// installs a fresh buffer, and returns the pair for the caller to send
-// after unlock. Caller holds s.mu and guarantees the batch is non-empty.
-func (s *Sharded) detachLocked() (uint64, *batch) {
+// installs a fresh buffer, and returns the delivery for the caller to
+// send after unlock. Caller holds s.mu and guarantees the batch is
+// non-empty.
+func (s *Sharded) detachLocked() msg {
 	b := s.cur
 	b.refs.Store(int32(s.fanout()))
 	s.seq++
 	s.lastBatch = s.seq
 	s.cur = s.getBatch()
-	return s.seq, b
+	return msg{b: b, ticket: s.seq}
 }
 
 // send delivers one ticketed message to every consumer ring. Tickets
@@ -877,14 +676,13 @@ func (s *Sharded) detachLocked() (uint64, *batch) {
 // contract. Ring pushes here may block on a backed-up shard (that is
 // the backpressure), but the caller holds no ingest mutex, so other
 // producers keep appending meanwhile.
-func (s *Sharded) send(ticket uint64, m msg) {
-	m.ticket = ticket
+func (s *Sharded) send(m msg) {
 	var start time.Time
 	if s.obs != nil {
 		start = time.Now()
 	}
 	s.sendMu.Lock()
-	for s.sentSeq+1 != ticket {
+	for s.sentSeq+1 != m.ticket {
 		s.sendCond.Wait()
 	}
 	for _, r := range s.rings {
@@ -896,7 +694,7 @@ func (s *Sharded) send(ticket uint64, m msg) {
 	if s.walRing != nil {
 		s.walRing.push(m)
 	}
-	s.sentSeq = ticket
+	s.sentSeq = m.ticket
 	s.sendCond.Broadcast()
 	s.sendMu.Unlock()
 	if s.obs != nil {
@@ -910,9 +708,9 @@ func (s *Sharded) send(ticket uint64, m msg) {
 }
 
 // sendAll delivers the pending items collected by one critical section.
-func (s *Sharded) sendAll(pend []sendItem) {
-	for _, it := range pend {
-		s.send(it.ticket, it.m)
+func (s *Sharded) sendAll(pend []msg) {
+	for _, m := range pend {
+		s.send(m)
 	}
 }
 
@@ -934,7 +732,7 @@ func (s *Sharded) waitSent(ticket uint64) {
 // with downshift > 0 it is a downsample barrier — every shard adapts at
 // the barrier prefix and reports only its outcome, no aggregates.
 func (s *Sharded) barrier(wantStates bool, downshift int) *barrier {
-	var buf [2]sendItem
+	var buf [2]msg
 	var start time.Time
 	if s.obs != nil {
 		start = time.Now()
@@ -946,8 +744,7 @@ func (s *Sharded) barrier(wantStates bool, downshift int) *barrier {
 		panic(core.ErrClosed)
 	}
 	if len(s.cur.ups) > 0 {
-		ticket, b := s.detachLocked()
-		pend = append(pend, sendItem{ticket: ticket, m: msg{b: b}})
+		pend = append(pend, s.detachLocked())
 	}
 	bar := &barrier{downshift: downshift}
 	if downshift > 0 {
@@ -971,7 +768,7 @@ func (s *Sharded) barrier(wantStates bool, downshift int) *barrier {
 	bar.selfLoops = s.selfLoops.Load()
 	bar.wg.Add(s.fanout())
 	s.seq++
-	pend = append(pend, sendItem{ticket: s.seq, m: msg{bar: bar}})
+	pend = append(pend, msg{bar: bar, ticket: s.seq})
 	s.mu.Unlock()
 	s.sendAll(pend)
 	bar.wg.Wait()
@@ -1077,7 +874,7 @@ func (s *Sharded) Shards() int { return len(s.engines) }
 // underlying engines. Close is idempotent; any other method called after
 // Close panics with core.ErrClosed.
 func (s *Sharded) Close() {
-	var buf [1]sendItem
+	var buf [1]msg
 	pend := buf[:0]
 	s.mu.Lock()
 	if s.closed {
@@ -1085,8 +882,7 @@ func (s *Sharded) Close() {
 		return
 	}
 	if len(s.cur.ups) > 0 {
-		ticket, b := s.detachLocked()
-		pend = append(pend, sendItem{ticket: ticket, m: msg{b: b}})
+		pend = append(pend, s.detachLocked())
 	}
 	s.closed = true
 	last := s.seq

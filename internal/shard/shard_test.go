@@ -128,7 +128,7 @@ func TestDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		s.AddAll(edges)
+		s.ApplyBatch(graph.Inserts(edges))
 		return s.Snapshot()
 	}
 	a, b := run(), run()
@@ -196,7 +196,7 @@ func TestSnapshotMidStream(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s.AddAll(edges)
+		s.ApplyBatch(graph.Inserts(edges))
 	}()
 	for i := 0; i < 5; i++ {
 		_ = s.Snapshot() // must not race or deadlock
@@ -217,7 +217,7 @@ func TestSelfLoopsSkipped(t *testing.T) {
 	}
 	defer s.Close()
 	s.Add(3, 3)
-	s.AddAll([]graph.Edge{{U: 1, V: 1}, {U: 1, V: 2}})
+	s.ApplyBatch(graph.Inserts([]graph.Edge{{U: 1, V: 1}, {U: 1, V: 2}}))
 	if got := s.SelfLoops(); got != 2 {
 		t.Errorf("SelfLoops = %d, want 2", got)
 	}
@@ -249,7 +249,7 @@ func TestCloseContract(t *testing.T) {
 		f()
 	}
 	mustPanic("Add", func() { s.Add(1, 2) })
-	mustPanic("AddAll", func() { s.AddAll([]graph.Edge{{U: 1, V: 2}}) })
+	mustPanic("ApplyBatch", func() { s.ApplyBatch([]graph.Update{{U: 1, V: 2}}) })
 	mustPanic("Snapshot", func() { s.Snapshot() })
 }
 

@@ -8,8 +8,8 @@ import (
 )
 
 // fingerprint returns the coordinator-level statistical identity. Shards,
-// Workers, BatchSize, and QueueLen are execution details — but note that
-// the *effective* shard count does shape per-shard hash seeds, so it is
+// BatchSize, and QueueLen are execution details — but note that the
+// *effective* shard count does shape per-shard hash seeds, so it is
 // carried separately in the snapshot (ShardedState.ShardCount) and
 // enforced on restore.
 func (c Config) fingerprint() snapshot.Fingerprint {

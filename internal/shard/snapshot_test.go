@@ -25,7 +25,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full.AddAll(edges)
+	full.ApplyBatch(graph.Inserts(edges))
 	want := full.Snapshot()
 	wantSampled := full.SampledEdges()
 	full.Close()
@@ -34,7 +34,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first.AddAll(edges[:cut])
+	first.ApplyBatch(graph.Inserts(edges[:cut]))
 	first.Add(3, 3) // self-loop, tallied but stateless
 	var buf bytes.Buffer
 	if err := first.WriteSnapshot(&buf); err != nil {
@@ -53,7 +53,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	if resumed.Shards() != 3 {
 		t.Errorf("resumed Shards = %d, want 3", resumed.Shards())
 	}
-	resumed.AddAll(edges[cut:])
+	resumed.ApplyBatch(graph.Inserts(edges[cut:]))
 	got := resumed.Snapshot()
 	if got.Global != want.Global || got.EtaHat != want.EtaHat {
 		t.Errorf("resumed estimate = %+v, want %+v", got, want)
@@ -77,7 +77,7 @@ func TestShardedResumeRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.AddAll(gen.HolmeKim(120, 3, 0.4, 2))
+	s.ApplyBatch(graph.Inserts(gen.HolmeKim(120, 3, 0.4, 2)))
 	var buf bytes.Buffer
 	if err := s.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestShardedResumeRejectsMismatch(t *testing.T) {
 		want string
 	}{
 		{"SameConfig", func(c *Config) {}, ""},
-		{"DifferentQueueing", func(c *Config) { c.BatchSize = 64; c.QueueLen = 2; c.Workers = 2 }, ""},
+		{"DifferentQueueing", func(c *Config) { c.BatchSize = 64; c.QueueLen = 2 }, ""},
 		{"DifferentM", func(c *Config) { c.M = 4 }, "M = 3 in snapshot, 4 in config"},
 		{"DifferentC", func(c *Config) { c.C = 9 }, "C = 12 in snapshot, 9 in config"},
 		{"DifferentSeed", func(c *Config) { c.Seed = 9 }, "Seed = 8 in snapshot, 9 in config"},

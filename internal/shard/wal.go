@@ -6,7 +6,6 @@ import (
 
 	"rept/internal/core"
 	"rept/internal/graph"
-	"rept/internal/obs"
 	"rept/internal/wal"
 )
 
@@ -25,15 +24,15 @@ func (c Config) FingerprintHash() uint64 { return c.fingerprint().Hash() }
 func (s *Sharded) Position() uint64 { return s.processed.Load() }
 
 // walRunner is the durable-mode bookkeeping shared between producers
-// blocked in ApplyAllDurable and the WAL goroutine: watermarks over
+// blocked in ApplyBatchDurable and the WAL goroutine: watermarks over
 // delivery tickets, advanced as batches are appended to and synced into
 // the log, plus the sticky WAL error.
 type walRunner struct {
 	lg *wal.Log
-	// interval > 0 selects interval sync: ApplyAllDurable returns once
+	// interval > 0 selects interval sync: ApplyBatchDurable returns once
 	// its events are APPENDED, and the WAL goroutine syncs on this
 	// period (bounded loss window). interval <= 0 is per-batch sync:
-	// ApplyAllDurable returns only after its events are DURABLE.
+	// ApplyBatchDurable returns only after its events are DURABLE.
 	interval time.Duration
 
 	mu       sync.Mutex
@@ -98,11 +97,11 @@ func (r *walRunner) wait(ticket uint64) error {
 //
 // StartWAL must be called before the coordinator is shared with
 // concurrent producers (immediately after New or Resume); it panics if
-// called twice or after Close. Once attached, ApplyAllDurable blocks
+// called twice or after Close. Once attached, ApplyBatchDurable blocks
 // until the log acknowledges its events; the plain ingest methods keep
 // working and are logged too, but do not wait.
 func (s *Sharded) StartWAL(lg *wal.Log, syncInterval time.Duration) {
-	var buf [1]sendItem
+	var buf [1]msg
 	pend := buf[:0]
 	s.mu.Lock()
 	if s.closed {
@@ -114,8 +113,7 @@ func (s *Sharded) StartWAL(lg *wal.Log, syncInterval time.Duration) {
 		panic("shard: StartWAL called twice")
 	}
 	if len(s.cur.ups) > 0 {
-		ticket, b := s.detachLocked()
-		pend = append(pend, sendItem{ticket: ticket, m: msg{b: b}})
+		pend = append(pend, s.detachLocked())
 	}
 	last := s.seq
 	s.mu.Unlock()
@@ -133,172 +131,21 @@ func (s *Sharded) StartWAL(lg *wal.Log, syncInterval time.Duration) {
 	s.mu.Unlock()
 }
 
-// ApplyAllDurable is ApplyAll with a durability barrier: it returns only
-// once every event it accepted is in the write-ahead log — synced in
+// ApplyBatchDurable is ApplyBatch with a durability barrier: it returns
+// only once every event it accepted is in the write-ahead log — synced in
 // per-batch mode, appended in interval mode — so a caller that
 // acknowledges its client after a nil return never loses the events to a
-// crash. Unlike ApplyAll it always flushes the shared batch (its events
-// cannot wait in the buffer, or the durability claim would be hollow),
-// so high-rate callers should size their request batches accordingly;
-// group commit amortizes the sync across concurrent callers. A non-nil
-// error means durability is unknown AT BEST — the events may reach the
-// estimator's in-memory state, but a restart may not recover them, and
-// the caller must not acknowledge. Without StartWAL it degrades to
-// ApplyAll and returns nil.
-func (s *Sharded) ApplyAllDurable(ups []graph.Update) error {
-	var (
-		accepted, dels, loops uint64
-		buf                   [pendInline]sendItem
-	)
-	var start time.Time
-	if s.obs != nil {
-		start = time.Now()
-	}
-	pend := buf[:0]
-	if !s.cfg.FullyDynamic {
-		for _, up := range ups {
-			if up.Del {
-				panic(core.ErrNotDynamic)
-			}
-		}
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		panic(core.ErrClosed)
-	}
-	if s.walRing == nil {
-		s.mu.Unlock()
-		s.ApplyAll(ups)
-		return nil
-	}
-	for _, up := range ups {
-		if up.U == up.V {
-			loops++
-			continue
-		}
-		s.cur.ups = append(s.cur.ups, up)
-		accepted++
-		if up.Del {
-			dels++
-		}
-		if len(s.cur.ups) >= s.batchLen {
-			ticket, b := s.detachLocked()
-			pend = append(pend, sendItem{ticket: ticket, m: msg{b: b}})
-		}
-	}
-	if len(s.cur.ups) > 0 {
-		ticket, b := s.detachLocked()
-		pend = append(pend, sendItem{ticket: ticket, m: msg{b: b}})
-	}
-	// Everything this call accepted now sits at or below the last batch
-	// ticket (the flush above emptied the shared buffer), so that ticket
-	// is the durability watermark to wait for. Tallies are credited
-	// before unlock, like ApplyAll: barrier-consistency of snapshots
-	// versus Processed is what aligns checkpoint positions with the log.
-	wait := s.lastBatch
-	s.processed.Add(accepted)
-	s.deleted.Add(dels)
-	s.selfLoops.Add(loops)
-	w := s.wal
-	s.mu.Unlock()
-	s.sendAll(pend)
-	if s.obs != nil {
-		// Dispatch covers batching and fan-out; the durability wait below
-		// is accounted to the WAL append/fsync histograms instead.
-		d := time.Since(start)
-		s.obs.Dispatch.ObserveDuration(d)
-		s.obs.Flight.Record(obs.KindDispatch, -1, accepted, d)
-	}
-	return w.wait(wait)
-}
-
-// ApplyBatchDurable is ApplyBatch with the same durability barrier as
-// ApplyAllDurable: it returns only once every event it accepted is in
-// the write-ahead log — synced in per-batch mode, appended in interval
-// mode. The batch travels as wholesale segments (hub splitting
-// included) exactly like ApplyBatch, so durability costs nothing in
-// dispatch granularity: the log's group commit covers each segment the
-// moment the WAL ring drains. Without StartWAL it degrades to
+// crash. Group commit amortizes the sync across concurrent callers. A
+// non-nil error means durability is unknown AT BEST — the events may
+// reach the estimator's in-memory state, but a restart may not recover
+// them, and the caller must not acknowledge. Without StartWAL it is
 // ApplyBatch and returns nil.
 func (s *Sharded) ApplyBatchDurable(ups []graph.Update) error {
-	var (
-		accepted, dels, loops uint64
-		buf                   [pendInline]sendItem
-	)
-	var start time.Time
-	if s.obs != nil {
-		start = time.Now()
-	}
-	if !s.cfg.FullyDynamic {
-		for _, up := range ups {
-			if up.Del {
-				panic(core.ErrNotDynamic)
-			}
-		}
-	}
-	segLen := len(ups)
-	if segLen == 0 {
-		segLen = 1
-	}
-	if s.hubs != nil && len(ups) > s.batchLen && s.hubs.containsAny(ups) {
-		segLen = s.batchLen
-	}
-	pend := buf[:0]
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		panic(core.ErrClosed)
-	}
-	if s.walRing == nil {
-		s.mu.Unlock()
-		s.ApplyBatch(ups)
+	ticket, w := s.ingest(ups)
+	if w == nil {
 		return nil
 	}
-	if len(s.cur.ups) > 0 {
-		ticket, b := s.detachLocked()
-		pend = append(pend, sendItem{ticket: ticket, m: msg{b: b}})
-	}
-	var seg *batch
-	for _, up := range ups {
-		if up.U == up.V {
-			loops++
-			continue
-		}
-		if seg == nil {
-			seg = s.getBatch()
-			seg.wholesale = true
-		}
-		seg.ups = append(seg.ups, up)
-		accepted++
-		if up.Del {
-			dels++
-		}
-		if len(seg.ups) >= segLen {
-			ticket := s.ticketLocked(seg)
-			pend = append(pend, sendItem{ticket: ticket, m: msg{b: seg}})
-			seg = nil
-		}
-	}
-	if seg != nil {
-		ticket := s.ticketLocked(seg)
-		pend = append(pend, sendItem{ticket: ticket, m: msg{b: seg}})
-	}
-	// Everything this call accepted sits at or below the last issued
-	// ticket; that is the durability watermark to wait for.
-	wait := s.lastBatch
-	s.processed.Add(accepted)
-	s.deleted.Add(dels)
-	s.selfLoops.Add(loops)
-	w := s.wal
-	s.mu.Unlock()
-	s.sendAll(pend)
-	if s.obs != nil {
-		d := time.Since(start)
-		s.obs.Dispatch.ObserveDuration(d)
-		s.obs.Flight.Record(obs.KindDispatch, -1, accepted, d)
-	}
-	return w.wait(wait)
+	return w.wait(ticket)
 }
 
 // runWAL is the dedicated logger goroutine: it consumes the same

@@ -31,7 +31,7 @@ func newDurable(t *testing.T, cfg Config, be wal.Backend, interval time.Duration
 		t.Fatal(err)
 	}
 	pos, err := rec.Replay(s.Position(), func(ups []graph.Update) error {
-		s.ApplyAll(ups)
+		s.ApplyBatch(ups)
 		return nil
 	})
 	if err != nil {
@@ -94,7 +94,7 @@ func referenceBytes(t *testing.T, cfg Config, ups []graph.Update) []byte {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	ref.ApplyAll(ups)
+	ref.ApplyBatch(ups)
 	return snapshotBytes(t, ref)
 }
 
@@ -107,7 +107,7 @@ func TestDurableIngestCrashRecoveryBitForBit(t *testing.T) {
 	var acked uint64
 	for i := 0; i < len(ups); i += 100 {
 		end := min(i+100, len(ups))
-		if err := s.ApplyAllDurable(ups[i:end]); err != nil {
+		if err := s.ApplyBatchDurable(ups[i:end]); err != nil {
 			t.Fatal(err)
 		}
 		acked += uint64(end - i)
@@ -140,7 +140,7 @@ func TestDurableRecoveryWithCompaction(t *testing.T) {
 	s, lg := newDurable(t, cfg, be, 0, wal.Options{SegmentBytes: 1024})
 
 	ups := walStream(2000)
-	if err := s.ApplyAllDurable(ups[:1200]); err != nil {
+	if err := s.ApplyBatchDurable(ups[:1200]); err != nil {
 		t.Fatal(err)
 	}
 	// Fold the prefix into a checkpoint, then keep ingesting.
@@ -150,7 +150,7 @@ func TestDurableRecoveryWithCompaction(t *testing.T) {
 	if st := lg.Stats(); st.CheckpointPos != 1200 {
 		t.Fatalf("checkpoint covers %d, want 1200", st.CheckpointPos)
 	}
-	if err := s.ApplyAllDurable(ups[1200:]); err != nil {
+	if err := s.ApplyBatchDurable(ups[1200:]); err != nil {
 		t.Fatal(err)
 	}
 	be.Crash()
@@ -175,16 +175,16 @@ func TestDurableIngestRefusesAfterSyncFailure(t *testing.T) {
 	defer s.Close()
 
 	ups := walStream(300)
-	if err := s.ApplyAllDurable(ups[:100]); err != nil {
+	if err := s.ApplyBatchDurable(ups[:100]); err != nil {
 		t.Fatal(err)
 	}
 	be.FailSync(1)
-	if err := s.ApplyAllDurable(ups[100:200]); !errors.Is(err, wal.ErrInjected) {
+	if err := s.ApplyBatchDurable(ups[100:200]); !errors.Is(err, wal.ErrInjected) {
 		t.Fatalf("durable ingest under failed sync: %v, want ErrInjected", err)
 	}
 	// The failure is sticky: later calls must refuse too, and the
 	// durable position must not move.
-	if err := s.ApplyAllDurable(ups[200:]); !errors.Is(err, wal.ErrInjected) {
+	if err := s.ApplyBatchDurable(ups[200:]); !errors.Is(err, wal.ErrInjected) {
 		t.Fatalf("durable ingest after failed sync: %v, want sticky ErrInjected", err)
 	}
 	if st := lg.Stats(); st.DurablePos != 100 {
@@ -204,7 +204,7 @@ func TestDurableIntervalModeAcksOnAppend(t *testing.T) {
 	s, lg := newDurable(t, cfg, be, time.Hour, wal.Options{})
 
 	ups := walStream(500)
-	if err := s.ApplyAllDurable(ups); err != nil {
+	if err := s.ApplyBatchDurable(ups); err != nil {
 		t.Fatal(err)
 	}
 	st := lg.Stats()
@@ -226,7 +226,7 @@ func TestDurableFallsBackWithoutWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.ApplyAllDurable(walStream(100)); err != nil {
+	if err := s.ApplyBatchDurable(walStream(100)); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Position(); got != 100 {
@@ -236,7 +236,7 @@ func TestDurableFallsBackWithoutWAL(t *testing.T) {
 
 // TestWALAppendSteadyStateZeroAlloc gates the durable ingest path end to
 // end: with the batch free list and the log's record buffer warm, an
-// ApplyAllDurable block sized exactly to the batch length — so every
+// ApplyBatchDurable block sized exactly to the batch length — so every
 // call detaches one full batch, the WAL goroutine appends it, syncs, and
 // releases the waiter — must not allocate on any goroutine, including
 // the logger (AllocsPerRun counts them all). The log writes through the
@@ -256,7 +256,7 @@ func TestWALAppendSteadyStateZeroAlloc(t *testing.T) {
 	defer s.Close()
 
 	base := gen.Shuffle(gen.HolmeKim(300, 6, 0.4, 5), 2)
-	s.AddAll(base)
+	s.ApplyBatch(graph.Inserts(base))
 
 	slice := base[:batchLen/2]
 	block := make([]graph.Update, 0, batchLen)
@@ -268,13 +268,13 @@ func TestWALAppendSteadyStateZeroAlloc(t *testing.T) {
 	}
 
 	for i := 0; i < 64; i++ {
-		if err := s.ApplyAllDurable(block); err != nil {
+		if err := s.ApplyBatchDurable(block); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := s.ApplyAllDurable(block); err != nil {
+		if err := s.ApplyBatchDurable(block); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -80,14 +80,6 @@ type Config struct {
 	// Estimate.Variance available for every configuration. The C > M,
 	// C%M ≠ 0 case enables it automatically.
 	TrackEta bool
-	// Workers spreads the logical processors over this many goroutines
-	// (values <= 1 run single-threaded). C is a statistical parameter and
-	// Workers an execution detail; results do not depend on Workers.
-	Workers int
-	// BatchSize is the edge-broadcast batch length of the parallel path
-	// (default 2048; ignored when Workers <= 1). Like Workers it is an
-	// execution detail: results do not depend on it.
-	BatchSize int
 }
 
 // Estimate is a snapshot of the estimator's output.
@@ -112,8 +104,8 @@ type Estimate struct {
 func (e Estimate) StdErr() float64 { return math.Sqrt(e.Variance) }
 
 // Estimator is the streaming REPT estimator (paper Algorithms 1 and 2).
-// It is driven by a single caller; parallelism is internal (see
-// Config.Workers). Close it to release worker goroutines.
+// It is driven by a single caller; ingest from many goroutines, or over
+// several cores, goes through Concurrent.
 type Estimator struct {
 	eng *core.Engine
 	cfg Config
@@ -132,8 +124,6 @@ func (c Config) coreConfig() core.Config {
 		TrackLocal:   c.TrackLocal,
 		FullyDynamic: c.FullyDynamic,
 		TrackEta:     c.TrackEta,
-		Workers:      c.Workers,
-		BatchSize:    c.BatchSize,
 	}
 }
 
@@ -232,8 +222,7 @@ func (e *Estimator) WriteSnapshot(w io.Writer) error { return e.eng.WriteSnapsho
 // Resume reads a snapshot written by Estimator.WriteSnapshot and restores
 // it into a new estimator built for cfg. The snapshot's fingerprint must
 // match cfg's statistical fields exactly (M, C, Seed, TrackLocal,
-// TrackEta); Workers and BatchSize are execution details and may differ.
-// A mismatch is rejected with an error wrapping ErrSnapshotMismatch that
+// TrackEta). A mismatch is rejected with an error wrapping ErrSnapshotMismatch that
 // names every differing field.
 func Resume(cfg Config, r io.Reader) (*Estimator, error) {
 	eng, err := core.ResumeEngine(cfg.coreConfig(), r)
@@ -243,8 +232,8 @@ func Resume(cfg Config, r io.Reader) (*Estimator, error) {
 	return &Estimator{eng: eng, cfg: cfg}, nil
 }
 
-// Close releases worker goroutines. The estimator must not be used after
-// Close. Close is idempotent and safe with Workers <= 1.
+// Close retires the estimator; it must not be used afterwards. Close is
+// idempotent.
 func (e *Estimator) Close() { e.eng.Close() }
 
 // Config returns the configuration the estimator was built with.

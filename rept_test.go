@@ -38,7 +38,7 @@ func TestEstimatorApproximates(t *testing.T) {
 	exact := rept.ExactCount(edges, rept.ExactOptions{Eta: true})
 	tau := float64(exact.Tau)
 
-	est, err := rept.New(rept.Config{M: 4, C: 4, Seed: 11, Workers: 2})
+	est, err := rept.New(rept.Config{M: 4, C: 4, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,20 +59,26 @@ func TestEstimatorApproximates(t *testing.T) {
 
 func TestEstimatorDeterministic(t *testing.T) {
 	edges := gen.ErdosRenyi(200, 1200, 5)
-	run := func(workers int) float64 {
-		est, err := rept.New(rept.Config{M: 5, C: 7, Seed: 42, Workers: workers})
+	run := func(bulk bool) float64 {
+		est, err := rept.New(rept.Config{M: 5, C: 7, Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer est.Close()
-		est.AddAll(edges)
+		if bulk {
+			est.AddAll(edges)
+		} else {
+			for _, e := range edges {
+				est.Add(e.U, e.V)
+			}
+		}
 		return est.Global()
 	}
-	if run(1) != run(1) {
+	if run(true) != run(true) {
 		t.Error("same config, different estimates")
 	}
-	if run(1) != run(4) {
-		t.Error("worker count changed the estimate")
+	if run(true) != run(false) {
+		t.Error("the ingest entry point changed the estimate")
 	}
 }
 
