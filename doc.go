@@ -150,15 +150,17 @@
 //
 // The per-event hot path runs on flat, cache-friendly structures and is
 // allocation-free in steady state. Each logical processor's sampled
-// adjacency is an open-addressing node index over an arena of neighbor
-// sets: the first few neighbors live inline in the arena entry, larger
-// sets spill to sorted slices intersected by merge/galloping walks, and
-// past 32 neighbors a set is promoted to an open-addressing hash set
-// probed in O(1) (the inline → sorted → promoted ladder matches how
-// degrees distribute under 1/m sampling: almost all nodes tiny, a few
-// hubs hot). The per-edge η counters are an open-addressing table keyed
-// by the canonical 64-bit edge key with tombstone-aware deletion and
-// saturating (never wrapping) int32 arithmetic; clamp events — possible
+// adjacency is an open-addressing node index over an arena of 32-byte,
+// pointer-free neighbor-set entries: the first six neighbors live inline
+// in the entry, larger sets move to a side store the entry indexes — a
+// sorted slice intersected by merge/galloping walks, promoted past 32
+// neighbors to an open-addressing hash set probed in O(1) (the inline →
+// sorted → promoted ladder matches how degrees distribute under 1/m
+// sampling: almost all nodes tiny, a few hubs hot). Holding no pointers
+// keeps the arena off the garbage collector's scan list. The per-edge η
+// counters are an open-addressing table keyed by the canonical 64-bit
+// edge key with tombstone-aware deletion and saturating (never wrapping)
+// int32 arithmetic; clamp events — possible
 // only on adversarially hot edges — are surfaced as
 // Estimator.EtaSaturations / Concurrent.EtaSaturations, per epoch on
 // View.EtaSaturations, and over HTTP in /stats and /metrics. On the reference CI machine this rework

@@ -7,7 +7,8 @@
 // Flagged inside a hot function:
 //
 //   - make and new calls (capacity building belongs in cold helpers like
-//     ctab.init, nset.spill, or the rehash/promote/grow family)
+//     ctab.init, nset.spill, sideStore.take, or the newTable/promote/grow
+//     family)
 //   - append whose result is not assigned back to its own first argument
 //     (amortized in-place growth is the one allowed append shape)
 //   - map and slice composite literals, and &T{} pointer literals

@@ -6,10 +6,13 @@ import (
 	"rept/internal/mem"
 )
 
-// nsetBytes is the arena cost of one neighbor-set header (the inline
-// neighbors and the slice headers; spill and table backing arrays are
-// accounted separately at their own growth transitions).
+// nsetBytes is the arena cost of one neighbor-set entry (the degree, the
+// layout word and the inline neighbors; side-store slices are accounted
+// separately at their own growth transitions).
 const nsetBytes = int64(unsafe.Sizeof(nset{}))
+
+// sideEntryBytes is the cost of one side-store entry: a slice header.
+const sideEntryBytes = int64(unsafe.Sizeof([]NodeID(nil)))
 
 // Adjacency is a dynamic undirected adjacency structure supporting edge
 // insertion, removal (needed by reservoir-based samplers and fully-dynamic
@@ -17,21 +20,24 @@ const nsetBytes = int64(unsafe.Sizeof(nset{}))
 // expected time.
 //
 // Storage is flat and cache-friendly: an open-addressing node index maps
-// each live node to a slot in an arena of neighbor sets, each a sorted
-// NodeID slice promoted to an open-addressing set past promoteDeg
-// neighbors (see nbrset.go). Released slots are recycled through a free
-// list, so steady-state churn (delete + re-insert over a stable node
-// universe) allocates nothing.
+// each live node to a slot in an arena of 32-byte, pointer-free neighbor
+// sets. A set keeps up to inlineCap neighbors in its arena entry; larger
+// sets live in a side store as a sorted NodeID slice, promoted to an
+// open-addressing set past promoteDeg neighbors (see nbrset.go). Released
+// arena slots and side-store entries are recycled through free lists, so
+// steady-state churn (delete + re-insert over a stable node universe)
+// allocates nothing.
 //
 // The zero value is not usable; call NewAdjacency.
 type Adjacency struct {
 	idx   nodeIndex
 	sets  []nset
 	freed []int32
+	side  sideStore
 	edges int
 	// ac is the optional byte ledger (nil: unaccounted). It is consulted
 	// only at capacity transitions — arena growth, index rehash, spill/
-	// promote/grow — never per event.
+	// promote/grow, side-store growth — never per event.
 	ac *mem.Accountant
 }
 
@@ -53,11 +59,7 @@ func (a *Adjacency) slot(u NodeID) int32 {
 		a.freed = a.freed[:n-1]
 	} else {
 		si = int32(len(a.sets))
-		prevCap := cap(a.sets)
-		a.sets = append(a.sets, nset{})
-		if c := cap(a.sets); c != prevCap {
-			a.ac.Add(mem.CompAdjacency, int64(c-prevCap)*nsetBytes)
-		}
+		appendCharged(&a.sets, nset{}, nsetBytes, a.ac)
 	}
 	a.idx.put(u, si, a.ac)
 	return si
@@ -65,13 +67,9 @@ func (a *Adjacency) slot(u NodeID) int32 {
 
 // release drops a node whose last neighbor was removed.
 func (a *Adjacency) release(u NodeID, si int32) {
-	a.sets[si].reset(a.ac)
+	a.sets[si].reset(&a.side, a.ac)
 	a.idx.del(u)
-	prevCap := cap(a.freed)
-	a.freed = append(a.freed, si)
-	if c := cap(a.freed); c != prevCap {
-		a.ac.Add(mem.CompAdjacency, int64(c-prevCap)*4)
-	}
+	appendCharged(&a.freed, si, 4, a.ac)
 }
 
 // Add inserts the undirected edge {u, v}. It returns false (and does
@@ -97,9 +95,9 @@ func (a *Adjacency) AddReport(u, v NodeID) (added, newU, newV bool) {
 	si := a.idx.get(u)
 	if si < 0 {
 		si = a.slot(u)
-		a.sets[si].add(u, v, a.ac)
+		a.sets[si].add(&a.side, u, v, a.ac)
 		newU = true
-	} else if !a.sets[si].add(u, v, a.ac) {
+	} else if !a.sets[si].add(&a.side, u, v, a.ac) {
 		return false, false, false
 	}
 	sj := a.idx.get(v)
@@ -107,7 +105,7 @@ func (a *Adjacency) AddReport(u, v NodeID) (added, newU, newV bool) {
 		sj = a.slot(v)
 		newV = true
 	}
-	a.sets[sj].add(v, u, a.ac)
+	a.sets[sj].add(&a.side, v, u, a.ac)
 	a.edges++
 	return true, newU, newV
 }
@@ -131,11 +129,11 @@ func (a *Adjacency) RemoveReport(u, v NodeID) (removed, goneU, goneV bool) {
 		return false, false, false
 	}
 	si := a.idx.get(u)
-	if si < 0 || !a.sets[si].remove(u, v) {
+	if si < 0 || !a.sets[si].remove(&a.side, u, v) {
 		return false, false, false
 	}
 	sj := a.idx.get(v)
-	a.sets[sj].remove(v, u)
+	a.sets[sj].remove(&a.side, v, u)
 	a.edges--
 	if a.sets[si].deg() == 0 {
 		a.release(u, si)
@@ -153,7 +151,7 @@ func (a *Adjacency) RemoveReport(u, v NodeID) (removed, goneU, goneV bool) {
 //rept:hotpath
 func (a *Adjacency) Has(u, v NodeID) bool {
 	si := a.idx.get(u)
-	return si >= 0 && a.sets[si].has(u, v)
+	return si >= 0 && a.sets[si].has(&a.side, u, v)
 }
 
 // Degree returns the number of neighbors of u.
@@ -175,7 +173,7 @@ func (a *Adjacency) Nodes() int { return a.idx.n }
 func (a *Adjacency) Neighbors(u NodeID, fn func(w NodeID)) {
 	si := a.idx.get(u)
 	if si >= 0 {
-		a.sets[si].each(u, fn)
+		a.sets[si].each(&a.side, u, fn)
 	}
 }
 
@@ -191,7 +189,7 @@ func (a *Adjacency) EachNode(fn func(u NodeID)) {
 // slice. It is the export path used by the snapshot subsystem.
 func (a *Adjacency) AppendEdges(dst []Edge) []Edge {
 	a.idx.each(func(u NodeID, si int32) {
-		a.sets[si].each(u, func(v NodeID) {
+		a.sets[si].each(&a.side, u, func(v NodeID) {
 			if u < v {
 				dst = append(dst, Edge{U: u, V: v})
 			}
@@ -216,21 +214,23 @@ func (a *Adjacency) CommonNeighbors(u, v NodeID, dst []NodeID) []NodeID {
 	if sj < 0 {
 		return dst
 	}
-	return intersect(&a.sets[si], u, &a.sets[sj], v, dst)
+	return intersect(&a.side, &a.sets[si], u, &a.sets[sj], v, dst)
 }
 
 // footprint returns the bytes currently on the ledger for this structure,
 // recomputed from capacities. It mirrors the incremental charge sites
-// exactly: the arena and free list by capacity, the node index by table
-// length, and every arena entry's spill capacity and promoted-table length
-// (freed slots retain their spill capacity, so they count too).
+// exactly: the arena, the side store's headers and both free lists by
+// capacity, the node index by table length, and every side-store slice by
+// capacity (a promoted table's capacity is its length; a released spill
+// slice keeps its capacity on the free list, so it counts too).
 func (a *Adjacency) footprint() int64 {
 	b := int64(cap(a.sets))*nsetBytes +
 		int64(cap(a.freed))*4 +
-		int64(len(a.idx.ents))*idxEntryBytes
-	for i := range a.sets {
-		s := &a.sets[i]
-		b += int64(cap(s.small))*nodeIDBytes + int64(len(s.table))*nodeIDBytes
+		int64(len(a.idx.ents))*idxEntryBytes +
+		int64(cap(a.side.bufs))*sideEntryBytes +
+		int64(cap(a.side.free))*4
+	for _, buf := range a.side.bufs {
+		b += int64(cap(buf)) * nodeIDBytes
 	}
 	return b
 }
@@ -251,6 +251,7 @@ func (a *Adjacency) Compact() {
 	a.idx = nodeIndex{}
 	a.sets = nil
 	a.freed = nil
+	a.side = sideStore{}
 	a.edges = 0
 	for _, e := range edges {
 		a.Add(e.U, e.V)
@@ -270,5 +271,5 @@ func (a *Adjacency) CommonCount(u, v NodeID) int {
 	if sj < 0 {
 		return 0
 	}
-	return intersectCount(&a.sets[si], u, &a.sets[sj], v)
+	return intersectCount(&a.side, &a.sets[si], u, &a.sets[sj], v)
 }

@@ -11,11 +11,12 @@ const maskEntryBytes = int64(unsafe.Sizeof(maskEntry{}))
 
 // MaskTable maps a NodeID to a 64-bit processor-presence bitmask: bit i
 // is set while logical processor i's sampled adjacency contains the
-// node. The single-engine batch path reads it to skip processors that
-// provably cannot close a triangle on an incoming edge (a processor
-// whose adjacency holds neither endpoint has an empty intersection and
-// no edge to phantom-track), which is where most of the per-event cost
-// of broadcasting every edge to every processor goes.
+// node. The engine's walk reads it for every event, insertion or
+// deletion, to skip processors that provably cannot close a triangle on
+// the edge (a processor whose adjacency lacks an endpoint has an empty
+// intersection, and only the storing processor can sample, remove or
+// phantom-track the edge). Visiting every processor instead is where most
+// of the per-event cost would go.
 //
 // Storage mirrors the adjacency node index: open addressing with linear
 // probing over mix32, grown at 50% load, entries removed by backward

@@ -4,15 +4,18 @@ import "rept/internal/mem"
 
 // This file implements the flat storage behind Adjacency: an open-
 // addressing node index (NodeID → arena slot) over an arena of per-node
-// neighbor sets. A set stores its first few neighbors inline in the
-// arena entry itself (no pointer chase at all for the typical sampled
-// node), spills to a sorted NodeID slice as it grows, and is promoted to
-// an open-addressing hash set past promoteDeg neighbors. Sorted layouts
-// intersect by merge walk (galloping by binary search when the sizes are
-// skewed); promoted sets are probed in O(1). Everything lives in
-// contiguous uint32 storage, so the per-edge hot path — two index
-// lookups plus one intersection — touches a handful of cache lines and
-// allocates nothing once capacity exists.
+// neighbor sets. An arena entry is 32 bytes and holds no pointers: the
+// degree, a layout word, and the first few neighbors stored inline (no
+// pointer chase at all for the typical sampled node). A set that outgrows
+// the inline array moves to the Adjacency's side store, which the layout
+// word indexes: first a sorted NodeID slice, then, past promoteDeg
+// neighbors, an open-addressing hash set. Sorted layouts intersect by
+// merge walk (galloping by binary search when the sizes are skewed);
+// promoted sets are probed in O(1). Everything lives in contiguous uint32
+// storage, so the per-edge hot path — two index lookups plus one
+// intersection — touches a handful of cache lines and allocates nothing
+// once capacity exists, and because neither the arena nor the node index
+// contains a pointer, the garbage collector never scans them.
 
 // Accounted element sizes of the flat adjacency storage (see
 // mem.CompAdjacency): NodeID is uint32, idxEntry packs a NodeID and an
@@ -44,45 +47,92 @@ func mix32(x uint32) uint32 {
 	return x
 }
 
-// nset is one node's neighbor set, in one of three layouts:
+// nset is one node's neighbor set, in one of three layouts chosen by the
+// sign of x:
 //
-//   - inline: n ≤ inlineCap neighbors, sorted in inl (small and table nil)
-//   - spilled: sorted slice small (table nil)
-//   - promoted: open-addressing table with n live entries
+//   - inline (x == 0): n ≤ inlineCap neighbors, sorted in inl
+//   - spilled (x > 0): the sorted slice side.bufs[x-1]
+//   - promoted (x < 0): the open-addressing table side.bufs[-x-1], with
+//     n live entries
 //
 // n is the degree in every layout. Empty table slots hold the owning
 // node's own id — a node is never its own neighbor (self-loops are
 // rejected upstream), so the owner is a collision-free in-band sentinel
 // for every possible NodeID value.
+//
+// The entry holds no pointer: out-of-line storage is named by index, not
+// by slice header, which is what keeps the arena off the garbage
+// collector's scan list. TestNsetLayout pins the size and the absence of
+// pointer fields.
 type nset struct {
-	n     int32
-	inl   [inlineCap]NodeID
-	small []NodeID
-	table []NodeID
+	n   int32
+	x   int32
+	inl [inlineCap]NodeID
+}
+
+// sideStore holds the out-of-line storage of the sets that outgrow
+// inline: bufs[k] is the sorted slice (x = k+1) or the hash table
+// (x = -k-1) of exactly one set, and free lists the indices no set
+// holds. A set that releases a spill slice leaves its capacity in bufs
+// for the next set to spill; a released table is dropped.
+type sideStore struct {
+	bufs [][]NodeID
+	free []int32
+}
+
+// take returns an unused side-store index, recycling released ones.
+func (st *sideStore) take(ac *mem.Accountant) int32 {
+	if n := len(st.free); n > 0 {
+		k := st.free[n-1]
+		st.free = st.free[:n-1]
+		return k
+	}
+	appendCharged(&st.bufs, nil, sideEntryBytes, ac)
+	return int32(len(st.bufs) - 1)
+}
+
+// appendCharged appends v to *sl, charging the ledger for the capacity
+// the append adds (elemBytes per element), if any.
+func appendCharged[T any](sl *[]T, v T, elemBytes int64, ac *mem.Accountant) {
+	prevCap := cap(*sl)
+	*sl = append(*sl, v)
+	if c := cap(*sl); c != prevCap {
+		ac.Add(mem.CompAdjacency, int64(c-prevCap)*elemBytes)
+	}
 }
 
 // deg returns the number of neighbors.
 func (s *nset) deg() int { return int(s.n) }
 
 // sorted returns the sorted neighbor slice of a non-promoted set.
-func (s *nset) sorted() []NodeID {
-	if s.small != nil {
-		return s.small
+func (s *nset) sorted(st *sideStore) []NodeID {
+	if s.x == 0 {
+		return s.inl[:s.n]
 	}
-	return s.inl[:s.n]
+	return st.bufs[s.x-1]
 }
 
-// reset empties the set for arena reuse, keeping the spill slice's
-// capacity (promoted tables are dropped: a recycled slot usually hosts a
-// fresh low-degree node). The dropped table's bytes leave the ledger; the
-// retained spill capacity stays on it, because the memory stays resident.
-func (s *nset) reset(ac *mem.Accountant) {
-	if s.table != nil {
-		ac.Add(mem.CompAdjacency, -int64(len(s.table))*nodeIDBytes)
+// table returns the open-addressing table of a promoted set.
+func (s *nset) table(st *sideStore) []NodeID { return st.bufs[-s.x-1] }
+
+// reset empties the set for arena reuse, returning its side-store index
+// (if any) to the free list. A spill slice keeps its capacity there for
+// the next set to spill, and stays on the ledger because the memory stays
+// resident; a promoted table is dropped and its bytes leave the ledger (a
+// recycled slot usually hosts a fresh low-degree node).
+func (s *nset) reset(st *sideStore, ac *mem.Accountant) {
+	if s.x != 0 {
+		k := s.x - 1
+		if s.x < 0 {
+			k = -s.x - 1
+			ac.Add(mem.CompAdjacency, -int64(len(st.bufs[k]))*nodeIDBytes)
+			st.bufs[k] = nil
+		} else {
+			st.bufs[k] = st.bufs[k][:0]
+		}
+		appendCharged(&st.free, k, 4, ac)
 	}
-	s.small = s.small[:0]
-	s.table = nil
-	s.n = 0
+	s.n, s.x = 0, 0
 }
 
 // search returns the insertion position of w in the sorted slice sl.
@@ -106,18 +156,26 @@ func search(sl []NodeID, w NodeID) int {
 // table mode, and a node is never its own neighbor).
 //
 //rept:hotpath
-func (s *nset) has(owner, w NodeID) bool {
+func (s *nset) has(st *sideStore, owner, w NodeID) bool {
+	if s.x < 0 {
+		return tableHas(s.table(st), owner, w)
+	}
+	sl := s.sorted(st)
+	i := search(sl, w)
+	return i < len(sl) && sl[i] == w
+}
+
+// tableHas reports whether w is in the open-addressing table t whose
+// empty slots hold owner.
+//
+//rept:hotpath
+func tableHas(t []NodeID, owner, w NodeID) bool {
 	if w == owner {
 		return false
 	}
-	if s.table == nil {
-		sl := s.sorted()
-		i := search(sl, w)
-		return i < len(sl) && sl[i] == w
-	}
-	mask := uint32(len(s.table) - 1)
+	mask := uint32(len(t) - 1)
 	for i := mix32(uint32(w)) & mask; ; i = (i + 1) & mask {
-		switch s.table[i] {
+		switch t[i] {
 		case w:
 			return true
 		case owner:
@@ -134,48 +192,46 @@ func (s *nset) has(owner, w NodeID) bool {
 // branches — never per event.
 //
 //rept:hotpath
-func (s *nset) add(owner, w NodeID, ac *mem.Accountant) bool {
+func (s *nset) add(st *sideStore, owner, w NodeID, ac *mem.Accountant) bool {
 	if w == owner {
 		return false
 	}
-	if s.table == nil {
-		sl := s.sorted()
+	if s.x >= 0 {
+		sl := s.sorted(st)
 		i := search(sl, w)
 		if i < len(sl) && sl[i] == w {
 			return false
 		}
 		switch {
-		case s.small == nil && int(s.n) < inlineCap:
+		case s.x == 0 && int(s.n) < inlineCap:
 			// Inline insertion sort.
 			copy(s.inl[i+1:s.n+1], s.inl[i:s.n])
 			s.inl[i] = w
-		case s.small == nil:
-			s.spill(i, w, ac)
-		case len(s.small) >= promoteDeg:
-			s.promote(owner, ac)
-			return s.add(owner, w, ac)
+		case s.x == 0:
+			s.spill(st, i, w, ac)
+		case len(sl) >= promoteDeg:
+			s.promote(st, owner, ac)
+			return s.add(st, owner, w, ac)
 		default:
-			prevCap := cap(s.small)
-			s.small = append(s.small, 0)
-			if c := cap(s.small); c != prevCap {
-				ac.Add(mem.CompAdjacency, int64(c-prevCap)*nodeIDBytes)
-			}
-			copy(s.small[i+1:], s.small[i:])
-			s.small[i] = w
+			appendCharged(&st.bufs[s.x-1], 0, nodeIDBytes, ac)
+			sl = st.bufs[s.x-1]
+			copy(sl[i+1:], sl[i:])
+			sl[i] = w
 		}
 		s.n++
 		return true
 	}
-	if int(s.n) >= len(s.table)*3/4 {
-		s.grow(owner, len(s.table)*2, ac)
+	t := s.table(st)
+	if int(s.n) >= len(t)*3/4 {
+		t = s.grow(st, owner, len(t)*2, ac)
 	}
-	mask := uint32(len(s.table) - 1)
+	mask := uint32(len(t) - 1)
 	for i := mix32(uint32(w)) & mask; ; i = (i + 1) & mask {
-		switch s.table[i] {
+		switch t[i] {
 		case w:
 			return false
 		case owner:
-			s.table[i] = w
+			t[i] = w
 			s.n++
 			return true
 		}
@@ -186,36 +242,38 @@ func (s *nset) add(owner, w NodeID, ac *mem.Accountant) bool {
 // backward-shift deletion, so probe chains stay tombstone-free.
 //
 //rept:hotpath
-func (s *nset) remove(owner, w NodeID) bool {
+func (s *nset) remove(st *sideStore, owner, w NodeID) bool {
 	if w == owner {
 		return false
 	}
-	if s.table == nil {
-		if s.small == nil {
-			i := search(s.inl[:s.n], w)
-			if i >= int(s.n) || s.inl[i] != w {
-				return false
-			}
-			copy(s.inl[i:s.n-1], s.inl[i+1:s.n])
-			s.n--
-			return true
-		}
-		i := search(s.small, w)
-		if i >= len(s.small) || s.small[i] != w {
+	if s.x == 0 {
+		i := search(s.inl[:s.n], w)
+		if i >= int(s.n) || s.inl[i] != w {
 			return false
 		}
-		copy(s.small[i:], s.small[i+1:])
-		s.small = s.small[:len(s.small)-1]
+		copy(s.inl[i:s.n-1], s.inl[i+1:s.n])
 		s.n--
 		return true
 	}
-	mask := uint32(len(s.table) - 1)
+	if s.x > 0 {
+		sl := st.bufs[s.x-1]
+		i := search(sl, w)
+		if i >= len(sl) || sl[i] != w {
+			return false
+		}
+		copy(sl[i:], sl[i+1:])
+		st.bufs[s.x-1] = sl[:len(sl)-1]
+		s.n--
+		return true
+	}
+	t := s.table(st)
+	mask := uint32(len(t) - 1)
 	i := mix32(uint32(w)) & mask
 	for ; ; i = (i + 1) & mask {
-		if s.table[i] == w {
+		if t[i] == w {
 			break
 		}
-		if s.table[i] == owner {
+		if t[i] == owner {
 			return false
 		}
 	}
@@ -224,72 +282,88 @@ func (s *nset) remove(owner, w NodeID) bool {
 	j := i
 	for {
 		j = (j + 1) & mask
-		if s.table[j] == owner {
+		if t[j] == owner {
 			break
 		}
-		home := mix32(uint32(s.table[j])) & mask
+		home := mix32(uint32(t[j])) & mask
 		if (j-home)&mask >= (j-i)&mask {
-			s.table[i] = s.table[j]
+			t[i] = t[j]
 			i = j
 		}
 	}
-	s.table[i] = owner
+	t[i] = owner
 	s.n--
 	return true
 }
 
-// spill moves inline storage to a freshly allocated sorted slice,
-// inserting w at position i. It is the one-time growth transition out of
-// add's inline layout, kept as a separate cold function so add itself
-// stays allocation-free under the //rept:hotpath gate.
-func (s *nset) spill(i int, w NodeID, ac *mem.Accountant) {
-	s.small = make([]NodeID, 0, 2*inlineCap)
-	ac.Add(mem.CompAdjacency, int64(cap(s.small))*nodeIDBytes)
-	s.small = append(s.small, s.inl[:i]...)
-	s.small = append(s.small, w)
-	s.small = append(s.small, s.inl[i:s.n]...)
+// spill moves inline storage to a side-store slice, inserting w at
+// position i. It is the one-time growth transition out of add's inline
+// layout, kept as a separate cold function so add itself stays
+// allocation-free under the //rept:hotpath gate. A recycled index brings
+// the capacity a released spill slice left behind.
+func (s *nset) spill(st *sideStore, i int, w NodeID, ac *mem.Accountant) {
+	k := st.take(ac)
+	sl := st.bufs[k]
+	if sl == nil {
+		sl = make([]NodeID, 0, 2*inlineCap)
+		ac.Add(mem.CompAdjacency, int64(cap(sl))*nodeIDBytes)
+	}
+	sl = append(sl, s.inl[:i]...)
+	sl = append(sl, w)
+	sl = append(sl, s.inl[i:s.n]...)
+	st.bufs[k] = sl
+	s.x = k + 1
 }
 
-// promote migrates the sorted slice into a fresh open-addressing table.
-func (s *nset) promote(owner NodeID, ac *mem.Accountant) {
-	old := s.small
+// newTable returns an empty open-addressing table of size slots (a power
+// of two), every slot holding the owner sentinel.
+func newTable(owner NodeID, size int) []NodeID {
+	t := make([]NodeID, size)
+	for i := range t {
+		t[i] = owner
+	}
+	return t
+}
+
+// promote migrates the sorted spill slice into a fresh open-addressing
+// table, which takes over the slice's side-store index.
+func (s *nset) promote(st *sideStore, owner NodeID, ac *mem.Accountant) {
+	k := s.x - 1
+	old := st.bufs[k]
 	ac.Add(mem.CompAdjacency, int64(4*promoteDeg-cap(old))*nodeIDBytes)
-	s.small = nil
+	st.bufs[k] = newTable(owner, 4*promoteDeg)
+	s.x = -k - 1
 	s.n = 0
-	s.table = make([]NodeID, 4*promoteDeg)
-	for i := range s.table {
-		s.table[i] = owner
-	}
 	for _, w := range old {
-		s.add(owner, w, ac)
+		s.add(st, owner, w, ac)
 	}
 }
 
-// grow rehashes the table into size slots (a power of two).
-func (s *nset) grow(owner NodeID, size int, ac *mem.Accountant) {
-	old := s.table
+// grow rehashes the table into size slots (a power of two) and returns
+// the new table.
+func (s *nset) grow(st *sideStore, owner NodeID, size int, ac *mem.Accountant) []NodeID {
+	k := -s.x - 1
+	old := st.bufs[k]
 	ac.Add(mem.CompAdjacency, int64(size-len(old))*nodeIDBytes)
-	s.table = make([]NodeID, size)
-	for i := range s.table {
-		s.table[i] = owner
-	}
+	st.bufs[k] = newTable(owner, size)
 	s.n = 0
 	for _, w := range old {
 		if w != owner {
-			s.add(owner, w, ac)
+			s.add(st, owner, w, ac)
 		}
 	}
+	return st.bufs[k]
 }
 
 // each calls fn for every neighbor, in unspecified order.
-func (s *nset) each(owner NodeID, fn func(w NodeID)) {
-	if s.table == nil {
-		for _, w := range s.sorted() {
+func (s *nset) each(st *sideStore, owner NodeID, fn func(w NodeID)) {
+	if s.x >= 0 {
+		for _, w := range s.sorted(st) {
 			fn(w)
 		}
 		return
 	}
-	for _, w := range s.table {
+	for _, w := range s.table(st) {
 		if w != owner {
 			fn(w)
 		}
@@ -341,25 +415,26 @@ func intersectSorted(a, b []NodeID, dst []NodeID) []NodeID {
 // smaller enumerable side.
 //
 //rept:hotpath
-func intersect(su *nset, ou NodeID, sv *nset, ov NodeID, dst []NodeID) []NodeID {
-	if su.table == nil && sv.table == nil {
-		return intersectSorted(su.sorted(), sv.sorted(), dst)
+func intersect(st *sideStore, su *nset, ou NodeID, sv *nset, ov NodeID, dst []NodeID) []NodeID {
+	if su.x >= 0 && sv.x >= 0 {
+		return intersectSorted(su.sorted(st), sv.sorted(st), dst)
 	}
 	// Enumerate the smaller set, probe the larger (at least one side is a
 	// table; prefer probing it).
-	if su.table != nil && (sv.table == nil || sv.n <= su.n) {
+	if su.x < 0 && (sv.x >= 0 || sv.n <= su.n) {
 		su, ou, sv, ov = sv, ov, su, ou
 	}
-	if su.table == nil {
-		for _, w := range su.sorted() {
-			if sv.has(ov, w) {
+	t := sv.table(st)
+	if su.x >= 0 {
+		for _, w := range su.sorted(st) {
+			if tableHas(t, ov, w) {
 				dst = append(dst, w)
 			}
 		}
 		return dst
 	}
-	for _, w := range su.table {
-		if w != ou && sv.has(ov, w) {
+	for _, w := range su.table(st) {
+		if w != ou && tableHas(t, ov, w) {
 			dst = append(dst, w)
 		}
 	}
@@ -370,10 +445,10 @@ func intersect(su *nset, ou NodeID, sv *nset, ov NodeID, dst []NodeID) []NodeID 
 // as intersect, without materializing the result.
 //
 //rept:hotpath
-func intersectCount(su *nset, ou NodeID, sv *nset, ov NodeID) int {
+func intersectCount(st *sideStore, su *nset, ou NodeID, sv *nset, ov NodeID) int {
 	n := 0
-	if su.table == nil && sv.table == nil {
-		a, b := su.sorted(), sv.sorted()
+	if su.x >= 0 && sv.x >= 0 {
+		a, b := su.sorted(st), sv.sorted(st)
 		if len(a) > len(b) {
 			a, b = b, a
 		}
@@ -407,19 +482,20 @@ func intersectCount(su *nset, ou NodeID, sv *nset, ov NodeID) int {
 		}
 		return n
 	}
-	if su.table != nil && (sv.table == nil || sv.n <= su.n) {
+	if su.x < 0 && (sv.x >= 0 || sv.n <= su.n) {
 		su, ou, sv, ov = sv, ov, su, ou
 	}
-	if su.table == nil {
-		for _, w := range su.sorted() {
-			if sv.has(ov, w) {
+	t := sv.table(st)
+	if su.x >= 0 {
+		for _, w := range su.sorted(st) {
+			if tableHas(t, ov, w) {
 				n++
 			}
 		}
 		return n
 	}
-	for _, w := range su.table {
-		if w != ou && sv.has(ov, w) {
+	for _, w := range su.table(st) {
+		if w != ou && tableHas(t, ov, w) {
 			n++
 		}
 	}
@@ -436,9 +512,10 @@ type idxEntry struct {
 
 // nodeIndex is an open-addressing map from NodeID to arena slot.
 // Deletion backward-shifts, so no tombstones exist and lookups stay
-// short under churn. The index grows at 50% load — every stream event
-// probes it 2·C times, so short probe chains buy more than the extra
-// 8 bytes per slot cost.
+// short under churn. The index grows at 50% load — every processor the
+// engine's walk visits for an event (the storing processor plus those
+// whose sample holds both endpoints) probes it up to four times, so short
+// probe chains buy more than the extra 8 bytes per slot cost.
 type nodeIndex struct {
 	ents []idxEntry
 	n    int

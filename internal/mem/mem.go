@@ -23,7 +23,8 @@ type Component int
 // so MemoryTotal excludes it; everything else is process memory.
 const (
 	// CompAdjacency covers graph.Adjacency: the node-index table, the
-	// neighbor-set arena, spill slices, and promoted hash sets.
+	// neighbor-set arena, and the side store of spill slices and
+	// promoted hash sets.
 	CompAdjacency Component = iota
 	// CompCounters covers the core per-edge counter tables (ctab main
 	// table plus its tombstone-recycling spare buffer).
