@@ -47,10 +47,17 @@
 // file is an error (the suite lost a tracked benchmark). Likewise, ANY
 // benchmark recorded in the baseline but absent from the fresh run is a
 // hard error — a renamed benchmark would otherwise drop out of the gate
-// silently, with the old name skipped as "no baseline" forever. When
-// the same benchmark appears several times in one file (the full
-// -benchtime=1x sweep plus a dedicated longer run), the run with the
-// most iterations wins — it is the statistically meaningful one.
+// silently, with the old name skipped as "no baseline" forever.
+//
+// A benchmark usually appears several times in one file: the CI gate
+// records it with -count=5, and the -benchtime=1x sweep adds a
+// one-iteration entry. Both gate kinds compare medians: the 1-iteration
+// entries are dropped whenever longer runs of the same benchmark exist,
+// and ns/op and B/op are the medians of the runs that remain, on both
+// sides. Each run's GOMAXPROCS is read from its -N name suffix (none
+// means 1); a benchmark recorded at different GOMAXPROCS in the two files
+// is not compared, with a note, since its ns/op measures a different
+// machine shape.
 package main
 
 import (
@@ -66,24 +73,28 @@ import (
 	"strings"
 )
 
-// defaultBenchmarks are the per-event ingest datapoints gated by default:
-// the insert-only, fully-dynamic, and durable (write-ahead-logged)
-// per-event costs. A benchmark missing from the old baseline is skipped
-// with a note, so newly added datapoints phase in on their first run.
-const defaultBenchmarks = "BenchmarkREPTPerEdge,BenchmarkFullyDynamicChurnPerEvent,BenchmarkREPTPerEdgeWAL,BenchmarkBatchIngestPerEvent"
+// defaultBenchmarks are the datapoints gated by default: the insert-only,
+// fully-dynamic, and durable (write-ahead-logged) per-event ingest costs,
+// and the cost of publishing one epoch view on a quiescent estimator. A
+// benchmark missing from the old baseline is skipped with a note, so
+// newly added datapoints phase in on their first run.
+const defaultBenchmarks = "BenchmarkREPTPerEdge,BenchmarkFullyDynamicChurnPerEvent,BenchmarkREPTPerEdgeWAL,BenchmarkBatchIngestPerEvent,BenchmarkViewPublishIdle"
 
-// result is one parsed benchmark line.
+// result is one benchmark's summary in a recording: the medians of its
+// runs (see summarize), or one parsed line.
 type result struct {
-	iters int64
+	iters int64 // most iterations of any summarized run
+	runs  int   // runs the medians are taken over
+	procs int   // GOMAXPROCS, from the -N name suffix
 	nsOp  float64
 	// bOp is the -benchmem bytes-per-operation column; hasB records
-	// whether the line carried one (older recordings predate -benchmem,
+	// whether the runs carried one (older recordings predate -benchmem,
 	// and their byte gates phase in rather than fail).
 	bOp  float64
 	hasB bool
 }
 
-// recording is one parsed BENCH file: best result per benchmark plus the
+// recording is one parsed BENCH file: the summary per benchmark plus the
 // CPU model the run happened on.
 type recording struct {
 	results map[string]result
@@ -98,8 +109,9 @@ type testEvent struct {
 }
 
 // benchLine matches "BenchmarkName-8   12345   678.9 ns/op   12 B/op ..."
-// (the B/op column appears only under -benchmem).
-var benchLine = regexp.MustCompile(`^(Benchmark[^\s-]+)(?:-\d+)?\s+(\d+)\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op)?`)
+// (the -N GOMAXPROCS suffix is absent at GOMAXPROCS=1, and the B/op
+// column appears only under -benchmem).
+var benchLine = regexp.MustCompile(`^(Benchmark[^\s-]+)(?:-(\d+))?\s+(\d+)\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op)?`)
 
 // bytesSlack is the absolute bytes-per-event allowance on top of every
 // relative B/op gate. Per-event allocation costs are near-integer and
@@ -109,13 +121,12 @@ var benchLine = regexp.MustCompile(`^(Benchmark[^\s-]+)(?:-\d+)?\s+(\d+)\s+([0-9
 // noise smaller than one allocator size class".
 const bytesSlack = 16
 
-// parseFile extracts the best (highest-iteration) result per benchmark
-// name from a go test -json stream, plus the "cpu:" banner. One
-// benchmark's report is split across several output events (the name and
-// the numbers arrive separately), so the stream is first reassembled
-// into plain text per package and then scanned line-wise. Plain
-// benchmark text (no JSON envelope) is accepted too, so locally produced
-// files work either way.
+// parseFile summarizes every benchmark of a go test -json stream (see
+// summarize) and reads the "cpu:" banner. One benchmark's report is split
+// across several output events (the name and the numbers arrive
+// separately), so the stream is first reassembled into plain text per
+// package and then scanned line-wise. Plain benchmark text (no JSON
+// envelope) is accepted too, so locally produced files work either way.
 func parseFile(path string) (recording, error) {
 	rec := recording{results: make(map[string]result)}
 	f, err := os.Open(path)
@@ -156,6 +167,7 @@ func parseFile(path string) (recording, error) {
 		pkgs = append(pkgs, pkg)
 	}
 	sort.Strings(pkgs) // deterministic cpu-banner pick across buckets
+	runs := make(map[string][]result)
 	for _, pkg := range pkgs {
 		for _, line := range strings.Split(texts[pkg].String(), "\n") {
 			line = strings.TrimSpace(line)
@@ -169,23 +181,77 @@ func parseFile(path string) (recording, error) {
 			if m == nil {
 				continue
 			}
-			iters, err1 := strconv.ParseInt(m[2], 10, 64)
-			nsOp, err2 := strconv.ParseFloat(m[3], 64)
+			iters, err1 := strconv.ParseInt(m[3], 10, 64)
+			nsOp, err2 := strconv.ParseFloat(m[4], 64)
 			if err1 != nil || err2 != nil {
 				continue
 			}
-			r := result{iters: iters, nsOp: nsOp}
-			if m[4] != "" {
-				if bOp, err := strconv.ParseFloat(m[4], 64); err == nil {
+			r := result{iters: iters, runs: 1, procs: 1, nsOp: nsOp}
+			if m[2] != "" {
+				if p, err := strconv.Atoi(m[2]); err == nil {
+					r.procs = p
+				}
+			}
+			if m[5] != "" {
+				if bOp, err := strconv.ParseFloat(m[5], 64); err == nil {
 					r.bOp, r.hasB = bOp, true
 				}
 			}
-			if prev, ok := rec.results[m[1]]; !ok || iters > prev.iters {
-				rec.results[m[1]] = r
-			}
+			runs[m[1]] = append(runs[m[1]], r)
 		}
 	}
+	for name, rs := range runs {
+		r, err := summarize(rs)
+		if err != nil {
+			return rec, fmt.Errorf("%s: %s: %w", path, name, err)
+		}
+		rec.results[name] = r
+	}
 	return rec, nil
+}
+
+// summarize reduces one benchmark's runs to the result the gates compare:
+// 1-iteration entries (a -benchtime=1x sweep) are dropped when longer
+// runs exist, and ns/op and B/op are the medians of the rest. Runs at
+// different GOMAXPROCS are not one sample and are rejected.
+func summarize(rs []result) (result, error) {
+	long := rs[:0:0]
+	for _, r := range rs {
+		if r.iters > 1 {
+			long = append(long, r)
+		}
+	}
+	if len(long) > 0 {
+		rs = long
+	}
+	out := result{runs: len(rs), procs: rs[0].procs}
+	var ns, bs []float64
+	for _, r := range rs {
+		if r.procs != out.procs {
+			return out, fmt.Errorf("runs at GOMAXPROCS %d and %d", out.procs, r.procs)
+		}
+		out.iters = max(out.iters, r.iters)
+		ns = append(ns, r.nsOp)
+		if r.hasB {
+			bs = append(bs, r.bOp)
+		}
+	}
+	out.nsOp = median(ns)
+	if len(bs) > 0 {
+		out.bOp, out.hasB = median(bs), true
+	}
+	return out, nil
+}
+
+// median returns the middle value of xs (the mean of the two middle
+// values for an even count). xs is reordered.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // resolveLatest turns a LATEST pointer file into the baseline path it
@@ -287,8 +353,12 @@ func run(args []string) error {
 			fmt.Printf("%-40s %12.1f ns/op (no baseline; trajectory starts here)\n", name, nw.nsOp)
 			continue
 		}
+		if old.procs != nw.procs {
+			fmt.Printf("%-40s baseline at GOMAXPROCS %d, fresh at %d; refusing to compare\n", name, old.procs, nw.procs)
+			continue
+		}
 		ratio := nw.nsOp / old.nsOp
-		fmt.Printf("%-40s %12.1f -> %9.1f ns/op (%+.1f%%)\n", name, old.nsOp, nw.nsOp, (ratio-1)*100)
+		fmt.Printf("%-40s %12.1f -> %9.1f ns/op (%+.1f%%; medians of %d and %d runs)\n", name, old.nsOp, nw.nsOp, (ratio-1)*100, old.runs, nw.runs)
 		if ratio > 1+*threshold {
 			failures = append(failures, fmt.Sprintf("%s regressed %.1f%% (threshold %.0f%%)", name, (ratio-1)*100, *threshold*100))
 		}
@@ -360,6 +430,9 @@ func checkPairs(res map[string]result, pairs string, threshold float64, path str
 		rb, okB := res[b]
 		if !okA || !okB {
 			return fmt.Errorf("-pair %s: %s present=%v, %s present=%v in %s (tracked benchmark dropped?)", p, a, okA, b, okB, path)
+		}
+		if ra.procs != rb.procs {
+			return fmt.Errorf("-pair %s: %s ran at GOMAXPROCS %d, %s at %d in %s; refusing to compare", p, a, ra.procs, b, rb.procs, path)
 		}
 		ratio := ra.nsOp / rb.nsOp
 		fmt.Printf("%-40s %12.1f ns/op vs %s %.1f ns/op (ratio %.2f, max %.2f)\n", a, ra.nsOp, b, rb.nsOp, ratio, maxRatio)

@@ -198,12 +198,14 @@ func TestRunLatestPointer(t *testing.T) {
 		"BenchmarkFullyDynamicChurnPerEvent-8 \\t 1000000 \\t 800 ns/op",
 		"BenchmarkREPTPerEdgeWAL-8 \\t 1000000 \\t 1500 ns/op",
 		"BenchmarkBatchIngestPerEvent-8 \\t 1000000 \\t 180 ns/op",
+		"BenchmarkViewPublishIdle-8 \\t 1000 \\t 900000 ns/op",
 	))
 	fresh := writeFile(t, dir, "BENCH_new.json", jsonBench(
 		"BenchmarkREPTPerEdge-8 \\t 1000000 \\t 1300 ns/op", // +30% > 25%
 		"BenchmarkFullyDynamicChurnPerEvent-8 \\t 1000000 \\t 800 ns/op",
 		"BenchmarkREPTPerEdgeWAL-8 \\t 1000000 \\t 1500 ns/op",
 		"BenchmarkBatchIngestPerEvent-8 \\t 1000000 \\t 180 ns/op",
+		"BenchmarkViewPublishIdle-8 \\t 1000 \\t 900000 ns/op",
 	))
 	pointer := filepath.Join(dir, "LATEST")
 
@@ -460,5 +462,67 @@ func TestRunPairBytesGate(t *testing.T) {
 		"-pair", "BenchmarkIngestAccountedPerEvent=BenchmarkIngestUnaccountedPerEvent@1.02"})
 	if err == nil || !strings.Contains(err.Error(), "allocates") {
 		t.Errorf("run = %v, want a pair byte failure when the accounted side allocates", err)
+	}
+}
+
+// TestParseFileMediansOfRuns: repeated runs of one benchmark (a -count=5
+// recording) reduce to their median ns/op and B/op, and the one-iteration
+// entry of a -benchtime=1x sweep is dropped when longer runs exist — so a
+// gate compares the middle of each side, not one lucky or unlucky sample.
+func TestParseFileMediansOfRuns(t *testing.T) {
+	dir := t.TempDir()
+	path := writeFile(t, dir, "b.json", jsonBench(
+		"BenchmarkREPTPerEdge-2 \\t 1 \\t 99999 ns/op",
+		"BenchmarkREPTPerEdge-2 \\t 500000 \\t 930 ns/op \\t 170 B/op",
+		"BenchmarkREPTPerEdge-2 \\t 600000 \\t 1100 ns/op \\t 166 B/op",
+		"BenchmarkREPTPerEdge-2 \\t 610000 \\t 1000 ns/op \\t 166 B/op",
+		"BenchmarkREPTPerEdge-2 \\t 560000 \\t 1040 ns/op \\t 166 B/op",
+		"BenchmarkREPTPerEdge-2 \\t 420000 \\t 1060 ns/op \\t 171 B/op",
+		"BenchmarkTable2 \\t 1 \\t 5000000 ns/op",
+		"BenchmarkEven-2 \\t 100 \\t 10 ns/op",
+		"BenchmarkEven-2 \\t 100 \\t 20 ns/op",
+	))
+	rec, err := parseFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rec.results["BenchmarkREPTPerEdge"]
+	if r.nsOp != 1040 || r.bOp != 166 || !r.hasB || r.runs != 5 || r.procs != 2 || r.iters != 610000 {
+		t.Errorf("BenchmarkREPTPerEdge = %+v, want median 1040 ns/op and 166 B/op over 5 runs at GOMAXPROCS 2", r)
+	}
+	if r := rec.results["BenchmarkTable2"]; r.nsOp != 5000000 || r.runs != 1 || r.procs != 1 {
+		t.Errorf("sweep-only benchmark = %+v, want its single 1x entry at GOMAXPROCS 1 (no suffix)", r)
+	}
+	if r := rec.results["BenchmarkEven"]; r.nsOp != 15 {
+		t.Errorf("even run count = %+v, want the mean of the middle two (15 ns/op)", r)
+	}
+
+	mixed := writeFile(t, dir, "mixed.json", jsonBench(
+		"BenchmarkREPTPerEdge-2 \\t 500000 \\t 930 ns/op",
+		"BenchmarkREPTPerEdge-4 \\t 500000 \\t 530 ns/op",
+	))
+	if _, err := parseFile(mixed); err == nil || !strings.Contains(err.Error(), "GOMAXPROCS") {
+		t.Errorf("parseFile = %v, want runs at two GOMAXPROCS rejected", err)
+	}
+}
+
+// TestRunRefusesCrossGOMAXPROCS: a baseline recorded at another GOMAXPROCS
+// is not compared (the regression below would otherwise fail), and a
+// within-run pair whose sides ran at different GOMAXPROCS is an error.
+func TestRunRefusesCrossGOMAXPROCS(t *testing.T) {
+	dir := t.TempDir()
+	old := writeFile(t, dir, "old.json", jsonBench(
+		"BenchmarkREPTPerEdge-8 \\t 1000000 \\t 100 ns/op",
+	))
+	fresh := writeFile(t, dir, "new.json", jsonBench(
+		"BenchmarkREPTPerEdge-2 \\t 1000000 \\t 9999 ns/op",
+		"BenchmarkConcurrentPerEdge \\t 1000000 \\t 100 ns/op",
+	))
+	if err := run([]string{"-old", old, "-new", fresh, "-bench", "BenchmarkREPTPerEdge"}); err != nil {
+		t.Errorf("run = %v, want the cross-GOMAXPROCS comparison refused, not gated", err)
+	}
+	err := run([]string{"-new", fresh, "-pair", "BenchmarkREPTPerEdge=BenchmarkConcurrentPerEdge@100"})
+	if err == nil || !strings.Contains(err.Error(), "GOMAXPROCS") {
+		t.Errorf("run = %v, want a pair across GOMAXPROCS refused", err)
 	}
 }

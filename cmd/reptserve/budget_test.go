@@ -163,6 +163,7 @@ func TestStatsBudgetAndMemoryBlocks(t *testing.T) {
 	if _, resp := postEdges(t, plain.URL, ndjson(gen.DisjointTriangles(40))); resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest: status %d", resp.StatusCode)
 	}
+	settle(t, plain.URL)
 	memBlock, hasBudget := read(plain)
 	if hasBudget {
 		t.Error("budget block present without -mem-budget")
@@ -179,6 +180,7 @@ func TestStatsBudgetAndMemoryBlocks(t *testing.T) {
 	if _, resp := postEdges(t, budgeted.URL, ndjson(gen.DisjointTriangles(40))); resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest: status %d", resp.StatusCode)
 	}
+	settle(t, budgeted.URL)
 	ctrl.Tick()
 	if _, hasBudget := read(budgeted); !hasBudget {
 		t.Error("budget block missing with a controller attached")

@@ -67,6 +67,18 @@ func getJSON(t *testing.T, url string, out any) *http.Response {
 	return resp
 }
 
+// settle waits until the server has applied every event it acknowledged:
+// /estimate?fresh=1 publishes an epoch through a barrier that every
+// shard, the degree tracker and the WAL goroutine pass in stream order. A
+// POST /edges returns before the shards apply its events, so a test that
+// reads state they update (/stats, /metrics, /debug/flight) settles first.
+func settle(t *testing.T, base string) {
+	t.Helper()
+	if resp := getJSON(t, base+"/estimate?fresh=1", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /estimate?fresh=1: status %d", resp.StatusCode)
+	}
+}
+
 // TestConcurrentIngestEnvelope is the acceptance test: 6 parallel clients
 // stream disjoint NDJSON chunks into /edges, and the /estimate response
 // must land within the same error envelope (6 theoretical standard

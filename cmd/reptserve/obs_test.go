@@ -190,6 +190,7 @@ func TestMetricsConformanceDurable(t *testing.T) {
 	if !ir.Durable {
 		t.Fatal("ingest response does not report durable=true")
 	}
+	settle(t, ts.URL)
 
 	exp := scrapeMetrics(t, ts.URL)
 	requireConformant(t, exp)

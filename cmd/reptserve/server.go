@@ -452,10 +452,10 @@ func nodeRow(v *rept.View, n rept.NodeID) nodeJSON {
 }
 
 // statRow converts an already-materialized NodeStat (e.g. a precomputed
-// TopK entry) without re-touching the view's maps.
+// TopK entry); the view is asked only whether it tracks degrees.
 func statRow(v *rept.View, st rept.NodeStat) nodeJSON {
 	row := nodeJSON{V: uint32(st.Node), Local: st.Local}
-	if v.Degrees != nil {
+	if _, tracked := v.DegreeOf(st.Node); tracked {
 		d := st.Degree
 		row.Degree = &d
 	}

@@ -206,23 +206,25 @@ func (c *Concurrent) Global() float64 {
 }
 
 // Local returns the local triangle count estimate for v (0 if the node
-// was never seen or TrackLocal is off). While views are running it is an
-// O(1) map lookup on the current epoch view instead of a barrier plus a
-// full local-map materialization per call.
+// was never seen or TrackLocal is off). While views are running it
+// probes the current epoch view's flat class-sum tables instead of
+// paying a barrier per call; otherwise it pays one barrier and evaluates
+// v alone, without materializing every node's estimate.
 func (c *Concurrent) Local(v NodeID) float64 {
 	if p := c.views.Load(); p != nil {
 		return p.View().LocalOf(v)
 	}
-	return c.sh.Snapshot().Local[v]
+	return c.sh.Aggregates().LocalOf(v)
 }
 
-// Locals returns all non-zero local estimates (nil unless TrackLocal).
-// While views are running the returned map is the current epoch view's —
-// shared and immutable, so callers must not modify it; otherwise it is a
-// freshly materialized copy.
+// Locals returns the local estimate of every node that appeared in a
+// sampled semi-triangle (nil unless TrackLocal). After deletions that
+// includes nodes whose estimate has returned to 0. The map is freshly
+// built and owned by the caller: from the current epoch view while views
+// are running, from a fresh barrier otherwise.
 func (c *Concurrent) Locals() map[NodeID]float64 {
 	if p := c.views.Load(); p != nil {
-		return p.View().Local
+		return p.View().Local()
 	}
 	return c.sh.Snapshot().Local
 }

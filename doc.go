@@ -113,6 +113,19 @@
 // swap. Any number of readers then query the View lock-free and
 // barrier-free while producers keep adding edges at full speed.
 //
+// Per-node state stays flat from the engine to the view. Each engine
+// keeps its per-node sums by processor class (the c₁ full groups and the
+// partial group, the only form the local estimator reads) in pointer-free
+// graph.NodeTable arrays, updated on the same walk lines as each
+// processor's own counters. An epoch copies those tables at the barrier,
+// sums them across shards with graph.SumTables, and copies the degree
+// counters, so publishing builds no Go map and allocates the same number
+// of times at any node count. The View keeps the merged tables and
+// evaluates τ̂_v when a reader probes a node (LocalOf, CC, Stat); Local
+// and Degrees build a full map only when a caller asks for one. On the
+// benchmark's read-mix workload (2 cores) this cut an epoch's median
+// publish time from about 100 ms to about 17 ms.
+//
 // The staleness contract: a View describes a consistent stream prefix
 // that lags the live stream by at most roughly ViewConfig.Interval (plus
 // one barrier latency), and SAYS which prefix — every View carries its
@@ -133,7 +146,7 @@
 // the epoch/age/prefix report embedded in every view-backed response and
 // ?fresh=1 as the per-request escape hatch.
 //
-// Degree semantics: the degree table behind /cc and View.Degrees counts
+// Degree semantics: the degree table behind /cc and View.DegreeOf counts
 // the LIVE graph, exactly like the sampled adjacency — a duplicate
 // insertion of a live edge and a deletion of a non-live edge are both
 // no-ops, filtered by a live-edge membership set (O(E) memory, carried

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"rept/internal/gen"
@@ -69,7 +68,7 @@ func (r *refEngine) state() *snapshot.EngineState {
 // reference's.
 func sameAsRef(t *testing.T, what string, ref *refEngine, eng *Engine) {
 	t.Helper()
-	if !reflect.DeepEqual(ref.Aggregates(), eng.Aggregates()) {
+	if !sameAggregates(ref.Aggregates(), eng.Aggregates()) {
 		t.Errorf("%s: aggregates diverge from the all-processor walk", what)
 	}
 	want, got := ref.state(), eng.State()

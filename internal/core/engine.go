@@ -6,6 +6,7 @@ import (
 
 	"rept/internal/graph"
 	"rept/internal/hashing"
+	"rept/internal/mem"
 )
 
 // maskBlock is the number of processors one presence-mask table covers,
@@ -33,6 +34,13 @@ type Engine struct {
 	// current; the walk reads them to find the processors holding both
 	// endpoints of an event.
 	masks []*graph.MaskTable
+	// tauV1, tauV2 and etaV are the per-node class sums Aggregates
+	// reports: Σ τ⁽ⁱ⁾_v over the full-group processors, over the partial
+	// group, and Σ η⁽ⁱ⁾_v over all processors. The walk updates them on
+	// the same lines that update each processor's own maps, and
+	// rebuildLocal recomputes them after Downsample and restore. Nil
+	// unless TrackLocal (etaV also needs η tracking).
+	tauV1, tauV2, etaV *graph.NodeTable[int64]
 	// cols and store are per-event walk scratch: each group's color of
 	// the event, and per mask block the bits of the groups' storing
 	// processors.
@@ -76,15 +84,57 @@ func NewEngine(cfg Config) (*Engine, error) {
 			e.masks[b].SetAccountant(cfg.Mem)
 		}
 	}
+	if cfg.TrackLocal {
+		e.tauV1 = newClassSums(cfg.Mem)
+		e.tauV2 = newClassSums(cfg.Mem)
+		if trackEta {
+			e.etaV = newClassSums(cfg.Mem)
+		}
+	}
 	downSeeds := downSeedFamily(uint64(cfg.Seed), lay.groups)
 	for i := range e.procs {
 		g := lay.groupOf(i)
 		p := newProc(g, lay.colorOf(i), cfg.TrackLocal, trackEta, downSeeds[g], cfg.Mem)
 		p.masks = e.masks[i/maskBlock]
 		p.maskBit = 1 << uint(i%maskBlock)
+		p.tauSum, p.etaSum = e.tauV1, e.etaV
+		if lay.isPartialProc(i) {
+			p.tauSum = e.tauV2
+		}
 		e.procs[i] = p
 	}
 	return e, nil
+}
+
+// newClassSums returns an empty class-sum table charged to the ledger's
+// counters component.
+func newClassSums(ac *mem.Accountant) *graph.NodeTable[int64] {
+	t := &graph.NodeTable[int64]{}
+	t.SetAccountant(ac, mem.CompCounters)
+	return t
+}
+
+// rebuildLocal recomputes the class sums from the processors' own maps,
+// after a Downsample rescaled them counter by counter or a restore loaded
+// them. The tables are released first, so a thinned sample also shrinks
+// them.
+func (e *Engine) rebuildLocal() {
+	if !e.cfg.TrackLocal {
+		return
+	}
+	e.tauV1.Reset()
+	e.tauV2.Reset()
+	if e.etaV != nil {
+		e.etaV.Reset()
+	}
+	for _, p := range e.procs {
+		for v, t := range p.tauV {
+			p.tauSum.Add(v, t)
+		}
+		for v, h := range p.etaV {
+			p.etaSum.Add(v, h)
+		}
+	}
 }
 
 // Add feeds one stream edge insertion. Self-loops are skipped (a
@@ -184,9 +234,9 @@ func (e *Engine) walk(up graph.Update) {
 
 // Aggregates gathers the per-processor counters. The engine remains
 // usable afterwards, so interval workloads can snapshot estimates
-// mid-stream. Its result must not depend on iteration order
-// (merges and snapshots consume it); the only map walks are commutative
-// int64 accumulations.
+// mid-stream. The per-node class sums are copies of the engine's own
+// tables — two slice copies each, however many nodes there are — so
+// nothing here walks a map.
 //
 //rept:deterministic
 func (e *Engine) Aggregates() *Aggregates {
@@ -197,34 +247,16 @@ func (e *Engine) Aggregates() *Aggregates {
 	if e.trackEta {
 		agg.EtaProc = make([]int64, e.cfg.C)
 	}
-	if e.cfg.TrackLocal {
-		agg.TauV1 = make(map[graph.NodeID]int64)
-		agg.TauV2 = make(map[graph.NodeID]int64)
-		if e.trackEta {
-			agg.EtaV = make(map[graph.NodeID]int64)
-		}
-	}
 	for i, p := range e.procs {
 		p.reaccountLocal()
 		agg.TauProc[i] = p.tau
 		if e.trackEta {
 			agg.EtaProc[i] = p.eta
 		}
-		if e.cfg.TrackLocal {
-			dst := agg.TauV1
-			if e.lay.isPartialProc(i) {
-				dst = agg.TauV2
-			}
-			for v, t := range p.tauV {
-				dst[v] += t
-			}
-			if e.trackEta {
-				for v, h := range p.etaV {
-					agg.EtaV[v] += h
-				}
-			}
-		}
 	}
+	agg.TauV1 = e.tauV1.Clone()
+	agg.TauV2 = e.tauV2.Clone()
+	agg.EtaV = e.etaV.Clone()
 	return agg
 }
 
@@ -425,6 +457,7 @@ func (e *Engine) Downsample(extra int) error {
 		p.adj.Compact()
 		p.reaccountLocal()
 	}
+	e.rebuildLocal()
 	e.shift = newShift
 	return nil
 }

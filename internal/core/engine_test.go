@@ -103,9 +103,9 @@ func compareAggregates(t *testing.T, cfg Config, aggE, aggS *Aggregates) {
 			t.Fatalf("cfg %+v: EtaProc[%d]: engine %d, sim %d", cfg, i, aggE.EtaProc[i], aggS.EtaProc[i])
 		}
 	}
-	compareCountMaps(t, cfg, "TauV1", aggE.TauV1, aggS.TauV1)
-	compareCountMaps(t, cfg, "TauV2", aggE.TauV2, aggS.TauV2)
-	compareCountMaps(t, cfg, "EtaV", aggE.EtaV, aggS.EtaV)
+	compareCountMaps(t, cfg, "TauV1", tableMap(aggE.TauV1), tableMap(aggS.TauV1))
+	compareCountMaps(t, cfg, "TauV2", tableMap(aggE.TauV2), tableMap(aggS.TauV2))
+	compareCountMaps(t, cfg, "EtaV", tableMap(aggE.EtaV), tableMap(aggS.EtaV))
 }
 
 func compareCountMaps(t *testing.T, cfg Config, name string, a, b map[graph.NodeID]int64) {

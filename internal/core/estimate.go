@@ -16,7 +16,11 @@ import (
 // estimators distinguish: class 1 is the c₁ full groups (τ̂⁽¹⁾), class 2
 // the partial group (τ̂⁽²⁾). For c ≤ m all processors form one partial
 // group (c₁ = 0), so TauV1 is empty and TauV2 carries everything, which
-// makes Algorithm 1 the c₁ = 0 special case of Algorithm 2.
+// makes Algorithm 1 the c₁ = 0 special case of Algorithm 2. The sums are
+// flat graph.NodeTables, copied from the engine's own tables and merged
+// with graph.SumTables, so gathering, merging and publishing them builds
+// no Go map; LocalOf and EachLocal evaluate τ̂_v from them on demand, and
+// only Estimate materializes the full Local map.
 // Counters are signed: in fully-dynamic mode individual processors can
 // hold transiently negative τ⁽ⁱ⁾/η⁽ⁱ⁾ (see proc); insert-only streams
 // never produce negative values.
@@ -30,9 +34,9 @@ type Aggregates struct {
 	TauProc []int64
 	EtaProc []int64
 
-	TauV1 map[graph.NodeID]int64 // Σ τ⁽ⁱ⁾_v over full-group processors
-	TauV2 map[graph.NodeID]int64 // Σ τ⁽ⁱ⁾_v over partial-group processors
-	EtaV  map[graph.NodeID]int64 // Σ η⁽ⁱ⁾_v over all processors
+	TauV1 *graph.NodeTable[int64] // Σ τ⁽ⁱ⁾_v over full-group processors
+	TauV2 *graph.NodeTable[int64] // Σ τ⁽ⁱ⁾_v over partial-group processors
+	EtaV  *graph.NodeTable[int64] // Σ η⁽ⁱ⁾_v over all processors
 }
 
 // Estimate holds the REPT output.
@@ -60,17 +64,18 @@ type Estimate struct {
 	Combined bool
 }
 
-// Estimate evaluates the paper's estimators on the gathered counters.
+// Estimate evaluates the paper's estimators on the gathered counters,
+// the per-node ones included.
 func (a *Aggregates) Estimate() Estimate {
-	lay := newLayout(a.M, a.C)
-	if a.Shift > 0 {
-		// Downsampled counters: the group structure of the original layout
-		// no longer partitions the effective denominator m·2^Shift into
-		// whole groups, so every processor is treated as one partial-class
-		// cell at the effective denominator and combine evaluates the
-		// pooled estimator m_eff²·Στ/c — unbiased for any processor count.
-		lay = layout{m: a.M << uint(a.Shift), c: a.C, c2: a.C, groups: 1}
-	}
+	est := a.GlobalEstimate()
+	est.Local = a.Locals()
+	return est
+}
+
+// GlobalEstimate is Estimate without the per-node estimates: its Local map
+// is nil, whatever the counters track.
+func (a *Aggregates) GlobalEstimate() Estimate {
+	lay := a.evalLayout()
 	m := float64(lay.m)
 
 	var sum1, sum2, etaSum int64
@@ -91,26 +96,68 @@ func (a *Aggregates) Estimate() Estimate {
 	}
 	est.Global, est.Combined = combine(lay, float64(sum1), float64(sum2), est.EtaHat)
 	est.Variance = plugInVariance(lay, a.EtaProc != nil, est.Global, est.EtaHat)
-
-	if a.TauV1 != nil || a.TauV2 != nil {
-		est.Local = make(map[graph.NodeID]float64, maxLen(a.TauV1, a.TauV2))
-		fill := func(src map[graph.NodeID]int64) {
-			for v := range src {
-				if _, done := est.Local[v]; done {
-					continue
-				}
-				var etaV float64
-				if a.EtaV != nil {
-					etaV = m * m * m * float64(a.EtaV[v]) / float64(a.C)
-				}
-				g, _ := combine(lay, float64(a.TauV1[v]), float64(a.TauV2[v]), etaV)
-				est.Local[v] = g
-			}
-		}
-		fill(a.TauV1)
-		fill(a.TauV2)
-	}
 	return est
+}
+
+// evalLayout is the layout the estimators evaluate the counters under.
+func (a *Aggregates) evalLayout() layout {
+	if a.Shift > 0 {
+		// Downsampled counters: the group structure of the original layout
+		// no longer partitions the effective denominator m·2^Shift into
+		// whole groups, so every processor is treated as one partial-class
+		// cell at the effective denominator and combine evaluates the
+		// pooled estimator m_eff²·Στ/c — unbiased for any processor count.
+		return layout{m: a.M << uint(a.Shift), c: a.C, c2: a.C, groups: 1}
+	}
+	return newLayout(a.M, a.C)
+}
+
+// TracksLocal reports whether the counters carry per-node class sums.
+func (a *Aggregates) TracksLocal() bool { return a.TauV1 != nil || a.TauV2 != nil }
+
+// LocalOf returns τ̂_v, the local estimate of node v: 0 for a node no class
+// sum holds, or when local counts were not tracked.
+func (a *Aggregates) LocalOf(v graph.NodeID) float64 {
+	return a.localAt(a.evalLayout(), v, a.TauV1.Get(v), a.TauV2.Get(v))
+}
+
+// EachLocal calls fn with τ̂_v once for every node some class sum holds —
+// every node that appeared in a sampled semi-triangle, including nodes
+// whose estimate has netted back to 0 after deletions — in unspecified
+// order.
+func (a *Aggregates) EachLocal(fn func(v graph.NodeID, local float64)) {
+	lay := a.evalLayout()
+	a.TauV1.Each(func(v graph.NodeID, t1 int64) {
+		fn(v, a.localAt(lay, v, t1, a.TauV2.Get(v)))
+	})
+	a.TauV2.Each(func(v graph.NodeID, t2 int64) {
+		if !a.TauV1.Has(v) {
+			fn(v, a.localAt(lay, v, 0, t2))
+		}
+	})
+}
+
+// Locals returns EachLocal's estimates as a freshly built map the caller
+// owns; nil unless the counters track local counts.
+func (a *Aggregates) Locals() map[graph.NodeID]float64 {
+	if !a.TracksLocal() {
+		return nil
+	}
+	out := make(map[graph.NodeID]float64, max(a.TauV1.Len(), a.TauV2.Len()))
+	a.EachLocal(func(v graph.NodeID, local float64) { out[v] = local })
+	return out
+}
+
+// localAt is the one per-node evaluation: combine over v's class sums t1
+// and t2, with η̂_v when the counters carry it.
+func (a *Aggregates) localAt(lay layout, v graph.NodeID, t1, t2 int64) float64 {
+	var etaV float64
+	if a.EtaV != nil {
+		m := float64(lay.m)
+		etaV = m * m * m * float64(a.EtaV.Get(v)) / float64(a.C)
+	}
+	g, _ := combine(lay, float64(t1), float64(t2), etaV)
+	return g
 }
 
 // combine evaluates τ̂ from the class sums. sum1 is Σ τ⁽ⁱ⁾ over full-group
@@ -164,13 +211,6 @@ func plugInVariance(lay layout, haveEta bool, tauHat, etaHat float64) float64 {
 		return math.NaN()
 	}
 	return VarREPT(lay.m, lay.c, tauHat, etaHat)
-}
-
-func maxLen(a, b map[graph.NodeID]int64) int {
-	if len(a) > len(b) {
-		return len(a)
-	}
-	return len(b)
 }
 
 // SanityCheck verifies structural invariants of the aggregates (lengths

@@ -44,19 +44,19 @@ func FuzzEngineEqualsSim(f *testing.F) {
 				t.Fatalf("EtaProc[%d]: engine %d, sim %d", i, aggE.EtaProc[i], aggS.EtaProc[i])
 			}
 		}
-		for v, x := range aggE.TauV1 {
-			if aggS.TauV1[v] != x {
-				t.Fatalf("TauV1[%d]: engine %d, sim %d", v, x, aggS.TauV1[v])
+		for v, x := range tableMap(aggE.TauV1) {
+			if aggS.TauV1.Get(v) != x {
+				t.Fatalf("TauV1[%d]: engine %d, sim %d", v, x, aggS.TauV1.Get(v))
 			}
 		}
-		for v, x := range aggE.TauV2 {
-			if aggS.TauV2[v] != x {
-				t.Fatalf("TauV2[%d]: engine %d, sim %d", v, x, aggS.TauV2[v])
+		for v, x := range tableMap(aggE.TauV2) {
+			if aggS.TauV2.Get(v) != x {
+				t.Fatalf("TauV2[%d]: engine %d, sim %d", v, x, aggS.TauV2.Get(v))
 			}
 		}
-		for v, x := range aggE.EtaV {
-			if aggS.EtaV[v] != x {
-				t.Fatalf("EtaV[%d]: engine %d, sim %d", v, x, aggS.EtaV[v])
+		for v, x := range tableMap(aggE.EtaV) {
+			if aggS.EtaV.Get(v) != x {
+				t.Fatalf("EtaV[%d]: engine %d, sim %d", v, x, aggS.EtaV.Get(v))
 			}
 		}
 		if aggE.Estimate().Global != aggS.Estimate().Global {

@@ -23,9 +23,10 @@ import (
 // η counters are merged only when every shard tracked them; otherwise the
 // merged EtaProc is nil and, if the merged layout needs Algorithm 2's
 // combination, the variance weights degrade gracefully (η̂ = 0) while the
-// estimate remains unbiased. The merge must not depend on map iteration
-// order — merged aggregates feed canonical snapshots — so its map walks
-// are restricted to commutative integer accumulation.
+// estimate remains unbiased. The merge must not depend on iteration
+// order — merged aggregates feed canonical snapshots — so the per-node
+// class sums are combined by graph.SumTables, a commutative integer sum
+// over flat tables that builds no Go map.
 //
 //rept:deterministic
 func MergeGroups(shards ...*Aggregates) (*Aggregates, error) {
@@ -66,10 +67,7 @@ func MergeGroups(shards ...*Aggregates) (*Aggregates, error) {
 	if allEta {
 		out.EtaProc = make([]int64, 0, total)
 	}
-	if anyLocal {
-		out.TauV1 = make(map[graph.NodeID]int64)
-		out.TauV2 = make(map[graph.NodeID]int64)
-	}
+	var tau1, tau2, etaV []*graph.NodeTable[int64]
 	for i, s := range shards {
 		out.TauProc = append(out.TauProc, s.TauProc...)
 		if allEta {
@@ -81,29 +79,23 @@ func MergeGroups(shards ...*Aggregates) (*Aggregates, error) {
 		// Full-group shards contribute to class 1 regardless of how they
 		// were classified locally (a shard with C ≤ M stores its sums in
 		// TauV2 even though, within the merged layout, those processors
-		// form full groups).
-		last := i == len(shards)-1
-		addInto := func(dst, src map[graph.NodeID]int64) {
-			for v, x := range src {
-				dst[v] += x
-			}
-		}
-		if last && s.C%m != 0 {
-			// The final shard may itself contain full groups + a partial
-			// group; its class split is already correct.
-			addInto(out.TauV1, s.TauV1)
-			addInto(out.TauV2, s.TauV2)
+		// form full groups). Only a final shard holding a partial group
+		// keeps its own class split.
+		tau1 = append(tau1, s.TauV1)
+		if i == len(shards)-1 && s.C%m != 0 {
+			tau2 = append(tau2, s.TauV2)
 		} else {
-			addInto(out.TauV1, s.TauV1)
-			addInto(out.TauV1, s.TauV2)
+			tau1 = append(tau1, s.TauV2)
 		}
+		etaV = append(etaV, s.EtaV)
+	}
+	if anyLocal {
+		out.TauV1 = graph.SumTables(tau1...)
+		out.TauV2 = graph.SumTables(tau2...)
 		// η̂_v scales by the merged C, so a partial sum would bias it:
 		// merge EtaV only when every shard tracked it.
 		if allEtaV {
-			if out.EtaV == nil {
-				out.EtaV = make(map[graph.NodeID]int64)
-			}
-			addInto(out.EtaV, s.EtaV)
+			out.EtaV = graph.SumTables(etaV...)
 		}
 	}
 	return out, nil

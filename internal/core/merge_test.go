@@ -126,33 +126,33 @@ func TestMergeGroupsEtaHandling(t *testing.T) {
 func TestMergeGroupsLocalReclassification(t *testing.T) {
 	s1 := &Aggregates{
 		M: 3, C: 3, TauProc: make([]int64, 3),
-		TauV1: map[graph.NodeID]int64{1: 5},
-		TauV2: map[graph.NodeID]int64{},
+		TauV1: tableOf(map[graph.NodeID]int64{1: 5}),
+		TauV2: tableOf(map[graph.NodeID]int64{}),
 	}
 	s2 := &Aggregates{
 		M: 3, C: 2, TauProc: make([]int64, 2),
-		TauV1: map[graph.NodeID]int64{},
-		TauV2: map[graph.NodeID]int64{1: 7, 2: 1},
+		TauV1: tableOf(map[graph.NodeID]int64{}),
+		TauV2: tableOf(map[graph.NodeID]int64{1: 7, 2: 1}),
 	}
 	merged, err := MergeGroups(s1, s2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if merged.TauV1[1] != 5 || merged.TauV2[1] != 7 || merged.TauV2[2] != 1 {
-		t.Errorf("merged locals wrong: TauV1=%v TauV2=%v", merged.TauV1, merged.TauV2)
+	if merged.TauV1.Get(1) != 5 || merged.TauV2.Get(1) != 7 || merged.TauV2.Get(2) != 1 {
+		t.Errorf("merged locals wrong: TauV1=%v TauV2=%v", tableMap(merged.TauV1), tableMap(merged.TauV2))
 	}
 	// Final shard with full groups goes to class 1 too.
 	s3 := &Aggregates{
 		M: 3, C: 3, TauProc: make([]int64, 3),
-		TauV1: map[graph.NodeID]int64{},
-		TauV2: map[graph.NodeID]int64{4: 2}, // e.g. produced by a C<M run... reclassified
+		TauV1: tableOf(map[graph.NodeID]int64{}),
+		TauV2: tableOf(map[graph.NodeID]int64{4: 2}), // e.g. produced by a C<M run... reclassified
 	}
 	merged2, err := MergeGroups(s1, s3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if merged2.TauV1[4] != 2 || len(merged2.TauV2) != 0 {
-		t.Errorf("full-group final shard not reclassified: TauV1=%v TauV2=%v", merged2.TauV1, merged2.TauV2)
+	if merged2.TauV1.Get(4) != 2 || merged2.TauV2.Len() != 0 {
+		t.Errorf("full-group final shard not reclassified: TauV1=%v TauV2=%v", tableMap(merged2.TauV1), tableMap(merged2.TauV2))
 	}
 }
 

@@ -34,6 +34,11 @@ type proc struct {
 	eta  int64
 	tauV map[graph.NodeID]int64
 	etaV map[graph.NodeID]int64
+	// tauSum and etaSum are the engine's class-sum tables this processor
+	// adds into (tauSum is the full-group or the partial-group one): every
+	// update to tauV or etaV is mirrored there on the same line, so the
+	// engine reports class sums without walking the per-processor maps.
+	tauSum, etaSum *graph.NodeTable[int64]
 	// tcnt holds τ⁽ⁱ⁾_g: the signed number of semi-triangle closings in
 	// Δ⁽ⁱ⁾ involving the sampled edge g as a wedge edge — the per-edge
 	// counters Algorithm 2 uses to maintain η⁽ⁱ⁾ incrementally. Entries
@@ -153,8 +158,11 @@ func (p *proc) processEdge(u, v graph.NodeID, key uint64, color int) {
 	if p.trackLocal && n > 0 {
 		p.tauV[u] += n
 		p.tauV[v] += n
+		p.tauSum.Add(u, n)
+		p.tauSum.Add(v, n)
 		for _, w := range p.scratch {
 			p.tauV[w]++
+			p.tauSum.Add(w, 1)
 		}
 	}
 	if p.trackEta {
@@ -166,12 +174,15 @@ func (p *proc) processEdge(u, v graph.NodeID, key uint64, color int) {
 			if p.etaV != nil {
 				if ab := int64(a) + int64(b); ab != 0 {
 					p.etaV[w] += ab
+					p.etaSum.Add(w, ab)
 				}
 				if a != 0 {
 					p.etaV[u] += int64(a)
+					p.etaSum.Add(u, int64(a))
 				}
 				if b != 0 {
 					p.etaV[v] += int64(b)
+					p.etaSum.Add(v, int64(b))
 				}
 			}
 		}
@@ -236,8 +247,11 @@ func (p *proc) deleteEdge(u, v graph.NodeID, key uint64, color int) {
 	if p.trackLocal && n > 0 {
 		p.tauV[u] -= n
 		p.tauV[v] -= n
+		p.tauSum.Add(u, -n)
+		p.tauSum.Add(v, -n)
 		for _, w := range p.scratch {
 			p.tauV[w]--
+			p.tauSum.Add(w, -1)
 		}
 	}
 	if p.trackEta {
@@ -249,12 +263,15 @@ func (p *proc) deleteEdge(u, v graph.NodeID, key uint64, color int) {
 			if p.etaV != nil {
 				if ab := int64(a) + int64(b); ab != 0 {
 					p.etaV[w] -= ab
+					p.etaSum.Add(w, -ab)
 				}
 				if a != 0 {
 					p.etaV[u] -= int64(a)
+					p.etaSum.Add(u, -int64(a))
 				}
 				if b != 0 {
 					p.etaV[v] -= int64(b)
+					p.etaSum.Add(v, -int64(b))
 				}
 			}
 		}

@@ -45,18 +45,18 @@ func TestQuickEngineEqualsSim(t *testing.T) {
 				return false
 			}
 		}
-		for v, x := range aggE.TauV1 {
-			if aggS.TauV1[v] != x {
+		for v, x := range tableMap(aggE.TauV1) {
+			if aggS.TauV1.Get(v) != x {
 				return false
 			}
 		}
-		for v, x := range aggE.TauV2 {
-			if aggS.TauV2[v] != x {
+		for v, x := range tableMap(aggE.TauV2) {
+			if aggS.TauV2.Get(v) != x {
 				return false
 			}
 		}
-		for v, x := range aggE.EtaV {
-			if aggS.EtaV[v] != x {
+		for v, x := range tableMap(aggE.EtaV) {
+			if aggS.EtaV.Get(v) != x {
 				return false
 			}
 		}

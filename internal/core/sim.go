@@ -32,9 +32,9 @@ type Sim struct {
 	tau [][]int64 // [group][color] semi-triangle counts, all m colors
 	eta [][]int64 // [group][color] η⁽ⁱ⁾ counts
 
-	tauV1 map[graph.NodeID]int64
-	tauV2 map[graph.NodeID]int64
-	etaV  map[graph.NodeID]int64
+	tauV1 *graph.NodeTable[int64]
+	tauV2 *graph.NodeTable[int64]
+	etaV  *graph.NodeTable[int64]
 
 	scratch  []simWedge
 	matchNew []uint32
@@ -74,10 +74,10 @@ func NewSim(cfg Config) (*Sim, error) {
 		}
 	}
 	if cfg.TrackLocal {
-		s.tauV1 = make(map[graph.NodeID]int64)
-		s.tauV2 = make(map[graph.NodeID]int64)
+		s.tauV1 = &graph.NodeTable[int64]{}
+		s.tauV2 = &graph.NodeTable[int64]{}
 		if s.trackEta {
-			s.etaV = make(map[graph.NodeID]int64)
+			s.etaV = &graph.NodeTable[int64]{}
 		}
 	}
 	return s, nil
@@ -145,21 +145,21 @@ func (s *Sim) Add(u, v graph.NodeID) {
 					if s.lay.isPartialGroup(l) {
 						dst = s.tauV2
 					}
-					dst[u]++
-					dst[v]++
-					dst[cn.w]++
+					dst.Add(u, 1)
+					dst.Add(v, 1)
+					dst.Add(cn.w, 1)
 				}
 				if s.trackEta {
 					s.eta[l][cu] += int64(a) + int64(b)
 					if s.etaV != nil {
 						if ab := int64(a) + int64(b); ab > 0 {
-							s.etaV[cn.w] += ab
+							s.etaV.Add(cn.w, ab)
 						}
 						if a > 0 {
-							s.etaV[u] += int64(a)
+							s.etaV.Add(u, int64(a))
 						}
 						if b > 0 {
-							s.etaV[v] += int64(b)
+							s.etaV.Add(v, int64(b))
 						}
 					}
 				}

@@ -160,6 +160,7 @@ func (e *Engine) loadState(st *snapshot.EngineState) error {
 		}
 	}
 	e.processed, e.deleted, e.selfLoops = st.Processed, st.Deleted, st.SelfLoops
+	e.rebuildLocal()
 	// The loop above loaded sampled edges through Adjacency.Add directly,
 	// bypassing the presence-mask maintenance of the live insert path, so
 	// rebuild the table wholesale before the engine takes events.

@@ -31,7 +31,7 @@ package graph
 // safe for concurrent use; the shard layer confines each table to one
 // goroutine.
 type DegreeTable struct {
-	deg  map[NodeID]degcount
+	deg  NodeTable[degcount]
 	seen edgeSet
 	// legacy is the best-effort budget of pre-restore live edges that are
 	// absent from seen; deletions that miss the membership set decrement
@@ -51,22 +51,21 @@ type degcount uint32
 const degMax = ^degcount(0)
 
 // NewDegreeTable returns an empty degree table.
-func NewDegreeTable() *DegreeTable {
-	return &DegreeTable{deg: make(map[NodeID]degcount)}
-}
+func NewDegreeTable() *DegreeTable { return &DegreeTable{} }
 
 // RestoreDegreeTable builds a table around the exported map form m,
 // copying it (nil is treated as empty). It is the snapshot-restore entry
 // point. The live-edge membership set starts empty (see the type
 // comment); the restored degree mass seeds the legacy-deletion budget.
 func RestoreDegreeTable(m map[NodeID]uint32) *DegreeTable {
-	deg := make(map[NodeID]degcount, len(m))
+	t := &DegreeTable{}
 	var mass uint64
 	for v, d := range m {
-		deg[v] = degcount(d)
+		*t.deg.ref(v) = degcount(d)
 		mass += uint64(d)
 	}
-	return &DegreeTable{deg: deg, legacy: mass / 2}
+	t.legacy = mass / 2
+	return t
 }
 
 // AddEdge records one non-loop edge insertion, incrementing both endpoint
@@ -88,8 +87,8 @@ func (t *DegreeTable) AddEdge(u, v NodeID) {
 //
 //rept:sathelper
 func (t *DegreeTable) bump(v NodeID) {
-	if d := t.deg[v]; d != degMax {
-		t.deg[v] = d + 1
+	if d := t.deg.ref(v); *d != degMax {
+		*d++
 	}
 }
 
@@ -122,14 +121,14 @@ func (t *DegreeTable) RemoveEdge(u, v NodeID) {
 //
 //rept:sathelper
 func (t *DegreeTable) drop(v NodeID) {
-	switch d := t.deg[v]; d {
+	switch d := t.deg.Get(v); d {
 	case 0, degMax:
 		// Zero (legacy deletion of an unknown edge) or saturated: leave
 		// untouched.
 	case 1:
-		delete(t.deg, v)
+		t.deg.del(v)
 	default:
-		t.deg[v] = d - 1
+		*t.deg.ref(v) = d - 1
 	}
 }
 
@@ -143,37 +142,58 @@ func (t *DegreeTable) ApplyUpdate(up Update) {
 }
 
 // Degree returns the recorded degree of v (0 if never seen).
-func (t *DegreeTable) Degree(v NodeID) uint32 { return uint32(t.deg[v]) }
+func (t *DegreeTable) Degree(v NodeID) uint32 { return uint32(t.deg.Get(v)) }
 
 // Nodes returns the number of nodes with non-zero degree.
-func (t *DegreeTable) Nodes() int { return len(t.deg) }
+func (t *DegreeTable) Nodes() int { return t.deg.Len() }
 
 // Edges returns the number of live edges in the membership set. Restored
 // tables undercount by the edges inserted before the checkpoint.
 func (t *DegreeTable) Edges() int { return t.seen.n }
 
-// degMapEntryBytes is the amortized accounting estimate for one degree
-// map entry: 8 bytes of key+value plus Go map bucket overhead. Map
-// capacity is not observable, so the degree table is accounted by this
-// estimate, reconciled batch-wise by its owner rather than hooked at
-// growth sites like the flat structures.
-const degMapEntryBytes = 24
-
-// FootprintBytes estimates the table's backing bytes: the degree map at
-// an amortized per-entry cost plus the live-edge membership table (whose
-// capacity IS observable). Callers reconcile the ledger against it once
-// per batch, off the per-event path.
+// FootprintBytes returns the table's backing bytes: the flat degree
+// table plus the live-edge membership table. Callers reconcile the
+// ledger against it once per batch, off the per-event path.
 func (t *DegreeTable) FootprintBytes() int64 {
-	return int64(len(t.deg))*degMapEntryBytes + int64(len(t.seen.keys))*8
+	return t.deg.Bytes() + int64(len(t.seen.keys))*8
 }
 
-// Snapshot returns a copy of the table as a plain map, the export path
-// used by barrier snapshots and checkpoints. The copy is independent of
-// subsequent AddEdge calls.
-func (t *DegreeTable) Snapshot() map[NodeID]uint32 {
-	out := make(map[NodeID]uint32, len(t.deg))
-	for v, d := range t.deg {
-		out[v] = uint32(d)
+// Counts returns an immutable copy of the degree counters — two slice
+// copies, however many nodes there are. The live-edge membership set is
+// not copied. It is the per-barrier export that epoch views and
+// checkpoints read.
+func (t *DegreeTable) Counts() *DegreeCounts { return &DegreeCounts{t: t.deg.Clone()} }
+
+// DegreeCounts is an immutable copy of a DegreeTable's counters, taken by
+// DegreeTable.Counts. Any number of goroutines may read it. A nil
+// *DegreeCounts is empty.
+type DegreeCounts struct {
+	t *NodeTable[degcount]
+}
+
+// Degree returns v's degree (0 if absent).
+func (c *DegreeCounts) Degree(v NodeID) uint32 {
+	if c == nil {
+		return 0
 	}
+	return uint32(c.t.Get(v))
+}
+
+// Bytes returns the copy's backing bytes.
+func (c *DegreeCounts) Bytes() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.t.Bytes()
+}
+
+// Map exports the counters as a freshly built map the caller owns (nil
+// for a nil *DegreeCounts), the form the snapshot codec writes.
+func (c *DegreeCounts) Map() map[NodeID]uint32 {
+	if c == nil {
+		return nil
+	}
+	out := make(map[NodeID]uint32, c.t.Len())
+	c.t.Each(func(v NodeID, d degcount) { out[v] = uint32(d) })
 	return out
 }

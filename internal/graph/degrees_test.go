@@ -44,10 +44,10 @@ func TestDegreeTableMatchesAdjacency(t *testing.T) {
 func TestDegreeTableSnapshotIsIndependent(t *testing.T) {
 	dt := NewDegreeTable()
 	dt.AddEdge(1, 2)
-	snap := dt.Snapshot()
+	snap := dt.Counts()
 	dt.AddEdge(1, 3)
-	if snap[1] != 1 {
-		t.Errorf("snapshot mutated by later AddEdge: deg(1) = %d, want 1", snap[1])
+	if snap.Degree(1) != 1 || snap.Map()[1] != 1 {
+		t.Errorf("snapshot mutated by later AddEdge: deg(1) = %d, want 1", snap.Degree(1))
 	}
 	if dt.Degree(1) != 2 {
 		t.Errorf("live table degree(1) = %d, want 2", dt.Degree(1))

@@ -1,0 +1,176 @@
+package graph
+
+import (
+	"math/rand/v2"
+	"reflect"
+	"testing"
+
+	"rept/internal/mem"
+)
+
+// tableContents exports t as a map for comparison against a model.
+func tableContents[V nodeValue](t *NodeTable[V]) map[NodeID]V {
+	out := make(map[NodeID]V, t.Len())
+	t.Each(func(u NodeID, x V) {
+		if _, dup := out[u]; dup {
+			panic("Each visited a node twice")
+		}
+		out[u] = x
+	})
+	return out
+}
+
+// TestNodeTableMatchesMap drives a seeded mix of adds, deletes, resets and
+// clones — node 0 and the maximum NodeID included — against a plain map,
+// and after every step requires Get, Has, Len and Each to agree with it.
+// It also requires the ledger charge to equal the recomputed footprint
+// after every step, like TestAdjacencyLedgerMatchesFootprint: a growth or
+// release that misses the ledger shows up at the step that caused it.
+func TestNodeTableMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 8))
+	ac := mem.New()
+	var tab NodeTable[int64]
+	tab.SetAccountant(ac, mem.CompCounters)
+	model := map[NodeID]int64{}
+	pick := func() NodeID {
+		switch rng.IntN(50) {
+		case 0:
+			return 0
+		case 1:
+			return ^NodeID(0)
+		}
+		return NodeID(rng.IntN(4000))
+	}
+	var clones []*NodeTable[int64]
+	var cloneModels []map[NodeID]int64
+	for step := 0; step < 60_000; step++ {
+		switch r := rng.IntN(1000); {
+		case r < 700:
+			u, d := pick(), int64(rng.IntN(7)-3)
+			tab.Add(u, d)
+			model[u] += d
+		case r < 990:
+			u := pick()
+			tab.del(u)
+			delete(model, u)
+		case r < 995:
+			clones = append(clones, tab.Clone())
+			cm := make(map[NodeID]int64, len(model))
+			for k, v := range model {
+				cm[k] = v
+			}
+			cloneModels = append(cloneModels, cm)
+		default:
+			tab.Reset()
+			clear(model)
+		}
+		if got, want := ac.Bytes(mem.CompCounters), tab.Bytes(); got != want {
+			t.Fatalf("step %d: ledger %d B, footprint %d B", step, got, want)
+		}
+		if tab.Len() != len(model) {
+			t.Fatalf("step %d: Len %d, model %d", step, tab.Len(), len(model))
+		}
+		u := pick()
+		if got, want := tab.Get(u), model[u]; got != want {
+			t.Fatalf("step %d: Get(%d) = %d, model %d", step, u, got, want)
+		}
+		if _, want := model[u]; tab.Has(u) != want {
+			t.Fatalf("step %d: Has(%d) = %v, model %v", step, u, !want, want)
+		}
+		if step%997 == 0 && !reflect.DeepEqual(tableContents(&tab), model) {
+			t.Fatalf("step %d: Each disagrees with the model", step)
+		}
+	}
+	if !reflect.DeepEqual(tableContents(&tab), model) {
+		t.Fatal("final contents disagree with the model")
+	}
+	if len(clones) == 0 {
+		t.Fatal("schedule took no clones")
+	}
+	for i, c := range clones {
+		if !reflect.DeepEqual(tableContents(c), cloneModels[i]) {
+			t.Fatalf("clone %d changed after later mutations of its source", i)
+		}
+	}
+}
+
+// TestSumTables: the sum of overlapping tables (node 0 and nil sources
+// included) holds every node any source holds, with summed values, and
+// never aliases a source.
+func TestSumTables(t *testing.T) {
+	rng := rand.New(rand.NewPCG(9, 2))
+	for trial := 0; trial < 50; trial++ {
+		var srcs []*NodeTable[int64]
+		want := map[NodeID]int64{}
+		for s := rng.IntN(4); s >= 0; s-- {
+			if rng.IntN(5) == 0 {
+				srcs = append(srcs, nil)
+				continue
+			}
+			tab := &NodeTable[int64]{}
+			for n := rng.IntN(3000); n > 0; n-- {
+				u, d := NodeID(rng.IntN(5000)), int64(rng.IntN(9)-4)
+				tab.Add(u, d)
+				want[u] += d
+			}
+			srcs = append(srcs, tab)
+		}
+		before := make([]map[NodeID]int64, len(srcs))
+		for i, s := range srcs {
+			if s != nil {
+				before[i] = tableContents(s)
+			}
+		}
+		sum := SumTables(srcs...)
+		if got := tableContents(sum); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: sum has %d nodes, want %d (or values differ)", trial, len(got), len(want))
+		}
+		if 4*sum.n > 3*len(sum.keys) {
+			t.Fatalf("trial %d: sum holds %d nodes in %d slots, over the 75%% load ceiling", trial, sum.n, len(sum.keys))
+		}
+		sum.Add(1, 1000)
+		for i, s := range srcs {
+			if s != nil && !reflect.DeepEqual(tableContents(s), before[i]) {
+				t.Fatalf("trial %d: SumTables changed source %d", trial, i)
+			}
+		}
+	}
+}
+
+// TestSumTablesSizing: a largest source at its load ceiling keeps its
+// capacity when the others add no new node (the result is a plain copy)
+// and doubles once when they add a few (the miss count stops early).
+func TestSumTablesSizing(t *testing.T) {
+	full := &NodeTable[int64]{}
+	for u := NodeID(1); len(full.keys) < 1024 || fits(full.n+1, len(full.keys)); u++ {
+		full.Add(u, 1)
+	}
+	shared, fresh := &NodeTable[int64]{}, &NodeTable[int64]{}
+	for u := NodeID(1); u <= 10; u++ {
+		shared.Add(u, 2)
+		fresh.Add(u, 2)
+	}
+	for u := NodeID(1 << 20); u < 1<<20+6; u++ {
+		fresh.Add(u, 3)
+	}
+	for _, c := range []struct {
+		name  string
+		other *NodeTable[int64]
+		size  int
+	}{
+		{"shared nodes only", shared, len(full.keys)},
+		{"six new nodes", fresh, 2 * len(full.keys)},
+	} {
+		sum := SumTables(shared, full, c.other)
+		if len(sum.keys) != c.size {
+			t.Errorf("%s: result has %d slots, want %d", c.name, len(sum.keys), c.size)
+		}
+		want := tableContents(full)
+		for _, s := range []*NodeTable[int64]{shared, c.other} {
+			s.Each(func(u NodeID, x int64) { want[u] += x })
+		}
+		if !reflect.DeepEqual(tableContents(sum), want) {
+			t.Errorf("%s: sum contents are wrong", c.name)
+		}
+	}
+}

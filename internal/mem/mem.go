@@ -26,11 +26,13 @@ const (
 	// neighbor-set arena, and the side store of spill slices and
 	// promoted hash sets.
 	CompAdjacency Component = iota
-	// CompCounters covers the core per-edge counter tables (ctab main
-	// table plus its tombstone-recycling spare buffer).
+	// CompCounters covers the core counter tables: the per-edge ctab
+	// (main table plus its tombstone-recycling spare buffer), the
+	// per-processor local counter maps, and each engine's per-node
+	// class-sum tables.
 	CompCounters
-	// CompDegrees covers graph.DegreeTable: the degree map and the
-	// first-arrival edge set.
+	// CompDegrees covers graph.DegreeTable: the flat degree table and
+	// the live-edge membership set.
 	CompDegrees
 	// CompMasks covers graph.MaskTable presence masks.
 	CompMasks
@@ -43,8 +45,8 @@ const (
 	// CompWALSegments covers bytes in live log segments on the backend —
 	// disk, not memory; excluded from MemoryTotal.
 	CompWALSegments
-	// CompViews covers the currently published query view (maps plus
-	// top-K ranking).
+	// CompViews covers the currently published query view (its merged
+	// class-sum tables, degree counters and top-K ranking).
 	CompViews
 	// NumComponents is the number of accounted components.
 	NumComponents

@@ -146,20 +146,23 @@ func (p *Publisher) publish() *View {
 	defer p.mu.Unlock()
 	start := time.Now()
 	o := p.src.Observe()
+	est := o.Aggregates.GlobalEstimate()
 	p.epoch++
 	v := &View{
 		Epoch:          p.epoch,
 		Taken:          time.Now(),
-		Global:         o.Estimate.Global,
-		Variance:       o.Estimate.Variance,
-		EtaHat:         o.Estimate.EtaHat,
+		Global:         est.Global,
+		Variance:       est.Variance,
+		EtaHat:         est.EtaHat,
 		Processed:      o.Processed,
 		Deleted:        o.Deleted,
 		SelfLoops:      o.SelfLoops,
 		SampledEdges:   o.SampledEdges,
 		EtaSaturations: o.EtaSaturations,
-		Local:          o.Estimate.Local,
-		Degrees:        o.Degrees,
+		deg:            o.Degrees,
+	}
+	if o.Aggregates.TracksLocal() {
+		v.counts = o.Aggregates
 	}
 	v.buildTopK(int(p.topK.Load()))
 	p.cur.Store(v)
@@ -175,22 +178,15 @@ func (p *Publisher) publish() *View {
 	return v
 }
 
-// Amortized per-entry accounting estimates for the view maps (payload
-// plus Go map bucket overhead, same convention as the degree table's
-// accounting): τ̂_v entries carry a 4-byte key and 8-byte value, degree
-// entries 4+4.
-const (
-	localMapEntryBytes  = 28
-	degreeMapEntryBytes = 24
-)
-
-// viewFootprint estimates one view's owned payload bytes: its τ̂_v and
-// degree map copies plus the precomputed ranking. Scalar fields are noise
-// next to the maps and are ignored.
+// viewFootprint returns one view's owned payload bytes: its class-sum
+// tables, its degree counters and its precomputed ranking. Scalar fields
+// are noise next to the tables and are ignored.
 func viewFootprint(v *View) int64 {
-	return int64(len(v.Local))*localMapEntryBytes +
-		int64(len(v.Degrees))*degreeMapEntryBytes +
-		int64(cap(v.TopK))*int64(unsafe.Sizeof(NodeStat{}))
+	n := v.deg.Bytes() + int64(cap(v.TopK))*int64(unsafe.Sizeof(NodeStat{}))
+	if c := v.counts; c != nil {
+		n += c.TauV1.Bytes() + c.TauV2.Bytes() + c.EtaV.Bytes()
+	}
+	return n
 }
 
 // loop republishes on the configured triggers until Close. It polls at a
@@ -199,11 +195,11 @@ func viewFootprint(v *View) int64 {
 // explicit Refresh calls push the periodic timer back instead of stacking
 // an extra publication right after. An idle stream publishes nothing: when
 // no edge arrived since the current epoch, the view already describes the
-// exact current prefix, so re-materializing it (a barrier plus O(V) map
-// copies) would buy nothing — the view's Age then keeps growing, which is
-// truthful. The staleness bound is therefore "age ≤ interval + slack OR
-// the view is exact"; the first edge after an overdue interval publishes
-// at the next poll tick.
+// exact current prefix, so re-materializing it (a barrier plus O(V) table
+// copies and merges) would buy nothing — the view's Age then keeps
+// growing, which is truthful. The staleness bound is therefore "age ≤
+// interval + slack OR the view is exact"; the first edge after an overdue
+// interval publishes at the next poll tick.
 func (p *Publisher) loop() {
 	defer close(p.done)
 	poll := p.cfg.Interval / 4

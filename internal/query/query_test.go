@@ -12,21 +12,57 @@ import (
 )
 
 // fakeSource is a deterministic Source: Observe returns the current
-// counter state, so tests control exactly what each epoch sees.
+// counter state, so tests control exactly what each epoch sees. Its
+// counters describe one exact processor (M = C = 1), so the global
+// estimate equals the processed count and τ̂_v equals local[v].
 type fakeSource struct {
 	processed atomic.Uint64
 	observes  atomic.Uint64
-	local     map[graph.NodeID]float64
+	local     map[graph.NodeID]int64
 	degrees   map[graph.NodeID]uint32
 }
 
 func (f *fakeSource) Observe() shard.Observation {
 	f.observes.Add(1)
 	return shard.Observation{
-		Estimate:  core.Estimate{Global: float64(f.processed.Load()), Local: f.local, Variance: math.NaN()},
-		Degrees:   f.degrees,
-		Processed: f.processed.Load(),
+		Aggregates: aggregatesOf(1, int64(f.processed.Load()), f.local),
+		Degrees:    degreesOf(f.degrees),
+		Processed:  f.processed.Load(),
 	}
+}
+
+// aggregatesOf builds the counters of c exact processors (M = 1, one
+// class) whose semi-triangle counts sum to tau and whose per-node class
+// sums are sums (nil: locals untracked), so τ̂_v = sums[v]/c.
+func aggregatesOf(c int, tau int64, sums map[graph.NodeID]int64) *core.Aggregates {
+	a := &core.Aggregates{M: 1, C: c, TauProc: make([]int64, c)}
+	a.TauProc[0] = tau
+	if sums != nil {
+		a.TauV1, a.TauV2 = &graph.NodeTable[int64]{}, &graph.NodeTable[int64]{}
+		for v, x := range sums {
+			a.TauV1.Add(v, x)
+		}
+	}
+	return a
+}
+
+// degreesOf builds degree counters from a map (nil: untracked).
+func degreesOf(m map[graph.NodeID]uint32) *graph.DegreeCounts {
+	if m == nil {
+		return nil
+	}
+	return graph.RestoreDegreeTable(m).Counts()
+}
+
+// viewOf builds an unpublished view over c exact processors' class sums
+// (τ̂_v = sums[v]/c) and the given degrees; nil maps leave either
+// untracked.
+func viewOf(c int, sums map[graph.NodeID]int64, degrees map[graph.NodeID]uint32) *View {
+	v := &View{deg: degreesOf(degrees)}
+	if sums != nil {
+		v.counts = aggregatesOf(c, 0, sums)
+	}
+	return v
 }
 
 func (f *fakeSource) Processed() uint64 { return f.processed.Load() }
@@ -146,10 +182,9 @@ func TestPublisherCloseIdempotentAndStopsPublishing(t *testing.T) {
 }
 
 func TestViewCCAndStats(t *testing.T) {
-	v := &View{
-		Local:   map[graph.NodeID]float64{1: 6, 2: 1, 3: 0.5},
-		Degrees: map[graph.NodeID]uint32{1: 4, 2: 1, 4: 9},
-	}
+	// Two processors halve the class sums: τ̂ = {1: 6, 2: 1, 3: 0.5}.
+	sums := map[graph.NodeID]int64{1: 12, 2: 2, 3: 1}
+	v := viewOf(2, sums, map[graph.NodeID]uint32{1: 4, 2: 1, 4: 9})
 	if cc, ok := v.CC(1); !ok || cc != 2*6.0/(4*3) {
 		t.Errorf("CC(1) = %v,%v, want 1.0,true", cc, ok)
 	}
@@ -159,7 +194,7 @@ func TestViewCCAndStats(t *testing.T) {
 	if cc, ok := v.CC(4); !ok || cc != 0 {
 		t.Errorf("CC(4) = %v,%v, want 0,true (no local triangles)", cc, ok)
 	}
-	if _, ok := (&View{Local: v.Local}).CC(1); ok {
+	if _, ok := viewOf(2, sums, nil).CC(1); ok {
 		t.Error("CC defined without degree table")
 	}
 	s := v.Stat(1)
@@ -172,13 +207,13 @@ func TestViewCCAndStats(t *testing.T) {
 }
 
 func TestTopKSelection(t *testing.T) {
-	local := map[graph.NodeID]float64{}
+	local := map[graph.NodeID]int64{}
 	for i := 0; i < 1000; i++ {
-		local[graph.NodeID(i)] = float64(i % 97)
+		local[graph.NodeID(i)] = int64(i % 97)
 	}
 	local[500] = 1e6
 	local[501] = 1e6 // tie: lower id first
-	v := &View{Local: local}
+	v := viewOf(1, local, nil)
 	v.buildTopK(5)
 	if len(v.TopK) != 5 {
 		t.Fatalf("len(TopK) = %d, want 5", len(v.TopK))
@@ -206,20 +241,20 @@ func TestTopKSelection(t *testing.T) {
 // TestTopKMatchesFullSort cross-checks the heap selection against a full
 // sort on a larger map.
 func TestTopKMatchesFullSort(t *testing.T) {
-	local := map[graph.NodeID]float64{}
+	local := map[graph.NodeID]int64{}
 	rng := uint64(0x9e3779b97f4a7c15)
 	for i := 0; i < 5000; i++ {
 		rng ^= rng << 13
 		rng ^= rng >> 7
 		rng ^= rng << 17
-		local[graph.NodeID(i)] = float64(rng % 256)
+		local[graph.NodeID(i)] = int64(rng % 256)
 	}
-	v := &View{Local: local}
+	v := viewOf(1, local, nil)
 	v.buildTopK(64)
 
 	all := make([]NodeStat, 0, len(local))
 	for n, l := range local {
-		all = append(all, NodeStat{Node: n, Local: l})
+		all = append(all, NodeStat{Node: n, Local: float64(l)})
 	}
 	// Selection sort of the strongest 64 is plenty for a test oracle.
 	for i := 0; i < 64; i++ {
@@ -242,7 +277,7 @@ func TestTopKEmptyAndUntracked(t *testing.T) {
 	if v.TopK != nil {
 		t.Error("TopK built without local tracking")
 	}
-	v2 := &View{Local: map[graph.NodeID]float64{}}
+	v2 := viewOf(1, map[graph.NodeID]int64{}, nil)
 	v2.buildTopK(10)
 	if len(v2.TopK) != 0 {
 		t.Error("TopK non-empty for empty local map")

@@ -12,9 +12,9 @@ import (
 // NEXT published epoch (the live adaptation path the memory controller
 // drives), and TopK reports the live value.
 func TestSetTopKResizesNextEpoch(t *testing.T) {
-	src := &fakeSource{local: map[graph.NodeID]float64{}}
+	src := &fakeSource{local: map[graph.NodeID]int64{}}
 	for i := 0; i < 64; i++ {
-		src.local[graph.NodeID(i)] = float64(i + 1)
+		src.local[graph.NodeID(i)] = int64(i + 1)
 	}
 	p := NewPublisher(src, Config{Interval: time.Hour, TopK: 32})
 	defer p.Close()
@@ -46,17 +46,17 @@ func TestSetTopKResizesNextEpoch(t *testing.T) {
 }
 
 // TestViewFootprintAccounting: the publisher charges the CURRENT view's
-// footprint to the ledger's views component — growing with the map
+// footprint to the ledger's views component — growing with the table
 // sizes, shrinking when the ranking shrinks, and stable across epochs of
 // identical shape.
 func TestViewFootprintAccounting(t *testing.T) {
 	ac := mem.New()
 	src := &fakeSource{
-		local:   map[graph.NodeID]float64{},
+		local:   map[graph.NodeID]int64{},
 		degrees: map[graph.NodeID]uint32{},
 	}
 	for i := 0; i < 128; i++ {
-		src.local[graph.NodeID(i)] = float64(i + 1)
+		src.local[graph.NodeID(i)] = int64(i + 1)
 		src.degrees[graph.NodeID(i)] = uint32(i)
 	}
 	p := NewPublisher(src, Config{Interval: time.Hour, TopK: 64, Mem: ac})

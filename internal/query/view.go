@@ -6,10 +6,14 @@
 // O(1)/O(log n), with bounded, *reported* staleness (every View carries
 // its epoch sequence number, wall-clock capture time, and the processed
 // count it describes), while the write path keeps ingesting at full
-// speed. CoCoS (Shin et al. 2018) makes the same ingest/query split for
-// distributed stream triangle counting; the paper's own use cases —
-// spam/sybil detection, community detection, recommendation — are
-// query-heavy in exactly this way.
+// speed. A view keeps per-node state flat: it holds the merged class-sum
+// tables and a copy of the degree counters, and evaluates τ̂_v from the
+// class sums when a query probes a node, so publishing an epoch copies
+// and merges arrays instead of building Go maps. CoCoS (Shin et al.
+// 2018) makes the same ingest/query split for distributed stream
+// triangle counting; the paper's own use cases — spam/sybil detection,
+// community detection, recommendation — are query-heavy in exactly this
+// way.
 package query
 
 import (
@@ -17,6 +21,7 @@ import (
 	"sort"
 	"time"
 
+	"rept/internal/core"
 	"rept/internal/graph"
 )
 
@@ -39,7 +44,7 @@ type NodeStat struct {
 // View is one immutable materialized epoch: every field describes exactly
 // the same stream prefix, captured by a single shard barrier. Views are
 // published by a Publisher and shared by any number of readers — nothing
-// in a View may be mutated after publication (readers may retain maps and
+// in a View may be mutated after publication (readers may retain its
 // slices indefinitely).
 type View struct {
 	// Epoch is the view's sequence number, strictly increasing from 1.
@@ -63,45 +68,67 @@ type View struct {
 	// non-zero when an adversarially hot edge made η̂ a bounded
 	// under-estimate instead of wrap-around garbage.
 	EtaSaturations uint64
-	// Local maps nodes to τ̂_v; nil unless local tracking is on.
-	Local map[graph.NodeID]float64
-	// Degrees maps nodes to stream degree; nil unless degree tracking is
-	// on.
-	Degrees map[graph.NodeID]uint32
 	// TopK holds the K strongest nodes by local estimate, strongest
 	// first (ties broken by ascending node id); nil unless local tracking
 	// is on.
 	TopK []NodeStat
+
+	// counts holds the merged counters whose class sums τ̂_v is evaluated
+	// from; nil unless local tracking is on.
+	counts *core.Aggregates
+	// deg holds the degree counters; nil unless degree tracking is on.
+	deg *graph.DegreeCounts
 }
 
 // Age returns how far behind wall-clock the view is.
 func (v *View) Age() time.Duration { return time.Since(v.Taken) }
 
 // LocalOf returns τ̂_v from the view (0 for unseen nodes or when locals
-// are not tracked).
-func (v *View) LocalOf(n graph.NodeID) float64 { return v.Local[n] }
+// are not tracked): a probe of the view's class-sum tables.
+func (v *View) LocalOf(n graph.NodeID) float64 {
+	if v.counts == nil {
+		return 0
+	}
+	return v.counts.LocalOf(n)
+}
+
+// Local returns τ̂_v for every node the view holds a class sum for —
+// nodes whose estimate is 0 after deletions included — as a freshly
+// built map the caller owns; nil unless local tracking is on. It costs
+// O(V); LocalOf answers one node without it.
+func (v *View) Local() map[graph.NodeID]float64 {
+	if v.counts == nil {
+		return nil
+	}
+	return v.counts.Locals()
+}
 
 // DegreeOf returns the node's stream degree at the view's prefix; ok is
 // false when degrees are not tracked.
 func (v *View) DegreeOf(n graph.NodeID) (deg uint32, ok bool) {
-	if v.Degrees == nil {
+	if v.deg == nil {
 		return 0, false
 	}
-	return v.Degrees[n], true
+	return v.deg.Degree(n), true
 }
+
+// Degrees returns every node's stream degree as a freshly built map the
+// caller owns; nil unless degree tracking is on. It costs O(V); DegreeOf
+// answers one node without it.
+func (v *View) Degrees() map[graph.NodeID]uint32 { return v.deg.Map() }
 
 // CC returns the node's plug-in clustering coefficient
 // 2·τ̂_v / (d·(d−1)); ok is false when it is undefined (locals or degrees
 // not tracked, or degree < 2).
 func (v *View) CC(n graph.NodeID) (cc float64, ok bool) {
-	if v.Local == nil || v.Degrees == nil {
+	if v.counts == nil || v.deg == nil {
 		return math.NaN(), false
 	}
-	d := float64(v.Degrees[n])
+	d := float64(v.deg.Degree(n))
 	if d < 2 {
 		return math.NaN(), false
 	}
-	return 2 * v.Local[n] / (d * (d - 1)), true
+	return 2 * v.counts.LocalOf(n) / (d * (d - 1)), true
 }
 
 // Stat assembles the full NodeStat row for one node.
@@ -138,14 +165,15 @@ func stronger(a, b NodeStat) bool {
 	return a.Node < b.Node
 }
 
-// topK selects the k strongest nodes from local using a size-k min-heap —
-// O(V·log k) instead of sorting all V nodes — then fills in degrees and
-// clustering coefficients from the view under construction.
+// buildTopK selects the k strongest nodes from the class sums using a
+// size-k min-heap — O(V·log k) instead of sorting all V nodes — then
+// fills in degrees and clustering coefficients from the view under
+// construction.
 func (v *View) buildTopK(k int) {
-	if v.Local == nil || k <= 0 {
+	if v.counts == nil || k <= 0 {
 		return
 	}
-	h := make([]NodeStat, 0, min(k, len(v.Local)))
+	h := make([]NodeStat, 0, min(k, v.counts.TauV1.Len()+v.counts.TauV2.Len()))
 	// The heap root h[0] is the WEAKEST retained node, so replacing the
 	// root with anything stronger keeps the strongest k seen so far.
 	siftDown := func(i int) {
@@ -165,7 +193,7 @@ func (v *View) buildTopK(k int) {
 			i = weakest
 		}
 	}
-	for n, local := range v.Local {
+	v.counts.EachLocal(func(n graph.NodeID, local float64) {
 		ns := NodeStat{Node: n, Local: local}
 		if len(h) < k {
 			h = append(h, ns)
@@ -178,13 +206,13 @@ func (v *View) buildTopK(k int) {
 				h[i], h[p] = h[p], h[i]
 				i = p
 			}
-			continue
+			return
 		}
 		if stronger(ns, h[0]) {
 			h[0] = ns
 			siftDown(0)
 		}
-	}
+	})
 	sort.Slice(h, func(i, j int) bool { return stronger(h[i], h[j]) })
 	for i := range h {
 		h[i] = v.Stat(h[i].Node)

@@ -8,19 +8,21 @@ import (
 )
 
 // Observation is everything a read-side consumer can learn from ONE
-// barrier: the merged estimate, the degree table (when tracked), the
+// barrier: the merged counters, the degree counters (when tracked), the
 // sampled-edge total, and the coordinator tallies — all describing exactly
 // the same stream prefix. It is the input the epoch-view publisher
 // (internal/query) materializes views from; taking one Observation instead
 // of separate Snapshot/SampledEdges/Processed calls both halves the
 // barrier count and removes the torn-read window between them.
 type Observation struct {
-	// Estimate is the merged REPT estimate at the barrier prefix.
-	Estimate core.Estimate
-	// Degrees maps nodes to their stream degree at the same prefix; nil
-	// unless Config.TrackDegrees. The map is a private copy: the caller
-	// may keep it indefinitely.
-	Degrees map[graph.NodeID]uint32
+	// Aggregates holds the merged counters at the barrier prefix: the
+	// global estimate evaluates from it (GlobalEstimate), and its flat
+	// class sums answer per-node estimates on demand (LocalOf). A private
+	// copy: the caller may keep it indefinitely.
+	Aggregates *core.Aggregates
+	// Degrees holds the stream degrees at the same prefix; nil unless
+	// Config.TrackDegrees. A private copy, like Aggregates.
+	Degrees *graph.DegreeCounts
 	// SampledEdges is the total number of edges stored across all shards'
 	// logical processors at the prefix.
 	SampledEdges int
@@ -60,7 +62,7 @@ func (s *Sharded) Observe() Observation {
 		sat += n
 	}
 	return Observation{
-		Estimate:       agg.Estimate(),
+		Aggregates:     agg,
 		Degrees:        bar.degrees,
 		SampledEdges:   total,
 		EtaSaturations: sat,

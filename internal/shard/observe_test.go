@@ -28,8 +28,8 @@ func TestObserveConsistency(t *testing.T) {
 		t.Errorf("observation processed = %d, want %d", obs.Processed, len(edges))
 	}
 	snap := s.Snapshot()
-	if obs.Estimate.Global != snap.Global {
-		t.Errorf("observation global %v != snapshot global %v", obs.Estimate.Global, snap.Global)
+	if g := obs.Aggregates.GlobalEstimate().Global; g != snap.Global {
+		t.Errorf("observation global %v != snapshot global %v", g, snap.Global)
 	}
 	if got := s.SampledEdges(); obs.SampledEdges != got {
 		t.Errorf("observation sampled %d != SampledEdges %d", obs.SampledEdges, got)
@@ -42,21 +42,20 @@ func TestObserveConsistency(t *testing.T) {
 		want[e.U]++
 		want[e.V]++
 	}
-	if len(obs.Degrees) != len(want) {
-		t.Fatalf("degree table has %d nodes, want %d", len(obs.Degrees), len(want))
+	deg := obs.Degrees.Map()
+	if len(deg) != len(want) {
+		t.Fatalf("degree table has %d nodes, want %d", len(deg), len(want))
 	}
 	for v, d := range want {
-		if obs.Degrees[v] != d {
-			t.Fatalf("degree(%d) = %d, want %d", v, obs.Degrees[v], d)
+		if deg[v] != d || obs.Degrees.Degree(v) != d {
+			t.Fatalf("degree(%d) = %d, want %d", v, obs.Degrees.Degree(v), d)
 		}
 	}
 
-	// The barrier copy is private: mutating it must not touch the tracker.
-	for v := range obs.Degrees {
-		obs.Degrees[v] = 0
-	}
-	if again := s.Observe(); again.Degrees[edges[0].U] == 0 {
-		t.Error("mutating an observation's degree map corrupted the tracker")
+	// The barrier copy is private: ingest after it must not touch it.
+	s.Add(edges[0].U, 1<<30)
+	if got := obs.Degrees.Degree(edges[0].U); got != want[edges[0].U] {
+		t.Errorf("later ingest changed an observation's degree copy: %d, want %d", got, want[edges[0].U])
 	}
 }
 
@@ -84,7 +83,7 @@ func TestSnapshotCarriesDegrees(t *testing.T) {
 	}
 	edges := testStream(t)
 	s.ApplyBatch(graph.Inserts(edges))
-	before := s.Observe().Degrees
+	before := s.Observe().Degrees.Map()
 
 	var buf bytes.Buffer
 	if err := s.WriteSnapshot(&buf); err != nil {
@@ -97,7 +96,7 @@ func TestSnapshotCarriesDegrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	after := r.Observe().Degrees
+	after := r.Observe().Degrees.Map()
 	if len(after) != len(before) {
 		t.Fatalf("restored degree table has %d nodes, want %d", len(after), len(before))
 	}

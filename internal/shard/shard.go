@@ -205,9 +205,9 @@ type barrier struct {
 	// prefix, so estimates stay merge-compatible (equal shift everywhere).
 	downshift int
 	errs      []error
-	// degrees is the degree tracker's table copy at the barrier prefix;
+	// degrees is the degree tracker's counter copy at the barrier prefix;
 	// nil when degree tracking is off.
-	degrees map[graph.NodeID]uint32
+	degrees *graph.DegreeCounts
 	// processed, deleted, and selfLoops are the coordinator tallies
 	// captured while the barrier was enqueued (under the ingest mutex),
 	// so they match the stream prefix the shard reports describe.
@@ -435,9 +435,9 @@ func (s *Sharded) putBatch(b *batch) {
 // each barrier describes exactly the barrier's stream prefix.
 func (s *Sharded) runDegrees(table *graph.DegreeTable) {
 	defer s.done.Done()
-	// acBytes is the table footprint last reported to the ledger; map
-	// capacity is not observable, so the table is reconciled against its
-	// FootprintBytes estimate once per batch instead of hooked at growth.
+	// acBytes is the table footprint last reported to the ledger,
+	// reconciled against FootprintBytes once per batch rather than hooked
+	// at growth.
 	var acBytes int64
 	for {
 		m, ok := s.degRing.pop()
@@ -448,7 +448,7 @@ func (s *Sharded) runDegrees(table *graph.DegreeTable) {
 			// Downsample-only barriers skip the table copy: degrees track
 			// the full stream and are untouched by resampling.
 			if m.bar.aggs != nil || m.bar.states != nil {
-				m.bar.degrees = table.Snapshot()
+				m.bar.degrees = table.Counts()
 			}
 			m.bar.wg.Done()
 			continue

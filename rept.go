@@ -175,9 +175,11 @@ func (e *Estimator) Global() float64 { return e.eng.Result().Global }
 
 // Local returns the current local triangle count estimate for v (0 if the
 // node was never seen or TrackLocal is off).
-func (e *Estimator) Local(v NodeID) float64 { return e.eng.Result().Local[v] }
+func (e *Estimator) Local(v NodeID) float64 { return e.eng.Aggregates().LocalOf(v) }
 
-// Locals returns all non-zero local estimates (nil unless TrackLocal).
+// Locals returns the local estimate of every node that appeared in a
+// sampled semi-triangle (nil unless TrackLocal); after deletions that
+// includes nodes whose estimate has returned to 0.
 func (e *Estimator) Locals() map[NodeID]float64 { return e.eng.Result().Local }
 
 // Processed returns the number of non-loop events (insertions plus

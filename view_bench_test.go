@@ -53,7 +53,7 @@ func benchViewEstimator(b *testing.B, producers int) *rept.Concurrent {
 
 // BenchmarkReadPathViewUnderIngest measures single-node queries through
 // the epoch-view path while ingest is saturated: an atomic pointer load
-// plus a map lookup, never a barrier. Compare against
+// plus a probe of the view's flat class-sum tables, never a barrier. Compare against
 // BenchmarkReadPathBarrierUnderIngest — the ratio is the point (the
 // acceptance bar for this subsystem is ≥100×).
 func BenchmarkReadPathViewUnderIngest(b *testing.B) {
@@ -110,8 +110,16 @@ func BenchmarkViewTopK(b *testing.B) {
 // BenchmarkViewPublish measures materializing one epoch (barrier, merge,
 // degree copy, top-K selection) — the cost the publisher pays per
 // interval so that readers pay nothing.
-func BenchmarkViewPublish(b *testing.B) {
-	est := benchViewEstimator(b, 2)
+func BenchmarkViewPublish(b *testing.B) { benchViewPublish(b, 2) }
+
+// BenchmarkViewPublishIdle is BenchmarkViewPublish on the same state with
+// no producers running: every barrier finds empty queues, so it times the
+// barrier, the class-sum merge and the view build rather than draining
+// ingest. It is the publish-cost regression gate.
+func BenchmarkViewPublishIdle(b *testing.B) { benchViewPublish(b, 0) }
+
+func benchViewPublish(b *testing.B, producers int) {
+	est := benchViewEstimator(b, producers)
 	views := est.Views()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -43,8 +43,8 @@ func TestViewMatchesSnapshotAtSameEpoch(t *testing.T) {
 	if v.Variance != snap.Variance && !(math.IsNaN(v.Variance) && math.IsNaN(snap.Variance)) {
 		t.Errorf("view variance %v != snapshot variance %v", v.Variance, snap.Variance)
 	}
-	if !reflect.DeepEqual(v.Local, snap.Local) {
-		t.Errorf("view local map (%d entries) differs from snapshot local map (%d entries)", len(v.Local), len(snap.Local))
+	if local := v.Local(); !reflect.DeepEqual(local, snap.Local) {
+		t.Errorf("view local map (%d entries) differs from snapshot local map (%d entries)", len(local), len(snap.Local))
 	}
 	if v.Processed != est.Processed() {
 		t.Errorf("view processed %d != estimator processed %d", v.Processed, est.Processed())
@@ -328,7 +328,8 @@ func TestConcurrentSnapshotRoundTripWithDegrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := restored.Views().Refresh()
-	if v.Degrees == nil {
+	got := v.Degrees()
+	if got == nil {
 		t.Fatal("restored view has no degree table")
 	}
 	deg := make(map[rept.NodeID]uint32)
@@ -336,8 +337,8 @@ func TestConcurrentSnapshotRoundTripWithDegrees(t *testing.T) {
 		deg[e.U]++
 		deg[e.V]++
 	}
-	if !reflect.DeepEqual(v.Degrees, deg) {
-		t.Errorf("restored degree table has %d entries and differs from the stream's (%d entries)", len(v.Degrees), len(deg))
+	if !reflect.DeepEqual(got, deg) {
+		t.Errorf("restored degree table has %d entries and differs from the stream's (%d entries)", len(got), len(deg))
 	}
 
 	// Mismatch both ways.
@@ -357,5 +358,34 @@ func TestConcurrentSnapshotRoundTripWithDegrees(t *testing.T) {
 	plain.Close()
 	if _, err := rept.ResumeConcurrent(cfg, bytes.NewReader(buf2.Bytes())); !errors.Is(err, rept.ErrSnapshotMismatch) {
 		t.Errorf("restore degree-less snapshot with TrackDegrees on: err = %v, want ErrSnapshotMismatch", err)
+	}
+}
+
+// TestViewRefreshAllocsIndependentOfNodes: publishing an epoch copies and
+// merges flat per-node tables, so on a quiescent estimator Views.Refresh
+// makes the same number of allocations at 5k and at 50k nodes — no
+// allocation per node, per map bucket, or per table growth.
+func TestViewRefreshAllocsIndependentOfNodes(t *testing.T) {
+	allocs := func(nodes int) float64 {
+		est, err := rept.NewConcurrent(rept.ConcurrentConfig{
+			M: 4, C: 16, Shards: 2, Seed: 3, TrackLocal: true, TrackDegrees: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer est.Close()
+		est.AddAll(gen.HolmeKim(nodes, 3, 0.5, 7))
+		views, err := est.StartViews(rept.ViewConfig{Interval: time.Hour, TopK: 50})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(views.Refresh().Local()); n < nodes/2 {
+			t.Fatalf("%d-node stream gave only %d local estimates", nodes, n)
+		}
+		return testing.AllocsPerRun(20, func() { views.Refresh() })
+	}
+	small, large := allocs(5_000), allocs(50_000)
+	if small != large {
+		t.Errorf("Views.Refresh allocates %v times at 5k nodes and %v at 50k", small, large)
 	}
 }
