@@ -57,7 +57,7 @@ func newBudgetServer(t *testing.T, budget int64) (*httptest.Server, *rept.Concur
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(est, "")
+	srv := NewServer(est)
 	ctrl := control.New(control.Config{
 		Budget:      budget,
 		MemTotal:    est.MemTotalBytes,
@@ -197,7 +197,7 @@ func TestFlightLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewServer(est, ""))
+	ts := httptest.NewServer(NewServer(est))
 	defer func() {
 		ts.Close()
 		est.Close()

@@ -13,6 +13,7 @@ import (
 
 	"rept"
 	"rept/internal/gen"
+	"rept/internal/wal"
 )
 
 func postCheckpoint(t *testing.T, url string) (checkpointResponse, *http.Response) {
@@ -66,21 +67,21 @@ func getStatistical(t *testing.T, url string) map[string]any {
 }
 
 // TestKillAndRestoreBitForBit is the acceptance test: stream a prefix
-// into reptserve, checkpoint, kill the server, boot a new one from the
-// snapshot (the -restore code path), stream the suffix, and the final
-// /estimate body must equal an uninterrupted server's byte for byte.
+// into a -wal-dir server, checkpoint, stop it, boot a new one on the same
+// directory, stream the suffix, and the final /estimate and /local bodies
+// must equal an uninterrupted server's byte for byte.
 func TestKillAndRestoreBitForBit(t *testing.T) {
 	cfg := rept.ConcurrentConfig{M: 5, C: 12, Shards: 2, Seed: 33, TrackLocal: true}
 	edges := gen.Shuffle(gen.HolmeKim(300, 4, 0.4, 13), 7)
 	cut := len(edges) / 2
-	snapPath := filepath.Join(t.TempDir(), "state.snap")
+	walOpt := rept.WALOptions{Dir: filepath.Join(t.TempDir(), "wal")}
 
-	// Phase 1: fresh server, stream the prefix, checkpoint, kill.
-	estA, err := newEstimator(cfg, "", rept.WALOptions{})
+	// Phase 1: fresh durable server, stream the prefix, checkpoint, stop.
+	estA, err := newEstimator(cfg, walOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tsA := httptest.NewServer(NewServer(estA, snapPath))
+	tsA := httptest.NewServer(NewServer(estA))
 	if _, resp := postEdges(t, tsA.URL, ndjson(edges[:cut])); resp.StatusCode != http.StatusOK {
 		t.Fatalf("prefix ingest: status %d", resp.StatusCode)
 	}
@@ -88,15 +89,15 @@ func TestKillAndRestoreBitForBit(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /checkpoint: status %d", resp.StatusCode)
 	}
-	if cr.Path != snapPath || cr.Bytes <= 0 || cr.Processed != uint64(cut) {
-		t.Fatalf("checkpoint response = %+v, want path %s and processed %d", cr, snapPath, cut)
+	if cr.Processed != uint64(cut) || cr.WAL == nil || cr.WAL.CheckpointPos != uint64(cut) {
+		t.Fatalf("checkpoint response = %+v (wal %+v), want processed and checkpoint position %d", cr, cr.WAL, cut)
 	}
 	tsA.Close()
 	estA.Close()
 
-	// Phase 2: boot from the snapshot (exactly what -restore does),
-	// stream the suffix.
-	estB, err := newEstimator(cfg, snapPath, rept.WALOptions{})
+	// Phase 2: boot on the same directory (what a restart with -wal-dir
+	// does), stream the suffix.
+	estB, err := newEstimator(cfg, walOpt)
 	if err != nil {
 		t.Fatalf("restore boot: %v", err)
 	}
@@ -104,7 +105,7 @@ func TestKillAndRestoreBitForBit(t *testing.T) {
 	if estB.Processed() != uint64(cut) {
 		t.Fatalf("restored Processed = %d, want %d", estB.Processed(), cut)
 	}
-	tsB := httptest.NewServer(NewServer(estB, snapPath))
+	tsB := httptest.NewServer(NewServer(estB))
 	defer tsB.Close()
 	if _, resp := postEdges(t, tsB.URL, ndjson(edges[cut:])); resp.StatusCode != http.StatusOK {
 		t.Fatalf("suffix ingest: status %d", resp.StatusCode)
@@ -112,12 +113,12 @@ func TestKillAndRestoreBitForBit(t *testing.T) {
 	restored := getStatistical(t, tsB.URL+"/estimate?fresh=1")
 
 	// Reference: one server fed the whole stream without interruption.
-	estC, err := newEstimator(cfg, "", rept.WALOptions{})
+	estC, err := newEstimator(cfg, rept.WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer estC.Close()
-	tsC := httptest.NewServer(NewServer(estC, ""))
+	tsC := httptest.NewServer(NewServer(estC))
 	defer tsC.Close()
 	if _, resp := postEdges(t, tsC.URL, ndjson(edges)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("reference ingest: status %d", resp.StatusCode)
@@ -136,66 +137,16 @@ func TestKillAndRestoreBitForBit(t *testing.T) {
 	}
 }
 
-// TestCheckpointOverwritesAtomically: a second checkpoint replaces the
-// first in place and leaves no temp files behind.
-func TestCheckpointOverwritesAtomically(t *testing.T) {
-	dir := t.TempDir()
-	snapPath := filepath.Join(dir, "state.snap")
-	est, err := newEstimator(rept.ConcurrentConfig{M: 2, C: 4, Seed: 1}, "", rept.WALOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer est.Close()
-	ts := httptest.NewServer(NewServer(est, snapPath))
-	defer ts.Close()
-
-	if _, resp := postCheckpoint(t, ts.URL); resp.StatusCode != http.StatusOK {
-		t.Fatalf("first checkpoint: status %d", resp.StatusCode)
-	}
-	if _, resp := postEdges(t, ts.URL, "{\"u\":1,\"v\":2}\n"); resp.StatusCode != http.StatusOK {
-		t.Fatal("ingest failed")
-	}
-	cr, resp := postCheckpoint(t, ts.URL)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("second checkpoint: status %d", resp.StatusCode)
-	}
-	if cr.Processed != 1 {
-		t.Errorf("second checkpoint processed = %d, want 1", cr.Processed)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "state.snap" {
-		names := make([]string, len(entries))
-		for i, e := range entries {
-			names[i] = e.Name()
-		}
-		t.Errorf("snapshot dir holds %v, want exactly [state.snap] (temp files must not leak)", names)
-	}
-	// The overwritten snapshot restores to the newer prefix.
-	resumed, err := newEstimator(rept.ConcurrentConfig{M: 2, C: 4, Seed: 1}, snapPath, rept.WALOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resumed.Close()
-	if resumed.Processed() != 1 {
-		t.Errorf("restored Processed = %d, want 1", resumed.Processed())
-	}
-}
-
 // TestCheckpointCompactsWAL: on a durable server POST /checkpoint folds
-// the log into its checkpoint — with -snapshot it additionally writes
-// the portable snapshot file, without it the compaction is the whole
-// request (no 409).
+// the log into its checkpoint and reports the new checkpoint position.
 func TestCheckpointCompactsWAL(t *testing.T) {
 	cfg := rept.ConcurrentConfig{M: 2, C: 4, Seed: 1}
-	est, err := newEstimator(cfg, "", rept.WALOptions{Dir: filepath.Join(t.TempDir(), "wal")})
+	est, err := newEstimator(cfg, rept.WALOptions{Dir: filepath.Join(t.TempDir(), "wal")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer est.Close()
-	ts := httptest.NewServer(NewServer(est, ""))
+	ts := httptest.NewServer(NewServer(est))
 	defer ts.Close()
 
 	if _, resp := postEdges(t, ts.URL, ndjson(gen.HolmeKim(40, 3, 0.4, 2))); resp.StatusCode != http.StatusOK {
@@ -204,10 +155,7 @@ func TestCheckpointCompactsWAL(t *testing.T) {
 	want := est.Processed()
 	cr, resp := postCheckpoint(t, ts.URL)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /checkpoint on a durable server without -snapshot: status %d, want 200", resp.StatusCode)
-	}
-	if cr.Path != "" || cr.Bytes != 0 {
-		t.Errorf("wal-only checkpoint response carries a snapshot file: %+v", cr)
+		t.Fatalf("POST /checkpoint on a durable server: status %d, want 200", resp.StatusCode)
 	}
 	if cr.WAL == nil {
 		t.Fatal("durable checkpoint response has no wal block")
@@ -215,87 +163,51 @@ func TestCheckpointCompactsWAL(t *testing.T) {
 	if cr.WAL.CheckpointPos != want {
 		t.Errorf("wal checkpoint position = %d after /checkpoint, want %d", cr.WAL.CheckpointPos, want)
 	}
-
-	// With -snapshot too, the same request both writes the file and
-	// advances the log's checkpoint.
-	snapPath := filepath.Join(t.TempDir(), "state.snap")
-	est2, err := newEstimator(cfg, "", rept.WALOptions{Dir: filepath.Join(t.TempDir(), "wal")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer est2.Close()
-	ts2 := httptest.NewServer(NewServer(est2, snapPath))
-	defer ts2.Close()
-	if _, resp := postEdges(t, ts2.URL, ndjson(gen.HolmeKim(40, 3, 0.4, 2))); resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest: status %d", resp.StatusCode)
-	}
-	want = est2.Processed()
-	cr, resp = postCheckpoint(t, ts2.URL)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /checkpoint: status %d", resp.StatusCode)
-	}
-	if cr.Path != snapPath || cr.Bytes <= 0 {
-		t.Errorf("checkpoint response %+v, want snapshot file at %s", cr, snapPath)
-	}
-	if cr.WAL == nil || cr.WAL.CheckpointPos != want {
-		t.Errorf("checkpoint response wal block = %+v, want checkpoint position %d", cr.WAL, want)
-	}
 }
 
 func TestCheckpointDisabledAndMethods(t *testing.T) {
 	ts, _ := newTestServer(t, rept.ConcurrentConfig{M: 2, C: 4, Seed: 1})
-	if _, resp := postCheckpoint(t, ts.URL); resp.StatusCode != http.StatusConflict {
-		t.Errorf("POST /checkpoint without -snapshot: status %d, want 409", resp.StatusCode)
+	resp, out := bodyRequest(t, http.MethodPost, ts.URL+"/checkpoint", "")
+	if resp.StatusCode != http.StatusConflict {
+		t.Errorf("POST /checkpoint without -wal-dir: status %d, want 409", resp.StatusCode)
+	}
+	if msg, _ := out["error"].(string); !strings.Contains(msg, "-wal-dir") {
+		t.Errorf("409 message %q does not name -wal-dir", msg)
 	}
 	if resp := getJSON(t, ts.URL+"/checkpoint", nil); resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /checkpoint: status %d, want 405", resp.StatusCode)
 	}
 }
 
-// TestRestoreBootErrors covers the -restore failure modes: missing file,
-// garbage file, and a config fingerprint mismatch with a descriptive
-// message.
+// TestRestoreBootErrors covers the boot failure modes of a WAL directory:
+// a garbage checkpoint file, and a config fingerprint mismatch with a
+// descriptive message through the full flag-parsing run() path.
 func TestRestoreBootErrors(t *testing.T) {
 	cfg := rept.ConcurrentConfig{M: 4, C: 8, Shards: 2, Seed: 5}
-	snapPath := filepath.Join(t.TempDir(), "state.snap")
 
-	if _, err := newEstimator(cfg, snapPath, rept.WALOptions{}); err == nil {
-		t.Error("restore from a missing file succeeded")
-	}
-
-	if err := os.WriteFile(snapPath, []byte("not a snapshot"), 0o644); err != nil {
+	garbage := t.TempDir()
+	if err := os.WriteFile(filepath.Join(garbage, wal.CheckpointName), []byte("not a snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newEstimator(cfg, snapPath, rept.WALOptions{}); err == nil {
-		t.Error("restore from garbage succeeded")
+	if _, err := newEstimator(cfg, rept.WALOptions{Dir: garbage}); err == nil {
+		t.Error("boot on a garbage checkpoint succeeded")
 	}
 
-	est, err := newEstimator(cfg, "", rept.WALOptions{})
+	dir := t.TempDir()
+	est, err := newEstimator(cfg, rept.WALOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Create(snapPath)
-	if err != nil {
+	if err := est.ApplyAllDurable(rept.Inserts(gen.HolmeKim(40, 3, 0.4, 2))); err != nil {
 		t.Fatal(err)
 	}
-	if err := est.WriteSnapshot(f); err != nil {
+	if err := est.CompactWAL(); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
 	est.Close()
 
-	wrong := cfg
-	wrong.M = 7
-	_, err = newEstimator(wrong, snapPath, rept.WALOptions{})
-	if err == nil {
-		t.Fatal("restore under a different -m succeeded")
-	}
-	if !strings.Contains(err.Error(), "M = 4 in snapshot, 7 in config") {
-		t.Errorf("mismatch error %q does not name the field", err)
-	}
-
-	// The same mismatch through the full flag-parsing run() path.
-	if err := run([]string{"-restore", snapPath, "-m", "7", "-c", "8", "-shards", "2", "-seed", "5", "-addr", "127.0.0.1:0"}); err == nil || !strings.Contains(err.Error(), "in snapshot") {
-		t.Errorf("run -restore with mismatched -m: err = %v, want fingerprint mismatch", err)
+	err = run([]string{"-wal-dir", dir, "-m", "7", "-c", "8", "-shards", "2", "-seed", "5", "-addr", "127.0.0.1:0"})
+	if err == nil || !strings.Contains(err.Error(), "M = 4 in snapshot, 7 in config") {
+		t.Errorf("run -wal-dir with mismatched -m: err = %v, want the M fingerprint mismatch named", err)
 	}
 }

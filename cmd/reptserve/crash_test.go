@@ -18,6 +18,7 @@ import (
 	"rept"
 	"rept/internal/exper"
 	"rept/internal/gen"
+	"rept/internal/wal"
 )
 
 // crashBinary builds the real reptserve binary once per test run; the
@@ -180,13 +181,11 @@ func TestCrashKillRecovery(t *testing.T) {
 
 func runCrashKillRound(t *testing.T, bin string, seed uint64) {
 	walDir := filepath.Join(t.TempDir(), "wal")
-	snapPath := filepath.Join(t.TempDir(), "post.snap")
 	args := []string{
 		"-m", "3", "-c", "9", "-shards", "3", "-seed", "7",
 		"-local", "-dynamic",
 		"-wal-dir", walDir, "-wal-sync", "batch",
 		"-wal-segment-bytes", "8192", "-wal-compact-every", "1500",
-		"-snapshot", snapPath,
 	}
 	cs := startCrashServer(t, bin, args...)
 	defer cs.kill() // no-op if already dead
@@ -263,12 +262,18 @@ func runCrashKillRound(t *testing.T, bin string, seed uint64) {
 		t.Fatalf("recovered wal durable position %d != processed %d", stats.WAL.DurablePos, k)
 	}
 
-	// Bit-for-bit: checkpoint the recovered server and compare against a
-	// reference estimator hand-fed exactly the recovered prefix.
-	if _, err := client.Post(cs2.base+"/checkpoint", "", nil); err != nil {
+	// Bit-for-bit: checkpoint the recovered server and compare the log's
+	// checkpoint file against a reference estimator hand-fed exactly the
+	// recovered prefix.
+	cresp, err := client.Post(cs2.base+"/checkpoint", "", nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(snapPath)
+	cresp.Body.Close()
+	if cresp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /checkpoint on the recovered server: status %d", cresp.StatusCode)
+	}
+	got, err := os.ReadFile(filepath.Join(walDir, wal.CheckpointName))
 	if err != nil {
 		t.Fatal(err)
 	}

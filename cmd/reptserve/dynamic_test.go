@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"rept"
 	"rept/internal/exper"
 	"rept/internal/gen"
+	"rept/internal/wal"
 )
 
 // ndjsonUpdates renders a signed event stream as NDJSON ingest lines,
@@ -123,22 +126,23 @@ func TestIngestDeletionsRequireDynamic(t *testing.T) {
 
 // TestKillAndRestoreBitForBitFullyDynamic is the fully-dynamic
 // counterpart of TestKillAndRestoreBitForBit: stream a deletion-bearing
-// churn prefix, checkpoint (format v3), kill the server, boot from the
-// snapshot, stream the churn suffix, and the final statistical output
-// must equal an uninterrupted server's byte for byte.
+// churn prefix into a -wal-dir server, checkpoint, stop it, boot on the
+// same directory, stream the churn suffix, and the final statistical
+// output must equal an uninterrupted server's byte for byte.
 func TestKillAndRestoreBitForBitFullyDynamic(t *testing.T) {
 	cfg := rept.ConcurrentConfig{M: 5, C: 12, Shards: 2, Seed: 33, TrackLocal: true, TrackDegrees: true, FullyDynamic: true}
 	base := gen.Shuffle(gen.HolmeKim(300, 4, 0.4, 13), 7)
 	ups := exper.DynStream(base, exper.DynOptions{Pattern: exper.Reinsert, DeleteFrac: 0.35, Seed: 21})
 	cut := len(ups) / 2
-	snapPath := filepath.Join(t.TempDir(), "state.snap")
+	walOpt := rept.WALOptions{Dir: filepath.Join(t.TempDir(), "wal")}
 
-	// Phase 1: fresh server, stream the churn prefix, checkpoint, kill.
-	estA, err := newEstimator(cfg, "", rept.WALOptions{})
+	// Phase 1: fresh durable server, stream the churn prefix, checkpoint,
+	// stop.
+	estA, err := newEstimator(cfg, walOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tsA := httptest.NewServer(NewServer(estA, snapPath))
+	tsA := httptest.NewServer(NewServer(estA))
 	if _, out := bodyRequest(t, http.MethodPost, tsA.URL+"/edges", ndjsonUpdates(ups[:cut])); out["error"] != nil {
 		t.Fatalf("prefix ingest: %v", out["error"])
 	}
@@ -152,8 +156,8 @@ func TestKillAndRestoreBitForBitFullyDynamic(t *testing.T) {
 	tsA.Close()
 	estA.Close()
 
-	// Phase 2: boot from the snapshot, stream the suffix.
-	estB, err := newEstimator(cfg, snapPath, rept.WALOptions{})
+	// Phase 2: boot on the same directory, stream the suffix.
+	estB, err := newEstimator(cfg, walOpt)
 	if err != nil {
 		t.Fatalf("restore boot: %v", err)
 	}
@@ -161,7 +165,7 @@ func TestKillAndRestoreBitForBitFullyDynamic(t *testing.T) {
 	if estB.Processed() != uint64(cut) {
 		t.Fatalf("restored Processed = %d, want %d", estB.Processed(), cut)
 	}
-	tsB := httptest.NewServer(NewServer(estB, snapPath))
+	tsB := httptest.NewServer(NewServer(estB))
 	defer tsB.Close()
 	if _, out := bodyRequest(t, http.MethodPost, tsB.URL+"/edges", ndjsonUpdates(ups[cut:])); out["error"] != nil {
 		t.Fatalf("suffix ingest: %v", out["error"])
@@ -169,12 +173,12 @@ func TestKillAndRestoreBitForBitFullyDynamic(t *testing.T) {
 	restored := getStatistical(t, tsB.URL+"/estimate?fresh=1")
 
 	// Reference: one server fed the whole churn stream uninterrupted.
-	estC, err := newEstimator(cfg, "", rept.WALOptions{})
+	estC, err := newEstimator(cfg, rept.WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer estC.Close()
-	tsC := httptest.NewServer(NewServer(estC, ""))
+	tsC := httptest.NewServer(NewServer(estC))
 	defer tsC.Close()
 	if _, out := bodyRequest(t, http.MethodPost, tsC.URL+"/edges", ndjsonUpdates(ups)); out["error"] != nil {
 		t.Fatalf("reference ingest: %v", out["error"])
@@ -185,14 +189,25 @@ func TestKillAndRestoreBitForBitFullyDynamic(t *testing.T) {
 		t.Errorf("kill-and-restore output diverged:\nrestored:      %v\nuninterrupted: %v", restored, uninterrupted)
 	}
 
-	// And the snapshot itself must be reproducible: checkpointing the
-	// restored+caught-up server and the uninterrupted one yields
-	// byte-identical v3 snapshots (canonical encoding).
+	// And the state itself must be reproducible: checkpointing the
+	// restored+caught-up server yields the uninterrupted one's snapshot
+	// byte for byte (canonical encoding).
 	crB, resp := postCheckpoint(t, tsB.URL)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("restored checkpoint: status %d", resp.StatusCode)
 	}
 	if crB.Processed != uint64(len(ups)) {
 		t.Errorf("restored checkpoint processed = %d, want %d", crB.Processed, len(ups))
+	}
+	got, err := os.ReadFile(filepath.Join(walOpt.Dir, wal.CheckpointName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := estC.WriteSnapshot(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Error("restored server's checkpoint differs from the uninterrupted server's snapshot")
 	}
 }

@@ -69,7 +69,7 @@ func FuzzIngestNDJSON(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	srv := NewServer(est, "")
+	srv := NewServer(est)
 
 	f.Add([]byte("{\"u\":1,\"v\":2}\n{\"u\":2,\"v\":3}\n"))
 	f.Add([]byte("{\"u\":1,\"v\":1}\n"))          // self-loop

@@ -6,7 +6,6 @@
 //
 //	reptserve -addr :8080 -m 10 -c 40 [-shards 4 -local -dynamic -seed 1]
 //	          [-view-interval 200ms -view-edges 0 -topk 100]
-//	          [-snapshot state.snap] [-restore state.snap]
 //	          [-wal-dir walspool [-wal-sync batch|250ms]
 //	           [-wal-compact-every 500000] [-wal-segment-bytes 67108864]]
 //	          [-mem-budget 256MiB [-mem-headroom 0.1] [-mem-tick 1s]]
@@ -24,7 +23,7 @@
 //	POST /query       batch node lookup: {"nodes":[1,2,3]}
 //	GET  /stats       epoch/staleness state + ingest counters
 //	GET  /metrics     Prometheus text format
-//	POST /checkpoint  write a durable snapshot to the -snapshot path
+//	POST /checkpoint  compact the write-ahead log (requires -wal-dir)
 //	GET  /healthz     liveness and ingest counters
 //	GET  /readyz      readiness: 200 only once recovery finished and the
 //	                  first view published; 503 while draining
@@ -49,40 +48,33 @@
 // Fully-dynamic streams: with -dynamic the server accepts edge deletions
 // (follow/unfollow churn, flow expiry) and every estimate tracks the NET
 // triangle count of the live graph; see the rept package documentation
-// for the estimator semantics. The flag is part of the snapshot
+// for the estimator semantics. The flag is part of the log directory's
 // fingerprint like the other statistical flags.
 //
-// Durability: -snapshot enables POST /checkpoint, which persists the full
-// estimator state atomically (temp file + rename) without pausing
-// ingestion; -restore boots from such a snapshot, picking the stream up
-// exactly where the checkpoint left it. The statistical flags (-m, -c,
-// -shards, -seed, -local, -eta, -degrees, -dynamic) must match the snapshot's
-// fingerprint or the boot fails with an error naming the differing
-// fields; -local -degrees=false restores checkpoints taken before degree
-// tracking existed.
-//
-// Write-ahead logging: -wal-dir upgrades the server from
-// checkpoint-on-demand to continuous durability. Every accepted edge
-// event is appended to a segmented, CRC-checked log in that directory,
-// and on restart — clean or after a kill — the server replays the log's
-// own checkpoint plus the surviving tail before serving, announcing
-// "wal recovered to position N" on stderr. With -wal-sync batch (the
-// default) a 200 from POST /edges is a durability receipt: the response
-// is sent only after the request's events are fsynced, so "accepted"
-// events survive any crash; a sync failure fails the request with HTTP
-// 500 and no events are credited. With -wal-sync <duration> the log is
-// group-committed on that interval instead — ingest never waits on the
-// disk, at the cost of losing at most the last interval's events on
-// power failure (a kill -9 with a healthy disk still loses nothing).
-// Sealed segments are folded into an incremental checkpoint every
-// -wal-compact-every events (and on demand via POST /checkpoint, which
-// also compacts the log when one is running), bounding both replay time
-// and disk usage; -wal-segment-bytes caps individual segment files. The
-// WAL's append/durable/checkpoint positions, segment count, and failure
-// counters are reported in the "wal" block of /stats and as
-// rept_wal_* gauges in /metrics. Combining -wal-dir with -restore seeds
-// an EMPTY log directory from a legacy snapshot file — the one-time
-// migration path from snapshot-only deployments.
+// Durability: -wal-dir is the server's one durable state. Every accepted
+// edge event is appended to a segmented, CRC-checked log in that
+// directory, and on restart — clean or after a kill — the server replays
+// the log's own checkpoint plus the surviving tail before serving,
+// announcing "wal recovered to position N" on stderr. The statistical
+// flags (-m, -c, -shards, -seed, -local, -eta, -dynamic) must match the
+// directory's fingerprint or the boot fails with an error naming the
+// differing fields. With -wal-sync batch (the default) a 200 from POST
+// /edges is a durability receipt: the response is sent only after the
+// request's events are fsynced, so "accepted" events survive any crash; a
+// sync failure fails the request with HTTP 500 and no events are credited.
+// With -wal-sync <duration> the log is group-committed on that interval
+// instead — ingest never waits on the disk, at the cost of losing at most
+// the last interval's events on power failure (a kill -9 with a healthy
+// disk still loses nothing). Sealed segments are folded into an
+// incremental checkpoint every -wal-compact-every events (and on demand
+// via POST /checkpoint), bounding both replay time and disk usage;
+// -wal-segment-bytes caps individual segment files. The WAL's
+// append/durable/checkpoint positions, segment count, and failure counters
+// are reported in the "wal" block of /stats and as rept_wal_* gauges in
+// /metrics. Backup and migration are a file copy: after POST /checkpoint,
+// the directory's checkpoint.reptsnap holds the whole state, and a server
+// started with -wal-dir on an empty directory holding only that file
+// resumes from it.
 //
 // Memory budgets: -mem-budget puts the estimator under an adaptive
 // byte budget. Every storage layer reports its backing bytes to an
@@ -147,41 +139,14 @@ func main() {
 	}
 }
 
-// newEstimator builds the serving estimator: fresh for an empty
-// restorePath, otherwise resumed from the snapshot file (the exact code
-// path the -restore flag takes, shared with tests). With a WAL directory
-// it opens (or creates) the durable estimator instead — recovering from
-// the log's own checkpoint and tail — and -restore seeds an EMPTY log
-// directory from a legacy snapshot file.
-func newEstimator(cfg rept.ConcurrentConfig, restorePath string, walOpt rept.WALOptions) (*rept.Concurrent, error) {
-	if walOpt.Dir != "" {
-		if restorePath != "" {
-			f, err := os.Open(restorePath)
-			if err != nil {
-				return nil, fmt.Errorf("restore: %w", err)
-			}
-			defer f.Close()
-			walOpt.Bootstrap = f
-		}
-		est, err := rept.ResumeDurable(cfg, walOpt)
-		if err != nil {
-			return nil, err
-		}
-		return est, nil
-	}
-	if restorePath == "" {
+// newEstimator builds the serving estimator: in-memory without a WAL
+// directory, otherwise the durable estimator recovered from the log's own
+// checkpoint and tail (the code path -wal-dir takes, shared with tests).
+func newEstimator(cfg rept.ConcurrentConfig, walOpt rept.WALOptions) (*rept.Concurrent, error) {
+	if walOpt.Dir == "" {
 		return rept.NewConcurrent(cfg)
 	}
-	f, err := os.Open(restorePath)
-	if err != nil {
-		return nil, fmt.Errorf("restore: %w", err)
-	}
-	defer f.Close()
-	est, err := rept.ResumeConcurrent(cfg, f)
-	if err != nil {
-		return nil, fmt.Errorf("restore %s: %w", restorePath, err)
-	}
-	return est, nil
+	return rept.ResumeDurable(cfg, walOpt)
 }
 
 // parseByteSize parses a human byte count for -mem-budget: a plain
@@ -272,12 +237,9 @@ func run(args []string) error {
 		seed     = fs.Int64("seed", 1, "random seed")
 		local    = fs.Bool("local", false, "track local (per-node) estimates and degrees (enables /local, /topk, /cc, /query)")
 		dynamic  = fs.Bool("dynamic", false, "accept edge deletions (op:\"del\" lines and DELETE /edges); estimates track the net live graph")
-		degrees  = fs.Bool("degrees", true, "with -local, also track per-node degrees (disable to restore degree-less snapshots, e.g. pre-upgrade checkpoints)")
 		eta      = fs.Bool("eta", false, "force η̂ tracking (variance for every config)")
 		batch    = fs.Int("batch", 0, "ingest hand-off batch length (0 = default)")
 		grace    = fs.Duration("grace", 10*time.Second, "shutdown grace period")
-		snapshot = fs.String("snapshot", "", "checkpoint destination path; enables POST /checkpoint")
-		restore  = fs.String("restore", "", "boot from this snapshot file instead of empty state")
 		interval = fs.Duration("view-interval", 200*time.Millisecond, "max time between query-view epochs")
 		vedges   = fs.Uint64("view-edges", 0, "also republish the query view every N ingested edges (0 = off)")
 		topk     = fs.Int("topk", 100, "precomputed heavy-hitter ranking size (caps /topk?k=)")
@@ -342,17 +304,15 @@ func run(args []string) error {
 		FullyDynamic: *dynamic,
 		TrackEta:     *eta,
 		// Degrees ride along with -local: clustering coefficients need
-		// both, and the O(V) table is cheap next to the local counters.
-		// -degrees=false opts out, which is how a -local deployment
-		// restores a checkpoint taken before degree tracking existed
-		// (the table is part of the snapshot fingerprint contract).
-		TrackDegrees: *local && *degrees,
+		// both, and the O(V + E) table is cheap next to the local
+		// counters.
+		TrackDegrees: *local,
 		BatchSize:    *batch,
 		// The telemetry bundle wires stage-latency histograms, per-shard
 		// series, and the flight recorder through the whole pipeline; the
 		// server's /metrics and /debug/flight serve from it.
 		Telemetry: rept.NewTelemetry(),
-	}, *restore, walOpt)
+	}, walOpt)
 	if err != nil {
 		srv.Close()
 		return err
@@ -363,7 +323,7 @@ func run(args []string) error {
 		est.Close()
 		return err
 	}
-	api := NewServer(est, *snapshot)
+	api := NewServer(est)
 	if *accLog || *slowLog > 0 {
 		api.SetAccessLog(slog.New(slog.NewJSONHandler(os.Stderr, nil)), *accLog, *slowLog)
 	}
@@ -400,9 +360,6 @@ func run(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *restore != "" {
-		fmt.Fprintf(os.Stderr, "reptserve: restored %d processed edges from %s\n", est.Processed(), *restore)
-	}
 	if *walDir != "" {
 		fmt.Fprintf(os.Stderr, "reptserve: wal recovered to position %d (dir=%s sync=%s)\n",
 			est.Position(), *walDir, *walSync)

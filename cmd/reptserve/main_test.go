@@ -20,7 +20,7 @@ func newTestServer(t *testing.T, cfg rept.ConcurrentConfig) (*httptest.Server, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewServer(est, ""))
+	ts := httptest.NewServer(NewServer(est))
 	t.Cleanup(func() {
 		ts.Close()
 		est.Close()
@@ -274,7 +274,7 @@ func TestStopThenRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(est, "")
+	srv := NewServer(est)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

@@ -166,7 +166,7 @@ func TestIngestAccountingOnShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(est, "")
+	srv := NewServer(est)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer est.Close()

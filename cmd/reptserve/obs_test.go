@@ -64,7 +64,7 @@ func TestMetricsConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewServer(est, ""))
+	ts := httptest.NewServer(NewServer(est))
 	defer func() {
 		ts.Close()
 		est.Close()
@@ -178,7 +178,7 @@ func TestMetricsConformanceDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewServer(est, ""))
+	ts := httptest.NewServer(NewServer(est))
 	defer func() {
 		ts.Close()
 		est.Close()
@@ -214,7 +214,7 @@ func TestReadyzEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer est.Close()
-	srv := NewServer(est, "")
+	srv := NewServer(est)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -249,7 +249,7 @@ func TestFlightEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewServer(est, ""))
+	ts := httptest.NewServer(NewServer(est))
 	defer func() {
 		ts.Close()
 		est.Close()

@@ -8,9 +8,6 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"os"
-	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -90,15 +87,10 @@ type Server struct {
 	slow      time.Duration
 	reqSeq    atomic.Uint64
 
-	// snapshotPath is the checkpoint destination (-snapshot flag); empty
-	// disables POST /checkpoint. checkpointMu serializes checkpoints so
-	// two concurrent requests cannot race on the rename.
-	snapshotPath string
-	checkpointMu sync.Mutex
-
 	// durable routes ingest through the write-ahead log: /edges responds
 	// only after the estimator acknowledges durability, and a WAL failure
-	// turns into a 500 with the events NOT counted as accepted.
+	// turns into a 500 with the events NOT counted as accepted. It also
+	// enables POST /checkpoint.
 	durable bool
 
 	// ctrl is the adaptive memory controller (-mem-budget); nil without a
@@ -117,9 +109,8 @@ type Server struct {
 // NewServer wraps est in an HTTP API. The caller keeps ownership of est
 // (the server never closes it). Views must either already be started on
 // est (main starts them with flag-driven intervals) or NewServer starts
-// them with defaults. snapshotPath is where POST /checkpoint writes
-// snapshots; empty disables the endpoint.
-func NewServer(est *rept.Concurrent, snapshotPath string) *Server {
+// them with defaults. POST /checkpoint is enabled when est is durable.
+func NewServer(est *rept.Concurrent) *Server {
 	views := est.Views()
 	if views == nil {
 		if v, err := est.StartViews(rept.ViewConfig{}); err == nil {
@@ -138,15 +129,14 @@ func NewServer(est *rept.Concurrent, snapshotPath string) *Server {
 		tele = rept.NewTelemetry()
 	}
 	s := &Server{
-		est:          est,
-		views:        views,
-		mux:          http.NewServeMux(),
-		start:        time.Now(),
-		tele:         tele,
-		pipe:         tele.Pipeline(),
-		snapshotPath: snapshotPath,
-		durable:      est.Durable(),
-		counters:     make(map[string]*obs.Counter, len(endpoints)),
+		est:      est,
+		views:    views,
+		mux:      http.NewServeMux(),
+		start:    time.Now(),
+		tele:     tele,
+		pipe:     tele.Pipeline(),
+		durable:  est.Durable(),
+		counters: make(map[string]*obs.Counter, len(endpoints)),
 	}
 	s.registerMetrics()
 	s.mux.HandleFunc("/edges", s.handleEdges)
@@ -829,7 +819,7 @@ func (s *Server) handleCC(w http.ResponseWriter, r *http.Request) {
 	}
 	cfg := s.est.Config()
 	if !cfg.TrackLocal || !cfg.TrackDegrees {
-		writeError(w, http.StatusConflict, "clustering coefficients need local and degree tracking; start reptserve with -local (and without -degrees=false)")
+		writeError(w, http.StatusConflict, "clustering coefficients need local and degree tracking; start reptserve with -local")
 		return
 	}
 	n, ok := parseNode(w, r)
@@ -1135,126 +1125,49 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 
 // checkpointResponse is the POST /checkpoint payload.
 type checkpointResponse struct {
-	// Path is the snapshot file written; empty on a durable server
-	// running without -snapshot (the WAL checkpoint is the only output).
-	Path string `json:"path,omitempty"`
-	// Bytes is the size of the snapshot file.
-	Bytes int64 `json:"bytes,omitempty"`
 	// Processed is the estimator's non-loop edge count when the response
-	// was built. The snapshot itself is barrier-consistent at its own
+	// was built. The checkpoint itself is barrier-consistent at its own
 	// prefix, which this count can only exceed (by edges that clients
 	// streamed while the checkpoint was written).
 	Processed uint64 `json:"processed"`
-	// WAL reports the log after the compaction this request ran; only on
-	// durable servers.
+	// WAL reports the log after the compaction this request ran.
 	WAL *walStatsJSON `json:"wal,omitempty"`
 }
 
-// handleCheckpoint serves POST /checkpoint: a barrier-consistent snapshot
-// of the estimator, written atomically (temp file in the destination
-// directory, fsync, rename) so a crash mid-checkpoint can never clobber
-// the previous snapshot. On a durable server the request also compacts
-// the write-ahead log — the sealed segments fold into the log's own
-// checkpoint — so operators get an on-demand recovery-time bound next to
-// the portable snapshot file; with -wal-dir but no -snapshot the
-// compaction is the whole request. Ingestion keeps running; edges
-// streamed while the checkpoint is being taken land after its prefix.
-// 409 when the server runs with neither -snapshot nor -wal-dir.
+// handleCheckpoint serves POST /checkpoint: it compacts the write-ahead
+// log, folding a barrier-consistent snapshot into the log directory as
+// checkpoint.reptsnap (written to a temporary file, synced and renamed,
+// so a crash mid-checkpoint never clobbers the previous one) and deleting
+// the sealed segments it covers. Operators get an on-demand bound on
+// recovery time, and the checkpoint file is a complete backup. Ingestion
+// keeps running; edges streamed while the checkpoint is being taken land
+// after its prefix. 409 when the server runs without -wal-dir.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeError(w, http.StatusMethodNotAllowed, "POST /checkpoint")
 		return
 	}
-	if s.snapshotPath == "" && !s.durable {
-		writeError(w, http.StatusConflict, "checkpointing is disabled; start reptserve with -snapshot <path> or -wal-dir <dir>")
+	if !s.durable {
+		writeError(w, http.StatusConflict, "checkpointing needs a write-ahead log; start reptserve with -wal-dir <dir>")
 		return
 	}
-	s.checkpointMu.Lock()
-	defer s.checkpointMu.Unlock()
-
 	var resp checkpointResponse
-	var snapErr error
+	var compactErr error
 	ok := s.estCall(func() {
-		if s.durable {
-			if err := s.est.CompactWAL(); err != nil {
-				snapErr = fmt.Errorf("wal compaction: %w", err)
-				return
-			}
-		}
-		if s.snapshotPath != "" {
-			resp, snapErr = writeSnapshotFile(s.est, s.snapshotPath)
-		} else {
-			resp.Processed = s.est.Processed()
-		}
+		compactErr = s.est.CompactWAL()
+		resp.Processed = s.est.Processed()
 	})
 	if !ok {
 		writeStopping(w)
 		return
 	}
-	if snapErr != nil {
-		writeError(w, http.StatusInternalServerError, "checkpoint: %v", snapErr)
+	if compactErr != nil {
+		writeError(w, http.StatusInternalServerError, "checkpoint: wal compaction: %v", compactErr)
 		return
 	}
 	resp.WAL = s.walStats()
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// writeSnapshotFile checkpoints est into path via temp-file-rename: the
-// snapshot becomes visible under its final name only once fully written
-// and synced, so path always holds either the previous snapshot or a
-// complete new one.
-func writeSnapshotFile(est *rept.Concurrent, path string) (checkpointResponse, error) {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		// A bare filename must not fall back to os.TempDir(): the temp
-		// file has to live in the destination directory for the rename
-		// to stay atomic (and possible — rename can't cross filesystems).
-		dir = "."
-	}
-	tmp, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return checkpointResponse{}, err
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if err := est.WriteSnapshot(tmp); err != nil {
-		return checkpointResponse{}, err
-	}
-	if err := tmp.Sync(); err != nil {
-		return checkpointResponse{}, err
-	}
-	info, err := tmp.Stat()
-	if err != nil {
-		return checkpointResponse{}, err
-	}
-	if err := tmp.Close(); err != nil {
-		return checkpointResponse{}, err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return checkpointResponse{}, err
-	}
-	tmp = nil // the rename consumed it; nothing to clean up
-	// Sync the directory too: without it the rename itself may not
-	// survive power loss, and the 200 response promises durability.
-	// Windows cannot sync directory handles (and its rename semantics
-	// differ anyway), so the strict check is POSIX-only.
-	if runtime.GOOS != "windows" {
-		d, err := os.Open(dir)
-		if err != nil {
-			return checkpointResponse{}, err
-		}
-		syncErr := d.Sync()
-		d.Close()
-		if syncErr != nil {
-			return checkpointResponse{}, syncErr
-		}
-	}
-	return checkpointResponse{Path: path, Bytes: info.Size(), Processed: est.Processed()}, nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -278,7 +278,7 @@ func TestStaleThenFresh(t *testing.T) {
 	if _, err := est.StartViews(rept.ViewConfig{Interval: time.Hour}); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewServer(est, ""))
+	ts := httptest.NewServer(NewServer(est))
 	t.Cleanup(func() { ts.Close(); est.Close() })
 
 	if _, resp := postEdges(t, ts.URL, ndjson(gen.DisjointTriangles(2))); resp.StatusCode != http.StatusOK {

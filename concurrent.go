@@ -36,10 +36,10 @@ type ConcurrentConfig struct {
 	FullyDynamic bool
 	// TrackEta forces η̂ bookkeeping on every shard (see Config.TrackEta).
 	TrackEta bool
-	// TrackDegrees maintains a per-node stream degree table alongside the
-	// shards (O(V) memory), the input clustering-coefficient queries
-	// need. Degrees count non-loop edge arrivals: on streams where every
-	// edge arrives once they equal graph degrees.
+	// TrackDegrees maintains a per-node degree table alongside the shards,
+	// the input clustering-coefficient queries need. Degrees are those of
+	// the live graph: the table keeps the live-edge set (O(V + E) memory),
+	// which snapshots carry.
 	TrackDegrees bool
 	// BatchSize is the ingest hand-off batch length (default 1024). Adds
 	// are buffered under a mutex and broadcast to shards in batches of
@@ -265,11 +265,11 @@ func (c *Concurrent) WriteSnapshot(w io.Writer) error { return c.sh.WriteSnapsho
 // ResumeConcurrent reads a snapshot written by Concurrent.WriteSnapshot
 // and restores it into a new estimator built for cfg. The snapshot's
 // fingerprint must match cfg's statistical fields (M, C, Seed,
-// TrackLocal, TrackEta — and TrackDegrees, whose table is carried in the
-// snapshot) and the effective shard count must equal the one cfg implies,
-// because per-shard hash seeds derive from (Seed, shard index). BatchSize
-// and QueueLen may differ. Mismatches are rejected with an
-// error wrapping ErrSnapshotMismatch.
+// TrackLocal, TrackEta, FullyDynamic — and TrackDegrees, whose live-edge
+// set is carried in the snapshot) and the effective shard count must
+// equal the one cfg implies, because per-shard hash seeds derive from
+// (Seed, shard index). BatchSize and QueueLen may differ. Mismatches are
+// rejected with an error wrapping ErrSnapshotMismatch.
 func ResumeConcurrent(cfg ConcurrentConfig, r io.Reader) (*Concurrent, error) {
 	ac := mem.New()
 	scfg := cfg.shardConfig()

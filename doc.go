@@ -99,8 +99,7 @@
 // churn treat Variance as a diagnostic approximation rather than an
 // exact error bar. Insert-only streams behave bit-identically whether
 // FullyDynamic is on or off; the flag is part of the snapshot
-// fingerprint (format version 3; older snapshots restore as insert-only
-// state).
+// fingerprint.
 //
 // # Query views and staleness semantics
 //
@@ -152,12 +151,10 @@
 // no-ops, filtered by a live-edge membership set (O(E) memory, carried
 // by the opt-in tracker only). This keeps the clustering coefficient's
 // denominator d·(d−1)/2 consistent with its sampled numerator τ̂_v on
-// malformed streams; previously duplicates inflated degrees and phantom
-// deletes corrupted them. One caveat: checkpoints persist only the
-// degree counters, so a restored table re-learns membership from the
-// restore point and honors deletions of pre-checkpoint edges best-effort
-// under the historical floor-at-zero rule (exact on well-formed streams,
-// which are the model's contract).
+// malformed streams, such as a client retry re-sending an edge.
+// Checkpoints persist the live-edge set itself and a restore rebuilds
+// the table from it, so a restored table filters exactly like one that
+// never restarted.
 //
 // # Performance
 //
@@ -200,52 +197,50 @@
 //
 // # Durability
 //
-// Estimator state survives restarts through versioned binary snapshots:
+// Estimator state survives restarts through binary snapshots:
 // Estimator.WriteSnapshot and Concurrent.WriteSnapshot persist the config
 // fingerprint, every logical processor's sampled edge set, the full τ/η
-// counter state (global and per-node), and the processed/self-loop
-// tallies; Resume and ResumeConcurrent rebuild an estimator that yields
-// bit-for-bit identical estimates on any suffix stream. A Concurrent
-// snapshot is barrier-consistent: every shard's state describes the same
-// stream prefix, even while producers keep adding edges. Snapshots open
-// with a magic string and a format version field — readers reject
-// versions they do not understand, and the version is the compatibility
-// hook for rolling upgrades and future cross-node state handoff. A
+// counter state (global and per-node), the degree tracker's live-edge set,
+// and the processed/self-loop tallies; Resume and ResumeConcurrent rebuild
+// an estimator that yields bit-for-bit identical estimates on any suffix
+// stream. A Concurrent snapshot is barrier-consistent: every shard's
+// state describes the same stream prefix, even while producers keep
+// adding edges. Snapshots open with a magic string and the format
+// version; there is one version, and readers reject every other. A
 // restore is accepted only when the target configuration's statistical
-// fields (M, C, Seed, TrackLocal, TrackEta — plus the shard count and
-// TrackDegrees for ResumeConcurrent) match the snapshot's fingerprint,
-// with the degree table carried inside the snapshot; mismatches fail
-// with an error wrapping ErrSnapshotMismatch that names each differing
-// field. cmd/reptserve exposes all of this as POST /checkpoint (atomic
-// temp-file-rename writes) and a -restore boot flag.
+// fields (M, C, Seed, TrackLocal, TrackEta, FullyDynamic — plus the shard
+// count and TrackDegrees for ResumeConcurrent) match the snapshot's
+// fingerprint; mismatches fail with an error wrapping ErrSnapshotMismatch
+// that names each differing field.
 //
-// Snapshots protect the stream only up to the last checkpoint; the
-// write-ahead log closes the rest of the gap. ResumeDurable opens a
-// Concurrent estimator on a segmented, CRC-checked log of accepted
-// events (WALOptions: local-disk directory or any WALBackend), and
-// ApplyBatchDurable (or ApplyAllDurable) returns only once the log
-// acknowledges its events —
-// fsynced in per-batch mode (zero loss window), appended in interval
-// mode (loss window of at most the sync interval on power failure).
-// Appends are group-committed by a dedicated logger goroutine off the
-// allocation-free ingest hot path. The log folds itself into
-// incremental checkpoints (WALOptions.CompactEvery, or CompactWAL on
-// demand): a barrier-consistent snapshot becomes the recovery base and
-// the sealed segments it covers are deleted, bounding replay time and
-// disk usage. Recovery is snapshot-plus-tail — restore the log's
-// checkpoint, replay the surviving records through the normal ingest
-// path — and lands bit-for-bit on the acknowledged prefix: a torn final
-// record is the expected shape of a crash and is dropped, while
-// interior corruption, missing log stretches, and logs written under a
-// different configuration are refused (ErrWALCorrupt, ErrWALGap,
-// ErrWALMismatch). WALOptions.Bootstrap migrates a legacy snapshot into
-// an empty log directory in one step. A write or sync failure is
-// sticky: the failed batch (and every one after it) is refused rather
-// than acknowledged, so "accepted" keeps meaning "recoverable".
-// cmd/reptserve wires the layer to -wal-dir/-wal-sync/-wal-compact-every
-// flags, reports positions and lag in /stats and /metrics, and its
-// crash-kill harness SIGKILLs the real process mid-ingest and asserts
-// zero acknowledged-event loss on restart.
+// The write-ahead log directory is the one durable state a server
+// keeps. ResumeDurable opens a Concurrent estimator on a segmented,
+// CRC-checked log of accepted events (WALOptions: local-disk directory or
+// any WALBackend), and ApplyBatchDurable (or ApplyAllDurable) returns
+// only once the log acknowledges its events — fsynced in per-batch mode
+// (zero loss window), appended in interval mode (loss window of at most
+// the sync interval on power failure). Appends are group-committed by a
+// dedicated logger goroutine off the allocation-free ingest hot path.
+// The log folds itself into incremental checkpoints
+// (WALOptions.CompactEvery, or CompactWAL on demand): a
+// barrier-consistent snapshot becomes the recovery base and the sealed
+// segments it covers are deleted, bounding replay time and disk usage.
+// Recovery is snapshot-plus-tail — restore the log's checkpoint, replay
+// the surviving records through the normal ingest path — and lands
+// bit-for-bit on the acknowledged prefix: a torn final record is the
+// expected shape of a crash and is dropped, while interior corruption,
+// missing log stretches, and logs written under a different
+// configuration are refused (ErrWALCorrupt, ErrWALGap, ErrWALMismatch).
+// The checkpoint file, checkpoint.reptsnap, is a complete backup: copied
+// alone into an empty directory — as is any Concurrent.WriteSnapshot
+// image saved under that name — it recovers at its position, so backup
+// and migration are a file copy. A write or sync failure is sticky: the
+// failed batch (and every one after it) is refused rather than
+// acknowledged, so "accepted" keeps meaning "recoverable". cmd/reptserve
+// wires the layer to -wal-dir/-wal-sync/-wal-compact-every flags and
+// POST /checkpoint (CompactWAL), reports positions and lag in /stats and
+// /metrics, and its crash-kill harness SIGKILLs the real process
+// mid-ingest and asserts zero acknowledged-event loss on restart.
 //
 // # Memory accounting and adaptive budgets
 //

@@ -3,7 +3,6 @@ package rept
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"time"
 
 	"rept/internal/graph"
@@ -66,14 +65,6 @@ type WALOptions struct {
 	// bounding both recovery time and disk usage. Zero disables automatic
 	// compaction; CompactWAL remains available.
 	CompactEvery uint64
-	// Bootstrap seeds an EMPTY log directory from an existing snapshot
-	// (a Concurrent.WriteSnapshot image, e.g. a pre-WAL checkpoint file):
-	// the estimator restores from it and the snapshot immediately becomes
-	// the log's first checkpoint, so the migrated state survives the next
-	// crash. ResumeDurable refuses a Bootstrap against a directory that
-	// already holds WAL state — recovery would otherwise silently prefer
-	// one source over the other.
-	Bootstrap io.Reader
 }
 
 // ResumeDurable opens (or creates) a durable estimator on a write-ahead
@@ -84,6 +75,11 @@ type WALOptions struct {
 // The directory's fingerprint must match cfg (ErrWALMismatch otherwise);
 // an empty or absent directory starts a fresh estimator with an empty
 // log.
+//
+// A directory holding only a checkpoint.reptsnap file — the one CompactWAL
+// leaves there, or any Concurrent.WriteSnapshot image copied in under that
+// name — recovers at the checkpoint's position and logs from there on, so
+// backup and migration are a file copy.
 //
 // The returned estimator accepts all the usual methods; events fed
 // through any ingest path are logged, but only ApplyBatchDurable and
@@ -108,16 +104,10 @@ func ResumeDurable(cfg ConcurrentConfig, opt WALOptions) (*Concurrent, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rept: wal recovery: %w", err)
 	}
-	if opt.Bootstrap != nil && !rec.Empty() {
-		return nil, fmt.Errorf("rept: refusing to bootstrap: the log directory already holds WAL state (remove it, or resume without Bootstrap)")
-	}
 	var sh *shard.Sharded
-	switch {
-	case opt.Bootstrap != nil:
-		sh, err = shard.Resume(scfg, opt.Bootstrap)
-	case rec.Snapshot != nil:
+	if rec.Snapshot != nil {
 		sh, err = shard.Resume(scfg, bytes.NewReader(rec.Snapshot))
-	default:
+	} else {
 		sh, err = shard.New(scfg)
 	}
 	if err != nil {
@@ -155,15 +145,6 @@ func ResumeDurable(cfg ConcurrentConfig, opt WALOptions) (*Concurrent, error) {
 	}
 	sh.StartWAL(lg, opt.SyncInterval)
 	c := &Concurrent{sh: sh, cfg: cfg, tele: cfg.Telemetry, acct: ac, lg: lg, compactEvery: opt.CompactEvery}
-	if opt.Bootstrap != nil {
-		// Persist the bootstrapped state as the log's first checkpoint:
-		// without it the next recovery would find segments starting at
-		// position pos with nothing covering [0, pos) and report a gap.
-		if err := c.CompactWAL(); err != nil {
-			c.Close()
-			return nil, fmt.Errorf("rept: bootstrap checkpoint: %w", err)
-		}
-	}
 	if opt.CompactEvery > 0 {
 		c.compactCh = make(chan struct{}, 1)
 		c.compactWG.Add(1)

@@ -3,11 +3,14 @@ package rept_test
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"rept"
 	"rept/internal/exper"
 	"rept/internal/gen"
+	"rept/internal/wal"
 )
 
 func durableConfig() rept.ConcurrentConfig {
@@ -18,12 +21,9 @@ func durableConfig() rept.ConcurrentConfig {
 	}
 }
 
-// durableStream is loop-free and well-formed (a prefix of a well-formed
-// stream is well-formed) so the recovered estimator can be compared bit
-// for bit against a reference fed the same prefix. Well-formedness
-// matters beyond estimate quality here: a degree table restored from a
-// checkpoint tracks pre-checkpoint deletions through its legacy budget,
-// which matches the never-restarted table only on well-formed input.
+// durableStream is loop-free — self-loops are not logged, so their tally
+// has checkpoint granularity across restarts — so the recovered estimator
+// can be compared bit for bit against a reference fed the same prefix.
 func durableStream(n int) []rept.Update {
 	base := gen.Shuffle(gen.HolmeKim(900, 5, 0.4, 23), 7)
 	ups := exper.DynStream(base, exper.DynOptions{Pattern: exper.Churn, DeleteFrac: 0.3, Seed: 7})
@@ -216,5 +216,121 @@ func TestDurableSelfLoopsNotLogged(t *testing.T) {
 	defer c3.Close()
 	if got := c3.SelfLoops(); got != 0 {
 		t.Fatalf("post-checkpoint SelfLoops = %d, want 0 (loop arrived after the checkpoint)", got)
+	}
+}
+
+// TestResumeDurableExactDegrees: the checkpoint carries the degree
+// tracker's live-edge set, so after a restart the replayed tail drops a
+// re-sent insertion and a deletion of a never-inserted edge exactly as
+// the estimator that acknowledged them did. The exact layout (M = C = 1)
+// makes the degree checkable by hand.
+func TestResumeDurableExactDegrees(t *testing.T) {
+	cfg := rept.ConcurrentConfig{M: 1, C: 1, Seed: 3, TrackLocal: true, TrackDegrees: true, FullyDynamic: true}
+	opt := rept.WALOptions{Dir: t.TempDir()}
+	c, err := rept.ResumeDurable(cfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ApplyAllDurable([]rept.Update{{U: 1, V: 2}, {U: 2, V: 3}, {U: 1, V: 3}, {U: 3, V: 4}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CompactWAL(); err != nil {
+		t.Fatal(err)
+	}
+	// A client retry re-sends 1-2, and 2-5 was never inserted.
+	if err := c.ApplyAllDurable([]rept.Update{{U: 1, V: 2}, {U: 2, V: 5, Del: true}}); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := c.WriteSnapshot(&want); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.StartViews(rept.ViewConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	before := c.View().Stat(1)
+	c.Close()
+
+	c2, err := rept.ResumeDurable(cfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	var got bytes.Buffer
+	if err := c2.WriteSnapshot(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Error("recovered state differs from the state that acknowledged the events")
+	}
+	if _, err := c2.StartViews(rept.ViewConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if after := c2.View().Stat(1); after != before || after.Degree != 2 {
+		t.Errorf("recovered node 1 = %+v, acknowledging state had %+v (degree 2)", after, before)
+	}
+}
+
+// TestResumeDurableFromCopiedSnapshot: backup and migration are a file
+// copy. A Concurrent.WriteSnapshot image placed as the only file of an
+// empty directory recovers at its position, logs a suffix that re-sends a
+// still-live prefix edge, and after a second restart equals an
+// uninterrupted estimator byte for byte.
+func TestResumeDurableFromCopiedSnapshot(t *testing.T) {
+	cfg := durableConfig()
+	ups := durableStream(3000)
+	cut := 1500
+	src, err := rept.NewConcurrent(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.ApplyAll(ups[:cut])
+	var img bytes.Buffer
+	if err := src.WriteSnapshot(&img); err != nil {
+		t.Fatal(err)
+	}
+	src.Close()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, wal.CheckpointName), img.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	live := exper.LiveEdgesOf(ups[:cut])
+	suffix := append([]rept.Update{{U: live[0].U, V: live[0].V}}, ups[cut:]...)
+	opt := rept.WALOptions{Dir: dir}
+	c, err := rept.ResumeDurable(cfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Position(); got != uint64(cut) {
+		t.Fatalf("recovered from the copied image at position %d, want %d", got, cut)
+	}
+	if err := c.ApplyAllDurable(suffix); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	c2, err := rept.ResumeDurable(cfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	ref, err := rept.NewConcurrent(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	ref.ApplyAll(ups[:cut])
+	ref.ApplyAll(suffix)
+
+	var got, want bytes.Buffer
+	if err := c2.WriteSnapshot(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.WriteSnapshot(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("state recovered from a copied snapshot differs from the uninterrupted estimator")
 	}
 }

@@ -59,7 +59,7 @@ type Config struct {
 	// sampled edge's slot is re-filled exactly when its key re-arrives —
 	// so the m²/c unbiasing factors are unchanged; the d_i/d_o pairing
 	// counters are still tracked (Engine.PairingCounters) for diagnostics
-	// and carried by version-3 snapshots.
+	// and carried by snapshots.
 	FullyDynamic bool
 	// TrackEta forces η⁽ⁱ⁾ bookkeeping even when the (M, C) combination
 	// does not require it for the estimate (useful for diagnostics and

@@ -16,16 +16,10 @@ package graph
 // (shard.Config.TrackDegrees) and hosted by a single tracker goroutine,
 // not replicated per processor.
 //
-// One caveat survives checkpointing: the snapshot payload carries only
-// the degree counters (format v2/v3), so a table restored from a
-// checkpoint starts with an empty membership set. Deletions of edges
-// inserted before the checkpoint are then honored best-effort under the
-// historical floor-at-zero semantics, bounded by the number of
-// pre-checkpoint live edges (sum of restored degrees / 2); on well-formed
-// streams — the REPT model, where only live edges are deleted and only
-// non-live ones inserted — a restored table replays exactly like one that
-// never restarted. Only malformed events targeting the pre-checkpoint
-// window escape exact filtering.
+// The membership set is the table's whole state: the degrees follow from
+// it. A checkpoint therefore persists the live edges (LiveEdges), and a
+// restore replays them through AddEdge into a fresh table, which filters
+// later events exactly like the table that was checkpointed.
 //
 // The zero value is not usable; call NewDegreeTable. A DegreeTable is not
 // safe for concurrent use; the shard layer confines each table to one
@@ -33,10 +27,6 @@ package graph
 type DegreeTable struct {
 	deg  NodeTable[degcount]
 	seen edgeSet
-	// legacy is the best-effort budget of pre-restore live edges that are
-	// absent from seen; deletions that miss the membership set decrement
-	// degrees under the historical semantics while it lasts.
-	legacy uint64
 }
 
 // degcount is a per-node degree counter that clamps at the uint32
@@ -52,21 +42,6 @@ const degMax = ^degcount(0)
 
 // NewDegreeTable returns an empty degree table.
 func NewDegreeTable() *DegreeTable { return &DegreeTable{} }
-
-// RestoreDegreeTable builds a table around the exported map form m,
-// copying it (nil is treated as empty). It is the snapshot-restore entry
-// point. The live-edge membership set starts empty (see the type
-// comment); the restored degree mass seeds the legacy-deletion budget.
-func RestoreDegreeTable(m map[NodeID]uint32) *DegreeTable {
-	t := &DegreeTable{}
-	var mass uint64
-	for v, d := range m {
-		*t.deg.ref(v) = degcount(d)
-		mass += uint64(d)
-	}
-	t.legacy = mass / 2
-	return t
-}
 
 // AddEdge records one non-loop edge insertion, incrementing both endpoint
 // degrees. Self-loops and duplicate insertions of a live edge are
@@ -97,21 +72,13 @@ func (t *DegreeTable) bump(v NodeID) {
 // table. Deletions of edges that are not live — self-loops, phantom
 // deletes of never-inserted edges, repeated deletes — are ignored,
 // matching Adjacency.Remove, so a malformed stream can never corrupt the
-// degrees of live edges' endpoints. The one exception is deletions
-// covered by the post-restore legacy budget (see the type comment), which
-// fall back to floor-at-zero decrements. A node saturated at the uint32
+// degrees of live edges' endpoints. A node saturated at the uint32
 // maximum stays saturated (the count is already unreliable there).
 func (t *DegreeTable) RemoveEdge(u, v NodeID) {
 	if u == v {
 		return
 	}
 	if t.seen.remove(Key(u, v)) {
-		t.drop(u)
-		t.drop(v)
-		return
-	}
-	if t.legacy > 0 {
-		t.legacy--
 		t.drop(u)
 		t.drop(v)
 	}
@@ -123,8 +90,8 @@ func (t *DegreeTable) RemoveEdge(u, v NodeID) {
 func (t *DegreeTable) drop(v NodeID) {
 	switch d := t.deg.Get(v); d {
 	case 0, degMax:
-		// Zero (legacy deletion of an unknown edge) or saturated: leave
-		// untouched.
+		// Zero cannot occur for an endpoint of a live edge; saturated
+		// stays untouched.
 	case 1:
 		t.deg.del(v)
 	default:
@@ -147,9 +114,22 @@ func (t *DegreeTable) Degree(v NodeID) uint32 { return uint32(t.deg.Get(v)) }
 // Nodes returns the number of nodes with non-zero degree.
 func (t *DegreeTable) Nodes() int { return t.deg.Len() }
 
-// Edges returns the number of live edges in the membership set. Restored
-// tables undercount by the edges inserted before the checkpoint.
+// Edges returns the number of live edges in the membership set.
 func (t *DegreeTable) Edges() int { return t.seen.n }
+
+// LiveEdges returns a copy of the live-edge membership set in table
+// order, the state a checkpoint persists. Calling AddEdge with each
+// returned edge on a fresh table reproduces this one exactly (degrees
+// below the saturation ceiling are the live-edge counts).
+func (t *DegreeTable) LiveEdges() []Edge {
+	out := make([]Edge, 0, t.seen.n)
+	for _, k := range t.seen.keys {
+		if k != 0 {
+			out = append(out, KeyEdge(k))
+		}
+	}
+	return out
+}
 
 // FootprintBytes returns the table's backing bytes: the flat degree
 // table plus the live-edge membership table. Callers reconcile the
@@ -160,8 +140,7 @@ func (t *DegreeTable) FootprintBytes() int64 {
 
 // Counts returns an immutable copy of the degree counters — two slice
 // copies, however many nodes there are. The live-edge membership set is
-// not copied. It is the per-barrier export that epoch views and
-// checkpoints read.
+// not copied. It is the per-barrier export that epoch views read.
 func (t *DegreeTable) Counts() *DegreeCounts { return &DegreeCounts{t: t.deg.Clone()} }
 
 // DegreeCounts is an immutable copy of a DegreeTable's counters, taken by
@@ -188,7 +167,7 @@ func (c *DegreeCounts) Bytes() int64 {
 }
 
 // Map exports the counters as a freshly built map the caller owns (nil
-// for a nil *DegreeCounts), the form the snapshot codec writes.
+// for a nil *DegreeCounts).
 func (c *DegreeCounts) Map() map[NodeID]uint32 {
 	if c == nil {
 		return nil

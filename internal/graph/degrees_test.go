@@ -54,14 +54,35 @@ func TestDegreeTableSnapshotIsIndependent(t *testing.T) {
 	}
 }
 
-func TestRestoreDegreeTable(t *testing.T) {
-	dt := RestoreDegreeTable(map[NodeID]uint32{4: 7})
-	dt.AddEdge(4, 5)
-	if got := dt.Degree(4); got != 8 {
-		t.Errorf("restored degree(4) = %d, want 8", got)
+// restored rebuilds a table from orig's checkpointed form, the way a
+// snapshot restore does: AddEdge on each of its live edges.
+func restored(orig *DegreeTable) *DegreeTable {
+	dt := NewDegreeTable()
+	for _, e := range orig.LiveEdges() {
+		dt.AddEdge(e.U, e.V)
 	}
-	if nil2 := RestoreDegreeTable(nil); nil2.Degree(1) != 0 || nil2.Nodes() != 0 {
-		t.Error("RestoreDegreeTable(nil) is not an empty usable table")
+	return dt
+}
+
+// TestRestoreDegreeTable: a table rebuilt from another's LiveEdges has
+// the same live edges and degrees.
+func TestRestoreDegreeTable(t *testing.T) {
+	orig := NewDegreeTable()
+	for _, e := range []Edge{{1, 2}, {2, 3}, {1, 3}, {3, 4}, {4, 5}} {
+		orig.AddEdge(e.U, e.V)
+	}
+	orig.RemoveEdge(4, 5)
+	dt := restored(orig)
+	if dt.Edges() != 4 || dt.Nodes() != orig.Nodes() {
+		t.Fatalf("restored table has %d edges over %d nodes, want 4 over %d", dt.Edges(), dt.Nodes(), orig.Nodes())
+	}
+	for v := NodeID(0); v <= 6; v++ {
+		if got, want := dt.Degree(v), orig.Degree(v); got != want {
+			t.Errorf("node %d: restored degree %d, original %d", v, got, want)
+		}
+	}
+	if empty := restored(NewDegreeTable()); empty.Edges() != 0 || empty.Nodes() != 0 {
+		t.Error("restoring an empty table is not empty")
 	}
 }
 
@@ -91,7 +112,9 @@ func TestDegreeTableRemoveEdge(t *testing.T) {
 		t.Errorf("degree(3) after self-loop removal = %d, want 1", dt.Degree(3))
 	}
 	// Saturated nodes stay saturated rather than becoming wrong.
-	sat := RestoreDegreeTable(map[NodeID]uint32{9: ^uint32(0)})
+	sat := NewDegreeTable()
+	sat.AddEdge(9, 10)
+	*sat.deg.ref(9) = degMax
 	sat.RemoveEdge(9, 10)
 	if sat.Degree(9) != ^uint32(0) {
 		t.Errorf("saturated degree decremented to %d", sat.Degree(9))
@@ -126,32 +149,34 @@ func TestDegreeTableDuplicateInsert(t *testing.T) {
 	}
 }
 
-// TestDegreeTableRestoredLegacyDeletes: a table restored from a bare
-// degree map (no membership set) must still honor well-formed deletions
-// of pre-checkpoint edges, bounded by the restored degree mass, while
-// exact filtering applies to post-restore edges.
+// TestDegreeTableRestoredLegacyDeletes: a restored table honors
+// deletions of edges inserted before the checkpoint exactly, and filters
+// phantom deletes and re-sent insertions exactly like the table that was
+// checkpointed.
 func TestDegreeTableRestoredLegacyDeletes(t *testing.T) {
-	// Pre-checkpoint graph: 1-2, 1-3 (degrees 2, 1, 1); two legacy deletes
-	// available.
-	dt := RestoreDegreeTable(map[NodeID]uint32{1: 2, 2: 1, 3: 1})
-	dt.RemoveEdge(1, 2) // legacy: decrements both
-	if dt.Degree(1) != 1 || dt.Degree(2) != 0 {
-		t.Fatalf("after legacy delete: degrees (%d, %d), want (1, 0)", dt.Degree(1), dt.Degree(2))
+	// Pre-checkpoint graph: 1-2, 1-3 (degrees 2, 1, 1).
+	orig := NewDegreeTable()
+	orig.AddEdge(1, 2)
+	orig.AddEdge(1, 3)
+	dt := restored(orig)
+	events := []Update{
+		{U: 2, V: 1, Del: true}, // pre-checkpoint edge: counts
+		{U: 1, V: 4, Del: true}, // never inserted: no-op
+		{U: 3, V: 1},            // re-sent live edge: no-op
+		{U: 1, V: 2, Del: true}, // already deleted: no-op
 	}
-	dt.RemoveEdge(1, 3) // second legacy delete
-	if dt.Degree(1) != 0 || dt.Degree(3) != 0 {
-		t.Fatalf("after second legacy delete: degrees (%d, %d), want (0, 0)", dt.Degree(1), dt.Degree(3))
+	for _, up := range events {
+		orig.ApplyUpdate(up)
+		dt.ApplyUpdate(up)
 	}
-	// Legacy budget exhausted: further unknown deletes are pure no-ops.
-	dt.AddEdge(4, 5)
-	dt.RemoveEdge(4, 6)
-	if dt.Degree(4) != 1 || dt.Degree(5) != 1 {
-		t.Errorf("post-budget phantom delete changed degrees to (%d, %d)", dt.Degree(4), dt.Degree(5))
+	if dt.Degree(1) != 1 || dt.Degree(2) != 0 || dt.Degree(3) != 1 || dt.Edges() != 1 {
+		t.Fatalf("restored degrees (%d, %d, %d) over %d edges, want (1, 0, 1) over 1",
+			dt.Degree(1), dt.Degree(2), dt.Degree(3), dt.Edges())
 	}
-	// Post-restore inserts are filtered exactly.
-	dt.AddEdge(4, 5)
-	if dt.Degree(4) != 1 {
-		t.Errorf("duplicate insert after restore inflated degree to %d", dt.Degree(4))
+	for v := NodeID(1); v <= 4; v++ {
+		if dt.Degree(v) != orig.Degree(v) {
+			t.Errorf("node %d: restored degree %d, never-restarted %d", v, dt.Degree(v), orig.Degree(v))
+		}
 	}
 }
 

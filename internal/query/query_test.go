@@ -46,12 +46,22 @@ func aggregatesOf(c int, tau int64, sums map[graph.NodeID]int64) *core.Aggregate
 	return a
 }
 
-// degreesOf builds degree counters from a map (nil: untracked).
+// degreesOf builds degree counters in which each node v of m has degree
+// m[v] (nil: untracked), by attaching v to m[v] fresh leaves numbered from
+// 1<<31 up — ids no test queries.
 func degreesOf(m map[graph.NodeID]uint32) *graph.DegreeCounts {
 	if m == nil {
 		return nil
 	}
-	return graph.RestoreDegreeTable(m).Counts()
+	dt := graph.NewDegreeTable()
+	leaf := graph.NodeID(1 << 31)
+	for v, d := range m {
+		for ; d > 0; d-- {
+			dt.AddEdge(v, leaf)
+			leaf++
+		}
+	}
+	return dt.Counts()
 }
 
 // viewOf builds an unpublished view over c exact processors' class sums

@@ -3,6 +3,7 @@ package shard_test
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"os"
 	"testing"
 
@@ -13,72 +14,28 @@ import (
 	"rept/internal/snapshot"
 )
 
-// TestResumeVersion2Snapshot: a snapshot written by the version-2 format
-// (golden blob generated before fully-dynamic mode existed) still
-// restores — with the FullyDynamic fingerprint defaulting to off — and
-// keeps estimating.
-func TestResumeVersion2Snapshot(t *testing.T) {
-	data, err := os.ReadFile("testdata/sharded_v2.snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Must match the generator: M 3, C 10, Shards 2, Seed 99,
-	// local+eta+degrees, fed HolmeKim(60, 4, 0.4, 5) shuffled with seed 13.
-	cfg := shard.Config{M: 3, C: 10, Shards: 2, Seed: 99, TrackLocal: true, TrackEta: true, TrackDegrees: true}
-	s, err := shard.Resume(cfg, bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("version-2 snapshot no longer restores: %v", err)
-	}
-	defer s.Close()
+// updateGolden rewrites the golden blob from goldenConfig and
+// goldenStream; use it only together with a Version bump.
+var updateGolden = flag.Bool("update", false, "rewrite testdata/sharded_v5.snap")
 
-	want := uint64(len(gen.HolmeKim(60, 4, 0.4, 5)))
-	if got := s.Processed(); got != want {
-		t.Errorf("restored processed = %d, want %d", got, want)
-	}
-	if got := s.Deleted(); got != 0 {
-		t.Errorf("restored deleted = %d, want 0 (format predates deletions)", got)
-	}
-	if g := s.Snapshot().Global; g < 0 {
-		t.Errorf("restored global estimate = %v", g)
-	}
-	s.Add(1000, 1001)
-	if got := s.Processed(); got != want+1 {
-		t.Errorf("processed after suffix edge = %d, want %d", got, want+1)
-	}
-
-	// A version-2 snapshot carries FullyDynamic=false: restoring it into
-	// a fully-dynamic config must fail loudly, not silently enable
-	// deletions on counters that were never meant to go signed.
-	dyn := cfg
-	dyn.FullyDynamic = true
-	if _, err := shard.Resume(dyn, bytes.NewReader(data)); !errors.Is(err, snapshot.ErrMismatch) {
-		t.Errorf("v2 restore with FullyDynamic on: err = %v, want ErrMismatch", err)
-	}
-}
-
-// goldenV3Config and goldenV3Stream must match the sharded_v3.snap
-// generator exactly.
-func goldenV3Config() shard.Config {
+// goldenConfig and goldenStream generate testdata/sharded_v5.snap.
+func goldenConfig() shard.Config {
 	return shard.Config{M: 3, C: 10, Shards: 2, Seed: 99, TrackLocal: true, TrackEta: true, TrackDegrees: true, FullyDynamic: true}
 }
 
-func goldenV3Stream() []graph.Update {
+func goldenStream() []graph.Update {
 	base := gen.Shuffle(gen.HolmeKim(60, 4, 0.4, 5), 13)
 	return exper.DynStream(base, exper.DynOptions{Pattern: exper.Reinsert, DeleteFrac: 0.35, Seed: 7})
 }
 
-// TestGoldenVersion3Snapshot pins the version-3 wire format: re-running
-// the deterministic deletion-bearing stream that generated the golden
-// blob must reproduce it byte for byte (the encoding is canonical), and
-// restoring the blob must yield an estimator that matches the
-// uninterrupted one exactly.
-func TestGoldenVersion3Snapshot(t *testing.T) {
-	golden, err := os.ReadFile("testdata/sharded_v3.snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := goldenV3Config()
-	ups := goldenV3Stream()
+// TestGoldenVersion5Snapshot pins the wire format: re-running the
+// deterministic deletion-bearing stream that generated the golden blob
+// must reproduce it byte for byte (the encoding is canonical), and
+// restoring the blob must yield a coordinator that checkpoints back to
+// the same bytes.
+func TestGoldenVersion5Snapshot(t *testing.T) {
+	cfg := goldenConfig()
+	ups := goldenStream()
 
 	s, err := shard.New(cfg)
 	if err != nil {
@@ -90,13 +47,22 @@ func TestGoldenVersion3Snapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
+	if *updateGolden {
+		if err := os.WriteFile("testdata/sharded_v5.snap", buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	golden, err := os.ReadFile("testdata/sharded_v5.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(buf.Bytes(), golden) {
-		t.Fatalf("version-3 encoding drifted: regenerated snapshot is %d bytes and differs from the %d-byte golden blob (bump the format version instead of silently changing the encoding)", buf.Len(), len(golden))
+		t.Fatalf("version-%d encoding drifted: regenerated snapshot is %d bytes and differs from the %d-byte golden blob (bump the format version instead of silently changing the encoding)", snapshot.Version, buf.Len(), len(golden))
 	}
 
 	r, err := shard.Resume(cfg, bytes.NewReader(golden))
 	if err != nil {
-		t.Fatalf("golden v3 snapshot does not restore: %v", err)
+		t.Fatalf("golden snapshot does not restore: %v", err)
 	}
 	defer r.Close()
 	var dels uint64
@@ -108,12 +74,19 @@ func TestGoldenVersion3Snapshot(t *testing.T) {
 	if r.Processed() != uint64(len(ups)) || r.Deleted() != dels {
 		t.Errorf("restored tallies = (%d, %d), want (%d, %d)", r.Processed(), r.Deleted(), len(ups), dels)
 	}
+	var again bytes.Buffer
+	if err := r.WriteSnapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), golden) {
+		t.Error("restored coordinator checkpoints to different bytes than the blob it restored")
+	}
 
 	// Restoring under the insert-only interpretation of the same config
 	// must be rejected: the FullyDynamic flag is part of the contract.
 	plain := cfg
 	plain.FullyDynamic = false
 	if _, err := shard.Resume(plain, bytes.NewReader(golden)); !errors.Is(err, snapshot.ErrMismatch) {
-		t.Errorf("v3 FD restore with FullyDynamic off: err = %v, want ErrMismatch", err)
+		t.Errorf("FD restore with FullyDynamic off: err = %v, want ErrMismatch", err)
 	}
 }

@@ -143,3 +143,31 @@ func TestAccountedDispatchSteadyStateZeroAlloc(t *testing.T) {
 		t.Errorf("accounted steady-state dispatch allocates %.1f per %d-event batch, want 0", allocs, len(block))
 	}
 }
+
+// TestResumeChargesDegreeTable: a restored degree tracker's live-edge set
+// is on the ledger as soon as Resume returns, before any ingest.
+func TestResumeChargesDegreeTable(t *testing.T) {
+	cfg := Config{M: 4, C: 4, Shards: 1, Seed: 3, TrackLocal: true, TrackDegrees: true, Mem: mem.New()}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.ApplyBatch(graph.Inserts(gen.Shuffle(gen.HolmeKim(2000, 8, 0.3, 5), 7)))
+	s.Snapshot()
+	want := cfg.Mem.Bytes(mem.CompDegrees)
+	var buf bytes.Buffer
+	if err := s.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	cfg.Mem = mem.New()
+	r, err := Resume(cfg, bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := cfg.Mem.Bytes(mem.CompDegrees); got <= 0 || got > want {
+		t.Errorf("degrees component = %d bytes right after Resume, want in (0, %d]", got, want)
+	}
+}

@@ -3,10 +3,8 @@ package shard
 import (
 	"bytes"
 	"errors"
-	"os"
 	"testing"
 
-	"rept/internal/gen"
 	"rept/internal/graph"
 	"rept/internal/snapshot"
 )
@@ -110,44 +108,5 @@ func TestSnapshotCarriesDegrees(t *testing.T) {
 	noDeg.TrackDegrees = false
 	if _, err := Resume(noDeg, bytes.NewReader(buf.Bytes())); !errors.Is(err, snapshot.ErrMismatch) {
 		t.Errorf("resume with TrackDegrees off: err = %v, want ErrMismatch", err)
-	}
-}
-
-// TestResumeVersion1Snapshot: a snapshot written by the version-1 format
-// (golden blob generated before the degree table existed) still restores
-// and keeps estimating.
-func TestResumeVersion1Snapshot(t *testing.T) {
-	data, err := os.ReadFile("testdata/sharded_v1.snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Must match the generator: M 3, C 10, Shards 2, Seed 99, local+eta,
-	// fed HolmeKim(60, 4, 0.4, 5) shuffled with seed 13.
-	cfg := Config{M: 3, C: 10, Shards: 2, Seed: 99, TrackLocal: true, TrackEta: true}
-	s, err := Resume(cfg, bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("version-1 snapshot no longer restores: %v", err)
-	}
-	defer s.Close()
-
-	want := uint64(len(gen.HolmeKim(60, 4, 0.4, 5)))
-	if got := s.Processed(); got != want {
-		t.Errorf("restored processed = %d, want %d", got, want)
-	}
-	// The restored estimator still answers and keeps accepting edges.
-	if g := s.Snapshot().Global; g < 0 {
-		t.Errorf("restored global estimate = %v", g)
-	}
-	s.Add(1000, 1001)
-	if got := s.Processed(); got != want+1 {
-		t.Errorf("processed after suffix edge = %d, want %d", got, want+1)
-	}
-
-	// A version-1 snapshot has no degree table: restoring it into a
-	// degree-tracking config must fail loudly, not invent zeros.
-	withDeg := cfg
-	withDeg.TrackDegrees = true
-	if _, err := Resume(withDeg, bytes.NewReader(data)); !errors.Is(err, snapshot.ErrMismatch) {
-		t.Errorf("v1 restore with TrackDegrees on: err = %v, want ErrMismatch", err)
 	}
 }

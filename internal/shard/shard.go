@@ -85,9 +85,10 @@ type Config struct {
 	TrackEta bool
 	// TrackDegrees maintains a per-node degree table alongside the shards:
 	// a dedicated tracker goroutine receives the same edge broadcast and
-	// counts arrivals per endpoint, so barrier snapshots can report degrees
-	// at exactly the same stream prefix as the estimates. Needed for
-	// clustering-coefficient queries; costs O(V) memory.
+	// keeps the live graph's degrees, so barrier snapshots can report
+	// degrees at exactly the same stream prefix as the estimates. Needed
+	// for clustering-coefficient queries; costs O(V + E) memory (the
+	// live-edge set, which checkpoints carry).
 	TrackDegrees bool
 	// BatchSize is the ingest hand-off batch length (default 1024): Add
 	// appends under a mutex and full batches are broadcast to the shard
@@ -205,9 +206,11 @@ type barrier struct {
 	// prefix, so estimates stay merge-compatible (equal shift everywhere).
 	downshift int
 	errs      []error
-	// degrees is the degree tracker's counter copy at the barrier prefix;
-	// nil when degree tracking is off.
-	degrees *graph.DegreeCounts
+	// degrees is the degree tracker's counter copy at the barrier prefix
+	// for aggregate barriers, and liveEdges its live-edge set for
+	// checkpoint barriers; both nil when degree tracking is off.
+	degrees   *graph.DegreeCounts
+	liveEdges []graph.Edge
 	// processed, deleted, and selfLoops are the coordinator tallies
 	// captured while the barrier was enqueued (under the ingest mutex),
 	// so they match the stream prefix the shard reports describe.
@@ -311,9 +314,9 @@ func New(cfg Config) (*Sharded, error) {
 }
 
 // build constructs the coordinator, restoring each shard engine from the
-// corresponding state when restore is non-nil (see Resume). restoreDegrees
+// corresponding state when restore is non-nil (see Resume). liveEdges
 // seeds the degree tracker; it is only meaningful with Config.TrackDegrees.
-func build(cfg Config, restore []snapshot.EngineState, restoreDegrees map[graph.NodeID]uint32) (*Sharded, error) {
+func build(cfg Config, restore []snapshot.EngineState, liveEdges []graph.Edge) (*Sharded, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -388,9 +391,18 @@ func build(cfg Config, restore []snapshot.EngineState, restoreDegrees map[graph.
 		go s.run(i)
 	}
 	if cfg.TrackDegrees {
+		table := graph.NewDegreeTable()
+		for _, e := range liveEdges {
+			table.AddEdge(e.U, e.V)
+		}
+		// A restored live-edge set is O(E): charge it now rather than at
+		// the first batch, so the ledger is right from the moment a
+		// restored estimator is handed out.
+		fp := table.FootprintBytes()
+		s.acct.Add(mem.CompDegrees, fp)
 		s.degRing = s.newAccountedRing(queueLen)
 		s.done.Add(1)
-		go s.runDegrees(graph.RestoreDegreeTable(restoreDegrees))
+		go s.runDegrees(table, fp)
 	}
 	return s, nil
 }
@@ -432,23 +444,24 @@ func (s *Sharded) putBatch(b *batch) {
 
 // runDegrees is the degree tracker goroutine: it consumes the same
 // batch/barrier sequence as the engine shards, so the table it copies into
-// each barrier describes exactly the barrier's stream prefix.
-func (s *Sharded) runDegrees(table *graph.DegreeTable) {
+// each barrier describes exactly the barrier's stream prefix. acBytes is
+// the table footprint last reported to the ledger, reconciled against
+// FootprintBytes once per batch rather than hooked at growth.
+func (s *Sharded) runDegrees(table *graph.DegreeTable, acBytes int64) {
 	defer s.done.Done()
-	// acBytes is the table footprint last reported to the ledger,
-	// reconciled against FootprintBytes once per batch rather than hooked
-	// at growth.
-	var acBytes int64
 	for {
 		m, ok := s.degRing.pop()
 		if !ok {
 			return
 		}
 		if m.bar != nil {
-			// Downsample-only barriers skip the table copy: degrees track
-			// the full stream and are untouched by resampling.
-			if m.bar.aggs != nil || m.bar.states != nil {
+			// Downsample-only barriers skip the copy: degrees track the
+			// full stream and are untouched by resampling.
+			switch {
+			case m.bar.aggs != nil:
 				m.bar.degrees = table.Counts()
+			case m.bar.states != nil:
+				m.bar.liveEdges = table.LiveEdges()
 			}
 			m.bar.wg.Done()
 			continue

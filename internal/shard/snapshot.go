@@ -46,7 +46,7 @@ func (s *Sharded) WriteSnapshotPos(w io.Writer) (uint64, error) {
 		Deleted:      bar.deleted,
 		SelfLoops:    bar.selfLoops,
 		TrackDegrees: s.cfg.TrackDegrees,
-		Degrees:      bar.degrees.Map(),
+		Degrees:      bar.liveEdges,
 		Shards:       make([]snapshot.EngineState, len(bar.states)),
 	}
 	for i, es := range bar.states {

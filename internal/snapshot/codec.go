@@ -20,9 +20,6 @@ type encoder struct {
 	crc hash.Hash32
 	buf [binary.MaxVarintLen64]byte
 	err error
-	// version is the format version this encoder emits, chosen by the
-	// writer entry points (the oldest version representing the state).
-	version uint64
 }
 
 func newEncoder(w io.Writer) *encoder {
@@ -62,9 +59,9 @@ func (e *encoder) uvarint(x uint64) {
 	e.write(e.buf[:n])
 }
 
-// svarint writes a zigzag-encoded signed varint — the version-3 encoding
-// of the statistical counters, which fully-dynamic streams drive
-// transiently negative.
+// svarint writes a zigzag-encoded signed varint — the encoding of the
+// statistical counters, which fully-dynamic streams drive transiently
+// negative.
 func (e *encoder) svarint(x int64) {
 	n := binary.PutVarint(e.buf[:], x)
 	e.write(e.buf[:n])
@@ -75,10 +72,9 @@ func (e *encoder) u64(x uint64) {
 	e.write(e.buf[:8])
 }
 
-func (e *encoder) header(kind byte, version uint64) {
-	e.version = version
+func (e *encoder) header(kind byte) {
 	e.write(magic[:])
-	e.uvarint(version)
+	e.uvarint(Version)
 	e.byte(kind)
 }
 
@@ -107,11 +103,7 @@ func (e *encoder) engineBody(st *EngineState) {
 	e.uvarint(st.Processed)
 	e.uvarint(st.Deleted)
 	e.uvarint(st.SelfLoops)
-	if e.version >= 4 {
-		e.uvarint(uint64(st.SampleShift))
-	} else if st.SampleShift != 0 {
-		e.fail(fmt.Errorf("snapshot: sample shift %d cannot be written at version %d", st.SampleShift, e.version))
-	}
+	e.uvarint(uint64(st.SampleShift))
 	for i := range st.Procs {
 		p := &st.Procs[i]
 		e.svarint(p.Tau)
@@ -154,7 +146,8 @@ func (e *encoder) deltaKeys(keys []uint64, val func(k uint64)) {
 	}
 }
 
-// edgeSet writes the sampled edges as delta-encoded sorted canonical keys.
+// edgeSet writes an edge set — a processor's sampled edges or the degree
+// tracker's live edges — as delta-encoded sorted canonical keys.
 func (e *encoder) edgeSet(edges []graph.Edge) {
 	keys := make([]uint64, len(edges))
 	for i, ed := range edges {
@@ -179,17 +172,6 @@ func (e *encoder) nodeMap(m map[graph.NodeID]int64) {
 	e.deltaKeys(keys, func(k uint64) { e.svarint(m[graph.NodeID(k)]) })
 }
 
-// degreeMap writes the coordinator degree table: sorted delta-encoded
-// node ids with their uvarint degrees (the same shape as nodeMap, minus
-// the presence flag, which the sharded payload carries as trackDegrees).
-func (e *encoder) degreeMap(m map[graph.NodeID]uint32) {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, uint64(k))
-	}
-	e.deltaKeys(keys, func(k uint64) { e.uvarint(uint64(m[graph.NodeID(k)])) })
-}
-
 // tcntMap writes the per-edge closing counters, sorted by edge key.
 func (e *encoder) tcntMap(m map[uint64]int32) {
 	if m == nil {
@@ -211,9 +193,6 @@ type decoder struct {
 	r   *bufio.Reader
 	crc hash.Hash32
 	one [1]byte
-	// version is the format version read from the header; pre-version-3
-	// payloads encode counters as plain uvarints instead of zigzag.
-	version uint64
 }
 
 func newDecoder(r io.Reader) *decoder {
@@ -256,24 +235,13 @@ func (d *decoder) uvarint(what string) (uint64, error) {
 	return x, nil
 }
 
-// svarint reads one signed counter: zigzag in version ≥ 3, plain uvarint
-// (necessarily non-negative, range-checked) before that.
+// svarint reads one zigzag-encoded signed counter.
 func (d *decoder) svarint(what string) (int64, error) {
-	if d.version >= 3 {
-		x, err := binary.ReadVarint(d)
-		if err != nil {
-			return 0, corrupt(what, err)
-		}
-		return x, nil
-	}
-	x, err := d.uvarint(what)
+	x, err := binary.ReadVarint(d)
 	if err != nil {
-		return 0, err
+		return 0, corrupt(what, err)
 	}
-	if x > math.MaxInt64 {
-		return 0, fmt.Errorf("%w: %s %d overflows int64", ErrCorrupt, what, x)
-	}
-	return int64(x), nil
+	return x, nil
 }
 
 func (d *decoder) count(what string) (int, error) {
@@ -310,34 +278,32 @@ func (d *decoder) u64(what string) (uint64, error) {
 	return binary.LittleEndian.Uint64(p[:]), nil
 }
 
-// header checks the magic and version and returns the snapshot kind and
-// format version. Every version in [1, Version] is accepted; kind-specific
-// decoders use the version to skip sections the writer predates.
-func (d *decoder) header() (byte, uint64, error) {
+// header checks the magic and version and returns the snapshot kind.
+// Only Version is accepted.
+func (d *decoder) header() (byte, error) {
 	var m [8]byte
 	if _, err := io.ReadFull(d.r, m[:]); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return 0, 0, ErrBadMagic
+			return 0, ErrBadMagic
 		}
-		return 0, 0, corrupt("magic", err)
+		return 0, corrupt("magic", err)
 	}
 	if m != magic {
-		return 0, 0, ErrBadMagic
+		return 0, ErrBadMagic
 	}
 	d.crc.Write(m[:])
 	v, err := d.uvarint("version")
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	if v < 1 || v > Version {
-		return 0, 0, fmt.Errorf("snapshot: unsupported format version %d (this build reads versions 1 through %d)", v, Version)
+	if v != Version {
+		return 0, fmt.Errorf("snapshot: unsupported format version %d (this build reads only version %d)", v, Version)
 	}
 	kind, err := d.ReadByte()
 	if err != nil {
-		return 0, 0, corrupt("kind", err)
+		return 0, corrupt("kind", err)
 	}
-	d.version = v
-	return kind, v, nil
+	return kind, nil
 }
 
 // trailer verifies the CRC over everything read so far.
@@ -378,10 +344,8 @@ func (d *decoder) fingerprint() (Fingerprint, error) {
 	if f.TrackEta, err = d.bool("TrackEta"); err != nil {
 		return f, err
 	}
-	if d.version >= 3 {
-		if f.FullyDynamic, err = d.bool("FullyDynamic"); err != nil {
-			return f, err
-		}
+	if f.FullyDynamic, err = d.bool("FullyDynamic"); err != nil {
+		return f, err
 	}
 	return f, validFingerprint(f)
 }
@@ -395,24 +359,20 @@ func (d *decoder) engineBody() (*EngineState, error) {
 	if st.Processed, err = d.uvarint("processed"); err != nil {
 		return nil, err
 	}
-	if d.version >= 3 {
-		if st.Deleted, err = d.uvarint("deleted"); err != nil {
-			return nil, err
-		}
+	if st.Deleted, err = d.uvarint("deleted"); err != nil {
+		return nil, err
 	}
 	if st.SelfLoops, err = d.uvarint("selfLoops"); err != nil {
 		return nil, err
 	}
-	if d.version >= 4 {
-		shift, err := d.uvarint("sampleShift")
-		if err != nil {
-			return nil, err
-		}
-		if shift > 63 {
-			return nil, fmt.Errorf("%w: sample shift %d out of range [0, 63]", ErrCorrupt, shift)
-		}
-		st.SampleShift = int(shift)
+	shift, err := d.uvarint("sampleShift")
+	if err != nil {
+		return nil, err
 	}
+	if shift > 63 {
+		return nil, fmt.Errorf("%w: sample shift %d out of range [0, 63]", ErrCorrupt, shift)
+	}
+	st.SampleShift = int(shift)
 	st.Procs = make([]ProcState, 0, min(st.C, maxPrealloc))
 	for i := 0; i < st.C; i++ {
 		p, err := d.proc()
@@ -433,16 +393,14 @@ func (d *decoder) proc() (ProcState, error) {
 	if p.Eta, err = d.svarint("eta"); err != nil {
 		return p, err
 	}
-	if d.version >= 3 {
-		if p.Di, err = d.uvarint("di"); err != nil {
-			return p, err
-		}
-		if p.Do, err = d.uvarint("do"); err != nil {
-			return p, err
-		}
-		if p.Phantom, err = d.uvarint("phantom"); err != nil {
-			return p, err
-		}
+	if p.Di, err = d.uvarint("di"); err != nil {
+		return p, err
+	}
+	if p.Do, err = d.uvarint("do"); err != nil {
+		return p, err
+	}
+	if p.Phantom, err = d.uvarint("phantom"); err != nil {
+		return p, err
 	}
 	if p.Edges, err = d.edgeSet(); err != nil {
 		return p, err
@@ -526,34 +484,6 @@ func (d *decoder) nodeMap(what string) (map[graph.NodeID]int64, error) {
 			return err
 		}
 		out[graph.NodeID(k)] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// degreeMap reads the coordinator degree table written by the encoder's
-// degreeMap (version ≥ 2 sharded payloads with trackDegrees set).
-func (d *decoder) degreeMap() (map[graph.NodeID]uint32, error) {
-	n, err := d.count("degree count")
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[graph.NodeID]uint32, min(n, maxPrealloc))
-	err = d.deltaKeys(n, "degree", func(k uint64) error {
-		if err := nodeOutOfRange(k); err != nil {
-			return err
-		}
-		v, err := d.uvarint("degree value")
-		if err != nil {
-			return err
-		}
-		if v > uint64(^uint32(0)) {
-			return fmt.Errorf("%w: degree %d overflows uint32", ErrCorrupt, v)
-		}
-		out[graph.NodeID(k)] = uint32(v)
 		return nil
 	})
 	if err != nil {

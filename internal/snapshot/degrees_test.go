@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"reflect"
 	"strings"
@@ -22,7 +23,7 @@ func fixCRC(data []byte) {
 func testShardedStateWithDegrees() *ShardedState {
 	st := testShardedState()
 	st.TrackDegrees = true
-	st.Degrees = map[graph.NodeID]uint32{1: 4, 9: 1, 2: 7, 4000: 2}
+	st.Degrees = []graph.Edge{{U: 9, V: 1}, {U: 2, V: 4000}, {U: 1, V: 2}, {U: 0, V: 7}}
 	return st
 }
 
@@ -35,6 +36,8 @@ func encodeSharded(t *testing.T, st *ShardedState) []byte {
 	return buf.Bytes()
 }
 
+// TestShardedDegreesRoundTrip: the degree tracker's live-edge set comes
+// back as the same edges, canonical and sorted by key.
 func TestShardedDegreesRoundTrip(t *testing.T) {
 	st := testShardedStateWithDegrees()
 	got, err := ReadSharded(bytes.NewReader(encodeSharded(t, st)))
@@ -44,27 +47,30 @@ func TestShardedDegreesRoundTrip(t *testing.T) {
 	if !got.TrackDegrees {
 		t.Fatal("TrackDegrees lost in round trip")
 	}
-	if !reflect.DeepEqual(got.Degrees, st.Degrees) {
-		t.Errorf("degrees = %v, want %v", got.Degrees, st.Degrees)
+	want := []graph.Edge{{U: 0, V: 7}, {U: 1, V: 2}, {U: 1, V: 9}, {U: 2, V: 4000}}
+	if !reflect.DeepEqual(got.Degrees, want) {
+		t.Errorf("live edges = %v, want %v", got.Degrees, want)
 	}
 
-	// Without tracking, the flag round-trips false and the map stays nil.
+	// Without tracking, the flag round-trips false and the set stays nil.
 	plain, err := ReadSharded(bytes.NewReader(encodeSharded(t, testShardedState())))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.TrackDegrees || plain.Degrees != nil {
-		t.Errorf("degree-less round trip = tracked %v map %v", plain.TrackDegrees, plain.Degrees)
+		t.Errorf("degree-less round trip = tracked %v edges %v", plain.TrackDegrees, plain.Degrees)
 	}
 }
 
-// TestShardedDegreesCanonical: two encodings of the same state are
-// byte-identical (map iteration order must not leak into the bytes).
+// TestShardedDegreesCanonical: the live-edge set encodes to the same
+// bytes whatever order the tracker's table held it in.
 func TestShardedDegreesCanonical(t *testing.T) {
 	a := encodeSharded(t, testShardedStateWithDegrees())
-	for i := 0; i < 8; i++ {
-		if !bytes.Equal(a, encodeSharded(t, testShardedStateWithDegrees())) {
-			t.Fatal("degree encoding is not canonical")
+	st := testShardedStateWithDegrees()
+	for i := range st.Degrees {
+		st.Degrees = append(st.Degrees[1:], st.Degrees[0])
+		if !bytes.Equal(a, encodeSharded(t, st)) {
+			t.Fatalf("live-edge encoding depends on input order (rotation %d)", i+1)
 		}
 	}
 }
@@ -85,47 +91,51 @@ func TestShardedDegreesCorruption(t *testing.T) {
 	}
 }
 
-func TestVersionBounds(t *testing.T) {
-	data := encodeSharded(t, testShardedState())
-	// Byte 8 is the single-byte version varint. Writers emit the oldest
-	// representable version: 3 while no engine carries a sample shift,
-	// Version (4) once one does.
-	if data[8] != 3 {
-		t.Fatalf("version byte = %d, want 3 for a shift-free state", data[8])
+// TestShardedDegreesRejectBadKeys: a live-edge key that is a self-loop
+// or not canonical (U > V) is ErrCorrupt; the degree tracker stores
+// neither, so only a damaged or forged snapshot carries one.
+func TestShardedDegreesRejectBadKeys(t *testing.T) {
+	loop := testShardedStateWithDegrees()
+	loop.Degrees = []graph.Edge{{U: 3, V: 3}}
+	if _, err := ReadSharded(bytes.NewReader(encodeSharded(t, loop))); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "self-loop") {
+		t.Errorf("self-loop live edge: err = %v, want self-loop ErrCorrupt", err)
 	}
-	shifted := testShardedState()
-	shifted.Shards[0].SampleShift = 2
-	if sb := encodeSharded(t, shifted)[8]; sb != Version {
-		t.Fatalf("version byte = %d, want %d for a downsampled state", sb, Version)
+
+	// The trackDegrees flag is the first byte where the encodings with
+	// and without live edges differ; the edge count and the one key
+	// follow it. Swap the key's halves and refresh the CRC.
+	one := testShardedStateWithDegrees()
+	one.Degrees = []graph.Edge{{U: 1, V: 2}}
+	data := encodeSharded(t, one)
+	plain := encodeSharded(t, testShardedState())
+	i := 0
+	for data[i] == plain[i] {
+		i++
 	}
-	data[8] = 0
-	if _, err := ReadSharded(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "version 0") {
-		t.Errorf("version 0: err = %v, want unsupported-version error", err)
+	key := binary.AppendUvarint(nil, graph.Key(1, 2))
+	swapped := binary.AppendUvarint(nil, 2<<32|1)
+	if data[i+1] != 1 || !bytes.Equal(data[i+2:i+2+len(key)], key) || len(swapped) != len(key) {
+		t.Fatal("live-edge section not where expected")
 	}
-	data[8] = Version + 1
-	if _, err := ReadSharded(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "unsupported format version") {
-		t.Errorf("future version: err = %v, want unsupported-version error", err)
+	copy(data[i+2:], swapped)
+	fixCRC(data)
+	if _, err := ReadSharded(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "not canonical") {
+		t.Errorf("non-canonical live edge: err = %v, want not-canonical ErrCorrupt", err)
 	}
 }
 
-// TestDegreeOverflowRejected: a degree above uint32 in the wire bytes is
-// ErrCorrupt, not a silent truncation. Build it by hand-patching the
-// degree value varint of a one-node table.
-func TestDegreeOverflowRejected(t *testing.T) {
-	st := testShardedStateWithDegrees()
-	st.Degrees = map[graph.NodeID]uint32{1: ^uint32(0)}
-	data := encodeSharded(t, st)
-	// The max-uint32 varint 0xFF 0xFF 0xFF 0xFF 0x0F appears exactly once;
-	// bump its top group to overflow 32 bits and refresh the CRC.
-	pat := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
-	i := bytes.Index(data, pat)
-	if i < 0 {
-		t.Fatal("max-uint32 varint not found in encoding")
+func TestVersionBounds(t *testing.T) {
+	data := encodeSharded(t, testShardedState())
+	// Byte 8 is the single-byte version varint.
+	if data[8] != Version {
+		t.Fatalf("version byte = %d, want %d", data[8], Version)
 	}
-	data[i+4] = 0x1F
-	fixCRC(data)
-	_, err := ReadSharded(bytes.NewReader(data))
-	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "overflows uint32") {
-		t.Errorf("err = %v, want degree-overflow ErrCorrupt", err)
+	for _, v := range []byte{0, 3, 4, Version + 1} {
+		bad := append([]byte{}, data...)
+		bad[8] = v
+		want := fmt.Sprintf("unsupported format version %d", v)
+		if _, err := ReadSharded(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("version %d: err = %v, want %q", v, err, want)
+		}
 	}
 }

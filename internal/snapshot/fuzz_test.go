@@ -7,19 +7,24 @@ import (
 
 // FuzzReadSnapshot: the decoder must never panic or allocate unboundedly,
 // whatever bytes it is fed — malformed input returns an error. The seed
-// corpus holds valid snapshots of both kinds so mutations explore deep
-// decode paths rather than dying on the magic check.
+// corpus holds valid snapshots of both kinds, one of them carrying the
+// degree tracker's live edges, so mutations explore deep decode paths
+// rather than dying on the magic check.
 func FuzzReadSnapshot(f *testing.F) {
 	var eng bytes.Buffer
 	if err := WriteEngine(&eng, testEngineState()); err != nil {
 		f.Fatal(err)
 	}
-	var sh bytes.Buffer
+	var sh, deg bytes.Buffer
 	if err := WriteSharded(&sh, testShardedState()); err != nil {
+		f.Fatal(err)
+	}
+	if err := WriteSharded(&deg, testShardedStateWithDegrees()); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(eng.Bytes())
 	f.Add(sh.Bytes())
+	f.Add(deg.Bytes())
 	f.Add([]byte("REPTSNAP"))
 	f.Add(append(append([]byte{}, eng.Bytes()[:12]...), 0xff, 0xff, 0xff, 0xff, 0xff))
 	f.Add([]byte{})

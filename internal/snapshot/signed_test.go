@@ -8,9 +8,9 @@ import (
 	"rept/internal/graph"
 )
 
-// TestSignedCounterRoundTrip: version 3's reason to exist — transiently
-// negative counters, the deletion tallies, and the random-pairing
-// counters all survive an encode/decode cycle exactly.
+// TestSignedCounterRoundTrip: transiently negative counters, the
+// deletion tallies, and the random-pairing counters all survive an
+// encode/decode cycle exactly.
 func TestSignedCounterRoundTrip(t *testing.T) {
 	st := &EngineState{
 		Fingerprint: Fingerprint{M: 3, C: 2, Seed: -9, TrackLocal: true, TrackEta: true, FullyDynamic: true},
@@ -76,7 +76,7 @@ func TestFingerprintFullyDynamicMismatch(t *testing.T) {
 }
 
 // TestShardedDeletedTallyRoundTrip: the coordinator-level deleted tally
-// is carried by version-3 sharded payloads.
+// is carried by sharded payloads.
 func TestShardedDeletedTallyRoundTrip(t *testing.T) {
 	st := &ShardedState{
 		Fingerprint: Fingerprint{M: 2, C: 2, Seed: 5, FullyDynamic: true},

@@ -1,5 +1,5 @@
-// Package snapshot implements the versioned binary format that persists
-// REPT estimator state across restarts: the configuration fingerprint,
+// Package snapshot implements the binary format that persists REPT
+// estimator state across restarts: the configuration fingerprint,
 // every logical processor's sampled adjacency E⁽ⁱ⁾, the τ⁽ⁱ⁾/η⁽ⁱ⁾
 // counters (global and per-node), the per-edge triangle counters that
 // Algorithm 2 needs to keep η⁽ⁱ⁾ incremental, and the processed/self-loop
@@ -12,42 +12,33 @@
 // A snapshot is
 //
 //	magic   "REPTSNAP"            (8 bytes)
-//	version uvarint               (see Version; writers emit the oldest
-//	                               version representing the state)
+//	version uvarint               (always Version)
 //	kind    byte                  (1 = single engine, 2 = sharded)
 //	payload                       (kind-specific, see below)
 //	crc32   IEEE, little-endian   (4 bytes, over everything above)
 //
 // All integers in the payload are unsigned varints except seeds, which are
 // fixed 8-byte little-endian (a seed is arbitrary 64-bit entropy, so
-// varint encoding would usually cost more). Sets and maps are written
+// varint encoding would usually cost more), and the statistical counters,
+// which are zigzag signed varints (fully-dynamic streams drive
+// per-processor counters transiently negative). Sets and maps are written
 // sorted by key with delta-encoded keys, which both compresses well (edge
 // keys of a sampled adjacency cluster by high node id) and makes encoding
 // canonical: two snapshots of the same state are byte-identical.
 //
 // The engine payload is the fingerprint (M, C, seed, trackLocal,
-// trackEta and, since version 3, fullyDynamic), the processed, deleted
-// (version ≥ 3) and self-loop tallies, the sample down-shift (version
-// ≥ 4), and then C processor records:
-// τ⁽ⁱ⁾, η⁽ⁱ⁾, the random-pairing deletion counters d_i/d_o/phantom
-// (version ≥ 3), the sorted sampled edge keys, the τ⁽ⁱ⁾_v and η⁽ⁱ⁾_v
-// maps, and the per-edge triangle counters. Version 3 made every
-// statistical counter SIGNED (zigzag varints) because fully-dynamic
-// streams produce transiently negative per-processor counters; versions
-// 1 and 2 encode the same fields as plain uvarints and decode into the
-// signed representation. The sharded payload is the coordinator
-// fingerprint, the shard count, the coordinator tallies (deleted since
-// version 3), the coordinator-level degree table (version ≥ 2: a
-// presence flag, then sorted delta-encoded node ids with uvarint degrees
-// — the table backing clustering-coefficient queries), and then one
-// engine payload per shard in shard order.
+// trackEta, fullyDynamic), the processed, deleted and self-loop tallies,
+// the sample down-shift, and then C processor records: τ⁽ⁱ⁾, η⁽ⁱ⁾, the
+// random-pairing deletion counters d_i/d_o/phantom, the sorted sampled
+// edge keys, the τ⁽ⁱ⁾_v and η⁽ⁱ⁾_v maps, and the per-edge triangle
+// counters. The sharded payload is the coordinator fingerprint, the shard
+// count, the coordinator tallies, the degree tracker's live-edge set (a
+// presence flag, then the sorted delta-encoded edge keys — a restore
+// rebuilds the degree table behind clustering-coefficient queries from
+// it), and then one engine payload per shard in shard order.
 //
-// The version field is bumped on any incompatible change; readers reject
-// versions they do not understand rather than guessing, and keep reading
-// every older version (a version-1 sharded snapshot restores with no
-// degree table). It is also the hook for future cross-node state handoff:
-// a newer node can keep emitting version-N snapshots while older peers
-// are still draining.
+// There is one format version. Any change to the encoding bumps Version,
+// and readers reject every other version rather than guessing.
 //
 // The whole package is marked deterministic: encodings are canonical, so
 // no code here may depend on map iteration order (reptvet's detorder
@@ -68,16 +59,8 @@ import (
 	"rept/internal/graph"
 )
 
-// Version is the highest format version this build writes and reads.
-// Readers accept every version in [1, Version]: version 2 added the
-// coordinator degree table to sharded payloads; version 3 added
-// fully-dynamic streams (signed counters, deletion tallies, and the
-// random-pairing d_i/d_o counters); version 4 added the per-engine
-// sample down-shift written by adaptive resampling. Writers emit the
-// OLDEST version that can represent the state — version 3 whenever no
-// engine has downsampled — so snapshots stay byte-identical with older
-// builds until the new feature is actually exercised.
-const Version = 4
+// Version is the one format version this build writes and reads.
+const Version = 5
 
 // Snapshot kinds.
 const (
@@ -115,7 +98,6 @@ type Fingerprint struct {
 	TrackLocal bool
 	TrackEta   bool
 	// FullyDynamic records whether the engine accepted deletion events.
-	// Snapshots written before version 3 decode with it false.
 	FullyDynamic bool
 }
 
@@ -189,7 +171,7 @@ type ProcState struct {
 	// Di, Do, and Phantom are the random-pairing deletion counters:
 	// deletions of sampled edges (d_i), of unsampled edges (d_o), and of
 	// edges that were never inserted despite a matching hash color
-	// (malformed streams). All zero before format version 3.
+	// (malformed streams).
 	Di, Do, Phantom uint64
 	// Edges is the sampled edge set E⁽ⁱ⁾, sorted by canonical key.
 	Edges []graph.Edge
@@ -207,35 +189,12 @@ type EngineState struct {
 	Processed, Deleted, SelfLoops uint64
 	// SampleShift is the cumulative sample down-shift applied by adaptive
 	// resampling (core.Engine.Downsample): the sampled edge sets below were
-	// drawn at the effective probability 1/(M·2^SampleShift). Written since
-	// format version 4; snapshots of engines that never downsampled are
-	// emitted as version 3 and decode with SampleShift 0. Deliberately NOT
-	// part of the fingerprint: the shift is estimator state (like the
+	// drawn at the effective probability 1/(M·2^SampleShift). Deliberately
+	// NOT part of the fingerprint: the shift is estimator state (like the
 	// counters), not configuration — a resumed engine re-adapts under its
 	// own controller.
 	SampleShift int
 	Procs       []ProcState
-}
-
-// maxEngineShift returns the highest SampleShift across engines, the
-// value that decides whether a writer needs version 4.
-func maxEngineShift(engines []EngineState) int {
-	s := 0
-	for i := range engines {
-		if engines[i].SampleShift > s {
-			s = engines[i].SampleShift
-		}
-	}
-	return s
-}
-
-// writeVersion picks the oldest format version that represents states
-// with the given maximum sample shift.
-func writeVersion(maxShift int) uint64 {
-	if maxShift != 0 {
-		return 4
-	}
-	return 3
 }
 
 // ShardedState is the barrier-consistent state of a shard.Sharded
@@ -253,11 +212,13 @@ type ShardedState struct {
 	// TrackDegrees records whether the coordinator maintained a degree
 	// table; like the fingerprint fields it is part of the restore
 	// contract (a restore must not silently lose or invent degrees).
-	// Version-1 snapshots decode with TrackDegrees false.
 	TrackDegrees bool
-	// Degrees is the coordinator degree table at the checkpoint prefix;
-	// nil unless TrackDegrees.
-	Degrees map[graph.NodeID]uint32
+	// Degrees is the degree tracker's live-edge set at the checkpoint
+	// prefix, in any order (the encoder sorts it); nil unless
+	// TrackDegrees. A restore rebuilds the degree table edge by edge, so
+	// the table keeps dropping re-sent insertions and deletions of edges
+	// that are not live exactly as the one that wrote the snapshot.
+	Degrees []graph.Edge
 	Shards  []EngineState
 }
 
@@ -267,7 +228,7 @@ func WriteEngine(w io.Writer, st *EngineState) error {
 		return fmt.Errorf("snapshot: engine state has %d processors, fingerprint says C=%d", len(st.Procs), st.C)
 	}
 	e := newEncoder(w)
-	e.header(KindEngine, writeVersion(st.SampleShift))
+	e.header(KindEngine)
 	e.engineBody(st)
 	e.trailer()
 	return e.err
@@ -285,7 +246,7 @@ func WriteSharded(w io.Writer, st *ShardedState) error {
 		return fmt.Errorf("snapshot: sharded state has %d shards, header says %d", len(st.Shards), st.ShardCount)
 	}
 	e := newEncoder(w)
-	e.header(KindSharded, writeVersion(maxEngineShift(st.Shards)))
+	e.header(KindSharded)
 	e.fingerprint(st.Fingerprint)
 	e.uvarint(uint64(st.ShardCount))
 	e.uvarint(st.Processed)
@@ -293,7 +254,7 @@ func WriteSharded(w io.Writer, st *ShardedState) error {
 	e.uvarint(st.SelfLoops)
 	e.bool(st.TrackDegrees)
 	if st.TrackDegrees {
-		e.degreeMap(st.Degrees)
+		e.edgeSet(st.Degrees)
 	}
 	for i := range st.Shards {
 		sh := &st.Shards[i]
@@ -334,7 +295,7 @@ func kindName(k byte) string {
 // read decodes one snapshot, requiring kind wantKind (0 accepts any).
 func read(r io.Reader, wantKind byte) (*EngineState, *ShardedState, error) {
 	d := newDecoder(r)
-	kind, version, err := d.header()
+	kind, err := d.header()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -367,22 +328,18 @@ func read(r io.Reader, wantKind byte) (*EngineState, *ShardedState, error) {
 		if sh.Processed, err = d.uvarint("processed"); err != nil {
 			return nil, nil, err
 		}
-		if version >= 3 {
-			if sh.Deleted, err = d.uvarint("deleted"); err != nil {
-				return nil, nil, err
-			}
+		if sh.Deleted, err = d.uvarint("deleted"); err != nil {
+			return nil, nil, err
 		}
 		if sh.SelfLoops, err = d.uvarint("selfLoops"); err != nil {
 			return nil, nil, err
 		}
-		if version >= 2 {
-			if sh.TrackDegrees, err = d.bool("trackDegrees"); err != nil {
-				return nil, nil, err
-			}
-			if sh.TrackDegrees {
-				if sh.Degrees, err = d.degreeMap(); err != nil {
-					return nil, nil, err
-				}
+		if sh.TrackDegrees, err = d.bool("trackDegrees"); err != nil {
+			return nil, nil, err
+		}
+		if sh.TrackDegrees {
+			if sh.Degrees, err = d.edgeSet(); err != nil {
+				return nil, nil, fmt.Errorf("live edges: %w", err)
 			}
 		}
 		sh.Shards = make([]EngineState, 0, min(n, maxPrealloc))

@@ -67,13 +67,6 @@ func Recover(be Backend, fpHash uint64) (*Recovered, error) {
 	return rec, nil
 }
 
-// Empty reports whether the directory held no log state at all — no
-// checkpoint and no segments — so a caller can require an untouched
-// directory (e.g. when seeding it from an external restore file).
-func (r *Recovered) Empty() bool {
-	return r.Snapshot == nil && len(r.segs) == 0
-}
-
 // Replay streams every event after base through apply, in stream order,
 // exactly once. base is the position the caller's restored snapshot
 // covers (0 for a fresh estimator). It returns the position one past the
