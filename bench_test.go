@@ -12,6 +12,7 @@ import (
 	"io"
 	"path/filepath"
 	"strconv"
+	"sync"
 	"testing"
 
 	"rept"
@@ -355,6 +356,34 @@ func BenchmarkScalingShards1(b *testing.B) { benchScalingShards(b, 1) }
 func BenchmarkScalingShards2(b *testing.B) { benchScalingShards(b, 2) }
 func BenchmarkScalingShards4(b *testing.B) { benchScalingShards(b, 4) }
 func BenchmarkScalingShards8(b *testing.B) { benchScalingShards(b, 8) }
+
+// shardPowerLaw is the insert stream of one ingest-powerlaw substream,
+// HolmeKim(200k nodes, k=8, pt=0.5, seed 1): about 1.6M events. It is
+// built on first use, so tests and other benchmarks do not pay for it.
+var shardPowerLaw = sync.OnceValue(func() []graph.Update {
+	return graph.Inserts(gen.HolmeKim(200_000, 8, 0.5, 1))
+})
+
+// BenchmarkEngineShardPowerLaw measures one core.Engine at the shape of
+// one e2ebench ingest-powerlaw shard engine: M=10, 20 processors,
+// TrackLocal. One op is a fresh engine fed the whole shardPowerLaw
+// stream, so the sampled graph outgrows the last-level cache the way it
+// does end to end, where the cache-resident per-event benchmarks above
+// cannot show it. Compare ns/event.
+func BenchmarkEngineShardPowerLaw(b *testing.B) {
+	ups := shardPowerLaw()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e, err := core.NewEngine(core.Config{M: 10, C: 20, Seed: 1, TrackLocal: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		e.ApplyAll(ups)
+		e.Close()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ups)), "ns/event")
+}
 
 // BenchmarkFullyDynamicChurnPerEvent measures the per-event cost of the
 // fully-dynamic mode on a 35%-deletion churn stream (m=10, c=10) — the

@@ -78,7 +78,7 @@ import (
 // and the cost of publishing one epoch view on a quiescent estimator. A
 // benchmark missing from the old baseline is skipped with a note, so
 // newly added datapoints phase in on their first run.
-const defaultBenchmarks = "BenchmarkREPTPerEdge,BenchmarkFullyDynamicChurnPerEvent,BenchmarkREPTPerEdgeWAL,BenchmarkBatchIngestPerEvent,BenchmarkViewPublishIdle"
+const defaultBenchmarks = "BenchmarkREPTPerEdge,BenchmarkFullyDynamicChurnPerEvent,BenchmarkREPTPerEdgeWAL,BenchmarkBatchIngestPerEvent,BenchmarkViewPublishIdle,BenchmarkEngineShardPowerLaw"
 
 // result is one benchmark's summary in a recording: the medians of its
 // runs (see summarize), or one parsed line.
@@ -108,10 +108,13 @@ type testEvent struct {
 	Output  string `json:"Output"`
 }
 
-// benchLine matches "BenchmarkName-8   12345   678.9 ns/op   12 B/op ..."
-// (the -N GOMAXPROCS suffix is absent at GOMAXPROCS=1, and the B/op
-// column appears only under -benchmem).
-var benchLine = regexp.MustCompile(`^(Benchmark[^\s-]+)(?:-(\d+))?\s+(\d+)\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op)?`)
+// benchLine matches "BenchmarkName-8   12345   678.9 ns/op ..." (the -N
+// GOMAXPROCS suffix is absent at GOMAXPROCS=1).
+var benchLine = regexp.MustCompile(`^(Benchmark[^\s-]+)(?:-(\d+))?\s+(\d+)\s+([0-9.]+) ns/op`)
+
+// bytesColumn matches the B/op column, which appears only under -benchmem
+// and follows any custom metrics a benchmark reports ("806 ns/event").
+var bytesColumn = regexp.MustCompile(`\s([0-9.]+) B/op`)
 
 // bytesSlack is the absolute bytes-per-event allowance on top of every
 // relative B/op gate. Per-event allocation costs are near-integer and
@@ -192,8 +195,8 @@ func parseFile(path string) (recording, error) {
 					r.procs = p
 				}
 			}
-			if m[5] != "" {
-				if bOp, err := strconv.ParseFloat(m[5], 64); err == nil {
+			if b := bytesColumn.FindStringSubmatch(line); b != nil {
+				if bOp, err := strconv.ParseFloat(b[1], 64); err == nil {
 					r.bOp, r.hasB = bOp, true
 				}
 			}

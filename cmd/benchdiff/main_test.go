@@ -199,6 +199,7 @@ func TestRunLatestPointer(t *testing.T) {
 		"BenchmarkREPTPerEdgeWAL-8 \\t 1000000 \\t 1500 ns/op",
 		"BenchmarkBatchIngestPerEvent-8 \\t 1000000 \\t 180 ns/op",
 		"BenchmarkViewPublishIdle-8 \\t 1000 \\t 900000 ns/op",
+		"BenchmarkEngineShardPowerLaw-8 \\t 1 \\t 1300000000 ns/op \\t 812.5 ns/event",
 	))
 	fresh := writeFile(t, dir, "BENCH_new.json", jsonBench(
 		"BenchmarkREPTPerEdge-8 \\t 1000000 \\t 1300 ns/op", // +30% > 25%
@@ -206,6 +207,7 @@ func TestRunLatestPointer(t *testing.T) {
 		"BenchmarkREPTPerEdgeWAL-8 \\t 1000000 \\t 1500 ns/op",
 		"BenchmarkBatchIngestPerEvent-8 \\t 1000000 \\t 180 ns/op",
 		"BenchmarkViewPublishIdle-8 \\t 1000 \\t 900000 ns/op",
+		"BenchmarkEngineShardPowerLaw-8 \\t 1 \\t 1300000000 ns/op \\t 812.5 ns/event",
 	))
 	pointer := filepath.Join(dir, "LATEST")
 
@@ -341,13 +343,15 @@ func TestRunPairComposesWithBaseline(t *testing.T) {
 }
 
 // TestParseFileBytesColumn: the -benchmem B/op column is parsed when
-// present and its absence is recorded, so byte gating can phase in.
+// present, also behind a custom metric column, and its absence is
+// recorded, so byte gating can phase in.
 func TestParseFileBytesColumn(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "b.json", jsonBench(
 		"BenchmarkREPTPerEdge-8 \\t 1000000 \\t 700.5 ns/op \\t 12 B/op \\t 1 allocs/op",
 		"BenchmarkFullyDynamicChurnPerEvent-8 \\t 1000000 \\t 450 ns/op \\t 0 B/op \\t 0 allocs/op",
 		"BenchmarkREPTPerEdgeWAL-8 \\t 1000000 \\t 1500 ns/op",
+		"BenchmarkEngineShardPowerLaw-8 \\t 1 \\t 1289600733 ns/op \\t 806.0 ns/event \\t 672963056 B/op \\t 121302 allocs/op",
 	))
 	rec, err := parseFile(path)
 	if err != nil {
@@ -361,6 +365,9 @@ func TestParseFileBytesColumn(t *testing.T) {
 	}
 	if r := rec.results["BenchmarkREPTPerEdgeWAL"]; r.hasB {
 		t.Errorf("no-benchmem line = %+v, want hasB=false", r)
+	}
+	if r := rec.results["BenchmarkEngineShardPowerLaw"]; !r.hasB || r.bOp != 672963056 || r.nsOp != 1289600733 {
+		t.Errorf("custom-metric line = %+v, want 1289600733 ns/op and 672963056 B/op", r)
 	}
 }
 

@@ -160,8 +160,12 @@
 //
 // The per-event hot path runs on flat, cache-friendly structures and is
 // allocation-free in steady state. Each logical processor's sampled
-// adjacency is an open-addressing node index over an arena of 32-byte,
-// pointer-free neighbor-set entries: the first six neighbors live inline
+// adjacency is an arena of 32-byte, pointer-free neighbor-set entries
+// addressed by slot, and each engine keeps one node dictionary — an
+// open-addressing NodeID → id table beside node-major rows holding every
+// node's presence masks and its slot on every processor — so an event
+// probes a hash table once per endpoint, however many processors it
+// visits. In a neighbor-set entry the first six neighbors live inline
 // in the entry, larger sets move to a side store the entry indexes — a
 // sorted slice intersected by merge/galloping walks, promoted past 32
 // neighbors to an open-addressing hash set probed in O(1) (the inline →
@@ -186,10 +190,11 @@
 // brief spin then futex-style park — no channel machinery on the
 // hand-off), and each engine applies every event through one
 // presence-mask walk: per-node processor-membership masks, one 64-bit
-// table per 64 processors, let the engine visit only each group's
-// storing processor and the processors holding BOTH endpoints — any
-// other processor cannot close a triangle on that event, and the one
-// deletion tally it would advance (d_o) is derived instead of counted.
+// word per 64 processors in the node's dictionary row, let the engine
+// visit only each group's storing processor and the processors holding
+// BOTH endpoints — any other processor cannot close a triangle on that
+// event, and the one deletion tally it would advance (d_o) is derived
+// instead of counted.
 // Estimates are bit-identical to visiting every processor (gated by tests
 // against an all-processor reference walk), and steady-state ingest
 // allocates nothing (gated by AllocsPerRun tests; the README lists
@@ -244,8 +249,8 @@
 //
 // # Memory accounting and adaptive budgets
 //
-// Every flat storage layer under a Concurrent estimator — adjacency
-// arenas, counter and presence-mask tables, ingest rings, recycled batch
+// Every flat storage layer under a Concurrent estimator — neighbor-set
+// arenas, node dictionaries, counter tables, ingest rings, recycled batch
 // buffers, the degree table, published query views, WAL buffers —
 // reports its backing bytes to an atomic per-component ledger at
 // capacity-change moments only (growth, rehash, spill promotion,
@@ -261,13 +266,18 @@
 // Concurrent.Downsample halves the sampling probability
 // stream-consistently across every shard — stored edges are re-tested
 // under the thinned keep filter and evicted, counters are rescaled by
-// the REPT unbiasing factor, and the freed structures are compacted so
-// the bytes actually return. The estimator stays unbiased at the
-// effective partition size m_eff = M·2^shift (SampleShift,
-// SampleProbability); its variance rises, and VarianceBound publishes
-// the Theorem 3 bound at the current effective layout so the accuracy
-// spent is always visible. η-tracking configurations cannot rescale
-// their per-edge closing counters and refuse with ErrEtaDownsample.
+// the REPT unbiasing factor, and the surviving edges are placed into
+// fresh structures so the bytes actually return. The global estimate
+// stays unbiased at the effective partition size m_eff = M·2^shift
+// (SampleShift, SampleProbability); its variance rises, and
+// VarianceBound publishes the Theorem 3 bound at the current effective
+// layout so the accuracy spent is always visible. Local estimates do not
+// stay unbiased: each small per-node counter is rounded on its own, and
+// one Downsample(1) leaves their sum at about 0.54× (HolmeKim 20k nodes,
+// M=10, C=40, 20 seeds), so local counts, top-K and clustering
+// coefficients read low after an adaptation. η-tracking configurations
+// cannot rescale their per-edge closing counters and refuse with
+// ErrEtaDownsample.
 // cmd/reptserve wires the loop together under -mem-budget: an adaptive
 // controller ticks against the ledger, shrinks the top-K ranking first,
 // downsamples next, and at the hard budget sheds ingest with HTTP 429 +

@@ -1,8 +1,9 @@
 // Package hotpathalloc implements the reptvet analyzer enforcing the
 // zero-allocation hot path: functions annotated //rept:hotpath — the
-// per-event spine through Adjacency.Add/Remove, the neighbor-set
-// intersections, proc.processEdge/deleteEdge, the ctab counter ops, and
-// reptserve's parseEdgeLine — must not contain allocating constructs.
+// per-event spine through the node dictionary's place/evict, the
+// neighbor-set adds, removes and intersections,
+// proc.processEdge/deleteEdge, the ctab counter ops, and reptserve's
+// parseEdgeLine — must not contain allocating constructs.
 //
 // Flagged inside a hot function:
 //

@@ -13,8 +13,9 @@ import (
 // refEngine is the all-processor reference walk the engine's
 // presence-mask walk is checked against: every processor visits every
 // event, and d_o is counted per processor instead of derived. It drives
-// the wrapped engine's processors directly, so an engine used as a
-// reference must be fed through apply only.
+// the wrapped engine's processors directly, placing and removing nodes
+// through the engine's dictionary, so an engine used as a reference must
+// be fed through apply only.
 type refEngine struct {
 	*Engine
 	do []uint64
@@ -40,16 +41,18 @@ func (r *refEngine) apply(ups ...graph.Update) {
 			r.deleted++
 		}
 		key := graph.Key(up.U, up.V)
+		u := endpoint{node: up.U, id: r.dict.index.Get(up.U)}
+		v := endpoint{node: up.V, id: r.dict.index.Get(up.V)}
 		for i, p := range r.procs {
 			col := r.fam[p.group].Color(key)
 			if !up.Del {
-				p.processEdge(up.U, up.V, key, col)
+				p.processEdge(&r.dict, &u, &v, key, col)
 				continue
 			}
 			if col != p.color || !p.keeps(key) {
 				r.do[i]++
 			}
-			p.deleteEdge(up.U, up.V, key, col)
+			p.deleteEdge(&r.dict, &u, &v, key, col)
 		}
 	}
 }
@@ -99,7 +102,7 @@ func encodeState(t *testing.T, st *snapshot.EngineState) []byte {
 func cfgName(c Config) string { return fmt.Sprintf("M=%d C=%d", c.M, c.C) }
 
 // batchStream builds a signed stream with deletions trailing a window
-// behind their insertions, so the mask tables see real removals (nodes
+// behind their insertions, so the dictionary sees real removals (nodes
 // whose last sampled edge disappears must drop out of the mask), plus
 // self-loops and phantom deletions of edges that were never inserted.
 func batchStream() []graph.Update {
@@ -177,7 +180,7 @@ func TestEngineApplyBatchBitIdentical(t *testing.T) {
 }
 
 // TestEngineWalkAcrossDownsample: a mid-stream Downsample evicts sampled
-// edges wholesale and must leave the mask tables consistent, so the walk
+// edges wholesale and must leave the dictionary consistent, so the walk
 // still matches the reference on the suffix, across mask blocks.
 func TestEngineWalkAcrossDownsample(t *testing.T) {
 	ups := batchStream()
@@ -209,7 +212,7 @@ func TestEngineWalkAcrossDownsample(t *testing.T) {
 
 // TestEngineApplyBatchAfterResume: a restored engine must rebuild its
 // presence masks from the snapshot's adjacency state — a stale or empty
-// mask table would silently skip processors on the suffix.
+// dictionary would silently skip processors on the suffix.
 func TestEngineApplyBatchAfterResume(t *testing.T) {
 	ups := batchStream()
 	half := len(ups) / 2

@@ -11,7 +11,10 @@
 //     event, insertion or deletion, takes one presence-mask walk that
 //     visits each group's storing processor plus the processors whose
 //     sample holds both endpoints — the only processors whose counters
-//     can move — so an event costs a handful of visits, not C.
+//     can move — so an event costs a handful of visits, not C. One node
+//     dictionary per engine holds every node's presence masks and its
+//     neighbor-set slot on every processor, so the walk probes a hash
+//     table once per endpoint, however many processors it visits.
 //
 //   - Sim: a single-pass evaluator over one shared colored adjacency
 //     structure that computes every processor's counters simultaneously.
@@ -72,9 +75,10 @@ type Config struct {
 	// ablation experiment; production callers should leave it nil.
 	HashFamily func(masterSeed uint64, count, m int) []Hasher
 	// Mem, when non-nil, is the byte ledger the engine's storage layers
-	// (adjacency arenas, counter tables, mask tables) report their backing
-	// bytes to at capacity-change moments. Purely observational: estimates
-	// are bit-identical with or without it, gated by test.
+	// (the processors' neighbor-set arenas, the node dictionary, the
+	// counter tables) report their backing bytes to at capacity-change
+	// moments. Purely observational: estimates are bit-identical with or
+	// without it, gated by test.
 	Mem *mem.Accountant
 }
 

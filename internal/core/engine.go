@@ -9,8 +9,8 @@ import (
 	"rept/internal/mem"
 )
 
-// maskBlock is the number of processors one presence-mask table covers,
-// one uint64 bit each.
+// maskBlock is the number of processors one presence-mask word covers,
+// one bit each.
 const maskBlock = 64
 
 // Engine is the deployable parallel REPT implementation: C logical
@@ -28,12 +28,11 @@ type Engine struct {
 	procs    []*proc
 	fam      []Hasher
 
-	// masks holds one presence-mask table per block of 64 processors:
-	// masks[b] maps a node to the bitmask of processors 64b … 64b+63 whose
-	// sampled adjacency contains it. Every sample mutation keeps them
-	// current; the walk reads them to find the processors holding both
-	// endpoints of an event.
-	masks []*graph.MaskTable
+	// dict is the node dictionary: every node any processor holds, with
+	// its presence masks and its neighbor-set slot on every processor.
+	// Every sample mutation keeps it current; the walk probes it once per
+	// endpoint to find the processors holding both endpoints of an event.
+	dict nodeDict
 	// tauV1, tauV2 and etaV are the per-node class sums Aggregates
 	// reports: Σ τ⁽ⁱ⁾_v over the full-group processors, over the partial
 	// group, and Σ η⁽ⁱ⁾_v over all processors. The walk updates them on
@@ -41,11 +40,11 @@ type Engine struct {
 	// rebuildLocal recomputes them after Downsample and restore. Nil
 	// unless TrackLocal (etaV also needs η tracking).
 	tauV1, tauV2, etaV *graph.NodeTable[int64]
-	// cols and store are per-event walk scratch: each group's color of
-	// the event, and per mask block the bits of the groups' storing
-	// processors.
+	// cols and visit are per-event walk scratch: each group's color of
+	// the event, and per mask block the bits of the processors the event
+	// visits.
 	cols  []int
-	store []uint64
+	visit []uint64
 
 	closed bool
 
@@ -66,24 +65,17 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	lay := newLayout(cfg.M, cfg.C)
 	trackEta := cfg.TrackEta || lay.needsEta()
-	blocks := (cfg.C + maskBlock - 1) / maskBlock
 
 	e := &Engine{
 		cfg:      cfg,
 		lay:      lay,
 		trackEta: trackEta,
 		fam:      cfg.hashFamily(lay.groups),
-		masks:    make([]*graph.MaskTable, blocks),
+		dict:     newNodeDict(cfg.C, cfg.Mem),
 		cols:     make([]int, lay.groups),
-		store:    make([]uint64, blocks),
 		procs:    make([]*proc, cfg.C),
 	}
-	for b := range e.masks {
-		e.masks[b] = graph.NewMaskTable()
-		if cfg.Mem != nil {
-			e.masks[b].SetAccountant(cfg.Mem)
-		}
-	}
+	e.visit = make([]uint64, e.dict.blocks)
 	if cfg.TrackLocal {
 		e.tauV1 = newClassSums(cfg.Mem)
 		e.tauV2 = newClassSums(cfg.Mem)
@@ -94,9 +86,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	downSeeds := downSeedFamily(uint64(cfg.Seed), lay.groups)
 	for i := range e.procs {
 		g := lay.groupOf(i)
-		p := newProc(g, lay.colorOf(i), cfg.TrackLocal, trackEta, downSeeds[g], cfg.Mem)
-		p.masks = e.masks[i/maskBlock]
-		p.maskBit = 1 << uint(i%maskBlock)
+		p := newProc(i, g, lay.colorOf(i), cfg.TrackLocal, trackEta, downSeeds[g], cfg.Mem)
 		p.tauSum, p.etaSum = e.tauV1, e.etaV
 		if lay.isPartialProc(i) {
 			p.tauSum = e.tauV2
@@ -175,15 +165,19 @@ func (e *Engine) ApplyAll(ups []graph.Update) {
 // ApplyBatch is ApplyAll under the bulk name the shard layer uses.
 func (e *Engine) ApplyBatch(ups []graph.Update) { e.ApplyAll(ups) }
 
-// walk applies one signed event, the engine's only ingest code. It visits
-// each group's storing processor — the only one that can sample, remove,
-// or phantom-track the edge — plus exactly the processors whose sample
-// holds both endpoints, and skips the rest. A skipped processor is
-// provably inert on the event: with an endpoint absent its common
-// neighborhood is empty, so τ/τ_v/η/η_v and the per-edge counters stay
-// put, and the one tally a deletion would advance there, d_o, is derived
-// instead (see unsampledDeletes). Processors share no mutable state but
-// their own mask bits, so the visiting order is free and the results are
+// walk applies one signed event, the engine's only ingest code. It probes
+// the node dictionary once per endpoint, then visits each group's storing
+// processor — the only one that can sample, remove, or phantom-track the
+// edge — plus exactly the processors whose sample holds both endpoints,
+// read off the endpoints' presence masks, and skips the rest. Each
+// visited processor finds its slots of both endpoints in their dictionary
+// rows. A skipped processor is provably inert on the event: with an
+// endpoint absent its common neighborhood is empty, so τ/τ_v/η/η_v and
+// the per-edge counters stay put, and the one tally a deletion would
+// advance there, d_o, is derived instead (see unsampledDeletes).
+// Processors share no mutable state but the dictionary, where each writes
+// only its own slot column and mask bit (and which id a node gets never
+// reaches a counter), so the visiting order is free and the results are
 // bit-identical to visiting every processor; what changes is cost — on a
 // 1/m-sampled layout most processors hold neither endpoint.
 //
@@ -204,7 +198,15 @@ func (e *Engine) walk(up graph.Update) {
 		e.deleted++
 	}
 	key := graph.Key(up.U, up.V)
-	clear(e.store)
+	u := endpoint{node: up.U, id: e.dict.index.Get(up.U)}
+	v := endpoint{node: up.V, id: e.dict.index.Get(up.V)}
+	// The visit set is fixed before any processor runs: a store below may
+	// give u or v fresh bits, and those processors must not be revisited
+	// for this event.
+	mu, mv := e.dict.maskRow(u.id), e.dict.maskRow(v.id)
+	for b := range e.visit {
+		e.visit[b] = mu[b] & mv[b]
+	}
 	for g, h := range e.fam {
 		col := h.Color(key)
 		// Record the color for every group — including a partial group
@@ -212,21 +214,17 @@ func (e *Engine) walk(up graph.Update) {
 		// of the group may still hold both endpoints.
 		e.cols[g] = col
 		if i := g*e.lay.m + col; i < len(e.procs) {
-			e.store[i/maskBlock] |= 1 << uint(i%maskBlock)
+			e.visit[i/maskBlock] |= 1 << uint(i%maskBlock)
 		}
 	}
-	for b, mt := range e.masks {
-		// The block's visit set is fixed before any of its processors
-		// runs: a store below may set fresh bits for u or v, and those
-		// processors must not be revisited for this event.
-		visit := e.store[b] | mt.Get(up.U)&mt.Get(up.V)
+	for b, visit := range e.visit {
 		for visit != 0 {
 			p := e.procs[b*maskBlock+bits.TrailingZeros64(visit)]
 			visit &= visit - 1
 			if up.Del {
-				p.deleteEdge(up.U, up.V, key, e.cols[p.group])
+				p.deleteEdge(&e.dict, &u, &v, key, e.cols[p.group])
 			} else {
-				p.processEdge(up.U, up.V, key, e.cols[p.group])
+				p.processEdge(&e.dict, &u, &v, key, e.cols[p.group])
 			}
 		}
 	}
@@ -347,7 +345,7 @@ func (e *Engine) EtaSaturations() uint64 {
 func (e *Engine) SampledEdges() int {
 	total := 0
 	for _, p := range e.procs {
-		total += p.adj.Edges()
+		total += p.edges
 	}
 	return total
 }
@@ -401,10 +399,18 @@ func scaleHalfAway(x int64, s uint) int64 {
 //     with deterministic half-away-from-zero rounding, since each counts
 //     wedge pairs whose joint retention probability shrank by ρ².
 //
-// The rescaled counters keep E[m_eff²·Στ⁽ⁱ⁾/c] = τ (up to ±½ rounding per
-// counter), so estimates remain unbiased at the new effective denominator;
-// Aggregates carry the shift and Estimate evaluates the pooled estimator
-// at m_eff.
+// The rescaled τ⁽ⁱ⁾ keep E[m_eff²·Στ⁽ⁱ⁾/c] = τ (up to ±½ rounding per
+// processor), so the global estimate stays unbiased at the new effective
+// denominator; Aggregates carry the shift and Estimate evaluates the
+// pooled estimator at m_eff. The local estimates do not: most τ⁽ⁱ⁾_v are
+// small, and a quarter of 1 rounds to 0, so one Downsample(1) leaves
+// Σ_v τ̂_v at 0.536× its value (HolmeKim 20k nodes, M=10, C=40, 20 seeds:
+// 226,248 → 121,358) and local counts read low afterwards.
+//
+// The surviving edges are then placed into a fresh node dictionary and
+// fresh neighbor-set stores, so the evicted part of the sample — rows,
+// arena slots, spill slices, oversized tables — actually leaves memory and
+// the ledger instead of staying resident as slack.
 //
 // Downsample refuses engines that track η: the per-edge closing counters
 // count events against the historical sample and cannot be rescaled
@@ -426,22 +432,16 @@ func (e *Engine) Downsample(extra int) error {
 		return fmt.Errorf("core: Downsample: cumulative shift %d exceeds max %d", newShift, maxSampleShift)
 	}
 	s := 2 * uint(extra)
-	var buf []graph.Edge
-	for _, p := range e.procs {
+	samples := e.sampleEdges()
+	for i, p := range e.procs {
 		p.shift = newShift
-		buf = p.adj.AppendEdges(buf[:0])
-		for _, ed := range buf {
-			if p.keeps(graph.Key(ed.U, ed.V)) {
-				continue
-			}
-			_, goneU, goneV := p.adj.RemoveReport(ed.U, ed.V)
-			if goneU {
-				p.masks.AndNot(ed.U, p.maskBit)
-			}
-			if goneV {
-				p.masks.AndNot(ed.V, p.maskBit)
+		kept := samples[i][:0]
+		for _, ed := range samples[i] {
+			if p.keeps(ed.Key()) {
+				kept = append(kept, ed)
 			}
 		}
+		samples[i] = kept
 		p.tau = scaleHalfAway(p.tau, s)
 		for v, t := range p.tauV {
 			if t2 := scaleHalfAway(t, s); t2 != 0 {
@@ -450,16 +450,53 @@ func (e *Engine) Downsample(extra int) error {
 				delete(p.tauV, v)
 			}
 		}
-		// Thinning evicted most stored edges but the retained capacities —
-		// arena slack, spill slices, oversized tables — would keep every
-		// byte resident (and on the ledger). Compacting is what turns the
-		// statistical adaptation into an actual memory release.
-		p.adj.Compact()
 		p.reaccountLocal()
+	}
+	e.dict.reset()
+	for _, p := range e.procs {
+		p.sets.Reset()
+		p.edges = 0
+	}
+	for i, p := range e.procs {
+		for _, ed := range samples[i] {
+			e.place(p, ed.U, ed.V)
+		}
 	}
 	e.rebuildLocal()
 	e.shift = newShift
 	return nil
+}
+
+// sampleEdges returns every processor's sampled edges, each once in
+// canonical orientation (U < V), read off the dictionary in one pass.
+func (e *Engine) sampleEdges() [][]graph.Edge {
+	out := make([][]graph.Edge, len(e.procs))
+	for i, p := range e.procs {
+		out[i] = make([]graph.Edge, 0, p.edges)
+	}
+	e.dict.index.Each(func(u graph.NodeID, id int32) {
+		for i, p := range e.procs {
+			if s := e.dict.slot(id, i); s != 0 {
+				p.sets.Each(s, u, func(w graph.NodeID) {
+					if u < w {
+						out[i] = append(out[i], graph.Edge{U: u, V: w})
+					}
+				})
+			}
+		}
+	})
+	return out
+}
+
+// place adds the edge {u, v} to p's sample outside the walk — the path a
+// restore and Downsample's rebuild load sampled edges through — and
+// reports false for a self-loop or an edge p already holds.
+func (e *Engine) place(p *proc, u, v graph.NodeID) bool {
+	if u == v {
+		return false
+	}
+	eu, ev := endpoint{node: u, id: e.dict.index.Get(u)}, endpoint{node: v, id: e.dict.index.Get(v)}
+	return e.dict.place(p, &eu, &ev)
 }
 
 // SampleShift returns the cumulative down-shift applied by Downsample

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"rept/internal/gen"
@@ -9,16 +12,20 @@ import (
 )
 
 // maxAdjacencyBytesPerEdge caps the sampled adjacency's ledger cost per
-// sampled edge on a power-law stream. Under a memory budget this figure
+// sampled edge on a power-law stream: the neighbor-set stores plus the
+// node dictionary that indexes them. Under a memory budget this figure
 // decides how far the controller must cut the sampling probability, so it
-// is gated like a time regression. The 32-byte pointer-free arena entry
-// measures 63 B/edge here; an 80-byte entry with in-line slice headers
-// measured 106.
-const maxAdjacencyBytesPerEdge = 75
+// is gated like a time regression. With one dictionary per engine it
+// measures 37 + 9 = 47 B/edge here; per-processor node indexes beside
+// per-block mask tables measured 63 + 5 = 68, and an 80-byte arena entry
+// with in-line slice headers 106.
+const maxAdjacencyBytesPerEdge = 56
 
 // TestAdjacencyBytesPerSampledEdge feeds a seeded Holme–Kim stream to an
-// accounted engine and bounds the adjacency component of the ledger by
-// the number of edges the processors hold.
+// accounted engine and bounds the adjacency and masks components of the
+// ledger together by the number of edges the processors hold: the node
+// index that used to sit in each processor's adjacency now lives in the
+// engine's dictionary, charged to masks.
 func TestAdjacencyBytesPerSampledEdge(t *testing.T) {
 	ac := mem.New()
 	e, err := NewEngine(Config{M: 10, C: 10, Seed: 1, Mem: ac})
@@ -31,9 +38,132 @@ func TestAdjacencyBytesPerSampledEdge(t *testing.T) {
 	if edges == 0 {
 		t.Fatal("no sampled edges")
 	}
-	perEdge := ac.Bytes(mem.CompAdjacency) / int64(edges)
-	t.Logf("adjacency %d bytes over %d sampled edges: %d B/edge", ac.Bytes(mem.CompAdjacency), edges, perEdge)
+	adj, masks := ac.Bytes(mem.CompAdjacency), ac.Bytes(mem.CompMasks)
+	perEdge := (adj + masks) / int64(edges)
+	t.Logf("adjacency %d + dictionary %d bytes over %d sampled edges: %d + %d = %d B/edge",
+		adj, masks, edges, adj/int64(edges), masks/int64(edges), perEdge)
 	if perEdge > maxAdjacencyBytesPerEdge {
-		t.Errorf("adjacency costs %d B per sampled edge, want <= %d", perEdge, maxAdjacencyBytesPerEdge)
+		t.Errorf("adjacency and dictionary cost %d B per sampled edge, want <= %d", perEdge, maxAdjacencyBytesPerEdge)
+	}
+}
+
+// TestEngineLedgerMatchesFootprint drives a seeded schedule of inserts,
+// deletes, phantom deletes, self-loops, Downsample(1) and snapshot
+// round trips through accounted engines, and after every step requires
+// the ledger's adjacency and masks components to equal the footprints
+// recomputed from capacities: every processor's neighbor-set store, and
+// the node dictionary. A charge site that misses a capacity change (or
+// charges one twice) shows up as a drift at the step that caused it. C=130
+// spreads the presence masks over three blocks.
+func TestEngineLedgerMatchesFootprint(t *testing.T) {
+	for _, c := range []int{20, 130} {
+		t.Run(fmt.Sprintf("C=%d", c), func(t *testing.T) { testEngineLedger(t, c) })
+	}
+}
+
+func testEngineLedger(t *testing.T, c int) {
+	steps := 20_000
+	if testing.Short() {
+		steps = 4_000
+	}
+	cfg := Config{M: 5, C: c, Seed: 3, TrackLocal: true, FullyDynamic: true, Mem: mem.New()}
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { e.Close() }()
+	check := func(step int, what string) {
+		t.Helper()
+		var adj int64
+		for _, p := range e.procs {
+			adj += p.sets.Bytes()
+		}
+		if got := cfg.Mem.Bytes(mem.CompAdjacency); got != adj {
+			t.Fatalf("step %d (%s): adjacency ledger %d bytes, footprint %d", step, what, got, adj)
+		}
+		if got, want := cfg.Mem.Bytes(mem.CompMasks), e.dict.bytes(); got != want {
+			t.Fatalf("step %d (%s): masks ledger %d bytes, dictionary footprint %d", step, what, got, want)
+		}
+	}
+	check(0, "new")
+	rng := rand.New(rand.NewPCG(7, uint64(c)))
+	const hubs, leaves = 2, 3000
+	pick := func() graph.NodeID {
+		// A quarter of the endpoints land on a hub, so hub sets spill and
+		// promote on every processor while most leaves stay inline.
+		if rng.IntN(4) == 0 {
+			return graph.NodeID(rng.IntN(hubs))
+		}
+		return graph.NodeID(hubs + rng.IntN(leaves))
+	}
+	live := map[graph.Edge]bool{}
+	var order []graph.Edge
+	recycled, promoted := false, false
+	for i := 1; i <= steps; i++ {
+		// Alternate growth and teardown phases, so nodes leave every
+		// processor and their ids and slots are recycled.
+		addPerMille := 800
+		if i/4000%2 == 1 {
+			addPerMille = 200
+		}
+		what := ""
+		switch r := rng.IntN(1000); {
+		case i%(steps/3) == 0:
+			what = "Downsample(1)"
+			if err := e.Downsample(1); err != nil {
+				t.Fatal(err)
+			}
+		case r < addPerMille:
+			ed := graph.Edge{U: pick(), V: pick()}.Canonical()
+			if ed.U == ed.V || live[ed] {
+				break
+			}
+			what = "insert"
+			live[ed] = true
+			order = append(order, ed)
+			e.Add(ed.U, ed.V)
+		case r < 900:
+			if len(order) == 0 {
+				break
+			}
+			what = "delete"
+			j := rng.IntN(len(order))
+			ed := order[j]
+			order[j] = order[len(order)-1]
+			order = order[:len(order)-1]
+			delete(live, ed)
+			e.Delete(ed.U, ed.V)
+		case r < 960:
+			what = "phantom delete"
+			e.Delete(graph.NodeID(10_000+rng.IntN(100)), pick())
+		case r < 995:
+			what = "self-loop"
+			u := pick()
+			e.Add(u, u)
+		default:
+			what = "snapshot + resume"
+			var buf bytes.Buffer
+			if err := e.WriteSnapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			e.Close()
+			cfg.Mem = mem.New()
+			if e, err = ResumeEngine(cfg, &buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(i, what)
+		recycled = recycled || len(e.dict.free) > 0
+		// Past 32 neighbors (graph's promoteDeg) a set is a hash table.
+		if id := e.dict.index.Get(0); id != 0 && !promoted {
+			for j, p := range e.procs {
+				if s := e.dict.slot(id, j); s != 0 && p.sets.Deg(s) > 32 {
+					promoted = true
+				}
+			}
+		}
+	}
+	if e.SampleShift() != 3 || !recycled || !promoted {
+		t.Fatalf("schedule missed a transition: shift %d, ids recycled %v, hub set promoted %v", e.SampleShift(), recycled, promoted)
 	}
 }

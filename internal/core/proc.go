@@ -12,7 +12,9 @@ import (
 // own color — the paper's distributed-memory model where each processor
 // keeps an expected p·|E| edges. The engine's walk visits it only for the
 // edges it stores and the edges whose endpoints its sample both holds:
-// for every other edge the intersection is empty and nothing moves.
+// for every other edge the intersection is empty and nothing moves. Its
+// sampled adjacency is a slot-addressed neighbor-set store; the engine's
+// node dictionary holds the processor's slot of every node.
 //
 // Counters are signed: in fully-dynamic mode a processor's τ⁽ⁱ⁾ can go
 // negative transiently (a deletion may be observed against sampled wedge
@@ -28,7 +30,14 @@ type proc struct {
 	trackLocal bool
 	trackEta   bool
 
-	adj *graph.Adjacency
+	// sets holds the processor's sampled neighbor sets and edges counts
+	// its sampled edges. index is the processor's position: its column in
+	// the dictionary's slot rows and, with maskBit, its bit in the rows'
+	// presence masks.
+	sets    graph.NeighborSets
+	edges   int
+	index   int
+	maskBit uint64
 
 	tau  int64
 	eta  int64
@@ -60,14 +69,6 @@ type proc struct {
 	// Engine.unsampledDeletes).
 	di, phantom uint64
 
-	// masks is the presence-mask table of this processor's 64-processor
-	// block (NodeID → bitmask of the block's processors whose sampled
-	// adjacency contains the node) and maskBit is this processor's bit.
-	// Every sample mutation keeps them current; the engine's walk reads
-	// them.
-	masks   *graph.MaskTable
-	maskBit uint64
-
 	// shift is the cumulative sample down-shift (see Engine.Downsample):
 	// the effective sampling probability is p/2^shift, realized by the
 	// extra keep filter in keeps. downSeed seeds that filter, derived per
@@ -88,17 +89,18 @@ type proc struct {
 	acLocal int64
 }
 
-func newProc(group, color int, trackLocal, trackEta bool, downSeed uint64, ac *mem.Accountant) *proc {
+func newProc(index, group, color int, trackLocal, trackEta bool, downSeed uint64, ac *mem.Accountant) *proc {
 	p := &proc{
 		group:      group,
 		color:      color,
 		trackLocal: trackLocal,
 		trackEta:   trackEta,
+		index:      index,
+		maskBit:    1 << uint(index%maskBlock),
 		downSeed:   downSeed,
-		adj:        graph.NewAdjacency(),
 		ac:         ac,
 	}
-	p.adj.SetAccountant(ac)
+	p.sets.SetAccountant(ac)
 	if trackLocal {
 		p.tauV = make(map[graph.NodeID]int64)
 		if trackEta {
@@ -137,23 +139,38 @@ func (p *proc) keeps(key uint64) bool {
 	return p.shift == 0 || hashing.Mix64(key^p.downSeed)>>(64-p.shift) == 0
 }
 
-// processEdge implements UpdateTriangleCNT / UpdateTrianglePairCNT from
-// Algorithms 1 and 2 followed by the conditional insertion of the edge
-// into E⁽ⁱ⁾. The caller filters self-loops and precomputes the edge's
-// color under the processor's group hash once per (edge, group), since
-// all m processors of a group share the hash.
+// common returns |N(u) ∩ N(v)| in the processor's sample, leaving the
+// common neighbors in scratch when per-node or η bookkeeping needs them.
 //
 //rept:hotpath
-func (p *proc) processEdge(u, v graph.NodeID, key uint64, color int) {
-	var n int64
+func (p *proc) common(d *nodeDict, u, v *endpoint) int64 {
+	su, sv := d.slot(u.id, p.index), d.slot(v.id, p.index)
 	if p.trackLocal || p.trackEta {
-		p.scratch = p.adj.CommonNeighbors(u, v, p.scratch[:0])
-		n = int64(len(p.scratch))
-	} else {
-		// Counting-only configuration: skip materializing the common
-		// neighbors, the intersection size is all τ⁽ⁱ⁾ needs.
-		n = int64(p.adj.CommonCount(u, v))
+		p.scratch = p.scratch[:0]
+		if su != 0 && sv != 0 {
+			p.scratch = p.sets.Intersect(su, u.node, sv, v.node, p.scratch)
+		}
+		return int64(len(p.scratch))
 	}
+	// Counting-only configuration: skip materializing the common
+	// neighbors, the intersection size is all τ⁽ⁱ⁾ needs.
+	if su == 0 || sv == 0 {
+		return 0
+	}
+	return int64(p.sets.IntersectCount(su, u.node, sv, v.node))
+}
+
+// processEdge implements UpdateTriangleCNT / UpdateTrianglePairCNT from
+// Algorithms 1 and 2 followed by the conditional insertion of the edge
+// into E⁽ⁱ⁾. The caller filters self-loops, looks both endpoints up in the
+// dictionary d once per event, and precomputes the edge's color under the
+// processor's group hash once per (edge, group), since all m processors
+// of a group share the hash.
+//
+//rept:hotpath
+func (p *proc) processEdge(d *nodeDict, eu, ev *endpoint, key uint64, color int) {
+	u, v := eu.node, ev.node
+	n := p.common(d, eu, ev)
 	p.tau += n
 	if p.trackLocal && n > 0 {
 		p.tauV[u] += n
@@ -187,18 +204,9 @@ func (p *proc) processEdge(u, v graph.NodeID, key uint64, color int) {
 			}
 		}
 	}
-	if color == p.color && p.keeps(key) {
-		added, newU, newV := p.adj.AddReport(u, v)
-		if added {
-			if p.trackEta {
-				p.tcnt.setClamped(key, n)
-			}
-			if newU {
-				p.masks.Or(u, p.maskBit)
-			}
-			if newV {
-				p.masks.Or(v, p.maskBit)
-			}
+	if color == p.color && p.keeps(key) && d.place(p, eu, ev) {
+		if p.trackEta {
+			p.tcnt.setClamped(key, n)
 		}
 	}
 }
@@ -218,31 +226,19 @@ func (p *proc) processEdge(u, v graph.NodeID, key uint64, color int) {
 // cross-processor counter semantics stay aligned.
 //
 //rept:hotpath
-func (p *proc) deleteEdge(u, v graph.NodeID, key uint64, color int) {
+func (p *proc) deleteEdge(d *nodeDict, eu, ev *endpoint, key uint64, color int) {
+	u, v := eu.node, ev.node
 	if color == p.color && p.keeps(key) {
-		removed, goneU, goneV := p.adj.RemoveReport(u, v)
-		if removed {
+		if d.evict(p, eu, ev) {
 			p.di++
 			if p.trackEta {
 				p.tcnt.del(key)
-			}
-			if goneU {
-				p.masks.AndNot(u, p.maskBit)
-			}
-			if goneV {
-				p.masks.AndNot(v, p.maskBit)
 			}
 		} else {
 			p.phantom++
 		}
 	}
-	var n int64
-	if p.trackLocal || p.trackEta {
-		p.scratch = p.adj.CommonNeighbors(u, v, p.scratch[:0])
-		n = int64(len(p.scratch))
-	} else {
-		n = int64(p.adj.CommonCount(u, v))
-	}
+	n := p.common(d, eu, ev)
 	p.tau -= n
 	if p.trackLocal && n > 0 {
 		p.tauV[u] -= n

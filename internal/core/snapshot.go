@@ -5,7 +5,6 @@ import (
 	"io"
 	"maps"
 
-	"rept/internal/graph"
 	"rept/internal/snapshot"
 )
 
@@ -39,12 +38,13 @@ func (e *Engine) State() *snapshot.EngineState {
 		SampleShift: int(e.shift),
 		Procs:       make([]snapshot.ProcState, len(e.procs)),
 	}
+	samples := e.sampleEdges()
 	for i, p := range e.procs {
 		p.reaccountLocal()
 		ps := &st.Procs[i]
 		ps.Tau, ps.Eta = p.tau, p.eta
 		ps.Di, ps.Do, ps.Phantom = p.di, e.unsampledDeletes(p), p.phantom
-		ps.Edges = p.adj.AppendEdges(make([]graph.Edge, 0, p.adj.Edges()))
+		ps.Edges = samples[i]
 		ps.TauV = maps.Clone(p.tauV)
 		ps.EtaV = maps.Clone(p.etaV)
 		if p.tcnt != nil {
@@ -128,7 +128,7 @@ func (e *Engine) loadState(st *snapshot.EngineState) error {
 			return fmt.Errorf("%w: processor %d has %d edge-triangle counters for %d sampled edges", snapshot.ErrCorrupt, i, len(ps.Tcnt), len(ps.Edges))
 		}
 		for _, ed := range ps.Edges {
-			if !p.adj.Add(ed.U, ed.V) {
+			if !e.place(p, ed.U, ed.V) {
 				return fmt.Errorf("%w: processor %d sampled edge (%d,%d) is a duplicate or self-loop", snapshot.ErrCorrupt, i, ed.U, ed.V)
 			}
 			if p.trackEta {
@@ -161,17 +161,5 @@ func (e *Engine) loadState(st *snapshot.EngineState) error {
 	}
 	e.processed, e.deleted, e.selfLoops = st.Processed, st.Deleted, st.SelfLoops
 	e.rebuildLocal()
-	// The loop above loaded sampled edges through Adjacency.Add directly,
-	// bypassing the presence-mask maintenance of the live insert path, so
-	// rebuild the table wholesale before the engine takes events.
-	e.rebuildMasks()
 	return nil
-}
-
-// rebuildMasks repopulates the presence-mask tables from the processors'
-// current sampled adjacencies.
-func (e *Engine) rebuildMasks() {
-	for _, p := range e.procs {
-		p.adj.EachNode(func(u graph.NodeID) { p.masks.Or(u, p.maskBit) })
-	}
 }

@@ -12,7 +12,7 @@ import (
 // TestAdjacencyLedgerMatchesFootprint drives a seeded churn through every
 // capacity transition the adjacency charges — arena and index growth,
 // spill, promote, table growth, releases that free arena slots and side-
-// store entries, slot and entry reuse, and periodic Compact — and after
+// store entries, and slot and entry reuse — and after
 // every step requires the ledger to equal the footprint recomputed from
 // capacities. A charge site that misses a capacity change (or charges one
 // twice) shows up as a drift at the step that caused it.
@@ -43,31 +43,26 @@ func TestAdjacencyLedgerMatchesFootprint(t *testing.T) {
 		if i/20_000%2 == 1 {
 			addPerMille = 300
 		}
-		switch r := rng.IntN(1000); {
-		case r < addPerMille:
+		if rng.IntN(1000) < addPerMille {
 			if u, v := pick(), pick(); a.Add(u, v) {
 				live = append(live, Edge{U: u, V: v})
 			}
-		case r < 998:
+		} else if len(live) > 0 {
 			// Remove a live edge: leaves hit degree zero and release
 			// their arena slot (and side-store entry, if they had one),
 			// which the next new node recycles.
-			if len(live) > 0 {
-				j := rng.IntN(len(live))
-				e := live[j]
-				live[j] = live[len(live)-1]
-				live = live[:len(live)-1]
-				if !a.Remove(e.U, e.V) {
-					t.Fatalf("step %d: Remove(%d,%d) of a live edge = false", i, e.U, e.V)
-				}
+			j := rng.IntN(len(live))
+			e := live[j]
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+			if !a.Remove(e.U, e.V) {
+				t.Fatalf("step %d: Remove(%d,%d) of a live edge = false", i, e.U, e.V)
 			}
-		default:
-			a.Compact()
 		}
 		if got, want := ac.Bytes(mem.CompAdjacency), a.footprint(); got != want {
 			t.Fatalf("step %d: ledger %d bytes, footprint %d", i, got, want)
 		}
-		recycled = recycled || len(a.side.free) > 0
+		recycled = recycled || len(a.sets.side.free) > 0
 		promoted = promoted || a.Degree(0) > 4*promoteDeg
 	}
 	if a.Edges() != len(live) {

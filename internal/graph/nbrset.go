@@ -2,24 +2,25 @@ package graph
 
 import "rept/internal/mem"
 
-// This file implements the flat storage behind Adjacency: an open-
-// addressing node index (NodeID → arena slot) over an arena of per-node
-// neighbor sets. An arena entry is 32 bytes and holds no pointers: the
-// degree, a layout word, and the first few neighbors stored inline (no
-// pointer chase at all for the typical sampled node). A set that outgrows
-// the inline array moves to the Adjacency's side store, which the layout
-// word indexes: first a sorted NodeID slice, then, past promoteDeg
+// This file implements the flat neighbor-set storage: NeighborSets, an
+// arena of per-node sets addressed by slot, and NodeIndex, the
+// open-addressing NodeID index Adjacency and the engine's node dictionary
+// put in front of it. An arena entry is 32 bytes and holds no pointers:
+// the degree, a layout word, and the first few neighbors stored inline
+// (no pointer chase at all for the typical sampled node). A set that
+// outgrows the inline array moves to the store's side store, which the
+// layout word indexes: first a sorted NodeID slice, then, past promoteDeg
 // neighbors, an open-addressing hash set. Sorted layouts intersect by
 // merge walk (galloping by binary search when the sizes are skewed);
 // promoted sets are probed in O(1). Everything lives in contiguous uint32
-// storage, so the per-edge hot path — two index lookups plus one
-// intersection — touches a handful of cache lines and allocates nothing
-// once capacity exists, and because neither the arena nor the node index
-// contains a pointer, the garbage collector never scans them.
+// storage, so an intersection touches a handful of cache lines and
+// allocates nothing once capacity exists, and because neither the arena
+// nor the index contains a pointer, the garbage collector never scans
+// them.
 
 // Accounted element sizes of the flat adjacency storage (see
 // mem.CompAdjacency): NodeID is uint32, idxEntry packs a NodeID and an
-// int32 slot in one word.
+// int32 value in one word.
 const (
 	nodeIDBytes   = 4
 	idxEntryBytes = 8
@@ -68,6 +69,120 @@ type nset struct {
 	n   int32
 	x   int32
 	inl [inlineCap]NodeID
+}
+
+// NeighborSets is a slot-addressed store of neighbor sets: the arena of
+// nset entries, its free list and the side store, with no node index of
+// its own. A caller names a set by the slot New returned and passes the
+// set's owner with every call (the owner is table mode's empty
+// sentinel). Slot 0 is never handed out, so a caller's own tables can
+// use 0 for "no set". Adjacency puts a NodeIndex in front of one store;
+// each of the engine's processors drives one directly, with the engine's
+// node dictionary holding every processor's slot of every node.
+//
+// Released slots and side-store entries are recycled through free lists,
+// so steady-state churn allocates nothing. The zero value is an empty
+// store.
+type NeighborSets struct {
+	sets  []nset
+	freed []int32
+	side  sideStore
+	// ac is the optional byte ledger (nil: unaccounted), charged under
+	// mem.CompAdjacency only at capacity transitions — arena growth,
+	// spill, promote, table growth, side-store growth — never per event.
+	ac *mem.Accountant
+}
+
+// SetAccountant attaches the byte ledger. Call it before the first New,
+// or the ledger misses the capacity that already exists.
+func (s *NeighborSets) SetAccountant(ac *mem.Accountant) { s.ac = ac }
+
+// New returns the slot of a fresh empty set, recycling released slots.
+func (s *NeighborSets) New() int32 {
+	if n := len(s.freed); n > 0 {
+		si := s.freed[n-1]
+		s.freed = s.freed[:n-1]
+		return si
+	}
+	if len(s.sets) == 0 {
+		appendCharged(&s.sets, nset{}, nsetBytes, s.ac) // slot 0, never handed out
+	}
+	appendCharged(&s.sets, nset{}, nsetBytes, s.ac)
+	return int32(len(s.sets) - 1)
+}
+
+// Release empties set si and recycles its slot.
+func (s *NeighborSets) Release(si int32) {
+	s.sets[si].reset(&s.side, s.ac)
+	appendCharged(&s.freed, si, 4, s.ac)
+}
+
+// Add inserts w into set si, owned by owner, reporting whether w was
+// absent. Inserting the owner itself is rejected.
+//
+//rept:hotpath
+func (s *NeighborSets) Add(si int32, owner, w NodeID) bool {
+	return s.sets[si].add(&s.side, owner, w, s.ac)
+}
+
+// Remove deletes w from set si, owned by owner, reporting whether it was
+// present.
+//
+//rept:hotpath
+func (s *NeighborSets) Remove(si int32, owner, w NodeID) bool {
+	return s.sets[si].remove(&s.side, owner, w)
+}
+
+// Deg returns the number of neighbors in set si.
+func (s *NeighborSets) Deg(si int32) int { return s.sets[si].deg() }
+
+// Each calls fn for every neighbor in set si, owned by owner, in
+// unspecified order.
+func (s *NeighborSets) Each(si int32, owner NodeID, fn func(w NodeID)) {
+	s.sets[si].each(&s.side, owner, fn)
+}
+
+// Intersect appends the neighbors sets su (owned by u) and sv (owned by
+// v) share to dst and returns the extended slice: a merge walk when both
+// are small sorted slices, otherwise enumerate-the-smaller
+// probe-the-larger, so the cost is O(min(deg u, deg v)) expected.
+// Passing a reusable dst[:0] avoids per-call allocation.
+//
+//rept:hotpath
+func (s *NeighborSets) Intersect(su int32, u NodeID, sv int32, v NodeID, dst []NodeID) []NodeID {
+	return intersect(&s.side, &s.sets[su], u, &s.sets[sv], v, dst)
+}
+
+// IntersectCount returns the size of Intersect's result without
+// materializing it.
+//
+//rept:hotpath
+func (s *NeighborSets) IntersectCount(su int32, u NodeID, sv int32, v NodeID) int {
+	return intersectCount(&s.side, &s.sets[su], u, &s.sets[sv], v)
+}
+
+// Bytes returns the store's backing bytes recomputed from capacities. It
+// mirrors the incremental charge sites exactly: the arena, the side
+// store's headers and both free lists by capacity, and every side-store
+// slice by capacity (a promoted table's capacity is its length; a
+// released spill slice keeps its capacity on the free list, so it counts
+// too).
+func (s *NeighborSets) Bytes() int64 {
+	b := int64(cap(s.sets))*nsetBytes +
+		int64(cap(s.freed))*4 +
+		int64(cap(s.side.bufs))*sideEntryBytes +
+		int64(cap(s.side.free))*4
+	for _, buf := range s.side.bufs {
+		b += int64(cap(buf)) * nodeIDBytes
+	}
+	return b
+}
+
+// Reset drops every set and releases the backing storage, crediting it
+// to the ledger. Every slot handed out before is invalid afterwards.
+func (s *NeighborSets) Reset() {
+	s.ac.Add(mem.CompAdjacency, -s.Bytes())
+	*s = NeighborSets{ac: s.ac}
 }
 
 // sideStore holds the out-of-line storage of the sets that outgrow
@@ -502,72 +617,91 @@ func intersectCount(st *sideStore, su *nset, ou NodeID, sv *nset, ov NodeID) int
 	return n
 }
 
-// idxEntry is one node-index slot: the node id and its arena slot plus
-// one, packed in eight bytes so a probe touches a single word. slot1 == 0
-// marks an empty index slot.
+// idxEntry is one NodeIndex slot: the node id and its non-zero value,
+// packed in eight bytes so a probe touches a single word. val == 0 marks
+// an empty slot.
 type idxEntry struct {
-	key   NodeID
-	slot1 int32
+	key NodeID
+	val int32
 }
 
-// nodeIndex is an open-addressing map from NodeID to arena slot.
-// Deletion backward-shifts, so no tombstones exist and lookups stay
-// short under churn. The index grows at 50% load — every processor the
-// engine's walk visits for an event (the storing processor plus those
-// whose sample holds both endpoints) probes it up to four times, so short
-// probe chains buy more than the extra 8 bytes per slot cost.
-type nodeIndex struct {
+// NodeIndex is an open-addressing map from NodeID to a non-zero int32: a
+// NeighborSets slot in Adjacency, a dense node id in the engine's node
+// dictionary. Deletion backward-shifts, so no tombstones exist and
+// lookups stay short under churn. The index grows at 50% load: it is
+// probed for every endpoint of every event, so short probe chains buy
+// more than the extra 8 bytes per slot cost.
+//
+// The zero value is an empty index. An attached accountant is charged
+// the table's bytes at growth and credited at Reset, never per update.
+type NodeIndex struct {
 	ents []idxEntry
 	n    int
+	ac   *mem.Accountant
+	comp mem.Component
 }
 
 const indexMinSize = 16
 
-// get returns the arena slot of u, or -1.
-func (ix *nodeIndex) get(u NodeID) int32 {
+// SetAccountant attaches the byte ledger under comp. Call it while the
+// index is empty.
+func (ix *NodeIndex) SetAccountant(ac *mem.Accountant, comp mem.Component) {
+	ix.ac, ix.comp = ac, comp
+}
+
+// Len returns the number of entries.
+func (ix *NodeIndex) Len() int { return ix.n }
+
+// Bytes returns the table's backing bytes.
+func (ix *NodeIndex) Bytes() int64 { return int64(len(ix.ents)) * idxEntryBytes }
+
+// Get returns u's value, 0 if u is absent.
+//
+//rept:hotpath
+func (ix *NodeIndex) Get(u NodeID) int32 {
 	if ix.n == 0 {
-		return -1
+		return 0
 	}
 	mask := uint32(len(ix.ents) - 1)
 	for i := mix32(uint32(u)) & mask; ; i = (i + 1) & mask {
-		e := ix.ents[i]
-		if e.slot1 == 0 {
-			return -1
-		}
-		if e.key == u {
-			return e.slot1 - 1
+		if e := ix.ents[i]; e.val == 0 || e.key == u {
+			return e.val
 		}
 	}
 }
 
-// put inserts u → slot. u must be absent.
-func (ix *nodeIndex) put(u NodeID, slot int32, ac *mem.Accountant) {
+// Put inserts u → val. u must be absent and val non-zero.
+func (ix *NodeIndex) Put(u NodeID, val int32) {
 	if len(ix.ents) == 0 {
-		ix.ents = make([]idxEntry, indexMinSize)
-		ac.Add(mem.CompAdjacency, int64(indexMinSize)*idxEntryBytes)
+		ix.grow(indexMinSize)
 	} else if ix.n >= len(ix.ents)/2 {
-		ix.grow(len(ix.ents)*2, ac)
+		ix.grow(len(ix.ents) * 2)
 	}
+	ix.put(u, val)
+}
+
+// put places u → val in a table with room for it.
+func (ix *NodeIndex) put(u NodeID, val int32) {
 	mask := uint32(len(ix.ents) - 1)
 	i := mix32(uint32(u)) & mask
-	for ix.ents[i].slot1 != 0 {
+	for ix.ents[i].val != 0 {
 		i = (i + 1) & mask
 	}
-	ix.ents[i] = idxEntry{key: u, slot1: slot + 1}
+	ix.ents[i] = idxEntry{key: u, val: val}
 	ix.n++
 }
 
-// del removes u (which must be present) by backward-shift.
-func (ix *nodeIndex) del(u NodeID) {
+// Del removes u, which must be present, by backward shift.
+func (ix *NodeIndex) Del(u NodeID) {
 	mask := uint32(len(ix.ents) - 1)
 	i := mix32(uint32(u)) & mask
-	for ix.ents[i].key != u || ix.ents[i].slot1 == 0 {
+	for ix.ents[i].key != u || ix.ents[i].val == 0 {
 		i = (i + 1) & mask
 	}
 	j := i
 	for {
 		j = (j + 1) & mask
-		if ix.ents[j].slot1 == 0 {
+		if ix.ents[j].val == 0 {
 			break
 		}
 		home := mix32(uint32(ix.ents[j].key)) & mask
@@ -580,24 +714,32 @@ func (ix *nodeIndex) del(u NodeID) {
 	ix.n--
 }
 
-// grow rehashes into size slots (a power of two ≥ current).
-func (ix *nodeIndex) grow(size int, ac *mem.Accountant) {
+// grow rehashes into size slots (a power of two at least the current
+// size), charging the ledger for the difference.
+func (ix *NodeIndex) grow(size int) {
 	old := ix.ents
-	ac.Add(mem.CompAdjacency, int64(size-len(old))*idxEntryBytes)
+	ix.ac.Add(ix.comp, int64(size-len(old))*idxEntryBytes)
 	ix.ents = make([]idxEntry, size)
 	ix.n = 0
 	for _, e := range old {
-		if e.slot1 != 0 {
-			ix.put(e.key, e.slot1-1, nil)
+		if e.val != 0 {
+			ix.put(e.key, e.val)
 		}
 	}
 }
 
-// each calls fn for every (node, slot) pair, in unspecified order.
-func (ix *nodeIndex) each(fn func(u NodeID, slot int32)) {
+// Each calls fn for every entry, in slot order.
+func (ix *NodeIndex) Each(fn func(u NodeID, val int32)) {
 	for _, e := range ix.ents {
-		if e.slot1 != 0 {
-			fn(e.key, e.slot1-1)
+		if e.val != 0 {
+			fn(e.key, e.val)
 		}
 	}
+}
+
+// Reset drops every entry and releases the table, crediting it to the
+// ledger.
+func (ix *NodeIndex) Reset() {
+	ix.ac.Add(ix.comp, -ix.Bytes())
+	ix.ents, ix.n = nil, 0
 }

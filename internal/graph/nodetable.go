@@ -16,10 +16,10 @@ type nodeValue interface{ ~int64 | ~uint32 }
 // shard merge to the published view, and the degree tracker's counters.
 // An epoch copies and merges these tables instead of building Go maps.
 //
-// Storage mirrors MaskTable: open addressing with linear probing over
+// Storage mirrors NodeIndex: open addressing with linear probing over
 // mix32, entries removed by backward shift. Keys and values live in two
 // parallel slices, so Clone is two slice copies and the GC never scans
-// either. The table grows at 75% load, not MaskTable's 50%: every epoch
+// either. The table grows at 75% load, not NodeIndex's 50%: every epoch
 // copies, merges and scans these tables whole, so density pays there,
 // while a per-event probe mostly hits within one cache line of keys.
 // Key 0 marks an empty slot; node 0 itself lives in a dedicated field.

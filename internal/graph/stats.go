@@ -18,8 +18,8 @@ func Summarize(stream []Edge) Summary {
 		}
 	}
 	s := Summary{Nodes: adj.Nodes(), Edges: adj.Edges()}
-	adj.idx.each(func(_ NodeID, si int32) {
-		if d := adj.sets[si].deg(); d > s.MaxDegree {
+	adj.idx.Each(func(_ NodeID, si int32) {
+		if d := adj.sets.Deg(si); d > s.MaxDegree {
 			s.MaxDegree = d
 		}
 	})

@@ -22,9 +22,10 @@ type Component int
 // is disk-class (bytes in sealed and active log segments on the backend),
 // so MemoryTotal excludes it; everything else is process memory.
 const (
-	// CompAdjacency covers graph.Adjacency: the node-index table, the
-	// neighbor-set arena, and the side store of spill slices and
-	// promoted hash sets.
+	// CompAdjacency covers the sampled neighbor sets: every engine
+	// processor's graph.NeighborSets (the neighbor-set arena and the side
+	// store of spill slices and promoted hash sets), and a
+	// graph.Adjacency's node index beside its own store.
 	CompAdjacency Component = iota
 	// CompCounters covers the core counter tables: the per-edge ctab
 	// (main table plus its tombstone-recycling spare buffer), the
@@ -34,7 +35,9 @@ const (
 	// CompDegrees covers graph.DegreeTable: the flat degree table and
 	// the live-edge membership set.
 	CompDegrees
-	// CompMasks covers graph.MaskTable presence masks.
+	// CompMasks covers each engine's node dictionary: the NodeID → id
+	// index and the node-major rows of presence masks and per-processor
+	// neighbor-set slots, plus the free list of recycled ids.
 	CompMasks
 	// CompRings covers the shard ring buffers (ingest plus WAL rings).
 	CompRings

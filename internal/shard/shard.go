@@ -107,9 +107,9 @@ type Config struct {
 	// restores into a coordinator with it off and vice versa.
 	Obs *obs.Pipeline
 	// Mem, when non-nil, is the byte ledger every storage layer under the
-	// coordinator reports to: the shard engines' adjacency arenas, counter
-	// and mask tables, the ingest rings, the recycled batch buffers, and
-	// the degree table. Purely observational — estimates are bit-identical
+	// coordinator reports to: the shard engines' neighbor-set arenas, node
+	// dictionaries and counter tables, the ingest rings, the recycled
+	// batch buffers, and the degree table. Purely observational — estimates are bit-identical
 	// with or without it — and, like Obs, operational state outside the
 	// snapshot fingerprint.
 	Mem *mem.Accountant

@@ -73,9 +73,13 @@ func (c *Concurrent) MemTotalBytes() int64 { return c.acct.MemoryTotal() }
 // qualifies, and all counters are rescaled by the REPT unbiasing factor
 // (τ and τ_v scale by 2^(−2·extra), matching the m² factor of the
 // estimator at the effective partition size m_eff = M·2^shift). The
-// estimator stays unbiased after the shift; its variance rises, which is
-// the traded good — memory falls because the expected stored-edge count
-// halves per step.
+// global estimate stays unbiased after the shift; its variance rises,
+// which is the traded good — memory falls because the expected
+// stored-edge count halves per step. Local estimates read low afterwards:
+// each per-node counter is rounded on its own, most are small, and one
+// Downsample(1) leaves Σ_v τ̂_v at about 0.54× its value (see
+// core.Engine.Downsample), so Local, Locals and the views behind
+// reptserve's /local, /topk and /cc under-report after an adaptation.
 //
 // Downsample is how the adaptive controller shrinks the estimator under
 // a memory budget; it is also callable directly. It fails with
