@@ -2,6 +2,7 @@ package rept_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"rept/internal/control"
 	"rept/internal/exper"
 	"rept/internal/gen"
+	"rept/internal/graph"
 )
 
 // TestAccuracyAfterDownsample is the statistical gate for the adaptive
@@ -93,6 +95,92 @@ func TestAccuracyAfterDownsample(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestAccuracyLocalAfterDownsample is the statistical gate for the local
+// estimates across the control plane's adaptation: over 40 hash-family
+// seeds with a Downsample(1) at 3/5 of the stream, the mean of
+// Σ_v τ̂_v / Σ_v τ_v, and of the same ratio over the nodes with
+// 10 ≤ τ_v < 50, must lie within 4.5 standard errors of 1, on an
+// insert-only stream and on its churn. Downsample rescales every class
+// sum Σ τ⁽ⁱ⁾_v by 1/4 with stochastic rounding, which keeps each one's
+// expectation; rounding each small counter half away from zero instead
+// turned a quarter of 1 into 0 and read 0.76–0.85 here, 6.9 to 39
+// standard errors low. Stream and seeds are fixed; the test is fully
+// deterministic.
+func TestAccuracyLocalAfterDownsample(t *testing.T) {
+	base := gen.Shuffle(gen.HolmeKim(3000, 6, 0.5, 77), 123)
+	streams := []struct {
+		name string
+		ups  []rept.Update
+	}{
+		{"InsertOnly", graph.Inserts(base)},
+		{"Churn", exper.DynStream(base, exper.DynOptions{Pattern: exper.Reinsert, DeleteFrac: 0.35, ReinsertFrac: 0.85, Seed: 99})},
+	}
+	const seeds = 40
+	for _, st := range streams {
+		exact := exper.DynCountExact(st.ups, true).TauV
+		inBucket := func(v rept.NodeID) bool { return exact[v] >= 10 && exact[v] < 50 }
+		var total, bucket float64
+		for v, x := range exact {
+			total += float64(x)
+			if inBucket(v) {
+				bucket += float64(x)
+			}
+		}
+		if bucket < 1000 {
+			t.Fatalf("%s: the 10 ≤ τ_v < 50 bucket holds only %v triangle incidences", st.name, bucket)
+		}
+		cut := len(st.ups) * 3 / 5
+		for _, lay := range []struct{ m, c int }{{8, 32}, {16, 8}} {
+			t.Run(fmt.Sprintf("%s_M%d_C%d", st.name, lay.m, lay.c), func(t *testing.T) {
+				var all, mid []float64
+				for seed := int64(1); seed <= seeds; seed++ {
+					est, err := rept.NewConcurrent(rept.ConcurrentConfig{M: lay.m, C: lay.c, Seed: seed, TrackLocal: true, FullyDynamic: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					est.ApplyAll(st.ups[:cut])
+					if err := est.Downsample(1); err != nil {
+						t.Fatal(err)
+					}
+					est.ApplyAll(st.ups[cut:])
+					var sumAll, sumMid float64
+					for v, x := range est.Locals() {
+						sumAll += x
+						if inBucket(v) {
+							sumMid += x
+						}
+					}
+					est.Close()
+					all = append(all, sumAll/total)
+					mid = append(mid, sumMid/bucket)
+				}
+				for _, r := range []struct {
+					name   string
+					ratios []float64
+				}{{"Σ τ̂_v / Σ τ_v", all}, {"10 ≤ τ_v < 50", mid}} {
+					mean, se := meanSE(r.ratios)
+					t.Logf("%s: mean ratio %.3f ± %.3f", r.name, mean, se)
+					if math.Abs(mean-1) > 4.5*se {
+						t.Errorf("%s: mean ratio %.3f is %.1f standard errors from 1: local estimates are biased after Downsample", r.name, mean, math.Abs(mean-1)/se)
+					}
+				}
+			})
+		}
+	}
+}
+
+// meanSE returns the mean of xs and its standard error.
+func meanSE(xs []float64) (mean, se float64) {
+	n := float64(len(xs))
+	var sum, sumSq float64
+	for _, x := range xs {
+		sum += x
+		sumSq += x * x
+	}
+	mean = sum / n
+	return mean, math.Sqrt((sumSq/n - mean*mean) / (n - 1))
 }
 
 // TestDownsampleRefusedOnEtaConfig: a layout with a partial processor

@@ -271,13 +271,14 @@
 // stays unbiased at the effective partition size m_eff = M·2^shift
 // (SampleShift, SampleProbability); its variance rises, and
 // VarianceBound publishes the Theorem 3 bound at the current effective
-// layout so the accuracy spent is always visible. Local estimates do not
-// stay unbiased: each small per-node counter is rounded on its own, and
-// one Downsample(1) leaves their sum at about 0.54× (HolmeKim 20k nodes,
-// M=10, C=40, 20 seeds), so local counts, top-K and clustering
-// coefficients read low after an adaptation. η-tracking configurations
-// cannot rescale their per-edge closing counters and refuse with
-// ErrEtaDownsample.
+// layout so the accuracy spent is always visible. Local estimates stay
+// unbiased too: every per-node class sum is rescaled with stochastic
+// rounding, whose expectation is exact, so one Downsample(1) keeps their
+// sum at 1.000× (HolmeKim 20k nodes, M=10, C=40, 20 seeds; rounding each
+// small per-processor counter half away from zero left 0.536×), and
+// local counts, top-K and clustering coefficients stay on target.
+// η-tracking configurations cannot rescale their per-edge closing
+// counters and refuse with ErrEtaDownsample.
 // cmd/reptserve wires the loop together under -mem-budget: an adaptive
 // controller ticks against the ledger, shrinks the top-K ranking first,
 // downsamples next, and at the hard budget sheds ingest with HTTP 429 +

@@ -28,14 +28,28 @@ func tableOf(m map[graph.NodeID]int64) *graph.NodeTable[int64] {
 	return t
 }
 
-// sameAggregates compares two Aggregates by value. A class-sum table's
-// slot layout depends on its insertion history (a restored engine rebuilds
-// its tables from maps), so the tables compare by content.
-func sameAggregates(a, b *Aggregates) bool {
-	for _, p := range [][2]*graph.NodeTable[int64]{{a.TauV1, b.TauV1}, {a.TauV2, b.TauV2}, {a.EtaV, b.EtaV}} {
-		if !reflect.DeepEqual(tableMap(p[0]), tableMap(p[1])) {
-			return false
+// classSumsDiff returns the name of the first class-sum table on which a
+// and b differ by content, keys included, or "" when all three agree. A
+// table's slot layout depends on its insertion history (a restored engine
+// inserts in snapshot order), so tables compare by content, never by
+// layout.
+func classSumsDiff(a, b *Aggregates) string {
+	for _, c := range []struct {
+		name string
+		x, y *graph.NodeTable[int64]
+	}{{"TauV1", a.TauV1, b.TauV1}, {"TauV2", a.TauV2, b.TauV2}, {"EtaV", a.EtaV, b.EtaV}} {
+		if !reflect.DeepEqual(tableMap(c.x), tableMap(c.y)) {
+			return c.name
 		}
+	}
+	return ""
+}
+
+// sameAggregates compares two Aggregates by value, the class sums by
+// content.
+func sameAggregates(a, b *Aggregates) bool {
+	if classSumsDiff(a, b) != "" {
+		return false
 	}
 	x, y := *a, *b
 	x.TauV1, x.TauV2, x.EtaV = nil, nil, nil
@@ -43,54 +57,17 @@ func sameAggregates(a, b *Aggregates) bool {
 	return reflect.DeepEqual(x, y)
 }
 
-// checkClassSums requires the engine's class-sum tables, keys included,
-// to equal its per-processor maps summed by class, and Aggregates to
-// report exactly those tables.
-func checkClassSums(t *testing.T, step string, e *Engine) {
-	t.Helper()
-	want1 := map[graph.NodeID]int64{}
-	want2 := map[graph.NodeID]int64{}
-	wantEta := map[graph.NodeID]int64{}
-	for i, p := range e.procs {
-		dst := want1
-		if e.lay.isPartialProc(i) {
-			dst = want2
-		}
-		for v, x := range p.tauV {
-			dst[v] += x
-		}
-		for v, x := range p.etaV {
-			wantEta[v] += x
-		}
-	}
-	if e.etaV == nil {
-		wantEta = nil
-	}
-	agg := e.Aggregates()
-	for _, c := range []struct {
-		name      string
-		live, agg *graph.NodeTable[int64]
-		want      map[graph.NodeID]int64
-	}{
-		{"TauV1", e.tauV1, agg.TauV1, want1},
-		{"TauV2", e.tauV2, agg.TauV2, want2},
-		{"EtaV", e.etaV, agg.EtaV, wantEta},
-	} {
-		if got := tableMap(c.live); !reflect.DeepEqual(got, c.want) {
-			t.Fatalf("%s: %s class table (%d keys) != per-processor maps summed by class (%d keys)", step, c.name, len(got), len(c.want))
-		}
-		if got := tableMap(c.agg); !reflect.DeepEqual(got, c.want) {
-			t.Fatalf("%s: Aggregates.%s (%d keys) != per-processor maps summed by class (%d keys)", step, c.name, len(got), len(c.want))
-		}
-	}
-}
-
-// TestClassSumsMatchProcessorMaps drives a seeded schedule of inserts,
+// TestClassSumsMatchNeverResumedTwin drives a seeded schedule of inserts,
 // deletes, re-inserts, self-loops, Downsample, and WriteSnapshot followed
-// by a resume, and after every step requires the class-sum tables to
-// equal the per-processor maps summed by class — the invariant that lets
-// Aggregates copy the tables instead of re-summing the maps.
-func TestClassSumsMatchProcessorMaps(t *testing.T) {
+// by a resume through one engine, and the same events, Downsample
+// included, through a twin that never resumes. After every step the two
+// must hold the same class sums by content, keys included, and Aggregates
+// must report exactly the engine's live tables; after every Downsample
+// the two must encode to the same bytes. The class sums are the engines'
+// only per-node state, so this pins that a snapshot carries them whole
+// and that Downsample's rounding depends on neither table layout nor
+// history.
+func TestClassSumsMatchNeverResumedTwin(t *testing.T) {
 	for _, cfg := range []Config{
 		{M: 3, C: 7, Seed: 4, TrackLocal: true, FullyDynamic: true},                 // full + partial groups, η forced
 		{M: 4, C: 8, Seed: 5, TrackLocal: true, FullyDynamic: true},                 // full groups only
@@ -99,6 +76,10 @@ func TestClassSumsMatchProcessorMaps(t *testing.T) {
 	} {
 		rng := rand.New(rand.NewPCG(uint64(cfg.Seed), 99))
 		e, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, err := NewEngine(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,6 +92,11 @@ func TestClassSumsMatchProcessorMaps(t *testing.T) {
 			delete(live, ed)
 			return ed
 		}
+		apply := func(up graph.Update) {
+			e.Apply(up)
+			twin.Apply(up)
+		}
+		resumed, resumedDownsamples := false, 0
 		for step := 0; step < 700; step++ {
 			var what string
 			switch r := rng.IntN(100); {
@@ -119,7 +105,7 @@ func TestClassSumsMatchProcessorMaps(t *testing.T) {
 				if ed.U == ed.V || live[ed] {
 					continue
 				}
-				e.Add(ed.U, ed.V)
+				apply(graph.Update{U: ed.U, V: ed.V})
 				live[ed] = true
 				liveList = append(liveList, ed)
 				what = "insert"
@@ -128,7 +114,7 @@ func TestClassSumsMatchProcessorMaps(t *testing.T) {
 					continue
 				}
 				ed := removeLive(rng.IntN(len(liveList)))
-				e.Delete(ed.U, ed.V)
+				apply(graph.Update{U: ed.U, V: ed.V, Del: true})
 				gone = append(gone, ed)
 				what = "delete"
 			case r < 92:
@@ -139,21 +125,26 @@ func TestClassSumsMatchProcessorMaps(t *testing.T) {
 				if live[ed] {
 					continue
 				}
-				e.Add(ed.U, ed.V)
+				apply(graph.Update{U: ed.U, V: ed.V})
 				live[ed] = true
 				liveList = append(liveList, ed)
 				what = "re-insert"
 			case r < 95:
 				u := graph.NodeID(rng.IntN(30))
-				e.Add(u, u)
-				e.Delete(u, u)
+				apply(graph.Update{U: u, V: u})
+				apply(graph.Update{U: u, V: u, Del: true})
 				what = "self-loop"
 			case r < 97:
 				if e.trackEta || e.SampleShift() >= 3 {
 					continue
 				}
-				if err := e.Downsample(1); err != nil {
-					t.Fatal(err)
+				for _, x := range []*Engine{e, twin} {
+					if err := x.Downsample(1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if resumed {
+					resumedDownsamples++
 				}
 				what = "downsample"
 			default:
@@ -165,10 +156,34 @@ func TestClassSumsMatchProcessorMaps(t *testing.T) {
 				if e, err = ResumeEngine(cfg, &buf); err != nil {
 					t.Fatal(err)
 				}
+				resumed = true
 				what = "resume"
 			}
-			checkClassSums(t, what, e)
+			agg := e.Aggregates()
+			if name := classSumsDiff(agg, twin.Aggregates()); name != "" {
+				t.Fatalf("%+v step %d (%s): %s differs from the never-resumed twin's", cfg, step, what, name)
+			}
+			own := &Aggregates{TauV1: e.tauV1, TauV2: e.tauV2, EtaV: e.etaV}
+			if name := classSumsDiff(agg, own); name != "" {
+				t.Fatalf("%+v step %d (%s): Aggregates.%s differs from the engine's table", cfg, step, what, name)
+			}
+			if what == "downsample" {
+				var a, b bytes.Buffer
+				if err := e.WriteSnapshot(&a); err != nil {
+					t.Fatal(err)
+				}
+				if err := twin.WriteSnapshot(&b); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(a.Bytes(), b.Bytes()) {
+					t.Fatalf("%+v step %d: downsampled engine encodes differently from its never-resumed twin", cfg, step)
+				}
+			}
+		}
+		if !e.trackEta && resumedDownsamples == 0 {
+			t.Fatalf("%+v: schedule never downsampled a resumed engine", cfg)
 		}
 		e.Close()
+		twin.Close()
 	}
 }

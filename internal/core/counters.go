@@ -47,8 +47,8 @@ type ctab struct {
 // satcount is a per-edge closing counter that clamps at the int32 bounds
 // instead of wrapping (a wrapped counter would silently corrupt η̂; a
 // clamped one bounds the error and surfaces it via Engine.EtaSaturations).
-// All arithmetic on it goes through the //rept:sathelper methods bump and
-// setClamped; satarith reports any raw additive operator elsewhere.
+// All arithmetic on it goes through the //rept:sathelper method bump;
+// satarith reports any raw additive operator elsewhere.
 //
 //rept:satcounter
 type satcount int32
@@ -164,24 +164,11 @@ func (t *ctab) bump(k uint64, delta int32) (old, cur int32) {
 	return old, cur
 }
 
-// setClamped stores v (an int64 clamped into int32 range) at k, counting
-// a saturation when clamping was needed.
+// insert enters k, which must be absent, with a zero counter: a newly
+// sampled edge has closed no semi-triangle as a wedge edge yet.
 //
 //rept:hotpath
-//rept:sathelper
-func (t *ctab) setClamped(k uint64, v int64) {
-	i := t.slot(k)
-	switch {
-	case v > int64(ctabMaxInt32):
-		t.vals[i] = satcount(ctabMaxInt32)
-		t.sat++
-	case v < int64(ctabMinInt32):
-		t.vals[i] = satcount(ctabMinInt32)
-		t.sat++
-	default:
-		t.vals[i] = satcount(v)
-	}
-}
+func (t *ctab) insert(k uint64) { t.vals[t.slot(k)] = 0 }
 
 // del removes k's entry (if present), leaving a tombstone.
 //

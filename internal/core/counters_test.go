@@ -9,7 +9,7 @@ import (
 )
 
 // TestCtabMatchesMap cross-checks the open-addressing counter table
-// against a plain map under a random churn of bumps, sets, and deletes —
+// against a plain map under a random churn of bumps, loads, and deletes —
 // including enough delete/re-insert cycles to exercise tombstone reuse
 // and purge rehashes.
 func TestCtabMatchesMap(t *testing.T) {
@@ -28,9 +28,9 @@ func TestCtabMatchesMap(t *testing.T) {
 			ct.del(k)
 			delete(naive, k)
 		case 1:
-			v := int64(rng.IntN(100) - 50)
-			ct.setClamped(k, v)
-			naive[k] = int32(v)
+			v := int32(rng.IntN(100) - 50)
+			ct.load(map[uint64]int32{k: v})
+			naive[k] = v
 		default:
 			delta := int32(1)
 			if rng.IntN(2) == 0 {
@@ -74,7 +74,7 @@ func TestCtabMatchesMap(t *testing.T) {
 func TestCtabSaturation(t *testing.T) {
 	k := graph.Key(1, 2)
 	ct := newCtab(nil)
-	ct.setClamped(k, math.MaxInt32-1)
+	ct.load(map[uint64]int32{k: math.MaxInt32 - 1})
 	if old, cur := ct.bump(k, 1); old != math.MaxInt32-1 || cur != math.MaxInt32 {
 		t.Fatalf("bump to max = (%d, %d)", old, cur)
 	}
@@ -89,20 +89,18 @@ func TestCtabSaturation(t *testing.T) {
 		t.Fatalf("sat = %d after clamp, want 1", ct.sat)
 	}
 	// And the bottom boundary.
-	ct.setClamped(k, math.MinInt32)
+	ct.load(map[uint64]int32{k: math.MinInt32})
 	if _, cur := ct.bump(k, -1); cur != math.MinInt32 {
 		t.Fatalf("bump past min stored %d, want clamp at MinInt32", cur)
 	}
 	if ct.sat != 2 {
 		t.Fatalf("sat = %d after min clamp, want 2", ct.sat)
 	}
-	// setClamped clamps out-of-range int64 values too.
-	ct.setClamped(k, int64(math.MaxInt32)+7)
-	if got := ct.get(k); got != math.MaxInt32 {
-		t.Fatalf("setClamped stored %d, want MaxInt32", got)
-	}
-	if ct.sat != 3 {
-		t.Fatalf("sat = %d after clamped set, want 3", ct.sat)
+	// A fresh entry starts at 0 whatever its key held before.
+	ct.del(k)
+	ct.insert(k)
+	if got := ct.get(k); got != 0 {
+		t.Fatalf("insert stored %d, want 0", got)
 	}
 }
 
@@ -181,7 +179,7 @@ func TestCtabTombstoneChurnStaysCompact(t *testing.T) {
 	keys := make([]uint64, 64)
 	for i := range keys {
 		keys[i] = graph.Key(graph.NodeID(i), graph.NodeID(100+i))
-		ct.setClamped(keys[i], int64(i))
+		ct.load(map[uint64]int32{keys[i]: int32(i)})
 	}
 	capBefore := len(ct.keys)
 	for round := 0; round < 1000; round++ {
@@ -189,7 +187,7 @@ func TestCtabTombstoneChurnStaysCompact(t *testing.T) {
 			ct.del(k)
 		}
 		for i, k := range keys {
-			ct.setClamped(k, int64(i))
+			ct.load(map[uint64]int32{k: int32(i)})
 		}
 	}
 	if len(ct.keys) > 2*capBefore {

@@ -118,7 +118,7 @@ func TestDeleteRequiresFullyDynamic(t *testing.T) {
 
 // checkDynamicInvariants asserts the structural invariants that must
 // hold for ANY signed sequence, well-formed or not: finite estimates and
-// per-processor sampled-set/counter-map consistency.
+// every processor's per-edge counters keyed by exactly its sampled edges.
 func checkDynamicInvariants(t *testing.T, eng *Engine) {
 	t.Helper()
 	st := eng.State()
@@ -160,8 +160,8 @@ func checkDynamicInvariants(t *testing.T, eng *Engine) {
 // fully-dynamic engine and asserts that it matches the all-processor
 // reference walk bit for bit (derived d_o included) and that the state
 // invariants hold: no panics, no NaN/Inf estimates, no negative
-// sampled-set sizes, the per-processor counter maps consistent with the
-// sampled sets, and the whole state snapshot-round-trippable into an
+// sampled-set sizes, the per-edge counters keyed by exactly the sampled
+// edges, and the whole state snapshot-round-trippable into an
 // engine with bit-identical counters.
 func FuzzFullyDynamicCore(f *testing.F) {
 	f.Add(uint8(3), uint8(7), int64(1), []byte{0x10, 0x21, 0x20, 0x91, 0x30})

@@ -50,13 +50,16 @@ func TestAdjacencyBytesPerSampledEdge(t *testing.T) {
 // TestEngineLedgerMatchesFootprint drives a seeded schedule of inserts,
 // deletes, phantom deletes, self-loops, Downsample(1) and snapshot
 // round trips through accounted engines, and after every step requires
-// the ledger's adjacency and masks components to equal the footprints
-// recomputed from capacities: every processor's neighbor-set store, and
-// the node dictionary. A charge site that misses a capacity change (or
+// the ledger's adjacency, masks and counters components to equal the
+// footprints recomputed from capacities: every processor's neighbor-set
+// store, the node dictionary, and the class-sum tables plus every
+// per-edge counter table. A charge site that misses a capacity change (or
 // charges one twice) shows up as a drift at the step that caused it. C=130
-// spreads the presence masks over three blocks.
+// spreads the presence masks over three blocks; C=22 leaves a partial
+// group, so η and its per-edge counters are tracked (and Downsample,
+// which refuses η, is skipped).
 func TestEngineLedgerMatchesFootprint(t *testing.T) {
-	for _, c := range []int{20, 130} {
+	for _, c := range []int{20, 130, 22} {
 		t.Run(fmt.Sprintf("C=%d", c), func(t *testing.T) { testEngineLedger(t, c) })
 	}
 }
@@ -84,6 +87,15 @@ func testEngineLedger(t *testing.T, c int) {
 		if got, want := cfg.Mem.Bytes(mem.CompMasks), e.dict.bytes(); got != want {
 			t.Fatalf("step %d (%s): masks ledger %d bytes, dictionary footprint %d", step, what, got, want)
 		}
+		counters := e.tauV1.Bytes() + e.tauV2.Bytes() + e.etaV.Bytes()
+		for _, p := range e.procs {
+			if p.tcnt != nil {
+				counters += int64(len(p.tcnt.keys)+len(p.tcnt.spareK)) * ctabSlotBytes
+			}
+		}
+		if got := cfg.Mem.Bytes(mem.CompCounters); got != counters {
+			t.Fatalf("step %d (%s): counters ledger %d bytes, class sums and edge counters %d", step, what, got, counters)
+		}
 	}
 	check(0, "new")
 	rng := rand.New(rand.NewPCG(7, uint64(c)))
@@ -108,7 +120,7 @@ func testEngineLedger(t *testing.T, c int) {
 		}
 		what := ""
 		switch r := rng.IntN(1000); {
-		case i%(steps/3) == 0:
+		case i%(steps/3) == 0 && !e.trackEta:
 			what = "Downsample(1)"
 			if err := e.Downsample(1); err != nil {
 				t.Fatal(err)
@@ -163,7 +175,11 @@ func testEngineLedger(t *testing.T, c int) {
 			}
 		}
 	}
-	if e.SampleShift() != 3 || !recycled || !promoted {
+	wantShift := 3
+	if e.trackEta {
+		wantShift = 0
+	}
+	if e.SampleShift() != wantShift || !recycled || !promoted {
 		t.Fatalf("schedule missed a transition: shift %d, ids recycled %v, hub set promoted %v", e.SampleShift(), recycled, promoted)
 	}
 }

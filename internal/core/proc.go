@@ -39,23 +39,23 @@ type proc struct {
 	index   int
 	maskBit uint64
 
-	tau  int64
-	eta  int64
-	tauV map[graph.NodeID]int64
-	etaV map[graph.NodeID]int64
+	tau int64
+	eta int64
 	// tauSum and etaSum are the engine's class-sum tables this processor
-	// adds into (tauSum is the full-group or the partial-group one): every
-	// update to tauV or etaV is mirrored there on the same line, so the
-	// engine reports class sums without walking the per-processor maps.
+	// adds its τ⁽ⁱ⁾_v and η⁽ⁱ⁾_v updates into (tauSum is the full-group or
+	// the partial-group one). The processor keeps no per-node counters of
+	// its own: the estimators read τ⁽ⁱ⁾_v and η⁽ⁱ⁾_v only through these
+	// sums. Nil unless the engine tracks them.
 	tauSum, etaSum *graph.NodeTable[int64]
 	// tcnt holds τ⁽ⁱ⁾_g: the signed number of semi-triangle closings in
 	// Δ⁽ⁱ⁾ involving the sampled edge g as a wedge edge — the per-edge
 	// counters Algorithm 2 uses to maintain η⁽ⁱ⁾ incrementally. Entries
-	// exist for exactly the sampled edges; deletion of a sampled edge
-	// removes its entry (a re-insertion re-derives it from the current
-	// sampled graph). Stored in a flat open-addressing table keyed by the
-	// canonical 64-bit edge key, with saturating counter arithmetic (see
-	// ctab).
+	// exist for exactly the sampled edges and start at 0 when the edge is
+	// sampled (the semi-triangles the edge itself closes on arrival have
+	// it as their last edge, not a wedge edge); deletion of a sampled edge
+	// removes its entry. Stored in a flat open-addressing table keyed by
+	// the canonical 64-bit edge key, with saturating counter arithmetic
+	// (see ctab).
 	tcnt *ctab
 
 	// Random-pairing deletion counters (TRIÈST-FD's d_i, specialized to
@@ -78,15 +78,6 @@ type proc struct {
 	downSeed uint64
 
 	scratch []graph.NodeID
-
-	// ac/acLocal reconcile the per-node counter maps (tauV, etaV) against
-	// the byte ledger under mem.CompCounters. The maps mutate on the hot
-	// path, so the reconciliation runs only at the engine's reporting
-	// points (Aggregates, State, Downsample) — the ledger for this slice of
-	// CompCounters is barrier-fresh rather than transition-exact, which is
-	// what its consumers (metrics scrapes, controller ticks) need.
-	ac      *mem.Accountant
-	acLocal int64
 }
 
 func newProc(index, group, color int, trackLocal, trackEta bool, downSeed uint64, ac *mem.Accountant) *proc {
@@ -98,33 +89,12 @@ func newProc(index, group, color int, trackLocal, trackEta bool, downSeed uint64
 		index:      index,
 		maskBit:    1 << uint(index%maskBlock),
 		downSeed:   downSeed,
-		ac:         ac,
 	}
 	p.sets.SetAccountant(ac)
-	if trackLocal {
-		p.tauV = make(map[graph.NodeID]int64)
-		if trackEta {
-			p.etaV = make(map[graph.NodeID]int64)
-		}
-	}
 	if trackEta {
 		p.tcnt = newCtab(ac)
 	}
 	return p
-}
-
-// localCounterEntryBytes is the amortized accounting estimate for one
-// per-node counter map entry (4-byte NodeID key, 8-byte int64 value, plus
-// Go map bucket overhead — same convention as the view maps).
-const localCounterEntryBytes = 28
-
-// reaccountLocal reconciles the per-node counter maps' footprint against
-// the ledger. Called only from the engine's reporting points, never per
-// event.
-func (p *proc) reaccountLocal() {
-	b := int64(len(p.tauV)+len(p.etaV)) * localCounterEntryBytes
-	p.ac.Add(mem.CompCounters, b-p.acLocal)
-	p.acLocal = b
 }
 
 // keeps reports whether the extra downsample filter admits the edge: the
@@ -173,12 +143,9 @@ func (p *proc) processEdge(d *nodeDict, eu, ev *endpoint, key uint64, color int)
 	n := p.common(d, eu, ev)
 	p.tau += n
 	if p.trackLocal && n > 0 {
-		p.tauV[u] += n
-		p.tauV[v] += n
 		p.tauSum.Add(u, n)
 		p.tauSum.Add(v, n)
 		for _, w := range p.scratch {
-			p.tauV[w]++
 			p.tauSum.Add(w, 1)
 		}
 	}
@@ -188,26 +155,21 @@ func (p *proc) processEdge(d *nodeDict, eu, ev *endpoint, key uint64, color int)
 			a, _ := p.tcnt.bump(kuw, 1)
 			b, _ := p.tcnt.bump(kvw, 1)
 			p.eta += int64(a) + int64(b)
-			if p.etaV != nil {
+			if p.etaSum != nil {
 				if ab := int64(a) + int64(b); ab != 0 {
-					p.etaV[w] += ab
 					p.etaSum.Add(w, ab)
 				}
 				if a != 0 {
-					p.etaV[u] += int64(a)
 					p.etaSum.Add(u, int64(a))
 				}
 				if b != 0 {
-					p.etaV[v] += int64(b)
 					p.etaSum.Add(v, int64(b))
 				}
 			}
 		}
 	}
-	if color == p.color && p.keeps(key) && d.place(p, eu, ev) {
-		if p.trackEta {
-			p.tcnt.setClamped(key, n)
-		}
+	if color == p.color && p.keeps(key) && d.place(p, eu, ev) && p.trackEta {
+		p.tcnt.insert(key)
 	}
 }
 
@@ -241,12 +203,9 @@ func (p *proc) deleteEdge(d *nodeDict, eu, ev *endpoint, key uint64, color int) 
 	n := p.common(d, eu, ev)
 	p.tau -= n
 	if p.trackLocal && n > 0 {
-		p.tauV[u] -= n
-		p.tauV[v] -= n
 		p.tauSum.Add(u, -n)
 		p.tauSum.Add(v, -n)
 		for _, w := range p.scratch {
-			p.tauV[w]--
 			p.tauSum.Add(w, -1)
 		}
 	}
@@ -256,17 +215,14 @@ func (p *proc) deleteEdge(d *nodeDict, eu, ev *endpoint, key uint64, color int) 
 			_, a := p.tcnt.bump(kuw, -1)
 			_, b := p.tcnt.bump(kvw, -1)
 			p.eta -= int64(a) + int64(b)
-			if p.etaV != nil {
+			if p.etaSum != nil {
 				if ab := int64(a) + int64(b); ab != 0 {
-					p.etaV[w] -= ab
 					p.etaSum.Add(w, -ab)
 				}
 				if a != 0 {
-					p.etaV[u] -= int64(a)
 					p.etaSum.Add(u, -int64(a))
 				}
 				if b != 0 {
-					p.etaV[v] -= int64(b)
 					p.etaSum.Add(v, -int64(b))
 				}
 			}

@@ -36,8 +36,7 @@ type Sim struct {
 	tauV2 *graph.NodeTable[int64]
 	etaV  *graph.NodeTable[int64]
 
-	scratch  []simWedge
-	matchNew []uint32
+	scratch []simWedge
 
 	processed uint64
 	selfLoops uint64
@@ -61,7 +60,6 @@ func NewSim(cfg Config) (*Sim, error) {
 		hashes:   cfg.hashFamily(lay.groups),
 		numL:     lay.groups,
 		adj:      make(map[graph.NodeID]map[graph.NodeID]int32),
-		matchNew: make([]uint32, lay.groups),
 	}
 	s.tau = make([][]int64, lay.groups)
 	for l := range s.tau {
@@ -94,11 +92,8 @@ func (s *Sim) Add(u, v graph.NodeID) {
 	key := graph.Key(u, v)
 	L := s.numL
 
-	// Colors of the arriving edge under every group hash (needed both for
-	// the insertion decision and for initializing its τ_edge counters).
-	for l := 0; l < L; l++ {
-		s.matchNew[l] = 0
-	}
+	// Colors of the arriving edge under every group hash, stored with it
+	// if it is inserted.
 	newColors := make([]uint16, L)
 	for l := 0; l < L; l++ {
 		newColors[l] = uint16(s.hashes[l].Color(key))
@@ -168,9 +163,6 @@ func (s *Sim) Add(u, v graph.NodeID) {
 				s.tcnt[baseU+l] = a + 1
 				s.tcnt[baseV+l] = b + 1
 			}
-			if cu == newColors[l] {
-				s.matchNew[l]++
-			}
 		}
 	}
 
@@ -184,7 +176,9 @@ func (s *Sim) Add(u, v graph.NodeID) {
 	s.linkSim(v, u, eid)
 	s.colors = append(s.colors, newColors...)
 	if s.trackEta {
-		s.tcnt = append(s.tcnt, s.matchNew...)
+		// A new edge's closing counters start at 0: the semi-triangles it
+		// just closed have it as their last edge, not as a wedge edge.
+		s.tcnt = append(s.tcnt, make([]uint32, L)...)
 	}
 }
 

@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 	"io"
-	"maps"
 
+	"rept/internal/graph"
 	"rept/internal/snapshot"
 )
 
@@ -23,9 +23,10 @@ func (c Config) fingerprint() snapshot.Fingerprint {
 }
 
 // State captures the engine's complete state: the config fingerprint,
-// every processor's sampled adjacency and counters, and the
-// processed/self-loop tallies. The returned state is a deep copy — the
-// engine may keep ingesting edges afterwards without invalidating it.
+// every processor's sampled adjacency and counters, the per-node class
+// sums, and the processed/self-loop tallies. The returned state is a deep
+// copy — the engine may keep ingesting edges afterwards without
+// invalidating it.
 func (e *Engine) State() *snapshot.EngineState {
 	if e.closed {
 		panic(ErrClosed)
@@ -37,16 +38,16 @@ func (e *Engine) State() *snapshot.EngineState {
 		SelfLoops:   e.selfLoops,
 		SampleShift: int(e.shift),
 		Procs:       make([]snapshot.ProcState, len(e.procs)),
+		TauV1:       e.tauV1.Clone(),
+		TauV2:       e.tauV2.Clone(),
+		EtaV:        e.etaV.Clone(),
 	}
 	samples := e.sampleEdges()
 	for i, p := range e.procs {
-		p.reaccountLocal()
 		ps := &st.Procs[i]
 		ps.Tau, ps.Eta = p.tau, p.eta
 		ps.Di, ps.Do, ps.Phantom = p.di, e.unsampledDeletes(p), p.phantom
 		ps.Edges = samples[i]
-		ps.TauV = maps.Clone(p.tauV)
-		ps.EtaV = maps.Clone(p.etaV)
 		if p.tcnt != nil {
 			ps.Tcnt = p.tcnt.toMap()
 		}
@@ -104,20 +105,20 @@ func (e *Engine) loadState(st *snapshot.EngineState) error {
 	if st.SampleShift > 0 && e.trackEta {
 		return fmt.Errorf("%w: sample shift %d on an η-tracking configuration (downsampling is unavailable there)", snapshot.ErrCorrupt, st.SampleShift)
 	}
+	// Class-sum presence is dictated by the (already matched) fingerprint;
+	// disagreement means the payload was assembled inconsistently.
+	if (st.TauV1 != nil) != e.cfg.TrackLocal || (st.TauV2 != nil) != e.cfg.TrackLocal {
+		return fmt.Errorf("%w: τ_v class sums presence disagrees with TrackLocal=%v", snapshot.ErrCorrupt, e.cfg.TrackLocal)
+	}
+	if (st.EtaV != nil) != (e.etaV != nil) {
+		return fmt.Errorf("%w: η_v class sums presence disagrees with tracking flags", snapshot.ErrCorrupt)
+	}
 	e.shift = uint(st.SampleShift)
 	for _, p := range e.procs {
 		p.shift = e.shift
 	}
 	for i, p := range e.procs {
 		ps := &st.Procs[i]
-		// Map presence is dictated by the (already matched) fingerprint;
-		// disagreement means the payload was assembled inconsistently.
-		if p.trackLocal != (ps.TauV != nil) {
-			return fmt.Errorf("%w: processor %d τ_v presence disagrees with TrackLocal=%v", snapshot.ErrCorrupt, i, p.trackLocal)
-		}
-		if (p.trackLocal && p.trackEta) != (ps.EtaV != nil) {
-			return fmt.Errorf("%w: processor %d η_v presence disagrees with tracking flags", snapshot.ErrCorrupt, i)
-		}
 		if p.trackEta != (ps.Tcnt != nil) {
 			return fmt.Errorf("%w: processor %d edge-triangle counters presence disagrees with η tracking=%v", snapshot.ErrCorrupt, i, p.trackEta)
 		}
@@ -149,17 +150,13 @@ func (e *Engine) loadState(st *snapshot.EngineState) error {
 		}
 		p.tau, p.eta = ps.Tau, ps.Eta
 		p.di, p.phantom = ps.Di, ps.Phantom
-		if ps.TauV != nil {
-			p.tauV = ps.TauV
-		}
-		if ps.EtaV != nil {
-			p.etaV = ps.EtaV
-		}
 		if ps.Tcnt != nil {
 			p.tcnt.load(ps.Tcnt)
 		}
 	}
+	for _, t := range [][2]*graph.NodeTable[int64]{{st.TauV1, e.tauV1}, {st.TauV2, e.tauV2}, {st.EtaV, e.etaV}} {
+		t[0].Each(func(v graph.NodeID, x int64) { t[1].Add(v, x) })
+	}
 	e.processed, e.deleted, e.selfLoops = st.Processed, st.Deleted, st.SelfLoops
-	e.rebuildLocal()
 	return nil
 }

@@ -184,8 +184,9 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 		name string
 		mut  func(*snapshot.EngineState)
 	}{
-		{"MissingTauV", func(s *snapshot.EngineState) { s.Procs[0].TauV = nil }},
-		{"MissingEtaV", func(s *snapshot.EngineState) { s.Procs[1].EtaV = nil }},
+		{"MissingTauV", func(s *snapshot.EngineState) { s.TauV1 = nil }},
+		{"MissingTauV2", func(s *snapshot.EngineState) { s.TauV2 = nil }},
+		{"MissingEtaV", func(s *snapshot.EngineState) { s.EtaV = nil }},
 		{"MissingTcnt", func(s *snapshot.EngineState) { s.Procs[2].Tcnt = nil }},
 		{"TcntEdgeCountSkew", func(s *snapshot.EngineState) {
 			p := &s.Procs[0]

@@ -25,7 +25,7 @@ type nodeValue interface{ ~int64 | ~uint32 }
 // Key 0 marks an empty slot; node 0 itself lives in a dedicated field.
 // An entry stays present once inserted, whatever its value, until it is
 // deleted or the table is Reset: a class sum that nets to zero after
-// deletions keeps its key, exactly like the per-processor maps it sums.
+// deletions keeps its key, and snapshots carry it like any other.
 //
 // The zero value is an empty table. An attached accountant is charged
 // the backing bytes at growth and credited at Reset, never per update.

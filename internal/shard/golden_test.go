@@ -16,9 +16,9 @@ import (
 
 // updateGolden rewrites the golden blob from goldenConfig and
 // goldenStream; use it only together with a Version bump.
-var updateGolden = flag.Bool("update", false, "rewrite testdata/sharded_v5.snap")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/sharded_v6.snap")
 
-// goldenConfig and goldenStream generate testdata/sharded_v5.snap.
+// goldenConfig and goldenStream generate testdata/sharded_v6.snap.
 func goldenConfig() shard.Config {
 	return shard.Config{M: 3, C: 10, Shards: 2, Seed: 99, TrackLocal: true, TrackEta: true, TrackDegrees: true, FullyDynamic: true}
 }
@@ -28,12 +28,12 @@ func goldenStream() []graph.Update {
 	return exper.DynStream(base, exper.DynOptions{Pattern: exper.Reinsert, DeleteFrac: 0.35, Seed: 7})
 }
 
-// TestGoldenVersion5Snapshot pins the wire format: re-running the
+// TestGoldenVersion6Snapshot pins the wire format: re-running the
 // deterministic deletion-bearing stream that generated the golden blob
 // must reproduce it byte for byte (the encoding is canonical), and
 // restoring the blob must yield a coordinator that checkpoints back to
 // the same bytes.
-func TestGoldenVersion5Snapshot(t *testing.T) {
+func TestGoldenVersion6Snapshot(t *testing.T) {
 	cfg := goldenConfig()
 	ups := goldenStream()
 
@@ -48,11 +48,11 @@ func TestGoldenVersion5Snapshot(t *testing.T) {
 	}
 	s.Close()
 	if *updateGolden {
-		if err := os.WriteFile("testdata/sharded_v5.snap", buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile("testdata/sharded_v6.snap", buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	golden, err := os.ReadFile("testdata/sharded_v5.snap")
+	golden, err := os.ReadFile("testdata/sharded_v6.snap")
 	if err != nil {
 		t.Fatal(err)
 	}

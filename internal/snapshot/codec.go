@@ -112,17 +112,19 @@ func (e *encoder) engineBody(st *EngineState) {
 		e.uvarint(p.Do)
 		e.uvarint(p.Phantom)
 		e.edgeSet(p.Edges)
-		e.nodeMap(p.TauV)
-		e.nodeMap(p.EtaV)
 		e.tcntMap(p.Tcnt)
 	}
+	e.nodeTable(st.TauV1)
+	e.nodeTable(st.TauV2)
+	e.nodeTable(st.EtaV)
 }
 
 // deltaKeys writes a strictly-increasing key sequence: count, first key
 // raw, then deltas. When val is non-nil it is called after each key to
 // append the key's accompanying value — the one shared shape behind the
-// edge set and both counter maps. It sorts keys in place before writing,
-// which is what makes the map-derived encodings canonical.
+// edge sets, the per-edge counter map and the class-sum tables. It sorts
+// keys in place before writing, which is what makes the encodings of
+// maps and tables canonical.
 //
 //rept:sorter
 func (e *encoder) deltaKeys(keys []uint64, val func(k uint64)) {
@@ -156,20 +158,18 @@ func (e *encoder) edgeSet(edges []graph.Edge) {
 	e.deltaKeys(keys, nil)
 }
 
-// nodeMap writes a per-node counter map: a presence flag (nil maps stay
-// nil on restore), then sorted delta-encoded node ids with their signed
-// counts.
-func (e *encoder) nodeMap(m map[graph.NodeID]int64) {
-	if m == nil {
+// nodeTable writes a per-node class-sum table: a presence flag (nil
+// tables stay nil on restore), then sorted delta-encoded node ids with
+// their signed sums — every entry, zero-valued ones included.
+func (e *encoder) nodeTable(t *graph.NodeTable[int64]) {
+	if t == nil {
 		e.bool(false)
 		return
 	}
 	e.bool(true)
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, uint64(k))
-	}
-	e.deltaKeys(keys, func(k uint64) { e.svarint(m[graph.NodeID(k)]) })
+	keys := make([]uint64, 0, t.Len())
+	t.Each(func(v graph.NodeID, _ int64) { keys = append(keys, uint64(v)) })
+	e.deltaKeys(keys, func(k uint64) { e.svarint(t.Get(graph.NodeID(k))) })
 }
 
 // tcntMap writes the per-edge closing counters, sorted by edge key.
@@ -381,6 +381,15 @@ func (d *decoder) engineBody() (*EngineState, error) {
 		}
 		st.Procs = append(st.Procs, p)
 	}
+	if st.TauV1, err = d.nodeTable("tauV1"); err != nil {
+		return nil, err
+	}
+	if st.TauV2, err = d.nodeTable("tauV2"); err != nil {
+		return nil, err
+	}
+	if st.EtaV, err = d.nodeTable("etaV"); err != nil {
+		return nil, err
+	}
 	return st, nil
 }
 
@@ -403,12 +412,6 @@ func (d *decoder) proc() (ProcState, error) {
 		return p, err
 	}
 	if p.Edges, err = d.edgeSet(); err != nil {
-		return p, err
-	}
-	if p.TauV, err = d.nodeMap("tauV"); err != nil {
-		return p, err
-	}
-	if p.EtaV, err = d.nodeMap("etaV"); err != nil {
 		return p, err
 	}
 	if p.Tcnt, err = d.tcntMap(); err != nil {
@@ -465,7 +468,7 @@ func (d *decoder) edgeSet() ([]graph.Edge, error) {
 	return out, nil
 }
 
-func (d *decoder) nodeMap(what string) (map[graph.NodeID]int64, error) {
+func (d *decoder) nodeTable(what string) (*graph.NodeTable[int64], error) {
 	present, err := d.bool(what)
 	if err != nil || !present {
 		return nil, err
@@ -474,7 +477,7 @@ func (d *decoder) nodeMap(what string) (map[graph.NodeID]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[graph.NodeID]int64, min(n, maxPrealloc))
+	out := &graph.NodeTable[int64]{}
 	err = d.deltaKeys(n, what, func(k uint64) error {
 		if err := nodeOutOfRange(k); err != nil {
 			return err
@@ -483,7 +486,7 @@ func (d *decoder) nodeMap(what string) (map[graph.NodeID]int64, error) {
 		if err != nil {
 			return err
 		}
-		out[graph.NodeID(k)] = v
+		out.Add(graph.NodeID(k), v)
 		return nil
 	})
 	if err != nil {

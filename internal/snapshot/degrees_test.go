@@ -130,7 +130,7 @@ func TestVersionBounds(t *testing.T) {
 	if data[8] != Version {
 		t.Fatalf("version byte = %d, want %d", data[8], Version)
 	}
-	for _, v := range []byte{0, 3, 4, Version + 1} {
+	for _, v := range []byte{0, 3, 4, 5, Version + 1} {
 		bad := append([]byte{}, data...)
 		bad[8] = v
 		want := fmt.Sprintf("unsupported format version %d", v)

@@ -1,11 +1,11 @@
 // Package snapshot implements the binary format that persists REPT
 // estimator state across restarts: the configuration fingerprint,
-// every logical processor's sampled adjacency E⁽ⁱ⁾, the τ⁽ⁱ⁾/η⁽ⁱ⁾
-// counters (global and per-node), the per-edge triangle counters that
-// Algorithm 2 needs to keep η⁽ⁱ⁾ incremental, and the processed/self-loop
-// tallies. Restoring a snapshot yields an estimator that behaves
-// identically to the one that wrote it: fed the same suffix stream, it
-// produces bit-for-bit the same estimates.
+// every logical processor's sampled adjacency E⁽ⁱ⁾ and τ⁽ⁱ⁾/η⁽ⁱ⁾
+// counters, the per-edge triangle counters that Algorithm 2 needs to keep
+// η⁽ⁱ⁾ incremental, each engine's per-node class sums, and the
+// processed/self-loop tallies. Restoring a snapshot yields an estimator
+// that behaves identically to the one that wrote it: fed the same suffix
+// stream, it produces bit-for-bit the same estimates.
 //
 // # Wire format
 //
@@ -21,17 +21,21 @@
 // fixed 8-byte little-endian (a seed is arbitrary 64-bit entropy, so
 // varint encoding would usually cost more), and the statistical counters,
 // which are zigzag signed varints (fully-dynamic streams drive
-// per-processor counters transiently negative). Sets and maps are written
-// sorted by key with delta-encoded keys, which both compresses well (edge
-// keys of a sampled adjacency cluster by high node id) and makes encoding
-// canonical: two snapshots of the same state are byte-identical.
+// per-processor counters transiently negative). Sets, maps and tables are
+// written sorted by key with delta-encoded keys, which both compresses
+// well (edge keys of a sampled adjacency cluster by high node id) and
+// makes encoding canonical: two snapshots of the same state are
+// byte-identical, whatever the slot layout of the tables they came from.
 //
 // The engine payload is the fingerprint (M, C, seed, trackLocal,
 // trackEta, fullyDynamic), the processed, deleted and self-loop tallies,
-// the sample down-shift, and then C processor records: τ⁽ⁱ⁾, η⁽ⁱ⁾, the
+// the sample down-shift, then C processor records — τ⁽ⁱ⁾, η⁽ⁱ⁾, the
 // random-pairing deletion counters d_i/d_o/phantom, the sorted sampled
-// edge keys, the τ⁽ⁱ⁾_v and η⁽ⁱ⁾_v maps, and the per-edge triangle
-// counters. The sharded payload is the coordinator fingerprint, the shard
+// edge keys, and the per-edge triangle counters — and last the engine's
+// three per-node class sums, once per engine: Σ τ⁽ⁱ⁾_v over the
+// full-group processors, over the partial group, and Σ η⁽ⁱ⁾_v over all
+// processors, each a presence flag and then sorted delta-encoded node ids
+// with their signed sums. The sharded payload is the coordinator fingerprint, the shard
 // count, the coordinator tallies, the degree tracker's live-edge set (a
 // presence flag, then the sorted delta-encoded edge keys — a restore
 // rebuilds the degree table behind clustering-coefficient queries from
@@ -60,7 +64,7 @@ import (
 )
 
 // Version is the one format version this build writes and reads.
-const Version = 5
+const Version = 6
 
 // Snapshot kinds.
 const (
@@ -175,9 +179,6 @@ type ProcState struct {
 	Di, Do, Phantom uint64
 	// Edges is the sampled edge set E⁽ⁱ⁾, sorted by canonical key.
 	Edges []graph.Edge
-	// TauV and EtaV are the per-node τ⁽ⁱ⁾_v and η⁽ⁱ⁾_v counters; nil when
-	// the engine did not track them.
-	TauV, EtaV map[graph.NodeID]int64
 	// Tcnt maps each sampled edge's key to its signed per-edge closing
 	// counter (Algorithm 2's η bookkeeping); nil when η was not tracked.
 	Tcnt map[uint64]int32
@@ -195,6 +196,10 @@ type EngineState struct {
 	// own controller.
 	SampleShift int
 	Procs       []ProcState
+	// TauV1, TauV2 and EtaV are the engine's per-node class sums: Σ τ⁽ⁱ⁾_v
+	// over the full-group processors, over the partial group, and Σ η⁽ⁱ⁾_v
+	// over all processors. Nil when the engine did not track them.
+	TauV1, TauV2, EtaV *graph.NodeTable[int64]
 }
 
 // ShardedState is the barrier-consistent state of a shard.Sharded

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -18,15 +19,55 @@ func testEngineState() *EngineState {
 			{
 				Tau: 9, Eta: 2,
 				Edges: []graph.Edge{{U: 5, V: 1}, {U: 2, V: 3}},
-				TauV:  map[graph.NodeID]int64{1: 4, 9: 1},
-				EtaV:  map[graph.NodeID]int64{2: 7},
 				Tcnt:  map[uint64]int32{graph.Key(1, 5): 1, graph.Key(2, 3): 0},
 			},
-			{Tau: 1, TauV: map[graph.NodeID]int64{}, EtaV: map[graph.NodeID]int64{}, Tcnt: map[uint64]int32{}},
-			{Edges: []graph.Edge{{U: 0, V: 1}}, TauV: map[graph.NodeID]int64{}, EtaV: map[graph.NodeID]int64{}, Tcnt: map[uint64]int32{graph.Key(0, 1): 0}},
-			{TauV: map[graph.NodeID]int64{}, EtaV: map[graph.NodeID]int64{}, Tcnt: map[uint64]int32{}},
+			{Tau: 1, Tcnt: map[uint64]int32{}},
+			{Edges: []graph.Edge{{U: 0, V: 1}}, Tcnt: map[uint64]int32{graph.Key(0, 1): 0}},
+			{Tcnt: map[uint64]int32{}},
 		},
+		TauV1: tableOf(map[graph.NodeID]int64{1: 4, 9: 1}),
+		TauV2: tableOf(map[graph.NodeID]int64{0: 3, 9: 0}),
+		EtaV:  tableOf(map[graph.NodeID]int64{2: 7}),
 	}
+}
+
+// tableOf builds a class-sum table from a map.
+func tableOf(m map[graph.NodeID]int64) *graph.NodeTable[int64] {
+	t := &graph.NodeTable[int64]{}
+	for v, x := range m {
+		t.Add(v, x)
+	}
+	return t
+}
+
+// tableMap exports a class-sum table as a map (nil for a nil table).
+func tableMap(t *graph.NodeTable[int64]) map[graph.NodeID]int64 {
+	if t == nil {
+		return nil
+	}
+	out := make(map[graph.NodeID]int64, t.Len())
+	t.Each(func(v graph.NodeID, x int64) { out[v] = x })
+	return out
+}
+
+// sameClassSums compares two engine states' class-sum tables by content:
+// a table's slot layout depends on the order its entries were inserted in.
+func sameClassSums(a, b *EngineState) bool {
+	for _, p := range [][2]*graph.NodeTable[int64]{{a.TauV1, b.TauV1}, {a.TauV2, b.TauV2}, {a.EtaV, b.EtaV}} {
+		if !reflect.DeepEqual(tableMap(p[0]), tableMap(p[1])) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameEngineState compares two engine states by value, the class sums by
+// content.
+func sameEngineState(a, b *EngineState) bool {
+	x, y := *a, *b
+	x.TauV1, x.TauV2, x.EtaV = nil, nil, nil
+	y.TauV1, y.TauV2, y.EtaV = nil, nil, nil
+	return sameClassSums(a, b) && reflect.DeepEqual(x, y)
 }
 
 func testShardedState() *ShardedState {
@@ -72,11 +113,13 @@ func TestEngineRoundTrip(t *testing.T) {
 	if len(p.Edges) != 2 || p.Edges[0] != (graph.Edge{U: 1, V: 5}) || p.Edges[1] != (graph.Edge{U: 2, V: 3}) {
 		t.Errorf("proc 0 edges = %v (want canonical sorted {1,5},{2,3})", p.Edges)
 	}
-	if p.TauV[1] != 4 || p.TauV[9] != 1 || p.EtaV[2] != 7 {
-		t.Errorf("proc 0 maps decoded wrong: tauV=%v etaV=%v", p.TauV, p.EtaV)
-	}
 	if p.Tcnt[graph.Key(1, 5)] != 1 {
 		t.Errorf("proc 0 tcnt = %v", p.Tcnt)
+	}
+	// Class sums round-trip by content, zero-valued entries and node 0
+	// included.
+	if !sameClassSums(got, st) {
+		t.Errorf("class sums decoded as %v / %v / %v", tableMap(got.TauV1), tableMap(got.TauV2), tableMap(got.EtaV))
 	}
 }
 
