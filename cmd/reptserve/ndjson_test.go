@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rept"
+	"rept/internal/wal"
 )
 
 // TestParseEdgeLineFast: every line the fast scanner accepts must decode
@@ -160,7 +161,10 @@ func itoa(n uint32) string {
 // accepted-count over-report: events parsed into a batch that the
 // shutdown path refused to flush were historically still counted as
 // accepted. The 503 must report exactly the events the estimator got —
-// zero here — and the estimator must be untouched.
+// zero here — and the estimator must be untouched. A body that ends at a
+// bad line (not JSON, a missing endpoint, a deletion without -dynamic)
+// flushes the valid lines before it first; that refused flush, not the
+// line's 400 or 409, is the answer.
 func TestIngestAccountingOnShutdown(t *testing.T) {
 	est, err := rept.NewConcurrent(rept.ConcurrentConfig{M: 2, C: 4, Seed: 1})
 	if err != nil {
@@ -173,52 +177,73 @@ func TestIngestAccountingOnShutdown(t *testing.T) {
 
 	srv.Stop()
 
-	// Fewer lines than a batch: dropped by the final flush.
-	resp, err := http.Post(ts.URL+"/edges", "application/x-ndjson", strings.NewReader(ndjson([]rept.Edge{{U: 1, V: 2}, {U: 2, V: 3}})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503", resp.StatusCode)
-	}
-	var body struct {
-		Error string `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(body.Error, "accepted 0 events") {
-		t.Errorf("503 body %q, want it to report 0 accepted events (none were ingested)", body.Error)
-	}
-	if est.Processed() != 0 {
-		t.Errorf("estimator processed %d events through a stopped server", est.Processed())
-	}
-
-	// More lines than the body-batch bound: the mid-loop flush refuses
-	// too.
 	var big strings.Builder
 	for i := 0; i < maxBodyBatch+10; i++ {
 		big.WriteString(`{"u":1,"v":2}` + "\n")
 	}
-	resp2, err := http.Post(ts.URL+"/edges", "application/x-ndjson", strings.NewReader(big.String()))
+	valid := `{"u":1,"v":2}` + "\n"
+	for _, c := range []struct{ name, body string }{
+		// Fewer lines than a batch: dropped by the final flush.
+		{"short body", ndjson([]rept.Edge{{U: 1, V: 2}, {U: 2, V: 3}})},
+		// More lines than the body-batch bound: the mid-loop flush
+		// refuses too.
+		{"big body", big.String()},
+		{"then not json", valid + "not json\n"},
+		{"then a missing v", valid + `{"u":1}` + "\n"},
+		{"then a deletion without -dynamic", valid + `{"u":1,"v":2,"op":"del"}` + "\n"},
+	} {
+		code, msg := postEdgesError(t, ts.URL, c.body)
+		if code != http.StatusServiceUnavailable {
+			t.Errorf("%s: status %d (%q), want 503", c.name, code, msg)
+		}
+		if !strings.Contains(msg, "accepted 0 events") {
+			t.Errorf("%s: 503 body %q, want it to report 0 accepted events (none were ingested)", c.name, msg)
+		}
+		if est.Processed() != 0 {
+			t.Fatalf("%s: estimator processed %d events through a stopped server", c.name, est.Processed())
+		}
+	}
+}
+
+// TestIngestBadLineAfterWALFailure: on a durable server, a body whose
+// valid lines the write-ahead log refuses answers the log's sticky 500,
+// not the 400 of the bad line that ended it.
+func TestIngestBadLineAfterWALFailure(t *testing.T) {
+	be := wal.NewMemBackend()
+	est, err := rept.ResumeDurable(rept.ConcurrentConfig{M: 2, C: 4, Seed: 1}, rept.WALOptions{Backend: be})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("big body: status %d, want 503", resp2.StatusCode)
+	ts := httptest.NewServer(NewServer(est))
+	defer ts.Close()
+	defer est.Close()
+
+	be.FailSync(1)
+	code, msg := postEdgesError(t, ts.URL, `{"u":1,"v":2}`+"\n"+"not json\n")
+	if code != http.StatusInternalServerError {
+		t.Fatalf("status %d (%q), want 500", code, msg)
 	}
-	body.Error = ""
-	if err := json.NewDecoder(resp2.Body).Decode(&body); err != nil {
+	if !strings.Contains(msg, "write-ahead log") || !strings.Contains(msg, "accepted 0 events") {
+		t.Errorf("500 body %q, want the write-ahead-log error and 0 accepted events", msg)
+	}
+}
+
+// postEdgesError POSTs body to /edges and returns the status and the
+// error message of the JSON response ("" for a success).
+func postEdgesError(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url+"/edges", "application/x-ndjson", strings.NewReader(body))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(body.Error, "accepted 0 events") {
-		t.Errorf("big-body 503 %q, want 0 accepted events", body.Error)
+	defer resp.Body.Close()
+	var msg struct {
+		Error string `json:"error"`
 	}
-	if est.Processed() != 0 {
-		t.Errorf("estimator processed %d events through a stopped server", est.Processed())
+	if err := json.NewDecoder(resp.Body).Decode(&msg); err != nil {
+		t.Fatal(err)
 	}
+	return resp.StatusCode, msg.Error
 }
 
 // TestIngestAccountingOnReadError: when the body dies mid-request (an

@@ -499,7 +499,9 @@ var ingestPool = sync.Pool{
 // require the server to run with -dynamic (409 otherwise). Blank lines
 // are skipped. On a malformed line the request fails with 400 after
 // reporting the line number; lines before it are already ingested
-// (ingestion is streaming, not transactional).
+// (ingestion is streaming, not transactional) — unless the flush that
+// hands them over is refused, which answers 503 (shutdown) or the
+// sticky write-ahead-log 500 instead of the line's error.
 //
 // Lines are parsed by the zero-copy scanner in ndjson.go, falling back
 // to encoding/json per line for anything outside the fast shape.
@@ -594,6 +596,18 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		}
 		writeError(w, http.StatusServiceUnavailable, "server is shutting down (accepted %d events)", resp.Accepted)
 	}
+	// reject ends a request at a bad line or a body read error: it
+	// flushes the events parsed before it and answers code, with the
+	// accepted count as the format's last argument. A failed flush
+	// answers as failFlush does instead: its refusal is the outcome of
+	// every event the request carried, the bad line aside.
+	reject := func(code int, format string, args ...any) {
+		if !flush() {
+			failFlush()
+			return
+		}
+		writeError(w, code, format, append(args, resp.Accepted)...)
+	}
 	line := 0
 	for sc.Scan() {
 		line++
@@ -615,13 +629,11 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 			// historical behavior (and error text).
 			var el edgeLine
 			if err := json.Unmarshal(raw, &el); err != nil {
-				flush()
-				writeError(w, http.StatusBadRequest, "line %d: %v (accepted %d events before it)", line, err, resp.Accepted)
+				reject(http.StatusBadRequest, "line %d: %v (accepted %d events before it)", line, err)
 				return
 			}
 			if el.U == nil || el.V == nil {
-				flush()
-				writeError(w, http.StatusBadRequest, "line %d: need both \"u\" and \"v\" (accepted %d events before it)", line, resp.Accepted)
+				reject(http.StatusBadRequest, "line %d: need both \"u\" and \"v\" (accepted %d events before it)", line)
 				return
 			}
 			u, v, opName = *el.U, *el.V, el.Op
@@ -634,13 +646,11 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		case "del", "delete":
 			del = true
 		default:
-			flush()
-			writeError(w, http.StatusBadRequest, "line %d: op %q, want \"add\" or \"del\" (accepted %d events before it)", line, opName, resp.Accepted)
+			reject(http.StatusBadRequest, "line %d: op %q, want \"add\" or \"del\" (accepted %d events before it)", line, opName)
 			return
 		}
 		if del && !dynamic {
-			flush()
-			writeError(w, http.StatusConflict, "line %d: edge deletions are disabled; start reptserve with -dynamic (accepted %d events before it)", line, resp.Accepted)
+			reject(http.StatusConflict, "line %d: edge deletions are disabled; start reptserve with -dynamic (accepted %d events before it)", line)
 			return
 		}
 		// Self-loops ride along so the estimator's own SelfLoops counter
@@ -660,8 +670,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		flush()
-		writeError(w, http.StatusBadRequest, "reading body: %v (accepted %d events)", err, resp.Accepted)
+		reject(http.StatusBadRequest, "reading body: %v (accepted %d events)", err)
 		return
 	}
 	if !flush() {

@@ -161,9 +161,9 @@
 // The per-event hot path runs on flat, cache-friendly structures and is
 // allocation-free in steady state. Each logical processor's sampled
 // adjacency is an arena of 32-byte, pointer-free neighbor-set entries
-// addressed by slot, and each engine keeps one node dictionary — an
-// open-addressing NodeID → id table beside node-major rows holding every
-// node's presence masks and its slot on every processor — so an event
+// addressed by slot, and each engine keeps one node dictionary — a
+// NodeID → id table beside node-major rows holding every node's presence
+// masks and its slot on every processor — so an event
 // probes a hash table once per endpoint, however many processors it
 // visits. In a neighbor-set entry the first six neighbors live inline
 // in the entry, larger sets move to a side store the entry indexes — a
@@ -171,18 +171,21 @@
 // neighbors to an open-addressing hash set probed in O(1) (the inline →
 // sorted → promoted ladder matches how degrees distribute under 1/m
 // sampling: almost all nodes tiny, a few hubs hot). Holding no pointers
-// keeps the arena off the garbage collector's scan list. The per-edge η
-// counters are an open-addressing table keyed by the canonical 64-bit
-// edge key with tombstone-aware deletion and saturating (never wrapping)
-// int32 arithmetic; clamp events — possible
-// only on adversarially hot edges — are surfaced as
+// keeps the arena off the garbage collector's scan list. Two hash tables
+// serve every key: graph.NodeTable for NodeIDs (the dictionary, the class
+// sums, the degree counters) and graph.EdgeTable for canonical 64-bit
+// edge keys (the degree tracker's live edges, the per-edge η counters).
+// Both probe linearly over parallel key and value slices, grow at 75%
+// load and delete by backward shift, so churn leaves no tombstones. The
+// η counters use saturating (never wrapping) int32 arithmetic; clamp
+// events — possible only on adversarially hot edges — are surfaced as
 // Estimator.EtaSaturations / Concurrent.EtaSaturations, per epoch on
-// View.EtaSaturations, and over HTTP in /stats and /metrics. On the reference CI machine this rework
-// took insert-only per-event cost from ~1.5 µs to ~0.63 µs and
-// fully-dynamic churn from ~1.1 µs to ~0.41 µs (both ≥2×) at 0 allocs/op,
-// with testing.AllocsPerRun gates and a committed bench/BENCH_<sha>.json
-// trajectory (cmd/benchdiff fails CI on >25% per-event regression)
-// keeping it that way.
+// View.EtaSaturations, and over HTTP in /stats and /metrics. On the
+// reference CI machine this rework took insert-only per-event cost from
+// ~1.5 µs to ~0.63 µs and fully-dynamic churn from ~1.1 µs to ~0.41 µs
+// (both ≥2×) at 0 allocs/op, with testing.AllocsPerRun gates and a
+// committed bench/BENCH_<sha>.json trajectory (cmd/benchdiff fails CI on
+// >25% per-event regression) keeping it that way.
 //
 // Every event, insertion or deletion, reaches the engine the same way.
 // Batches travel from the producer to each shard's consumer as one

@@ -54,8 +54,9 @@ func testApplyAllZeroAlloc(t *testing.T, c int) {
 
 // TestDeleteSteadyStateZeroAlloc gates the per-event deletion path the
 // same way: once the working set is warm, Engine.Delete followed by
-// re-insertion of the same edges — the tombstone-recycling churn the ctab
-// ping-pong buffers exist for — must not allocate.
+// re-insertion of the same edges — churn through the backward-shift
+// deletion of every table on the path, the per-edge counters included —
+// must not allocate.
 func TestDeleteSteadyStateZeroAlloc(t *testing.T) {
 	for _, c := range allocLayouts {
 		testDeleteZeroAlloc(t, c)

@@ -10,8 +10,8 @@ import (
 
 // TestCtabMatchesMap cross-checks the open-addressing counter table
 // against a plain map under a random churn of bumps, loads, and deletes —
-// including enough delete/re-insert cycles to exercise tombstone reuse
-// and purge rehashes.
+// including enough delete/re-insert cycles to exercise backward-shift
+// deletion and growth.
 func TestCtabMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 9))
 	ct := newCtab(nil)
@@ -171,17 +171,18 @@ func TestRestoreRejectsTcntWithoutEta(t *testing.T) {
 	}
 }
 
-// TestCtabTombstoneChurnStaysCompact: deleting and re-inserting the same
-// working set must not grow the table (tombstone slots are reused), the
-// property that keeps fully-dynamic steady state allocation-free.
-func TestCtabTombstoneChurnStaysCompact(t *testing.T) {
+// TestCtabChurnStaysCompact: deleting and re-inserting the same working
+// set must not grow the table (deletion shifts entries back, leaving no
+// dead slots), the property that keeps fully-dynamic steady state
+// allocation-free.
+func TestCtabChurnStaysCompact(t *testing.T) {
 	ct := newCtab(nil)
 	keys := make([]uint64, 64)
 	for i := range keys {
 		keys[i] = graph.Key(graph.NodeID(i), graph.NodeID(100+i))
 		ct.load(map[uint64]int32{keys[i]: int32(i)})
 	}
-	capBefore := len(ct.keys)
+	before := ct.tab.Bytes()
 	for round := 0; round < 1000; round++ {
 		for _, k := range keys {
 			ct.del(k)
@@ -190,8 +191,8 @@ func TestCtabTombstoneChurnStaysCompact(t *testing.T) {
 			ct.load(map[uint64]int32{k: int32(i)})
 		}
 	}
-	if len(ct.keys) > 2*capBefore {
-		t.Fatalf("table grew from %d to %d slots under pure churn", capBefore, len(ct.keys))
+	if ct.tab.Bytes() != before {
+		t.Fatalf("table grew from %d to %d bytes under pure churn", before, ct.tab.Bytes())
 	}
 	for i, k := range keys {
 		if got := ct.get(k); got != int32(i) {

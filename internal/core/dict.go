@@ -8,8 +8,8 @@ import (
 	"rept/internal/mem"
 )
 
-// nodeDict is the engine's node dictionary: one open-addressing index
-// from NodeID to a dense id, probed once per endpoint per event, beside
+// nodeDict is the engine's node dictionary: one graph.NodeTable from
+// NodeID to a dense id, probed once per endpoint per event, beside
 // node-major rows indexed by id. A node's row holds its presence masks —
 // masks[id*blocks+b] has bit j set while processor 64b+j holds the node
 // — and its neighbor-set slot on every processor, slots[id*c+i], 0 where
@@ -30,7 +30,7 @@ import (
 // layouts (large M, few processors per group). Every byte is charged to
 // the ledger's masks component at capacity changes only.
 type nodeDict struct {
-	index  graph.NodeIndex
+	index  graph.NodeTable[int32]
 	masks  []uint64
 	slots  []int32
 	free   []int32

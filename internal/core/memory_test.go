@@ -90,7 +90,7 @@ func testEngineLedger(t *testing.T, c int) {
 		counters := e.tauV1.Bytes() + e.tauV2.Bytes() + e.etaV.Bytes()
 		for _, p := range e.procs {
 			if p.tcnt != nil {
-				counters += int64(len(p.tcnt.keys)+len(p.tcnt.spareK)) * ctabSlotBytes
+				counters += p.tcnt.tab.Bytes()
 			}
 		}
 		if got := cfg.Mem.Bytes(mem.CompCounters); got != counters {

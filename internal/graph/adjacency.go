@@ -21,15 +21,15 @@ const sideEntryBytes = int64(unsafe.Sizeof([]NodeID(nil)))
 // benchmark harness; the engine's processors drive NeighborSets directly
 // behind the engine's own node dictionary.
 //
-// Storage is flat and cache-friendly: a NodeIndex maps each live node to
-// its slot in a NeighborSets arena of 32-byte, pointer-free neighbor sets
-// (see nbrset.go). A node leaves the index with its last neighbor, and
-// its slot is recycled, so steady-state churn (delete + re-insert over a
-// stable node universe) allocates nothing.
+// Storage is flat and cache-friendly: a NodeTable[int32] maps each live
+// node to its slot in a NeighborSets arena of 32-byte, pointer-free
+// neighbor sets (see nbrset.go). A node leaves the index with its last
+// neighbor, and its slot is recycled, so steady-state churn (delete +
+// re-insert over a stable node universe) allocates nothing.
 //
 // The zero value is not usable; call NewAdjacency.
 type Adjacency struct {
-	idx   NodeIndex
+	idx   NodeTable[int32]
 	sets  NeighborSets
 	edges int
 }

@@ -11,10 +11,12 @@ package graph
 // therefore always equal the degrees of the live graph, the denominator
 // the plug-in clustering coefficient needs.
 //
-// The edge membership set costs O(E) memory — unavoidable for exact
-// duplicate detection, and acceptable because degree tracking is opt-in
-// (shard.Config.TrackDegrees) and hosted by a single tracker goroutine,
-// not replicated per processor.
+// The degrees live in a NodeTable and the live edges in an
+// EdgeTable[struct{}], whose values take no space: 8 bytes per slot at up
+// to 75% load. The edge membership set costs O(E) memory — unavoidable
+// for exact duplicate detection, and acceptable because degree tracking
+// is opt-in (shard.Config.TrackDegrees) and hosted by a single tracker
+// goroutine, not replicated per processor.
 //
 // The membership set is the table's whole state: the degrees follow from
 // it. A checkpoint therefore persists the live edges (LiveEdges), and a
@@ -26,7 +28,7 @@ package graph
 // goroutine.
 type DegreeTable struct {
 	deg  NodeTable[degcount]
-	seen edgeSet
+	seen EdgeTable[struct{}]
 }
 
 // degcount is a per-node degree counter that clamps at the uint32
@@ -51,7 +53,7 @@ func (t *DegreeTable) AddEdge(u, v NodeID) {
 	if u == v {
 		return
 	}
-	if !t.seen.add(Key(u, v)) {
+	if !t.seen.Put(Key(u, v), struct{}{}) {
 		return
 	}
 	t.bump(u)
@@ -78,7 +80,7 @@ func (t *DegreeTable) RemoveEdge(u, v NodeID) {
 	if u == v {
 		return
 	}
-	if t.seen.remove(Key(u, v)) {
+	if t.seen.Del(Key(u, v)) {
 		t.drop(u)
 		t.drop(v)
 	}
@@ -93,7 +95,7 @@ func (t *DegreeTable) drop(v NodeID) {
 		// Zero cannot occur for an endpoint of a live edge; saturated
 		// stays untouched.
 	case 1:
-		t.deg.del(v)
+		t.deg.Del(v)
 	default:
 		*t.deg.ref(v) = d - 1
 	}
@@ -115,19 +117,15 @@ func (t *DegreeTable) Degree(v NodeID) uint32 { return uint32(t.deg.Get(v)) }
 func (t *DegreeTable) Nodes() int { return t.deg.Len() }
 
 // Edges returns the number of live edges in the membership set.
-func (t *DegreeTable) Edges() int { return t.seen.n }
+func (t *DegreeTable) Edges() int { return t.seen.Len() }
 
 // LiveEdges returns a copy of the live-edge membership set in table
 // order, the state a checkpoint persists. Calling AddEdge with each
 // returned edge on a fresh table reproduces this one exactly (degrees
 // below the saturation ceiling are the live-edge counts).
 func (t *DegreeTable) LiveEdges() []Edge {
-	out := make([]Edge, 0, t.seen.n)
-	for _, k := range t.seen.keys {
-		if k != 0 {
-			out = append(out, KeyEdge(k))
-		}
-	}
+	out := make([]Edge, 0, t.seen.Len())
+	t.seen.Each(func(k uint64, _ struct{}) { out = append(out, KeyEdge(k)) })
 	return out
 }
 
@@ -135,7 +133,7 @@ func (t *DegreeTable) LiveEdges() []Edge {
 // table plus the live-edge membership table. Callers reconcile the
 // ledger against it once per batch, off the per-event path.
 func (t *DegreeTable) FootprintBytes() int64 {
-	return t.deg.Bytes() + int64(len(t.seen.keys))*8
+	return t.deg.Bytes() + t.seen.Bytes()
 }
 
 // Counts returns an immutable copy of the degree counters — two slice

@@ -3,28 +3,24 @@ package graph
 import "rept/internal/mem"
 
 // This file implements the flat neighbor-set storage: NeighborSets, an
-// arena of per-node sets addressed by slot, and NodeIndex, the
-// open-addressing NodeID index Adjacency and the engine's node dictionary
-// put in front of it. An arena entry is 32 bytes and holds no pointers:
-// the degree, a layout word, and the first few neighbors stored inline
-// (no pointer chase at all for the typical sampled node). A set that
-// outgrows the inline array moves to the store's side store, which the
-// layout word indexes: first a sorted NodeID slice, then, past promoteDeg
-// neighbors, an open-addressing hash set. Sorted layouts intersect by
-// merge walk (galloping by binary search when the sizes are skewed);
-// promoted sets are probed in O(1). Everything lives in contiguous uint32
-// storage, so an intersection touches a handful of cache lines and
-// allocates nothing once capacity exists, and because neither the arena
-// nor the index contains a pointer, the garbage collector never scans
-// them.
+// arena of per-node sets addressed by slot. Adjacency and the engine's
+// node dictionary put a NodeTable[int32] in front of it, mapping each
+// NodeID to its slot or dense id. An arena entry is 32 bytes and holds no
+// pointers: the degree, a layout word, and the first few neighbors
+// stored inline (no pointer chase at all for the typical sampled node). A
+// set that outgrows the inline array moves to the store's side store,
+// which the layout word indexes: first a sorted NodeID slice, then, past
+// promoteDeg neighbors, an open-addressing hash set. Sorted layouts
+// intersect by merge walk (galloping by binary search when the sizes are
+// skewed); promoted sets are probed in O(1). Everything lives in
+// contiguous uint32 storage, so an intersection touches a handful of
+// cache lines and allocates nothing once capacity exists, and because
+// neither the arena nor the index contains a pointer, the garbage
+// collector never scans them.
 
-// Accounted element sizes of the flat adjacency storage (see
-// mem.CompAdjacency): NodeID is uint32, idxEntry packs a NodeID and an
-// int32 value in one word.
-const (
-	nodeIDBytes   = 4
-	idxEntryBytes = 8
-)
+// nodeIDBytes is the accounted size of one side-store element (see
+// mem.CompAdjacency).
+const nodeIDBytes = 4
 
 // inlineCap is how many neighbors live directly in the arena entry. Most
 // nodes of a 1/m-sampled adjacency have only a couple of neighbors, so
@@ -38,7 +34,7 @@ const inlineCap = 6
 const promoteDeg = 32
 
 // mix32 is a full-avalanche 32-bit mixer (lowbias32), the slot hash for
-// both the node index and promoted neighbor sets.
+// NodeTable and promoted neighbor sets.
 func mix32(x uint32) uint32 {
 	x ^= x >> 16
 	x *= 0x7feb352d
@@ -76,9 +72,9 @@ type nset struct {
 // its own. A caller names a set by the slot New returned and passes the
 // set's owner with every call (the owner is table mode's empty
 // sentinel). Slot 0 is never handed out, so a caller's own tables can
-// use 0 for "no set". Adjacency puts a NodeIndex in front of one store;
-// each of the engine's processors drives one directly, with the engine's
-// node dictionary holding every processor's slot of every node.
+// use 0 for "no set". Adjacency puts a NodeTable[int32] in front of one
+// store; each of the engine's processors drives one directly, with the
+// engine's node dictionary holding every processor's slot of every node.
 //
 // Released slots and side-store entries are recycled through free lists,
 // so steady-state churn allocates nothing. The zero value is an empty
@@ -615,131 +611,4 @@ func intersectCount(st *sideStore, su *nset, ou NodeID, sv *nset, ov NodeID) int
 		}
 	}
 	return n
-}
-
-// idxEntry is one NodeIndex slot: the node id and its non-zero value,
-// packed in eight bytes so a probe touches a single word. val == 0 marks
-// an empty slot.
-type idxEntry struct {
-	key NodeID
-	val int32
-}
-
-// NodeIndex is an open-addressing map from NodeID to a non-zero int32: a
-// NeighborSets slot in Adjacency, a dense node id in the engine's node
-// dictionary. Deletion backward-shifts, so no tombstones exist and
-// lookups stay short under churn. The index grows at 50% load: it is
-// probed for every endpoint of every event, so short probe chains buy
-// more than the extra 8 bytes per slot cost.
-//
-// The zero value is an empty index. An attached accountant is charged
-// the table's bytes at growth and credited at Reset, never per update.
-type NodeIndex struct {
-	ents []idxEntry
-	n    int
-	ac   *mem.Accountant
-	comp mem.Component
-}
-
-const indexMinSize = 16
-
-// SetAccountant attaches the byte ledger under comp. Call it while the
-// index is empty.
-func (ix *NodeIndex) SetAccountant(ac *mem.Accountant, comp mem.Component) {
-	ix.ac, ix.comp = ac, comp
-}
-
-// Len returns the number of entries.
-func (ix *NodeIndex) Len() int { return ix.n }
-
-// Bytes returns the table's backing bytes.
-func (ix *NodeIndex) Bytes() int64 { return int64(len(ix.ents)) * idxEntryBytes }
-
-// Get returns u's value, 0 if u is absent.
-//
-//rept:hotpath
-func (ix *NodeIndex) Get(u NodeID) int32 {
-	if ix.n == 0 {
-		return 0
-	}
-	mask := uint32(len(ix.ents) - 1)
-	for i := mix32(uint32(u)) & mask; ; i = (i + 1) & mask {
-		if e := ix.ents[i]; e.val == 0 || e.key == u {
-			return e.val
-		}
-	}
-}
-
-// Put inserts u → val. u must be absent and val non-zero.
-func (ix *NodeIndex) Put(u NodeID, val int32) {
-	if len(ix.ents) == 0 {
-		ix.grow(indexMinSize)
-	} else if ix.n >= len(ix.ents)/2 {
-		ix.grow(len(ix.ents) * 2)
-	}
-	ix.put(u, val)
-}
-
-// put places u → val in a table with room for it.
-func (ix *NodeIndex) put(u NodeID, val int32) {
-	mask := uint32(len(ix.ents) - 1)
-	i := mix32(uint32(u)) & mask
-	for ix.ents[i].val != 0 {
-		i = (i + 1) & mask
-	}
-	ix.ents[i] = idxEntry{key: u, val: val}
-	ix.n++
-}
-
-// Del removes u, which must be present, by backward shift.
-func (ix *NodeIndex) Del(u NodeID) {
-	mask := uint32(len(ix.ents) - 1)
-	i := mix32(uint32(u)) & mask
-	for ix.ents[i].key != u || ix.ents[i].val == 0 {
-		i = (i + 1) & mask
-	}
-	j := i
-	for {
-		j = (j + 1) & mask
-		if ix.ents[j].val == 0 {
-			break
-		}
-		home := mix32(uint32(ix.ents[j].key)) & mask
-		if (j-home)&mask >= (j-i)&mask {
-			ix.ents[i] = ix.ents[j]
-			i = j
-		}
-	}
-	ix.ents[i] = idxEntry{}
-	ix.n--
-}
-
-// grow rehashes into size slots (a power of two at least the current
-// size), charging the ledger for the difference.
-func (ix *NodeIndex) grow(size int) {
-	old := ix.ents
-	ix.ac.Add(ix.comp, int64(size-len(old))*idxEntryBytes)
-	ix.ents = make([]idxEntry, size)
-	ix.n = 0
-	for _, e := range old {
-		if e.val != 0 {
-			ix.put(e.key, e.val)
-		}
-	}
-}
-
-// Each calls fn for every entry, in slot order.
-func (ix *NodeIndex) Each(fn func(u NodeID, val int32)) {
-	for _, e := range ix.ents {
-		if e.val != 0 {
-			fn(e.key, e.val)
-		}
-	}
-}
-
-// Reset drops every entry and releases the table, crediting it to the
-// ledger.
-func (ix *NodeIndex) Reset() {
-	ix.ac.Add(ix.comp, -ix.Bytes())
-	ix.ents, ix.n = nil, 0
 }

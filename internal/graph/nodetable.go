@@ -7,21 +7,34 @@ import (
 	"rept/internal/mem"
 )
 
-// nodeValue is the value type set of NodeTable: the engine's signed
-// class sums and the degree tracker's saturating counters.
-type nodeValue interface{ ~int64 | ~uint32 }
+// nodeValue is the value type set of NodeTable: the class sums, the
+// degree tracker's saturating counters, dense ids and slots, and presence
+// masks.
+type nodeValue interface {
+	~int32 | ~int64 | ~uint32 | ~uint64
+}
 
-// NodeTable is a pointer-free map from NodeID to an integer value: the
+// NodeTable is a pointer-free map from NodeID to an integer value, the
+// one table behind every NodeID key: the engine's node dictionary
+// (NodeID → dense id) and Adjacency's index (NodeID → arena slot), the
 // flat per-node state that runs from the engine's class sums through the
-// shard merge to the published view, and the degree tracker's counters.
-// An epoch copies and merges these tables instead of building Go maps.
+// shard merge to the published view, the degree tracker's counters, and
+// MaskTable. An epoch copies and merges these tables instead of building
+// Go maps. EdgeTable is its twin for edge keys.
 //
-// Storage mirrors NodeIndex: open addressing with linear probing over
-// mix32, entries removed by backward shift. Keys and values live in two
-// parallel slices, so Clone is two slice copies and the GC never scans
-// either. The table grows at 75% load, not NodeIndex's 50%: every epoch
-// copies, merges and scans these tables whole, so density pays there,
-// while a per-event probe mostly hits within one cache line of keys.
+// Storage is open addressing with linear probing over mix32, entries
+// removed by backward shift, so churn leaves no tombstones behind. Keys
+// and values live in two parallel slices, so Clone is two slice copies
+// and the GC never scans either. The table grows at 75% load. One
+// ceiling serves the per-event probes too: moving the node dictionary
+// from a packed index grown at 50% load onto this table left e2ebench's
+// cpu_us_per_event within run-to-run noise (ingest-powerlaw 7.04 → 7.08
+// µs, parent interquartile range 0.13; read-mix 9.43 → 9.43) and cut
+// read-mix's mem.masks_mib from 63.6 to 55.6 MiB (medians of 5
+// alternating pairs, 2-core Xeon VM, go1.24). Packing each key beside
+// its value instead would grow the int64 class sums, which every epoch
+// copies and scans whole, from 12 to 16 bytes per slot.
+//
 // Key 0 marks an empty slot; node 0 itself lives in a dedicated field.
 // An entry stays present once inserted, whatever its value, until it is
 // deleted or the table is Reset: a class sum that nets to zero after
@@ -43,7 +56,8 @@ type NodeTable[V nodeValue] struct {
 	comp mem.Component
 }
 
-const nodeTableMinSize = 16
+// tableMinSize is the first allocation of a NodeTable or EdgeTable.
+const tableMinSize = 16
 
 // SetAccountant attaches the byte ledger under comp, immediately
 // charging the capacity that already exists; later growth reports its
@@ -131,7 +145,7 @@ func (t *NodeTable[V]) ref(u NodeID) *V {
 		return &t.zero
 	}
 	if len(t.keys) == 0 {
-		t.grow(nodeTableMinSize)
+		t.grow(tableMinSize)
 	}
 	mask := uint32(len(t.keys) - 1)
 	i := mix32(uint32(u)) & mask
@@ -159,9 +173,12 @@ func (t *NodeTable[V]) ref(u NodeID) *V {
 //rept:hotpath
 func (t *NodeTable[V]) Add(u NodeID, d V) { *t.ref(u) += d }
 
-// del removes u's entry (backward shift); deleting an absent node is a
+// Put sets u's value to x, inserting u if absent.
+func (t *NodeTable[V]) Put(u NodeID, x V) { *t.ref(u) = x }
+
+// Del removes u's entry (backward shift); deleting an absent node is a
 // no-op.
-func (t *NodeTable[V]) del(u NodeID) {
+func (t *NodeTable[V]) Del(u NodeID) {
 	if u == 0 {
 		t.hasZero, t.zero = false, 0
 		return
@@ -257,7 +274,7 @@ func SumTables[V nodeValue](srcs ...*NodeTable[V]) *NodeTable[V] {
 	}
 	size := len(base.keys)
 	if !fits(upper, size) {
-		size = max(size, nodeTableMinSize)
+		size = max(size, tableMinSize)
 		// Count the missing nodes only as far as the size decision
 		// needs: when even the upper bound fits twice the size, a count
 		// past the current headroom already decides one doubling.
@@ -302,7 +319,8 @@ func SumTables[V nodeValue](srcs ...*NodeTable[V]) *NodeTable[V] {
 	return out
 }
 
-// fits reports whether n nodes stay within the load ceiling of size slots.
+// fits reports whether n entries stay within the 75% load ceiling of
+// size slots, the one ceiling of NodeTable and EdgeTable.
 func fits(n, size int) bool { return 4*n <= 3*size }
 
 // missing counts src's nodes, node 0 aside, that t lacks, returning as

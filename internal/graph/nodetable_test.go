@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"maps"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -20,18 +21,50 @@ func tableContents[V nodeValue](t *NodeTable[V]) map[NodeID]V {
 	return out
 }
 
-// TestNodeTableMatchesMap drives a seeded mix of adds, deletes, resets and
-// clones — node 0 and the maximum NodeID included — against a plain map,
-// and after every step requires Get, Has, Len and Each to agree with it.
-// It also requires the ledger charge to equal the recomputed footprint
-// after every step, like TestAdjacencyLedgerMatchesFootprint: a growth or
-// release that misses the ledger shows up at the step that caused it.
+// TestNodeTableMatchesMap runs nodeTableMatchesMap on every value type
+// the table serves, through the operations its users call: the class
+// sums' Add, the node indexes' Put and Del, and MaskTable's Or.
 func TestNodeTableMatchesMap(t *testing.T) {
+	t.Run("int64/Add", func(t *testing.T) {
+		var tab NodeTable[int64]
+		nodeTableMatchesMap(t, &tab, func(u NodeID, r uint64, model map[NodeID]int64) {
+			d := int64(r%7) - 3
+			tab.Add(u, d)
+			model[u] += d
+		})
+	})
+	t.Run("int32/Put", func(t *testing.T) {
+		var tab NodeTable[int32]
+		nodeTableMatchesMap(t, &tab, func(u NodeID, r uint64, model map[NodeID]int32) {
+			tab.Put(u, int32(r))
+			model[u] = int32(r)
+		})
+	})
+	t.Run("uint64/MaskTable.Or", func(t *testing.T) {
+		m := NewMaskTable()
+		nodeTableMatchesMap(t, &m.t, func(u NodeID, r uint64, model map[NodeID]uint64) {
+			bit := uint64(1) << (r % 64)
+			m.Or(u, bit)
+			model[u] |= bit
+			if got := m.Get(u); got != model[u] {
+				t.Fatalf("MaskTable.Get(%d) = %#x, model %#x", u, got, model[u])
+			}
+		})
+	})
+}
+
+// nodeTableMatchesMap drives a seeded mix of writes (write applies one to
+// the table and the model), deletes, resets and clones — node 0 and the
+// maximum NodeID included — against a plain map, and after every step
+// requires Get, Has, Len and Each to agree with it. It also requires the
+// ledger charge to equal the recomputed footprint after every step, like
+// TestAdjacencyLedgerMatchesFootprint: a growth or release that misses
+// the ledger shows up at the step that caused it.
+func nodeTableMatchesMap[V nodeValue](t *testing.T, tab *NodeTable[V], write func(u NodeID, r uint64, model map[NodeID]V)) {
 	rng := rand.New(rand.NewPCG(3, 8))
 	ac := mem.New()
-	var tab NodeTable[int64]
 	tab.SetAccountant(ac, mem.CompCounters)
-	model := map[NodeID]int64{}
+	model := map[NodeID]V{}
 	pick := func() NodeID {
 		switch rng.IntN(50) {
 		case 0:
@@ -41,25 +74,19 @@ func TestNodeTableMatchesMap(t *testing.T) {
 		}
 		return NodeID(rng.IntN(4000))
 	}
-	var clones []*NodeTable[int64]
-	var cloneModels []map[NodeID]int64
+	var clones []*NodeTable[V]
+	var cloneModels []map[NodeID]V
 	for step := 0; step < 60_000; step++ {
 		switch r := rng.IntN(1000); {
 		case r < 700:
-			u, d := pick(), int64(rng.IntN(7)-3)
-			tab.Add(u, d)
-			model[u] += d
+			write(pick(), rng.Uint64(), model)
 		case r < 990:
 			u := pick()
-			tab.del(u)
+			tab.Del(u)
 			delete(model, u)
 		case r < 995:
 			clones = append(clones, tab.Clone())
-			cm := make(map[NodeID]int64, len(model))
-			for k, v := range model {
-				cm[k] = v
-			}
-			cloneModels = append(cloneModels, cm)
+			cloneModels = append(cloneModels, maps.Clone(model))
 		default:
 			tab.Reset()
 			clear(model)
@@ -77,11 +104,11 @@ func TestNodeTableMatchesMap(t *testing.T) {
 		if _, want := model[u]; tab.Has(u) != want {
 			t.Fatalf("step %d: Has(%d) = %v, model %v", step, u, !want, want)
 		}
-		if step%997 == 0 && !reflect.DeepEqual(tableContents(&tab), model) {
+		if step%997 == 0 && !reflect.DeepEqual(tableContents(tab), model) {
 			t.Fatalf("step %d: Each disagrees with the model", step)
 		}
 	}
-	if !reflect.DeepEqual(tableContents(&tab), model) {
+	if !reflect.DeepEqual(tableContents(tab), model) {
 		t.Fatal("final contents disagree with the model")
 	}
 	if len(clones) == 0 {
@@ -173,4 +200,55 @@ func TestSumTablesSizing(t *testing.T) {
 			t.Errorf("%s: sum contents are wrong", c.name)
 		}
 	}
+}
+
+// FuzzNodeTable decodes a schedule of Add, Put, Del and Reset operations
+// from the input — node 0 and the maximum NodeID reachable — applies it
+// to a NodeTable and a Go map, and requires the two to agree after every
+// operation and the ledger to equal the footprint.
+func FuzzNodeTable(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 5, 1, 0, 1, 7, 2, 0, 1, 0})
+	f.Add([]byte{0, 255, 255, 3, 1, 0, 0, 9, 2, 255, 255, 0, 3, 0, 0, 0})
+	f.Add(make([]byte, 400))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ac := mem.New()
+		var tab NodeTable[int64]
+		tab.SetAccountant(ac, mem.CompCounters)
+		model := map[NodeID]int64{}
+		for ; len(data) >= 4; data = data[4:] {
+			u := NodeID(data[1])<<8 | NodeID(data[2])
+			if u == 0xffff {
+				u = ^NodeID(0)
+			}
+			x := int64(int8(data[3]))
+			switch data[0] % 8 {
+			case 0, 1, 2:
+				tab.Add(u, x)
+				model[u] += x
+			case 3, 4:
+				tab.Put(u, x)
+				model[u] = x
+			case 7:
+				if data[0] == 255 {
+					tab.Reset()
+					clear(model)
+					break
+				}
+				fallthrough
+			default:
+				tab.Del(u)
+				delete(model, u)
+			}
+			_, has := model[u]
+			if tab.Len() != len(model) || tab.Get(u) != model[u] || tab.Has(u) != has {
+				t.Fatalf("node %d: Len %d, Get %d, Has %v; model %d, %d, %v", u, tab.Len(), tab.Get(u), tab.Has(u), len(model), model[u], has)
+			}
+			if got, want := ac.Bytes(mem.CompCounters), tab.Bytes(); got != want {
+				t.Fatalf("ledger %d B, footprint %d B", got, want)
+			}
+		}
+		if !reflect.DeepEqual(tableContents(&tab), model) {
+			t.Fatal("final contents disagree with the model")
+		}
+	})
 }

@@ -28,9 +28,9 @@ const (
 	// graph.Adjacency's node index beside its own store.
 	CompAdjacency Component = iota
 	// CompCounters covers the core counter tables: the per-edge ctab
-	// (main table plus its tombstone-recycling spare buffer) and each
-	// engine's per-node class-sum tables. Both charge at every capacity
-	// change, so the component is exact after every event.
+	// (a graph.EdgeTable) and each engine's per-node class-sum tables
+	// (graph.NodeTables). Both charge at every capacity change, so the
+	// component is exact after every event.
 	CompCounters
 	// CompDegrees covers graph.DegreeTable: the flat degree table and
 	// the live-edge membership set.

@@ -145,7 +145,6 @@ func TestExpositionRoundTrip(t *testing.T) {
 	g.Set(7.25)
 	reg.GaugeFunc("t_live", "Live things.", func() float64 { return 3 })
 	reg.CounterFunc("t_applied_total", "Applied.", func() uint64 { return 9 })
-	reg.UntypedFunc("t_legacy_alias", "Deprecated alias.", func() float64 { return 42 })
 	h := reg.Histogram("t_lat_seconds", "Latency.")
 	h.Observe(0)
 	h.Observe(1500)

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"strconv"
@@ -68,7 +67,7 @@ const (
 	kindGauge                            // atomic float64 bits, rendered as a float
 	kindCounterFn                        // callback returning uint64
 	kindGaugeFn                          // callback returning float64
-	kindFloatCounterFn                   // callback returning float64, rendered under a counter/untyped family
+	kindFloatCounterFn                   // callback returning float64, rendered under a counter family
 )
 
 // series is one exposition line of a family: an optional label pair and
@@ -87,7 +86,7 @@ type series struct {
 type family struct {
 	name string
 	help string
-	typ  string // counter | gauge | histogram | untyped
+	typ  string // counter | gauge | histogram
 	ser  []series
 	hist *Histogram
 }
@@ -119,7 +118,7 @@ func (r *Registry) register(name, help, typ string) *family {
 		panic("obs: metric " + name + " registered without help text")
 	}
 	if typ == "counter" && !strings.HasSuffix(name, "_total") {
-		panic("obs: counter " + name + " must end in _total (register a gauge or an untyped series instead)")
+		panic("obs: counter " + name + " must end in _total (register a gauge instead)")
 	}
 	if typ == "gauge" && strings.HasSuffix(name, "_total") {
 		panic("obs: gauge " + name + " must not end in _total")
@@ -174,14 +173,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 func (r *Registry) FloatCounterFunc(name, help string, fn func() float64) {
 	f := r.register(name, help, "counter")
 	f.ser = append(f.ser, series{kind: kindFloatCounterFn, gfn: fn})
-}
-
-// UntypedFunc registers an untyped series — the home of deprecated
-// aliases kept one release past a rename, where neither counter nor
-// gauge semantics should be promised anymore.
-func (r *Registry) UntypedFunc(name, help string, fn func() float64) {
-	f := r.register(name, help, "untyped")
-	f.ser = append(f.ser, series{kind: kindGaugeFn, gfn: fn})
 }
 
 // Gauge is a value that goes up and down, stored as float64 bits in one
@@ -426,13 +417,4 @@ func appendFloat(b []byte, v float64) []byte {
 		return append(b, "NaN"...)
 	}
 	return strconv.AppendFloat(b, v, 'g', -1, 64)
-}
-
-// MustName panics unless name is a valid metric name; exported for
-// callers assembling names dynamically (e.g. per-stage families).
-func MustName(name string) string {
-	if !validName(name) {
-		panic(fmt.Sprintf("obs: invalid metric name %q", name))
-	}
-	return name
 }

@@ -111,7 +111,7 @@ func (e *encoder) engineBody(st *EngineState) {
 		e.uvarint(p.Di)
 		e.uvarint(p.Do)
 		e.uvarint(p.Phantom)
-		e.edgeSet(p.Edges)
+		e.edgeList(p.Edges)
 		e.tcntMap(p.Tcnt)
 	}
 	e.nodeTable(st.TauV1)
@@ -148,9 +148,9 @@ func (e *encoder) deltaKeys(keys []uint64, val func(k uint64)) {
 	}
 }
 
-// edgeSet writes an edge set — a processor's sampled edges or the degree
+// edgeList writes an edge set — a processor's sampled edges or the degree
 // tracker's live edges — as delta-encoded sorted canonical keys.
-func (e *encoder) edgeSet(edges []graph.Edge) {
+func (e *encoder) edgeList(edges []graph.Edge) {
 	keys := make([]uint64, len(edges))
 	for i, ed := range edges {
 		keys[i] = ed.Key()
@@ -411,7 +411,7 @@ func (d *decoder) proc() (ProcState, error) {
 	if p.Phantom, err = d.uvarint("phantom"); err != nil {
 		return p, err
 	}
-	if p.Edges, err = d.edgeSet(); err != nil {
+	if p.Edges, err = d.edgeList(); err != nil {
 		return p, err
 	}
 	if p.Tcnt, err = d.tcntMap(); err != nil {
@@ -449,7 +449,7 @@ func (d *decoder) deltaKeys(n int, what string, each func(k uint64) error) error
 	return nil
 }
 
-func (d *decoder) edgeSet() ([]graph.Edge, error) {
+func (d *decoder) edgeList() ([]graph.Edge, error) {
 	n, err := d.count("edge count")
 	if err != nil {
 		return nil, err

@@ -259,7 +259,7 @@ func WriteSharded(w io.Writer, st *ShardedState) error {
 	e.uvarint(st.SelfLoops)
 	e.bool(st.TrackDegrees)
 	if st.TrackDegrees {
-		e.edgeSet(st.Degrees)
+		e.edgeList(st.Degrees)
 	}
 	for i := range st.Shards {
 		sh := &st.Shards[i]
@@ -343,7 +343,7 @@ func read(r io.Reader, wantKind byte) (*EngineState, *ShardedState, error) {
 			return nil, nil, err
 		}
 		if sh.TrackDegrees {
-			if sh.Degrees, err = d.edgeSet(); err != nil {
+			if sh.Degrees, err = d.edgeList(); err != nil {
 				return nil, nil, fmt.Errorf("live edges: %w", err)
 			}
 		}
