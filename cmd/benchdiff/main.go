@@ -20,7 +20,13 @@
 // sides come from the same run on the same hardware, so the comparison
 // is immune to the cross-hardware skips below — it is how CI bounds the
 // overhead of always-on instrumentation (the instrumented ingest
-// benchmark must stay within 5% of its uninstrumented twin). An entry
+// benchmark must stay within 5% of its uninstrumented twin). When both
+// sides have the same number n ≥ 2 of runs, the ratio gated is the
+// median of the n per-round ratios A_i/B_i, pairing runs in file order:
+// recorded in alternating rounds, each ratio compares two runs made
+// moments apart, so drift of the machine over the recording cancels
+// instead of landing in the ratio. Otherwise it is A's median over B's,
+// and the gate prints which rule it used. An entry
 // may carry an explicit ratio cap as A=B@maxRatio — e.g.
 // BenchmarkAddPerEvent=BenchmarkBatchIngestPerEvent@1.5 fails unless A
 // stays within 1.5× of B — which overrides
@@ -68,6 +74,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -87,6 +94,7 @@ type result struct {
 	runs  int   // runs the medians are taken over
 	procs int   // GOMAXPROCS, from the -N name suffix
 	nsOp  float64
+	ns    []float64 // ns/op of each of those runs, in file order
 	// bOp is the -benchmem bytes-per-operation column; hasB records
 	// whether the runs carried one (older recordings predate -benchmem,
 	// and their byte gates phase in rather than fail).
@@ -239,7 +247,8 @@ func summarize(rs []result) (result, error) {
 			bs = append(bs, r.bOp)
 		}
 	}
-	out.nsOp = median(ns)
+	out.ns = ns
+	out.nsOp = median(slices.Clone(ns))
 	if len(bs) > 0 {
 		out.bOp, out.hasB = median(bs), true
 	}
@@ -437,8 +446,8 @@ func checkPairs(res map[string]result, pairs string, threshold float64, path str
 		if ra.procs != rb.procs {
 			return fmt.Errorf("-pair %s: %s ran at GOMAXPROCS %d, %s at %d in %s; refusing to compare", p, a, ra.procs, b, rb.procs, path)
 		}
-		ratio := ra.nsOp / rb.nsOp
-		fmt.Printf("%-40s %12.1f ns/op vs %s %.1f ns/op (ratio %.2f, max %.2f)\n", a, ra.nsOp, b, rb.nsOp, ratio, maxRatio)
+		ratio, rule := pairRatio(ra, rb)
+		fmt.Printf("%-40s %12.1f ns/op vs %s %.1f ns/op (%s: ratio %.2f, max %.2f)\n", a, ra.nsOp, b, rb.nsOp, rule, ratio, maxRatio)
 		if ratio > maxRatio {
 			failures = append(failures, fmt.Sprintf("%s is %.2f× %s, exceeding the %.2f× cap", a, ratio, b, maxRatio))
 		}
@@ -454,6 +463,21 @@ func checkPairs(res map[string]result, pairs string, threshold float64, path str
 		return fmt.Errorf("within-run pair regression:\n  %s", strings.Join(failures, "\n  "))
 	}
 	return nil
+}
+
+// pairRatio returns the ns/op ratio a pair gate compares with its cap,
+// and the rule that produced it: the median of the per-round ratios when
+// both sides ran the same n ≥ 2 times, else median over median.
+func pairRatio(a, b result) (float64, string) {
+	n := len(a.ns)
+	if n < 2 || n != len(b.ns) {
+		return a.nsOp / b.nsOp, "median over median"
+	}
+	rs := make([]float64, n)
+	for i := range rs {
+		rs[i] = a.ns[i] / b.ns[i]
+	}
+	return median(rs), fmt.Sprintf("median of %d per-round ratios", n)
 }
 
 func main() {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -304,6 +305,81 @@ func TestRunPairRatioCap(t *testing.T) {
 		"-pair", "BenchmarkBatchIngestPerEvent=BenchmarkApplyAllPerEvent@fast"})
 	if err == nil || !strings.Contains(err.Error(), "not a positive number") {
 		t.Errorf("run = %v, want a malformed-cap error", err)
+	}
+}
+
+// TestRunPairPerRoundRatios: when both sides ran the same number of
+// times, the pair gate takes the median of the per-round ratios A_i/B_i
+// in file order. In the drifting recording the machine slows from round
+// to round (100 → 180 ns) and the first two rounds' A runs caught extra
+// load: median over median reads 144/140 = 1.03 and fails the 1.02 cap,
+// though three of five rounds read exactly 1.00, which the per-round rule
+// passes. A real 10% overhead in every round fails under both rules; with
+// unequal run counts the gate falls back to median over median.
+func TestRunPairPerRoundRatios(t *testing.T) {
+	dir := t.TempDir()
+	const pair = "BenchmarkIngestAccountedPerEvent=BenchmarkIngestUnaccountedPerEvent@1.02"
+	record := func(name string, a, b []float64) string {
+		var lines []string
+		for i := 0; i < max(len(a), len(b)); i++ {
+			round := []string{}
+			if i < len(a) {
+				round = append(round, fmt.Sprintf("BenchmarkIngestAccountedPerEvent-2 \\t 1000000 \\t %g ns/op", a[i]))
+			}
+			if i < len(b) {
+				round = append(round, fmt.Sprintf("BenchmarkIngestUnaccountedPerEvent-2 \\t 1000000 \\t %g ns/op", b[i]))
+			}
+			if i%2 == 1 && len(round) == 2 {
+				round[0], round[1] = round[1], round[0] // alternate which side runs first
+			}
+			lines = append(lines, round...)
+		}
+		return writeFile(t, dir, name, jsonBench(lines...))
+	}
+	drift := []float64{100, 120, 140, 160, 180}
+	scaled := func(f float64, xs []float64) []float64 {
+		out := make([]float64, len(xs))
+		for i, x := range xs {
+			out[i] = f * x
+		}
+		return out
+	}
+
+	drifting := record("drift.json", []float64{120, 144, 140, 160, 180}, drift)
+	rec, err := parseFile(drifting)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := rec.results["BenchmarkIngestAccountedPerEvent"], rec.results["BenchmarkIngestUnaccountedPerEvent"]
+	if old := a.nsOp / b.nsOp; old <= 1.02 {
+		t.Fatalf("median over median = %.3f; the drifting recording must fail the old rule", old)
+	}
+	if r, rule := pairRatio(a, b); r != 1 || rule != "median of 5 per-round ratios" {
+		t.Errorf("pairRatio = %v (%s), want 1 as the median of 5 per-round ratios", r, rule)
+	}
+	if err := run([]string{"-new", drifting, "-pair", pair}); err != nil {
+		t.Errorf("run = %v, want the drifting recording to pass on per-round ratios", err)
+	}
+
+	for _, c := range []struct {
+		name string
+		a, b []float64
+		rule string
+	}{
+		{"overhead.json", scaled(1.1, drift), drift, "median of 5 per-round ratios"},
+		{"uneven.json", scaled(1.1, drift), drift[:4], "median over median"},
+	} {
+		path := record(c.name, c.a, c.b)
+		rec, err := parseFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, rule := pairRatio(rec.results["BenchmarkIngestAccountedPerEvent"], rec.results["BenchmarkIngestUnaccountedPerEvent"]); rule != c.rule {
+			t.Errorf("%s: rule %q, want %q", c.name, rule, c.rule)
+		}
+		if err := run([]string{"-new", path, "-pair", pair}); err == nil || !strings.Contains(err.Error(), "exceeding the 1.02× cap") {
+			t.Errorf("%s: run = %v, want a 10%% overhead to fail the 1.02 cap", c.name, err)
+		}
 	}
 }
 

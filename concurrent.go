@@ -196,13 +196,14 @@ func (c *Concurrent) SnapshotNow() Estimate { return c.Snapshot() }
 // Global returns the global triangle count estimate. While views are
 // running (StartViews) it answers from the current epoch view — lock-free
 // and barrier-free, stale by at most the publish interval; otherwise it
-// pays a full barrier snapshot. Use SnapshotNow for a guaranteed-fresh
-// value.
+// pays one barrier and evaluates the global estimate alone, without
+// materializing every node's estimate. Use SnapshotNow for a
+// guaranteed-fresh value.
 func (c *Concurrent) Global() float64 {
 	if p := c.views.Load(); p != nil {
 		return p.View().Global
 	}
-	return c.sh.Snapshot().Global
+	return c.sh.Aggregates().GlobalEstimate().Global
 }
 
 // Local returns the local triangle count estimate for v (0 if the node

@@ -162,10 +162,10 @@
 // allocation-free in steady state. Each logical processor's sampled
 // adjacency is an arena of 32-byte, pointer-free neighbor-set entries
 // addressed by slot, and each engine keeps one node dictionary — a
-// NodeID → id table beside node-major rows holding every node's presence
-// masks and its slot on every processor — so an event
-// probes a hash table once per endpoint, however many processors it
-// visits. In a neighbor-set entry the first six neighbors live inline
+// NodeID → id table beside one node-major row per node holding its
+// presence masks and, for every processor, a 16-bit neighbor signature
+// and its slot — so an event probes a hash table once per endpoint,
+// however many processors it visits. In a neighbor-set entry the first six neighbors live inline
 // in the entry, larger sets move to a side store the entry indexes — a
 // sorted slice intersected by merge/galloping walks, promoted past 32
 // neighbors to an open-addressing hash set probed in O(1) (the inline →
@@ -197,7 +197,13 @@
 // visit only each group's storing processor and the processors holding
 // BOTH endpoints — any other processor cannot close a triangle on that
 // event, and the one deletion tally it would advance (d_o) is derived
-// instead of counted.
+// instead of counted. A visited processor whose sample holds both
+// endpoints almost never closes a triangle there (98 % of those
+// intersections are empty on a power-law stream at M=10, C=20), and the
+// signatures prove most of them empty before any neighbor set is read:
+// each is the OR of one hashed bit per sampled neighbor, so two that
+// share no bit have no common neighbor. That cut a power-law engine's
+// per-event cost by about a third.
 // Estimates are bit-identical to visiting every processor (gated by tests
 // against an all-processor reference walk), and steady-state ingest
 // allocates nothing (gated by AllocsPerRun tests; the README lists

@@ -29,9 +29,10 @@ type Engine struct {
 	fam      []Hasher
 
 	// dict is the node dictionary: every node any processor holds, with
-	// its presence masks and its neighbor-set slot on every processor.
-	// Every sample mutation keeps it current; the walk probes it once per
-	// endpoint to find the processors holding both endpoints of an event.
+	// its presence masks and its neighbor signature and neighbor-set slot
+	// on every processor. Every sample mutation keeps it current; the walk
+	// probes it once per endpoint to find the processors holding both
+	// endpoints of an event.
 	dict nodeDict
 	// tauV1, tauV2 and etaV are the per-node class sums Aggregates
 	// reports: Σ τ⁽ⁱ⁾_v over the full-group processors, over the partial
@@ -147,16 +148,18 @@ func (e *Engine) ApplyBatch(ups []graph.Update) { e.ApplyAll(ups) }
 // processor — the only one that can sample, remove, or phantom-track the
 // edge — plus exactly the processors whose sample holds both endpoints,
 // read off the endpoints' presence masks, and skips the rest. Each
-// visited processor finds its slots of both endpoints in their dictionary
-// rows. A skipped processor is provably inert on the event: with an
-// endpoint absent its common neighborhood is empty, so τ/τ_v/η/η_v and
-// the per-edge counters stay put, and the one tally a deletion would
-// advance there, d_o, is derived instead (see unsampledDeletes).
-// Processors share no mutable state but the dictionary, where each writes
-// only its own slot column and mask bit (and which id a node gets never
-// reaches a counter), so the visiting order is free and the results are
-// bit-identical to visiting every processor; what changes is cost — on a
-// 1/m-sampled layout most processors hold neither endpoint.
+// visited processor reads its signatures of both endpoints from their
+// dictionary rows, and only when they share a bit its slots and neighbor
+// sets (see proc.common). A skipped processor is provably inert on the
+// event: with an endpoint absent its common neighborhood is empty, so
+// τ/τ_v/η/η_v and the per-edge counters stay put, and the one tally a
+// deletion would advance there, d_o, is derived instead (see
+// unsampledDeletes). Processors share no mutable state but the
+// dictionary, where each writes only its own signature, slot and mask
+// bit (and which id a node gets never reaches a counter), so the visiting
+// order is free and the results are bit-identical to visiting every
+// processor; what changes is cost — on a 1/m-sampled layout most
+// processors hold neither endpoint.
 //
 //rept:hotpath
 func (e *Engine) walk(up graph.Update) {
@@ -212,13 +215,21 @@ func (e *Engine) walk(up graph.Update) {
 // mid-stream. The per-node class sums are copies of the engine's own
 // tables — two slice copies each, however many nodes there are — so
 // nothing here walks a map.
+func (e *Engine) Aggregates() *Aggregates {
+	agg := e.counters()
+	agg.TauV1 = agg.TauV1.Clone()
+	agg.TauV2 = agg.TauV2.Clone()
+	agg.EtaV = agg.EtaV.Clone()
+	return &agg
+}
+
+// counters is Aggregates without the copies: the class sums are the
+// engine's own tables, so the result is valid only until the next event.
 //
 //rept:deterministic
-func (e *Engine) Aggregates() *Aggregates {
-	if e.closed {
-		panic(ErrClosed)
-	}
-	agg := &Aggregates{M: e.cfg.M, C: e.cfg.C, Shift: int(e.shift), TauProc: make([]int64, e.cfg.C)}
+func (e *Engine) counters() Aggregates {
+	agg := e.classSums()
+	agg.TauProc = make([]int64, e.cfg.C)
 	if e.trackEta {
 		agg.EtaProc = make([]int64, e.cfg.C)
 	}
@@ -228,14 +239,38 @@ func (e *Engine) Aggregates() *Aggregates {
 			agg.EtaProc[i] = p.eta
 		}
 	}
-	agg.TauV1 = e.tauV1.Clone()
-	agg.TauV2 = e.tauV2.Clone()
-	agg.EtaV = e.etaV.Clone()
 	return agg
 }
 
-// Result evaluates the REPT estimators.
-func (e *Engine) Result() Estimate { return e.Aggregates().Estimate() }
+// classSums is counters without the per-processor counters: enough to
+// evaluate one node's estimate, and allocation-free.
+func (e *Engine) classSums() Aggregates {
+	if e.closed {
+		panic(ErrClosed)
+	}
+	return Aggregates{M: e.cfg.M, C: e.cfg.C, Shift: int(e.shift), TauV1: e.tauV1, TauV2: e.tauV2, EtaV: e.etaV}
+}
+
+// Result evaluates the REPT estimators. Its Local map is freshly built,
+// so it reads the engine's class sums without copying them first.
+func (e *Engine) Result() Estimate {
+	agg := e.counters()
+	return agg.Estimate()
+}
+
+// GlobalEstimate is Result without the per-node estimates: its Local map
+// is nil, and it builds no per-node state at all.
+func (e *Engine) GlobalEstimate() Estimate {
+	agg := e.counters()
+	return agg.GlobalEstimate()
+}
+
+// LocalOf returns τ̂_v, read straight off the engine's class sums: 0 for a
+// node no class sum holds, or when local counts are not tracked.
+func (e *Engine) LocalOf(v graph.NodeID) float64 {
+	agg := e.classSums()
+	return agg.LocalOf(v)
+}
 
 // Processed returns the number of non-loop events (insertions plus
 // deletions) fed so far. It is monotone in stream position.
@@ -297,10 +332,11 @@ func (e *Engine) PairingCounters() PairingStats {
 }
 
 // EtaSaturations returns how many per-edge closing-counter updates were
-// clamped at the int32 boundary instead of wrapping (see ctab). Zero on every realistic stream; a non-zero value
-// flags an adversarially hot edge whose η̂ contribution is now a bounded
-// under-estimate rather than silent wrap-around garbage. The tally is a
-// diagnostic: it is not part of snapshots and resets on restore.
+// clamped at the int32 boundary instead of wrapping (see ctab). Zero on
+// every realistic stream; a non-zero value flags an adversarially hot
+// edge whose η̂ contribution is now a bounded under-estimate rather than
+// silent wrap-around garbage. The tally is a diagnostic: it is not part
+// of snapshots and resets on restore.
 func (e *Engine) EtaSaturations() uint64 {
 	if e.closed {
 		panic(ErrClosed)

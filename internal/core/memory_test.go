@@ -15,10 +15,11 @@ import (
 // sampled edge on a power-law stream: the neighbor-set stores plus the
 // node dictionary that indexes them. Under a memory budget this figure
 // decides how far the controller must cut the sampling probability, so it
-// is gated like a time regression. With one dictionary per engine it
-// measures 37 + 9 = 47 B/edge here; per-processor node indexes beside
-// per-block mask tables measured 63 + 5 = 68, and an 80-byte arena entry
-// with in-line slice headers 106.
+// is gated like a time regression. With one dictionary per engine whose
+// rows also carry a 16-bit neighbor signature per processor it measures
+// 37 + 13 = 50 B/edge here; the same rows without signatures measured
+// 37 + 9 = 47, per-processor node indexes beside per-block mask tables
+// 63 + 5 = 68, and an 80-byte arena entry with in-line slice headers 106.
 const maxAdjacencyBytesPerEdge = 56
 
 // TestAdjacencyBytesPerSampledEdge feeds a seeded Holme–Kim stream to an
@@ -54,10 +55,16 @@ func TestAdjacencyBytesPerSampledEdge(t *testing.T) {
 // footprints recomputed from capacities: every processor's neighbor-set
 // store, the node dictionary, and the class-sum tables plus every
 // per-edge counter table. A charge site that misses a capacity change (or
-// charges one twice) shows up as a drift at the step that caused it. C=130
-// spreads the presence masks over three blocks; C=22 leaves a partial
-// group, so η and its per-edge counters are tracked (and Downsample,
-// which refuses η, is skipped).
+// charges one twice) shows up as a drift at the step that caused it.
+//
+// It also checks the dictionary's signatures: after every step, each
+// cell of the step's endpoints must hold the OR of graph.SigBit over the
+// node's set on that processor, and 0 where the processor holds no set;
+// after each Downsample, each resume and every 1000th step, so must every
+// node's cell, and every free id's row must be all zero. C=130 spreads
+// the presence masks over three blocks; C=22 leaves a partial group, so η
+// and its per-edge counters are tracked (and Downsample, which refuses η,
+// is skipped).
 func TestEngineLedgerMatchesFootprint(t *testing.T) {
 	for _, c := range []int{20, 130, 22} {
 		t.Run(fmt.Sprintf("C=%d", c), func(t *testing.T) { testEngineLedger(t, c) })
@@ -97,6 +104,34 @@ func testEngineLedger(t *testing.T, c int) {
 			t.Fatalf("step %d (%s): counters ledger %d bytes, class sums and edge counters %d", step, what, got, counters)
 		}
 	}
+	checkSigs := func(step int, what string, nodes ...graph.NodeID) {
+		t.Helper()
+		for _, x := range nodes {
+			id := e.dict.index.Get(x)
+			for i, p := range e.procs {
+				var want uint16
+				if s := e.dict.slot(id, i); s != 0 {
+					want = p.sets.Sig(s, x)
+				}
+				if got := e.dict.sig(id, i); got != want {
+					t.Fatalf("step %d (%s): node %d on processor %d has signature %#x, want %#x", step, what, x, i, got, want)
+				}
+			}
+		}
+	}
+	checkAllSigs := func(step int, what string) {
+		t.Helper()
+		var nodes []graph.NodeID
+		e.dict.index.Each(func(x graph.NodeID, _ int32) { nodes = append(nodes, x) })
+		checkSigs(step, what, nodes...)
+		for _, id := range append([]int32{0}, e.dict.free...) {
+			for k, w := range e.dict.rows[int(id)*e.dict.w : int(id+1)*e.dict.w] {
+				if w != 0 {
+					t.Fatalf("step %d (%s): unused id %d has row word %d = %#x, want 0", step, what, id, k, w)
+				}
+			}
+		}
+	}
 	check(0, "new")
 	rng := rand.New(rand.NewPCG(7, uint64(c)))
 	const hubs, leaves = 2, 3000
@@ -118,10 +153,11 @@ func testEngineLedger(t *testing.T, c int) {
 		if i/4000%2 == 1 {
 			addPerMille = 200
 		}
-		what := ""
+		what, all := "", i%1000 == 0
+		var ends []graph.NodeID
 		switch r := rng.IntN(1000); {
 		case i%(steps/3) == 0 && !e.trackEta:
-			what = "Downsample(1)"
+			what, all = "Downsample(1)", true
 			if err := e.Downsample(1); err != nil {
 				t.Fatal(err)
 			}
@@ -133,6 +169,7 @@ func testEngineLedger(t *testing.T, c int) {
 			what = "insert"
 			live[ed] = true
 			order = append(order, ed)
+			ends = []graph.NodeID{ed.U, ed.V}
 			e.Add(ed.U, ed.V)
 		case r < 900:
 			if len(order) == 0 {
@@ -144,16 +181,19 @@ func testEngineLedger(t *testing.T, c int) {
 			order[j] = order[len(order)-1]
 			order = order[:len(order)-1]
 			delete(live, ed)
+			ends = []graph.NodeID{ed.U, ed.V}
 			e.Delete(ed.U, ed.V)
 		case r < 960:
 			what = "phantom delete"
-			e.Delete(graph.NodeID(10_000+rng.IntN(100)), pick())
+			ends = []graph.NodeID{graph.NodeID(10_000 + rng.IntN(100)), pick()}
+			e.Delete(ends[0], ends[1])
 		case r < 995:
 			what = "self-loop"
 			u := pick()
+			ends = []graph.NodeID{u}
 			e.Add(u, u)
 		default:
-			what = "snapshot + resume"
+			what, all = "snapshot + resume", true
 			var buf bytes.Buffer
 			if err := e.WriteSnapshot(&buf); err != nil {
 				t.Fatal(err)
@@ -165,6 +205,10 @@ func testEngineLedger(t *testing.T, c int) {
 			}
 		}
 		check(i, what)
+		checkSigs(i, what, ends...)
+		if all {
+			checkAllSigs(i, what)
+		}
 		recycled = recycled || len(e.dict.free) > 0
 		// Past 32 neighbors (graph's promoteDeg) a set is a hash table.
 		if id := e.dict.index.Get(0); id != 0 && !promoted {

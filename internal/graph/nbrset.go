@@ -16,7 +16,10 @@ import "rept/internal/mem"
 // contiguous uint32 storage, so an intersection touches a handful of
 // cache lines and allocates nothing once capacity exists, and because
 // neither the arena nor the index contains a pointer, the garbage
-// collector never scans them.
+// collector never scans them. A set's 16-bit signature (Sig, the OR of
+// SigBit over its neighbors) is not stored here: the engine keeps each
+// one in its node dictionary row, where it proves most empty
+// intersections empty without touching the arena at all.
 
 // nodeIDBytes is the accounted size of one side-store element (see
 // mem.CompAdjacency).
@@ -131,6 +134,22 @@ func (s *NeighborSets) Remove(si int32, owner, w NodeID) bool {
 
 // Deg returns the number of neighbors in set si.
 func (s *NeighborSets) Deg(si int32) int { return s.sets[si].deg() }
+
+// SigBit returns w's bit in a 16-bit neighbor signature: one of 16 bits,
+// picked by the top four bits of a multiplicative hash of w.
+//
+//rept:hotpath
+func SigBit(w NodeID) uint16 { return 1 << (uint32(w) * 0x9e3779b1 >> 28) }
+
+// Sig returns set si's signature, the OR of SigBit over its neighbors
+// (0 for an empty set). Two sets whose signatures share no bit share no
+// neighbor, so a caller that keeps each set's signature current can prove
+// most empty intersections without reading the sets.
+//
+//rept:hotpath
+func (s *NeighborSets) Sig(si int32, owner NodeID) uint16 {
+	return s.sets[si].sig(&s.side, owner)
+}
 
 // Each calls fn for every neighbor in set si, owned by owner, in
 // unspecified order.
@@ -464,6 +483,29 @@ func (s *nset) grow(st *sideStore, owner NodeID, size int, ac *mem.Accountant) [
 		}
 	}
 	return st.bufs[k]
+}
+
+// sig returns the OR of SigBit over the neighbors. A table is scanned
+// only until all 16 bits are set, which a hub's table reaches within a
+// few dozen entries.
+//
+//rept:hotpath
+func (s *nset) sig(st *sideStore, owner NodeID) uint16 {
+	var sig uint16
+	if s.x >= 0 {
+		for _, w := range s.sorted(st) {
+			sig |= SigBit(w)
+		}
+		return sig
+	}
+	for _, w := range s.table(st) {
+		if w != owner {
+			if sig |= SigBit(w); sig == 0xffff {
+				break
+			}
+		}
+	}
+	return sig
 }
 
 // each calls fn for every neighbor, in unspecified order.

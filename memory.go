@@ -119,14 +119,15 @@ func (c *Concurrent) SampleProbability() float64 {
 // traded for memory. Negative plug-ins are clamped to 0; with η
 // untracked the η term is omitted (exact when no two triangles share an
 // edge, an undercount otherwise). Answers from the current view when
-// views are running, else pays a barrier snapshot.
+// views are running, else pays one barrier and evaluates the global
+// estimate alone.
 func (c *Concurrent) VarianceBound() float64 {
 	var g, eta float64
 	if p := c.views.Load(); p != nil {
 		v := p.View()
 		g, eta = v.Global, v.EtaHat
 	} else {
-		e := c.Snapshot()
+		e := c.sh.Aggregates().GlobalEstimate()
 		g, eta = e.Global, e.EtaHat
 	}
 	if g < 0 {

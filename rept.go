@@ -171,11 +171,11 @@ func (e *Estimator) Result() Estimate {
 }
 
 // Global returns the current global triangle count estimate.
-func (e *Estimator) Global() float64 { return e.eng.Result().Global }
+func (e *Estimator) Global() float64 { return e.eng.GlobalEstimate().Global }
 
 // Local returns the current local triangle count estimate for v (0 if the
 // node was never seen or TrackLocal is off).
-func (e *Estimator) Local(v NodeID) float64 { return e.eng.Aggregates().LocalOf(v) }
+func (e *Estimator) Local(v NodeID) float64 { return e.eng.LocalOf(v) }
 
 // Locals returns the local estimate of every node that appeared in a
 // sampled semi-triangle (nil unless TrackLocal); after deletions that

@@ -82,6 +82,45 @@ func TestEstimatorDeterministic(t *testing.T) {
 	}
 }
 
+// TestEstimatorPointReadsMatchResult checks that Global and Local, which
+// read one number, agree bit for bit with Result's Global and Local map,
+// and that they no longer pay for every node's estimate: Local allocates
+// nothing and Global only the per-processor counter slices. C=25 leaves
+// a partial group, so η and its class sum are tracked too.
+func TestEstimatorPointReadsMatchResult(t *testing.T) {
+	edges := gen.Shuffle(gen.HolmeKim(3000, 6, 0.5, 5), 6)
+	for _, c := range []int{20, 25} {
+		est, err := rept.New(rept.Config{M: 10, C: c, Seed: 9, TrackLocal: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer est.Close()
+		est.AddAll(edges)
+		res := est.Result()
+		if len(res.Local) == 0 {
+			t.Fatalf("C=%d: no local estimates", c)
+		}
+		if g := est.Global(); math.Float64bits(g) != math.Float64bits(res.Global) {
+			t.Errorf("C=%d: Global() = %v, Result().Global = %v", c, g, res.Global)
+		}
+		for v, want := range res.Local {
+			if got := est.Local(v); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("C=%d: Local(%d) = %v, Result().Local = %v", c, v, got, want)
+			}
+		}
+		var v rept.NodeID
+		for v = range res.Local {
+			break
+		}
+		if n := testing.AllocsPerRun(100, func() { est.Local(v) }); n != 0 {
+			t.Errorf("C=%d: Local allocates %.0f times per call, want 0", c, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { est.Global() }); n > 3 {
+			t.Errorf("C=%d: Global allocates %.0f times per call, want at most 3", c, n)
+		}
+	}
+}
+
 func TestNewValidatesConfig(t *testing.T) {
 	if _, err := rept.New(rept.Config{M: 0, C: 1}); err == nil {
 		t.Error("New(M=0): got nil error")
