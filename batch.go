@@ -5,7 +5,7 @@ package rept
 // (or an interval's) events into a Batch and hand the whole thing to
 // the estimator at once, so the ingest mutex, ticket acquisition,
 // ordered delivery, degree tracking, and barrier bookkeeping are paid
-// per BatchSize segment instead of per event.
+// per segment of up to 1024 events instead of per event.
 //
 // The zero value is ready to use. Reset keeps the backing array, so a
 // long-lived Batch reaches a steady state where filling and applying

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"rept"
 	"rept/internal/gen"
@@ -209,5 +210,43 @@ func TestRestoreBootErrors(t *testing.T) {
 	err = run([]string{"-wal-dir", dir, "-m", "7", "-c", "8", "-shards", "2", "-seed", "5", "-addr", "127.0.0.1:0"})
 	if err == nil || !strings.Contains(err.Error(), "M = 4 in snapshot, 7 in config") {
 		t.Errorf("run -wal-dir with mismatched -m: err = %v, want the M fingerprint mismatch named", err)
+	}
+}
+
+// TestCloseEstimatorReportsFailedFinalSync: with -wal-sync <duration> a
+// 200 acknowledges events on append, and the group commit inside Close
+// is the only sync covering the last interval. Shutdown must turn that
+// commit's failure into an error naming the log and its positions (the
+// process then exits 1), and stay silent when the commit succeeds.
+func TestCloseEstimatorReportsFailedFinalSync(t *testing.T) {
+	ups := []rept.Update{{U: 1, V: 2}, {U: 2, V: 3}, {U: 1, V: 3}}
+	for _, failSync := range []bool{false, true} {
+		be := wal.NewMemBackend()
+		est, err := rept.ResumeDurable(rept.ConcurrentConfig{M: 2, C: 4, Seed: 1},
+			rept.WALOptions{Backend: be, SyncInterval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := est.ApplyAllDurable(ups); err != nil {
+			t.Fatal(err)
+		}
+		if failSync {
+			be.FailSync(1)
+		}
+		err = closeEstimator(est)
+		if !failSync {
+			if err != nil {
+				t.Errorf("closeEstimator after a healthy final commit: %v", err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Fatal("closeEstimator returned nil after the final group commit failed")
+		}
+		for _, want := range []string{"write-ahead log", "position 3", "only to 0"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("closeEstimator error %q does not mention %q", err, want)
+			}
+		}
 	}
 }

@@ -65,7 +65,8 @@
 // With -wal-sync <duration> the log is group-committed on that interval
 // instead — ingest never waits on the disk, at the cost of losing at most
 // the last interval's events on power failure (a kill -9 with a healthy
-// disk still loses nothing). Sealed segments are folded into an
+// disk still loses nothing); if the final group commit at shutdown fails,
+// the process exits 1. Sealed segments are folded into an
 // incremental checkpoint every -wal-compact-every events (and on demand
 // via POST /checkpoint), bounding both replay time and disk usage;
 // -wal-segment-bytes caps individual segment files. The WAL's
@@ -227,6 +228,18 @@ func (bootHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// closeEstimator closes est and reports a write-ahead log that failed on
+// the way. With -wal-sync <duration> a 200 acknowledges events on
+// append, and the group commit inside Close is the only sync covering the
+// last interval's events, so its failure must fail the process.
+func closeEstimator(est *rept.Concurrent) error {
+	est.Close()
+	if st := est.WALStats(); st.Failed {
+		return fmt.Errorf("write-ahead log failed: events appended to position %d, durable only to %d", st.AppendedPos, st.DurablePos)
+	}
+	return nil
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("reptserve", flag.ContinueOnError)
 	var (
@@ -238,7 +251,6 @@ func run(args []string) error {
 		local    = fs.Bool("local", false, "track local (per-node) estimates and degrees (enables /local, /topk, /cc, /query)")
 		dynamic  = fs.Bool("dynamic", false, "accept edge deletions (op:\"del\" lines and DELETE /edges); estimates track the net live graph")
 		eta      = fs.Bool("eta", false, "force η̂ tracking (variance for every config)")
-		batch    = fs.Int("batch", 0, "ingest hand-off batch length (0 = default)")
 		grace    = fs.Duration("grace", 10*time.Second, "shutdown grace period")
 		interval = fs.Duration("view-interval", 200*time.Millisecond, "max time between query-view epochs")
 		vedges   = fs.Uint64("view-edges", 0, "also republish the query view every N ingested edges (0 = off)")
@@ -307,7 +319,6 @@ func run(args []string) error {
 		// both, and the O(V + E) table is cheap next to the local
 		// counters.
 		TrackDegrees: *local,
-		BatchSize:    *batch,
 		// The telemetry bundle wires stage-latency histograms, per-shard
 		// series, and the flight recorder through the whole pipeline; the
 		// server's /metrics and /debug/flight serve from it.
@@ -444,7 +455,9 @@ func run(args []string) error {
 	// grace period expired with clients still streaming) answer 503 from
 	// here on, so closing the estimator under them is safe.
 	api.Stop()
-	est.Close()
+	if err := closeEstimator(est); err != nil {
+		return err
+	}
 	if shutdownErr != nil {
 		if !errors.Is(shutdownErr, context.DeadlineExceeded) {
 			return shutdownErr

@@ -22,7 +22,7 @@ import (
 // maxBodyBatch is the most parsed NDJSON events buffered before a
 // forced hand-off to the estimator. Whole request bodies below it are
 // ingested by ONE ApplyBatch call (one pass through the ingest mutex,
-// shipped as ring messages of at most BatchSize events — the
+// handed to the shards as segments of at most 1024 events — the
 // amortization ApplyBatch exists for); it bounds per-request memory for
 // unbounded streaming bodies at ~1 MiB of events.
 const maxBodyBatch = 65536

@@ -41,14 +41,6 @@ type ConcurrentConfig struct {
 	// the live graph: the table keeps the live-edge set (O(V + E) memory),
 	// which snapshots carry.
 	TrackDegrees bool
-	// BatchSize is the ingest hand-off batch length (default 1024). Adds
-	// are buffered under a mutex and broadcast to shards in batches of
-	// this length; bulk calls ship segments of at most this many events.
-	// An execution detail: estimates do not depend on it.
-	BatchSize int
-	// QueueLen is the per-shard queue depth in batches (default 8);
-	// producers block when a shard falls this far behind.
-	QueueLen int
 	// Telemetry attaches an observability bundle (see NewTelemetry):
 	// stage-latency histograms across the ingest pipeline, per-shard
 	// series, and a flight recorder. Nil runs uninstrumented. Telemetry
@@ -107,8 +99,6 @@ func (c ConcurrentConfig) shardConfig() shard.Config {
 		FullyDynamic: c.FullyDynamic,
 		TrackEta:     c.TrackEta,
 		TrackDegrees: c.TrackDegrees,
-		BatchSize:    c.BatchSize,
-		QueueLen:     c.QueueLen,
 		Obs:          c.Telemetry.obsPipeline(),
 	}
 }
@@ -151,7 +141,7 @@ func (c *Concurrent) AddAll(edges []Edge) {
 }
 
 // addAllChunk is the body length AddAll converts edges into on the stack:
-// the default BatchSize, so each body ships as one segment.
+// the shard layer's segment length, so each body ships as one segment.
 const addAllChunk = 1024
 
 // Delete feeds one stream edge deletion; estimates then track the net
@@ -165,9 +155,9 @@ func (c *Concurrent) Delete(u, v NodeID) { c.sh.Delete(u, v) }
 func (c *Concurrent) ApplyAll(ups []Update) { c.sh.ApplyBatch(ups) }
 
 // ApplyBatch feeds every event in b, in order, under one critical
-// section: the events ship as ticketed segments of at most BatchSize
-// events, each traveling the shard rings as one message, and every shard
-// engine applies them through its presence-mask walk. The batch is
+// section: the events ship as ticketed segments of at most 1024 events,
+// each handed to every shard as one message, and every shard engine
+// applies them through its presence-mask walk. The batch is
 // copied during the call; the caller may Reset and refill it
 // immediately. Deletion events require ConcurrentConfig.FullyDynamic.
 // Safe for concurrent use (one goroutine per Batch).
@@ -269,8 +259,8 @@ func (c *Concurrent) WriteSnapshot(w io.Writer) error { return c.sh.WriteSnapsho
 // TrackLocal, TrackEta, FullyDynamic — and TrackDegrees, whose live-edge
 // set is carried in the snapshot) and the effective shard count must
 // equal the one cfg implies, because per-shard hash seeds derive from
-// (Seed, shard index). BatchSize and QueueLen may differ. Mismatches are
-// rejected with an error wrapping ErrSnapshotMismatch.
+// (Seed, shard index). Mismatches are rejected with an error wrapping
+// ErrSnapshotMismatch.
 func ResumeConcurrent(cfg ConcurrentConfig, r io.Reader) (*Concurrent, error) {
 	ac := mem.New()
 	scfg := cfg.shardConfig()
@@ -287,6 +277,12 @@ func ResumeConcurrent(cfg ConcurrentConfig, r io.Reader) (*Concurrent, error) {
 // Close (uses panic); Close itself is idempotent but must not run
 // concurrently with other methods. The last published view stays readable
 // through a retained *Views handle even after Close.
+//
+// With a write-ahead log, Close ends with a group commit of everything
+// appended but not yet synced. Close cannot report that commit's
+// failure, so check WALStats().Failed afterwards: with a SyncInterval,
+// the final commit is the only sync covering the events acknowledged in
+// the last interval, and a set flag means they may not survive a crash.
 func (c *Concurrent) Close() {
 	if p := c.views.Load(); p != nil {
 		p.Close()

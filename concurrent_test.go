@@ -132,29 +132,32 @@ func TestNewConcurrentValidation(t *testing.T) {
 	}
 }
 
-// TestBatchSizePlumbed: a custom ConcurrentConfig.BatchSize must reach
-// the shard producer — odd sizes split every body into several segments
-// and leave per-event Adds straddling them — and must not change results,
-// which are defined to be independent of BatchSize.
-func TestBatchSizePlumbed(t *testing.T) {
+// TestSegmentationInvariant: how the stream is cut into hand-off
+// segments must not change results. The first half arrives in AddAll
+// bodies of 1, 7 or 4096 edges (the last split into 1024-event
+// segments), the rest as per-event Adds straddling them, and every cut
+// must give the Global of one AddAll over the first half.
+func TestSegmentationInvariant(t *testing.T) {
 	edges := concurrentStream()
-	run := func(batch int) float64 {
-		est, err := rept.NewConcurrent(rept.ConcurrentConfig{M: 3, C: 9, Shards: 2, Seed: 5, BatchSize: batch})
+	half := len(edges) / 2
+	run := func(body int) float64 {
+		est, err := rept.NewConcurrent(rept.ConcurrentConfig{M: 3, C: 9, Shards: 2, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer est.Close()
-		half := len(edges) / 2
-		est.AddAll(edges[:half])
+		for i := 0; i < half; i += body {
+			est.AddAll(edges[i:min(i+body, half)])
+		}
 		for _, e := range edges[half:] {
 			est.Add(e.U, e.V)
 		}
 		return est.Global()
 	}
-	want := run(0)
-	for _, batch := range []int{1, 7, 4096} {
-		if got := run(batch); got != want {
-			t.Errorf("BatchSize=%d: Global = %v, default = %v", batch, got, want)
+	want := run(half)
+	for _, body := range []int{1, 7, 4096} {
+		if got := run(body); got != want {
+			t.Errorf("%d-edge bodies: Global = %v, one body = %v", body, got, want)
 		}
 	}
 }

@@ -43,17 +43,17 @@
 // A Concurrent estimator spreads its C logical processors over
 // independent engine shards (whole processor groups with independent hash
 // seeds, the distributed layout of paper Section III-B) and broadcasts
-// batched edges to them through single-producer/single-consumer ring
-// buffers. Per-event Adds share one buffer under a mutex; callers that
-// already hold many events fill a reusable Batch and call ApplyBatch (or
-// ApplyBatchDurable with a WAL), which takes the mutex once and ships the
-// batch as ring messages of at most BatchSize events. Shards are the only
-// parallelism: each engine runs single-threaded in its shard's
-// goroutine. Snapshots are consistent — every shard reports at the same
-// stream prefix — and its
-// estimates follow the same distribution as a single-caller Estimator
-// with equal M and C. cmd/reptserve wraps a Concurrent estimator in an
-// HTTP service (NDJSON ingest, mid-stream estimate queries).
+// batched edges to them over one buffered channel per shard, in one
+// ticket order for every consumer. Per-event Adds share one buffer under
+// a mutex; callers that already hold many events fill a reusable Batch
+// and call ApplyBatch (or ApplyBatchDurable with a WAL), which takes the
+// mutex once and ships the batch as segments of at most 1024 events.
+// Shards are the only parallelism: each engine runs single-threaded in
+// its shard's goroutine. Snapshots are consistent — every shard reports
+// at the same stream prefix — and its estimates follow the same
+// distribution as a single-caller Estimator with equal M and C.
+// cmd/reptserve wraps a Concurrent estimator in an HTTP service (NDJSON
+// ingest, mid-stream estimate queries).
 //
 // # Fully-dynamic streams
 //
@@ -189,15 +189,14 @@
 //
 // Every event, insertion or deletion, reaches the engine the same way.
 // Batches travel from the producer to each shard's consumer as one
-// ticket per segment through an SPSC ring (padded head/tail indexes,
-// brief spin then futex-style park — no channel machinery on the
-// hand-off), and each engine applies every event through one
-// presence-mask walk: per-node processor-membership masks, one 64-bit
-// word per 64 processors in the node's dictionary row, let the engine
-// visit only each group's storing processor and the processors holding
-// BOTH endpoints — any other processor cannot close a triangle on that
-// event, and the one deletion tally it would advance (d_o) is derived
-// instead of counted. A visited processor whose sample holds both
+// channel message per segment, so the hand-off costs one channel
+// operation per up to 1024 events, and each engine applies every event
+// through one presence-mask walk: per-node processor-membership masks,
+// one 64-bit word per 64 processors in the node's dictionary row, let
+// the engine visit only each group's storing processor and the
+// processors holding BOTH endpoints — any other processor cannot close a
+// triangle on that event, and the one deletion tally it would advance
+// (d_o) is derived instead of counted. A visited processor whose sample holds both
 // endpoints almost never closes a triangle there (98 % of those
 // intersections are empty on a power-law stream at M=10, C=20), and the
 // signatures prove most of them empty before any neighbor set is read:
@@ -259,7 +258,7 @@
 // # Memory accounting and adaptive budgets
 //
 // Every flat storage layer under a Concurrent estimator — neighbor-set
-// arenas, node dictionaries, counter tables, ingest rings, recycled batch
+// arenas, node dictionaries, counter tables, ingest queues, recycled batch
 // buffers, the degree table, published query views, WAL buffers —
 // reports its backing bytes to an atomic per-component ledger at
 // capacity-change moments only (growth, rehash, spill promotion,

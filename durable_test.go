@@ -17,7 +17,6 @@ func durableConfig() rept.ConcurrentConfig {
 	return rept.ConcurrentConfig{
 		M: 3, C: 9, Shards: 3, Seed: 41,
 		TrackLocal: true, FullyDynamic: true, TrackDegrees: true,
-		BatchSize: 128,
 	}
 }
 

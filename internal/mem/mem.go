@@ -2,7 +2,7 @@
 // per-component atomic accountant every flat storage structure reports
 // its backing bytes to. The contract that keeps it off the hot path is
 // that components account at the moments capacity actually changes —
-// a table grows or rehashes, a spill slice is promoted, a ring is
+// a table grows or rehashes, a spill slice is promoted, a queue is
 // built, a view is published — never per event. Steady-state ingest
 // therefore performs zero ledger operations; the reptvet hotpathalloc
 // analyzer and the AllocsPerRun gates enforce that shape.
@@ -39,7 +39,9 @@ const (
 	// index and the node-major rows of presence masks and per-processor
 	// neighbor-set slots, plus the free list of recycled ids.
 	CompMasks
-	// CompRings covers the shard ring buffers (ingest plus WAL rings).
+	// CompRings covers the buffers of the shard layer's hand-off queues,
+	// one per consumer (engine shards, degree tracker, WAL logger). The
+	// name predates the channels and stays, since dashboards read it.
 	CompRings
 	// CompBatches covers the pooled ingest batch free lists.
 	CompBatches

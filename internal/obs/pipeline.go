@@ -68,7 +68,7 @@ func NewPipeline(reg *Registry) *Pipeline {
 		BatchSizes:  reg.SizeHistogram("rept_batch_events", "Events per delivered batch ticket."),
 		Flight:      NewFlight(DefaultFlightEvents),
 		ShardQueueDepth: reg.GaugeVec("rept_shard_queue_depth",
-			"Batches waiting in each shard's ingest ring.", "shard"),
+			"Batches waiting in each shard's ingest queue.", "shard"),
 		ShardBatchEvents: reg.GaugeVec("rept_shard_last_batch_events",
 			"Events in the last batch each shard applied.", "shard"),
 		ShardApplied: reg.CounterVec("rept_shard_events_applied_total",

@@ -100,8 +100,8 @@ func TestApplyBatchMatchesApplyAll(t *testing.T) {
 }
 
 // TestApplyBatchSaturatedProducers hammers ApplyBatch from several
-// goroutines through deliberately tiny rings, so producers repeatedly
-// hit ring backpressure and park, and checks nothing is lost or doubled.
+// goroutines through deliberately tiny queues, so producers repeatedly
+// hit backpressure and block, and checks nothing is lost or doubled.
 func TestApplyBatchSaturatedProducers(t *testing.T) {
 	ups := signedStream(t)
 	s, err := New(Config{M: 2, C: 8, Shards: 4, Seed: 5,
@@ -120,7 +120,7 @@ func TestApplyBatchSaturatedProducers(t *testing.T) {
 		wg.Add(1)
 		go func(part []graph.Update) {
 			defer wg.Done()
-			// Many small batches: each delivery competes for 1-deep rings.
+			// Many small batches: each delivery competes for 1-deep queues.
 			for i := 0; i < len(part); i += 32 {
 				s.ApplyBatch(part[i:min(i+32, len(part))])
 			}
@@ -237,7 +237,7 @@ func TestApplyBatchSnapshotRoundTrip(t *testing.T) {
 // TestApplyBatchSteadyStateZeroAlloc gates the bulk producer path: with
 // the free list and engine working sets warm, an ApplyBatch churn block
 // must cost 0 allocs/op across every goroutine — the copy into the
-// pooled segment, the ring hand-off, and the engines' mask walks all
+// pooled segment, the channel hand-off, and the engines' mask walks all
 // reuse standing memory.
 func TestApplyBatchSteadyStateZeroAlloc(t *testing.T) {
 	s, err := New(Config{

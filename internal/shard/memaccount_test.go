@@ -7,6 +7,7 @@ import (
 	"rept/internal/gen"
 	"rept/internal/graph"
 	"rept/internal/mem"
+	"rept/internal/wal"
 )
 
 // runAccountedStream drives one full churn-and-adapt workload — adds,
@@ -63,20 +64,42 @@ func TestAccountingBitIdentical(t *testing.T) {
 	}
 }
 
-// TestLedgerComponentsPopulated: after real ingest every storage layer
-// the shard owns has reported bytes, and downsampling shrinks the
-// sample-bearing components.
+// TestLedgerComponentsPopulated: every hand-off queue is charged its
+// exact buffer size, the WAL logger's included; after real ingest every
+// storage layer the shard owns has reported bytes; and downsampling
+// shrinks the sample-bearing components.
 func TestLedgerComponentsPopulated(t *testing.T) {
 	ac := mem.New()
-	s, err := New(Config{
-		M: 4, C: 4, Shards: 1, Seed: 3,
+	cfg := Config{
+		M: 4, C: 8, Shards: 2, Seed: 3,
 		TrackLocal: true, TrackDegrees: true,
 		Mem: ac,
-	})
+	}
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+
+	queue := defaultQueueLen * msgBytes
+	if got, want := ac.Bytes(mem.CompRings), int64(s.Shards()+1)*queue; got != want {
+		t.Errorf("rings = %d bytes after New, want %d (%d engine shards + degree tracker, %d bytes each)", got, want, s.Shards(), queue)
+	}
+	rec, err := wal.Recover(wal.NewMemBackend(), cfg.FingerprintHash())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rec.Replay(0, func([]graph.Update) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	lg, err := rec.Log(wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.StartWAL(lg, 0)
+	if got, want := ac.Bytes(mem.CompRings), int64(s.Shards()+2)*queue; got != want {
+		t.Errorf("rings = %d bytes after StartWAL, want %d (one more queue)", got, want)
+	}
 
 	s.ApplyBatch(graph.Inserts(gen.Shuffle(gen.HolmeKim(2000, 8, 0.3, 5), 7)))
 	s.Snapshot() // barrier: every in-flight capacity change lands

@@ -13,13 +13,15 @@
 //
 // Unlike core.Engine, whose Add must be driven by one caller, Sharded.Add
 // is safe for any number of goroutines: producers append to a shared batch
-// under a short critical section, and full batches are handed off to the
-// per-shard goroutines over single-producer/single-consumer ring buffers
-// (ticket-ordered delivery makes the producer side of each ring
-// single-threaded). The shard goroutines are the only parallelism: each
-// engine runs single-threaded in its own. Snapshots use an in-band
-// barrier message so every shard reports its counters at exactly the
-// same stream prefix, without stopping ingestion for longer than a flush.
+// under a short critical section, and full batches are handed to every
+// consumer goroutine (the engine shards, the degree tracker, the WAL
+// logger) over one buffered channel each, in ticket order, so every
+// consumer sees the same sequence. A hand-off carries a whole batch, so
+// its cost is paid per batch, not per event. The shard goroutines are the
+// only parallelism: each engine runs single-threaded in its own.
+// Snapshots use an in-band barrier message so every shard reports its
+// counters at exactly the same stream prefix, without stopping ingestion
+// for longer than a flush.
 //
 // ApplyBatch is the one bulk producer: a caller batch becomes a few
 // ticketed segments of at most BatchSize events, issued in one critical
@@ -45,7 +47,7 @@ import (
 	"rept/internal/snapshot"
 )
 
-// Accounted sizes of the flat ingest structures: one ring slot and one
+// Accounted sizes of the flat ingest structures: one queue slot and one
 // batch-buffer event. Both are reported to the byte ledger only at
 // construction / recycle transitions, never on the per-event path.
 const (
@@ -90,15 +92,14 @@ type Config struct {
 	// for clustering-coefficient queries; costs O(V + E) memory (the
 	// live-edge set, which checkpoints carry).
 	TrackDegrees bool
-	// BatchSize is the ingest hand-off batch length (default 1024): Add
-	// appends under a mutex and full batches are broadcast to the shard
-	// rings, and ApplyBatch ships segments of at most this many events.
-	// Larger batches cut contention, smaller ones cut snapshot staleness.
-	BatchSize int
-	// QueueLen is the per-shard ring depth in batches (default 8, rounded
-	// up to a power of two). Producers block once a shard falls this far
-	// behind (backpressure).
-	QueueLen int
+	// BatchSize is the ingest hand-off batch length: Add appends under a
+	// mutex and broadcasts every full batch, and ApplyBatch ships segments
+	// of at most this many events. QueueLen is each consumer's channel
+	// depth in batches; producers block once a consumer falls this far
+	// behind (backpressure). Zero selects 1024 and 8. Neither changes an
+	// estimate; the public layer leaves both at zero, and tests set them
+	// to force tiny segments and full queues.
+	BatchSize, QueueLen int
 	// Obs attaches pipeline telemetry: dispatch/queue-wait/apply/barrier
 	// stage histograms, per-shard queue-depth and events-applied series,
 	// and flight-recorder events. Nil disables instrumentation at zero
@@ -108,10 +109,10 @@ type Config struct {
 	Obs *obs.Pipeline
 	// Mem, when non-nil, is the byte ledger every storage layer under the
 	// coordinator reports to: the shard engines' neighbor-set arenas, node
-	// dictionaries and counter tables, the ingest rings, the recycled
-	// batch buffers, and the degree table. Purely observational — estimates are bit-identical
-	// with or without it — and, like Obs, operational state outside the
-	// snapshot fingerprint.
+	// dictionaries and counter tables, the ingest queues, the recycled
+	// batch buffers, and the degree table. Purely observational —
+	// estimates are bit-identical with or without it — and, like Obs,
+	// operational state outside the snapshot fingerprint.
 	Mem *mem.Accountant
 }
 
@@ -218,11 +219,11 @@ type barrier struct {
 	wg                            sync.WaitGroup
 }
 
-// msg is one item of a shard ring: either an edge batch or a barrier.
-// ticket is the delivery ticket the message was issued under: send
-// delivers tickets in issue order, and the WAL goroutine uses the ticket
-// as the durability watermark (engine shards ignore it — their ordering
-// comes from the ring sequence itself). Tickets start at 1, so a zero
+// msg is one item of a consumer queue: either an edge batch or a
+// barrier. ticket is the delivery ticket the message was issued under:
+// send delivers tickets in issue order, and the WAL goroutine uses the
+// ticket as the durability watermark (engine shards ignore it — their
+// ordering comes from the queue itself). Tickets start at 1, so a zero
 // msg means "nothing to send".
 type msg struct {
 	b      *batch
@@ -236,17 +237,16 @@ type msg struct {
 type Sharded struct {
 	cfg      Config
 	batchLen int
+	queueLen int
 
 	engines []*core.Engine
-	rings   []*ring
-	// degRing feeds the degree tracker goroutine the same batch/barrier
-	// sequence as the engine shards; nil when TrackDegrees is off.
-	degRing *ring
-	// walRing feeds the write-ahead-log goroutine the same sequence; nil
-	// until StartWAL. queueLen is kept for sizing it late.
-	walRing  *ring
-	wal      *walRunner
-	queueLen int
+	// queues holds one hand-off channel per broadcast consumer: engine
+	// shard i reads queues[i], the degree tracker (with TrackDegrees) the
+	// next one, and the WAL logger, appended by StartWAL, the last. Every
+	// consumer receives the same batch/barrier sequence.
+	queues []chan msg
+	// wal is the durable-mode bookkeeping; nil until StartWAL.
+	wal *walRunner
 
 	// mu guards cur, closed, and delivery-ticket issue. It is the ingest
 	// critical section every producer passes through, so no channel send
@@ -338,7 +338,6 @@ func build(cfg Config, restore []snapshot.EngineState, liveEdges []graph.Edge) (
 		batchLen: batchLen,
 		queueLen: queueLen,
 		engines:  make([]*core.Engine, len(sub)),
-		rings:    make([]*ring, len(sub)),
 		acct:     cfg.Mem,
 	}
 	s.free = make(chan *batch, queueLen+8)
@@ -358,7 +357,7 @@ func build(cfg Config, restore []snapshot.EngineState, liveEdges []graph.Edge) (
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		s.engines[i] = eng
-		s.rings[i] = s.newAccountedRing(queueLen)
+		s.queues = append(s.queues, s.newQueue())
 	}
 	// Restored shards carry their snapshot's sample shift; they must agree
 	// (they were checkpointed at one barrier) for merged estimates to be
@@ -379,8 +378,8 @@ func build(cfg Config, restore []snapshot.EngineState, liveEdges []graph.Edge) (
 		s.applied = make([]*obs.Counter, len(s.engines))
 		for i := range s.engines {
 			lbl := obs.ShardLabel(i)
-			r := s.rings[i]
-			s.obs.ShardQueueDepth.Func(lbl, func() float64 { return float64(r.Len()) })
+			q := s.queues[i]
+			s.obs.ShardQueueDepth.Func(lbl, func() float64 { return float64(len(q)) })
 			s.batchEv[i] = s.obs.ShardBatchEvents.With(lbl)
 			s.applied[i] = s.obs.ShardApplied.With(lbl)
 		}
@@ -388,7 +387,7 @@ func build(cfg Config, restore []snapshot.EngineState, liveEdges []graph.Edge) (
 	s.cur = s.getBatch()
 	s.done.Add(len(s.engines))
 	for i := range s.engines {
-		go s.run(i)
+		go s.run(i, s.queues[i])
 	}
 	if cfg.TrackDegrees {
 		table := graph.NewDegreeTable()
@@ -400,20 +399,21 @@ func build(cfg Config, restore []snapshot.EngineState, liveEdges []graph.Edge) (
 		// restored estimator is handed out.
 		fp := table.FootprintBytes()
 		s.acct.Add(mem.CompDegrees, fp)
-		s.degRing = s.newAccountedRing(queueLen)
+		q := s.newQueue()
+		s.queues = append(s.queues, q)
 		s.done.Add(1)
-		go s.runDegrees(table, fp)
+		go s.runDegrees(q, table, fp)
 	}
 	return s, nil
 }
 
-// newAccountedRing builds a consumer ring and reports its slot array to
-// the byte ledger (ring capacity is fixed for the ring's lifetime, so
-// construction is the only accounting moment).
-func (s *Sharded) newAccountedRing(capacity int) *ring {
-	r := newRing(capacity)
-	s.acct.Add(mem.CompRings, int64(len(r.buf))*msgBytes)
-	return r
+// newQueue builds one consumer's hand-off channel and charges its buffer
+// to the byte ledger (a channel's capacity is fixed, so construction is
+// the only accounting moment).
+func (s *Sharded) newQueue() chan msg {
+	q := make(chan msg, s.queueLen)
+	s.acct.Add(mem.CompRings, int64(cap(q))*msgBytes)
+	return q
 }
 
 // getBatch returns a recycled batch buffer, allocating only when the
@@ -447,13 +447,9 @@ func (s *Sharded) putBatch(b *batch) {
 // each barrier describes exactly the barrier's stream prefix. acBytes is
 // the table footprint last reported to the ledger, reconciled against
 // FootprintBytes once per batch rather than hooked at growth.
-func (s *Sharded) runDegrees(table *graph.DegreeTable, acBytes int64) {
+func (s *Sharded) runDegrees(q <-chan msg, table *graph.DegreeTable, acBytes int64) {
 	defer s.done.Done()
-	for {
-		m, ok := s.degRing.pop()
-		if !ok {
-			return
-		}
+	for m := range q {
 		if m.bar != nil {
 			// Downsample-only barriers skip the copy: degrees track the
 			// full stream and are untouched by resampling.
@@ -481,29 +477,15 @@ func (s *Sharded) runDegrees(table *graph.DegreeTable, acBytes int64) {
 
 // fanout returns the number of broadcast consumers (engine shards plus
 // the degree tracker and the WAL goroutine when enabled).
-func (s *Sharded) fanout() int {
-	n := len(s.rings)
-	if s.degRing != nil {
-		n++
-	}
-	if s.walRing != nil {
-		n++
-	}
-	return n
-}
+func (s *Sharded) fanout() int { return len(s.queues) }
 
-// run is the shard goroutine: it drains shard i's ring, feeding edge
+// run is the shard goroutine: it drains shard i's queue, feeding edge
 // batches to the shard engine's walk and answering barriers in stream
 // order.
-func (s *Sharded) run(i int) {
+func (s *Sharded) run(i int, q <-chan msg) {
 	defer s.done.Done()
 	eng := s.engines[i]
-	r := s.rings[i]
-	for {
-		m, ok := r.pop()
-		if !ok {
-			break
-		}
+	for m := range q {
 		if m.bar != nil {
 			if m.bar.downshift > 0 {
 				m.bar.errs[i] = eng.Downsample(m.bar.downshift)
@@ -591,8 +573,8 @@ func (s *Sharded) apply(up graph.Update) {
 // detaches the buffer every BatchSize events and once more at the end,
 // so the call ships as ticketed segments of at most BatchSize events and
 // nothing it accepted waits in the buffer after it returns. Each segment
-// travels every ring as one message and is applied by each shard engine
-// through its presence-mask walk.
+// travels every consumer queue as one message and is applied by each
+// shard engine through its presence-mask walk.
 //
 // Self-loops are skipped (and tallied) like everywhere else. Deletion
 // events require Config.FullyDynamic and panic with core.ErrNotDynamic
@@ -681,14 +663,12 @@ func (s *Sharded) detachLocked() msg {
 	return msg{b: b, ticket: s.seq}
 }
 
-// send delivers one ticketed message to every consumer ring. Tickets
+// send delivers one ticketed message to every consumer queue. Tickets
 // are delivered strictly in issue order: the sender of ticket t waits
 // until t-1 has been fully delivered, so every consumer sees the exact
-// sequence the ingest critical sections produced — and so each ring has
-// exactly one active producer at a time, which is the ring's SPSC
-// contract. Ring pushes here may block on a backed-up shard (that is
-// the backpressure), but the caller holds no ingest mutex, so other
-// producers keep appending meanwhile.
+// sequence the ingest critical sections produced. A send may block on a
+// backed-up consumer (that is the backpressure), but the caller holds no
+// ingest mutex, so other producers keep appending meanwhile.
 func (s *Sharded) send(m msg) {
 	var start time.Time
 	if s.obs != nil {
@@ -698,21 +678,15 @@ func (s *Sharded) send(m msg) {
 	for s.sentSeq+1 != m.ticket {
 		s.sendCond.Wait()
 	}
-	for _, r := range s.rings {
-		r.push(m)
-	}
-	if s.degRing != nil {
-		s.degRing.push(m)
-	}
-	if s.walRing != nil {
-		s.walRing.push(m)
+	for _, q := range s.queues {
+		q <- m
 	}
 	s.sentSeq = m.ticket
 	s.sendCond.Broadcast()
 	s.sendMu.Unlock()
 	if s.obs != nil {
 		// Queue wait covers the ordered-delivery wait plus the (possibly
-		// backpressured) ring pushes for this ticket.
+		// backpressured) channel sends for this ticket.
 		s.obs.QueueWait.ObserveSince(start)
 		if m.b != nil {
 			s.obs.BatchSizes.Observe(uint64(len(m.b.ups)))
@@ -759,19 +733,20 @@ func (s *Sharded) barrier(wantStates bool, downshift int) *barrier {
 	if len(s.cur.ups) > 0 {
 		pend = append(pend, s.detachLocked())
 	}
+	n := len(s.engines)
 	bar := &barrier{downshift: downshift}
 	if downshift > 0 {
-		bar.errs = make([]error, len(s.rings))
+		bar.errs = make([]error, n)
 	}
 	switch {
 	case wantStates:
-		bar.states = make([]*snapshot.EngineState, len(s.rings))
+		bar.states = make([]*snapshot.EngineState, n)
 	case downshift > 0:
 		// Adaptation-only: no per-shard report beyond errs.
 	default:
-		bar.aggs = make([]*core.Aggregates, len(s.rings))
-		bar.sampled = make([]int, len(s.rings))
-		bar.etaSat = make([]uint64, len(s.rings))
+		bar.aggs = make([]*core.Aggregates, n)
+		bar.sampled = make([]int, n)
+		bar.etaSat = make([]uint64, n)
 	}
 	// The tallies are only mutated under s.mu, so this read is exactly
 	// consistent with the prefix ticketed so far: every credited event
@@ -839,7 +814,7 @@ func (s *Sharded) EtaSaturations() uint64 {
 
 // Downsample halves the sampling probability extra more times on every
 // shard engine, at one consistent stream prefix: the request travels the
-// rings as an in-band barrier, so each shard re-partitions after exactly
+// queues as an in-band barrier, so each shard re-partitions after exactly
 // the edges broadcast before the call and merged estimates stay
 // well-defined (equal shift on every shard, which MergeGroups enforces).
 // See core.Engine.Downsample for the statistical contract. It fails with
@@ -903,18 +878,11 @@ func (s *Sharded) Close() {
 	s.sendAll(pend)
 	// closed stops new tickets from being issued, but producers that
 	// detached a batch before we flipped it may still be delivering;
-	// wait for every issued ticket before closing the rings.
+	// wait for every issued ticket before closing the queues. The WAL
+	// goroutine group-commits whatever is still unsynced before exiting.
 	s.waitSent(last)
-	for _, r := range s.rings {
-		r.close()
-	}
-	if s.degRing != nil {
-		s.degRing.close()
-	}
-	if s.walRing != nil {
-		// The WAL goroutine group-commits whatever is still appended but
-		// unsynced before exiting, so a clean Close loses nothing.
-		s.walRing.close()
+	for _, q := range s.queues {
+		close(q)
 	}
 	s.done.Wait()
 }

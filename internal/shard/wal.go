@@ -108,7 +108,7 @@ func (s *Sharded) StartWAL(lg *wal.Log, syncInterval time.Duration) {
 		s.mu.Unlock()
 		panic(core.ErrClosed)
 	}
-	if s.walRing != nil {
+	if s.wal != nil {
 		s.mu.Unlock()
 		panic("shard: StartWAL called twice")
 	}
@@ -119,15 +119,16 @@ func (s *Sharded) StartWAL(lg *wal.Log, syncInterval time.Duration) {
 	s.mu.Unlock()
 	s.sendAll(pend)
 	// Batches detached before this point carried the old fan-out count
-	// and must be fully delivered before the WAL ring joins it.
+	// and must be fully delivered before the WAL queue joins it.
 	s.waitSent(last)
 
 	s.mu.Lock()
-	s.walRing = s.newAccountedRing(s.queueLen)
+	q := s.newQueue()
+	s.queues = append(s.queues, q)
 	s.wal = &walRunner{lg: lg, interval: syncInterval}
 	s.wal.cond.L = &s.wal.mu
 	s.done.Add(1)
-	go s.runWAL()
+	go s.runWAL(q)
 	s.mu.Unlock()
 }
 
@@ -152,15 +153,17 @@ func (s *Sharded) ApplyBatchDurable(ups []graph.Update) error {
 // ticketed batch/barrier sequence as the engine shards, appends each
 // batch to the log, and group-commits — one sync covers every batch
 // drained since the last one. In per-batch mode the sync happens as soon
-// as the ring runs dry; in interval mode on a period (popTimeout supplies
-// the tick), trading a bounded loss window for fewer syncs.
-func (s *Sharded) runWAL() {
+// as the queue runs dry; in interval mode on a ticker, trading a bounded
+// loss window for fewer syncs. The ticker and the queue share one
+// select, so a queue that never runs dry still syncs every period.
+func (s *Sharded) runWAL(q <-chan msg) {
 	defer s.done.Done()
 	r := s.wal
-	perBatch := r.interval <= 0
-	var next time.Time
-	if !perBatch {
-		next = time.Now().Add(r.interval)
+	var tick <-chan time.Time // stays nil, never ready, in per-batch mode
+	if r.interval > 0 {
+		t := time.NewTicker(r.interval)
+		defer t.Stop()
+		tick = t.C
 	}
 	var lastTicket uint64 // last batch ticket appended to the log
 	failed := false
@@ -177,67 +180,42 @@ func (s *Sharded) runWAL() {
 		dirty = false
 		r.publish(lastTicket, lastTicket)
 	}
-	handle := func(m msg) {
-		if m.bar != nil {
-			m.bar.wg.Done()
-			return
-		}
-		if !failed && len(m.b.ups) > 0 {
-			if err := r.lg.Append(m.b.ups); err != nil {
-				failed = true
-				r.fail(err)
-			} else {
-				lastTicket = m.ticket
-				dirty = true
-			}
-		}
-		if m.b.refs.Add(-1) == 0 {
-			s.putBatch(m.b)
-		}
-	}
 	for {
-		var m msg
-		var ok bool
-		if perBatch {
-			m, ok = s.walRing.pop()
-		} else {
-			var timedOut bool
-			m, ok, timedOut = s.walRing.popTimeout(time.Until(next))
-			if timedOut {
-				// The period elapsed with the ring idle: sync the open group.
+		select {
+		case <-tick:
+			commit()
+		case m, ok := <-q:
+			if !ok {
+				// Shutdown: make everything appended durable in either mode.
 				commit()
-				next = time.Now().Add(r.interval)
-				continue
+				return
 			}
-		}
-		if !ok {
-			break
-		}
-		handle(m)
-		// Drain whatever the producers queued meanwhile: the group whose
-		// appends the next sync amortizes over.
-		for {
-			m2, ok2 := s.walRing.tryPop()
-			if !ok2 {
-				break
+			if m.bar != nil {
+				m.bar.wg.Done()
+			} else {
+				if !failed && len(m.b.ups) > 0 {
+					if err := r.lg.Append(m.b.ups); err != nil {
+						failed = true
+						r.fail(err)
+					} else {
+						lastTicket = m.ticket
+						dirty = true
+					}
+				}
+				if m.b.refs.Add(-1) == 0 {
+					s.putBatch(m.b)
+				}
 			}
-			handle(m2)
-		}
-		if perBatch {
-			commit()
-			continue
-		}
-		if dirty && !failed {
-			// Interval mode acknowledges on append.
-			r.publish(lastTicket, 0)
-		}
-		if !time.Now().Before(next) {
-			// A busy ring keeps popTimeout from ever timing out; honor the
-			// period here so the loss window stays bounded under load.
-			commit()
-			next = time.Now().Add(r.interval)
+			switch {
+			case len(q) > 0:
+				// Producers queued more meanwhile: the group whose appends
+				// the next sync amortizes over is still arriving.
+			case tick == nil:
+				commit()
+			case dirty && !failed:
+				// Interval mode acknowledges on append.
+				r.publish(lastTicket, 0)
+			}
 		}
 	}
-	// Shutdown: make everything appended durable regardless of mode.
-	commit()
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -280,5 +281,154 @@ func TestWALAppendSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state durable ingest allocates %.1f per %d-event batch, want 0", allocs, len(block))
+	}
+}
+
+// stallBackend is a MemBackend whose files hold the WAL consumer up:
+// every write first sleeps delay, and every sync waits while a test
+// holds gate.
+type stallBackend struct {
+	*wal.MemBackend
+	delay time.Duration
+	gate  sync.Mutex
+}
+
+func (b *stallBackend) Create(name string) (wal.File, error) {
+	f, err := b.MemBackend.Create(name)
+	return stallFile{File: f, b: b}, err
+}
+
+type stallFile struct {
+	wal.File
+	b *stallBackend
+}
+
+func (f stallFile) Write(p []byte) (int, error) {
+	time.Sleep(f.b.delay)
+	return f.File.Write(p)
+}
+
+func (f stallFile) Sync() error {
+	f.b.gate.Lock()
+	defer f.b.gate.Unlock()
+	return f.File.Sync()
+}
+
+// TestWALIntervalSyncUnderLoad: in interval mode the logger syncs on its
+// period even when its queue never runs dry, so the loss window stays
+// bounded under load; once ingest stops, the next tick syncs the tail.
+func TestWALIntervalSyncUnderLoad(t *testing.T) {
+	const interval = 5 * time.Millisecond
+	be := &stallBackend{MemBackend: wal.NewMemBackend(), delay: 100 * time.Microsecond}
+	s, lg := newDurable(t, durableTestConfig(), be, interval, wal.Options{})
+	defer s.Close()
+
+	// Slow log writes make the WAL consumer the bottleneck, so a producer
+	// feeding back to back keeps its queue full for 60 periods.
+	block := walStream(16)
+	start := time.Now()
+	for time.Since(start) < 60*interval {
+		s.ApplyBatch(block)
+	}
+	if st := lg.Stats(); st.DurablePos == 0 {
+		t.Fatalf("no sync after %v of back-to-back batches at a %v interval (appended %d)",
+			time.Since(start), interval, st.AppendedPos)
+	}
+	waitFor(t, func() bool { return lg.Stats().DurablePos == s.Position() })
+}
+
+// TestQueueBackpressure: a consumer that falls QueueLen batches behind
+// blocks the producer instead of dropping or buffering without bound,
+// the producer resumes once the consumer drains, and Close delivers every
+// queued batch: the log ends holding and syncing every event.
+func TestQueueBackpressure(t *testing.T) {
+	cfg := durableTestConfig()
+	cfg.BatchSize, cfg.QueueLen = 16, 2
+	be := &stallBackend{MemBackend: wal.NewMemBackend()}
+	s, lg := newDurable(t, cfg, be, 0, wal.Options{})
+
+	// Once the first batch is appended with nothing queued behind it, the
+	// WAL consumer is in its group commit, stalled on the locked gate.
+	be.gate.Lock()
+	n := cfg.BatchSize
+	ups := walStream(10 * n)
+	s.ApplyBatch(ups[:n])
+	waitFor(t, func() bool { return lg.Stats().AppendedPos == uint64(n) })
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := n; i < len(ups); i += n {
+			s.ApplyBatch(ups[i : i+n])
+		}
+	}()
+	q := s.queues[len(s.queues)-1]
+	waitFor(t, func() bool { return len(q) == cap(q) })
+	select {
+	case <-done:
+		t.Fatal("producer finished while the WAL consumer was stalled")
+	case <-time.After(20 * time.Millisecond):
+	}
+	be.gate.Unlock()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("producer still blocked after the WAL consumer resumed")
+	}
+	s.Close()
+	if st := lg.Stats(); st.AppendedPos != uint64(len(ups)) || st.DurablePos != uint64(len(ups)) {
+		t.Fatalf("log after Close: appended %d, durable %d, want %d", st.AppendedPos, st.DurablePos, len(ups))
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("condition still false after 10s")
+		}
+	}
+}
+
+// TestTinyQueuesOneSequence: producers inserting and producers deleting
+// the same edges race through 1-deep queues and 16-event segments, with
+// the degree tracker and the WAL logger as consumers beside the engines.
+// Which edges end up live depends on the delivery order, and every
+// consumer must see one order, so replaying the log into a fresh
+// coordinator reproduces the live coordinator's snapshot bit for bit.
+func TestTinyQueuesOneSequence(t *testing.T) {
+	cfg := durableTestConfig()
+	cfg.BatchSize, cfg.QueueLen = 16, 1
+	be := wal.NewMemBackend()
+	s, _ := newDurable(t, cfg, be, 0, wal.Options{})
+
+	edges := gen.Shuffle(gen.HolmeKim(400, 6, 0.4, 9), 4)
+	const producers = 4
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(del bool) {
+			defer wg.Done()
+			body := make([]graph.Update, 0, 24)
+			for i := 0; i < len(edges); i += 24 {
+				body = body[:0]
+				for _, e := range edges[i:min(i+24, len(edges))] {
+					body = append(body, graph.Update{U: e.U, V: e.V, Del: del})
+				}
+				s.ApplyBatch(body)
+			}
+		}(p%2 == 1)
+	}
+	wg.Wait()
+	want := snapshotBytes(t, s)
+	s.Close()
+
+	replayed, _ := newDurable(t, cfg, be, 0, wal.Options{})
+	defer replayed.Close()
+	if got := replayed.Position(); got != producers*uint64(len(edges)) {
+		t.Fatalf("replayed position %d, want %d", got, producers*len(edges))
+	}
+	if !bytes.Equal(snapshotBytes(t, replayed), want) {
+		t.Fatal("replaying the log does not reproduce the engines' state: consumers saw different sequences")
 	}
 }

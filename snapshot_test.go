@@ -78,15 +78,21 @@ func TestConcurrentSnapshotRoundTripProperty(t *testing.T) {
 			Seed:       int64(rng.Uint64()),
 			TrackLocal: rng.IntN(2) == 0,
 			TrackEta:   rng.IntN(2) == 0,
-			BatchSize:  1 + rng.IntN(200),
 		}
+		// Random body lengths vary how the stream is cut into segments.
+		body := 1 + rng.IntN(200)
 		cut := rng.IntN(len(edges) + 1)
+		feed := func(est *rept.Concurrent, edges []rept.Edge) {
+			for i := 0; i < len(edges); i += body {
+				est.AddAll(edges[i:min(i+body, len(edges))])
+			}
+		}
 
 		full, err := rept.NewConcurrent(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		full.AddAll(edges)
+		feed(full, edges)
 		want := full.Snapshot()
 		full.Close()
 
@@ -94,7 +100,7 @@ func TestConcurrentSnapshotRoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		first.AddAll(edges[:cut])
+		feed(first, edges[:cut])
 		var buf bytes.Buffer
 		if err := first.WriteSnapshot(&buf); err != nil {
 			t.Fatalf("trial %d (%+v cut %d): WriteSnapshot: %v", trial, cfg, cut, err)
@@ -105,7 +111,7 @@ func TestConcurrentSnapshotRoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d (%+v cut %d): ResumeConcurrent: %v", trial, cfg, cut, err)
 		}
-		resumed.AddAll(edges[cut:])
+		feed(resumed, edges[cut:])
 		if got := resumed.Snapshot(); !sameEstimate(got, want) {
 			t.Errorf("trial %d (%+v cut %d): resumed diverged: %+v vs %+v", trial, cfg, cut, got, want)
 		}
@@ -120,7 +126,7 @@ func TestConcurrentSnapshotRoundTripProperty(t *testing.T) {
 // concurrent producers (data-race probe under the tier-1 -race run) and
 // checks every snapshot restores cleanly.
 func TestConcurrentSnapshotWhileStreaming(t *testing.T) {
-	cfg := rept.ConcurrentConfig{M: 3, C: 12, Shards: 2, Seed: 5, TrackLocal: true, BatchSize: 16}
+	cfg := rept.ConcurrentConfig{M: 3, C: 12, Shards: 2, Seed: 5, TrackLocal: true}
 	est, err := rept.NewConcurrent(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -137,8 +143,10 @@ func TestConcurrentSnapshotWhileStreaming(t *testing.T) {
 		wg.Add(1)
 		go func(part []rept.Edge) {
 			defer wg.Done()
-			for _, e := range part {
-				est.Add(e.U, e.V)
+			// 16-edge bodies: each ships as its own segment, so deliveries
+			// interleave with the snapshot barriers.
+			for i := 0; i < len(part); i += 16 {
+				est.AddAll(part[i:min(i+16, len(part))])
 			}
 		}(edges[lo:hi])
 	}

@@ -125,7 +125,7 @@ func TestViewCCMatchesExact(t *testing.T) {
 // view hand-off is properly synchronized.
 func TestReadersNeverBlockWhileIngestSaturated(t *testing.T) {
 	est, err := rept.NewConcurrent(rept.ConcurrentConfig{
-		M: 4, C: 16, Shards: 2, Seed: 5, TrackLocal: true, TrackDegrees: true, BatchSize: 256,
+		M: 4, C: 16, Shards: 2, Seed: 5, TrackLocal: true, TrackDegrees: true,
 	})
 	if err != nil {
 		t.Fatal(err)
