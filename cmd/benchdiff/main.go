@@ -82,10 +82,11 @@ import (
 
 // defaultBenchmarks are the datapoints gated by default: the insert-only,
 // fully-dynamic, and durable (write-ahead-logged) per-event ingest costs,
-// and the cost of publishing one epoch view on a quiescent estimator. A
-// benchmark missing from the old baseline is skipped with a note, so
-// newly added datapoints phase in on their first run.
-const defaultBenchmarks = "BenchmarkREPTPerEdge,BenchmarkFullyDynamicChurnPerEvent,BenchmarkREPTPerEdgeWAL,BenchmarkBatchIngestPerEvent,BenchmarkViewPublishIdle,BenchmarkEngineShardPowerLaw"
+// the cost of publishing one epoch view on a quiescent estimator and of
+// one that carries an interval's updates, and one engine at the e2e
+// shard shape. A benchmark missing from the old baseline is skipped with
+// a note, so newly added datapoints phase in on their first run.
+const defaultBenchmarks = "BenchmarkREPTPerEdge,BenchmarkFullyDynamicChurnPerEvent,BenchmarkREPTPerEdgeWAL,BenchmarkBatchIngestPerEvent,BenchmarkViewPublishIdle,BenchmarkViewPublishEpoch,BenchmarkEngineShardPowerLaw"
 
 // result is one benchmark's summary in a recording: the medians of its
 // runs (see summarize), or one parsed line.

@@ -200,6 +200,7 @@ func TestRunLatestPointer(t *testing.T) {
 		"BenchmarkREPTPerEdgeWAL-8 \\t 1000000 \\t 1500 ns/op",
 		"BenchmarkBatchIngestPerEvent-8 \\t 1000000 \\t 180 ns/op",
 		"BenchmarkViewPublishIdle-8 \\t 1000 \\t 900000 ns/op",
+		"BenchmarkViewPublishEpoch-8 \\t 1000 \\t 1700000 ns/op",
 		"BenchmarkEngineShardPowerLaw-8 \\t 1 \\t 1300000000 ns/op \\t 812.5 ns/event",
 	))
 	fresh := writeFile(t, dir, "BENCH_new.json", jsonBench(
@@ -208,6 +209,7 @@ func TestRunLatestPointer(t *testing.T) {
 		"BenchmarkREPTPerEdgeWAL-8 \\t 1000000 \\t 1500 ns/op",
 		"BenchmarkBatchIngestPerEvent-8 \\t 1000000 \\t 180 ns/op",
 		"BenchmarkViewPublishIdle-8 \\t 1000 \\t 900000 ns/op",
+		"BenchmarkViewPublishEpoch-8 \\t 1000 \\t 1700000 ns/op",
 		"BenchmarkEngineShardPowerLaw-8 \\t 1 \\t 1300000000 ns/op \\t 812.5 ns/event",
 	))
 	pointer := filepath.Join(dir, "LATEST")

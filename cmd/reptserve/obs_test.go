@@ -298,7 +298,8 @@ func TestFlightEndpoint(t *testing.T) {
 // TestObservabilityEndToEnd drives the real binary — the same gate CI
 // runs: boot with a WAL on a kernel-chosen port, stream edges in, then
 // require a conformant /metrics scrape with every pipeline stage
-// histogram non-zero, a ready /readyz, and a populated /debug/flight.
+// histogram non-zero and the full-rebuild counter at least 1, a ready
+// /readyz, and a populated /debug/flight.
 func TestObservabilityEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills real processes")
@@ -346,6 +347,11 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	if v, ok := exp.Sample("rept_processed_edges_total"); !ok || v != 1500 {
 		t.Errorf("rept_processed_edges_total = %v (present=%v), want 1500", v, ok)
+	}
+	// The boot epoch has no earlier view to merge a delta onto, so it
+	// ranks every node.
+	if v, ok := exp.Sample("rept_view_full_publishes_total"); !ok || v < 1 {
+		t.Errorf("rept_view_full_publishes_total = %v (present=%v), want >= 1", v, ok)
 	}
 
 	if resp, err := http.Get(cs.base + "/readyz"); err != nil {

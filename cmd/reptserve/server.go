@@ -228,6 +228,9 @@ func (s *Server) registerMetrics() {
 	reg.GaugeFunc("rept_view_processed_edges",
 		"Non-loop edges at the current view's prefix (resets on restore).",
 		func() float64 { return float64(views.View().Processed) })
+	reg.CounterFunc("rept_view_full_publishes_total",
+		"View epochs that ranked every node instead of merging a delta (the first epoch, after a downsample, past the delta cap, a changed top-K size, a weakened ranked node).",
+		views.FullPublishes)
 	reg.GaugeFunc("rept_uptime_seconds",
 		"Server uptime.", func() float64 { return time.Since(s.start).Seconds() })
 	// Memory ledger: one snapshot per scrape (OnCollect), fanned out into

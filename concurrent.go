@@ -70,8 +70,11 @@ type Concurrent struct {
 	// estimator's output is bit-identical with or without it.
 	acct *mem.Accountant
 	// views is the epoch-view publisher once StartViews has run; while it
-	// is nil every read goes through a fresh barrier.
-	views atomic.Pointer[query.Publisher]
+	// is nil every read goes through a fresh barrier. viewsMu serializes
+	// StartViews, so no second publisher ever observes the shards while
+	// a running one reads their deltas.
+	views   atomic.Pointer[query.Publisher]
+	viewsMu sync.Mutex
 
 	// Durable-mode state, set by ResumeDurable (nil/zero otherwise): the
 	// write-ahead log, the automatic-compaction trigger channel, and the
@@ -103,7 +106,7 @@ func (c ConcurrentConfig) shardConfig() shard.Config {
 	}
 }
 
-// errViewsStarted reports a second StartViews on the same estimator.
+// errViewsStarted reports a StartViews while views are running.
 var errViewsStarted = errors.New("rept: views already started")
 
 // NewConcurrent builds a concurrency-safe REPT estimator.
@@ -186,26 +189,26 @@ func (c *Concurrent) SnapshotNow() Estimate { return c.Snapshot() }
 // Global returns the global triangle count estimate. While views are
 // running (StartViews) it answers from the current epoch view — lock-free
 // and barrier-free, stale by at most the publish interval; otherwise it
-// pays one barrier and evaluates the global estimate alone, without
-// materializing every node's estimate. Use SnapshotNow for a
+// pays one barrier at which the engines report their per-processor
+// counters alone, copying no per-node state. Use SnapshotNow for a
 // guaranteed-fresh value.
 func (c *Concurrent) Global() float64 {
 	if p := c.views.Load(); p != nil {
 		return p.View().Global
 	}
-	return c.sh.Aggregates().GlobalEstimate().Global
+	return c.sh.GlobalEstimate().Global
 }
 
 // Local returns the local triangle count estimate for v (0 if the node
 // was never seen or TrackLocal is off). While views are running it
 // probes the current epoch view's flat class-sum tables instead of
-// paying a barrier per call; otherwise it pays one barrier and evaluates
-// v alone, without materializing every node's estimate.
+// paying a barrier per call; otherwise it pays one barrier at which every
+// engine reports v's class-sum entries alone.
 func (c *Concurrent) Local(v NodeID) float64 {
 	if p := c.views.Load(); p != nil {
 		return p.View().LocalOf(v)
 	}
-	return c.sh.Aggregates().LocalOf(v)
+	return c.sh.LocalOf(v)
 }
 
 // Locals returns the local estimate of every node that appeared in a
@@ -233,12 +236,14 @@ func (c *Concurrent) SelfLoops() uint64 { return c.sh.SelfLoops() }
 
 // SampledEdges returns the number of edges currently stored across all
 // shards' logical processors (expected ≈ C·|E|/M), a memory diagnostic.
+// It pays one barrier at which no engine copies its class sums.
 func (c *Concurrent) SampledEdges() int { return c.sh.SampledEdges() }
 
 // EtaSaturations reports how many per-edge closing-counter updates were
 // clamped at the int32 boundary across all shards (see
-// Estimator.EtaSaturations). It pays a full barrier, like SampledEdges;
-// views carry the same number per epoch (View.EtaSaturations).
+// Estimator.EtaSaturations). It pays one barrier, like SampledEdges, at
+// which no engine copies its class sums; views carry the same number per
+// epoch (View.EtaSaturations).
 func (c *Concurrent) EtaSaturations() uint64 { return c.sh.EtaSaturations() }
 
 // Shards returns the effective number of engine shards.

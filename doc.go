@@ -112,18 +112,29 @@
 // swap. Any number of readers then query the View lock-free and
 // barrier-free while producers keep adding edges at full speed.
 //
-// Per-node state stays flat from the engine to the view. Each engine
-// keeps its per-node sums by processor class (the c₁ full groups and the
-// partial group, the only form the local estimator reads) in pointer-free
-// graph.NodeTable arrays, updated on the same walk lines as each
-// processor's own counters. An epoch copies those tables at the barrier,
-// sums them across shards with graph.SumTables, and copies the degree
-// counters, so publishing builds no Go map and allocates the same number
-// of times at any node count. The View keeps the merged tables and
-// evaluates τ̂_v when a reader probes a node (LocalOf, CC, Stat); Local
-// and Degrees build a full map only when a caller asks for one. On the
-// benchmark's read-mix workload (2 cores) this cut an epoch's median
-// publish time from about 100 ms to about 17 ms.
+// Per-node state stays flat from the engine to the view, and an epoch
+// costs in proportion to what changed. Each engine keeps its per-node
+// sums by processor class (the c₁ full groups and the partial group, the
+// only form the local estimator reads) in pointer-free graph.NodeTable
+// arrays, updated on the same walk lines as each processor's own
+// counters. Once the publisher's first observation reaches it, an engine
+// also records every class-sum update in a small delta table. At each
+// epoch's barrier the engines hand over their deltas and restart them,
+// the new view's tables are graph.SumTables(previous view's tables,
+// merged deltas), and the top-K ranks only the previous ranking plus the
+// nodes the deltas touched. That is exact while no ranked node weakens,
+// since τ̂_v depends only on v's own class sums and on M, C and the
+// sample shift. The first epoch, one after a Downsample, one after a
+// delta outgrew a quarter of the class sums, one after SetTopK, and one
+// in which a ranked node weakened rebuild from every node instead. The
+// View keeps the merged tables and evaluates τ̂_v when a reader probes a
+// node (LocalOf, CC, Stat); Local and Degrees build a full map only when
+// a caller asks for one. On the benchmark's read-mix workload (2 cores)
+// flat tables cut an epoch's median publish time from about 100 ms to
+// about 17 ms, and publishing deltas cut what remained about
+// fourfold. Without views, Global, VarianceBound, SampledEdges,
+// EtaSaturations and Local(v) pay a barrier at which no engine copies its
+// class sums.
 //
 // The staleness contract: a View describes a consistent stream prefix
 // that lags the live stream by at most roughly ViewConfig.Interval (plus

@@ -34,13 +34,20 @@ type Engine struct {
 	// probes it once per endpoint to find the processors holding both
 	// endpoints of an event.
 	dict nodeDict
-	// tauV1, tauV2 and etaV are the per-node class sums Aggregates
-	// reports: Σ τ⁽ⁱ⁾_v over the full-group processors, over the partial
+	// tauV1, tauV2 and etaV are the per-node class sums Report hands
+	// out: Σ τ⁽ⁱ⁾_v over the full-group processors, over the partial
 	// group, and Σ η⁽ⁱ⁾_v over all processors. They are the engine's only
 	// per-node counters: the walk adds each processor's updates straight
 	// into its class's table, snapshots carry them, and Downsample
 	// rescales them. Nil unless TrackLocal (etaV also needs η tracking).
 	tauV1, tauV2, etaV *graph.NodeTable[int64]
+	// dTauV1, dTauV2 and dEtaV are the class-sum delta: every update the
+	// walk added into tauV1, tauV2 and etaV since the last report that
+	// handed the delta over or restarted it (see Report). They are nil
+	// while nothing reads deltas: an engine starts recording at its first
+	// SumsRestart report and stops when Downsample or checkDelta drops
+	// the delta, so an engine no consumer observes records nothing.
+	dTauV1, dTauV2, dEtaV *graph.NodeTable[int64]
 	// cols and visit are per-event walk scratch: each group's color of
 	// the event, and per mask block the bits of the processors the event
 	// visits.
@@ -87,14 +94,22 @@ func NewEngine(cfg Config) (*Engine, error) {
 	downSeeds := downSeedFamily(uint64(cfg.Seed), lay.groups)
 	for i := range e.procs {
 		g := lay.groupOf(i)
-		p := newProc(i, g, lay.colorOf(i), cfg.TrackLocal, trackEta, downSeeds[g], cfg.Mem)
-		p.tauSum, p.etaSum = e.tauV1, e.etaV
-		if lay.isPartialProc(i) {
-			p.tauSum = e.tauV2
-		}
-		e.procs[i] = p
+		e.procs[i] = newProc(i, g, lay.colorOf(i), cfg.TrackLocal, trackEta, downSeeds[g], cfg.Mem)
 	}
+	e.linkSums()
 	return e, nil
+}
+
+// linkSums points every processor at the class-sum tables of its class
+// and at their delta tables (nil while no delta is recorded).
+func (e *Engine) linkSums() {
+	for i, p := range e.procs {
+		p.tauSum, p.etaSum = e.tauV1, e.etaV
+		p.tauDelta, p.etaDelta = e.dTauV1, e.dEtaV
+		if e.lay.isPartialProc(i) {
+			p.tauSum, p.tauDelta = e.tauV2, e.dTauV2
+		}
+	}
 }
 
 // newClassSums returns an empty class-sum table charged to the ledger's
@@ -131,13 +146,15 @@ func (e *Engine) AddAll(edges []graph.Edge) {
 	}
 }
 
-// ApplyAll feeds a slice of signed stream events in order. Deletions
-// require Config.FullyDynamic; a rejected deletion panics with every
-// earlier event of the slice applied.
+// ApplyAll feeds a slice of signed stream events in order, then checks
+// the class-sum delta once (see checkDelta). Deletions require
+// Config.FullyDynamic; a rejected deletion panics with every earlier
+// event of the slice applied.
 func (e *Engine) ApplyAll(ups []graph.Update) {
 	for _, up := range ups {
 		e.walk(up)
 	}
+	e.checkDelta()
 }
 
 // ApplyBatch is ApplyAll under the bulk name the shard layer uses.
@@ -210,17 +227,133 @@ func (e *Engine) walk(up graph.Update) {
 	}
 }
 
-// Aggregates gathers the per-processor counters. The engine remains
-// usable afterwards, so interval workloads can snapshot estimates
-// mid-stream. The per-node class sums are copies of the engine's own
-// tables — two slice copies each, however many nodes there are — so
-// nothing here walks a map.
+// Aggregates gathers the per-processor counters with copies of the
+// whole class-sum tables: Report(SumsFull). The engine remains usable
+// afterwards, so interval workloads can snapshot estimates mid-stream.
 func (e *Engine) Aggregates() *Aggregates {
+	agg, _ := e.Report(SumsFull, 0)
+	return agg
+}
+
+// Sums selects the class sums a Report carries.
+type Sums uint8
+
+const (
+	// SumsNone carries no class sums: enough for the global estimate
+	// and every scalar read.
+	SumsNone Sums = iota
+	// SumsNode carries one node's entries, as one-entry tables (empty
+	// ones where a class has no entry for it).
+	SumsNode
+	// SumsFull carries copies of the whole tables — two slice copies
+	// each, however many nodes there are — and leaves the delta alone.
+	SumsFull
+	// SumsRestart is SumsFull that also restarts the delta: from this
+	// report on, the engine records its class-sum updates. A consumer
+	// that reads deltas takes its first, full observation with it.
+	SumsRestart
+	// SumsDelta carries the delta — the class-sum updates since the
+	// previous SumsDelta or SumsRestart report, entries that netted to
+	// zero included — and restarts it. An engine that holds no delta (no
+	// report started one, or Downsample or checkDelta dropped it) carries
+	// no class sums and Report returns false.
+	SumsDelta
+)
+
+// Report gathers the per-processor counters with the class sums sums
+// selects (node v's for SumsNode). It returns false only for SumsDelta
+// on an engine that holds no delta; the consumer then needs a
+// SumsRestart report instead. The class sums are the report's own
+// copies, and the engine remains usable afterwards.
+func (e *Engine) Report(sums Sums, v graph.NodeID) (*Aggregates, bool) {
 	agg := e.counters()
-	agg.TauV1 = agg.TauV1.Clone()
-	agg.TauV2 = agg.TauV2.Clone()
-	agg.EtaV = agg.EtaV.Clone()
-	return &agg
+	ok := true
+	switch sums {
+	case SumsNone:
+		agg.TauV1, agg.TauV2, agg.EtaV = nil, nil, nil
+	case SumsNode:
+		agg.TauV1, agg.TauV2, agg.EtaV = nodeEntry(agg.TauV1, v), nodeEntry(agg.TauV2, v), nodeEntry(agg.EtaV, v)
+	case SumsFull, SumsRestart:
+		agg.TauV1, agg.TauV2, agg.EtaV = agg.TauV1.Clone(), agg.TauV2.Clone(), agg.EtaV.Clone()
+		if sums == SumsRestart {
+			e.startDelta()
+		}
+	case SumsDelta:
+		switch {
+		case !e.cfg.TrackLocal:
+			// No class sums, so the empty delta is exact.
+		case e.dTauV1 == nil:
+			agg.TauV1, agg.TauV2, agg.EtaV = nil, nil, nil
+			ok = false
+		default:
+			agg.TauV1, agg.TauV2, agg.EtaV = e.dTauV1.Clone(), e.dTauV2.Clone(), e.dEtaV.Clone()
+			e.startDelta()
+		}
+	}
+	return &agg, ok
+}
+
+// nodeEntry returns a table holding only v's entry of t (none when t
+// lacks v); nil for a nil t.
+func nodeEntry(t *graph.NodeTable[int64], v graph.NodeID) *graph.NodeTable[int64] {
+	if t == nil {
+		return nil
+	}
+	out := &graph.NodeTable[int64]{}
+	if t.Has(v) {
+		out.Put(v, t.Get(v))
+	}
+	return out
+}
+
+// startDelta empties the delta in place, keeping its capacity so a
+// steady epoch allocates nothing, or creates it charged to the ledger's
+// counters component.
+func (e *Engine) startDelta() {
+	if !e.cfg.TrackLocal {
+		return
+	}
+	if e.dTauV1 != nil {
+		e.dTauV1.Clear()
+		e.dTauV2.Clear()
+		e.dEtaV.Clear()
+		return
+	}
+	e.dTauV1, e.dTauV2 = newClassSums(e.cfg.Mem), newClassSums(e.cfg.Mem)
+	if e.etaV != nil {
+		e.dEtaV = newClassSums(e.cfg.Mem)
+	}
+	e.linkSums()
+}
+
+// dropDelta stops recording the delta and releases it to the ledger.
+func (e *Engine) dropDelta() {
+	if e.dTauV1 == nil {
+		return
+	}
+	for _, t := range []*graph.NodeTable[int64]{e.dTauV1, e.dTauV2, e.dEtaV} {
+		if t != nil {
+			t.Reset()
+		}
+	}
+	e.dTauV1, e.dTauV2, e.dEtaV = nil, nil, nil
+	e.linkSums()
+}
+
+// checkDelta drops the delta once it holds more than a quarter as many
+// entries as the class sums: past that, a consumer that stopped taking
+// deltas would keep a growing copy alive, and one that still takes them
+// saves too little over a full copy. The next SumsDelta report then
+// finds none, so the observation after it is full. It runs once per
+// applied batch, off the per-event path.
+func (e *Engine) checkDelta() {
+	if e.dTauV1 == nil {
+		return
+	}
+	n := e.dTauV1.Len() + e.dTauV2.Len() + e.dEtaV.Len()
+	if 4*n > e.tauV1.Len()+e.tauV2.Len()+e.etaV.Len() {
+		e.dropDelta()
+	}
 }
 
 // counters is Aggregates without the copies: the class sums are the
@@ -469,6 +602,9 @@ func (e *Engine) Downsample(extra int) error {
 		return fmt.Errorf("core: Downsample: cumulative shift %d exceeds max %d", newShift, maxSampleShift)
 	}
 	s := 2 * uint(extra)
+	// Every class sum is about to be rescaled, so no delta can describe
+	// the change: the next observation is full.
+	e.dropDelta()
 	samples := e.sampleEdges()
 	for i, p := range e.procs {
 		p.shift = newShift

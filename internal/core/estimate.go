@@ -17,10 +17,13 @@ import (
 // the partial group (τ̂⁽²⁾). For c ≤ m all processors form one partial
 // group (c₁ = 0), so TauV1 is empty and TauV2 carries everything, which
 // makes Algorithm 1 the c₁ = 0 special case of Algorithm 2. The sums are
-// flat graph.NodeTables, copied from the engine's own tables and merged
-// with graph.SumTables, so gathering, merging and publishing them builds
-// no Go map; LocalOf and EachLocal evaluate τ̂_v from them on demand, and
-// only Estimate materializes the full Local map.
+// flat graph.NodeTables: a report carries none of them, one node's
+// entries, copies of the engine's whole tables, or the engine's delta
+// since the previous report (see Engine.Report), and MergeGroups sums
+// any of these across shards with graph.SumTables. Gathering, merging
+// and publishing them builds no Go map; LocalOf and EachLocal evaluate
+// τ̂_v from them on demand, and only Estimate materializes the full Local
+// map.
 // Counters are signed: in fully-dynamic mode individual processors can
 // hold transiently negative τ⁽ⁱ⁾/η⁽ⁱ⁾ (see proc); insert-only streams
 // never produce negative values.

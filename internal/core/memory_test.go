@@ -53,9 +53,12 @@ func TestAdjacencyBytesPerSampledEdge(t *testing.T) {
 // round trips through accounted engines, and after every step requires
 // the ledger's adjacency, masks and counters components to equal the
 // footprints recomputed from capacities: every processor's neighbor-set
-// store, the node dictionary, and the class-sum tables plus every
-// per-edge counter table. A charge site that misses a capacity change (or
-// charges one twice) shows up as a drift at the step that caused it.
+// store, the node dictionary, and the class-sum tables, their delta and
+// every per-edge counter table. Every 100th step an observer takes the
+// class-sum delta or restarts it, so the delta is created, cleared in
+// place, dropped by Downsample, and never carried across a resume
+// (TestEngineDeltaOnlyWhenObserved checks the ledger at the cap). A charge site that misses a capacity change (or charges one
+// twice) shows up as a drift at the step that caused it.
 //
 // It also checks the dictionary's signatures: after every step, each
 // cell of the step's endpoints must hold the OR of graph.SigBit over the
@@ -94,14 +97,8 @@ func testEngineLedger(t *testing.T, c int) {
 		if got, want := cfg.Mem.Bytes(mem.CompMasks), e.dict.bytes(); got != want {
 			t.Fatalf("step %d (%s): masks ledger %d bytes, dictionary footprint %d", step, what, got, want)
 		}
-		counters := e.tauV1.Bytes() + e.tauV2.Bytes() + e.etaV.Bytes()
-		for _, p := range e.procs {
-			if p.tcnt != nil {
-				counters += p.tcnt.tab.Bytes()
-			}
-		}
-		if got := cfg.Mem.Bytes(mem.CompCounters); got != counters {
-			t.Fatalf("step %d (%s): counters ledger %d bytes, class sums and edge counters %d", step, what, got, counters)
+		if got, want := cfg.Mem.Bytes(mem.CompCounters), countersBytes(e); got != want {
+			t.Fatalf("step %d (%s): counters ledger %d bytes, class sums, their delta and edge counters %d", step, what, got, want)
 		}
 	}
 	checkSigs := func(step int, what string, nodes ...graph.NodeID) {
@@ -146,6 +143,7 @@ func testEngineLedger(t *testing.T, c int) {
 	live := map[graph.Edge]bool{}
 	var order []graph.Edge
 	recycled, promoted := false, false
+	delta := 0
 	for i := 1; i <= steps; i++ {
 		// Alternate growth and teardown phases, so nodes leave every
 		// processor and their ids and slots are recycled.
@@ -161,6 +159,16 @@ func testEngineLedger(t *testing.T, c int) {
 			if err := e.Downsample(1); err != nil {
 				t.Fatal(err)
 			}
+		case i%100 == 0:
+			// An observer takes the delta, or restarts it where none is
+			// held (a resume or Downsample dropped it); inserts arrive as
+			// one-event batches, each followed by the delta's cap check.
+			what = "observe"
+			if _, ok := e.Report(SumsDelta, 0); ok {
+				delta++
+			} else {
+				e.Report(SumsRestart, 0)
+			}
 		case r < addPerMille:
 			ed := graph.Edge{U: pick(), V: pick()}.Canonical()
 			if ed.U == ed.V || live[ed] {
@@ -170,7 +178,7 @@ func testEngineLedger(t *testing.T, c int) {
 			live[ed] = true
 			order = append(order, ed)
 			ends = []graph.NodeID{ed.U, ed.V}
-			e.Add(ed.U, ed.V)
+			e.ApplyBatch([]graph.Update{{U: ed.U, V: ed.V}})
 		case r < 900:
 			if len(order) == 0 {
 				break
@@ -223,7 +231,7 @@ func testEngineLedger(t *testing.T, c int) {
 	if e.trackEta {
 		wantShift = 0
 	}
-	if e.SampleShift() != wantShift || !recycled || !promoted {
-		t.Fatalf("schedule missed a transition: shift %d, ids recycled %v, hub set promoted %v", e.SampleShift(), recycled, promoted)
+	if e.SampleShift() != wantShift || !recycled || !promoted || delta == 0 {
+		t.Fatalf("schedule missed a transition: shift %d, ids recycled %v, hub set promoted %v, deltas taken %d", e.SampleShift(), recycled, promoted, delta)
 	}
 }

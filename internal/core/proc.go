@@ -46,8 +46,12 @@ type proc struct {
 	// adds its τ⁽ⁱ⁾_v and η⁽ⁱ⁾_v updates into (tauSum is the full-group or
 	// the partial-group one). The processor keeps no per-node counters of
 	// its own: the estimators read τ⁽ⁱ⁾_v and η⁽ⁱ⁾_v only through these
-	// sums. Nil unless the engine tracks them.
-	tauSum, etaSum *graph.NodeTable[int64]
+	// sums. Nil unless the engine tracks them. tauDelta and etaDelta are
+	// the engine's delta tables of the same classes, which record every
+	// update too while a consumer reads deltas (see Engine.Report); nil
+	// otherwise.
+	tauSum, etaSum     *graph.NodeTable[int64]
+	tauDelta, etaDelta *graph.NodeTable[int64]
 	// tcnt holds τ⁽ⁱ⁾_g: the signed number of semi-triangle closings in
 	// Δ⁽ⁱ⁾ involving the sampled edge g as a wedge edge — the per-edge
 	// counters Algorithm 2 uses to maintain η⁽ⁱ⁾ incrementally. Entries
@@ -135,6 +139,27 @@ func (p *proc) common(d *nodeDict, u, v *endpoint) int64 {
 	return int64(p.sets.IntersectCount(su, u.node, sv, v.node))
 }
 
+// addTau adds x to v's τ class sum and, while a consumer reads deltas,
+// to v's delta entry.
+//
+//rept:hotpath
+func (p *proc) addTau(v graph.NodeID, x int64) {
+	p.tauSum.Add(v, x)
+	if p.tauDelta != nil {
+		p.tauDelta.Add(v, x)
+	}
+}
+
+// addEta is addTau for the η class sum.
+//
+//rept:hotpath
+func (p *proc) addEta(v graph.NodeID, x int64) {
+	p.etaSum.Add(v, x)
+	if p.etaDelta != nil {
+		p.etaDelta.Add(v, x)
+	}
+}
+
 // processEdge implements UpdateTriangleCNT / UpdateTrianglePairCNT from
 // Algorithms 1 and 2 followed by the conditional insertion of the edge
 // into E⁽ⁱ⁾. The caller filters self-loops, looks both endpoints up in the
@@ -148,10 +173,10 @@ func (p *proc) processEdge(d *nodeDict, eu, ev *endpoint, key uint64, color int)
 	n := p.common(d, eu, ev)
 	p.tau += n
 	if p.trackLocal && n > 0 {
-		p.tauSum.Add(u, n)
-		p.tauSum.Add(v, n)
+		p.addTau(u, n)
+		p.addTau(v, n)
 		for _, w := range p.scratch {
-			p.tauSum.Add(w, 1)
+			p.addTau(w, 1)
 		}
 	}
 	if p.trackEta {
@@ -162,13 +187,13 @@ func (p *proc) processEdge(d *nodeDict, eu, ev *endpoint, key uint64, color int)
 			p.eta += int64(a) + int64(b)
 			if p.etaSum != nil {
 				if ab := int64(a) + int64(b); ab != 0 {
-					p.etaSum.Add(w, ab)
+					p.addEta(w, ab)
 				}
 				if a != 0 {
-					p.etaSum.Add(u, int64(a))
+					p.addEta(u, int64(a))
 				}
 				if b != 0 {
-					p.etaSum.Add(v, int64(b))
+					p.addEta(v, int64(b))
 				}
 			}
 		}
@@ -208,10 +233,10 @@ func (p *proc) deleteEdge(d *nodeDict, eu, ev *endpoint, key uint64, color int) 
 	n := p.common(d, eu, ev)
 	p.tau -= n
 	if p.trackLocal && n > 0 {
-		p.tauSum.Add(u, -n)
-		p.tauSum.Add(v, -n)
+		p.addTau(u, -n)
+		p.addTau(v, -n)
 		for _, w := range p.scratch {
-			p.tauSum.Add(w, -1)
+			p.addTau(w, -1)
 		}
 	}
 	if p.trackEta {
@@ -222,13 +247,13 @@ func (p *proc) deleteEdge(d *nodeDict, eu, ev *endpoint, key uint64, color int) 
 			p.eta -= int64(a) + int64(b)
 			if p.etaSum != nil {
 				if ab := int64(a) + int64(b); ab != 0 {
-					p.etaSum.Add(w, -ab)
+					p.addEta(w, -ab)
 				}
 				if a != 0 {
-					p.etaSum.Add(u, -int64(a))
+					p.addEta(u, -int64(a))
 				}
 				if b != 0 {
-					p.etaSum.Add(v, -int64(b))
+					p.addEta(v, -int64(b))
 				}
 			}
 		}

@@ -17,10 +17,12 @@ type nodeValue interface {
 // NodeTable is a pointer-free map from NodeID to an integer value, the
 // one table behind every NodeID key: the engine's node dictionary
 // (NodeID → dense id) and Adjacency's index (NodeID → arena slot), the
-// flat per-node state that runs from the engine's class sums through the
-// shard merge to the published view, the degree tracker's counters, and
-// MaskTable. An epoch copies and merges these tables instead of building
-// Go maps. EdgeTable is its twin for edge keys.
+// flat per-node state that runs from the engine's class sums and their
+// delta tables through the shard merge to the published view, the
+// degree tracker's counters, and MaskTable. An epoch sums the engines'
+// deltas onto the previous view's tables (SumTables) instead of building
+// Go maps, and each engine clears its delta in place (Clear).
+// EdgeTable is its twin for edge keys.
 //
 // Storage is open addressing with linear probing over mix32, entries
 // removed by backward shift, so churn leaves no tombstones behind. Keys
@@ -33,7 +35,7 @@ type nodeValue interface {
 // read-mix's mem.masks_mib from 63.6 to 55.6 MiB (medians of 5
 // alternating pairs, 2-core Xeon VM, go1.24). Packing each key beside
 // its value instead would grow the int64 class sums, which every epoch
-// copies and scans whole, from 12 to 16 bytes per slot.
+// copies whole, from 12 to 16 bytes per slot.
 //
 // Key 0 marks an empty slot; node 0 itself lives in a dedicated field.
 // An entry stays present once inserted, whatever its value, until it is
@@ -215,6 +217,19 @@ func (t *NodeTable[V]) Del(u NodeID) {
 func (t *NodeTable[V]) Reset() {
 	t.ac.Add(t.comp, -t.Bytes())
 	t.keys, t.vals, t.n = nil, nil, 0
+	t.hasZero, t.zero = false, 0
+}
+
+// Clear drops every entry but keeps the backing storage and its ledger
+// charge, so a table refilled every epoch stops allocating once it has
+// grown to its working size. Clearing a nil table does nothing.
+func (t *NodeTable[V]) Clear() {
+	if t == nil {
+		return
+	}
+	clear(t.keys)
+	clear(t.vals)
+	t.n = 0
 	t.hasZero, t.zero = false, 0
 }
 

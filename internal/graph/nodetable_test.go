@@ -23,7 +23,7 @@ func tableContents[V nodeValue](t *NodeTable[V]) map[NodeID]V {
 
 // TestNodeTableMatchesMap runs nodeTableMatchesMap on every value type
 // the table serves, through the operations its users call: the class
-// sums' Add, the node indexes' Put and Del, and MaskTable's Or.
+// sums' Add and Clear, the node indexes' Put and Del, and MaskTable's Or.
 func TestNodeTableMatchesMap(t *testing.T) {
 	t.Run("int64/Add", func(t *testing.T) {
 		var tab NodeTable[int64]
@@ -54,7 +54,7 @@ func TestNodeTableMatchesMap(t *testing.T) {
 }
 
 // nodeTableMatchesMap drives a seeded mix of writes (write applies one to
-// the table and the model), deletes, resets and clones — node 0 and the
+// the table and the model), deletes, resets, clears and clones — node 0 and the
 // maximum NodeID included — against a plain map, and after every step
 // requires Get, Has, Len and Each to agree with it. It also requires the
 // ledger charge to equal the recomputed footprint after every step, like
@@ -87,9 +87,16 @@ func nodeTableMatchesMap[V nodeValue](t *testing.T, tab *NodeTable[V], write fun
 		case r < 995:
 			clones = append(clones, tab.Clone())
 			cloneModels = append(cloneModels, maps.Clone(model))
-		default:
+		case r < 998:
 			tab.Reset()
 			clear(model)
+		default:
+			before := tab.Bytes()
+			tab.Clear()
+			clear(model)
+			if tab.Bytes() != before {
+				t.Fatalf("step %d: Clear changed the footprint %d B → %d B", step, before, tab.Bytes())
+			}
 		}
 		if got, want := ac.Bytes(mem.CompCounters), tab.Bytes(); got != want {
 			t.Fatalf("step %d: ledger %d B, footprint %d B", step, got, want)
@@ -202,7 +209,7 @@ func TestSumTablesSizing(t *testing.T) {
 	}
 }
 
-// FuzzNodeTable decodes a schedule of Add, Put, Del and Reset operations
+// FuzzNodeTable decodes a schedule of Add, Put, Del, Reset and Clear operations
 // from the input — node 0 and the maximum NodeID reachable — applies it
 // to a NodeTable and a Go map, and requires the two to agree after every
 // operation and the ledger to equal the footprint.
@@ -229,12 +236,17 @@ func FuzzNodeTable(f *testing.F) {
 				tab.Put(u, x)
 				model[u] = x
 			case 7:
-				if data[0] == 255 {
+				switch data[0] {
+				case 255:
 					tab.Reset()
 					clear(model)
-					break
+				case 247:
+					tab.Clear()
+					clear(model)
+				default:
+					tab.Del(u)
+					delete(model, u)
 				}
-				fallthrough
 			default:
 				tab.Del(u)
 				delete(model, u)

@@ -43,6 +43,49 @@ func (k Kind) String() string {
 	return kindNames[k]
 }
 
+// Cause marks why a stage took its slow path. The view_publish event
+// carries one when the epoch rebuilt its ranking from every node instead
+// of merging a delta onto the previous view (see query.Publisher).
+type Cause uint8
+
+const (
+	// CauseNone marks an ordinary event.
+	CauseNone Cause = iota
+	// CauseFirst: no earlier view to build on — a publisher's first
+	// epoch.
+	CauseFirst
+	// CauseDownsample: a Downsample rescaled every class sum, so no
+	// delta could describe the change.
+	CauseDownsample
+	// CauseDeltaCap: an engine dropped its delta once it outgrew a
+	// quarter of the class sums.
+	CauseDeltaCap
+	// CauseTopKSize: the ranking size changed.
+	CauseTopKSize
+	// CauseWeakened: a ranked node's estimate fell, so a node outside
+	// the ranking may now outrank it.
+	CauseWeakened
+	causeMax
+)
+
+// causeNames is indexed by Cause.
+var causeNames = [causeMax]string{
+	"",
+	"first",
+	"downsample",
+	"delta_cap",
+	"topk_size",
+	"weakened",
+}
+
+// String returns the stable wire name of the cause ("" for CauseNone).
+func (c Cause) String() string {
+	if c >= causeMax {
+		return "unknown"
+	}
+	return causeNames[c]
+}
+
 // flightSlot is one ring entry. ver is a per-slot seqlock: odd while a
 // writer is mid-update, even when stable; readers that see an odd or
 // changed version discard the slot instead of reporting torn data.
@@ -50,7 +93,7 @@ type flightSlot struct {
 	ver   atomic.Uint64
 	seq   atomic.Uint64 // 1-based global event number
 	ts    atomic.Uint64 // unix nanoseconds
-	meta  atomic.Uint64 // kind<<32 | uint32(shard)
+	meta  atomic.Uint64 // cause<<56 | kind<<32 | uint32(shard)
 	value atomic.Uint64 // stage-defined payload (events in batch, bytes, epoch, ...)
 	dur   atomic.Uint64 // duration in nanoseconds, 0 when not applicable
 }
@@ -63,6 +106,9 @@ type FlightEvent struct {
 	Shard int32         `json:"shard"` // -1 when the stage is not shard-scoped
 	Value uint64        `json:"value"`
 	Dur   time.Duration `json:"dur_ns"`
+	// Cause names why the stage took its slow path; omitted when it did
+	// not.
+	Cause string `json:"cause,omitempty"`
 }
 
 // Flight is a preallocated lock-free ring buffer of the last N pipeline
@@ -92,6 +138,13 @@ func NewFlight(n int) *Flight {
 //
 //rept:hotpath
 func (f *Flight) Record(k Kind, shard int32, value uint64, dur time.Duration) {
+	f.RecordCause(k, shard, value, dur, CauseNone)
+}
+
+// RecordCause is Record for an event marked with a cause.
+//
+//rept:hotpath
+func (f *Flight) RecordCause(k Kind, shard int32, value uint64, dur time.Duration, cause Cause) {
 	if f == nil {
 		return
 	}
@@ -103,7 +156,7 @@ func (f *Flight) Record(k Kind, shard int32, value uint64, dur time.Duration) {
 	ver := s.ver.Add(1) // odd: slot under construction
 	s.seq.Store(seq)
 	s.ts.Store(uint64(time.Now().UnixNano()))
-	s.meta.Store(uint64(k)<<32 | uint64(uint32(shard)))
+	s.meta.Store(uint64(cause)<<56 | uint64(k)<<32 | uint64(uint32(shard)))
 	s.value.Store(value)
 	s.dur.Store(uint64(dur))
 	s.ver.Store(ver + 1) // even: stable
@@ -135,10 +188,11 @@ func (f *Flight) Events() []FlightEvent {
 		out = append(out, FlightEvent{
 			Seq:   seq,
 			Time:  time.Unix(0, int64(ts)),
-			Kind:  Kind(meta >> 32).String(),
+			Kind:  Kind(meta >> 32 & 0xffffff).String(),
 			Shard: int32(uint32(meta)),
 			Value: value,
 			Dur:   time.Duration(dur),
+			Cause: Cause(meta >> 56).String(),
 		})
 	}
 	// Insertion sort by seq: the ring is nearly ordered already (at most

@@ -338,6 +338,30 @@ func TestFlightWraparound(t *testing.T) {
 	}
 }
 
+// TestFlightCause: an event recorded with a cause decodes with its kind,
+// shard and value intact and the cause's wire name; Record leaves the
+// cause empty, so the JSON omits it.
+func TestFlightCause(t *testing.T) {
+	f := NewFlight(16)
+	f.RecordCause(KindViewPublish, -1, 7, time.Millisecond, CauseWeakened)
+	f.Record(KindViewPublish, -1, 8, time.Millisecond)
+	ev := f.Events()
+	if len(ev) != 2 {
+		t.Fatalf("got %d events, want 2", len(ev))
+	}
+	if e := ev[0]; e.Kind != "view_publish" || e.Shard != -1 || e.Value != 7 || e.Cause != "weakened" {
+		t.Errorf("caused event decoded as %+v", e)
+	}
+	if e := ev[1]; e.Kind != "view_publish" || e.Value != 8 || e.Cause != "" {
+		t.Errorf("plain event decoded as %+v", e)
+	}
+	for c := CauseNone; c < causeMax; c++ {
+		if c != CauseNone && c.String() == "" || c.String() == "unknown" {
+			t.Errorf("cause %d has no wire name", c)
+		}
+	}
+}
+
 func TestFlightConcurrent(t *testing.T) {
 	f := NewFlight(128)
 	var wg sync.WaitGroup

@@ -6,6 +6,8 @@ import (
 	"time"
 	"unsafe"
 
+	"rept/internal/core"
+	"rept/internal/graph"
 	"rept/internal/mem"
 	"rept/internal/obs"
 	"rept/internal/shard"
@@ -38,7 +40,8 @@ type Config struct {
 	// materialization (barrier snapshot + view build + atomic swap).
 	PublishHist *obs.Histogram
 	// Flight, when non-nil, receives one view_publish event per epoch
-	// (value = the epoch number).
+	// (value = the epoch number), marked with the cause when the epoch
+	// ranked every node (see Publisher).
 	Flight *obs.Flight
 	// Mem, when non-nil, receives the published view's payload bytes under
 	// mem.CompViews, reconciled at every epoch swap. Only the CURRENT view
@@ -49,9 +52,14 @@ type Config struct {
 
 // Source is the ingest side a Publisher reads from; *shard.Sharded
 // implements it. Observe must be barrier-consistent and safe for
-// concurrent use; Processed must be a cheap monotone counter.
+// concurrent use with ingest; Processed must be a cheap monotone counter.
+// Observe(true) may answer with a delta: class sums holding only the
+// updates since the previous Observe (see shard.Sharded.Observe).
+// Observe(false), and any answer without Delta set, carries whole class
+// sums. A Source serves one Publisher at a time, since each Observe takes
+// the delta the previous one restarted.
 type Source interface {
-	Observe() shard.Observation
+	Observe(delta bool) shard.Observation
 	Processed() uint64
 }
 
@@ -60,8 +68,21 @@ type Source interface {
 // of concurrent readers and never blocks on ingest; Refresh forces an
 // immediate epoch for callers that need freshness over latency. Close
 // stops the publishing goroutine and must happen before the underlying
-// Source is closed (Refresh after the Source closes panics, like any
-// other use-after-Close).
+// Source is closed.
+//
+// An epoch costs in proportion to what changed since the previous one.
+// The Source hands over the merged class-sum delta, the new view's class
+// sums are graph.SumTables(previous view's, delta), and the top-K ranks
+// only the previous ranking plus the nodes the delta touched. That is
+// exact whenever no member of the previous ranking weakened, because a
+// node's τ̂_v depends only on its own class sums and on M, C and Shift.
+// The other epochs rebuild fully: the first, one whose Source could hand
+// over no delta (after a Downsample, or once a delta outgrew its cap),
+// one after the ranking size changed, and one in which a ranked node
+// weakened (deletions, or η̂_v shifting the c = c₁m + c₂ combination).
+// The full rebuild is the same SumTables call with an empty base and the
+// same heap fed every node. FullPublishes counts these epochs, and the
+// view_publish flight event names their cause.
 type Publisher struct {
 	src Source
 	cfg Config
@@ -77,9 +98,16 @@ type Publisher struct {
 	// calls) so epoch numbers increase monotonically with their prefixes.
 	// acViews, guarded by it, is the current view's payload bytes as last
 	// reported under mem.CompViews.
+	// closed, guarded by it too, stops publications for good: a closed
+	// publisher no longer takes the Source's deltas, which a later
+	// publisher on the same Source may be reading.
 	mu      sync.Mutex
 	epoch   uint64
 	acViews int64
+	closed  bool
+
+	// full counts the epochs that ranked every node.
+	full atomic.Uint64
 
 	stop chan struct{}
 	done chan struct{}
@@ -137,15 +165,32 @@ func (p *Publisher) Epochs() uint64 { return p.View().Epoch }
 
 // Refresh takes a fresh barrier snapshot, publishes it as a new epoch,
 // and returns it. It is the explicit escape hatch for callers that need
-// the current stream prefix instead of the bounded-stale view.
+// the current stream prefix instead of the bounded-stale view. After
+// Close it publishes nothing and returns the last view.
 func (p *Publisher) Refresh() *View { return p.publish() }
 
-// publish materializes and swaps in one epoch.
+// FullPublishes returns how many epochs ranked every node instead of
+// the previous ranking plus the nodes the delta touched.
+func (p *Publisher) FullPublishes() uint64 { return p.full.Load() }
+
+// Closed reports whether Close has run.
+func (p *Publisher) Closed() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.closed
+}
+
+// publish materializes and swaps in one epoch (see Publisher).
 func (p *Publisher) publish() *View {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.closed {
+		return p.cur.Load()
+	}
 	start := time.Now()
-	o := p.src.Observe()
+	prev := p.cur.Load()
+	k := int(p.topK.Load())
+	o := p.src.Observe(prev != nil && prev.counts != nil)
 	est := o.Aggregates.GlobalEstimate()
 	p.epoch++
 	v := &View{
@@ -160,11 +205,29 @@ func (p *Publisher) publish() *View {
 		SampledEdges:   o.SampledEdges,
 		EtaSaturations: o.EtaSaturations,
 		deg:            o.Degrees,
+		k:              k,
 	}
+	cause := o.Rebuild
 	if o.Aggregates.TracksLocal() {
-		v.counts = o.Aggregates
+		var base *core.Aggregates
+		switch {
+		case o.Delta:
+			base = prev.counts
+		case cause == obs.CauseNone:
+			cause = obs.CauseFirst
+		}
+		v.counts = sumOnto(base, o.Aggregates)
+		if cause == obs.CauseNone && k != prev.k {
+			cause = obs.CauseTopKSize
+		}
+		if cause == obs.CauseNone && !v.rankDelta(k, prev, o.Aggregates) {
+			cause = obs.CauseWeakened
+		}
+		if cause != obs.CauseNone {
+			v.rank(k, v.counts.EachLocal)
+			p.full.Add(1)
+		}
 	}
-	v.buildTopK(int(p.topK.Load()))
 	p.cur.Store(v)
 	if fp := viewFootprint(v); fp != p.acViews {
 		p.cfg.Mem.Add(mem.CompViews, fp-p.acViews)
@@ -173,9 +236,28 @@ func (p *Publisher) publish() *View {
 	if p.cfg.PublishHist != nil {
 		d := time.Since(start)
 		p.cfg.PublishHist.ObserveDuration(d)
-		p.cfg.Flight.Record(obs.KindViewPublish, -1, v.Epoch, d)
+		p.cfg.Flight.RecordCause(obs.KindViewPublish, -1, v.Epoch, d, cause)
 	}
 	return v
+}
+
+// sumOnto returns d's counters with each class sum
+// graph.SumTables(base's, d's): the next epoch's tables from the previous
+// view's and an observation's delta, or, with a nil base, a copy of a
+// full observation's. SumTables never aliases a source, so no published
+// table is shared with another view or mutated after publication.
+func sumOnto(base, d *core.Aggregates) *core.Aggregates {
+	var b core.Aggregates
+	if base != nil {
+		b = *base
+	}
+	out := *d
+	out.TauV1 = graph.SumTables(b.TauV1, d.TauV1)
+	out.TauV2 = graph.SumTables(b.TauV2, d.TauV2)
+	if d.EtaV != nil {
+		out.EtaV = graph.SumTables(b.EtaV, d.EtaV)
+	}
+	return &out
 }
 
 // viewFootprint returns one view's owned payload bytes: its class-sum
@@ -195,8 +277,8 @@ func viewFootprint(v *View) int64 {
 // explicit Refresh calls push the periodic timer back instead of stacking
 // an extra publication right after. An idle stream publishes nothing: when
 // no edge arrived since the current epoch, the view already describes the
-// exact current prefix, so re-materializing it (a barrier plus O(V) table
-// copies and merges) would buy nothing — the view's Age then keeps
+// exact current prefix, so re-materializing it (a barrier plus a copy of
+// every class-sum table) would buy nothing — the view's Age then keeps
 // growing, which is truthful. The staleness bound is therefore "age ≤
 // interval + slack OR the view is exact"; the first edge after an overdue
 // interval publishes at the next poll tick.
@@ -233,8 +315,8 @@ func (p *Publisher) loop() {
 }
 
 // Close stops the publishing goroutine and waits for any publication in
-// flight to finish. The last published view stays readable forever; only
-// Refresh becomes unusable once the underlying Source closes. Close is
+// flight to finish. The last published view stays readable forever, and
+// Refresh returns it without observing the Source again. Close is
 // idempotent.
 func (p *Publisher) Close() {
 	p.once.Do(func() { close(p.stop) })
@@ -244,6 +326,7 @@ func (p *Publisher) Close() {
 	// current view's ledger charge (the view stays readable, but the
 	// publisher no longer owns its footprint).
 	p.mu.Lock()
+	p.closed = true
 	if p.acViews != 0 {
 		p.cfg.Mem.Add(mem.CompViews, -p.acViews)
 		p.acViews = 0

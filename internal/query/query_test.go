@@ -12,8 +12,8 @@ import (
 )
 
 // fakeSource is a deterministic Source: Observe returns the current
-// counter state, so tests control exactly what each epoch sees. Its
-// counters describe one exact processor (M = C = 1), so the global
+// counter state, whole, so tests control exactly what each epoch sees.
+// Its counters describe one exact processor (M = C = 1), so the global
 // estimate equals the processed count and τ̂_v equals local[v].
 type fakeSource struct {
 	processed atomic.Uint64
@@ -22,7 +22,7 @@ type fakeSource struct {
 	degrees   map[graph.NodeID]uint32
 }
 
-func (f *fakeSource) Observe() shard.Observation {
+func (f *fakeSource) Observe(bool) shard.Observation {
 	f.observes.Add(1)
 	return shard.Observation{
 		Aggregates: aggregatesOf(1, int64(f.processed.Load()), f.local),
@@ -224,7 +224,7 @@ func TestTopKSelection(t *testing.T) {
 	local[500] = 1e6
 	local[501] = 1e6 // tie: lower id first
 	v := viewOf(1, local, nil)
-	v.buildTopK(5)
+	v.rank(5, v.counts.EachLocal)
 	if len(v.TopK) != 5 {
 		t.Fatalf("len(TopK) = %d, want 5", len(v.TopK))
 	}
@@ -260,7 +260,7 @@ func TestTopKMatchesFullSort(t *testing.T) {
 		local[graph.NodeID(i)] = int64(rng % 256)
 	}
 	v := viewOf(1, local, nil)
-	v.buildTopK(64)
+	v.rank(64, v.counts.EachLocal)
 
 	all := make([]NodeStat, 0, len(local))
 	for n, l := range local {
@@ -283,12 +283,12 @@ func TestTopKMatchesFullSort(t *testing.T) {
 
 func TestTopKEmptyAndUntracked(t *testing.T) {
 	v := &View{}
-	v.buildTopK(10)
+	v.rank(10, v.counts.EachLocal)
 	if v.TopK != nil {
 		t.Error("TopK built without local tracking")
 	}
 	v2 := viewOf(1, map[graph.NodeID]int64{}, nil)
-	v2.buildTopK(10)
+	v2.rank(10, v2.counts.EachLocal)
 	if len(v2.TopK) != 0 {
 		t.Error("TopK non-empty for empty local map")
 	}

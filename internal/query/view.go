@@ -8,12 +8,13 @@
 // count it describes), while the write path keeps ingesting at full
 // speed. A view keeps per-node state flat: it holds the merged class-sum
 // tables and a copy of the degree counters, and evaluates τ̂_v from the
-// class sums when a query probes a node, so publishing an epoch copies
-// and merges arrays instead of building Go maps. CoCoS (Shin et al.
-// 2018) makes the same ingest/query split for distributed stream
-// triangle counting; the paper's own use cases — spam/sybil detection,
-// community detection, recommendation — are query-heavy in exactly this
-// way.
+// class sums when a query probes a node. Publishing an epoch adds the
+// engines' class-sum deltas onto the previous view's tables and re-ranks
+// only the nodes they touched (see Publisher), so its cost follows the
+// updates, not the graph. CoCoS (Shin et al. 2018) makes the same
+// ingest/query split for distributed stream triangle counting; the
+// paper's own use cases — spam/sybil detection, community detection,
+// recommendation — are query-heavy in exactly this way.
 package query
 
 import (
@@ -78,6 +79,8 @@ type View struct {
 	counts *core.Aggregates
 	// deg holds the degree counters; nil unless degree tracking is on.
 	deg *graph.DegreeCounts
+	// k is the ranking size TopK was built for.
+	k int
 }
 
 // Age returns how far behind wall-clock the view is.
@@ -165,11 +168,11 @@ func stronger(a, b NodeStat) bool {
 	return a.Node < b.Node
 }
 
-// buildTopK selects the k strongest nodes from the class sums using a
-// size-k min-heap — O(V·log k) instead of sorting all V nodes — then
-// fills in degrees and clustering coefficients from the view under
-// construction.
-func (v *View) buildTopK(k int) {
+// rank fills TopK with the k strongest of the nodes each feeds, each
+// node at most once, using a size-k min-heap — O(n·log k) for n fed
+// nodes instead of sorting them — then fills in degrees and clustering
+// coefficients from the view under construction.
+func (v *View) rank(k int, each func(fn func(n graph.NodeID, local float64))) {
 	if v.counts == nil || k <= 0 {
 		return
 	}
@@ -193,7 +196,7 @@ func (v *View) buildTopK(k int) {
 			i = weakest
 		}
 	}
-	v.counts.EachLocal(func(n graph.NodeID, local float64) {
+	each(func(n graph.NodeID, local float64) {
 		ns := NodeStat{Node: n, Local: local}
 		if len(h) < k {
 			h = append(h, ns)
@@ -218,4 +221,29 @@ func (v *View) buildTopK(k int) {
 		h[i] = v.Stat(h[i].Node)
 	}
 	v.TopK = h
+}
+
+// rankDelta ranks the previous view's ranking plus the nodes whose class
+// sums the delta touched, built for the same k, and returns true; it
+// returns false without ranking when a member of the previous ranking
+// weakened. Every other node kept its class sums, and τ̂_v depends only
+// on v's class sums and on M, C and Shift, so each was outranked by all
+// of the previous ranking before and still is: the k strongest
+// candidates are the k strongest nodes. A weakened member may fall below
+// a node outside the candidates, so that epoch needs the full scan.
+func (v *View) rankDelta(k int, prev *View, delta *core.Aggregates) bool {
+	for _, s := range prev.TopK {
+		if !(v.counts.LocalOf(s.Node) >= s.Local) {
+			return false
+		}
+	}
+	v.rank(k, func(fn func(graph.NodeID, float64)) {
+		for _, s := range prev.TopK {
+			if !delta.TauV1.Has(s.Node) && !delta.TauV2.Has(s.Node) {
+				fn(s.Node, s.Local)
+			}
+		}
+		delta.EachLocal(func(n graph.NodeID, _ float64) { fn(n, v.counts.LocalOf(n)) })
+	})
+	return true
 }

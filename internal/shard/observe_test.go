@@ -21,7 +21,7 @@ func TestObserveConsistency(t *testing.T) {
 	edges := testStream(t)
 	s.ApplyBatch(graph.Inserts(edges))
 
-	obs := s.Observe()
+	obs := s.Observe(false)
 	if obs.Processed != uint64(len(edges)) {
 		t.Errorf("observation processed = %d, want %d", obs.Processed, len(edges))
 	}
@@ -66,7 +66,7 @@ func TestObserveWithoutDegrees(t *testing.T) {
 	}
 	defer s.Close()
 	s.Add(1, 2)
-	if obs := s.Observe(); obs.Degrees != nil {
+	if obs := s.Observe(false); obs.Degrees != nil {
 		t.Errorf("degrees = %v without TrackDegrees", obs.Degrees)
 	}
 }
@@ -81,7 +81,7 @@ func TestSnapshotCarriesDegrees(t *testing.T) {
 	}
 	edges := testStream(t)
 	s.ApplyBatch(graph.Inserts(edges))
-	before := s.Observe().Degrees.Map()
+	before := s.Observe(false).Degrees.Map()
 
 	var buf bytes.Buffer
 	if err := s.WriteSnapshot(&buf); err != nil {
@@ -94,7 +94,7 @@ func TestSnapshotCarriesDegrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	after := r.Observe().Degrees.Map()
+	after := r.Observe(false).Degrees.Map()
 	if len(after) != len(before) {
 		t.Fatalf("restored degree table has %d nodes, want %d", len(after), len(before))
 	}

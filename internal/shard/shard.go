@@ -190,16 +190,28 @@ type batch struct {
 	refs atomic.Int32
 }
 
-// barrier asks every shard to report its aggregates (and sampled-edge
-// count) at the same stream prefix — or, when states is non-nil, its full
-// engine state for a checkpoint. Shards consume their channels in order,
-// so everything reported describes exactly the edges broadcast before the
-// barrier was enqueued.
+// barrier asks every shard to report at the same stream prefix: its full
+// engine state for a checkpoint (checkpoint), the outcome of a
+// Downsample (downshift > 0), or else its counters with the class sums
+// sums selects. Shards consume their channels in order, so everything
+// reported describes exactly the edges broadcast before the barrier was
+// enqueued.
 type barrier struct {
+	// sums selects the class sums each engine reports on an aggregate
+	// barrier (see core.Sums); node is the node core.SumsNode reports.
+	// observe marks the epoch-view publisher's barrier (Observe), the one
+	// the degree tracker copies its counters into.
+	sums    core.Sums
+	node    graph.NodeID
+	observe bool
 	aggs    []*core.Aggregates
 	sampled []int
 	etaSat  []uint64
-	states  []*snapshot.EngineState
+	// noDelta is set when an engine asked for core.SumsDelta held none.
+	noDelta atomic.Bool
+
+	checkpoint bool
+	states     []*snapshot.EngineState
 	// downshift, when positive, asks every shard engine to Downsample by
 	// that many halvings at the barrier prefix; errs collects each shard's
 	// outcome. The in-band delivery is what makes the adaptation
@@ -208,7 +220,7 @@ type barrier struct {
 	downshift int
 	errs      []error
 	// degrees is the degree tracker's counter copy at the barrier prefix
-	// for aggregate barriers, and liveEdges its live-edge set for
+	// for Observe barriers, and liveEdges its live-edge set for
 	// checkpoint barriers; both nil when degree tracking is off.
 	degrees   *graph.DegreeCounts
 	liveEdges []graph.Edge
@@ -268,6 +280,11 @@ type Sharded struct {
 	// durable ingest waits on.
 	seq       uint64
 	lastBatch uint64
+	// deltasDropped, guarded by mu, records that a Downsample barrier was
+	// issued after the last core.SumsRestart barrier: every engine has
+	// dropped its class-sum delta, so an Observe that wants one restarts
+	// them instead of asking.
+	deltasDropped bool
 
 	// sendMu and sendCond serialize deliveries in ticket order. Producers
 	// blocked here hold no ingest mutex, so ingestion keeps accepting
@@ -451,12 +468,13 @@ func (s *Sharded) runDegrees(q <-chan msg, table *graph.DegreeTable, acBytes int
 	defer s.done.Done()
 	for m := range q {
 		if m.bar != nil {
-			// Downsample-only barriers skip the copy: degrees track the
-			// full stream and are untouched by resampling.
+			// Only the publisher's barriers and checkpoints read the
+			// table: degrees track the full stream, untouched by
+			// resampling, and no other read needs them.
 			switch {
-			case m.bar.aggs != nil:
+			case m.bar.observe:
 				m.bar.degrees = table.Counts()
-			case m.bar.states != nil:
+			case m.bar.checkpoint:
 				m.bar.liveEdges = table.LiveEdges()
 			}
 			m.bar.wg.Done()
@@ -486,18 +504,22 @@ func (s *Sharded) run(i int, q <-chan msg) {
 	defer s.done.Done()
 	eng := s.engines[i]
 	for m := range q {
-		if m.bar != nil {
-			if m.bar.downshift > 0 {
-				m.bar.errs[i] = eng.Downsample(m.bar.downshift)
+		if bar := m.bar; bar != nil {
+			switch {
+			case bar.downshift > 0:
+				bar.errs[i] = eng.Downsample(bar.downshift)
+			case bar.checkpoint:
+				bar.states[i] = eng.State()
+			default:
+				agg, ok := eng.Report(bar.sums, bar.node)
+				if !ok {
+					bar.noDelta.Store(true)
+				}
+				bar.aggs[i] = agg
+				bar.sampled[i] = eng.SampledEdges()
+				bar.etaSat[i] = eng.EtaSaturations()
 			}
-			if m.bar.states != nil {
-				m.bar.states[i] = eng.State()
-			} else if m.bar.aggs != nil {
-				m.bar.aggs[i] = eng.Aggregates()
-				m.bar.sampled[i] = eng.SampledEdges()
-				m.bar.etaSat[i] = eng.EtaSaturations()
-			}
-			m.bar.wg.Done()
+			bar.wg.Done()
 			continue
 		}
 		if s.obs != nil {
@@ -671,8 +693,14 @@ func (s *Sharded) detachLocked() msg {
 // ingest mutex, so other producers keep appending meanwhile.
 func (s *Sharded) send(m msg) {
 	var start time.Time
+	events := -1
 	if s.obs != nil {
 		start = time.Now()
+		// Read before the sends: once a consumer holds the batch, the
+		// last one to release it recycles the buffer.
+		if m.b != nil {
+			events = len(m.b.ups)
+		}
 	}
 	s.sendMu.Lock()
 	for s.sentSeq+1 != m.ticket {
@@ -688,8 +716,8 @@ func (s *Sharded) send(m msg) {
 		// Queue wait covers the ordered-delivery wait plus the (possibly
 		// backpressured) channel sends for this ticket.
 		s.obs.QueueWait.ObserveSince(start)
-		if m.b != nil {
-			s.obs.BatchSizes.Observe(uint64(len(m.b.ups)))
+		if events >= 0 {
+			s.obs.BatchSizes.Observe(uint64(events))
 		}
 	}
 }
@@ -711,14 +739,12 @@ func (s *Sharded) waitSent(ticket uint64) {
 	s.sendMu.Unlock()
 }
 
-// barrier flushes pending edges and enqueues a fresh barrier ticket
-// immediately after them, so no later Add can slip between the flush and
-// the barrier on any shard: both tickets are issued inside one critical
-// section and send delivers tickets in issue order. With wantStates it
-// collects full engine states (for checkpoints) instead of aggregates;
-// with downshift > 0 it is a downsample barrier — every shard adapts at
-// the barrier prefix and reports only its outcome, no aggregates.
-func (s *Sharded) barrier(wantStates bool, downshift int) *barrier {
+// barrier flushes pending edges and enqueues the barrier bar describes
+// (see barrier) under a fresh ticket immediately after them, so no later
+// Add can slip between the flush and the barrier on any shard: both
+// tickets are issued inside one critical section and send delivers
+// tickets in issue order. It returns bar once every consumer reported.
+func (s *Sharded) barrier(bar *barrier) *barrier {
 	var buf [2]msg
 	var start time.Time
 	if s.obs != nil {
@@ -734,16 +760,22 @@ func (s *Sharded) barrier(wantStates bool, downshift int) *barrier {
 		pend = append(pend, s.detachLocked())
 	}
 	n := len(s.engines)
-	bar := &barrier{downshift: downshift}
-	if downshift > 0 {
-		bar.errs = make([]error, n)
-	}
 	switch {
-	case wantStates:
+	case bar.downshift > 0:
+		bar.errs = make([]error, n)
+		s.deltasDropped = true
+	case bar.checkpoint:
 		bar.states = make([]*snapshot.EngineState, n)
-	case downshift > 0:
-		// Adaptation-only: no per-shard report beyond errs.
 	default:
+		// Deciding under mu keeps the choice exact: a Downsample ticketed
+		// before this barrier has dropped every delta by the time the
+		// engines reach it.
+		if bar.sums == core.SumsDelta && s.deltasDropped {
+			bar.sums = core.SumsRestart
+		}
+		if bar.sums == core.SumsRestart {
+			s.deltasDropped = false
+		}
 		bar.aggs = make([]*core.Aggregates, n)
 		bar.sampled = make([]int, n)
 		bar.etaSat = make([]uint64, n)
@@ -768,17 +800,35 @@ func (s *Sharded) barrier(wantStates bool, downshift int) *barrier {
 	return bar
 }
 
-// Aggregates drains in-flight edges and merges every shard's counters at
-// a single consistent stream prefix. The coordinator stays usable.
-func (s *Sharded) Aggregates() *core.Aggregates {
-	bar := s.barrier(false, 0)
-	agg, err := core.MergeGroups(bar.aggs...)
+// merge combines the shards' reports of one barrier.
+func merge(aggs []*core.Aggregates) *core.Aggregates {
+	agg, err := core.MergeGroups(aggs...)
 	if err != nil {
 		// shardConfigs guarantees the MergeGroups preconditions (equal M,
 		// full groups on all but the last shard), so this is a bug.
 		panic(fmt.Sprintf("shard: merge of own shards failed: %v", err))
 	}
 	return agg
+}
+
+// Aggregates drains in-flight edges and merges every shard's counters,
+// with copies of the whole class-sum tables, at a single consistent
+// stream prefix. The coordinator stays usable.
+func (s *Sharded) Aggregates() *core.Aggregates {
+	return merge(s.barrier(&barrier{sums: core.SumsFull}).aggs)
+}
+
+// GlobalEstimate drains in-flight edges and evaluates the merged global
+// estimate at a consistent stream prefix. The engines report their
+// per-processor counters alone, so the barrier copies no per-node state.
+func (s *Sharded) GlobalEstimate() core.Estimate {
+	return merge(s.barrier(&barrier{sums: core.SumsNone}).aggs).GlobalEstimate()
+}
+
+// LocalOf drains in-flight edges and returns τ̂_v at a consistent stream
+// prefix: each engine reports only v's class-sum entries.
+func (s *Sharded) LocalOf(v graph.NodeID) float64 {
+	return merge(s.barrier(&barrier{sums: core.SumsNode, node: v}).aggs).LocalOf(v)
 }
 
 // Snapshot drains in-flight edges and returns the merged REPT estimate at
@@ -790,9 +840,10 @@ func (s *Sharded) Snapshot() core.Estimate {
 
 // SampledEdges reports the total number of edges currently stored across
 // all shards' logical processors (expected ≈ C·|E|/M), a memory
-// diagnostic. It drains in-flight edges like Snapshot.
+// diagnostic. It drains in-flight edges like Snapshot but copies no
+// per-node state.
 func (s *Sharded) SampledEdges() int {
-	bar := s.barrier(false, 0)
+	bar := s.barrier(&barrier{sums: core.SumsNone})
 	total := 0
 	for _, n := range bar.sampled {
 		total += n
@@ -802,9 +853,10 @@ func (s *Sharded) SampledEdges() int {
 
 // EtaSaturations reports how many per-edge closing-counter updates were
 // clamped at the int32 boundary across all shards (see
-// core.Engine.EtaSaturations). It drains in-flight edges like Snapshot.
+// core.Engine.EtaSaturations). It drains in-flight edges like Snapshot
+// but copies no per-node state.
 func (s *Sharded) EtaSaturations() uint64 {
-	bar := s.barrier(false, 0)
+	bar := s.barrier(&barrier{sums: core.SumsNone})
 	var n uint64
 	for _, v := range bar.etaSat {
 		n += v
@@ -829,7 +881,7 @@ func (s *Sharded) Downsample(extra int) error {
 	if s.cfg.TrackEta || (c1 > 0 && c2 > 0) {
 		return core.ErrEtaDownsample
 	}
-	bar := s.barrier(false, extra)
+	bar := s.barrier(&barrier{downshift: extra})
 	for _, err := range bar.errs {
 		if err != nil {
 			return err

@@ -38,7 +38,7 @@ func (s *Sharded) WriteSnapshot(w io.Writer) error {
 // quantity WAL compaction needs to decide which sealed segments the
 // checkpoint makes redundant.
 func (s *Sharded) WriteSnapshotPos(w io.Writer) (uint64, error) {
-	bar := s.barrier(true, 0)
+	bar := s.barrier(&barrier{checkpoint: true})
 	st := &snapshot.ShardedState{
 		Fingerprint:  s.cfg.fingerprint(),
 		ShardCount:   len(s.engines),

@@ -120,14 +120,14 @@ func (c *Concurrent) SampleProbability() float64 {
 // untracked the η term is omitted (exact when no two triangles share an
 // edge, an undercount otherwise). Answers from the current view when
 // views are running, else pays one barrier and evaluates the global
-// estimate alone.
+// estimate alone, copying no per-node state.
 func (c *Concurrent) VarianceBound() float64 {
 	var g, eta float64
 	if p := c.views.Load(); p != nil {
 		v := p.View()
 		g, eta = v.Global, v.EtaHat
 	} else {
-		e := c.sh.Aggregates().GlobalEstimate()
+		e := c.sh.GlobalEstimate()
 		g, eta = e.Global, e.EtaHat
 	}
 	if g < 0 {

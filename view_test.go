@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/rand/v2"
 	"reflect"
+	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -388,4 +391,334 @@ func TestViewRefreshAllocsIndependentOfNodes(t *testing.T) {
 	if small != large {
 		t.Errorf("Views.Refresh allocates %v times at 5k nodes and %v at 50k", small, large)
 	}
+}
+
+// TestViewEpochsMatchFullMerge is the delta-publishing gate. A seeded
+// schedule of inserts, churn (deletes and re-inserts), one burst past the
+// delta cap, SetTopK down and up, Downsample, Views.Close followed by a
+// fresh StartViews, a WriteSnapshot + Resume, and deletions of the ranking
+// leader's edges runs on a c < m, a c = c₁m and a c = c₁m + c₂ layout;
+// the last carries η_v in its delta and skips Downsample, which
+// η-tracking layouts refuse. After every epoch the view must equal a
+// full merge at the same prefix: Local() the snapshot's local map in
+// keys and values, TopK a full scan's ranking, Global bit for bit. No
+// published view may change afterwards, and the schedule must reach
+// every full-rebuild cause as well as delta epochs.
+func TestViewEpochsMatchFullMerge(t *testing.T) {
+	for _, lay := range []struct {
+		name string
+		m, c int
+	}{{"c<m", 4, 3}, {"c=c1m", 4, 12}, {"c=c1m+c2", 4, 10}} {
+		t.Run(lay.name, func(t *testing.T) { testViewEpochs(t, lay.m, lay.c) })
+	}
+}
+
+func testViewEpochs(t *testing.T, m, c int) {
+	etaLayout := c > m && c%m != 0
+	cfg := rept.ConcurrentConfig{M: m, C: c, Shards: 2, Seed: 11, TrackLocal: true, FullyDynamic: true, TrackDegrees: true}
+	cfg.Telemetry = rept.NewTelemetry()
+	start := func(est *rept.Concurrent) *rept.Views {
+		t.Helper()
+		views, err := est.StartViews(rept.ViewConfig{Interval: time.Hour, TopK: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return views
+	}
+	est, err := rept.NewConcurrent(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { est.Close() }()
+	views := start(est)
+
+	edges := gen.Shuffle(gen.HolmeKim(3000, 8, 0.8, 21), 5)
+	rng := rand.New(rand.NewPCG(13, uint64(c)))
+	var live, gone []rept.Edge
+	next := 0
+	insert := func() rept.Update {
+		e := edges[next]
+		next++
+		live = append(live, e)
+		return rept.Insert(e.U, e.V)
+	}
+	churn := func(n int) {
+		ups := make([]rept.Update, 0, n)
+		for len(ups) < n {
+			switch r := rng.IntN(10); {
+			case r < 3 && len(live) > 0:
+				j := rng.IntN(len(live))
+				e := live[j]
+				live[j] = live[len(live)-1]
+				live = live[:len(live)-1]
+				gone = append(gone, e)
+				ups = append(ups, rept.Remove(e.U, e.V))
+			case r < 5 && len(gone) > 0:
+				j := rng.IntN(len(gone))
+				e := gone[j]
+				gone[j] = gone[len(gone)-1]
+				gone = gone[:len(gone)-1]
+				live = append(live, e)
+				ups = append(ups, rept.Insert(e.U, e.V))
+			default:
+				ups = append(ups, insert())
+			}
+		}
+		est.ApplyAll(ups)
+	}
+
+	causes := map[string]int{}
+	var prev *rept.View
+	var prevLocal map[rept.NodeID]float64
+	check := func(epoch int, what string, v *rept.View) {
+		t.Helper()
+		snap := est.SnapshotNow()
+		if math.Float64bits(v.Global) != math.Float64bits(snap.Global) {
+			t.Fatalf("epoch %d (%s): view Global %v, full merge %v", epoch, what, v.Global, snap.Global)
+		}
+		local := v.Local()
+		if !reflect.DeepEqual(local, snap.Local) {
+			t.Fatalf("epoch %d (%s): view locals (%d nodes) differ from the full merge's (%d nodes)", epoch, what, len(local), len(snap.Local))
+		}
+		want := make([]rept.NodeStat, 0, len(snap.Local))
+		for n, x := range snap.Local {
+			want = append(want, rept.NodeStat{Node: n, Local: x})
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Local != want[j].Local {
+				return want[i].Local > want[j].Local
+			}
+			return want[i].Node < want[j].Node
+		})
+		want = want[:min(views.TopK(), len(want))]
+		if len(v.TopK) != len(want) {
+			t.Fatalf("epoch %d (%s): ranking of %d nodes, full scan %d", epoch, what, len(v.TopK), len(want))
+		}
+		for i, s := range v.TopK {
+			if s.Node != want[i].Node || s.Local != want[i].Local {
+				t.Fatalf("epoch %d (%s): rank %d is node %d (%v), full scan node %d (%v)", epoch, what, i, s.Node, s.Local, want[i].Node, want[i].Local)
+			}
+		}
+		if prev != nil && !reflect.DeepEqual(prev.Local(), prevLocal) {
+			t.Fatalf("epoch %d (%s): epoch %d's view changed after publication", epoch, what, prev.Epoch)
+		}
+		prev, prevLocal = v, local
+		// The latest view_publish flight event is this epoch's and names
+		// its cause.
+		evs := est.Telemetry().Flight().Events()
+		for i := len(evs) - 1; ; i-- {
+			if i < 0 {
+				t.Fatalf("epoch %d (%s): no view_publish flight event", epoch, what)
+			}
+			if ev := evs[i]; ev.Kind == "view_publish" {
+				if ev.Value != v.Epoch {
+					t.Fatalf("epoch %d (%s): latest view_publish event is for view epoch %d, want %d", epoch, what, ev.Value, v.Epoch)
+				}
+				causes[ev.Cause]++
+				break
+			}
+		}
+	}
+
+	check(0, "start", views.View())
+	for epoch := 1; epoch <= 60; epoch++ {
+		what := "churn"
+		n := 150
+		switch epoch {
+		case 10:
+			what = "SetTopK(5)"
+			views.SetTopK(5)
+		case 14:
+			what = "SetTopK(40)"
+			views.SetTopK(40)
+		case 20:
+			if !etaLayout {
+				what = "Downsample(1)"
+				if err := est.Downsample(1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case 26:
+			what = "Views.Close + StartViews"
+			views.Close()
+			last := views.View()
+			if views.Refresh() != last {
+				t.Fatal("a closed publisher published again")
+			}
+			views = start(est)
+			check(epoch, "fresh StartViews", views.View())
+		case 32:
+			what = "WriteSnapshot + Resume"
+			var buf bytes.Buffer
+			if err := est.WriteSnapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			est.Close()
+			cfg.Telemetry = rept.NewTelemetry()
+			if est, err = rept.ResumeConcurrent(cfg, &buf); err != nil {
+				t.Fatal(err)
+			}
+			views = start(est)
+			check(epoch, "resumed StartViews", views.View())
+		case 8:
+			// Most nodes gain class-sum entries at once, past the
+			// delta's cap.
+			what, n = "burst", 0
+			ups := make([]rept.Update, 10_000)
+			for i := range ups {
+				ups[i] = insert()
+			}
+			est.ApplyAll(ups)
+		case 44, 50:
+			// Deleting the leader's edges weakens a ranked node.
+			what = "leader's edges deleted"
+			leader := views.View().TopK[0].Node
+			var ups []rept.Update
+			for i := 0; i < len(live); i++ {
+				if e := live[i]; e.U == leader || e.V == leader {
+					live[i] = live[len(live)-1]
+					live = live[:len(live)-1]
+					gone = append(gone, e)
+					ups = append(ups, rept.Remove(e.U, e.V))
+					i--
+				}
+			}
+			est.ApplyAll(ups)
+		}
+		churn(n)
+		check(epoch, what, views.Refresh())
+	}
+	for _, cause := range []string{"", "first", "delta_cap", "topk_size", "weakened"} {
+		if causes[cause] == 0 {
+			t.Errorf("no epoch with cause %q (causes %v)", cause, causes)
+		}
+	}
+	if !etaLayout && causes["downsample"] == 0 {
+		t.Errorf("no epoch with cause %q (causes %v)", "downsample", causes)
+	}
+	t.Logf("epochs by cause: %v", causes)
+}
+
+// TestScalarReadsCopyNoPerNodeState: without views, Global,
+// VarianceBound, SampledEdges, EtaSaturations and Local(v) each pay one
+// barrier at which no engine copies its class sums and the degree
+// tracker copies nothing, so on a state whose class sums take MiBs each
+// call allocates under 64 KiB — and returns what the view built from a
+// full merge at the same prefix says.
+func TestScalarReadsCopyNoPerNodeState(t *testing.T) {
+	est, err := rept.NewConcurrent(rept.ConcurrentConfig{
+		M: 4, C: 8, Shards: 2, Seed: 3, TrackLocal: true, TrackDegrees: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer est.Close()
+	est.AddAll(gen.HolmeKim(100_000, 5, 0.5, 3))
+	if mib := float64(est.MemStats().ByComponent["counters"]) / (1 << 20); mib < 2 {
+		t.Fatalf("class sums take %.2f MiB; the test needs MiB-sized ones", mib)
+	}
+	full := est.SnapshotNow().Local
+	var nodes []rept.NodeID
+	for n := range full {
+		if len(nodes) == 5 {
+			break
+		}
+		nodes = append(nodes, n)
+	}
+	perCall := func(f func()) uint64 {
+		const calls = 10
+		f()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / calls
+	}
+	const bound = 64 << 10
+	var global, variance float64
+	var sampled int
+	var sat uint64
+	locals := make([]float64, len(nodes))
+	for name, f := range map[string]func(){
+		"Global":         func() { global = est.Global() },
+		"VarianceBound":  func() { variance = est.VarianceBound() },
+		"SampledEdges":   func() { sampled = est.SampledEdges() },
+		"EtaSaturations": func() { sat = est.EtaSaturations() },
+		"Local":          func() { locals[0] = est.Local(nodes[0]) },
+	} {
+		if b := perCall(f); b > bound {
+			t.Errorf("%s allocates %d B per call, bound %d", name, b, bound)
+		}
+	}
+	for i, n := range nodes {
+		locals[i] = est.Local(n)
+	}
+
+	views, err := est.StartViews(rept.ViewConfig{Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := views.View()
+	if global != v.Global || variance != est.VarianceBound() || sampled != v.SampledEdges || sat != v.EtaSaturations {
+		t.Errorf("barrier reads (global %v, variance %v, sampled %d, saturations %d) differ from the full merge's (%v, %v, %d, %d)",
+			global, variance, sampled, sat, v.Global, est.VarianceBound(), v.SampledEdges, v.EtaSaturations)
+	}
+	for i, n := range nodes {
+		if locals[i] != full[n] || locals[i] != v.LocalOf(n) {
+			t.Errorf("Local(%d) = %v on the barrier path, %v in the full merge", n, locals[i], full[n])
+		}
+	}
+}
+
+// TestViewDeltasUnderConcurrentDownsample: with the publisher epoching
+// every millisecond while a producer ingests and another goroutine
+// downsamples, no epoch may take a delta that spans a Downsample. Any
+// lost or doubled update would persist into every later view, so once
+// everything quiesces the refreshed view must equal a full merge.
+func TestViewDeltasUnderConcurrentDownsample(t *testing.T) {
+	est, err := rept.NewConcurrent(rept.ConcurrentConfig{M: 4, C: 8, Shards: 2, Seed: 5, TrackLocal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer est.Close()
+	views, err := est.StartViews(rept.ViewConfig{Interval: time.Millisecond, TopK: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := gen.HolmeKim(30_000, 6, 0.7, 8)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	done := make(chan struct{})
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 0; i < len(edges); i += 200 {
+			est.AddAll(edges[i:min(i+200, len(edges))])
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 3; i++ {
+			select {
+			case <-done:
+			case <-time.After(15 * time.Millisecond):
+			}
+			if err := est.Downsample(1); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	v := views.Refresh()
+	snap := est.SnapshotNow()
+	if v.Global != snap.Global || !reflect.DeepEqual(v.Local(), snap.Local) {
+		t.Fatalf("after concurrent Downsample: view global %v with %d locals, full merge %v with %d", v.Global, len(v.Local()), snap.Global, len(snap.Local))
+	}
+	if full := views.FullPublishes(); est.SampleShift() != 3 || full < 2 || v.Epoch <= full {
+		t.Fatalf("schedule missed its cases: shift %d, %d of %d epochs full", est.SampleShift(), full, v.Epoch)
+	}
+	t.Logf("%d of %d epochs full", views.FullPublishes(), v.Epoch)
 }

@@ -49,8 +49,17 @@ type ViewConfig struct {
 // expose the full read API (top-K, clustering coefficients, staleness).
 // The first epoch is published synchronously, so View is non-nil once
 // StartViews returns. StartViews errors if views are already running;
-// Close stops the publisher.
+// Close stops the publisher. Once a publisher has been closed through
+// its Views handle, StartViews starts a fresh one in its place, whose
+// first epoch is a full rebuild.
 func (c *Concurrent) StartViews(cfg ViewConfig) (*Views, error) {
+	c.viewsMu.Lock()
+	defer c.viewsMu.Unlock()
+	// Checked before the new publisher's first barrier, which restarts
+	// every engine's class-sum delta under a running publisher's feet.
+	if p := c.views.Load(); p != nil && !p.Closed() {
+		return nil, errViewsStarted
+	}
 	qcfg := query.Config{
 		Interval:   cfg.Interval,
 		EveryEdges: cfg.EveryEdges,
@@ -62,10 +71,7 @@ func (c *Concurrent) StartViews(cfg ViewConfig) (*Views, error) {
 		qcfg.Flight = pipe.Flight
 	}
 	p := query.NewPublisher(c.sh, qcfg)
-	if !c.views.CompareAndSwap(nil, p) {
-		p.Close()
-		return nil, errViewsStarted
-	}
+	c.views.Store(p)
 	return p, nil
 }
 
