@@ -370,7 +370,10 @@ var shardPowerLaw = sync.OnceValue(func() []graph.Update {
 // TrackLocal. One op is a fresh engine fed the whole shardPowerLaw
 // stream, so the sampled graph outgrows the last-level cache the way it
 // does end to end, where the cache-resident per-event benchmarks above
-// cannot show it. Compare ns/event.
+// cannot show it. The stream goes in through ApplyAll, so the engine
+// walks it in staged groups the way a shard engine walks each batch, and
+// this benchmark and e2ebench are where the misses staging overlaps
+// show. Compare ns/event.
 func BenchmarkEngineShardPowerLaw(b *testing.B) {
 	ups := shardPowerLaw()
 	b.ReportAllocs()

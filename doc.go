@@ -213,7 +213,13 @@
 // signatures prove most of them empty before any neighbor set is read:
 // each is the OR of one hashed bit per sampled neighbor, so two that
 // share no bit have no common neighbor. That cut a power-law engine's
-// per-event cost by about a third.
+// per-event cost by about a third. Once the sampled graph outgrows the
+// cache, most of what is left is waiting on a chain of dependent loads
+// per event — dictionary probe, row, slot, neighbor-set entry — so an
+// engine walks each batch in groups of eight events and stages each
+// group first, one link of the chain at a time across the group: the
+// misses of one link overlap instead of queueing, and the walks reuse
+// what staging resolved.
 // Estimates are bit-identical to visiting every processor (gated by tests
 // against an all-processor reference walk), and steady-state ingest
 // allocates nothing (gated by AllocsPerRun tests; the README lists

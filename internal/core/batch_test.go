@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"rept/internal/gen"
@@ -124,10 +125,33 @@ func batchStream() []graph.Update {
 	return ups
 }
 
+// withIDChurn returns ups with a run of events spliced in at the start of
+// feedMixed's batched part, so the run sits inside one walk group for
+// every slab length from its own length up: node a's last sampled edge
+// is deleted (a leaves and its id is freed), a new node b takes that id,
+// an edge arrives at the departed a, then a phantom deletion and a
+// self-loop. The two edges that set the run up open the stream. On an
+// M = 1 layout every processor stores every edge, so a's leave and the
+// reuse of its id are certain, and a group that staged a's old id must
+// look it up again before walking the edge at a.
+func withIDChurn(ups []graph.Update) []graph.Update {
+	const a, w, x, b = 1 << 20, 1<<20 + 1, 1<<20 + 2, 1<<20 + 3
+	out := append([]graph.Update{{U: a, V: w}, {U: w, V: x}}, ups...)
+	run := []graph.Update{
+		{U: a, V: w, Del: true},
+		{U: b, V: w},
+		{U: a, V: x},
+		{U: 1<<20 + 4, V: 1<<20 + 5, Del: true},
+		{U: b, V: b},
+	}
+	return slices.Insert(out, (len(out)+len(run))/3, run...)
+}
+
 // feedMixed drives ups through every public ingest entry point: the first
 // third one event at a time (Add, Delete, Apply), the rest through
-// ApplyBatch in uneven slabs so batch boundaries land mid-window.
-func feedMixed(e *Engine, ups []graph.Update) {
+// ApplyBatch in slabs of the given length, so batch and walk-group
+// boundaries land mid-window.
+func feedMixed(e *Engine, ups []graph.Update, slab int) {
 	third := len(ups) / 3
 	for i, up := range ups[:third] {
 		switch {
@@ -141,7 +165,7 @@ func feedMixed(e *Engine, ups []graph.Update) {
 	}
 	rest := ups[third:]
 	for len(rest) > 0 {
-		n := min(97, len(rest))
+		n := min(slab, len(rest))
 		e.ApplyBatch(rest[:n])
 		rest = rest[n:]
 	}
@@ -152,10 +176,14 @@ func feedMixed(e *Engine, ups []graph.Update) {
 // bit-identical to the all-processor reference walk — aggregates, sampled
 // sets, every counter, and the derived d_o — with deletions, phantom
 // deletions, η bookkeeping, partial groups, and one, two and three mask
-// blocks (C = 64, 65, 130, including groups that straddle a block).
+// blocks (C = 64, 65, 130, including groups that straddle a block). The
+// batches come in slabs shorter than, as long as, and longer than a walk
+// group, and the stream carries withIDChurn's run, which an M = 1 layout
+// turns into a leave and an id reuse inside one group.
 func TestEngineApplyBatchBitIdentical(t *testing.T) {
-	ups := batchStream()
+	ups := withIDChurn(batchStream())
 	for _, cfg := range []Config{
+		{M: 1, C: 3, Seed: 11, TrackLocal: true, FullyDynamic: true}, // every processor stores every edge
 		{M: 3, C: 12, Seed: 11, TrackLocal: true, FullyDynamic: true},
 		{M: 4, C: 10, Seed: 11, TrackLocal: true, TrackEta: true, FullyDynamic: true}, // partial group with η
 		{M: 2, C: 64, Seed: 11, FullyDynamic: true},                                   // one full mask block
@@ -165,17 +193,20 @@ func TestEngineApplyBatchBitIdentical(t *testing.T) {
 	} {
 		ref := newRefEngine(t, cfg)
 		ref.apply(ups...)
-		eng, err := NewEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		feedMixed(eng, ups)
-		sameAsRef(t, "cfg "+cfgName(cfg), ref, eng)
-		if eng.PairingCounters().PhantomDeletes == 0 {
-			t.Errorf("cfg %s: stream produced no phantom deletions", cfgName(cfg))
+		for _, slab := range []int{1, walkGroup - 1, walkGroup, walkGroup + 1, 97} {
+			eng, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feedMixed(eng, ups, slab)
+			what := fmt.Sprintf("cfg %s, slabs of %d", cfgName(cfg), slab)
+			sameAsRef(t, what, ref, eng)
+			if eng.PairingCounters().PhantomDeletes == 0 {
+				t.Errorf("%s: stream produced no phantom deletions", what)
+			}
+			eng.Close()
 		}
 		ref.Close()
-		eng.Close()
 	}
 }
 
@@ -195,7 +226,7 @@ func TestEngineWalkAcrossDownsample(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref.apply(ups[:half]...)
-		feedMixed(eng, ups[:half])
+		feedMixed(eng, ups[:half], 97)
 		if err := ref.Downsample(1); err != nil {
 			t.Fatal(err)
 		}

@@ -14,7 +14,13 @@
 //     can move — so an event costs a handful of visits, not C. One node
 //     dictionary per engine holds every node's presence masks and its
 //     neighbor-set slot on every processor, so the walk probes a hash
-//     table once per endpoint, however many processors it visits.
+//     table once per endpoint, however many processors it visits. A
+//     batch is walked in small groups of events, each staged first: the
+//     group's dictionary probes, then its dictionary rows, then its
+//     storing processors' neighbor-set entries are loaded one step at a
+//     time across the group, so their cache misses overlap instead of
+//     queueing behind each other, and the walks reuse the keys, ids and
+//     colors staging resolved.
 //
 //   - Sim: a single-pass evaluator over one shared colored adjacency
 //     structure that computes every processor's counters simultaneously.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -169,6 +170,75 @@ func TestEngineDeltaOnlyWhenObserved(t *testing.T) {
 	}
 	if got, want := ac.Bytes(mem.CompCounters), countersBytes(e); got != want {
 		t.Fatalf("counters ledger %d B after Downsample, footprint %d B", got, want)
+	}
+}
+
+// TestEngineDeltaShrinksAfterPeak: a delta that grew during an epoch
+// near the cap does not keep that capacity. The first small epoch after
+// it hands the peak table over and releases it, the next regrows it only
+// to its own size, and a run of epochs touching the same entries neither
+// grows nor shrinks it again; every handed-over delta still adds up to
+// the full report, and the ledger matches the footprint throughout.
+func TestEngineDeltaShrinksAfterPeak(t *testing.T) {
+	ac := mem.New()
+	e, err := NewEngine(Config{M: 4, C: 8, Seed: 3, TrackLocal: true, FullyDynamic: true, Mem: ac})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	edges := gen.Shuffle(gen.HolmeKim(20_000, 4, 0.5, 5), 6)
+	ups := graph.Inserts(edges)
+	e.ApplyAll(ups[:40_000])
+	held, _ := e.Report(SumsRestart, 0)
+	deltaBytes := func() int64 { return e.dTauV1.Bytes() + e.dTauV2.Bytes() }
+	take := func(what string) {
+		t.Helper()
+		d, ok := e.Report(SumsDelta, 0)
+		if !ok {
+			t.Fatalf("%s: SumsDelta failed", what)
+		}
+		held = sumsOnto(held, d)
+		if diff := classSumsDiff(held, e.Aggregates()); diff != "" {
+			t.Fatalf("%s: %s of held sums plus delta differs from the full report", what, diff)
+		}
+		if got, want := ac.Bytes(mem.CompCounters), countersBytes(e); got != want {
+			t.Fatalf("%s: counters ledger %d B, footprint %d B", what, got, want)
+		}
+	}
+
+	// One epoch near the cap: batches until the delta holds a fifth as
+	// many entries as the class sums (the cap is a quarter).
+	next := 40_000
+	for 5*(e.dTauV1.Len()+e.dTauV2.Len()) < e.tauV1.Len()+e.tauV2.Len() {
+		e.ApplyAll(ups[next : next+100])
+		next += 100
+	}
+	peak := deltaBytes()
+	take("peak epoch")
+	if deltaBytes() != peak {
+		t.Fatalf("handing over the peak epoch's delta moved it from %d to %d B", peak, deltaBytes())
+	}
+	// Small epochs that each delete and re-insert the same 10 edges, so
+	// every one touches the same class-sum entries.
+	var churn []graph.Update
+	for _, ed := range edges[:10] {
+		churn = append(churn, graph.Update{U: ed.U, V: ed.V, Del: true})
+	}
+	churn = append(churn, ups[:10]...)
+	var small []int64
+	for epoch := 0; epoch < 8; epoch++ {
+		e.ApplyAll(churn)
+		take(fmt.Sprintf("small epoch %d", epoch))
+		small = append(small, deltaBytes())
+	}
+	t.Logf("peak delta %d B, then small epochs' deltas %v B", peak, small)
+	if small[0] != 0 {
+		t.Errorf("the first small epoch kept %d B of the %d B peak delta", small[0], peak)
+	}
+	for _, b := range small[2:] {
+		if b != small[1] || b == 0 || 8*b > peak {
+			t.Fatalf("small epochs' delta footprints %v B after a %d B peak: want 0, then one size at most an eighth of the peak", small, peak)
+		}
 	}
 }
 

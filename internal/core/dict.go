@@ -48,12 +48,19 @@ type nodeDict struct {
 	blocks  int // mask words per row: one per 64 processors
 	slotOff int // offset of the slot words in a row
 	w       int // words per row
+	ver     version
 	ac      *mem.Accountant
 }
 
+// version counts the dictionary changes that can make a looked-up id
+// stale: interns, the nodes given an id, and leaves, the nodes whose id
+// went back to the free list.
+type version struct{ interns, leaves uint64 }
+
 // endpoint is one end of an edge being applied: the node and its
 // dictionary id, 0 while no processor holds the node. The walk looks the
-// id up once and every processor it visits keeps it current.
+// id up once (or takes it from staging, see refresh) and every processor
+// it visits keeps it current.
 type endpoint struct {
 	node graph.NodeID
 	id   int32
@@ -66,6 +73,19 @@ func newNodeDict(c int, ac *mem.Accountant) nodeDict {
 	d.index.SetAccountant(ac, mem.CompMasks)
 	d.addRow() // id 0
 	return d
+}
+
+// refresh re-probes x's id when the dictionary may have changed it since
+// it was looked up at version at: an id of 0 goes stale once a node is
+// interned (x may be that node), any other id once a node leaves (x may
+// have left, and its id may since have gone to another node). The probe
+// hits the cache the first lookup filled.
+//
+//rept:hotpath
+func (d *nodeDict) refresh(x *endpoint, at version) {
+	if x.id == 0 && d.ver.interns != at.interns || x.id != 0 && d.ver.leaves != at.leaves {
+		x.id = d.index.Get(x.node)
+	}
 }
 
 // maskRow returns node id's presence masks, one word per 64 processors.
@@ -218,6 +238,7 @@ func (d *nodeDict) leave(p *proc, x *endpoint, s int32) {
 	growCharged(&d.free, 1, d.ac)
 	d.free[n] = x.id
 	x.id = 0
+	d.ver.leaves++
 }
 
 // intern gives u, which must be absent, an id with an all-zero row: a
@@ -232,6 +253,7 @@ func (d *nodeDict) intern(u graph.NodeID) int32 {
 		d.addRow()
 	}
 	d.index.Put(u, id)
+	d.ver.interns++
 	return id
 }
 

@@ -97,23 +97,46 @@ func TestFullyDynamicLIFOTeardown(t *testing.T) {
 }
 
 // TestDeleteRequiresFullyDynamic: deletions against a plain engine panic
-// with ErrNotDynamic before mutating anything.
+// with ErrNotDynamic before mutating anything, and a batch whose walk
+// group holds one panics at that event with every earlier event applied.
 func TestDeleteRequiresFullyDynamic(t *testing.T) {
-	eng, err := NewEngine(Config{M: 2, C: 4, Seed: 1})
+	cfg := Config{M: 2, C: 4, Seed: 1, TrackLocal: true}
+	eng, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 	eng.Add(1, 2)
+	mustPanic(t, ErrNotDynamic, func() { eng.Delete(1, 2) })
+	if eng.Processed() != 1 || eng.Deleted() != 0 {
+		t.Errorf("tallies mutated by rejected delete: processed=%d deleted=%d", eng.Processed(), eng.Deleted())
+	}
+
+	batch := []graph.Update{{U: 2, V: 3}, {U: 1, V: 3}, {U: 3, V: 4}, {U: 1, V: 2, Del: true}, {U: 2, V: 4}}
+	mustPanic(t, ErrNotDynamic, func() { eng.ApplyAll(batch) })
+	want, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer want.Close()
+	want.Add(1, 2)
+	for _, up := range batch[:3] {
+		want.Apply(up)
+	}
+	if !bytes.Equal(encodeState(t, want.State()), encodeState(t, eng.State())) {
+		t.Error("a batch rejected at its fourth event did not leave exactly its first three applied")
+	}
+}
+
+// mustPanic fails t unless fn panics with want.
+func mustPanic(t *testing.T, want error, fn func()) {
+	t.Helper()
 	defer func() {
-		if r := recover(); r != ErrNotDynamic {
-			t.Errorf("recovered %v, want ErrNotDynamic", r)
-		}
-		if eng.Processed() != 1 || eng.Deleted() != 0 {
-			t.Errorf("tallies mutated by rejected delete: processed=%d deleted=%d", eng.Processed(), eng.Deleted())
+		if r := recover(); r != want {
+			t.Errorf("recovered %v, want %v", r, want)
 		}
 	}()
-	eng.Delete(1, 2)
+	fn()
 }
 
 // checkDynamicInvariants asserts the structural invariants that must
@@ -157,12 +180,13 @@ func checkDynamicInvariants(t *testing.T, eng *Engine) {
 
 // FuzzFullyDynamicCore throws arbitrary signed sequences — including
 // malformed ones that delete absent edges or re-insert live ones — at a
-// fully-dynamic engine and asserts that it matches the all-processor
-// reference walk bit for bit (derived d_o included) and that the state
-// invariants hold: no panics, no NaN/Inf estimates, no negative
-// sampled-set sizes, the per-edge counters keyed by exactly the sampled
-// edges, and the whole state snapshot-round-trippable into an
-// engine with bit-identical counters.
+// fully-dynamic engine, in ApplyAll slabs whose lengths the seed picks,
+// and asserts that it matches the all-processor reference walk bit for
+// bit (derived d_o included) and that the state invariants hold: no
+// panics, no NaN/Inf estimates, no negative sampled-set sizes, the
+// per-edge counters keyed by exactly the sampled edges, and the whole
+// state snapshot-round-trippable into an engine with bit-identical
+// counters.
 func FuzzFullyDynamicCore(f *testing.F) {
 	f.Add(uint8(3), uint8(7), int64(1), []byte{0x10, 0x21, 0x20, 0x91, 0x30})
 	f.Add(uint8(2), uint8(5), int64(2), []byte{0x10, 0x21, 0x20, 0xa0, 0xa0, 0x20})
@@ -181,15 +205,19 @@ func FuzzFullyDynamicCore(f *testing.F) {
 		defer eng.Close()
 		// Each byte is one event: low nibbles pick endpoints in [0, 8), the
 		// top bit selects deletion — so duplicate inserts, deletes of
-		// absent edges, and self-loops all occur naturally.
+		// absent edges, and self-loops all occur naturally. The engine
+		// takes them in ApplyAll slabs (see feedSlabs), so nodes are
+		// interned, leave and get recycled ids inside one walk group; the
+		// reference walks them one at a time.
 		ref := newRefEngine(t, cfg)
 		defer ref.Close()
-		for _, b := range data {
+		ups := make([]graph.Update, len(data))
+		for i, b := range data {
 			u, v := graph.NodeID(b&0x7), graph.NodeID((b>>3)&0x7)
-			up := graph.Update{U: u, V: v, Del: b&0x80 != 0}
-			eng.Apply(up)
-			ref.apply(up)
+			ups[i] = graph.Update{U: u, V: v, Del: b&0x80 != 0}
+			ref.apply(ups[i])
 		}
+		feedSlabs(eng, ups, seed)
 		sameAsRef(t, "fuzz", ref, eng)
 		checkDynamicInvariants(t, eng)
 

@@ -360,6 +360,8 @@ func TestEngineSnapshotMidStream(t *testing.T) {
 	}
 }
 
+// TestEngineCloseSemantics: Close is idempotent, and after it every
+// ingest entry point, single-event or batch, panics with ErrClosed.
 func TestEngineCloseSemantics(t *testing.T) {
 	eng, err := NewEngine(Config{M: 2, C: 3, Seed: 1})
 	if err != nil {
@@ -368,12 +370,9 @@ func TestEngineCloseSemantics(t *testing.T) {
 	eng.Add(1, 2)
 	eng.Close()
 	eng.Close() // idempotent
-	defer func() {
-		if recover() == nil {
-			t.Error("Add after Close did not panic")
-		}
-	}()
-	eng.Add(2, 3)
+	mustPanic(t, ErrClosed, func() { eng.Add(2, 3) })
+	mustPanic(t, ErrClosed, func() { eng.ApplyAll([]graph.Update{{U: 2, V: 3}, {U: 3, V: 4}}) })
+	mustPanic(t, ErrClosed, func() { eng.AddAll([]graph.Edge{{U: 2, V: 3}}) })
 }
 
 // TestDuplicateEdgesPinned documents behaviour on duplicate arrivals:

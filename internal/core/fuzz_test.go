@@ -4,11 +4,26 @@ import (
 	"testing"
 
 	"rept/internal/graph"
+	"rept/internal/hashing"
 )
 
+// feedSlabs feeds ups to e through ApplyAll in slabs of 1 to 16 events,
+// their lengths read off successive four-bit fields of a mix of seed, so
+// a fuzz input reaches walk groups filled to every length and cut
+// anywhere without a new argument.
+func feedSlabs(e *Engine, ups []graph.Update, seed int64) {
+	bits := hashing.Mix64(uint64(seed))
+	for k := 0; len(ups) > 0; k++ {
+		n := min(len(ups), int(bits>>(4*(k%16))&15)+1)
+		e.ApplyAll(ups[:n])
+		ups = ups[n:]
+	}
+}
+
 // FuzzEngineEqualsSim feeds arbitrary byte-derived streams and (m, c)
-// shapes into both engines and requires bit-identical counters, and
-// class sums equal by content with the same keys — the
+// shapes into both engines — the engine in ApplyAll slabs (see
+// feedSlabs), the Sim one event at a time — and requires bit-identical
+// counters, and class sums equal by content with the same keys — the
 // cross-implementation property that guards the whole reproduction.
 func FuzzEngineEqualsSim(f *testing.F) {
 	f.Add(uint8(3), uint8(7), int64(1), []byte{0x10, 0x21, 0x20, 0x31, 0x30})
@@ -29,11 +44,13 @@ func FuzzEngineEqualsSim(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, b := range data {
+		ups := make([]graph.Update, len(data))
+		for i, b := range data {
 			u, v := graph.NodeID(b&0xf), graph.NodeID(b>>4)
-			eng.Add(u, v)
+			ups[i] = graph.Update{U: u, V: v}
 			sim.Add(u, v)
 		}
+		feedSlabs(eng, ups, seed)
 		aggE := eng.Aggregates()
 		eng.Close()
 		aggS := sim.Aggregates()

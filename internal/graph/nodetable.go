@@ -220,11 +220,20 @@ func (t *NodeTable[V]) Reset() {
 	t.hasZero, t.zero = false, 0
 }
 
-// Clear drops every entry but keeps the backing storage and its ledger
+// Clear drops every entry. It keeps the backing storage and its ledger
 // charge, so a table refilled every epoch stops allocating once it has
-// grown to its working size. Clearing a nil table does nothing.
+// grown to its working size, unless fewer than an eighth of the slots
+// held entries: then it releases the storage like Reset, and the next
+// fill regrows the table to its own size. A table grown to hold n entries
+// is more than 3/8 full, so refills of a steady size neither grow nor
+// shrink it, while a table left at the peak of one large fill comes back
+// down after the next small one. Clearing a nil table does nothing.
 func (t *NodeTable[V]) Clear() {
 	if t == nil {
+		return
+	}
+	if len(t.keys) > tableMinSize && 8*t.n < len(t.keys) {
+		t.Reset()
 		return
 	}
 	clear(t.keys)

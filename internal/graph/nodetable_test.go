@@ -76,6 +76,7 @@ func nodeTableMatchesMap[V nodeValue](t *testing.T, tab *NodeTable[V], write fun
 	}
 	var clones []*NodeTable[V]
 	var cloneModels []map[NodeID]V
+	clears := map[bool]int{}
 	for step := 0; step < 60_000; step++ {
 		switch r := rng.IntN(1000); {
 		case r < 700:
@@ -91,12 +92,16 @@ func nodeTableMatchesMap[V nodeValue](t *testing.T, tab *NodeTable[V], write fun
 			tab.Reset()
 			clear(model)
 		default:
-			before := tab.Bytes()
+			// Clear keeps the storage unless an eighth of the slots or
+			// fewer held entries.
+			before, n, slots := tab.Bytes(), tab.n, len(tab.keys)
+			keep := slots <= tableMinSize || 8*n >= slots
 			tab.Clear()
 			clear(model)
-			if tab.Bytes() != before {
-				t.Fatalf("step %d: Clear changed the footprint %d B → %d B", step, before, tab.Bytes())
+			if keep && tab.Bytes() != before || !keep && tab.Bytes() != 0 {
+				t.Fatalf("step %d: Clear of %d entries in %d slots took the footprint %d B → %d B", step, n, slots, before, tab.Bytes())
 			}
+			clears[keep]++
 		}
 		if got, want := ac.Bytes(mem.CompCounters), tab.Bytes(); got != want {
 			t.Fatalf("step %d: ledger %d B, footprint %d B", step, got, want)
@@ -117,6 +122,9 @@ func nodeTableMatchesMap[V nodeValue](t *testing.T, tab *NodeTable[V], write fun
 	}
 	if !reflect.DeepEqual(tableContents(tab), model) {
 		t.Fatal("final contents disagree with the model")
+	}
+	if clears[true] == 0 || clears[false] == 0 {
+		t.Fatalf("Clear kept the storage %d times and released it %d times; the schedule missed a case", clears[true], clears[false])
 	}
 	if len(clones) == 0 {
 		t.Fatal("schedule took no clones")
