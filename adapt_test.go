@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"rept"
 	"rept/internal/control"
@@ -202,6 +203,58 @@ func TestDownsampleRefusedOnEtaConfig(t *testing.T) {
 	}
 	if g := est.Global(); !(g > 0) {
 		t.Fatalf("estimator unusable after refused Downsample: Global = %v", g)
+	}
+}
+
+// TestDownsampleRepublishesIdleView: a Downsample advances no event
+// count, so on an idle stream the publisher's own triggers never fire;
+// the view must still move to the thinned sample before Downsample
+// returns, or /estimate, /topk and rept_sampled_edges keep answering
+// from the sample before the adaptation.
+func TestDownsampleRepublishesIdleView(t *testing.T) {
+	est, err := rept.NewConcurrent(rept.ConcurrentConfig{M: 4, C: 8, Seed: 2, TrackLocal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer est.Close()
+	est.AddAll(gen.HolmeKim(3000, 6, 0.4, 4))
+	views, err := est.StartViews(rept.ViewConfig{Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := views.View()
+	if err := est.Downsample(1); err != nil {
+		t.Fatal(err)
+	}
+	v := views.View()
+	if want := est.SampledEdges(); v.SampledEdges != want || want >= before.SampledEdges {
+		t.Fatalf("view reports %d sampled edges after Downsample, barrier %d, before %d", v.SampledEdges, want, before.SampledEdges)
+	}
+	if v.Epoch <= before.Epoch {
+		t.Fatalf("view epoch %d after Downsample, want past %d", v.Epoch, before.Epoch)
+	}
+}
+
+// TestDownsampleFlightEvent: with telemetry attached, each Downsample
+// leaves one downsample flight event carrying the new cumulative shift.
+func TestDownsampleFlightEvent(t *testing.T) {
+	est, err := rept.NewConcurrent(rept.ConcurrentConfig{M: 4, C: 8, Seed: 2, Telemetry: rept.NewTelemetry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer est.Close()
+	est.AddAll(gen.HolmeKim(500, 4, 0.4, 4))
+	if err := est.Downsample(1); err != nil {
+		t.Fatal(err)
+	}
+	var got []uint64
+	for _, ev := range est.Telemetry().Flight().Events() {
+		if ev.Kind == "downsample" {
+			got = append(got, ev.Value)
+		}
+	}
+	if len(got) != 1 || got[0] != 1 {
+		t.Fatalf("downsample flight events carry shifts %v, want exactly [1]", got)
 	}
 }
 

@@ -5,8 +5,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"rept"
 	"rept/internal/control"
@@ -47,8 +49,8 @@ func TestParseByteSize(t *testing.T) {
 }
 
 // newBudgetServer builds a server with the adaptive controller attached at
-// the given budget, mirroring main's wiring minus the background ticker —
-// tests drive Tick explicitly for determinism.
+// the given budget through main's newController, minus the background
+// ticker — tests drive Tick explicitly for determinism.
 func newBudgetServer(t *testing.T, budget int64) (*httptest.Server, *rept.Concurrent, *control.Controller) {
 	t.Helper()
 	est, err := rept.NewConcurrent(rept.ConcurrentConfig{
@@ -58,13 +60,7 @@ func newBudgetServer(t *testing.T, budget int64) (*httptest.Server, *rept.Concur
 		t.Fatal(err)
 	}
 	srv := NewServer(est)
-	ctrl := control.New(control.Config{
-		Budget:      budget,
-		MemTotal:    est.MemTotalBytes,
-		Processed:   est.Processed,
-		SampleShift: est.SampleShift,
-		Downsample:  est.Downsample,
-	})
+	ctrl := newController(est, budget)
 	srv.SetController(ctrl)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
@@ -72,6 +68,59 @@ func newBudgetServer(t *testing.T, budget int64) (*httptest.Server, *rept.Concur
 		est.Close()
 	})
 	return ts, est, ctrl
+}
+
+// TestBudgetTickDownsamplesAndKeepsRanking: a -local server whose ledger
+// is over its budget downsamples on the controller's first tick, and once
+// the stream goes idle /topk still answers the full -topk rows: the
+// controller has no other lever than the sampling probability, and the
+// ranking size is fixed for the publisher's life.
+func TestBudgetTickDownsamplesAndKeepsRanking(t *testing.T) {
+	const topk = 100
+	est, err := rept.NewConcurrent(rept.ConcurrentConfig{
+		M: 4, C: 8, Seed: 5, TrackLocal: true, TrackDegrees: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer est.Close()
+	if _, err := est.StartViews(rept.ViewConfig{Interval: 5 * time.Millisecond, TopK: topk}); err != nil {
+		t.Fatal(err)
+	}
+	edges := gen.HolmeKim(5000, 6, 0.4, 21)
+	half := len(edges) / 2
+	est.AddAll(edges[:half])
+
+	ctrl := newController(est, est.MemTotalBytes()-1)
+	srv := NewServer(est)
+	srv.SetController(ctrl)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	ctrl.Tick()
+	if got := est.SampleShift(); got != 1 {
+		t.Errorf("SampleShift = %d after one tick over the budget, want 1", got)
+	}
+
+	// The rest of the stream goes straight to the estimator (the server
+	// sheds), then the stream goes idle once the view has caught up.
+	est.AddAll(edges[half:])
+	deadline := time.Now().Add(10 * time.Second)
+	for est.View().Processed != est.Processed() {
+		if time.Now().After(deadline) {
+			t.Fatalf("view stuck at %d of %d events", est.View().Processed, est.Processed())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var out struct {
+		Nodes []json.RawMessage `json:"nodes"`
+	}
+	if resp := getJSON(t, ts.URL+"/topk?k="+strconv.Itoa(topk), &out); resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /topk: status %d", resp.StatusCode)
+	}
+	if len(out.Nodes) != topk {
+		t.Errorf("/topk?k=%d on the idle stream answered %d rows, want %d", topk, len(out.Nodes), topk)
+	}
 }
 
 // TestShedding429: once the controller is in the shedding state, /edges

@@ -8,7 +8,7 @@
 //	          [-view-interval 200ms -view-edges 0 -topk 100]
 //	          [-wal-dir walspool [-wal-sync batch|250ms]
 //	           [-wal-compact-every 500000] [-wal-segment-bytes 67108864]]
-//	          [-mem-budget 256MiB [-mem-headroom 0.1] [-mem-tick 1s]]
+//	          [-mem-budget 256MiB [-mem-tick 1s]]
 //
 // Endpoints:
 //
@@ -81,19 +81,20 @@
 // byte budget. Every storage layer reports its backing bytes to an
 // always-on ledger (rept_mem_bytes{component=...} in /metrics, the
 // "memory" block of /stats); the controller polls the ledger every
-// -mem-tick and, when accounted memory crosses the soft watermark
-// (budget minus -mem-headroom), degrades in a fixed order: the top-K
-// ranking shrinks first (restored when pressure clears), then the
-// sampling probability itself is halved stream-consistently with REPT's
-// unbiasing rescale — the estimate stays unbiased, the variance bound
-// (rept_variance_bound) steps up, and memory falls. Only at the HARD
+// -mem-tick and, while accounted memory is at or above the soft
+// watermark (90% of the budget), halves the sampling probability once
+// per tick, stream-consistently with REPT's unbiasing rescale — the
+// estimate stays unbiased, the variance bound (rept_variance_bound)
+// steps up, the view republishes, and memory falls. The sampled edge
+// sets are the memory a budget can reclaim; the -topk ranking's bytes
+// stay charged, so a budget below them ends in 429s. Only at the HARD
 // budget does the server shed: POST /edges answers 429 with Retry-After
-// until degradation catches up — a healthy-server backpressure signal,
+// until downsampling catches up — a healthy-server backpressure signal,
 // distinct from the 503 shutdown path, and queries keep serving
 // throughout (readiness stays 200, with the budget posture in the
 // /readyz body). Downsampling refuses η-tracking configurations (-eta,
 // or -c neither a multiple of -m nor below it): the controller then
-// degrades top-K only and otherwise sheds.
+// can only shed.
 //
 // Observability: /metrics renders every series from the estimator's
 // telemetry bundle (see rept.NewTelemetry) — ingest tallies, WAL
@@ -148,6 +149,20 @@ func newEstimator(cfg rept.ConcurrentConfig, walOpt rept.WALOptions) (*rept.Conc
 		return rept.NewConcurrent(cfg)
 	}
 	return rept.ResumeDurable(cfg, walOpt)
+}
+
+// newController builds the adaptive memory controller over est at
+// budget bytes; est's views must be running. The caller owns the tick
+// loop.
+func newController(est *rept.Concurrent, budget int64) *control.Controller {
+	return control.New(control.Config{
+		Budget:      budget,
+		MemTotal:    est.MemTotalBytes,
+		Processed:   est.Processed,
+		SampleShift: est.SampleShift,
+		Downsample:  est.Downsample,
+		ViewAge:     func() time.Duration { return est.View().Age() },
+	})
 }
 
 // parseByteSize parses a human byte count for -mem-budget: a plain
@@ -262,8 +277,7 @@ func run(args []string) error {
 		pprofA   = fs.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = off)")
 		accLog   = fs.Bool("access-log", false, "log every request as a structured JSON line on stderr")
 		slowLog  = fs.Duration("slow-log", time.Second, "warn-log any request slower than this (0 = off)")
-		memBud   = fs.String("mem-budget", "", "adaptive memory budget with optional byte suffix (e.g. 64MiB, 256M, 1G); enables the control plane: top-K shrinking, sampling downsample, 429 load shedding (empty = off)")
-		memHead  = fs.Float64("mem-headroom", 0.10, "soft-watermark fraction of -mem-budget: degradation starts at budget*(1-headroom)")
+		memBud   = fs.String("mem-budget", "", "adaptive memory budget with optional byte suffix (e.g. 64MiB, 256M, 1G); enables the control plane: sampling downsample from 90% of the budget, 429 load shedding at it (empty = off)")
 		memTick  = fs.Duration("mem-tick", time.Second, "memory controller evaluation period (one corrective action per tick)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -340,8 +354,7 @@ func run(args []string) error {
 	}
 
 	// Adaptive memory control plane (-mem-budget): an online controller
-	// polls the estimator's byte ledger on -mem-tick and degrades in a
-	// fixed order — top-K first, then the sampling probability itself —
+	// polls the estimator's byte ledger on -mem-tick and downsamples,
 	// shedding ingest with 429 only when the hard budget is reached.
 	var ctrl *control.Controller
 	if *memBud != "" {
@@ -352,19 +365,7 @@ func run(args []string) error {
 			est.Close()
 			return fmt.Errorf("-mem-budget: %w", err)
 		}
-		vw := est.Views()
-		ctrl = control.New(control.Config{
-			Budget:         budget,
-			Headroom:       *memHead,
-			MemTotal:       est.MemTotalBytes,
-			Processed:      est.Processed,
-			SampleShift:    est.SampleShift,
-			Downsample:     est.Downsample,
-			TopK:           vw.TopK,
-			SetTopK:        vw.SetTopK,
-			ConfiguredTopK: *topk,
-			ViewAge:        func() time.Duration { return vw.View().Age() },
-		})
+		ctrl = newController(est, budget)
 		api.SetController(ctrl)
 	}
 
@@ -422,8 +423,7 @@ func run(args []string) error {
 			}
 		}()
 		stopCtrl = func() { close(stopc); <-done }
-		fmt.Fprintf(os.Stderr, "reptserve: memory budget %s (headroom %.0f%%, tick %v)\n",
-			*memBud, *memHead*100, tick)
+		fmt.Fprintf(os.Stderr, "reptserve: memory budget %s (tick %v)\n", *memBud, tick)
 	}
 
 	live := http.Handler(api)

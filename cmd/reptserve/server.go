@@ -171,10 +171,10 @@ func (s *Server) SetController(c *control.Controller) {
 		"Hard memory budget (-mem-budget); ingest sheds at or above it.",
 		func() float64 { return float64(st.Budget) })
 	reg.GaugeFunc("rept_mem_soft_limit_bytes",
-		"Soft watermark (budget minus headroom); degradation starts here.",
+		"Soft watermark (90% of the budget); downsampling starts here.",
 		func() float64 { return float64(st.SoftLimit) })
 	reg.GaugeFunc("rept_mem_state",
-		"Controller posture: 0 normal, 1 pressure (degrading), 2 shedding.",
+		"Controller posture: 0 normal, 1 pressure (downsampling), 2 shedding.",
 		func() float64 { return float64(c.State()) })
 	reg.CounterFunc("rept_adaptations_total",
 		"Sampling-probability downsample events driven by the memory controller.",
@@ -229,7 +229,7 @@ func (s *Server) registerMetrics() {
 		"Non-loop edges at the current view's prefix (resets on restore).",
 		func() float64 { return float64(views.View().Processed) })
 	reg.CounterFunc("rept_view_full_publishes_total",
-		"View epochs that ranked every node instead of merging a delta (the first epoch, after a downsample, past the delta cap, a changed top-K size, a weakened ranked node).",
+		"View epochs that ranked every node instead of merging a delta (the first epoch, after a downsample, past the delta cap, a weakened ranked node).",
 		views.FullPublishes)
 	reg.GaugeFunc("rept_uptime_seconds",
 		"Server uptime.", func() float64 { return time.Since(s.start).Seconds() })

@@ -125,11 +125,11 @@
 // nodes the deltas touched. That is exact while no ranked node weakens,
 // since τ̂_v depends only on v's own class sums and on M, C and the
 // sample shift. The first epoch, one after a Downsample, one after a
-// delta outgrew a quarter of the class sums, one after SetTopK, and one
-// in which a ranked node weakened rebuild from every node instead. The
-// View keeps the merged tables and evaluates τ̂_v when a reader probes a
-// node (LocalOf, CC, Stat); Local and Degrees build a full map only when
-// a caller asks for one. On the benchmark's read-mix workload (2 cores)
+// delta outgrew a quarter of the class sums, and one in which a ranked
+// node weakened rebuild from every node instead. The View keeps the
+// merged tables and evaluates τ̂_v when a reader probes a node (LocalOf,
+// CC, Stat); Local and Degrees build a full map only when a caller asks
+// for one. On the benchmark's read-mix workload (2 cores)
 // flat tables cut an epoch's median publish time from about 100 ms to
 // about 17 ms, and publishing deltas cut what remained about
 // fourfold. Without views, Global, VarianceBound, SampledEdges,
@@ -305,10 +305,14 @@
 // η-tracking configurations cannot rescale their per-edge closing
 // counters and refuse with ErrEtaDownsample.
 // cmd/reptserve wires the loop together under -mem-budget: an adaptive
-// controller ticks against the ledger, shrinks the top-K ranking first,
-// downsamples next, and at the hard budget sheds ingest with HTTP 429 +
-// Retry-After (queries and readiness keep serving), reporting every
-// state transition through /stats, /readyz, and /metrics.
+// controller ticks against the ledger, downsamples one shift per tick
+// above a soft watermark 10% under the budget — the sampled edge sets
+// are REPT's memory, so the sampling probability is its one lever — and
+// at the hard budget also sheds ingest with HTTP 429 + Retry-After
+// (queries and readiness keep serving), reporting every state
+// transition through /stats, /readyz, and /metrics. A successful
+// Downsample publishes a fresh view epoch while views run, and leaves a
+// downsample event in the flight recorder when telemetry is attached.
 //
 // # Observability
 //

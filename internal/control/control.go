@@ -1,13 +1,13 @@
 // Package control is the policy half of the adaptive memory plane: given
 // a byte budget, it watches the accountant ledger (plus view staleness
-// and ingest rate for its status report) and degrades the estimator in a
-// fixed order when the budget is threatened — retained analytics first
-// (top-K ranking depth, the only pure-convenience payload), then the
-// sampling probability itself via stream-consistent downsampling with
-// REPT's unbiasing rescale. TRIÈST (PAPERS.md) frames the contract:
-// fixed memory, sampling adapted online, accuracy degrading gracefully
-// and measurably (the achieved variance bound is re-published after
-// every adaptation).
+// and ingest rate for its status report) and, when the budget is
+// threatened, lowers the sampling probability itself via
+// stream-consistent downsampling with REPT's unbiasing rescale. The
+// sampled edge sets are REPT's memory (about C·|E|/M edges), so the
+// sampling probability is the one lever that moves it. TRIÈST
+// (PAPERS.md) frames the contract: fixed memory, sampling adapted
+// online, accuracy degrading gracefully and measurably (the achieved
+// variance bound is re-published after every adaptation).
 //
 // The controller is deliberately passive between ticks: the owner (the
 // server's control loop) calls Tick on its own cadence, each Tick takes
@@ -22,6 +22,15 @@ import (
 	"time"
 )
 
+const (
+	// headroom is the soft-watermark fraction: downsampling starts at
+	// Budget·(1−headroom), before the budget is blown.
+	headroom = 0.10
+	// maxShift caps the cumulative sample down-shift; at the cap the
+	// controller can only shed.
+	maxShift = 20
+)
+
 // State is the controller's budget posture.
 type State int32
 
@@ -29,11 +38,10 @@ const (
 	// StateNormal: memory below the soft watermark; nothing to do.
 	StateNormal State = iota
 	// StatePressure: above the soft watermark — the controller is
-	// degrading (shrinking analytics or downsampling) but still
-	// accepting all ingest.
+	// downsampling but still accepting all ingest.
 	StatePressure
 	// StateShedding: at or above the hard budget — ingest is being
-	// refused (429) while degradation catches up.
+	// refused (429) while downsampling catches up.
 	StateShedding
 )
 
@@ -58,16 +66,6 @@ type Config struct {
 	// Budget is the hard process-memory budget in bytes (> 0): at or
 	// above it the controller sheds ingest.
 	Budget int64
-	// Headroom is the soft-watermark fraction: degradation starts at
-	// Budget·(1−Headroom), before the budget is blown. Default 0.10;
-	// clamped to [0, 0.9].
-	Headroom float64
-	// MinTopK is the floor the ranking is shrunk to before downsampling
-	// begins (default 10).
-	MinTopK int
-	// MaxShift caps the cumulative sample down-shift (default 20); at
-	// the cap the controller can only shed.
-	MaxShift int
 
 	// MemTotal returns the accounted process-memory bytes (the ledger's
 	// MemoryTotal).
@@ -78,17 +76,9 @@ type Config struct {
 	// SampleShift returns the estimator's cumulative down-shift.
 	SampleShift func() int
 	// Downsample halves the sampling probability extra more times. An
-	// error (η-tracking configuration, shift cap) disables further
-	// downsampling; the controller then holds at shedding.
+	// error (η-tracking configuration) disables further downsampling;
+	// the controller then can only shed.
 	Downsample func(extra int) error
-	// TopK returns the live ranking depth; SetTopK changes it. Both may
-	// be nil when no view publisher runs — analytics shrinking is then
-	// skipped.
-	TopK    func() int
-	SetTopK func(int)
-	// ConfiguredTopK is the depth to restore toward when pressure
-	// clears (ignored when TopK/SetTopK are nil).
-	ConfiguredTopK int
 	// ViewAge, when non-nil, reports the current view's staleness for
 	// Status (the controller does not act on it — a stale view is the
 	// publisher's own interval policy).
@@ -102,9 +92,7 @@ type Status struct {
 	MemBytes    int64   `json:"mem_bytes"`
 	State       string  `json:"state"`
 	SampleShift int     `json:"sample_shift"`
-	TopK        int     `json:"top_k,omitempty"`
 	Adaptations uint64  `json:"adaptations"`
-	Shrinks     uint64  `json:"topk_shrinks"`
 	ShedTotal   uint64  `json:"shed_requests"`
 	IngestRate  float64 `json:"ingest_rate_per_sec"`
 	ViewAgeMS   int64   `json:"view_age_ms,omitempty"`
@@ -123,7 +111,6 @@ type Controller struct {
 
 	state       atomic.Int32
 	adaptations atomic.Uint64 // downsample events
-	shrinks     atomic.Uint64 // top-K reductions
 	shedTotal   atomic.Uint64 // requests refused (counted by the owner via CountShed)
 
 	// mu guards Tick's bookkeeping: rate window, sticky downsample
@@ -136,25 +123,14 @@ type Controller struct {
 	downErr       error
 }
 
-// New validates cfg, applies defaults, and returns an idle controller
-// (StateNormal, not shedding). The owner must call Tick periodically for
-// the budget to have any effect.
+// New returns an idle controller (StateNormal, not shedding) over cfg.
+// The owner must call Tick periodically for the budget to have any
+// effect.
 func New(cfg Config) *Controller {
-	if cfg.Headroom <= 0 {
-		cfg.Headroom = 0.10
+	return &Controller{
+		cfg:  cfg,
+		soft: cfg.Budget - int64(float64(cfg.Budget)*headroom),
 	}
-	if cfg.Headroom > 0.9 {
-		cfg.Headroom = 0.9
-	}
-	if cfg.MinTopK <= 0 {
-		cfg.MinTopK = 10
-	}
-	if cfg.MaxShift <= 0 {
-		cfg.MaxShift = 20
-	}
-	c := &Controller{cfg: cfg}
-	c.soft = cfg.Budget - int64(float64(cfg.Budget)*cfg.Headroom)
-	return c
 }
 
 // ShouldShed reports whether ingest should be refused right now — one
@@ -178,26 +154,27 @@ func (c *Controller) ShedTotal() uint64 { return c.shedTotal.Load() }
 // Tick evaluates the budget once and takes at most one corrective
 // action:
 //
-//	mem <  soft:    restore analytics one doubling at a time; stop shedding.
-//	soft ≤ mem < budget:  shrink — halve top-K down to the floor, then
-//	                downsample one shift per tick; stop shedding.
-//	mem ≥ budget:   same shrink ladder, but shed ingest until the ledger
-//	                drops below the budget.
+//	mem <  soft:          nothing; stop shedding.
+//	soft ≤ mem < budget:  downsample one shift; stop shedding.
+//	mem ≥ budget:         downsample one shift, and shed ingest until
+//	                      the ledger drops below the budget.
 //
-// Downsampling errors (η-tracking configuration) are sticky: the
-// controller stops trying and can then only shed at the watermark.
+// The sample shift is never restored: upsampling would need edges that
+// were dropped, so the probability ratchets down only. Downsampling
+// stops at maxShift, and a downsampling error (η-tracking
+// configuration) is sticky: the controller stops trying and can then
+// only shed at the budget.
 func (c *Controller) Tick() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := time.Now()
-	if p := c.cfg.Processed(); !c.lastTick.IsZero() {
+	p := c.cfg.Processed()
+	if !c.lastTick.IsZero() {
 		if dt := now.Sub(c.lastTick).Seconds(); dt > 0 {
 			c.rate = float64(p-c.lastProcessed) / dt
 		}
-		c.lastProcessed = p
-	} else {
-		c.lastProcessed = p
 	}
+	c.lastProcessed = p
 	c.lastTick = now
 
 	memb := c.cfg.MemTotal()
@@ -205,35 +182,17 @@ func (c *Controller) Tick() {
 	case memb >= c.cfg.Budget:
 		c.state.Store(int32(StateShedding))
 		c.shed.Store(true)
-		c.degradeLocked()
 	case memb >= c.soft:
 		c.state.Store(int32(StatePressure))
 		c.shed.Store(false)
-		c.degradeLocked()
 	default:
 		c.state.Store(int32(StateNormal))
 		c.shed.Store(false)
-		c.restoreLocked()
+		return
 	}
-}
-
-// degradeLocked takes one step down the degradation ladder.
-func (c *Controller) degradeLocked() {
-	// Analytics first: the ranking is pure query convenience.
-	if c.cfg.TopK != nil && c.cfg.SetTopK != nil {
-		if k := c.cfg.TopK(); k > c.cfg.MinTopK {
-			nk := k / 2
-			if nk < c.cfg.MinTopK {
-				nk = c.cfg.MinTopK
-			}
-			c.cfg.SetTopK(nk)
-			c.shrinks.Add(1)
-			return
-		}
-	}
-	// Then the sample itself — one halving per tick, so the barrier cost
-	// and the accuracy loss arrive in measured steps.
-	if c.downErr != nil || c.cfg.SampleShift() >= c.cfg.MaxShift {
+	// One halving per tick, so the barrier cost and the accuracy loss
+	// arrive in measured steps.
+	if c.downErr != nil || c.cfg.SampleShift() >= maxShift {
 		return
 	}
 	if err := c.cfg.Downsample(1); err != nil {
@@ -241,23 +200,6 @@ func (c *Controller) degradeLocked() {
 		return
 	}
 	c.adaptations.Add(1)
-}
-
-// restoreLocked undoes analytics degradation one doubling per tick once
-// memory is comfortably back under the soft watermark. The sample shift
-// is NOT restored — upsampling would need edges that were dropped; the
-// probability ratchets down only.
-func (c *Controller) restoreLocked() {
-	if c.cfg.TopK == nil || c.cfg.SetTopK == nil || c.cfg.ConfiguredTopK <= 0 {
-		return
-	}
-	if k := c.cfg.TopK(); k < c.cfg.ConfiguredTopK {
-		nk := k * 2
-		if nk > c.cfg.ConfiguredTopK {
-			nk = c.cfg.ConfiguredTopK
-		}
-		c.cfg.SetTopK(nk)
-	}
 }
 
 // Status assembles the point-in-time report.
@@ -276,13 +218,9 @@ func (c *Controller) Status() Status {
 		State:       c.State().String(),
 		SampleShift: c.cfg.SampleShift(),
 		Adaptations: c.adaptations.Load(),
-		Shrinks:     c.shrinks.Load(),
 		ShedTotal:   c.shedTotal.Load(),
 		IngestRate:  rate,
 		LastError:   lastErr,
-	}
-	if c.cfg.TopK != nil {
-		st.TopK = c.cfg.TopK()
 	}
 	if c.cfg.ViewAge != nil {
 		st.ViewAgeMS = c.cfg.ViewAge().Milliseconds()

@@ -7,12 +7,11 @@ import (
 )
 
 // fakeEstimator is a scriptable callback target: memory is set by the
-// test between ticks, and every degradation callback records itself.
+// test between ticks, and every Downsample call records itself.
 type fakeEstimator struct {
 	mem       int64
 	processed uint64
 	shift     int
-	topK      int
 	downErr   error
 	downCalls int
 }
@@ -33,51 +32,37 @@ func (f *fakeEstimator) config(budget int64) Config {
 			f.shift += extra
 			return nil
 		},
-		TopK:           func() int { return f.topK },
-		SetTopK:        func(k int) { f.topK = k },
-		ConfiguredTopK: 100,
 	}
 }
 
-// TestLadderOrder: under pressure the controller shrinks top-K to the
-// floor first — one halving per tick — and only then starts
-// downsampling, one shift per tick.
-func TestLadderOrder(t *testing.T) {
-	f := &fakeEstimator{mem: 950, topK: 100}
+// TestFirstTickDownsamples: above the soft watermark the very first tick
+// downsamples, and every later tick downsamples one more shift, without
+// shedding below the hard budget.
+func TestFirstTickDownsamples(t *testing.T) {
+	f := &fakeEstimator{mem: 950}
 	c := New(f.config(1000)) // soft limit 900
-
-	wantK := []int{50, 25, 12, 10}
-	for i, k := range wantK {
+	for i := 1; i <= 4; i++ {
 		c.Tick()
-		if f.topK != k {
-			t.Fatalf("tick %d: topK = %d, want %d", i+1, f.topK, k)
-		}
-		if f.downCalls != 0 {
-			t.Fatalf("tick %d: downsampled before top-K reached the floor", i+1)
+		if f.shift != i || f.downCalls != i {
+			t.Fatalf("tick %d: shift = %d after %d Downsample calls, want %d, %d", i, f.shift, f.downCalls, i, i)
 		}
 		if got := c.State(); got != StatePressure {
-			t.Fatalf("tick %d: state = %v, want pressure", i+1, got)
+			t.Fatalf("tick %d: state = %v, want pressure", i, got)
+		}
+		if c.ShouldShed() {
+			t.Fatalf("tick %d: pressure (below hard budget) must not shed", i)
 		}
 	}
-	// Floor reached: the next ticks downsample, one shift each.
-	for i := 1; i <= 3; i++ {
-		c.Tick()
-		if f.shift != i {
-			t.Fatalf("post-floor tick %d: shift = %d, want %d", i, f.shift, i)
-		}
-	}
-	if got := c.Adaptations(); got != 3 {
-		t.Fatalf("Adaptations = %d, want 3", got)
-	}
-	if c.ShouldShed() {
-		t.Fatal("pressure (below hard budget) must not shed")
+	if got := c.Adaptations(); got != 4 {
+		t.Fatalf("Adaptations = %d, want 4", got)
 	}
 }
 
-// TestShedThresholds: shedding flips on exactly at the hard budget and
-// off again once memory drops below it.
+// TestShedThresholds: shedding flips on exactly at the hard budget —
+// downsampling on the same tick — and off again once memory drops below
+// it.
 func TestShedThresholds(t *testing.T) {
-	f := &fakeEstimator{mem: 100, topK: 10}
+	f := &fakeEstimator{mem: 100}
 	c := New(f.config(1000))
 
 	c.Tick()
@@ -89,7 +74,10 @@ func TestShedThresholds(t *testing.T) {
 	if !c.ShouldShed() || c.State() != StateShedding {
 		t.Fatalf("at budget: shed=%v state=%v, want shedding", c.ShouldShed(), c.State())
 	}
-	f.mem = 999 // below hard, above soft: degrade but accept
+	if f.shift != 1 {
+		t.Fatalf("at budget: shift = %d, want 1 (shedding still downsamples)", f.shift)
+	}
+	f.mem = 999 // below hard, above soft: downsample but accept
 	c.Tick()
 	if c.ShouldShed() || c.State() != StatePressure {
 		t.Fatalf("below budget: shed=%v state=%v, want pressure", c.ShouldShed(), c.State())
@@ -101,31 +89,23 @@ func TestShedThresholds(t *testing.T) {
 	}
 }
 
-// TestRestoreDoublesTopK: once memory is back under the soft watermark,
-// top-K doubles per tick back toward the configured depth — and the
-// sample shift is never restored.
-func TestRestoreDoublesTopK(t *testing.T) {
-	f := &fakeEstimator{mem: 950, topK: 100}
+// TestBelowSoftRestoresNothing: once memory is back under the soft
+// watermark the controller takes no action at all — the sample shift is
+// never restored, since the probability ratchets down only.
+func TestBelowSoftRestoresNothing(t *testing.T) {
+	f := &fakeEstimator{mem: 950}
 	c := New(f.config(1000))
-	for i := 0; i < 6; i++ { // 4 shrinks to the floor, 2 downsamples
-		c.Tick()
-	}
-	if f.topK != 10 || f.shift != 2 {
-		t.Fatalf("after degradation: topK=%d shift=%d, want 10, 2", f.topK, f.shift)
-	}
+	c.Tick()
+	c.Tick()
 	f.mem = 100
-	wantK := []int{20, 40, 80, 100, 100}
-	for i, k := range wantK {
+	for i := 0; i < 5; i++ {
 		c.Tick()
-		if f.topK != k {
-			t.Fatalf("restore tick %d: topK = %d, want %d", i+1, f.topK, k)
-		}
 	}
-	if f.shift != 2 {
-		t.Fatalf("restore changed the sample shift to %d; the probability must only ratchet down", f.shift)
+	if f.shift != 2 || f.downCalls != 2 {
+		t.Fatalf("shift = %d after %d Downsample calls below the soft watermark, want 2, 2", f.shift, f.downCalls)
 	}
-	if c.State() != StateNormal {
-		t.Fatalf("state = %v, want normal", c.State())
+	if c.State() != StateNormal || c.ShouldShed() {
+		t.Fatalf("state = %v shed = %v, want normal, false", c.State(), c.ShouldShed())
 	}
 }
 
@@ -135,7 +115,7 @@ func TestRestoreDoublesTopK(t *testing.T) {
 // Status.
 func TestStickyDownsampleError(t *testing.T) {
 	boom := errors.New("eta config cannot downsample")
-	f := &fakeEstimator{mem: 950, topK: 10, downErr: boom}
+	f := &fakeEstimator{mem: 950, downErr: boom}
 	c := New(f.config(1000))
 
 	for i := 0; i < 5; i++ {
@@ -156,28 +136,31 @@ func TestStickyDownsampleError(t *testing.T) {
 	if !c.ShouldShed() {
 		t.Fatal("controller with a dead downsample path must still shed at the budget")
 	}
+	if f.downCalls != 1 {
+		t.Fatalf("Downsample called %d times while shedding, want 1", f.downCalls)
+	}
 }
 
-// TestMaxShiftCap: downsampling stops at MaxShift even when pressure
+// TestMaxShiftCap: downsampling stops at shift 20 even when pressure
 // persists.
 func TestMaxShiftCap(t *testing.T) {
-	f := &fakeEstimator{mem: 950, topK: 1}
-	cfg := f.config(1000)
-	cfg.MinTopK = 1
-	cfg.MaxShift = 3
-	c := New(cfg)
-	for i := 0; i < 10; i++ {
+	f := &fakeEstimator{mem: 950}
+	c := New(f.config(1000))
+	for i := 0; i < 30; i++ {
 		c.Tick()
 	}
-	if f.shift != 3 {
-		t.Fatalf("shift = %d, want the MaxShift cap 3", f.shift)
+	if f.shift != 20 || f.downCalls != 20 {
+		t.Fatalf("shift = %d after %d Downsample calls, want the cap 20", f.shift, f.downCalls)
+	}
+	if c.State() != StatePressure {
+		t.Fatalf("state = %v at the cap, want pressure", c.State())
 	}
 }
 
 // TestStatusReport: the report carries the watermarks, posture, rate
 // window, and view age.
 func TestStatusReport(t *testing.T) {
-	f := &fakeEstimator{mem: 400, topK: 100}
+	f := &fakeEstimator{mem: 400}
 	cfg := f.config(1000)
 	cfg.ViewAge = func() time.Duration { return 250 * time.Millisecond }
 	c := New(cfg)
@@ -189,20 +172,7 @@ func TestStatusReport(t *testing.T) {
 	if st.State != "normal" || st.MemBytes != 400 {
 		t.Fatalf("state=%q mem=%d, want normal, 400", st.State, st.MemBytes)
 	}
-	if st.TopK != 100 || st.ViewAgeMS != 250 {
-		t.Fatalf("topK=%d viewAge=%dms, want 100, 250", st.TopK, st.ViewAgeMS)
-	}
-}
-
-// TestNoViewPublisher: with nil TopK callbacks the controller skips the
-// analytics rung and goes straight to downsampling.
-func TestNoViewPublisher(t *testing.T) {
-	f := &fakeEstimator{mem: 950}
-	cfg := f.config(1000)
-	cfg.TopK, cfg.SetTopK = nil, nil
-	c := New(cfg)
-	c.Tick()
-	if f.shift != 1 {
-		t.Fatalf("shift = %d after one tick without a publisher, want 1", f.shift)
+	if st.ViewAgeMS != 250 {
+		t.Fatalf("viewAge=%dms, want 250", st.ViewAgeMS)
 	}
 }

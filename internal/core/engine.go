@@ -705,8 +705,8 @@ func scaleRound(x int64, s uint, coin uint64) int64 {
 //
 // Downsample refuses engines that track η: the per-edge closing counters
 // count events against the historical sample and cannot be rescaled
-// soundly (a controller degrades to top-K shrinking and load shedding on
-// such configurations). It also requires a quiescent engine — the caller
+// soundly (a memory controller can then only shed load on such
+// configurations). It also requires a quiescent engine — the caller
 // must not be feeding events concurrently, the same contract as State.
 func (e *Engine) Downsample(extra int) error {
 	if e.closed {

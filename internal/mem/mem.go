@@ -106,19 +106,6 @@ func (a *Accountant) Bytes(c Component) int64 {
 	return a.bytes[c].Load()
 }
 
-// Total returns the sum over all components, disk-class included.
-// Nil-safe.
-func (a *Accountant) Total() int64 {
-	if a == nil {
-		return 0
-	}
-	var t int64
-	for i := range a.bytes {
-		t += a.bytes[i].Load()
-	}
-	return t
-}
-
 // MemoryTotal returns the sum over process-memory components only:
 // everything except CompWALSegments, which counts bytes on the log
 // backend (disk). The controller's budget pressure is computed against

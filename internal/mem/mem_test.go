@@ -13,13 +13,10 @@ func TestAccountantBasics(t *testing.T) {
 	if got := a.Bytes(CompAdjacency); got != 70 {
 		t.Errorf("adjacency bytes = %d, want 70", got)
 	}
-	if got := a.Total(); got != 110 {
-		t.Errorf("total = %d, want 110", got)
+	if got := a.MemoryTotal(); got != 110 {
+		t.Errorf("memory total = %d, want 110", got)
 	}
 	a.Add(CompWALSegments, 1000)
-	if got := a.Total(); got != 1110 {
-		t.Errorf("total with segments = %d, want 1110", got)
-	}
 	if got := a.MemoryTotal(); got != 110 {
 		t.Errorf("memory total = %d, want 110 (wal_segments is disk-class)", got)
 	}
@@ -32,7 +29,7 @@ func TestAccountantBasics(t *testing.T) {
 func TestAccountantNilSafe(t *testing.T) {
 	var a *Accountant
 	a.Add(CompRings, 64) // must not panic
-	if a.Bytes(CompRings) != 0 || a.Total() != 0 || a.MemoryTotal() != 0 {
+	if a.Bytes(CompRings) != 0 || a.MemoryTotal() != 0 {
 		t.Error("nil accountant must read as zero")
 	}
 	if s := a.Snapshot(); s != ([NumComponents]int64{}) {

@@ -18,6 +18,9 @@ const (
 	KindWALSync
 	KindViewPublish
 	KindCheckpoint
+	// KindDownsample marks one sampling-probability halving (value = the
+	// new cumulative shift, duration = the barrier's wall time).
+	KindDownsample
 	kindMax
 )
 
@@ -33,6 +36,7 @@ var kindNames = [kindMax]string{
 	"wal_sync",
 	"view_publish",
 	"checkpoint",
+	"downsample",
 }
 
 // String returns the stable wire name of the kind.
@@ -60,8 +64,6 @@ const (
 	// CauseDeltaCap: an engine dropped its delta once it outgrew a
 	// quarter of the class sums.
 	CauseDeltaCap
-	// CauseTopKSize: the ranking size changed.
-	CauseTopKSize
 	// CauseWeakened: a ranked node's estimate fell, so a node outside
 	// the ranking may now outrank it.
 	CauseWeakened
@@ -74,7 +76,6 @@ var causeNames = [causeMax]string{
 	"first",
 	"downsample",
 	"delta_cap",
-	"topk_size",
 	"weakened",
 }
 

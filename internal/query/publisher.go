@@ -34,7 +34,8 @@ type Config struct {
 	// the way Interval bounds it in time.
 	EveryEdges uint64
 	// TopK is the size of the precomputed heavy-hitter ranking (default
-	// DefaultTopK; meaningless without local tracking).
+	// DefaultTopK; meaningless without local tracking), fixed for the
+	// publisher's life.
 	TopK int
 	// PublishHist, when non-nil, records the latency of every epoch
 	// materialization (barrier snapshot + view build + atomic swap).
@@ -78,8 +79,8 @@ type Source interface {
 // node's τ̂_v depends only on its own class sums and on M, C and Shift.
 // The other epochs rebuild fully: the first, one whose Source could hand
 // over no delta (after a Downsample, or once a delta outgrew its cap),
-// one after the ranking size changed, and one in which a ranked node
-// weakened (deletions, or η̂_v shifting the c = c₁m + c₂ combination).
+// and one in which a ranked node weakened (deletions, or η̂_v shifting
+// the c = c₁m + c₂ combination).
 // The full rebuild is the same SumTables call with an empty base and the
 // same heap fed every node. FullPublishes counts these epochs, and the
 // view_publish flight event names their cause.
@@ -88,11 +89,6 @@ type Publisher struct {
 	cfg Config
 
 	cur atomic.Pointer[View]
-
-	// topK is the live ranking size: initialized from Config.TopK, shrunk
-	// (or restored) at runtime by the adaptive memory controller via
-	// SetTopK. Takes effect at the next publication.
-	topK atomic.Int64
 
 	// mu serializes publications (the periodic loop and explicit Refresh
 	// calls) so epoch numbers increase monotonically with their prefixes.
@@ -129,39 +125,18 @@ func NewPublisher(src Source, cfg Config) *Publisher {
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	p.topK.Store(int64(cfg.TopK))
 	p.publish()
 	go p.loop()
 	return p
 }
 
-// Config returns the normalized configuration. Config.TopK is the
-// configured ranking size; TopK reports the live one.
+// Config returns the normalized configuration.
 func (p *Publisher) Config() Config { return p.cfg }
-
-// TopK returns the live ranking size used by the next publication.
-func (p *Publisher) TopK() int { return int(p.topK.Load()) }
-
-// SetTopK changes the ranking size of subsequent publications, clamped to
-// at least 1. The adaptive memory controller uses it to cheapen views
-// under memory pressure (the ranking is the view's only sized-by-choice
-// payload) and to restore the configured size when pressure clears. It
-// does not republish — the new size takes effect at the next epoch (call
-// Refresh to force one).
-func (p *Publisher) SetTopK(k int) {
-	if k < 1 {
-		k = 1
-	}
-	p.topK.Store(int64(k))
-}
 
 // View returns the current epoch view: an atomic pointer load, lock-free
 // and barrier-free, never blocked by ingest or by a publication in
 // progress.
 func (p *Publisher) View() *View { return p.cur.Load() }
-
-// Epochs returns how many views have been published so far.
-func (p *Publisher) Epochs() uint64 { return p.View().Epoch }
 
 // Refresh takes a fresh barrier snapshot, publishes it as a new epoch,
 // and returns it. It is the explicit escape hatch for callers that need
@@ -189,7 +164,6 @@ func (p *Publisher) publish() *View {
 	}
 	start := time.Now()
 	prev := p.cur.Load()
-	k := int(p.topK.Load())
 	o := p.src.Observe(prev != nil && prev.counts != nil)
 	est := o.Aggregates.GlobalEstimate()
 	p.epoch++
@@ -205,7 +179,6 @@ func (p *Publisher) publish() *View {
 		SampledEdges:   o.SampledEdges,
 		EtaSaturations: o.EtaSaturations,
 		deg:            o.Degrees,
-		k:              k,
 	}
 	cause := o.Rebuild
 	if o.Aggregates.TracksLocal() {
@@ -217,14 +190,11 @@ func (p *Publisher) publish() *View {
 			cause = obs.CauseFirst
 		}
 		v.counts = sumOnto(base, o.Aggregates)
-		if cause == obs.CauseNone && k != prev.k {
-			cause = obs.CauseTopKSize
-		}
-		if cause == obs.CauseNone && !v.rankDelta(k, prev, o.Aggregates) {
+		if cause == obs.CauseNone && !v.rankDelta(p.cfg.TopK, prev, o.Aggregates) {
 			cause = obs.CauseWeakened
 		}
 		if cause != obs.CauseNone {
-			v.rank(k, v.counts.EachLocal)
+			v.rank(p.cfg.TopK, v.counts.EachLocal)
 			p.full.Add(1)
 		}
 	}

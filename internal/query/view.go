@@ -79,8 +79,6 @@ type View struct {
 	counts *core.Aggregates
 	// deg holds the degree counters; nil unless degree tracking is on.
 	deg *graph.DegreeCounts
-	// k is the ranking size TopK was built for.
-	k int
 }
 
 // Age returns how far behind wall-clock the view is.
@@ -224,13 +222,13 @@ func (v *View) rank(k int, each func(fn func(n graph.NodeID, local float64))) {
 }
 
 // rankDelta ranks the previous view's ranking plus the nodes whose class
-// sums the delta touched, built for the same k, and returns true; it
-// returns false without ranking when a member of the previous ranking
-// weakened. Every other node kept its class sums, and τ̂_v depends only
-// on v's class sums and on M, C and Shift, so each was outranked by all
-// of the previous ranking before and still is: the k strongest
-// candidates are the k strongest nodes. A weakened member may fall below
-// a node outside the candidates, so that epoch needs the full scan.
+// sums the delta touched and returns true; it returns false without
+// ranking when a member of the previous ranking weakened. Every other
+// node kept its class sums, and τ̂_v depends only on v's class sums and
+// on M, C and Shift, so each was outranked by all of the previous
+// ranking before and still is: the k strongest candidates are the k
+// strongest nodes. A weakened member may fall below a node outside the
+// candidates, so that epoch needs the full scan.
 func (v *View) rankDelta(k int, prev *View, delta *core.Aggregates) bool {
 	for _, s := range prev.TopK {
 		if !(v.counts.LocalOf(s.Node) >= s.Local) {

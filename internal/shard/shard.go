@@ -872,7 +872,9 @@ func (s *Sharded) EtaSaturations() uint64 {
 // See core.Engine.Downsample for the statistical contract. It fails with
 // core.ErrEtaDownsample on η-tracking configurations — validated up
 // front, before any shard is touched. Safe for concurrent use with
-// ingest; events accepted after the call see the tightened filter.
+// ingest; events accepted after the call see the tightened filter. With
+// telemetry attached, each successful call leaves one downsample flight
+// event carrying the new cumulative shift and the barrier's wall time.
 func (s *Sharded) Downsample(extra int) error {
 	if extra <= 0 {
 		return fmt.Errorf("shard: Downsample(%d): extra must be >= 1", extra)
@@ -881,13 +883,17 @@ func (s *Sharded) Downsample(extra int) error {
 	if s.cfg.TrackEta || (c1 > 0 && c2 > 0) {
 		return core.ErrEtaDownsample
 	}
+	start := time.Now()
 	bar := s.barrier(&barrier{downshift: extra})
 	for _, err := range bar.errs {
 		if err != nil {
 			return err
 		}
 	}
-	s.sampleShift.Add(int64(extra))
+	shift := s.sampleShift.Add(int64(extra))
+	if s.obs != nil {
+		s.obs.Flight.Record(obs.KindDownsample, -1, uint64(shift), time.Since(start))
+	}
 	return nil
 }
 

@@ -84,8 +84,11 @@ func (c *Concurrent) MemTotalBytes() int64 { return c.acct.MemoryTotal() }
 // good — memory falls because the expected stored-edge count halves per
 // step.
 //
-// Downsample is how the adaptive controller shrinks the estimator under
-// a memory budget; it is also callable directly. It fails with
+// Downsample is the adaptive controller's one corrective action under a
+// memory budget; it is also callable directly. While views run, a
+// successful Downsample publishes a fresh epoch before it returns, so
+// the view never keeps answering from the sample before the adaptation
+// (an idle stream would otherwise publish nothing new). It fails with
 // ErrEtaDownsample on η-tracking configurations (see that error), and is
 // NOT logged to the write-ahead log: recovery restores the
 // pre-adaptation sampling state (checkpoints carry the shift, the log
@@ -94,6 +97,9 @@ func (c *Concurrent) MemTotalBytes() int64 { return c.acct.MemoryTotal() }
 func (c *Concurrent) Downsample(extra int) error {
 	if err := c.sh.Downsample(extra); err != nil {
 		return fmt.Errorf("rept: %w", err)
+	}
+	if p := c.views.Load(); p != nil {
+		p.Refresh()
 	}
 	return nil
 }
@@ -137,15 +143,4 @@ func (c *Concurrent) VarianceBound() float64 {
 		eta = 0
 	}
 	return core.VarREPT(c.cfg.M<<uint(c.sh.SampleShift()), c.cfg.C, g, eta)
-}
-
-// SetTopK changes the view publisher's heavy-hitter ranking size (clamped
-// to ≥ 1), effective at the next epoch. The adaptive controller shrinks
-// it first under memory pressure — the ranking is pure query convenience,
-// so it is the cheapest thing to give back — and restores it when
-// pressure clears. A no-op before StartViews.
-func (c *Concurrent) SetTopK(k int) {
-	if p := c.views.Load(); p != nil {
-		p.SetTopK(k)
-	}
 }

@@ -6,7 +6,7 @@
 # then asserts the adaptive control plane actually did its job:
 #
 #   1. /metrics reports rept_adaptations_total >= 1 — the controller
-#      degraded something (top-K or sampling rate) instead of growing.
+#      downsampled instead of growing.
 #   2. rept_mem_heap_bytes ends at or under the budget — the ledger
 #      total converged below the cap, not merely slowed its growth.
 #   3. The server process RSS stays under RSS_CAP_KB — the ledger is an
@@ -30,7 +30,7 @@ go run ./cmd/genstream -model holmekim -n 20000 -k 6 -pt 0.4 -seed 21 \
   -out "$dir/edges.txt"
 
 "$dir/reptserve" -addr "$addr" -m 4 -c 8 -dynamic \
-  -mem-budget "$budget" -mem-headroom 0.10 -mem-tick 50ms \
+  -mem-budget "$budget" -mem-tick 50ms \
   >"$dir/server.log" 2>&1 &
 srv=$!
 trap 'kill "$srv" 2>/dev/null || true' EXIT
@@ -85,6 +85,7 @@ done
 # ledger can settle at its post-adaptation level.
 sleep 1
 curl -sf "$base/metrics" >"$dir/metrics.txt"
+curl -sf "$base/stats" >"$dir/stats.json"
 curl -sf "$base/estimate" >/dev/null
 curl -sf "$base/readyz" >/dev/null
 
@@ -111,6 +112,9 @@ if [ "$max_rss_kb" -gt "$rss_cap_kb" ]; then
   fail=1
 fi
 if [ "$fail" -ne 0 ]; then
+  # /stats is compact JSON and its budget block holds no nested object.
+  echo "/stats budget block:" >&2
+  grep -o '"budget":{[^}]*}' "$dir/stats.json" >&2 || echo "(none)" >&2
   tail -20 "$dir/server.log" >&2
   exit 1
 fi

@@ -395,15 +395,15 @@ func TestViewRefreshAllocsIndependentOfNodes(t *testing.T) {
 
 // TestViewEpochsMatchFullMerge is the delta-publishing gate. A seeded
 // schedule of inserts, churn (deletes and re-inserts), one burst past the
-// delta cap, SetTopK down and up, Downsample, Views.Close followed by a
-// fresh StartViews, a WriteSnapshot + Resume, and deletions of the ranking
-// leader's edges runs on a c < m, a c = c₁m and a c = c₁m + c₂ layout;
-// the last carries η_v in its delta and skips Downsample, which
-// η-tracking layouts refuse. After every epoch the view must equal a
-// full merge at the same prefix: Local() the snapshot's local map in
-// keys and values, TopK a full scan's ranking, Global bit for bit. No
-// published view may change afterwards, and the schedule must reach
-// every full-rebuild cause as well as delta epochs.
+// delta cap, Downsample (which publishes its own epoch), Views.Close
+// followed by a fresh StartViews, a WriteSnapshot + Resume, and deletions
+// of the ranking leader's edges runs on a c < m, a c = c₁m and a
+// c = c₁m + c₂ layout; the last carries η_v in its delta and skips
+// Downsample, which η-tracking layouts refuse. After every epoch the
+// view must equal a full merge at the same prefix: Local() the
+// snapshot's local map in keys and values, TopK a full scan's ranking,
+// Global bit for bit. No published view may change afterwards, and the
+// schedule must reach every full-rebuild cause as well as delta epochs.
 func TestViewEpochsMatchFullMerge(t *testing.T) {
 	for _, lay := range []struct {
 		name string
@@ -490,7 +490,7 @@ func testViewEpochs(t *testing.T, m, c int) {
 			}
 			return want[i].Node < want[j].Node
 		})
-		want = want[:min(views.TopK(), len(want))]
+		want = want[:min(views.Config().TopK, len(want))]
 		if len(v.TopK) != len(want) {
 			t.Fatalf("epoch %d (%s): ranking of %d nodes, full scan %d", epoch, what, len(v.TopK), len(want))
 		}
@@ -525,18 +525,13 @@ func testViewEpochs(t *testing.T, m, c int) {
 		what := "churn"
 		n := 150
 		switch epoch {
-		case 10:
-			what = "SetTopK(5)"
-			views.SetTopK(5)
-		case 14:
-			what = "SetTopK(40)"
-			views.SetTopK(40)
 		case 20:
 			if !etaLayout {
 				what = "Downsample(1)"
 				if err := est.Downsample(1); err != nil {
 					t.Fatal(err)
 				}
+				check(epoch, what, views.View())
 			}
 		case 26:
 			what = "Views.Close + StartViews"
@@ -588,7 +583,7 @@ func testViewEpochs(t *testing.T, m, c int) {
 		churn(n)
 		check(epoch, what, views.Refresh())
 	}
-	for _, cause := range []string{"", "first", "delta_cap", "topk_size", "weakened"} {
+	for _, cause := range []string{"", "first", "delta_cap", "weakened"} {
 		if causes[cause] == 0 {
 			t.Errorf("no epoch with cause %q (causes %v)", cause, causes)
 		}

@@ -37,8 +37,8 @@ type ViewConfig struct {
 	// EveryEdges additionally republishes as soon as this many new edges
 	// arrived since the current epoch (0 disables the edge trigger).
 	EveryEdges uint64
-	// TopK is the precomputed heavy-hitter ranking size (default 100).
-	// Requires TrackLocal to be useful.
+	// TopK is the precomputed heavy-hitter ranking size (default 100),
+	// fixed for the publisher's life. Requires TrackLocal to be useful.
 	TopK int
 }
 
