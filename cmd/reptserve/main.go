@@ -28,7 +28,8 @@
 //	GET  /readyz      readiness: 200 only once recovery finished and the
 //	                  first view published; 503 while draining
 //	GET  /debug/flight  JSON dump of the flight recorder (recent pipeline
-//	                  events with timestamps and durations)
+//	                  events, downsamples and WAL compactions, with
+//	                  timestamps and durations)
 //
 // Queries answer from materialized epoch views, republished every
 // -view-interval (and, with -view-edges N, whenever N new edges arrive):
@@ -104,11 +105,12 @@
 // is zero-allocation, so instrumentation is always on. /debug/flight
 // dumps the flight recorder: the last few thousand pipeline events with
 // nanosecond timestamps, for postmortems where aggregated histograms
-// are too coarse. -pprof-addr serves net/http/pprof on a separate
-// listener (keep it off the public address); -access-log emits one
-// structured JSON line per request on stderr, and requests slower than
-// -slow-log (default 1s; 0 disables) are logged as warnings even
-// without -access-log.
+// are too coarse, among them every downsample and every WAL compaction
+// (a checkpoint event carrying the position it covers). -pprof-addr
+// serves net/http/pprof on a separate listener (keep it off the public
+// address); -access-log emits one structured JSON line per request on
+// stderr, and requests slower than -slow-log (default 1s; 0 disables)
+// are logged as warnings even without -access-log.
 //
 // The process drains in-flight edges and exits cleanly on SIGINT/SIGTERM.
 package main
@@ -296,6 +298,13 @@ func run(args []string) error {
 			CompactEvery: *walComp,
 		}
 	}
+	var budget int64
+	if *memBud != "" {
+		var err error
+		if budget, err = parseByteSize(*memBud); err != nil {
+			return fmt.Errorf("-mem-budget: %w", err)
+		}
+	}
 
 	// Listen before building the estimator: WAL recovery can take a while
 	// on a big log, and an open socket lets liveness probes (and -addr :0
@@ -357,14 +366,7 @@ func run(args []string) error {
 	// polls the estimator's byte ledger on -mem-tick and downsamples,
 	// shedding ingest with 429 only when the hard budget is reached.
 	var ctrl *control.Controller
-	if *memBud != "" {
-		budget, err := parseByteSize(*memBud)
-		if err != nil {
-			srv.Close()
-			api.Stop()
-			est.Close()
-			return fmt.Errorf("-mem-budget: %w", err)
-		}
+	if budget > 0 {
 		ctrl = newController(est, budget)
 		api.SetController(ctrl)
 	}

@@ -2,10 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -302,5 +306,14 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 	if err := run([]string{"-bogus"}); err == nil {
 		t.Error("run with unknown flag succeeded, want flag error")
+	}
+	// A bad -mem-budget is refused before WAL recovery creates anything.
+	dir := filepath.Join(t.TempDir(), "wal")
+	err := run([]string{"-addr", "127.0.0.1:0", "-wal-dir", dir, "-mem-budget", "64Q"})
+	if err == nil || !strings.HasPrefix(err.Error(), "-mem-budget:") {
+		t.Errorf("run with -mem-budget 64Q = %v, want the -mem-budget error", err)
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("-wal-dir after the refused -mem-budget: %v, want it never created", err)
 	}
 }

@@ -572,13 +572,8 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		s.pipe.Flight.Record(obs.KindParse, -1, uint64(batch.Len()), d)
 		credited := false
 		ok := s.estCall(func() {
-			if s.durable {
-				walErr = s.est.ApplyBatchDurable(batch)
-				credited = walErr == nil
-			} else {
-				s.est.ApplyBatch(batch)
-				credited = true
-			}
+			walErr = s.est.ApplyBatchDurable(batch)
+			credited = walErr == nil
 		})
 		batch.Reset()
 		segStart = time.Now()
@@ -1101,13 +1096,13 @@ const defaultFlightEvents = 1024
 
 // handleFlight serves GET /debug/flight: a JSON dump of the flight
 // recorder — recent pipeline events (parse, dispatch, apply, barrier,
-// WAL append/sync, view publish) with nanosecond timestamps and
-// durations, oldest first. ?n= caps the dump to the NEWEST n events
-// (default 1024; n larger than the ring returns everything recorded).
-// "recorded" always reports the full ring occupancy, so a truncated
-// dump is recognizable as one. The dump is lock-free on the recording
-// side; a heavily concurrent writer can at worst drop a slot from one
-// dump.
+// WAL append/sync, view publish, downsample, and checkpoint for a WAL
+// compaction) with nanosecond timestamps and durations, oldest first.
+// ?n= caps the dump to the NEWEST n events (default 1024; n larger than
+// the ring returns everything recorded). "recorded" always reports the
+// full ring occupancy, so a truncated dump is recognizable as one. The
+// dump is lock-free on the recording side; a heavily concurrent writer
+// can at worst drop a slot from one dump.
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)

@@ -176,13 +176,13 @@
 // NodeID → id table beside one node-major row per node holding its
 // presence masks and, for every processor, a 16-bit neighbor signature
 // and its slot — so an event probes a hash table once per endpoint,
-// however many processors it visits. In a neighbor-set entry the first six neighbors live inline
-// in the entry, larger sets move to a side store the entry indexes — a
-// sorted slice intersected by merge/galloping walks, promoted past 32
-// neighbors to an open-addressing hash set probed in O(1) (the inline →
-// sorted → promoted ladder matches how degrees distribute under 1/m
-// sampling: almost all nodes tiny, a few hubs hot). Holding no pointers
-// keeps the arena off the garbage collector's scan list. Two hash tables
+// however many processors it visits. A neighbor-set entry holds up to
+// six neighbors inline; a larger set moves to an open-addressing hash
+// table in a side store the entry indexes (two layouts, because degrees
+// under 1/m sampling are almost all tiny, with a few hot hubs). One
+// intersection routine serves both: it enumerates the set with fewer
+// neighbors and probes the other. Holding no pointers keeps the arena
+// off the garbage collector's scan list. Two hash tables
 // serve every key: graph.NodeTable for NodeIDs (the dictionary, the class
 // sums, the degree counters) and graph.EdgeTable for canonical 64-bit
 // edge keys (the degree tracker's live edges, the per-edge η counters).
@@ -278,8 +278,8 @@
 // arenas, node dictionaries, counter tables, ingest queues, recycled batch
 // buffers, the degree table, published query views, WAL buffers —
 // reports its backing bytes to an atomic per-component ledger at
-// capacity-change moments only (growth, rehash, spill promotion,
-// eviction sweep), never per event: the ingest hot path stays
+// capacity-change moments only (growth, rehash, a neighbor set's move
+// to a table, eviction sweep), never per event: the ingest hot path stays
 // allocation-free and ledger-silent while the ledger tracks the real
 // footprint at capacity granularity. Concurrent.MemStats returns the
 // breakdown, Concurrent.MemTotalBytes the cheap total; accounting is

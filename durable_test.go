@@ -333,3 +333,30 @@ func TestResumeDurableFromCopiedSnapshot(t *testing.T) {
 		t.Fatal("state recovered from a copied snapshot differs from the uninterrupted estimator")
 	}
 }
+
+// TestCompactWALFlightEvent: a compaction leaves exactly one checkpoint
+// flight event, whose value is the position the checkpoint covers.
+func TestCompactWALFlightEvent(t *testing.T) {
+	cfg := durableConfig()
+	cfg.Telemetry = rept.NewTelemetry()
+	c, err := rept.ResumeDurable(cfg, rept.WALOptions{Backend: wal.NewMemBackend()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.ApplyAllDurable(durableStream(1000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CompactWAL(); err != nil {
+		t.Fatal(err)
+	}
+	var got []uint64
+	for _, ev := range c.Telemetry().Flight().Events() {
+		if ev.Kind == "checkpoint" {
+			got = append(got, ev.Value)
+		}
+	}
+	if want := c.WALStats().CheckpointPos; len(got) != 1 || got[0] != want {
+		t.Fatalf("checkpoint flight events carry positions %v, want exactly [%d]", got, want)
+	}
+}

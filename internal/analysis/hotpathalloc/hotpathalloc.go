@@ -8,8 +8,7 @@
 // Flagged inside a hot function:
 //
 //   - make and new calls (capacity building belongs in cold helpers like
-//     NodeTable.grow, EdgeTable.grow, nset.spill, sideStore.take, or the
-//     newTable/promote/grow family)
+//     NodeTable.grow, EdgeTable.grow, nset.retable or sideStore.take)
 //   - append whose result is not assigned back to its own first argument
 //     (amortized in-place growth is the one allowed append shape)
 //   - map and slice composite literals, and &T{} pointer literals

@@ -700,8 +700,8 @@ func scaleRound(x int64, s uint, coin uint64) int64 {
 // The surviving edges are then placed into a fresh node dictionary and
 // fresh neighbor-set stores, and the class sums are rebuilt without the
 // entries that reached 0, so the evicted part of the sample — rows, arena
-// slots, spill slices, oversized tables, class-sum slots — actually
-// leaves memory and the ledger instead of staying resident as slack.
+// slots, oversized tables, class-sum slots — actually leaves memory and
+// the ledger instead of staying resident as slack.
 //
 // Downsample refuses engines that track η: the per-edge closing counters
 // count events against the historical sample and cannot be rescaled

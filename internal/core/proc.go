@@ -115,13 +115,13 @@ func (p *proc) keeps(key uint64) bool {
 }
 
 // common returns |N(u) ∩ N(v)| in the processor's sample, leaving the
-// common neighbors in scratch when per-node or η bookkeeping needs them.
-// When the endpoints' signatures share no bit the intersection is
-// provably empty, and it returns 0 without reading a slot or a neighbor
-// set. An endpoint the processor does not hold has signature 0. Where it
-// holds both, the intersection is almost always empty too (98 % of such
-// visits on a Holme–Kim stream at M=10, C=20), and the signatures settle
-// 74 % of them.
+// common neighbors in scratch for the per-node and η bookkeeping. When
+// the endpoints' signatures share no bit the intersection is provably
+// empty, and it returns 0 without reading a slot or a neighbor set. An
+// endpoint the processor does not hold has signature 0. Where it holds
+// both, the intersection is almost always empty too (98 % of such visits
+// on a Holme–Kim stream at M=10, C=20), and the signatures settle 74 %
+// of them.
 //
 //rept:hotpath
 func (p *proc) common(d *nodeDict, u, v *endpoint) int64 {
@@ -130,13 +130,8 @@ func (p *proc) common(d *nodeDict, u, v *endpoint) int64 {
 		return 0
 	}
 	su, sv := d.slot(u.id, p.index), d.slot(v.id, p.index)
-	if p.trackLocal || p.trackEta {
-		p.scratch = p.sets.Intersect(su, u.node, sv, v.node, p.scratch)
-		return int64(len(p.scratch))
-	}
-	// Counting-only configuration: skip materializing the common
-	// neighbors, the intersection size is all τ⁽ⁱ⁾ needs.
-	return int64(p.sets.IntersectCount(su, u.node, sv, v.node))
+	p.scratch = p.sets.Intersect(su, u.node, sv, v.node, p.scratch)
+	return int64(len(p.scratch))
 }
 
 // addTau adds x to v's τ class sum and, while a consumer reads deltas,

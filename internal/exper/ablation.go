@@ -6,17 +6,6 @@ import (
 	"rept/internal/stats"
 )
 
-// CombinePoint compares estimator-combination strategies for c₂ ≠ 0.
-type CombinePoint struct {
-	Dataset string
-	M, C    int
-	// NRMSE per strategy.
-	GraybillDeal float64 // the paper's inverse-variance combination
-	Pooled       float64 // naive m²Σ/c pooling of all processors
-	FullOnly     float64 // τ̂⁽¹⁾ alone (discard the partial group)
-	PartialOnly  float64 // τ̂⁽²⁾ alone (discard the full groups)
-}
-
 // AblationCombine (experiment A1) quantifies the value of the paper's
 // Graybill–Deal combination in the c = c₁m + c₂ regime by evaluating all
 // four strategies on identical Monte-Carlo runs.

@@ -183,15 +183,6 @@ func Load(name string, scale float64) (*Dataset, error) {
 	return d, nil
 }
 
-// MustLoad is Load for registry-known names; it panics on unknown names.
-func MustLoad(name string, scale float64) *Dataset {
-	d, err := Load(name, scale)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 func findSpec(name string) (DatasetSpec, bool) {
 	for _, s := range Registry {
 		if s.Name == name {
@@ -208,13 +199,6 @@ func Names() []string {
 		out[i] = s.Name
 	}
 	return out
-}
-
-// ClearCache drops all cached datasets (tests and memory-sensitive runs).
-func ClearCache() {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	cache = map[string]*Dataset{}
 }
 
 // sortedNodes returns the nodes with τ_v > 0 in ascending order (used for

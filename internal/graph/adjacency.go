@@ -7,7 +7,7 @@ import (
 )
 
 // nsetBytes is the arena cost of one neighbor-set entry (the degree, the
-// layout word and the inline neighbors; side-store slices are accounted
+// layout word and the inline neighbors; side-store tables are accounted
 // separately at their own growth transitions).
 const nsetBytes = int64(unsafe.Sizeof(nset{}))
 
@@ -32,6 +32,8 @@ type Adjacency struct {
 	idx   NodeTable[int32]
 	sets  NeighborSets
 	edges int
+	// scratch receives CommonCount's intersections.
+	scratch []NodeID
 }
 
 // NewAdjacency returns an empty adjacency structure.
@@ -41,9 +43,9 @@ func NewAdjacency() *Adjacency {
 
 // SetAccountant attaches the byte ledger, charged under
 // mem.CompAdjacency at capacity transitions only — index rehash, arena
-// growth, spill/promote/grow, side-store growth — never per event. Call
-// it right after construction, before any edges are added, or the ledger
-// misses the capacity that already exists.
+// growth, a set's first table, table growth, side-store growth — never
+// per event. Call it right after construction, before any edges are
+// added, or the ledger misses the capacity that already exists.
 func (a *Adjacency) SetAccountant(ac *mem.Accountant) {
 	a.idx.SetAccountant(ac, mem.CompAdjacency)
 	a.sets.SetAccountant(ac)
@@ -167,16 +169,13 @@ func (a *Adjacency) CommonNeighbors(u, v NodeID, dst []NodeID) []NodeID {
 	return a.sets.Intersect(si, u, sj, v, dst)
 }
 
-// CommonCount returns |N(u) ∩ N(v)| without materializing the
-// intersection.
+// CommonCount returns |N(u) ∩ N(v)|, intersecting into a scratch slice
+// the Adjacency owns.
 //
 //rept:hotpath
 func (a *Adjacency) CommonCount(u, v NodeID) int {
-	si, sj := a.idx.Get(u), a.idx.Get(v)
-	if si == 0 || sj == 0 {
-		return 0
-	}
-	return a.sets.IntersectCount(si, u, sj, v)
+	a.scratch = a.CommonNeighbors(u, v, a.scratch[:0])
+	return len(a.scratch)
 }
 
 // footprint returns the bytes currently on the ledger for this structure,

@@ -2,9 +2,12 @@ package graph
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"rept/internal/mem"
 )
 
 func TestAdjacencyBasics(t *testing.T) {
@@ -135,7 +138,7 @@ func TestAdjacencyMatchesNaive(t *testing.T) {
 }
 
 // TestAdjacencyMatchesNaiveHighDegree drives the same cross-check across
-// the inline → spilled → promoted layout transitions: a few hub nodes
+// the inline → table → grown table transitions: a few hub nodes
 // accumulate hundreds of neighbors (open-addressing mode, including
 // backward-shift deletions and table growth) while most stay tiny.
 func TestAdjacencyMatchesNaiveHighDegree(t *testing.T) {
@@ -146,7 +149,7 @@ func TestAdjacencyMatchesNaiveHighDegree(t *testing.T) {
 	const nodes = 600
 	pick := func() NodeID {
 		// Half the endpoints land on a hub, so hub degrees sail past
-		// promoteDeg and churn inside table mode.
+		// inline capacity and churn inside table mode.
 		if rng.IntN(2) == 0 {
 			return NodeID(rng.IntN(hubs))
 		}
@@ -194,7 +197,7 @@ func TestAdjacencyMatchesNaiveHighDegree(t *testing.T) {
 		}
 	}
 	// Spot-check intersections along every layout pairing (hub-hub is
-	// table-table, hub-leaf is table-sorted, leaf-leaf sorted-sorted).
+	// table-table, hub-leaf table-inline, leaf-leaf mostly inline-inline).
 	var dst []NodeID
 	for u := NodeID(0); u < 40; u++ {
 		for v := u + 1; v < 40; v++ {
@@ -242,32 +245,146 @@ func TestAdjacencyMatchesNaiveHighDegree(t *testing.T) {
 
 // TestAdjacencyExtremeNodeIDs exercises the in-band sentinels: node 0 and
 // node ^uint32(0) must work as both set owners and neighbors, including
-// inside promoted open-addressing sets (where the owner id marks empty
-// slots).
+// inside open-addressing tables (where the owner id marks empty slots).
 func TestAdjacencyExtremeNodeIDs(t *testing.T) {
 	a := NewAdjacency()
 	lo, hi := NodeID(0), ^NodeID(0)
 	if !a.Add(lo, hi) {
 		t.Fatal("Add(0, max) = false")
 	}
-	// Push both extremes past promoteDeg so their sets promote.
-	for w := NodeID(1); w <= promoteDeg+4; w++ {
+	// Push both extremes into grown tables.
+	const deg = 36
+	for w := NodeID(1); w <= deg; w++ {
 		if !a.Add(lo, w) || !a.Add(hi, w) {
 			t.Fatalf("Add failed at w=%d", w)
 		}
 	}
 	if !a.Has(lo, hi) || !a.Has(hi, lo) {
-		t.Fatal("extreme edge lost after promotion")
+		t.Fatal("extreme edge lost in table mode")
 	}
-	if got := a.CommonCount(lo, hi); got != promoteDeg+4 {
-		t.Fatalf("CommonCount(0, max) = %d, want %d", got, promoteDeg+4)
+	if got := a.CommonCount(lo, hi); got != deg {
+		t.Fatalf("CommonCount(0, max) = %d, want %d", got, deg)
 	}
 	if !a.Remove(lo, hi) || a.Has(lo, hi) {
 		t.Fatal("Remove(0, max) failed")
 	}
-	if a.Degree(lo) != promoteDeg+4 || a.Degree(hi) != promoteDeg+4 {
-		t.Fatalf("degrees = (%d, %d), want %d", a.Degree(lo), a.Degree(hi), promoteDeg+4)
+	if a.Degree(lo) != deg || a.Degree(hi) != deg {
+		t.Fatalf("degrees = (%d, %d), want %d", a.Degree(lo), a.Degree(hi), deg)
 	}
+}
+
+// FuzzAdjacency drives an accounted Adjacency with fuzz bytes, three per
+// operation: an opcode and two endpoints among 64 nodes. Three in eight
+// endpoint bytes name one of two hubs, node 0 and node ^0 (the extremes
+// of the owner sentinel), so hub sets cross inline → table → grown table
+// and shrink back to empty. Every result is compared with a map-of-sets
+// reference, and after every operation both endpoints' neighbor sets and
+// the ledger are checked too.
+func FuzzAdjacency(f *testing.F) {
+	// A hub gains 62 leaves, one at a time, then loses them all.
+	var grow, shrink []byte
+	for i := byte(0); i < 62; i++ {
+		grow = append(grow, 0, 0, 96+i)
+		shrink = append(shrink, 4, 0, 96+i)
+	}
+	f.Add(grow)
+	f.Add(append(grow, shrink...))
+	f.Add([]byte{0, 0, 50, 0, 0, 96, 0, 50, 96, 6, 0, 50, 7, 96, 0, 5, 96, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ac := mem.New()
+		a := NewAdjacency()
+		a.SetAccountant(ac)
+		ref := map[NodeID]map[NodeID]bool{}
+		edges := 0
+		node := func(b byte) NodeID {
+			switch {
+			case b < 48:
+				return 0
+			case b < 96:
+				return ^NodeID(0)
+			}
+			return NodeID(2 + int(b-96)%62)
+		}
+		link := func(u, v NodeID) {
+			if ref[u] == nil {
+				ref[u] = map[NodeID]bool{}
+			}
+			ref[u][v] = true
+		}
+		unlink := func(u, v NodeID) {
+			if delete(ref[u], v); len(ref[u]) == 0 {
+				delete(ref, u)
+			}
+		}
+		sorted := func(m map[NodeID]bool) []NodeID {
+			out := make([]NodeID, 0, len(m))
+			for w := range m {
+				out = append(out, w)
+			}
+			slices.Sort(out)
+			return out
+		}
+		var dst []NodeID
+		checkNode := func(op int, x NodeID) {
+			t.Helper()
+			var got []NodeID
+			a.Neighbors(x, func(w NodeID) { got = append(got, w) })
+			slices.Sort(got)
+			if want := sorted(ref[x]); a.Degree(x) != len(want) || !slices.Equal(got, want) {
+				t.Fatalf("op %d: node %d has degree %d and neighbors %v, want %v", op, x, a.Degree(x), got, want)
+			}
+		}
+		for op := 0; len(data) >= 3; op, data = op+1, data[3:] {
+			u, v := node(data[1]), node(data[2])
+			switch code := data[0] % 8; {
+			case code < 4:
+				want := u != v && !ref[u][v]
+				if got := a.Add(u, v); got != want {
+					t.Fatalf("op %d: Add(%d, %d) = %v, want %v", op, u, v, got, want)
+				}
+				if want {
+					link(u, v)
+					link(v, u)
+					edges++
+				}
+			case code < 6:
+				want := ref[u][v]
+				if got := a.Remove(u, v); got != want {
+					t.Fatalf("op %d: Remove(%d, %d) = %v, want %v", op, u, v, got, want)
+				}
+				if want {
+					unlink(u, v)
+					unlink(v, u)
+					edges--
+				}
+			case code == 6:
+				common := map[NodeID]bool{}
+				for w := range ref[u] {
+					if ref[v][w] {
+						common[w] = true
+					}
+				}
+				want := sorted(common)
+				dst = a.CommonNeighbors(u, v, dst[:0])
+				slices.Sort(dst)
+				if !slices.Equal(dst, want) || a.CommonCount(u, v) != len(want) {
+					t.Fatalf("op %d: CommonNeighbors(%d, %d) = %v, CommonCount %d, want %v", op, u, v, dst, a.CommonCount(u, v), want)
+				}
+			default:
+				if got := a.Has(u, v); got != ref[u][v] {
+					t.Fatalf("op %d: Has(%d, %d) = %v, want %v", op, u, v, got, ref[u][v])
+				}
+			}
+			checkNode(op, u)
+			checkNode(op, v)
+			if a.Edges() != edges || a.Nodes() != len(ref) {
+				t.Fatalf("op %d: %d edges on %d nodes, want %d on %d", op, a.Edges(), a.Nodes(), edges, len(ref))
+			}
+			if got, want := ac.Bytes(mem.CompAdjacency), a.footprint(); got != want {
+				t.Fatalf("op %d: ledger %d bytes, footprint %d", op, got, want)
+			}
+		}
+	})
 }
 
 func TestEdgeKeyRoundTrip(t *testing.T) {

@@ -8,13 +8,14 @@ import "testing"
 // zero allocations.
 func TestAdjacencyAddSteadyStateZeroAlloc(t *testing.T) {
 	a := NewAdjacency()
-	// A hub past the promotion threshold plus a fringe of small nodes.
-	for w := NodeID(1); w <= promoteDeg+8; w++ {
+	// A hub whose table has grown plus a fringe of small nodes.
+	const hubDeg = 40
+	for w := NodeID(1); w <= hubDeg; w++ {
 		a.Add(0, w)
 		a.Add(w, w+1)
 	}
 	allocs := testing.AllocsPerRun(500, func() {
-		// Churn a hub edge (promoted set) and a leaf edge (sorted set).
+		// Churn a hub edge (table) and a leaf edge (inline set).
 		a.Remove(0, 5)
 		a.Add(0, 5)
 		a.Remove(7, 8)
@@ -34,8 +35,9 @@ func TestAdjacencyAddSteadyStateZeroAlloc(t *testing.T) {
 // slice must not allocate, across all three layout pairings.
 func TestCommonNeighborsZeroAlloc(t *testing.T) {
 	a := NewAdjacency()
-	// Hubs 0 and 1 share promoted sets; 2 and 3 stay small.
-	for w := NodeID(4); w < 4+2*promoteDeg; w++ {
+	// Hubs 0 and 1 share grown tables; 2 and 3 stay inline.
+	const hubDeg = 64
+	for w := NodeID(4); w < 4+hubDeg; w++ {
 		a.Add(0, w)
 		a.Add(1, w)
 	}
@@ -43,11 +45,11 @@ func TestCommonNeighborsZeroAlloc(t *testing.T) {
 	a.Add(2, 5)
 	a.Add(3, 4)
 	a.Add(3, 6)
-	dst := make([]NodeID, 0, 4*promoteDeg)
+	dst := make([]NodeID, 0, hubDeg)
 	allocs := testing.AllocsPerRun(500, func() {
 		dst = a.CommonNeighbors(0, 1, dst[:0]) // table × table
-		dst = a.CommonNeighbors(0, 2, dst[:0]) // table × sorted
-		dst = a.CommonNeighbors(2, 3, dst[:0]) // sorted × sorted
+		dst = a.CommonNeighbors(0, 2, dst[:0]) // table × inline
+		dst = a.CommonNeighbors(2, 3, dst[:0]) // inline × inline
 		dst = a.CommonNeighbors(9, 2, dst[:0]) // absent node
 	})
 	if allocs != 0 {

@@ -10,9 +10,9 @@ import (
 )
 
 // TestAdjacencyLedgerMatchesFootprint drives a seeded churn through every
-// capacity transition the adjacency charges — arena and index growth,
-// spill, promote, table growth, releases that free arena slots and side-
-// store entries, and slot and entry reuse — and after
+// capacity transition the adjacency charges — arena and index growth, a
+// set's first table, table growth, releases that free arena slots and
+// side-store entries, and slot and entry reuse — and after
 // every step requires the ledger to equal the footprint recomputed from
 // capacities. A charge site that misses a capacity change (or charges one
 // twice) shows up as a drift at the step that caused it.
@@ -27,18 +27,20 @@ func TestAdjacencyLedgerMatchesFootprint(t *testing.T) {
 	a.SetAccountant(ac)
 	const hubs, leaves = 4, 3000
 	pick := func() NodeID {
-		// A quarter of the endpoints land on a hub, so hub sets spill,
-		// promote and grow their tables while most leaves stay inline.
+		// A quarter of the endpoints land on a hub, so hub sets move to
+		// a table and grow it while most leaves stay inline.
 		if rng.IntN(4) == 0 {
 			return NodeID(rng.IntN(hubs))
 		}
 		return NodeID(hubs + rng.IntN(leaves))
 	}
 	var live []Edge
-	recycled, promoted := false, false
+	// A hub this large holds a table grown well past its first size.
+	const hubDeg = 128
+	recycled, grown := false, false
 	for i := 0; i < steps; i++ {
-		// Alternate growth and teardown phases, so spilled and promoted
-		// sets both drain to zero and get rebuilt over recycled storage.
+		// Alternate growth and teardown phases, so table sets drain to
+		// zero and get rebuilt over recycled storage.
 		addPerMille := 700
 		if i/20_000%2 == 1 {
 			addPerMille = 300
@@ -63,13 +65,13 @@ func TestAdjacencyLedgerMatchesFootprint(t *testing.T) {
 			t.Fatalf("step %d: ledger %d bytes, footprint %d", i, got, want)
 		}
 		recycled = recycled || len(a.sets.side.free) > 0
-		promoted = promoted || a.Degree(0) > 4*promoteDeg
+		grown = grown || a.Degree(0) > hubDeg
 	}
 	if a.Edges() != len(live) {
 		t.Fatalf("Edges() = %d, want %d", a.Edges(), len(live))
 	}
-	if !recycled || !promoted {
-		t.Fatalf("churn missed a transition: side-store entry recycled %v, hub table grown %v", recycled, promoted)
+	if !recycled || !grown {
+		t.Fatalf("churn missed a transition: side-store entry recycled %v, hub table grown %v", recycled, grown)
 	}
 }
 

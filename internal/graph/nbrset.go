@@ -6,20 +6,19 @@ import "rept/internal/mem"
 // arena of per-node sets addressed by slot. Adjacency and the engine's
 // node dictionary put a NodeTable[int32] in front of it, mapping each
 // NodeID to its slot or dense id. An arena entry is 32 bytes and holds no
-// pointers: the degree, a layout word, and the first few neighbors
+// pointers: the degree, a layout word, and up to inlineCap neighbors
 // stored inline (no pointer chase at all for the typical sampled node). A
-// set that outgrows the inline array moves to the store's side store,
-// which the layout word indexes: first a sorted NodeID slice, then, past
-// promoteDeg neighbors, an open-addressing hash set. Sorted layouts
-// intersect by merge walk (galloping by binary search when the sizes are
-// skewed); promoted sets are probed in O(1). Everything lives in
-// contiguous uint32 storage, so an intersection touches a handful of
-// cache lines and allocates nothing once capacity exists, and because
-// neither the arena nor the index contains a pointer, the garbage
-// collector never scans them. A set's 16-bit signature (Sig, the OR of
-// SigBit over its neighbors) is not stored here: the engine keeps each
-// one in its node dictionary row, where it proves most empty
-// intersections empty without touching the arena at all.
+// set that outgrows the inline array moves to an open-addressing hash
+// table in the store's side store, which the layout word indexes. One
+// intersection routine serves both layouts: it enumerates the set with
+// fewer neighbors and probes the other. Everything lives in contiguous
+// uint32 storage, so an intersection touches a handful of cache lines and
+// allocates nothing once capacity exists, and because neither the arena
+// nor the index contains a pointer, the garbage collector never scans
+// them. A set's 16-bit signature (Sig, the OR of SigBit over its
+// neighbors) is not stored here: the engine keeps each one in its node
+// dictionary row, where it proves most empty intersections empty without
+// touching the arena at all.
 
 // nodeIDBytes is the accounted size of one side-store element (see
 // mem.CompAdjacency).
@@ -30,14 +29,13 @@ const nodeIDBytes = 4
 // this keeps the common case free of any per-node heap block.
 const inlineCap = 6
 
-// promoteDeg is the degree at which a sorted-slice neighbor set is
-// promoted to an open-addressing set. Below it, insertion's O(deg)
-// memmove stays within a couple of cache lines and merge intersection
-// beats hashing; above it, probing wins.
-const promoteDeg = 32
+// minTable is the slot count of a set's first table: room for the
+// inlineCap neighbors that move there plus a few more below the 75 %
+// load ceiling.
+const minTable = 16
 
 // mix32 is a full-avalanche 32-bit mixer (lowbias32), the slot hash for
-// NodeTable and promoted neighbor sets.
+// NodeTable and neighbor-set tables.
 func mix32(x uint32) uint32 {
 	x ^= x >> 16
 	x *= 0x7feb352d
@@ -47,15 +45,14 @@ func mix32(x uint32) uint32 {
 	return x
 }
 
-// nset is one node's neighbor set, in one of three layouts chosen by the
-// sign of x:
+// nset is one node's neighbor set, in one of two layouts chosen by x:
 //
-//   - inline (x == 0): n ≤ inlineCap neighbors, sorted in inl
-//   - spilled (x > 0): the sorted slice side.bufs[x-1]
-//   - promoted (x < 0): the open-addressing table side.bufs[-x-1], with
-//     n live entries
+//   - inline (x == 0): n ≤ inlineCap neighbors in inl[:n], in arrival
+//     order (a removal moves the last neighbor into the hole)
+//   - table (x > 0): the open-addressing table side.tables[x-1], with n
+//     live entries
 //
-// n is the degree in every layout. Empty table slots hold the owning
+// n is the degree in both layouts. Empty table slots hold the owning
 // node's own id — a node is never its own neighbor (self-loops are
 // rejected upstream), so the owner is a collision-free in-band sentinel
 // for every possible NodeID value.
@@ -87,8 +84,9 @@ type NeighborSets struct {
 	freed []int32
 	side  sideStore
 	// ac is the optional byte ledger (nil: unaccounted), charged under
-	// mem.CompAdjacency only at capacity transitions — arena growth,
-	// spill, promote, table growth, side-store growth — never per event.
+	// mem.CompAdjacency only at capacity transitions — arena growth, a
+	// set's first table, table growth, side-store growth — never per
+	// event.
 	ac *mem.Accountant
 }
 
@@ -133,7 +131,7 @@ func (s *NeighborSets) Remove(si int32, owner, w NodeID) bool {
 }
 
 // Deg returns the number of neighbors in set si.
-func (s *NeighborSets) Deg(si int32) int { return s.sets[si].deg() }
+func (s *NeighborSets) Deg(si int32) int { return int(s.sets[si].n) }
 
 // SigBit returns w's bit in a 16-bit neighbor signature: one of 16 bits,
 // picked by the top four bits of a multiplicative hash of w.
@@ -144,51 +142,64 @@ func SigBit(w NodeID) uint16 { return 1 << (uint32(w) * 0x9e3779b1 >> 28) }
 // Sig returns set si's signature, the OR of SigBit over its neighbors
 // (0 for an empty set). Two sets whose signatures share no bit share no
 // neighbor, so a caller that keeps each set's signature current can prove
-// most empty intersections without reading the sets.
+// most empty intersections without reading the sets. A table is scanned
+// only until all 16 bits are set, which a hub's table reaches within a
+// few dozen entries.
 //
 //rept:hotpath
 func (s *NeighborSets) Sig(si int32, owner NodeID) uint16 {
-	return s.sets[si].sig(&s.side, owner)
+	var sig uint16
+	for _, w := range s.sets[si].slots(&s.side) {
+		if w != owner {
+			if sig |= SigBit(w); sig == 0xffff {
+				break
+			}
+		}
+	}
+	return sig
 }
 
 // Each calls fn for every neighbor in set si, owned by owner, in
 // unspecified order.
 func (s *NeighborSets) Each(si int32, owner NodeID, fn func(w NodeID)) {
-	s.sets[si].each(&s.side, owner, fn)
+	for _, w := range s.sets[si].slots(&s.side) {
+		if w != owner {
+			fn(w)
+		}
+	}
 }
 
 // Intersect appends the neighbors sets su (owned by u) and sv (owned by
-// v) share to dst and returns the extended slice: a merge walk when both
-// are small sorted slices, otherwise enumerate-the-smaller
-// probe-the-larger, so the cost is O(min(deg u, deg v)) expected.
-// Passing a reusable dst[:0] avoids per-call allocation.
+// v) share to dst and returns the extended slice. It enumerates the set
+// with fewer neighbors and probes the other, so the cost is
+// O(min(deg u, deg v)) expected. Passing a reusable dst[:0] avoids
+// per-call allocation.
 //
 //rept:hotpath
 func (s *NeighborSets) Intersect(su int32, u NodeID, sv int32, v NodeID, dst []NodeID) []NodeID {
-	return intersect(&s.side, &s.sets[su], u, &s.sets[sv], v, dst)
-}
-
-// IntersectCount returns the size of Intersect's result without
-// materializing it.
-//
-//rept:hotpath
-func (s *NeighborSets) IntersectCount(su int32, u NodeID, sv int32, v NodeID) int {
-	return intersectCount(&s.side, &s.sets[su], u, &s.sets[sv], v)
+	a, b := &s.sets[su], &s.sets[sv]
+	if b.n < a.n {
+		a, u, b, v = b, v, a, u
+	}
+	for _, w := range a.slots(&s.side) {
+		if w != u && b.has(&s.side, v, w) {
+			dst = append(dst, w)
+		}
+	}
+	return dst
 }
 
 // Bytes returns the store's backing bytes recomputed from capacities. It
 // mirrors the incremental charge sites exactly: the arena, the side
-// store's headers and both free lists by capacity, and every side-store
-// slice by capacity (a promoted table's capacity is its length; a
-// released spill slice keeps its capacity on the free list, so it counts
-// too).
+// store's headers and both free lists by capacity, and every live table
+// by length.
 func (s *NeighborSets) Bytes() int64 {
 	b := int64(cap(s.sets))*nsetBytes +
 		int64(cap(s.freed))*4 +
-		int64(cap(s.side.bufs))*sideEntryBytes +
+		int64(cap(s.side.tables))*sideEntryBytes +
 		int64(cap(s.side.free))*4
-	for _, buf := range s.side.bufs {
-		b += int64(cap(buf)) * nodeIDBytes
+	for _, t := range s.side.tables {
+		b += int64(len(t)) * nodeIDBytes
 	}
 	return b
 }
@@ -200,14 +211,12 @@ func (s *NeighborSets) Reset() {
 	*s = NeighborSets{ac: s.ac}
 }
 
-// sideStore holds the out-of-line storage of the sets that outgrow
-// inline: bufs[k] is the sorted slice (x = k+1) or the hash table
-// (x = -k-1) of exactly one set, and free lists the indices no set
-// holds. A set that releases a spill slice leaves its capacity in bufs
-// for the next set to spill; a released table is dropped.
+// sideStore holds the tables of the sets that outgrow inline: tables[k]
+// belongs to exactly one set (x = k+1), and free lists the indices no set
+// holds. A released table is dropped; its index is recycled.
 type sideStore struct {
-	bufs [][]NodeID
-	free []int32
+	tables [][]NodeID
+	free   []int32
 }
 
 // take returns an unused side-store index, recycling released ones.
@@ -217,8 +226,8 @@ func (st *sideStore) take(ac *mem.Accountant) int32 {
 		st.free = st.free[:n-1]
 		return k
 	}
-	appendCharged(&st.bufs, nil, sideEntryBytes, ac)
-	return int32(len(st.bufs) - 1)
+	appendCharged(&st.tables, nil, sideEntryBytes, ac)
+	return int32(len(st.tables) - 1)
 }
 
 // appendCharged appends v to *sl, charging the ledger for the capacity
@@ -231,54 +240,29 @@ func appendCharged[T any](sl *[]T, v T, elemBytes int64, ac *mem.Accountant) {
 	}
 }
 
-// deg returns the number of neighbors.
-func (s *nset) deg() int { return int(s.n) }
-
-// sorted returns the sorted neighbor slice of a non-promoted set.
-func (s *nset) sorted(st *sideStore) []NodeID {
+// slots returns the set's storage: the inline neighbors, or the whole
+// table, whose empty slots hold the owner. Either way the neighbors are
+// exactly the elements that differ from the owner.
+//
+//rept:hotpath
+func (s *nset) slots(st *sideStore) []NodeID {
 	if s.x == 0 {
 		return s.inl[:s.n]
 	}
-	return st.bufs[s.x-1]
+	return st.tables[s.x-1]
 }
 
-// table returns the open-addressing table of a promoted set.
-func (s *nset) table(st *sideStore) []NodeID { return st.bufs[-s.x-1] }
-
-// reset empties the set for arena reuse, returning its side-store index
-// (if any) to the free list. A spill slice keeps its capacity there for
-// the next set to spill, and stays on the ledger because the memory stays
-// resident; a promoted table is dropped and its bytes leave the ledger (a
-// recycled slot usually hosts a fresh low-degree node).
+// reset empties the set for arena reuse. A table is dropped, its bytes
+// leave the ledger (a recycled slot usually hosts a fresh low-degree
+// node), and its side-store index returns to the free list.
 func (s *nset) reset(st *sideStore, ac *mem.Accountant) {
 	if s.x != 0 {
 		k := s.x - 1
-		if s.x < 0 {
-			k = -s.x - 1
-			ac.Add(mem.CompAdjacency, -int64(len(st.bufs[k]))*nodeIDBytes)
-			st.bufs[k] = nil
-		} else {
-			st.bufs[k] = st.bufs[k][:0]
-		}
+		ac.Add(mem.CompAdjacency, -int64(len(st.tables[k]))*nodeIDBytes)
+		st.tables[k] = nil
 		appendCharged(&st.free, k, 4, ac)
 	}
 	s.n, s.x = 0, 0
-}
-
-// search returns the insertion position of w in the sorted slice sl.
-//
-//rept:hotpath
-func search(sl []NodeID, w NodeID) int {
-	lo, hi := 0, len(sl)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if sl[mid] < w {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // has reports whether w is a neighbor. owner is the set's node id; asking
@@ -287,22 +271,18 @@ func search(sl []NodeID, w NodeID) int {
 //
 //rept:hotpath
 func (s *nset) has(st *sideStore, owner, w NodeID) bool {
-	if s.x < 0 {
-		return tableHas(s.table(st), owner, w)
+	if s.x == 0 {
+		for _, y := range s.inl[:s.n] {
+			if y == w {
+				return true
+			}
+		}
+		return false
 	}
-	sl := s.sorted(st)
-	i := search(sl, w)
-	return i < len(sl) && sl[i] == w
-}
-
-// tableHas reports whether w is in the open-addressing table t whose
-// empty slots hold owner.
-//
-//rept:hotpath
-func tableHas(t []NodeID, owner, w NodeID) bool {
 	if w == owner {
 		return false
 	}
+	t := st.tables[s.x-1]
 	mask := uint32(len(t) - 1)
 	for i := mix32(uint32(w)) & mask; ; i = (i + 1) & mask {
 		switch t[i] {
@@ -314,47 +294,11 @@ func tableHas(t []NodeID, owner, w NodeID) bool {
 	}
 }
 
-// add inserts w, reporting whether it was absent. Inserting the owner
-// itself is rejected (self-loops never reach the set, and the owner id is
-// the table-mode empty sentinel). Growth transitions (spill, promote,
-// grow) live in separate cold functions; the steady-state body allocates
-// nothing, and the ledger (ac) is touched only on the capacity-changing
-// branches — never per event.
+// tableInsert puts w into the open-addressing table t whose empty slots
+// hold owner, reporting whether it was absent. t must have a free slot.
 //
 //rept:hotpath
-func (s *nset) add(st *sideStore, owner, w NodeID, ac *mem.Accountant) bool {
-	if w == owner {
-		return false
-	}
-	if s.x >= 0 {
-		sl := s.sorted(st)
-		i := search(sl, w)
-		if i < len(sl) && sl[i] == w {
-			return false
-		}
-		switch {
-		case s.x == 0 && int(s.n) < inlineCap:
-			// Inline insertion sort.
-			copy(s.inl[i+1:s.n+1], s.inl[i:s.n])
-			s.inl[i] = w
-		case s.x == 0:
-			s.spill(st, i, w, ac)
-		case len(sl) >= promoteDeg:
-			s.promote(st, owner, ac)
-			return s.add(st, owner, w, ac)
-		default:
-			appendCharged(&st.bufs[s.x-1], 0, nodeIDBytes, ac)
-			sl = st.bufs[s.x-1]
-			copy(sl[i+1:], sl[i:])
-			sl[i] = w
-		}
-		s.n++
-		return true
-	}
-	t := s.table(st)
-	if int(s.n) >= len(t)*3/4 {
-		t = s.grow(st, owner, len(t)*2, ac)
-	}
+func tableInsert(t []NodeID, owner, w NodeID) bool {
 	mask := uint32(len(t) - 1)
 	for i := mix32(uint32(w)) & mask; ; i = (i + 1) & mask {
 		switch t[i] {
@@ -362,14 +306,49 @@ func (s *nset) add(st *sideStore, owner, w NodeID, ac *mem.Accountant) bool {
 			return false
 		case owner:
 			t[i] = w
-			s.n++
 			return true
 		}
 	}
 }
 
-// remove deletes w, reporting whether it was present. Table mode uses
-// backward-shift deletion, so probe chains stay tombstone-free.
+// add inserts w, reporting whether it was absent. Inserting the owner
+// itself is rejected (self-loops never reach the set, and the owner id is
+// the table-mode empty sentinel). The capacity transitions live in the
+// cold retable; the steady-state body allocates nothing, and the ledger
+// (ac) is touched only there — never per event.
+//
+//rept:hotpath
+func (s *nset) add(st *sideStore, owner, w NodeID, ac *mem.Accountant) bool {
+	if w == owner {
+		return false
+	}
+	if s.x == 0 {
+		for _, y := range s.inl[:s.n] {
+			if y == w {
+				return false
+			}
+		}
+		if s.n < inlineCap {
+			s.inl[s.n] = w
+			s.n++
+			return true
+		}
+		s.retable(st, owner, minTable, ac)
+	}
+	t := st.tables[s.x-1]
+	if int(s.n) >= len(t)*3/4 {
+		t = s.retable(st, owner, len(t)*2, ac)
+	}
+	if !tableInsert(t, owner, w) {
+		return false
+	}
+	s.n++
+	return true
+}
+
+// remove deletes w, reporting whether it was present. Inline mode moves
+// the last neighbor into the hole; table mode uses backward-shift
+// deletion, so probe chains stay tombstone-free.
 //
 //rept:hotpath
 func (s *nset) remove(st *sideStore, owner, w NodeID) bool {
@@ -377,26 +356,16 @@ func (s *nset) remove(st *sideStore, owner, w NodeID) bool {
 		return false
 	}
 	if s.x == 0 {
-		i := search(s.inl[:s.n], w)
-		if i >= int(s.n) || s.inl[i] != w {
-			return false
+		for i, y := range s.inl[:s.n] {
+			if y == w {
+				s.n--
+				s.inl[i] = s.inl[s.n]
+				return true
+			}
 		}
-		copy(s.inl[i:s.n-1], s.inl[i+1:s.n])
-		s.n--
-		return true
+		return false
 	}
-	if s.x > 0 {
-		sl := st.bufs[s.x-1]
-		i := search(sl, w)
-		if i >= len(sl) || sl[i] != w {
-			return false
-		}
-		copy(sl[i:], sl[i+1:])
-		st.bufs[s.x-1] = sl[:len(sl)-1]
-		s.n--
-		return true
-	}
-	t := s.table(st)
+	t := st.tables[s.x-1]
 	mask := uint32(len(t) - 1)
 	i := mix32(uint32(w)) & mask
 	for ; ; i = (i + 1) & mask {
@@ -426,231 +395,28 @@ func (s *nset) remove(st *sideStore, owner, w NodeID) bool {
 	return true
 }
 
-// spill moves inline storage to a side-store slice, inserting w at
-// position i. It is the one-time growth transition out of add's inline
-// layout, kept as a separate cold function so add itself stays
-// allocation-free under the //rept:hotpath gate. A recycled index brings
-// the capacity a released spill slice left behind.
-func (s *nset) spill(st *sideStore, i int, w NodeID, ac *mem.Accountant) {
-	k := st.take(ac)
-	sl := st.bufs[k]
-	if sl == nil {
-		sl = make([]NodeID, 0, 2*inlineCap)
-		ac.Add(mem.CompAdjacency, int64(cap(sl))*nodeIDBytes)
+// retable moves the set's neighbors — the inline ones, or a full table's
+// — into a fresh table of size slots (a power of two) and returns it. It
+// is add's one capacity transition, kept as a separate cold function so
+// add itself stays allocation-free under the //rept:hotpath gate. An
+// inline set takes a side-store index; a table keeps its own.
+func (s *nset) retable(st *sideStore, owner NodeID, size int, ac *mem.Accountant) []NodeID {
+	old := s.slots(st)
+	if s.x == 0 {
+		s.x = st.take(ac) + 1
+		ac.Add(mem.CompAdjacency, int64(size)*nodeIDBytes)
+	} else {
+		ac.Add(mem.CompAdjacency, int64(size-len(old))*nodeIDBytes)
 	}
-	sl = append(sl, s.inl[:i]...)
-	sl = append(sl, w)
-	sl = append(sl, s.inl[i:s.n]...)
-	st.bufs[k] = sl
-	s.x = k + 1
-}
-
-// newTable returns an empty open-addressing table of size slots (a power
-// of two), every slot holding the owner sentinel.
-func newTable(owner NodeID, size int) []NodeID {
 	t := make([]NodeID, size)
 	for i := range t {
 		t[i] = owner
 	}
+	for _, w := range old {
+		if w != owner {
+			tableInsert(t, owner, w)
+		}
+	}
+	st.tables[s.x-1] = t
 	return t
-}
-
-// promote migrates the sorted spill slice into a fresh open-addressing
-// table, which takes over the slice's side-store index.
-func (s *nset) promote(st *sideStore, owner NodeID, ac *mem.Accountant) {
-	k := s.x - 1
-	old := st.bufs[k]
-	ac.Add(mem.CompAdjacency, int64(4*promoteDeg-cap(old))*nodeIDBytes)
-	st.bufs[k] = newTable(owner, 4*promoteDeg)
-	s.x = -k - 1
-	s.n = 0
-	for _, w := range old {
-		s.add(st, owner, w, ac)
-	}
-}
-
-// grow rehashes the table into size slots (a power of two) and returns
-// the new table.
-func (s *nset) grow(st *sideStore, owner NodeID, size int, ac *mem.Accountant) []NodeID {
-	k := -s.x - 1
-	old := st.bufs[k]
-	ac.Add(mem.CompAdjacency, int64(size-len(old))*nodeIDBytes)
-	st.bufs[k] = newTable(owner, size)
-	s.n = 0
-	for _, w := range old {
-		if w != owner {
-			s.add(st, owner, w, ac)
-		}
-	}
-	return st.bufs[k]
-}
-
-// sig returns the OR of SigBit over the neighbors. A table is scanned
-// only until all 16 bits are set, which a hub's table reaches within a
-// few dozen entries.
-//
-//rept:hotpath
-func (s *nset) sig(st *sideStore, owner NodeID) uint16 {
-	var sig uint16
-	if s.x >= 0 {
-		for _, w := range s.sorted(st) {
-			sig |= SigBit(w)
-		}
-		return sig
-	}
-	for _, w := range s.table(st) {
-		if w != owner {
-			if sig |= SigBit(w); sig == 0xffff {
-				break
-			}
-		}
-	}
-	return sig
-}
-
-// each calls fn for every neighbor, in unspecified order.
-func (s *nset) each(st *sideStore, owner NodeID, fn func(w NodeID)) {
-	if s.x >= 0 {
-		for _, w := range s.sorted(st) {
-			fn(w)
-		}
-		return
-	}
-	for _, w := range s.table(st) {
-		if w != owner {
-			fn(w)
-		}
-	}
-}
-
-// intersectSorted appends the intersection of two sorted slices to dst: a
-// plain merge walk for comparable sizes, a galloping binary-search walk
-// when one side is much longer.
-//
-//rept:hotpath
-func intersectSorted(a, b []NodeID, dst []NodeID) []NodeID {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(b) >= 8*len(a) {
-		lo := 0
-		for _, w := range a {
-			i := lo + search(b[lo:], w)
-			if i < len(b) && b[i] == w {
-				dst = append(dst, w)
-				i++
-			}
-			lo = i
-			if lo >= len(b) {
-				break
-			}
-		}
-		return dst
-	}
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		x, y := a[i], b[j]
-		if x == y {
-			dst = append(dst, x)
-			i++
-			j++
-		} else if x < y {
-			i++
-		} else {
-			j++
-		}
-	}
-	return dst
-}
-
-// intersect appends N(su) ∩ N(sv) to dst. Sorted layouts merge- or
-// gallop-walk against each other; any probe-able side is probed from the
-// smaller enumerable side.
-//
-//rept:hotpath
-func intersect(st *sideStore, su *nset, ou NodeID, sv *nset, ov NodeID, dst []NodeID) []NodeID {
-	if su.x >= 0 && sv.x >= 0 {
-		return intersectSorted(su.sorted(st), sv.sorted(st), dst)
-	}
-	// Enumerate the smaller set, probe the larger (at least one side is a
-	// table; prefer probing it).
-	if su.x < 0 && (sv.x >= 0 || sv.n <= su.n) {
-		su, ou, sv, ov = sv, ov, su, ou
-	}
-	t := sv.table(st)
-	if su.x >= 0 {
-		for _, w := range su.sorted(st) {
-			if tableHas(t, ov, w) {
-				dst = append(dst, w)
-			}
-		}
-		return dst
-	}
-	for _, w := range su.table(st) {
-		if w != ou && tableHas(t, ov, w) {
-			dst = append(dst, w)
-		}
-	}
-	return dst
-}
-
-// intersectCount returns |N(su) ∩ N(sv)| with the same strategy choices
-// as intersect, without materializing the result.
-//
-//rept:hotpath
-func intersectCount(st *sideStore, su *nset, ou NodeID, sv *nset, ov NodeID) int {
-	n := 0
-	if su.x >= 0 && sv.x >= 0 {
-		a, b := su.sorted(st), sv.sorted(st)
-		if len(a) > len(b) {
-			a, b = b, a
-		}
-		if len(b) >= 8*len(a) {
-			lo := 0
-			for _, w := range a {
-				i := lo + search(b[lo:], w)
-				if i < len(b) && b[i] == w {
-					n++
-					i++
-				}
-				lo = i
-				if lo >= len(b) {
-					break
-				}
-			}
-			return n
-		}
-		i, j := 0, 0
-		for i < len(a) && j < len(b) {
-			x, y := a[i], b[j]
-			if x == y {
-				n++
-				i++
-				j++
-			} else if x < y {
-				i++
-			} else {
-				j++
-			}
-		}
-		return n
-	}
-	if su.x < 0 && (sv.x >= 0 || sv.n <= su.n) {
-		su, ou, sv, ov = sv, ov, su, ou
-	}
-	t := sv.table(st)
-	if su.x >= 0 {
-		for _, w := range su.sorted(st) {
-			if tableHas(t, ov, w) {
-				n++
-			}
-		}
-		return n
-	}
-	for _, w := range su.table(st) {
-		if w != ou && tableHas(t, ov, w) {
-			n++
-		}
-	}
-	return n
 }

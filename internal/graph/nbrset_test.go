@@ -7,10 +7,10 @@ import (
 )
 
 // TestNeighborSetsSig drives one store's set through every layout — inline,
-// spilled, promoted, grown — and back down to empty, then a recycled slot
-// through inline and spilled again, and after every add and remove
-// requires Sig to equal the OR of SigBit over the set's neighbors. It
-// also requires SigBit to set exactly one bit.
+// table, grown table — and back down to empty, then a recycled slot
+// through all three again, and after every add and remove requires Sig to
+// equal the OR of SigBit over the set's neighbors. It also requires SigBit
+// to set exactly one bit.
 func TestNeighborSetsSig(t *testing.T) {
 	for _, w := range []NodeID{0, 1, 2, 1 << 16, 1<<31 - 1, 1 << 31, ^NodeID(0)} {
 		if n := bits.OnesCount16(SigBit(w)); n != 1 {
@@ -44,12 +44,10 @@ func TestNeighborSetsSig(t *testing.T) {
 		switch x := s.sets[si].x; {
 		case x == 0:
 			layouts["inline"] = true
-		case x > 0:
-			layouts["spilled"] = true
-		case len(s.sets[si].table(&s.side)) > 4*promoteDeg:
+		case len(s.side.tables[x-1]) > minTable:
 			layouts["grown"] = true
 		default:
-			layouts["promoted"] = true
+			layouts["table"] = true
 		}
 	}
 	// Walk the degree to each target in turn with random adds and removes
@@ -91,7 +89,7 @@ func TestNeighborSetsSig(t *testing.T) {
 			}
 		}
 	}
-	for _, l := range []string{"inline", "spilled", "promoted", "grown"} {
+	for _, l := range []string{"inline", "table", "grown"} {
 		if !layouts[l] {
 			t.Errorf("schedule never checked a %s set", l)
 		}

@@ -2,8 +2,8 @@
 // per-component atomic accountant every flat storage structure reports
 // its backing bytes to. The contract that keeps it off the hot path is
 // that components account at the moments capacity actually changes —
-// a table grows or rehashes, a spill slice is promoted, a queue is
-// built, a view is published — never per event. Steady-state ingest
+// a table grows or rehashes, a neighbor set moves to a table, a queue
+// is built, a view is published — never per event. Steady-state ingest
 // therefore performs zero ledger operations; the reptvet hotpathalloc
 // analyzer and the AllocsPerRun gates enforce that shape.
 //
@@ -24,7 +24,7 @@ type Component int
 const (
 	// CompAdjacency covers the sampled neighbor sets: every engine
 	// processor's graph.NeighborSets (the neighbor-set arena and the side
-	// store of spill slices and promoted hash sets), and a
+	// store of the tables of sets past the inline capacity), and a
 	// graph.Adjacency's node index beside its own store.
 	CompAdjacency Component = iota
 	// CompCounters covers the core counter tables: the per-edge ctab

@@ -17,6 +17,9 @@ const (
 	KindWALAppend
 	KindWALSync
 	KindViewPublish
+	// KindCheckpoint marks one WAL compaction (value = the stream
+	// position the new checkpoint covers, duration = the compaction's
+	// wall time).
 	KindCheckpoint
 	// KindDownsample marks one sampling-probability halving (value = the
 	// new cumulative shift, duration = the barrier's wall time).

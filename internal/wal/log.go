@@ -312,9 +312,12 @@ func (l *Log) rotate() error {
 // point leaves the previous checkpoint and all segments intact, so the
 // directory stays recoverable. Safe to call concurrently with Append,
 // Commit, and other Compact calls (concurrent compactions serialize).
+// Each compaction that publishes its checkpoint leaves one checkpoint
+// flight event: the position covered and the compaction's wall time.
 func (l *Log) Compact(write func(io.Writer) (uint64, error)) error {
 	l.compactMu.Lock()
 	defer l.compactMu.Unlock()
+	start := time.Now()
 	f, err := l.be.Create(CheckpointTmp)
 	if err != nil {
 		return fmt.Errorf("wal: creating checkpoint: %w", err)
@@ -361,6 +364,7 @@ func (l *Log) Compact(write func(io.Writer) (uint64, error)) error {
 		}
 		l.statSegments.Add(-1)
 	}
+	l.flight.Record(obs.KindCheckpoint, -1, pos, time.Since(start))
 	return firstErr
 }
 

@@ -19,8 +19,8 @@ var ErrEtaDownsample = core.ErrEtaDownsample
 // MemStats is a point-in-time breakdown of the estimator's accounted
 // bytes, by storage component. Accounting is exact at capacity
 // granularity: every flat structure reports its backing bytes when its
-// capacity changes (growth, rehash, spill promotion, queue construction,
-// view publication), never per event — so the ledger tracks the real
+// capacity changes (growth, rehash, a neighbor set's move to a table,
+// queue construction, view publication), never per event — so the ledger tracks the real
 // footprint at zero hot-path cost, and the numbers move in steps, not
 // continuously.
 type MemStats struct {
