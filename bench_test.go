@@ -290,7 +290,7 @@ func BenchmarkAddPerEvent(b *testing.B) {
 // batchStream through ApplyBatch in 8192-event bodies, with
 // the byte ledger attached or absent. Concurrent always creates a
 // ledger, so the unaccounted baseline only exists at this level — which
-// is also where every ledger charge site lives.
+// is also where the engines' footprints are reconciled into the ledger.
 func benchShardIngest(b *testing.B, ac *mem.Accountant) {
 	const span = 8192
 	s, err := shard.New(shard.Config{M: 64, C: 64, Shards: 1, Seed: 1, Mem: ac})
@@ -329,15 +329,15 @@ func benchShardIngest(b *testing.B, ac *mem.Accountant) {
 // memory ledger attached — the configuration every Concurrent estimator
 // runs. Its pair twin below is the identical workload with no ledger;
 // CI holds the ratio to 1.02 (benchdiff -pair @1.02), the accounting
-// budget: charges land only at capacity transitions, so a warm steady
-// state must be ledger-silent.
+// budget: each applied batch reconciles the engine's footprint, an O(C)
+// read of capacities that moves the ledger only when one changed.
 func BenchmarkIngestAccountedPerEvent(b *testing.B) {
 	benchShardIngest(b, mem.New())
 }
 
 // BenchmarkIngestUnaccountedPerEvent is the unaccounted baseline of the
 // accounting-cost pair: the same coordinator, stream, and harness with a
-// nil ledger, so every charge site compiles to the nil-receiver no-op.
+// nil ledger, so the shard goroutine skips the reconcile.
 func BenchmarkIngestUnaccountedPerEvent(b *testing.B) {
 	benchShardIngest(b, nil)
 }

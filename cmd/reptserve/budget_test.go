@@ -125,9 +125,10 @@ func TestBudgetTickDownsamplesAndKeepsRanking(t *testing.T) {
 
 // TestShedding429: once the controller is in the shedding state, /edges
 // answers 429 with a Retry-After header — distinct from the 503 of a
-// graceful drain — while queries, /readyz, and /metrics keep serving; and
-// the first accepted request after pressure clears proves the refusal is
-// per-request, not a latch.
+// graceful drain — while queries, /readyz, and /metrics keep serving, and
+// the refusal leaves exactly one shed event in /debug/flight, carrying
+// the ledger total it was refused at; and the first accepted request
+// after pressure clears proves the refusal is per-request, not a latch.
 func TestShedding429(t *testing.T) {
 	// Budget of 1 byte: any ingest at all overruns it.
 	ts, _, ctrl := newBudgetServer(t, 1)
@@ -145,6 +146,22 @@ func TestShedding429(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 response carries no Retry-After header")
+	}
+	var flight struct {
+		Events []struct {
+			Kind  string `json:"kind"`
+			Value uint64 `json:"value"`
+		} `json:"events"`
+	}
+	getJSON(t, ts.URL+"/debug/flight", &flight)
+	var sheds []uint64
+	for _, ev := range flight.Events {
+		if ev.Kind == "shed" {
+			sheds = append(sheds, ev.Value)
+		}
+	}
+	if len(sheds) != 1 || sheds[0] <= 1 {
+		t.Errorf("shed flight events after one 429 carry %v, want one value above the 1-byte budget", sheds)
 	}
 
 	// Queries and readiness survive shedding: only ingest is refused.

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	reptserve -addr :8080 -m 10 -c 40 [-shards 4 -local -dynamic -seed 1]
-//	          [-view-interval 200ms -view-edges 0 -topk 100]
+//	          [-view-interval 200ms -topk 100]
 //	          [-wal-dir walspool [-wal-sync batch|250ms]
 //	           [-wal-compact-every 500000] [-wal-segment-bytes 67108864]]
 //	          [-mem-budget 256MiB [-mem-tick 1s]]
@@ -28,16 +28,16 @@
 //	GET  /readyz      readiness: 200 only once recovery finished and the
 //	                  first view published; 503 while draining
 //	GET  /debug/flight  JSON dump of the flight recorder (recent pipeline
-//	                  events, downsamples and WAL compactions, with
-//	                  timestamps and durations)
+//	                  events, downsamples, WAL compactions and sheds,
+//	                  with timestamps and durations)
 //
 // Queries answer from materialized epoch views, republished every
-// -view-interval (and, with -view-edges N, whenever N new edges arrive):
-// reads are lock-free and never block ingest, and every view-backed
-// response reports the epoch it answered from, its age in milliseconds,
-// and the processed count it describes. Append ?fresh=1 to /estimate,
-// /local, /topk, /cc, or /query to force a fresh barrier epoch first
-// (exact, but orders of magnitude more expensive under load).
+// -view-interval: reads are lock-free and never block ingest, and every
+// view-backed response reports the epoch it answered from, its age in
+// milliseconds, and the processed count it describes. Append ?fresh=1 to
+// /estimate, /local, /topk, /cc, or /query to force a fresh barrier
+// epoch first (exact, but orders of magnitude more expensive under
+// load).
 //
 // Example session:
 //
@@ -105,8 +105,10 @@
 // is zero-allocation, so instrumentation is always on. /debug/flight
 // dumps the flight recorder: the last few thousand pipeline events with
 // nanosecond timestamps, for postmortems where aggregated histograms
-// are too coarse, among them every downsample and every WAL compaction
-// (a checkpoint event carrying the position it covers). -pprof-addr
+// are too coarse, among them every downsample, every WAL compaction (a
+// checkpoint event carrying the position it covers) and every 429 shed
+// under -mem-budget (a shed event carrying the accounted bytes it was
+// refused at). -pprof-addr
 // serves net/http/pprof on a separate listener (keep it off the public
 // address); -access-log emits one structured JSON line per request on
 // stderr, and requests slower than -slow-log (default 1s; 0 disables)
@@ -270,7 +272,6 @@ func run(args []string) error {
 		eta      = fs.Bool("eta", false, "force η̂ tracking (variance for every config)")
 		grace    = fs.Duration("grace", 10*time.Second, "shutdown grace period")
 		interval = fs.Duration("view-interval", 200*time.Millisecond, "max time between query-view epochs")
-		vedges   = fs.Uint64("view-edges", 0, "also republish the query view every N ingested edges (0 = off)")
 		topk     = fs.Int("topk", 100, "precomputed heavy-hitter ranking size (caps /topk?k=)")
 		walDir   = fs.String("wal-dir", "", "write-ahead log directory; enables durable ingest with crash recovery")
 		walSync  = fs.String("wal-sync", "batch", "WAL sync policy: \"batch\" (sync before every ingest ack) or a duration (group sync, bounded loss window)")
@@ -284,6 +285,37 @@ func run(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// Every flag is checked before the listener opens or -wal-dir is
+	// touched, so a refused configuration leaves nothing behind.
+	cfg := rept.ConcurrentConfig{
+		M:            *m,
+		C:            *c,
+		Shards:       *shards,
+		Seed:         *seed,
+		TrackLocal:   *local,
+		FullyDynamic: *dynamic,
+		TrackEta:     *eta,
+		// Degrees ride along with -local: clustering coefficients need
+		// both, and the O(V + E) table is cheap next to the local
+		// counters.
+		TrackDegrees: *local,
+		// The telemetry bundle wires stage-latency histograms, per-shard
+		// series, and the flight recorder through the whole pipeline; the
+		// server's /metrics and /debug/flight serve from it.
+		Telemetry: rept.NewTelemetry(),
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if *topk <= 0 {
+		return fmt.Errorf("-topk: must be positive (got %d)", *topk)
+	}
+	if *interval <= 0 {
+		return fmt.Errorf("-view-interval: must be positive (got %v)", *interval)
+	}
+	if *memTick <= 0 {
+		return fmt.Errorf("-mem-tick: must be positive (got %v)", *memTick)
 	}
 	var walOpt rept.WALOptions
 	if *walDir != "" {
@@ -330,29 +362,13 @@ func run(args []string) error {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
-	est, err := newEstimator(rept.ConcurrentConfig{
-		M:            *m,
-		C:            *c,
-		Shards:       *shards,
-		Seed:         *seed,
-		TrackLocal:   *local,
-		FullyDynamic: *dynamic,
-		TrackEta:     *eta,
-		// Degrees ride along with -local: clustering coefficients need
-		// both, and the O(V + E) table is cheap next to the local
-		// counters.
-		TrackDegrees: *local,
-		// The telemetry bundle wires stage-latency histograms, per-shard
-		// series, and the flight recorder through the whole pipeline; the
-		// server's /metrics and /debug/flight serve from it.
-		Telemetry: rept.NewTelemetry(),
-	}, walOpt)
+	est, err := newEstimator(cfg, walOpt)
 	if err != nil {
 		srv.Close()
 		return err
 	}
 
-	if _, err := est.StartViews(rept.ViewConfig{Interval: *interval, EveryEdges: *vedges, TopK: *topk}); err != nil {
+	if _, err := est.StartViews(rept.ViewConfig{Interval: *interval, TopK: *topk}); err != nil {
 		srv.Close()
 		est.Close()
 		return err
@@ -405,15 +421,11 @@ func run(args []string) error {
 	// back into the estimator, so every exit path stops it BEFORE est.Close.
 	stopCtrl := func() {}
 	if ctrl != nil {
-		tick := *memTick
-		if tick <= 0 {
-			tick = time.Second
-		}
 		stopc := make(chan struct{})
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			t := time.NewTicker(tick)
+			t := time.NewTicker(*memTick)
 			defer t.Stop()
 			for {
 				select {
@@ -425,7 +437,7 @@ func run(args []string) error {
 			}
 		}()
 		stopCtrl = func() { close(stopc); <-done }
-		fmt.Fprintf(os.Stderr, "reptserve: memory budget %s (tick %v)\n", *memBud, tick)
+		fmt.Fprintf(os.Stderr, "reptserve: memory budget %s (tick %v)\n", *memBud, *memTick)
 	}
 
 	live := http.Handler(api)

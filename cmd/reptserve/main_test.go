@@ -301,19 +301,43 @@ func TestStopThenRequests(t *testing.T) {
 }
 
 func TestRunFlagErrors(t *testing.T) {
-	if err := run([]string{"-m", "0"}); err == nil {
-		t.Error("run with m=0 succeeded, want config error")
-	}
 	if err := run([]string{"-bogus"}); err == nil {
 		t.Error("run with unknown flag succeeded, want flag error")
 	}
-	// A bad -mem-budget is refused before WAL recovery creates anything.
-	dir := filepath.Join(t.TempDir(), "wal")
-	err := run([]string{"-addr", "127.0.0.1:0", "-wal-dir", dir, "-mem-budget", "64Q"})
-	if err == nil || !strings.HasPrefix(err.Error(), "-mem-budget:") {
-		t.Errorf("run with -mem-budget 64Q = %v, want the -mem-budget error", err)
+	// A refused flag leaves nothing behind: run returns before WAL
+	// recovery creates -wal-dir.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-mem-budget", "64Q"}, "-mem-budget:"},
+		{[]string{"-m", "0"}, "rept: core: M = 0"},
+		{[]string{"-c", "0"}, "rept: core: C = 0"},
+	} {
+		dir := filepath.Join(t.TempDir(), "wal")
+		err := run(append([]string{"-addr", "127.0.0.1:0", "-wal-dir", dir}, tc.args...))
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("run with %v = %v, want an error starting %q", tc.args, err, tc.want)
+		}
+		if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("-wal-dir after run with %v: %v, want it never created", tc.args, err)
+		}
 	}
-	if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
-		t.Errorf("-wal-dir after the refused -mem-budget: %v, want it never created", err)
+	// A non-positive -topk, -view-interval or -mem-tick is refused, not
+	// replaced by a default. No listener can open the address, so a check
+	// that came after the listener would fail there instead of serving.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-topk", "0"}, "-topk:"},
+		{[]string{"-view-interval", "0"}, "-view-interval:"},
+		{[]string{"-mem-tick", "-1s", "-mem-budget", "64M"}, "-mem-tick:"},
+		{[]string{"-mem-tick", "0"}, "-mem-tick:"},
+	} {
+		err := run(append([]string{"-addr", "127.0.0.1:-1"}, tc.args...))
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("run with %v = %v, want an error starting %q", tc.args, err, tc.want)
+		}
 	}
 }

@@ -521,9 +521,11 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	// Load shedding: the memory controller refuses ingest BEFORE the body
 	// is read — 429 + Retry-After while the budget is overrun, distinct
 	// from the 503 shutdown path (the server is healthy and still serving
-	// queries; the client should back off and retry).
+	// queries; the client should back off and retry). Each refusal is a
+	// shed flight event carrying the ledger total it was refused at.
 	if c := s.ctrl; c != nil && c.ShouldShed() {
 		c.CountShed()
+		s.pipe.Flight.Record(obs.KindShed, -1, uint64(s.est.MemTotalBytes()), 0)
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "memory budget exceeded; ingest is shedding while the estimator adapts (retry shortly)")
 		return
@@ -1096,8 +1098,9 @@ const defaultFlightEvents = 1024
 
 // handleFlight serves GET /debug/flight: a JSON dump of the flight
 // recorder — recent pipeline events (parse, dispatch, apply, barrier,
-// WAL append/sync, view publish, downsample, and checkpoint for a WAL
-// compaction) with nanosecond timestamps and durations, oldest first.
+// WAL append/sync, view publish, downsample, checkpoint for a WAL
+// compaction, and shed for a 429 under the memory budget) with
+// nanosecond timestamps and durations, oldest first.
 // ?n= caps the dump to the NEWEST n events (default 1024; n larger than
 // the ring returns everything recorded). "recorded" always reports the
 // full ring occupancy, so a truncated dump is recognizable as one. The

@@ -64,10 +64,12 @@ type Concurrent struct {
 	sh   *shard.Sharded
 	cfg  ConcurrentConfig
 	tele *Telemetry
-	// acct is the per-component byte ledger every storage layer reports
-	// to; always non-nil (see MemStats). Purely observational: accounting
-	// happens at capacity-change moments, never per event, and the
-	// estimator's output is bit-identical with or without it.
+	// acct is the per-component byte ledger; always non-nil (see
+	// MemStats). The shard goroutines reconcile it to their engines' and
+	// the degree table's footprints after every batch and barrier, the
+	// views and the write-ahead log report their own bytes, and never per
+	// event. Purely observational: the estimator's output is
+	// bit-identical with or without it.
 	acct *mem.Accountant
 	// views is the epoch-view publisher once StartViews has run; while it
 	// is nil every read goes through a fresh barrier. viewsMu serializes
@@ -104,6 +106,18 @@ func (c ConcurrentConfig) shardConfig() shard.Config {
 		TrackDegrees: c.TrackDegrees,
 		Obs:          c.Telemetry.obsPipeline(),
 	}
+}
+
+// Validate reports whether the configuration is usable: M and C at least
+// 1 and M at most 2^16, the rule every shard engine applies.
+// NewConcurrent, ResumeConcurrent and ResumeDurable refuse what it
+// refuses; a caller that must not act on a bad configuration — open a
+// listener, create a log directory — checks it first.
+func (c ConcurrentConfig) Validate() error {
+	if err := c.shardConfig().Validate(); err != nil {
+		return fmt.Errorf("rept: %w", err)
+	}
+	return nil
 }
 
 // errViewsStarted reports a StartViews while views are running.

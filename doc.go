@@ -140,10 +140,9 @@
 // that lags the live stream by at most roughly ViewConfig.Interval (plus
 // one barrier latency), and SAYS which prefix — every View carries its
 // Epoch sequence number, capture time (Age), and Processed count, so
-// callers can always tell what they are looking at; with
-// ViewConfig.EveryEdges the lag is additionally bounded in edges. An
-// idle stream stops republishing (the view is already exact; only its
-// wall-clock Age keeps growing). Reads through a View are monotone
+// callers can always tell what they are looking at. An idle stream
+// stops republishing (the view is already exact; only its wall-clock
+// Age keeps growing). Reads through a View are monotone
 // (epochs only move forward) but NOT read-your-writes: an edge added a
 // moment ago appears only in the next epoch. Callers that need the
 // current prefix use Views().Refresh() or SnapshotNow(), both of which
@@ -276,12 +275,15 @@
 //
 // Every flat storage layer under a Concurrent estimator — neighbor-set
 // arenas, node dictionaries, counter tables, ingest queues, recycled batch
-// buffers, the degree table, published query views, WAL buffers —
-// reports its backing bytes to an atomic per-component ledger at
-// capacity-change moments only (growth, rehash, a neighbor set's move
-// to a table, eviction sweep), never per event: the ingest hot path stays
-// allocation-free and ledger-silent while the ledger tracks the real
-// footprint at capacity granularity. Concurrent.MemStats returns the
+// buffers, the degree table, published query views, WAL buffers — is on
+// an atomic per-component ledger. The graph and core structures keep no
+// ledger: each shard goroutine moves the ledger to its engine's
+// footprint, recomputed from capacities, after every applied batch and
+// every barrier, and the degree tracker does the same for its table;
+// queues, views and the WAL report their own bytes when they change.
+// Nothing is charged per event: the ingest hot path stays
+// allocation-free while the ledger tracks the real footprint at capacity
+// granularity. Concurrent.MemStats returns the
 // breakdown, Concurrent.MemTotalBytes the cheap total; accounting is
 // purely observational and estimates are bit-identical with it on or
 // off. WAL segment bytes are tracked in the same ledger but classed as

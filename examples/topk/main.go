@@ -38,13 +38,12 @@ func main() {
 	}
 	defer est.Close()
 
-	// Views republish every 20ms — or sooner, whenever 10k new edges
-	// arrive — so the monitor's answers are never more than one interval
-	// stale, and every answer reports exactly how stale it is.
+	// Views republish every 20ms, so the monitor's answers are never more
+	// than one interval stale, and every answer reports exactly how stale
+	// it is.
 	views, err := est.StartViews(rept.ViewConfig{
-		Interval:   20 * time.Millisecond,
-		EveryEdges: 10_000,
-		TopK:       10,
+		Interval: 20 * time.Millisecond,
+		TopK:     10,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -40,7 +40,6 @@ import (
 	"fmt"
 
 	"rept/internal/hashing"
-	"rept/internal/mem"
 )
 
 // MaxM bounds the sampling denominator m; colors are stored in uint16 by
@@ -80,12 +79,6 @@ type Config struct {
 	// default seeded 64-bit mixer family. Used by the hash-quality
 	// ablation experiment; production callers should leave it nil.
 	HashFamily func(masterSeed uint64, count, m int) []Hasher
-	// Mem, when non-nil, is the byte ledger the engine's storage layers
-	// (the processors' neighbor-set arenas, the node dictionary, the
-	// counter tables) report their backing bytes to at capacity-change
-	// moments. Purely observational: estimates are bit-identical with or
-	// without it, gated by test.
-	Mem *mem.Accountant
 }
 
 // Hasher maps canonical edge keys to colors in [0, m). Implementations

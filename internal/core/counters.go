@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"rept/internal/graph"
-	"rept/internal/mem"
 )
 
 // ctab is the per-processor edge→counter table behind proc.tcnt: a
@@ -13,8 +12,7 @@ import (
 // processor's sampled edges, so the table's footprint is the sampled-set
 // size in two flat arrays, 12 bytes per slot. Deletion shifts entries
 // back instead of leaving tombstones, so churn (delete + re-insert of the
-// same keys) never grows the table, and the ledger is charged under
-// mem.CompCounters only when the table grows.
+// same keys) never grows the table.
 //
 // Counter arithmetic saturates instead of wrapping: a hot edge driven to
 // ±2³¹ clamps and increments sat, surfaced as Engine.EtaSaturations — a
@@ -33,12 +31,6 @@ type ctab struct {
 //
 //rept:satcounter
 type satcount int32
-
-func newCtab(ac *mem.Accountant) *ctab {
-	t := &ctab{}
-	t.tab.SetAccountant(ac, mem.CompCounters)
-	return t
-}
 
 // len returns the number of entries.
 func (t *ctab) len() int { return t.tab.Len() }

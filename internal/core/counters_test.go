@@ -14,7 +14,7 @@ import (
 // deletion and growth.
 func TestCtabMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 9))
-	ct := newCtab(nil)
+	ct := &ctab{}
 	naive := make(map[uint64]int32)
 	keys := make([]uint64, 200)
 	for i := range keys {
@@ -73,7 +73,7 @@ func TestCtabMatchesMap(t *testing.T) {
 // overflow guard for adversarially hot edges.
 func TestCtabSaturation(t *testing.T) {
 	k := graph.Key(1, 2)
-	ct := newCtab(nil)
+	ct := &ctab{}
 	ct.load(map[uint64]int32{k: math.MaxInt32 - 1})
 	if old, cur := ct.bump(k, 1); old != math.MaxInt32-1 || cur != math.MaxInt32 {
 		t.Fatalf("bump to max = (%d, %d)", old, cur)
@@ -176,7 +176,7 @@ func TestRestoreRejectsTcntWithoutEta(t *testing.T) {
 // dead slots), the property that keeps fully-dynamic steady state
 // allocation-free.
 func TestCtabChurnStaysCompact(t *testing.T) {
-	ct := newCtab(nil)
+	ct := &ctab{}
 	keys := make([]uint64, 64)
 	for i := range keys {
 		keys[i] = graph.Key(graph.NodeID(i), graph.NodeID(100+i))

@@ -8,7 +8,6 @@ import (
 
 	"rept/internal/gen"
 	"rept/internal/graph"
-	"rept/internal/mem"
 )
 
 // sumsOnto returns base's class sums plus d's, by content, as the
@@ -24,9 +23,8 @@ func sumsOnto(base, d *Aggregates) *Aggregates {
 	return out
 }
 
-// countersBytes is the ledger's counters component recomputed from
-// capacities: the class sums, their delta, and every per-edge counter
-// table.
+// countersBytes is Footprint's counters part recomputed field by field:
+// the class sums, their delta, and every per-edge counter table.
 func countersBytes(e *Engine) int64 {
 	n := e.tauV1.Bytes() + e.tauV2.Bytes() + e.etaV.Bytes() +
 		e.dTauV1.Bytes() + e.dTauV2.Bytes() + e.dEtaV.Bytes()
@@ -104,14 +102,13 @@ func TestEngineDeltaSumsToFullReport(t *testing.T) {
 }
 
 // TestEngineDeltaOnlyWhenObserved: an engine no SumsRestart report
-// reached records no delta and charges the ledger nothing for one, and
-// the other report choices leave that so; a delta past the cap is
-// dropped, with its charge, at the end of the batch that outgrew it, so
+// reached records no delta and its footprint counts no bytes for one,
+// and the other report choices leave that so; a delta past the cap is
+// dropped, with its bytes, at the end of the batch that outgrew it, so
 // the next SumsDelta report fails and the consumer must restart; and
 // Downsample drops it the same way.
 func TestEngineDeltaOnlyWhenObserved(t *testing.T) {
-	ac := mem.New()
-	cfg := Config{M: 4, C: 8, Seed: 2, TrackLocal: true, Mem: ac}
+	cfg := Config{M: 4, C: 8, Seed: 2, TrackLocal: true}
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -132,19 +129,19 @@ func TestEngineDeltaOnlyWhenObserved(t *testing.T) {
 	if e.dTauV1 != nil || e.dTauV2 != nil {
 		t.Fatal("an engine nothing observed records a delta")
 	}
-	if got, want := ac.Bytes(mem.CompCounters), countersBytes(e); got != want || e.dTauV1.Bytes() != 0 {
-		t.Fatalf("counters ledger %d B, footprint %d B", got, want)
+	if got, want := e.Footprint().Counters, countersBytes(e); got != want || e.dTauV1.Bytes() != 0 {
+		t.Fatalf("counters footprint %d B, recomputed %d B", got, want)
 	}
 
 	// A small batch keeps the delta; a batch touching more than a quarter
-	// of the class sums drops it and credits the ledger.
+	// of the class sums drops it and its bytes.
 	e.Report(SumsRestart, 0)
 	e.ApplyBatch(graph.Inserts(edges[half : half+20]))
 	if e.dTauV1 == nil {
 		t.Fatal("a 20-event batch dropped the delta")
 	}
-	if got, want := ac.Bytes(mem.CompCounters), countersBytes(e); got != want || e.dTauV1.Bytes() == 0 {
-		t.Fatalf("counters ledger %d B, footprint %d B with a delta of %d B", got, want, e.dTauV1.Bytes())
+	if got, want := e.Footprint().Counters, countersBytes(e); got != want || e.dTauV1.Bytes() == 0 {
+		t.Fatalf("counters footprint %d B, recomputed %d B with a delta of %d B", got, want, e.dTauV1.Bytes())
 	}
 	if _, ok := e.Report(SumsDelta, 0); !ok {
 		t.Fatal("SumsDelta failed on a restarted engine")
@@ -153,8 +150,8 @@ func TestEngineDeltaOnlyWhenObserved(t *testing.T) {
 	if e.dTauV1 != nil {
 		t.Fatalf("delta kept after a batch touching most nodes (class sums %d entries)", e.tauV1.Len()+e.tauV2.Len())
 	}
-	if got, want := ac.Bytes(mem.CompCounters), countersBytes(e); got != want {
-		t.Fatalf("counters ledger %d B after the cap, footprint %d B", got, want)
+	if got, want := e.Footprint().Counters, countersBytes(e); got != want {
+		t.Fatalf("counters footprint %d B after the cap, recomputed %d B", got, want)
 	}
 	if d, ok := e.Report(SumsDelta, 0); ok || d.TauV1 != nil || d.TauV2 != nil {
 		t.Fatal("SumsDelta after the cap reported a delta")
@@ -168,8 +165,8 @@ func TestEngineDeltaOnlyWhenObserved(t *testing.T) {
 	if _, ok := e.Report(SumsDelta, 0); ok {
 		t.Fatal("SumsDelta after Downsample reported a delta")
 	}
-	if got, want := ac.Bytes(mem.CompCounters), countersBytes(e); got != want {
-		t.Fatalf("counters ledger %d B after Downsample, footprint %d B", got, want)
+	if got, want := e.Footprint().Counters, countersBytes(e); got != want {
+		t.Fatalf("counters footprint %d B after Downsample, recomputed %d B", got, want)
 	}
 }
 
@@ -178,10 +175,9 @@ func TestEngineDeltaOnlyWhenObserved(t *testing.T) {
 // it hands the peak table over and releases it, the next regrows it only
 // to its own size, and a run of epochs touching the same entries neither
 // grows nor shrinks it again; every handed-over delta still adds up to
-// the full report, and the ledger matches the footprint throughout.
+// the full report, and the footprint counts the delta throughout.
 func TestEngineDeltaShrinksAfterPeak(t *testing.T) {
-	ac := mem.New()
-	e, err := NewEngine(Config{M: 4, C: 8, Seed: 3, TrackLocal: true, FullyDynamic: true, Mem: ac})
+	e, err := NewEngine(Config{M: 4, C: 8, Seed: 3, TrackLocal: true, FullyDynamic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,8 +197,8 @@ func TestEngineDeltaShrinksAfterPeak(t *testing.T) {
 		if diff := classSumsDiff(held, e.Aggregates()); diff != "" {
 			t.Fatalf("%s: %s of held sums plus delta differs from the full report", what, diff)
 		}
-		if got, want := ac.Bytes(mem.CompCounters), countersBytes(e); got != want {
-			t.Fatalf("%s: counters ledger %d B, footprint %d B", what, got, want)
+		if got, want := e.Footprint().Counters, countersBytes(e); got != want {
+			t.Fatalf("%s: counters footprint %d B, recomputed %d B", what, got, want)
 		}
 	}
 

@@ -1,12 +1,6 @@
 package core
 
-import (
-	"slices"
-	"unsafe"
-
-	"rept/internal/graph"
-	"rept/internal/mem"
-)
+import "rept/internal/graph"
 
 // nodeDict is the engine's node dictionary: one graph.NodeTable from
 // NodeID to a dense id, probed once per endpoint per event, beside one
@@ -39,8 +33,7 @@ import (
 // Rows are dense — every node pays a signature and a slot on every
 // processor — which is cheapest when each processor holds a large share
 // of the engine's nodes (M=10 with 20 processors: 72 %) and costs memory
-// on very sparse layouts (large M, few processors per group). Every byte
-// is charged to the ledger's masks component at capacity changes only.
+// on very sparse layouts (large M, few processors per group).
 type nodeDict struct {
 	index   graph.NodeTable[int32]
 	rows    []uint64
@@ -49,7 +42,6 @@ type nodeDict struct {
 	slotOff int // offset of the slot words in a row
 	w       int // words per row
 	ver     version
-	ac      *mem.Accountant
 }
 
 // version counts the dictionary changes that can make a looked-up id
@@ -66,11 +58,10 @@ type endpoint struct {
 	id   int32
 }
 
-func newNodeDict(c int, ac *mem.Accountant) nodeDict {
+func newNodeDict(c int) nodeDict {
 	blocks := (c + maskBlock - 1) / maskBlock
 	slotOff := blocks + (c+3)/4
-	d := nodeDict{blocks: blocks, slotOff: slotOff, w: slotOff + (c+1)/2, ac: ac}
-	d.index.SetAccountant(ac, mem.CompMasks)
+	d := nodeDict{blocks: blocks, slotOff: slotOff, w: slotOff + (c+1)/2}
 	d.addRow() // id 0
 	return d
 }
@@ -234,9 +225,7 @@ func (d *nodeDict) leave(p *proc, x *endpoint, s int32) {
 		}
 	}
 	d.index.Del(x.node)
-	n := len(d.free)
-	growCharged(&d.free, 1, d.ac)
-	d.free[n] = x.id
+	d.free = append(d.free, x.id)
 	x.id = 0
 	d.ver.leaves++
 }
@@ -258,34 +247,18 @@ func (d *nodeDict) intern(u graph.NodeID) int32 {
 }
 
 // addRow appends one all-zero row.
-func (d *nodeDict) addRow() { growCharged(&d.rows, d.w, d.ac) }
-
-// growCharged extends *sl by n zero elements, charging the ledger's masks
-// component for the capacity the growth adds, if any.
-func growCharged[T int32 | uint64](sl *[]T, n int, ac *mem.Accountant) {
-	l, c := len(*sl), cap(*sl)
-	*sl = slices.Grow(*sl, n)[:l+n]
-	clear((*sl)[l:])
-	if grown := cap(*sl) - c; grown > 0 {
-		var zero T
-		ac.Add(mem.CompMasks, int64(grown)*int64(unsafe.Sizeof(zero)))
-	}
-}
+func (d *nodeDict) addRow() { d.rows = append(d.rows, make([]uint64, d.w)...) }
 
 // bytes returns the dictionary's backing bytes recomputed from
-// capacities — exactly what its charge sites have put on the ledger.
-func (d *nodeDict) bytes() int64 { return d.index.Bytes() + d.arrayBytes() }
-
-// arrayBytes returns the bytes of the rows and the free list.
-func (d *nodeDict) arrayBytes() int64 {
-	return int64(cap(d.rows))*8 + int64(cap(d.free))*4
+// capacities: the index, the rows and the free list.
+func (d *nodeDict) bytes() int64 {
+	return d.index.Bytes() + int64(cap(d.rows))*8 + int64(cap(d.free))*4
 }
 
-// reset empties the dictionary and releases its storage, crediting the
-// ledger, leaving only the zero row of id 0.
+// reset empties the dictionary and releases its storage, leaving only
+// the zero row of id 0.
 func (d *nodeDict) reset() {
 	d.index.Reset()
-	d.ac.Add(mem.CompMasks, -d.arrayBytes())
 	d.rows, d.free = nil, nil
 	d.addRow()
 }

@@ -6,7 +6,6 @@ import (
 
 	"rept/internal/graph"
 	"rept/internal/hashing"
-	"rept/internal/mem"
 )
 
 // maskBlock is the number of processors one presence-mask word covers,
@@ -89,22 +88,21 @@ func NewEngine(cfg Config) (*Engine, error) {
 		lay:      lay,
 		trackEta: trackEta,
 		fam:      cfg.hashFamily(lay.groups),
-		dict:     newNodeDict(cfg.C, cfg.Mem),
+		dict:     newNodeDict(cfg.C),
 		cols:     make([]int, walkGroup*lay.groups),
 		procs:    make([]*proc, cfg.C),
 	}
 	e.visit = make([]uint64, e.dict.blocks)
 	if cfg.TrackLocal {
-		e.tauV1 = newClassSums(cfg.Mem)
-		e.tauV2 = newClassSums(cfg.Mem)
+		e.tauV1, e.tauV2 = &graph.NodeTable[int64]{}, &graph.NodeTable[int64]{}
 		if trackEta {
-			e.etaV = newClassSums(cfg.Mem)
+			e.etaV = &graph.NodeTable[int64]{}
 		}
 	}
 	downSeeds := downSeedFamily(uint64(cfg.Seed), lay.groups)
 	for i := range e.procs {
 		g := lay.groupOf(i)
-		e.procs[i] = newProc(i, g, lay.colorOf(i), cfg.TrackLocal, trackEta, downSeeds[g], cfg.Mem)
+		e.procs[i] = newProc(i, g, lay.colorOf(i), cfg.TrackLocal, trackEta, downSeeds[g])
 	}
 	e.linkSums()
 	return e, nil
@@ -120,14 +118,6 @@ func (e *Engine) linkSums() {
 			p.tauSum, p.tauDelta = e.tauV2, e.dTauV2
 		}
 	}
-}
-
-// newClassSums returns an empty class-sum table charged to the ledger's
-// counters component.
-func newClassSums(ac *mem.Accountant) *graph.NodeTable[int64] {
-	t := &graph.NodeTable[int64]{}
-	t.SetAccountant(ac, mem.CompCounters)
-	return t
 }
 
 // walkGroup is how many events a batch stages and walks at a time: the
@@ -425,11 +415,11 @@ func nodeEntry(t *graph.NodeTable[int64], v graph.NodeID) *graph.NodeTable[int64
 }
 
 // startDelta empties the delta in place, keeping its capacity so a
-// steady epoch allocates nothing, or creates it charged to the ledger's
-// counters component. A delta the ending epoch filled to less than an
-// eighth gives its storage back instead (see graph.NodeTable.Clear), so
-// the capacity an epoch near the cap reached — the preload's, say — does
-// not stay on every later clone and SumTables walk.
+// steady epoch allocates nothing, or creates it. A delta the ending
+// epoch filled to less than an eighth gives its storage back instead
+// (see graph.NodeTable.Clear), so the capacity an epoch near the cap
+// reached — the preload's, say — does not stay on every later clone and
+// SumTables walk.
 func (e *Engine) startDelta() {
 	if !e.cfg.TrackLocal {
 		return
@@ -440,23 +430,15 @@ func (e *Engine) startDelta() {
 		e.dEtaV.Clear()
 		return
 	}
-	e.dTauV1, e.dTauV2 = newClassSums(e.cfg.Mem), newClassSums(e.cfg.Mem)
+	e.dTauV1, e.dTauV2 = &graph.NodeTable[int64]{}, &graph.NodeTable[int64]{}
 	if e.etaV != nil {
-		e.dEtaV = newClassSums(e.cfg.Mem)
+		e.dEtaV = &graph.NodeTable[int64]{}
 	}
 	e.linkSums()
 }
 
-// dropDelta stops recording the delta and releases it to the ledger.
+// dropDelta stops recording the delta and releases its storage.
 func (e *Engine) dropDelta() {
-	if e.dTauV1 == nil {
-		return
-	}
-	for _, t := range []*graph.NodeTable[int64]{e.dTauV1, e.dTauV2, e.dEtaV} {
-		if t != nil {
-			t.Reset()
-		}
-	}
 	e.dTauV1, e.dTauV2, e.dEtaV = nil, nil, nil
 	e.linkSums()
 }
@@ -616,6 +598,36 @@ func (e *Engine) SampledEdges() int {
 	return total
 }
 
+// Footprint is an engine's storage in bytes, recomputed from
+// capacities, split the way the byte ledger's components split it.
+type Footprint struct {
+	// Adjacency is every processor's neighbor-set store.
+	Adjacency int64
+	// Masks is the node dictionary: its index, rows and free list.
+	Masks int64
+	// Counters is the class sums, their delta and the per-edge counter
+	// tables.
+	Counters int64
+}
+
+// Footprint returns the engine's storage bytes. It reads capacities and
+// running totals only, so it costs O(C) and allocates nothing; the
+// shard layer moves the byte ledger to it after every batch and barrier.
+func (e *Engine) Footprint() Footprint {
+	f := Footprint{
+		Masks: e.dict.bytes(),
+		Counters: e.tauV1.Bytes() + e.tauV2.Bytes() + e.etaV.Bytes() +
+			e.dTauV1.Bytes() + e.dTauV2.Bytes() + e.dEtaV.Bytes(),
+	}
+	for _, p := range e.procs {
+		f.Adjacency += p.sets.Bytes()
+		if p.tcnt != nil {
+			f.Counters += p.tcnt.tab.Bytes()
+		}
+	}
+	return f
+}
+
 // maxSampleShift bounds the cumulative down-shift: the effective
 // denominator M·2^shift stays far from int overflow and the keep filter's
 // bit extraction stays well-defined.
@@ -700,8 +712,8 @@ func scaleRound(x int64, s uint, coin uint64) int64 {
 // The surviving edges are then placed into a fresh node dictionary and
 // fresh neighbor-set stores, and the class sums are rebuilt without the
 // entries that reached 0, so the evicted part of the sample — rows, arena
-// slots, oversized tables, class-sum slots — actually leaves memory and
-// the ledger instead of staying resident as slack.
+// slots, oversized tables, class-sum slots — actually leaves memory
+// instead of staying resident as slack.
 //
 // Downsample refuses engines that track η: the per-edge closing counters
 // count events against the historical sample and cannot be rescaled

@@ -4,14 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"rept/internal/gen"
 	"rept/internal/graph"
-	"rept/internal/mem"
 )
 
-// maxAdjacencyBytesPerEdge caps the sampled adjacency's ledger cost per
+// maxAdjacencyBytesPerEdge caps the sampled adjacency's byte cost per
 // sampled edge on a power-law stream: the neighbor-set stores plus the
 // node dictionary that indexes them. Under a memory budget this figure
 // decides how far the controller must cut the sampling probability, so it
@@ -25,13 +25,12 @@ import (
 const maxAdjacencyBytesPerEdge = 56
 
 // TestAdjacencyBytesPerSampledEdge feeds a seeded Holme–Kim stream to an
-// accounted engine and bounds the adjacency and masks components of the
-// ledger together by the number of edges the processors hold: the node
-// index that used to sit in each processor's adjacency now lives in the
-// engine's dictionary, charged to masks.
+// engine and bounds the adjacency and masks parts of its footprint
+// together by the number of edges the processors hold: the node index
+// that used to sit in each processor's adjacency now lives in the
+// engine's dictionary, counted under masks.
 func TestAdjacencyBytesPerSampledEdge(t *testing.T) {
-	ac := mem.New()
-	e, err := NewEngine(Config{M: 10, C: 10, Seed: 1, Mem: ac})
+	e, err := NewEngine(Config{M: 10, C: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +40,8 @@ func TestAdjacencyBytesPerSampledEdge(t *testing.T) {
 	if edges == 0 {
 		t.Fatal("no sampled edges")
 	}
-	adj, masks := ac.Bytes(mem.CompAdjacency), ac.Bytes(mem.CompMasks)
+	fp := e.Footprint()
+	adj, masks := fp.Adjacency, fp.Masks
 	perEdge := (adj + masks) / int64(edges)
 	t.Logf("adjacency %d + dictionary %d bytes over %d sampled edges: %d + %d = %d B/edge",
 		adj, masks, edges, adj/int64(edges), masks/int64(edges), perEdge)
@@ -52,15 +52,18 @@ func TestAdjacencyBytesPerSampledEdge(t *testing.T) {
 
 // TestEngineLedgerMatchesFootprint drives a seeded schedule of inserts,
 // deletes, phantom deletes, self-loops, Downsample(1) and snapshot
-// round trips through accounted engines, and after every step requires
-// the ledger's adjacency, masks and counters components to equal the
-// footprints recomputed from capacities: every processor's neighbor-set
-// store, the node dictionary, and the class-sum tables, their delta and
-// every per-edge counter table. Every 100th step an observer takes the
-// class-sum delta or restarts it, so the delta is created, cleared in
-// place, dropped by Downsample, and never carried across a resume
-// (TestEngineDeltaOnlyWhenObserved checks the ledger at the cap). A charge site that misses a capacity change (or charges one
-// twice) shows up as a drift at the step that caused it.
+// round trips through engines, and after every step requires each
+// processor's NeighborSets.Bytes, which reads a running total of table
+// slots, to equal the bytes recomputed by walking every live table, and
+// Footprint — what the shard layer moves the byte ledger to — to equal
+// the sum of its parts: every processor's neighbor-set store, the node
+// dictionary, and the class-sum tables, their delta and every per-edge
+// counter table. Every 100th step an observer takes the class-sum delta
+// or restarts it, so the delta is created, cleared in place, dropped by
+// Downsample, and never carried across a resume
+// (TestEngineDeltaOnlyWhenObserved checks the footprint at the cap). A
+// transition that misses the slot total (or counts one twice) shows up
+// as a drift at the step that caused it.
 //
 // It also checks the dictionary's signatures: after every step, each
 // cell of the step's endpoints must hold the OR of graph.SigBit over the
@@ -81,7 +84,7 @@ func testEngineLedger(t *testing.T, c int) {
 	if testing.Short() {
 		steps = 4_000
 	}
-	cfg := Config{M: 5, C: c, Seed: 3, TrackLocal: true, FullyDynamic: true, Mem: mem.New()}
+	cfg := Config{M: 5, C: c, Seed: 3, TrackLocal: true, FullyDynamic: true}
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -90,17 +93,15 @@ func testEngineLedger(t *testing.T, c int) {
 	check := func(step int, what string) {
 		t.Helper()
 		var adj int64
-		for _, p := range e.procs {
+		for i, p := range e.procs {
+			if got, want := p.sets.Bytes(), walkedBytes(&p.sets); got != want {
+				t.Fatalf("step %d (%s): processor %d's neighbor sets report %d bytes, a walk over their tables %d", step, what, i, got, want)
+			}
 			adj += p.sets.Bytes()
 		}
-		if got := cfg.Mem.Bytes(mem.CompAdjacency); got != adj {
-			t.Fatalf("step %d (%s): adjacency ledger %d bytes, footprint %d", step, what, got, adj)
-		}
-		if got, want := cfg.Mem.Bytes(mem.CompMasks), e.dict.bytes(); got != want {
-			t.Fatalf("step %d (%s): masks ledger %d bytes, dictionary footprint %d", step, what, got, want)
-		}
-		if got, want := cfg.Mem.Bytes(mem.CompCounters), countersBytes(e); got != want {
-			t.Fatalf("step %d (%s): counters ledger %d bytes, class sums, their delta and edge counters %d", step, what, got, want)
+		want := Footprint{Adjacency: adj, Masks: e.dict.bytes(), Counters: countersBytes(e)}
+		if got := e.Footprint(); got != want {
+			t.Fatalf("step %d (%s): footprint %+v, parts %+v", step, what, got, want)
 		}
 	}
 	checkSigs := func(step int, what string, nodes ...graph.NodeID) {
@@ -210,7 +211,6 @@ func testEngineLedger(t *testing.T, c int) {
 				t.Fatal(err)
 			}
 			e.Close()
-			cfg.Mem = mem.New()
 			if e, err = ResumeEngine(cfg, &buf); err != nil {
 				t.Fatal(err)
 			}
@@ -237,4 +237,24 @@ func testEngineLedger(t *testing.T, c int) {
 	if e.SampleShift() != wantShift || !recycled || !grown || delta == 0 {
 		t.Fatalf("schedule missed a transition: shift %d, ids recycled %v, hub table grown %v, deltas taken %d", e.SampleShift(), recycled, grown, delta)
 	}
+}
+
+// walkedBytes recomputes s.Bytes() by walking every live table instead of
+// reading the store's running slot total. The store's fields are graph's
+// own, so it reads them through reflection: the arena, its free list and
+// the side store's table headers and free list by capacity, and each
+// table by length.
+func walkedBytes(s *graph.NeighborSets) int64 {
+	v := reflect.ValueOf(s).Elem()
+	side := v.FieldByName("side")
+	tables := side.FieldByName("tables")
+	var b int64
+	for _, f := range []reflect.Value{v.FieldByName("sets"), v.FieldByName("freed"), tables, side.FieldByName("free")} {
+		b += int64(f.Cap()) * int64(f.Type().Elem().Size())
+	}
+	for i := range tables.Len() {
+		t := tables.Index(i)
+		b += int64(t.Len()) * int64(t.Type().Elem().Size())
+	}
+	return b
 }

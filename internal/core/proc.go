@@ -3,7 +3,6 @@ package core
 import (
 	"rept/internal/graph"
 	"rept/internal/hashing"
-	"rept/internal/mem"
 )
 
 // proc is the state of one logical REPT processor in the parallel Engine.
@@ -85,7 +84,7 @@ type proc struct {
 	scratch []graph.NodeID
 }
 
-func newProc(index, group, color int, trackLocal, trackEta bool, downSeed uint64, ac *mem.Accountant) *proc {
+func newProc(index, group, color int, trackLocal, trackEta bool, downSeed uint64) *proc {
 	p := &proc{
 		group:      group,
 		color:      color,
@@ -95,9 +94,8 @@ func newProc(index, group, color int, trackLocal, trackEta bool, downSeed uint64
 		maskBit:    1 << uint(index%maskBlock),
 		downSeed:   downSeed,
 	}
-	p.sets.SetAccountant(ac)
 	if trackEta {
-		p.tcnt = newCtab(ac)
+		p.tcnt = &ctab{}
 	}
 	return p
 }

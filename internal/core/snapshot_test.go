@@ -11,7 +11,6 @@ import (
 
 	"rept/internal/gen"
 	"rept/internal/graph"
-	"rept/internal/mem"
 	"rept/internal/snapshot"
 )
 
@@ -121,8 +120,7 @@ func TestSnapshotResumeStateCounters(t *testing.T) {
 }
 
 // TestResumeRejectsConfigMismatch: restoring under any differing
-// statistical parameter must fail with a descriptive error; operational
-// fields (the byte ledger) must not be rejected.
+// statistical parameter must fail with a descriptive error.
 func TestResumeRejectsConfigMismatch(t *testing.T) {
 	base := Config{M: 6, C: 15, Seed: 3, TrackLocal: true, TrackEta: true}
 	e, err := NewEngine(base)
@@ -143,7 +141,6 @@ func TestResumeRejectsConfigMismatch(t *testing.T) {
 		want string // substring the error must contain; "" means must succeed
 	}{
 		{"SameConfig", func(c *Config) {}, ""},
-		{"WithLedger", func(c *Config) { c.Mem = mem.New() }, ""},
 		{"DifferentM", func(c *Config) { c.M = 7 }, "M = 6 in snapshot, 7 in config"},
 		{"DifferentC", func(c *Config) { c.C = 16 }, "C = 15 in snapshot, 16 in config"},
 		{"DifferentSeed", func(c *Config) { c.Seed = 4 }, "Seed = 3 in snapshot, 4 in config"},

@@ -1,14 +1,10 @@
 package graph
 
-import (
-	"unsafe"
-
-	"rept/internal/mem"
-)
+import "unsafe"
 
 // nsetBytes is the arena cost of one neighbor-set entry (the degree, the
-// layout word and the inline neighbors; side-store tables are accounted
-// separately at their own growth transitions).
+// layout word and the inline neighbors; side-store tables are counted
+// separately).
 const nsetBytes = int64(unsafe.Sizeof(nset{}))
 
 // sideEntryBytes is the cost of one side-store entry: a slice header.
@@ -39,16 +35,6 @@ type Adjacency struct {
 // NewAdjacency returns an empty adjacency structure.
 func NewAdjacency() *Adjacency {
 	return &Adjacency{}
-}
-
-// SetAccountant attaches the byte ledger, charged under
-// mem.CompAdjacency at capacity transitions only — index rehash, arena
-// growth, a set's first table, table growth, side-store growth — never
-// per event. Call it right after construction, before any edges are
-// added, or the ledger misses the capacity that already exists.
-func (a *Adjacency) SetAccountant(ac *mem.Accountant) {
-	a.idx.SetAccountant(ac, mem.CompAdjacency)
-	a.sets.SetAccountant(ac)
 }
 
 // slot returns a fresh set slot for a new node u and indexes it.
@@ -177,8 +163,3 @@ func (a *Adjacency) CommonCount(u, v NodeID) int {
 	a.scratch = a.CommonNeighbors(u, v, a.scratch[:0])
 	return len(a.scratch)
 }
-
-// footprint returns the bytes currently on the ledger for this structure,
-// recomputed from capacities: the node index by table length plus the
-// neighbor-set store (NeighborSets.Bytes).
-func (a *Adjacency) footprint() int64 { return a.idx.Bytes() + a.sets.Bytes() }

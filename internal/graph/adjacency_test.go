@@ -6,8 +6,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-
-	"rept/internal/mem"
 )
 
 func TestAdjacencyBasics(t *testing.T) {
@@ -273,13 +271,14 @@ func TestAdjacencyExtremeNodeIDs(t *testing.T) {
 	}
 }
 
-// FuzzAdjacency drives an accounted Adjacency with fuzz bytes, three per
+// FuzzAdjacency drives an Adjacency with fuzz bytes, three per
 // operation: an opcode and two endpoints among 64 nodes. Three in eight
 // endpoint bytes name one of two hubs, node 0 and node ^0 (the extremes
 // of the owner sentinel), so hub sets cross inline → table → grown table
 // and shrink back to empty. Every result is compared with a map-of-sets
 // reference, and after every operation both endpoints' neighbor sets and
-// the ledger are checked too.
+// the store's Bytes, against a walk over its tables (see walkedBytes),
+// are checked too.
 func FuzzAdjacency(f *testing.F) {
 	// A hub gains 62 leaves, one at a time, then loses them all.
 	var grow, shrink []byte
@@ -291,9 +290,7 @@ func FuzzAdjacency(f *testing.F) {
 	f.Add(append(grow, shrink...))
 	f.Add([]byte{0, 0, 50, 0, 0, 96, 0, 50, 96, 6, 0, 50, 7, 96, 0, 5, 96, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ac := mem.New()
 		a := NewAdjacency()
-		a.SetAccountant(ac)
 		ref := map[NodeID]map[NodeID]bool{}
 		edges := 0
 		node := func(b byte) NodeID {
@@ -380,8 +377,8 @@ func FuzzAdjacency(f *testing.F) {
 			if a.Edges() != edges || a.Nodes() != len(ref) {
 				t.Fatalf("op %d: %d edges on %d nodes, want %d on %d", op, a.Edges(), a.Nodes(), edges, len(ref))
 			}
-			if got, want := ac.Bytes(mem.CompAdjacency), a.footprint(); got != want {
-				t.Fatalf("op %d: ledger %d bytes, footprint %d", op, got, want)
+			if got, want := a.sets.Bytes(), walkedBytes(&a.sets); got != want {
+				t.Fatalf("op %d: neighbor sets report %d bytes, a walk over their tables %d", op, got, want)
 			}
 		}
 	})

@@ -4,7 +4,6 @@ import (
 	"unsafe"
 
 	"rept/internal/hashing"
-	"rept/internal/mem"
 )
 
 // EdgeTable is a flat map from canonical edge keys (Key) to a value: the
@@ -18,24 +17,11 @@ import (
 // growth at 75% load. Key 0 marks an empty slot. It is Key(0, 0), a
 // self-loop, which no caller stores.
 //
-// The zero value is an empty table. An attached accountant is charged
-// the backing bytes at growth, never per update. Not safe for concurrent
-// use.
+// The zero value is an empty table. Not safe for concurrent use.
 type EdgeTable[V any] struct {
 	keys []uint64
 	vals []V
 	n    int
-
-	ac   *mem.Accountant
-	comp mem.Component
-}
-
-// SetAccountant attaches the byte ledger under comp, immediately
-// charging the capacity that already exists; later growth reports its
-// own deltas.
-func (t *EdgeTable[V]) SetAccountant(ac *mem.Accountant, comp mem.Component) {
-	t.ac, t.comp = ac, comp
-	ac.Add(comp, t.Bytes())
 }
 
 // Len returns the number of entries.
@@ -163,13 +149,11 @@ func (t *EdgeTable[V]) Each(fn func(k uint64, v V)) {
 }
 
 // grow rehashes into size slots (a power of two at least the current
-// size), charging the ledger for the difference.
+// size).
 func (t *EdgeTable[V]) grow(size int) {
 	oldK, oldV := t.keys, t.vals
-	before := t.Bytes()
 	t.keys = make([]uint64, size)
 	t.vals = make([]V, size)
-	t.ac.Add(t.comp, t.Bytes()-before)
 	mask := uint64(size - 1)
 	for j, k := range oldK {
 		if k == 0 {

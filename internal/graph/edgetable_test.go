@@ -5,8 +5,6 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"testing"
-
-	"rept/internal/mem"
 )
 
 // edgeContents exports t as a map for comparison against a model.
@@ -31,19 +29,15 @@ func minSlots(n int) int {
 	return size
 }
 
-// checkEdgeTable requires tab to hold exactly model, to be no larger
-// than its peak live count needs (deletion leaves no dead slots behind),
-// and the ledger to equal its footprint.
-func checkEdgeTable[V any](t testing.TB, tab *EdgeTable[V], model map[uint64]V, peak int, ac *mem.Accountant) {
+// checkEdgeTable requires tab to hold exactly model and to be no larger
+// than its peak live count needs (deletion leaves no dead slots behind).
+func checkEdgeTable[V any](t testing.TB, tab *EdgeTable[V], model map[uint64]V, peak int) {
 	t.Helper()
 	if got := edgeContents(tab); !reflect.DeepEqual(got, model) {
 		t.Fatalf("contents (%d keys) disagree with the model (%d keys)", len(got), len(model))
 	}
 	if peak > 0 && len(tab.keys) != minSlots(peak) {
 		t.Fatalf("%d slots after a peak of %d entries, want %d", len(tab.keys), peak, minSlots(peak))
-	}
-	if got, want := ac.Bytes(mem.CompCounters), tab.Bytes(); got != want {
-		t.Fatalf("ledger %d B, footprint %d B", got, want)
 	}
 }
 
@@ -88,13 +82,11 @@ func TestEdgeTableMatchesMap(t *testing.T) {
 // plain map, in alternating fill and drain phases, so every key is
 // deleted and re-inserted many times and deletions shift chains back
 // across the table's wrap-around. After every step Len, Get, the key's
-// presence, Del's report and the ledger must agree with the model and
-// the footprint; at each phase boundary the contents must equal the model
-// and the table must be no larger than its peak live count needs.
+// presence and Del's report must agree with the model; at each phase
+// boundary the contents must equal the model and the table must be no
+// larger than its peak live count needs.
 func edgeTableMatchesMap[V comparable](t *testing.T, tab *EdgeTable[V], write func(k, r uint64, model map[uint64]V)) {
 	rng := rand.New(rand.NewPCG(5, 1))
-	ac := mem.New()
-	tab.SetAccountant(ac, mem.CompCounters)
 	pool := make([]uint64, 3000)
 	for i := range pool {
 		u, v := NodeID(rng.IntN(120)), NodeID(rng.IntN(120))
@@ -121,9 +113,6 @@ func edgeTableMatchesMap[V comparable](t *testing.T, tab *EdgeTable[V], write fu
 			delete(model, k)
 		}
 		peak = max(peak, len(model))
-		if got, want := ac.Bytes(mem.CompCounters), tab.Bytes(); got != want {
-			t.Fatalf("step %d: ledger %d B, footprint %d B", step, got, want)
-		}
 		if tab.Len() != len(model) {
 			t.Fatalf("step %d: Len %d, model %d", step, tab.Len(), len(model))
 		}
@@ -136,7 +125,7 @@ func edgeTableMatchesMap[V comparable](t *testing.T, tab *EdgeTable[V], write fu
 			t.Fatalf("step %d: key %#x present = %v, model %v", step, k, !has, has)
 		}
 		if step%5000 == 4999 {
-			checkEdgeTable(t, tab, model, peak, ac)
+			checkEdgeTable(t, tab, model, peak)
 		}
 	}
 	if peak < len(pool)/2 {
@@ -149,22 +138,19 @@ func edgeTableMatchesMap[V comparable](t *testing.T, tab *EdgeTable[V], write fu
 	for k, v := range snapshot {
 		tab.Put(k, v)
 	}
-	checkEdgeTable(t, tab, snapshot, peak, ac)
+	checkEdgeTable(t, tab, snapshot, peak)
 }
 
 // FuzzEdgeTable decodes a schedule of Put, Ref-add and Del operations on
 // keys over 32 nodes from the input, applies it to an EdgeTable and a Go
-// map, and requires the two to agree after every operation, the ledger
-// to equal the footprint, and the table to be no larger than its peak
-// live count needs.
+// map, and requires the two to agree after every operation and the table
+// to be no larger than its peak live count needs.
 func FuzzEdgeTable(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 2, 1, 2, 3, 2, 1})
 	f.Add([]byte{0, 1, 2, 0, 3, 4, 0, 5, 6, 3, 1, 2, 0, 1, 2})
 	f.Add(make([]byte, 300))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ac := mem.New()
 		var tab EdgeTable[int32]
-		tab.SetAccountant(ac, mem.CompCounters)
 		model := map[uint64]int32{}
 		peak := 0
 		for ; len(data) >= 3; data = data[3:] {
@@ -194,7 +180,7 @@ func FuzzEdgeTable(f *testing.F) {
 			if tab.Len() != len(model) || tab.Get(k) != model[k] {
 				t.Fatalf("key %#x: Len %d, Get %d; model %d, %d", k, tab.Len(), tab.Get(k), len(model), model[k])
 			}
-			checkEdgeTable(t, &tab, model, peak, ac)
+			checkEdgeTable(t, &tab, model, peak)
 		}
 	})
 }

@@ -1,7 +1,5 @@
 package graph
 
-import "rept/internal/mem"
-
 // This file implements the flat neighbor-set storage: NeighborSets, an
 // arena of per-node sets addressed by slot. Adjacency and the engine's
 // node dictionary put a NodeTable[int32] in front of it, mapping each
@@ -20,8 +18,7 @@ import "rept/internal/mem"
 // dictionary row, where it proves most empty intersections empty without
 // touching the arena at all.
 
-// nodeIDBytes is the accounted size of one side-store element (see
-// mem.CompAdjacency).
+// nodeIDBytes is the size of one table slot.
 const nodeIDBytes = 4
 
 // inlineCap is how many neighbors live directly in the arena entry. Most
@@ -83,16 +80,7 @@ type NeighborSets struct {
 	sets  []nset
 	freed []int32
 	side  sideStore
-	// ac is the optional byte ledger (nil: unaccounted), charged under
-	// mem.CompAdjacency only at capacity transitions — arena growth, a
-	// set's first table, table growth, side-store growth — never per
-	// event.
-	ac *mem.Accountant
 }
-
-// SetAccountant attaches the byte ledger. Call it before the first New,
-// or the ledger misses the capacity that already exists.
-func (s *NeighborSets) SetAccountant(ac *mem.Accountant) { s.ac = ac }
 
 // New returns the slot of a fresh empty set, recycling released slots.
 func (s *NeighborSets) New() int32 {
@@ -102,16 +90,16 @@ func (s *NeighborSets) New() int32 {
 		return si
 	}
 	if len(s.sets) == 0 {
-		appendCharged(&s.sets, nset{}, nsetBytes, s.ac) // slot 0, never handed out
+		s.sets = append(s.sets, nset{}) // slot 0, never handed out
 	}
-	appendCharged(&s.sets, nset{}, nsetBytes, s.ac)
+	s.sets = append(s.sets, nset{})
 	return int32(len(s.sets) - 1)
 }
 
 // Release empties set si and recycles its slot.
 func (s *NeighborSets) Release(si int32) {
-	s.sets[si].reset(&s.side, s.ac)
-	appendCharged(&s.freed, si, 4, s.ac)
+	s.sets[si].reset(&s.side)
+	s.freed = append(s.freed, si)
 }
 
 // Add inserts w into set si, owned by owner, reporting whether w was
@@ -119,7 +107,7 @@ func (s *NeighborSets) Release(si int32) {
 //
 //rept:hotpath
 func (s *NeighborSets) Add(si int32, owner, w NodeID) bool {
-	return s.sets[si].add(&s.side, owner, w, s.ac)
+	return s.sets[si].add(&s.side, owner, w)
 }
 
 // Remove deletes w from set si, owned by owner, reporting whether it was
@@ -189,55 +177,42 @@ func (s *NeighborSets) Intersect(su int32, u NodeID, sv int32, v NodeID, dst []N
 	return dst
 }
 
-// Bytes returns the store's backing bytes recomputed from capacities. It
-// mirrors the incremental charge sites exactly: the arena, the side
-// store's headers and both free lists by capacity, and every live table
-// by length.
+// Bytes returns the store's backing bytes recomputed from capacities:
+// the arena, the side store's headers and both free lists by capacity,
+// and the live tables by their slot total, which the store keeps
+// current, so the call costs O(1).
 func (s *NeighborSets) Bytes() int64 {
-	b := int64(cap(s.sets))*nsetBytes +
+	return int64(cap(s.sets))*nsetBytes +
 		int64(cap(s.freed))*4 +
 		int64(cap(s.side.tables))*sideEntryBytes +
-		int64(cap(s.side.free))*4
-	for _, t := range s.side.tables {
-		b += int64(len(t)) * nodeIDBytes
-	}
-	return b
+		int64(cap(s.side.free))*4 +
+		int64(s.side.slots)*nodeIDBytes
 }
 
-// Reset drops every set and releases the backing storage, crediting it
-// to the ledger. Every slot handed out before is invalid afterwards.
-func (s *NeighborSets) Reset() {
-	s.ac.Add(mem.CompAdjacency, -s.Bytes())
-	*s = NeighborSets{ac: s.ac}
-}
+// Reset drops every set and releases the backing storage. Every slot
+// handed out before is invalid afterwards.
+func (s *NeighborSets) Reset() { *s = NeighborSets{} }
 
 // sideStore holds the tables of the sets that outgrow inline: tables[k]
 // belongs to exactly one set (x = k+1), and free lists the indices no set
-// holds. A released table is dropped; its index is recycled.
+// holds. A released table is dropped; its index is recycled. slots is
+// the total length of the live tables.
 type sideStore struct {
 	tables [][]NodeID
 	free   []int32
+	slots  int
 }
 
-// take returns an unused side-store index, recycling released ones.
-func (st *sideStore) take(ac *mem.Accountant) int32 {
+// take returns an unused side-store index, recycling released ones. Its
+// table is nil.
+func (st *sideStore) take() int32 {
 	if n := len(st.free); n > 0 {
 		k := st.free[n-1]
 		st.free = st.free[:n-1]
 		return k
 	}
-	appendCharged(&st.tables, nil, sideEntryBytes, ac)
+	st.tables = append(st.tables, nil)
 	return int32(len(st.tables) - 1)
-}
-
-// appendCharged appends v to *sl, charging the ledger for the capacity
-// the append adds (elemBytes per element), if any.
-func appendCharged[T any](sl *[]T, v T, elemBytes int64, ac *mem.Accountant) {
-	prevCap := cap(*sl)
-	*sl = append(*sl, v)
-	if c := cap(*sl); c != prevCap {
-		ac.Add(mem.CompAdjacency, int64(c-prevCap)*elemBytes)
-	}
 }
 
 // slots returns the set's storage: the inline neighbors, or the whole
@@ -252,15 +227,15 @@ func (s *nset) slots(st *sideStore) []NodeID {
 	return st.tables[s.x-1]
 }
 
-// reset empties the set for arena reuse. A table is dropped, its bytes
-// leave the ledger (a recycled slot usually hosts a fresh low-degree
-// node), and its side-store index returns to the free list.
-func (s *nset) reset(st *sideStore, ac *mem.Accountant) {
+// reset empties the set for arena reuse. A table is dropped (a recycled
+// slot usually hosts a fresh low-degree node), and its side-store index
+// returns to the free list.
+func (s *nset) reset(st *sideStore) {
 	if s.x != 0 {
 		k := s.x - 1
-		ac.Add(mem.CompAdjacency, -int64(len(st.tables[k]))*nodeIDBytes)
+		st.slots -= len(st.tables[k])
 		st.tables[k] = nil
-		appendCharged(&st.free, k, 4, ac)
+		st.free = append(st.free, k)
 	}
 	s.n, s.x = 0, 0
 }
@@ -314,11 +289,10 @@ func tableInsert(t []NodeID, owner, w NodeID) bool {
 // add inserts w, reporting whether it was absent. Inserting the owner
 // itself is rejected (self-loops never reach the set, and the owner id is
 // the table-mode empty sentinel). The capacity transitions live in the
-// cold retable; the steady-state body allocates nothing, and the ledger
-// (ac) is touched only there — never per event.
+// cold retable; the steady-state body allocates nothing.
 //
 //rept:hotpath
-func (s *nset) add(st *sideStore, owner, w NodeID, ac *mem.Accountant) bool {
+func (s *nset) add(st *sideStore, owner, w NodeID) bool {
 	if w == owner {
 		return false
 	}
@@ -333,11 +307,11 @@ func (s *nset) add(st *sideStore, owner, w NodeID, ac *mem.Accountant) bool {
 			s.n++
 			return true
 		}
-		s.retable(st, owner, minTable, ac)
+		s.retable(st, owner, minTable)
 	}
 	t := st.tables[s.x-1]
 	if int(s.n) >= len(t)*3/4 {
-		t = s.retable(st, owner, len(t)*2, ac)
+		t = s.retable(st, owner, len(t)*2)
 	}
 	if !tableInsert(t, owner, w) {
 		return false
@@ -400,14 +374,12 @@ func (s *nset) remove(st *sideStore, owner, w NodeID) bool {
 // is add's one capacity transition, kept as a separate cold function so
 // add itself stays allocation-free under the //rept:hotpath gate. An
 // inline set takes a side-store index; a table keeps its own.
-func (s *nset) retable(st *sideStore, owner NodeID, size int, ac *mem.Accountant) []NodeID {
+func (s *nset) retable(st *sideStore, owner NodeID, size int) []NodeID {
 	old := s.slots(st)
 	if s.x == 0 {
-		s.x = st.take(ac) + 1
-		ac.Add(mem.CompAdjacency, int64(size)*nodeIDBytes)
-	} else {
-		ac.Add(mem.CompAdjacency, int64(size-len(old))*nodeIDBytes)
+		s.x = st.take() + 1
 	}
+	st.slots += size - len(st.tables[s.x-1])
 	t := make([]NodeID, size)
 	for i := range t {
 		t[i] = owner

@@ -3,8 +3,6 @@ package graph
 import (
 	"slices"
 	"unsafe"
-
-	"rept/internal/mem"
 )
 
 // nodeValue is the value type set of NodeTable: the class sums, the
@@ -42,10 +40,9 @@ type nodeValue interface {
 // deleted or the table is Reset: a class sum that nets to zero after
 // deletions keeps its key, and snapshots carry it like any other.
 //
-// The zero value is an empty table. An attached accountant is charged
-// the backing bytes at growth and credited at Reset, never per update.
-// Not safe for concurrent mutation; a table no one mutates any more (a
-// clone handed to readers) may be read from any number of goroutines.
+// The zero value is an empty table. Not safe for concurrent mutation; a
+// table no one mutates any more (a clone handed to readers) may be read
+// from any number of goroutines.
 type NodeTable[V nodeValue] struct {
 	keys []NodeID
 	vals []V
@@ -53,21 +50,10 @@ type NodeTable[V nodeValue] struct {
 
 	hasZero bool
 	zero    V
-
-	ac   *mem.Accountant
-	comp mem.Component
 }
 
 // tableMinSize is the first allocation of a NodeTable or EdgeTable.
 const tableMinSize = 16
-
-// SetAccountant attaches the byte ledger under comp, immediately
-// charging the capacity that already exists; later growth reports its
-// own deltas.
-func (t *NodeTable[V]) SetAccountant(ac *mem.Accountant, comp mem.Component) {
-	t.ac, t.comp = ac, comp
-	ac.Add(comp, t.Bytes())
-}
 
 // Len returns the number of entries.
 func (t *NodeTable[V]) Len() int {
@@ -212,16 +198,14 @@ func (t *NodeTable[V]) Del(u NodeID) {
 	t.n--
 }
 
-// Reset drops every entry and releases the backing storage, crediting it
-// back to the ledger.
+// Reset drops every entry and releases the backing storage.
 func (t *NodeTable[V]) Reset() {
-	t.ac.Add(t.comp, -t.Bytes())
 	t.keys, t.vals, t.n = nil, nil, 0
 	t.hasZero, t.zero = false, 0
 }
 
-// Clear drops every entry. It keeps the backing storage and its ledger
-// charge, so a table refilled every epoch stops allocating once it has
+// Clear drops every entry. It keeps the backing storage, so a table
+// refilled every epoch stops allocating once it has
 // grown to its working size, unless fewer than an eighth of the slots
 // held entries: then it releases the storage like Reset, and the next
 // fill regrows the table to its own size. A table grown to hold n entries
@@ -258,8 +242,8 @@ func (t *NodeTable[V]) Each(fn func(u NodeID, x V)) {
 	}
 }
 
-// Clone returns an independent copy with no accountant attached: two
-// slice copies. Cloning a nil table returns nil.
+// Clone returns an independent copy: two slice copies. Cloning a nil
+// table returns nil.
 func (t *NodeTable[V]) Clone() *NodeTable[V] {
 	if t == nil {
 		return nil
@@ -393,13 +377,11 @@ func (t *NodeTable[V]) addFrom(src *NodeTable[V]) {
 }
 
 // grow rehashes into size slots (a power of two at least the current
-// size), charging the ledger for the difference.
+// size).
 func (t *NodeTable[V]) grow(size int) {
 	oldK, oldV := t.keys, t.vals
-	before := t.Bytes()
 	t.keys = make([]NodeID, size)
 	t.vals = make([]V, size)
-	t.ac.Add(t.comp, t.Bytes()-before)
 	mask := uint32(size - 1)
 	for j, k := range oldK {
 		if k == 0 {

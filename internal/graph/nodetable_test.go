@@ -5,8 +5,6 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"testing"
-
-	"rept/internal/mem"
 )
 
 // tableContents exports t as a map for comparison against a model.
@@ -56,14 +54,9 @@ func TestNodeTableMatchesMap(t *testing.T) {
 // nodeTableMatchesMap drives a seeded mix of writes (write applies one to
 // the table and the model), deletes, resets, clears and clones — node 0 and the
 // maximum NodeID included — against a plain map, and after every step
-// requires Get, Has, Len and Each to agree with it. It also requires the
-// ledger charge to equal the recomputed footprint after every step, like
-// TestAdjacencyLedgerMatchesFootprint: a growth or release that misses
-// the ledger shows up at the step that caused it.
+// requires Get, Has, Len and Each to agree with it.
 func nodeTableMatchesMap[V nodeValue](t *testing.T, tab *NodeTable[V], write func(u NodeID, r uint64, model map[NodeID]V)) {
 	rng := rand.New(rand.NewPCG(3, 8))
-	ac := mem.New()
-	tab.SetAccountant(ac, mem.CompCounters)
 	model := map[NodeID]V{}
 	pick := func() NodeID {
 		switch rng.IntN(50) {
@@ -102,9 +95,6 @@ func nodeTableMatchesMap[V nodeValue](t *testing.T, tab *NodeTable[V], write fun
 				t.Fatalf("step %d: Clear of %d entries in %d slots took the footprint %d B → %d B", step, n, slots, before, tab.Bytes())
 			}
 			clears[keep]++
-		}
-		if got, want := ac.Bytes(mem.CompCounters), tab.Bytes(); got != want {
-			t.Fatalf("step %d: ledger %d B, footprint %d B", step, got, want)
 		}
 		if tab.Len() != len(model) {
 			t.Fatalf("step %d: Len %d, model %d", step, tab.Len(), len(model))
@@ -220,15 +210,13 @@ func TestSumTablesSizing(t *testing.T) {
 // FuzzNodeTable decodes a schedule of Add, Put, Del, Reset and Clear operations
 // from the input — node 0 and the maximum NodeID reachable — applies it
 // to a NodeTable and a Go map, and requires the two to agree after every
-// operation and the ledger to equal the footprint.
+// operation.
 func FuzzNodeTable(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 5, 1, 0, 1, 7, 2, 0, 1, 0})
 	f.Add([]byte{0, 255, 255, 3, 1, 0, 0, 9, 2, 255, 255, 0, 3, 0, 0, 0})
 	f.Add(make([]byte, 400))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ac := mem.New()
 		var tab NodeTable[int64]
-		tab.SetAccountant(ac, mem.CompCounters)
 		model := map[NodeID]int64{}
 		for ; len(data) >= 4; data = data[4:] {
 			u := NodeID(data[1])<<8 | NodeID(data[2])
@@ -262,9 +250,6 @@ func FuzzNodeTable(f *testing.F) {
 			_, has := model[u]
 			if tab.Len() != len(model) || tab.Get(u) != model[u] || tab.Has(u) != has {
 				t.Fatalf("node %d: Len %d, Get %d, Has %v; model %d, %d, %v", u, tab.Len(), tab.Get(u), tab.Has(u), len(model), model[u], has)
-			}
-			if got, want := ac.Bytes(mem.CompCounters), tab.Bytes(); got != want {
-				t.Fatalf("ledger %d B, footprint %d B", got, want)
 			}
 		}
 		if !reflect.DeepEqual(tableContents(&tab), model) {

@@ -1,11 +1,15 @@
 // Package mem is the byte ledger behind the adaptive control plane: a
-// per-component atomic accountant every flat storage structure reports
-// its backing bytes to. The contract that keeps it off the hot path is
-// that components account at the moments capacity actually changes —
-// a table grows or rehashes, a neighbor set moves to a table, a queue
-// is built, a view is published — never per event. Steady-state ingest
-// therefore performs zero ledger operations; the reptvet hotpathalloc
-// analyzer and the AllocsPerRun gates enforce that shape.
+// per-component atomic accountant that the owners of the storage layers
+// keep current. The contract that keeps it off the hot path is that
+// nothing is charged per event. The shard goroutine that owns each
+// engine moves the adjacency, masks and counters entries to the
+// engine's footprint, recomputed from capacities, after every applied
+// batch and every barrier, and the degree tracker does the same for the
+// degree table; a queue is charged when it is built, a view when it is
+// published, and the write-ahead log as its buffers and segments change.
+// A batch that changed no capacity therefore performs zero ledger
+// operations; the AllocsPerRun gates hold the accounted ingest path
+// allocation-free.
 //
 // TRIÈST (PAPERS.md) frames the streaming trade-off this ledger exists
 // to serve: a fixed memory budget with sampling adapted online. The
@@ -24,13 +28,13 @@ type Component int
 const (
 	// CompAdjacency covers the sampled neighbor sets: every engine
 	// processor's graph.NeighborSets (the neighbor-set arena and the side
-	// store of the tables of sets past the inline capacity), and a
-	// graph.Adjacency's node index beside its own store.
+	// store of the tables of sets past the inline capacity).
 	CompAdjacency Component = iota
 	// CompCounters covers the core counter tables: the per-edge ctab
-	// (a graph.EdgeTable) and each engine's per-node class-sum tables
-	// (graph.NodeTables). Both charge at every capacity change, so the
-	// component is exact after every event.
+	// (a graph.EdgeTable) and each engine's per-node class-sum tables and
+	// their delta (graph.NodeTables). The shard layer reconciles it with
+	// the engines' footprints, so the component is exact at every batch
+	// and barrier.
 	CompCounters
 	// CompDegrees covers graph.DegreeTable: the flat degree table and
 	// the live-edge membership set.
@@ -79,9 +83,9 @@ func (c Component) String() string {
 
 // Accountant is the per-component byte ledger. All methods are safe for
 // concurrent use and are plain relaxed atomics — no locks, no false
-// sharing concerns at the accounting rate (capacity changes only). A nil
-// *Accountant is valid and records nothing, so structures thread the
-// pointer unconditionally without guards at every call site.
+// sharing concerns at the accounting rate (a few adds per batch at
+// most). A nil *Accountant is valid and records nothing, so its holders
+// call it without guards.
 type Accountant struct {
 	bytes [NumComponents]atomic.Int64
 }

@@ -24,6 +24,9 @@ const (
 	// KindDownsample marks one sampling-probability halving (value = the
 	// new cumulative shift, duration = the barrier's wall time).
 	KindDownsample
+	// KindShed marks one ingest request refused under the memory budget
+	// (value = the accounted process-memory bytes at the refusal).
+	KindShed
 	kindMax
 )
 
@@ -40,6 +43,7 @@ var kindNames = [kindMax]string{
 	"view_publish",
 	"checkpoint",
 	"downsample",
+	"shed",
 }
 
 // String returns the stable wire name of the kind.

@@ -28,11 +28,6 @@ type Config struct {
 	// bounded by roughly Interval plus one barrier latency. Idle streams
 	// publish nothing — see loop.
 	Interval time.Duration
-	// EveryEdges additionally republishes as soon as this many new edges
-	// have been processed since the current epoch's prefix (0 disables
-	// the edge trigger). It bounds staleness in EDGES under bursty ingest
-	// the way Interval bounds it in time.
-	EveryEdges uint64
 	// TopK is the size of the precomputed heavy-hitter ranking (default
 	// DefaultTopK; meaningless without local tracking), fixed for the
 	// publisher's life.
@@ -241,11 +236,11 @@ func viewFootprint(v *View) int64 {
 	return n
 }
 
-// loop republishes on the configured triggers until Close. It polls at a
-// fraction of the interval so the edge trigger reacts quickly, and
-// measures elapsed time from the published view's own capture time, so
-// explicit Refresh calls push the periodic timer back instead of stacking
-// an extra publication right after. An idle stream publishes nothing: when
+// loop republishes every interval until Close. It polls at a quarter of
+// the interval and measures elapsed time from the published view's own
+// capture time, so explicit Refresh calls push the periodic timer back
+// instead of stacking an extra publication right after. An idle stream
+// publishes nothing: when
 // no edge arrived since the current epoch, the view already describes the
 // exact current prefix, so re-materializing it (a barrier plus a copy of
 // every class-sum table) would buy nothing — the view's Age then keeps
@@ -255,11 +250,6 @@ func viewFootprint(v *View) int64 {
 func (p *Publisher) loop() {
 	defer close(p.done)
 	poll := p.cfg.Interval / 4
-	// The edge trigger is only as reactive as the poll, so cap the poll
-	// period when it is enabled even under a long publish interval.
-	if p.cfg.EveryEdges > 0 && poll > 10*time.Millisecond {
-		poll = 10 * time.Millisecond
-	}
 	if poll < time.Millisecond {
 		poll = time.Millisecond
 	}
@@ -271,13 +261,10 @@ func (p *Publisher) loop() {
 			return
 		case <-t.C:
 			v := p.cur.Load()
-			arrived := p.src.Processed() - v.Processed
-			if arrived == 0 {
+			if p.src.Processed() == v.Processed {
 				continue // view is exact for the current prefix
 			}
-			due := time.Since(v.Taken) >= p.cfg.Interval ||
-				(p.cfg.EveryEdges > 0 && arrived >= p.cfg.EveryEdges)
-			if due {
+			if time.Since(v.Taken) >= p.cfg.Interval {
 				p.publish()
 			}
 		}

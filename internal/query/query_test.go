@@ -154,26 +154,6 @@ func TestPublisherIdleSkipsEpochs(t *testing.T) {
 	}
 }
 
-func TestPublisherEdgeTrigger(t *testing.T) {
-	src := &fakeSource{}
-	p := NewPublisher(src, Config{Interval: time.Hour, EveryEdges: 100})
-	defer p.Close()
-
-	src.processed.Store(99)
-	time.Sleep(50 * time.Millisecond)
-	if e := p.View().Epoch; e != 1 {
-		t.Fatalf("epoch = %d below edge threshold, want 1", e)
-	}
-	src.processed.Store(100)
-	deadline := time.Now().Add(5 * time.Second)
-	for p.View().Epoch < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if v := p.View(); v.Epoch < 2 || v.Processed != 100 {
-		t.Errorf("view after edge trigger = epoch %d processed %d, want >= 2 and 100", v.Epoch, v.Processed)
-	}
-}
-
 func TestPublisherCloseIdempotentAndStopsPublishing(t *testing.T) {
 	src := &fakeSource{}
 	p := NewPublisher(src, Config{Interval: time.Millisecond})

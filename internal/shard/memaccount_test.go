@@ -2,8 +2,10 @@ package shard
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"testing"
 
+	"rept/internal/core"
 	"rept/internal/gen"
 	"rept/internal/graph"
 	"rept/internal/mem"
@@ -192,5 +194,133 @@ func TestResumeChargesDegreeTable(t *testing.T) {
 	defer r.Close()
 	if got := cfg.Mem.Bytes(mem.CompDegrees); got <= 0 || got > want {
 		t.Errorf("degrees component = %d bytes right after Resume, want in (0, %d]", got, want)
+	}
+}
+
+// TestLedgerMatchesEngineFootprints drives a seeded schedule through an
+// accounted coordinator — ApplyBatch bodies of inserts, deletes, phantom
+// deletes and self-loops, Downsample(1), Observe(false) and
+// Observe(true), and WriteSnapshot followed by Resume into a fresh
+// ledger — and after each step's barrier requires the ledger's
+// adjacency, masks and counters components to equal the sum of the shard
+// engines' footprints. No producer runs at that point, so the barrier's
+// WaitGroup orders every shard goroutine's last reconcile before the
+// read. A resumed coordinator is checked before any barrier: its engines
+// must be on the ledger as soon as Resume returns.
+func TestLedgerMatchesEngineFootprints(t *testing.T) {
+	cfg := Config{
+		M: 4, C: 8, Shards: 2, Seed: 5,
+		TrackLocal: true, FullyDynamic: true,
+		Mem: mem.New(),
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { s.Close() }()
+	check := func(step int, what string) {
+		t.Helper()
+		var want core.Footprint
+		for _, e := range s.engines {
+			fp := e.Footprint()
+			want.Adjacency += fp.Adjacency
+			want.Masks += fp.Masks
+			want.Counters += fp.Counters
+		}
+		got := core.Footprint{
+			Adjacency: cfg.Mem.Bytes(mem.CompAdjacency),
+			Masks:     cfg.Mem.Bytes(mem.CompMasks),
+			Counters:  cfg.Mem.Bytes(mem.CompCounters),
+		}
+		if got != want {
+			t.Fatalf("step %d (%s): ledger %+v, engine footprints %+v", step, what, got, want)
+		}
+	}
+	check(0, "new")
+
+	rng := rand.New(rand.NewPCG(11, 3))
+	const hubs, leaves = 3, 4000
+	pick := func() graph.NodeID {
+		// Every fifth endpoint is a hub, so hub sets move to tables and
+		// grow them while most leaves stay inline.
+		if rng.IntN(5) == 0 {
+			return graph.NodeID(rng.IntN(hubs))
+		}
+		return graph.NodeID(hubs + rng.IntN(leaves))
+	}
+	live := map[graph.Edge]bool{}
+	var order []graph.Edge
+	var body []graph.Update
+	resumed, deltas := 0, 0
+	for step := 1; step <= 400; step++ {
+		what := ""
+		switch r := rng.IntN(100); {
+		case r < 80:
+			what = "batch"
+			body = body[:0]
+			addPerMille := 700
+			if step/150%2 == 1 {
+				addPerMille = 300 // teardown phase: nodes leave and ids recycle
+			}
+			for range 1 + rng.IntN(128) {
+				switch q := rng.IntN(1000); {
+				case q < addPerMille:
+					ed := graph.Edge{U: pick(), V: pick()}.Canonical()
+					if ed.U != ed.V && !live[ed] {
+						live[ed] = true
+						order = append(order, ed)
+						body = append(body, graph.Update{U: ed.U, V: ed.V})
+					}
+				case q < 950:
+					if len(order) > 0 {
+						j := rng.IntN(len(order))
+						ed := order[j]
+						order[j] = order[len(order)-1]
+						order = order[:len(order)-1]
+						delete(live, ed)
+						body = append(body, graph.Update{U: ed.U, V: ed.V, Del: true})
+					}
+				case q < 980:
+					// A phantom delete: this edge was never inserted.
+					body = append(body, graph.Update{U: graph.NodeID(100_000 + rng.IntN(50)), V: pick(), Del: true})
+				default:
+					u := pick()
+					body = append(body, graph.Update{U: u, V: u})
+				}
+			}
+			s.ApplyBatch(body)
+			s.SampledEdges() // barrier
+		case r < 82 && s.SampleShift() == 0:
+			what = "Downsample(1)"
+			if err := s.Downsample(1); err != nil {
+				t.Fatal(err)
+			}
+		case r < 88:
+			what = "Observe(false)"
+			s.Observe(false)
+		case r < 96:
+			what = "Observe(true)"
+			if s.Observe(true).Delta {
+				deltas++
+			}
+		default:
+			what = "snapshot + resume"
+			var buf bytes.Buffer
+			if err := s.WriteSnapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			check(step, "snapshot")
+			s.Close()
+			cfg.Mem = mem.New()
+			if s, err = Resume(cfg, &buf); err != nil {
+				t.Fatal(err)
+			}
+			resumed++
+		}
+		check(step, what)
+	}
+	if s.SampleShift() == 0 || resumed == 0 || deltas == 0 || cfg.Mem.Bytes(mem.CompCounters) == 0 {
+		t.Fatalf("schedule missed a case: shift %d, resumes %d, deltas taken %d, counters %d B",
+			s.SampleShift(), resumed, deltas, cfg.Mem.Bytes(mem.CompCounters))
 	}
 }

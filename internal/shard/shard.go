@@ -107,10 +107,12 @@ type Config struct {
 	// the snapshot fingerprint — a snapshot taken with telemetry on
 	// restores into a coordinator with it off and vice versa.
 	Obs *obs.Pipeline
-	// Mem, when non-nil, is the byte ledger every storage layer under the
-	// coordinator reports to: the shard engines' neighbor-set arenas, node
-	// dictionaries and counter tables, the ingest queues, the recycled
-	// batch buffers, and the degree table. Purely observational —
+	// Mem, when non-nil, is the byte ledger the coordinator keeps for
+	// the storage under it: each shard goroutine moves the adjacency,
+	// masks and counters entries to its engine's core.Engine.Footprint
+	// after every batch and barrier, the degree tracker reconciles the
+	// degree table the same way, and the ingest queues and recycled batch
+	// buffers are charged when built or dropped. Purely observational —
 	// estimates are bit-identical with or without it — and, like Obs,
 	// operational state outside the snapshot fingerprint.
 	Mem *mem.Accountant
@@ -174,7 +176,6 @@ func (c Config) shardConfigs() []core.Config {
 			TrackLocal:   c.TrackLocal,
 			FullyDynamic: c.FullyDynamic,
 			TrackEta:     trackEta,
-			Mem:          c.Mem,
 		}
 	}
 	return out
@@ -315,6 +316,7 @@ type Sharded struct {
 	sampleShift atomic.Int64
 
 	// acct is the optional byte ledger (Config.Mem); nil-safe throughout.
+	// The engines reach it only through reconcile.
 	acct *mem.Accountant
 
 	// obs is the optional pipeline telemetry (Config.Obs); batchEv and
@@ -403,8 +405,10 @@ func build(cfg Config, restore []snapshot.EngineState, liveEdges []graph.Edge) (
 	}
 	s.cur = s.getBatch()
 	s.done.Add(len(s.engines))
-	for i := range s.engines {
-		go s.run(i, s.queues[i])
+	for i, eng := range s.engines {
+		// A restored engine's sample is on the ledger before Resume
+		// returns, not only after the first batch.
+		go s.run(i, s.queues[i], s.reconcile(eng, core.Footprint{}))
 	}
 	if cfg.TrackDegrees {
 		table := graph.NewDegreeTable()
@@ -497,10 +501,27 @@ func (s *Sharded) runDegrees(q <-chan msg, table *graph.DegreeTable, acBytes int
 // the degree tracker and the WAL goroutine when enabled).
 func (s *Sharded) fanout() int { return len(s.queues) }
 
+// reconcile moves the ledger's adjacency, masks and counters entries by
+// the change in eng's footprint since fp, the footprint last reported,
+// and returns the new one. Only the goroutine that owns eng calls it
+// once eng runs.
+func (s *Sharded) reconcile(eng *core.Engine, fp core.Footprint) core.Footprint {
+	if s.acct == nil {
+		return fp
+	}
+	now := eng.Footprint()
+	s.acct.Add(mem.CompAdjacency, now.Adjacency-fp.Adjacency)
+	s.acct.Add(mem.CompMasks, now.Masks-fp.Masks)
+	s.acct.Add(mem.CompCounters, now.Counters-fp.Counters)
+	return now
+}
+
 // run is the shard goroutine: it drains shard i's queue, feeding edge
 // batches to the shard engine's walk and answering barriers in stream
-// order.
-func (s *Sharded) run(i int, q <-chan msg) {
+// order. fp is the engine footprint on the ledger; it is reconciled after
+// every batch and every barrier, before the barrier is marked done, so a
+// barrier's caller reads a ledger exact for the barrier's prefix.
+func (s *Sharded) run(i int, q <-chan msg, fp core.Footprint) {
 	defer s.done.Done()
 	eng := s.engines[i]
 	for m := range q {
@@ -519,6 +540,7 @@ func (s *Sharded) run(i int, q <-chan msg) {
 				bar.sampled[i] = eng.SampledEdges()
 				bar.etaSat[i] = eng.EtaSaturations()
 			}
+			fp = s.reconcile(eng, fp)
 			bar.wg.Done()
 			continue
 		}
@@ -535,6 +557,7 @@ func (s *Sharded) run(i int, q <-chan msg) {
 		} else {
 			eng.ApplyBatch(m.b.ups)
 		}
+		fp = s.reconcile(eng, fp)
 		if m.b.refs.Add(-1) == 0 {
 			s.putBatch(m.b)
 		}

@@ -6,87 +6,13 @@ import (
 	"rept/internal/graph"
 )
 
-// Update is one event of a fully-dynamic edge stream: an insertion, or a
-// deletion when Del is set. It aliases graph.Update so stream sources,
-// the shard layer, and the core engine share one event type.
-type Update = graph.Update
-
-// SignedSource is a one-pass fully-dynamic edge stream: Next returns the
-// next signed event until the stream is exhausted, after which ok is
-// false and Err reports any failure encountered. It generalizes Source
-// the way Update generalizes Edge.
-type SignedSource interface {
-	Next() (up Update, ok bool)
-	Err() error
-}
-
-// UpdateSlice streams updates from an in-memory slice. It is resettable
-// and never fails.
-type UpdateSlice struct {
-	ups []Update
-	i   int
-}
-
-// FromUpdates returns an UpdateSlice over ups (not copied).
-func FromUpdates(ups []Update) *UpdateSlice {
-	return &UpdateSlice{ups: ups}
-}
-
-// Next implements SignedSource.
-func (s *UpdateSlice) Next() (Update, bool) {
-	if s.i >= len(s.ups) {
-		return Update{}, false
-	}
-	up := s.ups[s.i]
-	s.i++
-	return up, true
-}
-
-// Err implements SignedSource; it is always nil.
-func (s *UpdateSlice) Err() error { return nil }
-
-// Reset rewinds the source to the beginning of the stream.
-func (s *UpdateSlice) Reset() { s.i = 0 }
-
-// Len returns the total number of events in the stream.
-func (s *UpdateSlice) Len() int { return len(s.ups) }
-
-// Signed adapts an insert-only Source into a SignedSource whose events
-// are all insertions, so insert-only inputs flow through fully-dynamic
-// consumers unchanged.
-func Signed(src Source) SignedSource { return insertsOnly{src} }
-
-type insertsOnly struct{ src Source }
-
-func (s insertsOnly) Next() (Update, bool) {
-	e, ok := s.src.Next()
-	if !ok {
-		return Update{}, false
-	}
-	return Update{U: e.U, V: e.V}, true
-}
-
-func (s insertsOnly) Err() error { return s.src.Err() }
-
-// DrainSigned feeds every event of src to fn and returns the stream
-// error, if any — the signed counterpart of Drain.
-func DrainSigned(src SignedSource, fn func(Update)) error {
-	for {
-		up, ok := src.Next()
-		if !ok {
-			return src.Err()
-		}
-		fn(up)
-	}
-}
-
 // ValidateWellFormed checks the well-formedness contract fully-dynamic
 // consumers assume: every deletion targets a currently-live edge and
 // every insertion a currently-absent one (self-loops are exempt; they are
 // skipped downstream anyway). It returns the first violation with its
 // 0-based event index, or nil. The check costs one hash-set entry per
 // live edge; use it in tests and offline tooling, not on hot paths.
-func ValidateWellFormed(ups []Update) error {
+func ValidateWellFormed(ups []graph.Update) error {
 	live := make(map[uint64]struct{})
 	for i, up := range ups {
 		if up.U == up.V {

@@ -7,44 +7,8 @@ import (
 	"rept/internal/graph"
 )
 
-func TestUpdateSliceAndDrain(t *testing.T) {
-	ups := []Update{
-		{U: 1, V: 2},
-		{U: 2, V: 3},
-		{U: 1, V: 2, Del: true},
-	}
-	src := FromUpdates(ups)
-	if src.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", src.Len())
-	}
-	var got []Update
-	if err := DrainSigned(src, func(up Update) { got = append(got, up) }); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[2] != ups[2] {
-		t.Fatalf("drained %v, want %v", got, ups)
-	}
-	src.Reset()
-	if up, ok := src.Next(); !ok || up != ups[0] {
-		t.Fatalf("after Reset: Next = (%v, %v)", up, ok)
-	}
-}
-
-// TestSignedAdapter: an insert-only Source lifted with Signed yields the
-// same edges as pure insertion events, errors included.
-func TestSignedAdapter(t *testing.T) {
-	edges := []graph.Edge{{U: 1, V: 2}, {U: 3, V: 4}}
-	var got []Update
-	if err := DrainSigned(Signed(FromSlice(edges)), func(up Update) { got = append(got, up) }); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].Del || got[1].Del || got[1].Edge() != edges[1] {
-		t.Fatalf("adapted stream = %v", got)
-	}
-}
-
 func TestValidateWellFormed(t *testing.T) {
-	ok := []Update{
+	ok := []graph.Update{
 		{U: 1, V: 2},
 		{U: 1, V: 2, Del: true},
 		{U: 2, V: 1}, // re-insert after delete, reversed orientation
@@ -55,12 +19,12 @@ func TestValidateWellFormed(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		ups  []Update
+		ups  []graph.Update
 		want string
 	}{
-		{"DeleteAbsent", []Update{{U: 1, V: 2, Del: true}}, "not live"},
-		{"DoubleInsert", []Update{{U: 1, V: 2}, {U: 2, V: 1}}, "re-inserts"},
-		{"DoubleDelete", []Update{{U: 1, V: 2}, {U: 1, V: 2, Del: true}, {U: 1, V: 2, Del: true}}, "not live"},
+		{"DeleteAbsent", []graph.Update{{U: 1, V: 2, Del: true}}, "not live"},
+		{"DoubleInsert", []graph.Update{{U: 1, V: 2}, {U: 2, V: 1}}, "re-inserts"},
+		{"DoubleDelete", []graph.Update{{U: 1, V: 2}, {U: 1, V: 2, Del: true}, {U: 1, V: 2, Del: true}}, "not live"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

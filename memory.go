@@ -18,10 +18,13 @@ var ErrEtaDownsample = core.ErrEtaDownsample
 
 // MemStats is a point-in-time breakdown of the estimator's accounted
 // bytes, by storage component. Accounting is exact at capacity
-// granularity: every flat structure reports its backing bytes when its
-// capacity changes (growth, rehash, a neighbor set's move to a table,
-// queue construction, view publication), never per event — so the ledger tracks the real
-// footprint at zero hot-path cost, and the numbers move in steps, not
+// granularity: after every applied batch and every barrier, each shard
+// moves the ledger to its engine's footprint (neighbor sets, node
+// dictionary, counter tables) recomputed from capacities, and the degree
+// tracker to its table's; queues are charged when built, a view when it
+// is published, and the write-ahead log as its buffers and segments
+// change. Nothing is charged per event, so the ledger tracks the real
+// footprint at no per-event cost, and the numbers move in steps, not
 // continuously.
 type MemStats struct {
 	// ByComponent maps stable component names (adjacency, counters,

@@ -34,9 +34,6 @@ type ViewConfig struct {
 	// republishing (the view already describes the exact current prefix,
 	// so only its wall-clock Age keeps growing).
 	Interval time.Duration
-	// EveryEdges additionally republishes as soon as this many new edges
-	// arrived since the current epoch (0 disables the edge trigger).
-	EveryEdges uint64
 	// TopK is the precomputed heavy-hitter ranking size (default 100),
 	// fixed for the publisher's life. Requires TrackLocal to be useful.
 	TopK int
@@ -61,10 +58,9 @@ func (c *Concurrent) StartViews(cfg ViewConfig) (*Views, error) {
 		return nil, errViewsStarted
 	}
 	qcfg := query.Config{
-		Interval:   cfg.Interval,
-		EveryEdges: cfg.EveryEdges,
-		TopK:       cfg.TopK,
-		Mem:        c.acct,
+		Interval: cfg.Interval,
+		TopK:     cfg.TopK,
+		Mem:      c.acct,
 	}
 	if pipe := c.tele.obsPipeline(); pipe != nil {
 		qcfg.PublishHist = pipe.ViewPublish
