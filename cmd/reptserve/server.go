@@ -229,7 +229,7 @@ func (s *Server) registerMetrics() {
 		"Non-loop edges at the current view's prefix (resets on restore).",
 		func() float64 { return float64(views.View().Processed) })
 	reg.CounterFunc("rept_view_full_publishes_total",
-		"View epochs that ranked every node instead of merging a delta (the first epoch, after a downsample, past the delta cap, a weakened ranked node).",
+		"View epochs that ranked every node instead of merging a delta (the first epoch, after a downsample, a weakened ranked node).",
 		views.FullPublishes)
 	reg.GaugeFunc("rept_uptime_seconds",
 		"Server uptime.", func() float64 { return time.Since(s.start).Seconds() })

@@ -124,8 +124,10 @@
 // merged deltas), and the top-K ranks only the previous ranking plus the
 // nodes the deltas touched. That is exact while no ranked node weakens,
 // since τ̂_v depends only on v's own class sums and on M, C and the
-// sample shift. The first epoch, one after a Downsample, one after a
-// delta outgrew a quarter of the class sums, and one in which a ranked
+// sample shift. Deltas start and stop only at barriers: a Downsample
+// ends them, since it rescales every class sum, and so does the last
+// barrier Views.Close takes. The first epoch, one after a Downsample
+// (whose engines hand over whole class sums), and one in which a ranked
 // node weakened rebuild from every node instead. The View keeps the
 // merged tables and evaluates τ̂_v when a reader probes a node (LocalOf,
 // CC, Stat); Local and Degrees build a full map only when a caller asks

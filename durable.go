@@ -86,6 +86,11 @@ type WALOptions struct {
 // ApplyAllDurable wait for the log's acknowledgment. Close flushes,
 // group-commits the tail, and closes the log.
 func ResumeDurable(cfg ConcurrentConfig, opt WALOptions) (*Concurrent, error) {
+	// Checked before the disk backend creates opt.Dir, so a rejected
+	// configuration leaves no directory behind.
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	be := opt.Backend
 	if be == nil {
 		if opt.Dir == "" {

@@ -3,6 +3,7 @@ package rept_test
 import (
 	"bytes"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -144,6 +145,20 @@ func TestResumeDurableRejectsForeignLog(t *testing.T) {
 	other.Seed++
 	if _, err := rept.ResumeDurable(other, rept.WALOptions{Dir: dir}); !errors.Is(err, rept.ErrWALMismatch) {
 		t.Fatalf("resume under foreign config: %v, want ErrWALMismatch", err)
+	}
+}
+
+// TestResumeDurableRejectsConfigBeforeDir: a configuration with M or C
+// below 1 fails before the log directory is created.
+func TestResumeDurableRejectsConfigBeforeDir(t *testing.T) {
+	for _, cfg := range []rept.ConcurrentConfig{{M: 0, C: 4}, {M: 4, C: 0}} {
+		dir := filepath.Join(t.TempDir(), "wal")
+		if _, err := rept.ResumeDurable(cfg, rept.WALOptions{Dir: dir}); err == nil {
+			t.Fatalf("ResumeDurable(M=%d, C=%d) succeeded", cfg.M, cfg.C)
+		}
+		if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("ResumeDurable(M=%d, C=%d) left the log directory behind: stat = %v", cfg.M, cfg.C, err)
+		}
 	}
 }
 

@@ -36,12 +36,12 @@ func countersBytes(e *Engine) int64 {
 	return n
 }
 
-// TestEngineDeltaSumsToFullReport: after a SumsRestart report, each
-// SumsDelta report added onto the class sums the consumer holds gives
-// the engine's full class sums by content — entries that netted to zero
-// included — through inserts, deletes that undo them and re-inserts, on
-// a c ≤ m layout, a c = c₁m one and a c = c₁m + c₂ one (η_v in the
-// delta).
+// TestEngineDeltaSumsToFullReport: the first TakeDelta hands over whole
+// class sums, and every later one a delta which, added onto the class
+// sums the consumer holds, gives the engine's full class sums by content
+// — entries that netted to zero included — through inserts, deletes that
+// undo them and re-inserts, on a c ≤ m layout, a c = c₁m one and a
+// c = c₁m + c₂ one (η_v in the delta).
 func TestEngineDeltaSumsToFullReport(t *testing.T) {
 	for _, lay := range []struct{ m, c int }{{8, 6}, {4, 12}, {4, 10}} {
 		cfg := Config{M: lay.m, C: lay.c, Seed: 5, TrackLocal: true, FullyDynamic: true}
@@ -51,14 +51,14 @@ func TestEngineDeltaSumsToFullReport(t *testing.T) {
 		}
 		edges := gen.Shuffle(gen.HolmeKim(800, 4, 0.5, 3), 4)
 		e.ApplyAll(graph.Inserts(edges[:1000]))
-		held, ok := e.Report(SumsRestart, 0)
-		if !ok {
-			t.Fatal("SumsRestart report failed")
+		held, delta := e.TakeDelta()
+		if delta {
+			t.Fatal("the first TakeDelta handed over a delta")
 		}
 		rng := rand.New(rand.NewPCG(1, uint64(lay.c)))
 		live := append([]graph.Edge(nil), edges[:1000]...)
 		next := 1000
-		deltas, zeros := 0, 0
+		zeros := 0
 		for epoch := 0; epoch < 30; epoch++ {
 			var ups []graph.Update
 			for len(ups) < 60 {
@@ -75,18 +75,16 @@ func TestEngineDeltaSumsToFullReport(t *testing.T) {
 				}
 			}
 			e.ApplyAll(ups)
-			if d, ok := e.Report(SumsDelta, 0); ok {
-				deltas++
-				d.TauV1.Each(func(_ graph.NodeID, x int64) {
-					if x == 0 {
-						zeros++
-					}
-				})
-				held = sumsOnto(held, d)
-			} else {
-				// The batch outgrew the cap: restart, as a publisher does.
-				held, _ = e.Report(SumsRestart, 0)
+			d, delta := e.TakeDelta()
+			if !delta {
+				t.Fatalf("m=%d c=%d epoch %d: TakeDelta handed over whole class sums", lay.m, lay.c, epoch)
 			}
+			d.TauV1.Each(func(_ graph.NodeID, x int64) {
+				if x == 0 {
+					zeros++
+				}
+			})
+			held = sumsOnto(held, d)
 			if diff := classSumsDiff(held, e.Aggregates()); diff != "" {
 				t.Fatalf("m=%d c=%d epoch %d: %s of held sums plus delta differs from the full report", lay.m, lay.c, epoch, diff)
 			}
@@ -94,19 +92,21 @@ func TestEngineDeltaSumsToFullReport(t *testing.T) {
 		if (lay.c > lay.m && lay.c%lay.m != 0) != (held.EtaV != nil) {
 			t.Fatalf("m=%d c=%d: η_v class sums present = %v", lay.m, lay.c, held.EtaV != nil)
 		}
-		if deltas < 20 || lay.c%lay.m == 0 && zeros == 0 {
-			t.Fatalf("m=%d c=%d: %d of 30 epochs took a delta, %d delta entries netted to zero; the schedule missed its cases", lay.m, lay.c, deltas, zeros)
+		if lay.c%lay.m == 0 && zeros == 0 {
+			t.Fatalf("m=%d c=%d: no delta entry netted to zero; the schedule missed its case", lay.m, lay.c)
 		}
 		e.Close()
 	}
 }
 
-// TestEngineDeltaOnlyWhenObserved: an engine no SumsRestart report
-// reached records no delta and its footprint counts no bytes for one,
-// and the other report choices leave that so; a delta past the cap is
-// dropped, with its bytes, at the end of the batch that outgrew it, so
-// the next SumsDelta report fails and the consumer must restart; and
-// Downsample drops it the same way.
+// TestEngineDeltaOnlyWhenObserved: an engine no TakeDelta reached
+// records no delta and its footprint counts no bytes for one, and the
+// other reports leave that so; the first TakeDelta hands over whole class
+// sums and starts the delta, which then outlives a batch touching most
+// nodes without outgrowing the class sums; StopDelta ends it and
+// releases its bytes, so the footprint's counters cover the class sums
+// alone and the next TakeDelta hands over whole class sums again; and
+// Downsample ends it the same way.
 func TestEngineDeltaOnlyWhenObserved(t *testing.T) {
 	cfg := Config{M: 4, C: 8, Seed: 2, TrackLocal: true}
 	e, err := NewEngine(cfg)
@@ -117,14 +117,9 @@ func TestEngineDeltaOnlyWhenObserved(t *testing.T) {
 	edges := gen.Shuffle(gen.HolmeKim(6000, 4, 0.5, 9), 2)
 	half := len(edges) / 2
 	e.ApplyBatch(graph.Inserts(edges[:half/2]))
-	for _, s := range []Sums{SumsNone, SumsNode, SumsFull} {
-		if _, ok := e.Report(s, edges[0].U); !ok {
-			t.Fatalf("report %d failed", s)
-		}
-	}
-	if _, ok := e.Report(SumsDelta, 0); ok {
-		t.Fatal("SumsDelta succeeded on an engine nothing restarted")
-	}
+	e.ProcCounters()
+	e.NodeCounters(edges[0].U)
+	e.Aggregates()
 	e.ApplyBatch(graph.Inserts(edges[half/2 : half]))
 	if e.dTauV1 != nil || e.dTauV2 != nil {
 		t.Fatal("an engine nothing observed records a delta")
@@ -132,10 +127,21 @@ func TestEngineDeltaOnlyWhenObserved(t *testing.T) {
 	if got, want := e.Footprint().Counters, countersBytes(e); got != want || e.dTauV1.Bytes() != 0 {
 		t.Fatalf("counters footprint %d B, recomputed %d B", got, want)
 	}
+	classSumBytes := func() int64 { return e.tauV1.Bytes() + e.tauV2.Bytes() + e.etaV.Bytes() }
+	takeWhole := func(what string) {
+		t.Helper()
+		agg, delta := e.TakeDelta()
+		if delta {
+			t.Fatalf("%s: TakeDelta handed over a delta", what)
+		}
+		if diff := classSumsDiff(agg, e.Aggregates()); diff != "" {
+			t.Fatalf("%s: TakeDelta's whole %s differs from the full report", what, diff)
+		}
+	}
+	takeWhole("first TakeDelta")
 
-	// A small batch keeps the delta; a batch touching more than a quarter
-	// of the class sums drops it and its bytes.
-	e.Report(SumsRestart, 0)
+	// A small batch and one touching most nodes both keep the delta, and
+	// it never holds more entries than the class sums.
 	e.ApplyBatch(graph.Inserts(edges[half : half+20]))
 	if e.dTauV1 == nil {
 		t.Fatal("a 20-event batch dropped the delta")
@@ -143,35 +149,37 @@ func TestEngineDeltaOnlyWhenObserved(t *testing.T) {
 	if got, want := e.Footprint().Counters, countersBytes(e); got != want || e.dTauV1.Bytes() == 0 {
 		t.Fatalf("counters footprint %d B, recomputed %d B with a delta of %d B", got, want, e.dTauV1.Bytes())
 	}
-	if _, ok := e.Report(SumsDelta, 0); !ok {
-		t.Fatal("SumsDelta failed on a restarted engine")
+	if _, delta := e.TakeDelta(); !delta {
+		t.Fatal("TakeDelta on a recording engine handed over whole class sums")
 	}
 	e.ApplyBatch(graph.Inserts(edges[half+20:]))
-	if e.dTauV1 != nil {
-		t.Fatalf("delta kept after a batch touching most nodes (class sums %d entries)", e.tauV1.Len()+e.tauV2.Len())
-	}
-	if got, want := e.Footprint().Counters, countersBytes(e); got != want {
-		t.Fatalf("counters footprint %d B after the cap, recomputed %d B", got, want)
-	}
-	if d, ok := e.Report(SumsDelta, 0); ok || d.TauV1 != nil || d.TauV2 != nil {
-		t.Fatal("SumsDelta after the cap reported a delta")
+	if d, s := e.dTauV1.Len()+e.dTauV2.Len(), e.tauV1.Len()+e.tauV2.Len(); e.dTauV1 == nil || d > s || 2*d < s {
+		t.Fatalf("after a batch touching most nodes the delta holds %d entries, the class sums %d", d, s)
 	}
 
-	// Downsample rescales every class sum, so it drops the delta too.
-	e.Report(SumsRestart, 0)
+	// StopDelta releases the delta: the counters footprint is the class
+	// sums' bytes alone (this layout keeps no per-edge counters).
+	e.StopDelta()
+	if e.dTauV1 != nil || e.dTauV2 != nil || e.dEtaV != nil {
+		t.Fatal("a stopped engine holds a delta")
+	}
+	if got, want := e.Footprint().Counters, classSumBytes(); got != want || got != countersBytes(e) {
+		t.Fatalf("counters footprint %d B after StopDelta, class sums alone %d B", got, want)
+	}
+	takeWhole("TakeDelta after StopDelta")
+
+	// Downsample rescales every class sum, so it ends the delta too.
 	if err := e.Downsample(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := e.Report(SumsDelta, 0); ok {
-		t.Fatal("SumsDelta after Downsample reported a delta")
+	if got, want := e.Footprint().Counters, classSumBytes(); got != want || e.dTauV1 != nil {
+		t.Fatalf("counters footprint %d B after Downsample, class sums alone %d B", got, want)
 	}
-	if got, want := e.Footprint().Counters, countersBytes(e); got != want {
-		t.Fatalf("counters footprint %d B after Downsample, recomputed %d B", got, want)
-	}
+	takeWhole("TakeDelta after Downsample")
 }
 
-// TestEngineDeltaShrinksAfterPeak: a delta that grew during an epoch
-// near the cap does not keep that capacity. The first small epoch after
+// TestEngineDeltaShrinksAfterPeak: a delta that grew during a large
+// epoch does not keep that capacity. The first small epoch after
 // it hands the peak table over and releases it, the next regrows it only
 // to its own size, and a run of epochs touching the same entries neither
 // grows nor shrinks it again; every handed-over delta still adds up to
@@ -185,13 +193,13 @@ func TestEngineDeltaShrinksAfterPeak(t *testing.T) {
 	edges := gen.Shuffle(gen.HolmeKim(20_000, 4, 0.5, 5), 6)
 	ups := graph.Inserts(edges)
 	e.ApplyAll(ups[:40_000])
-	held, _ := e.Report(SumsRestart, 0)
+	held, _ := e.TakeDelta()
 	deltaBytes := func() int64 { return e.dTauV1.Bytes() + e.dTauV2.Bytes() }
 	take := func(what string) {
 		t.Helper()
-		d, ok := e.Report(SumsDelta, 0)
-		if !ok {
-			t.Fatalf("%s: SumsDelta failed", what)
+		d, delta := e.TakeDelta()
+		if !delta {
+			t.Fatalf("%s: TakeDelta handed over whole class sums", what)
 		}
 		held = sumsOnto(held, d)
 		if diff := classSumsDiff(held, e.Aggregates()); diff != "" {
@@ -202,8 +210,8 @@ func TestEngineDeltaShrinksAfterPeak(t *testing.T) {
 		}
 	}
 
-	// One epoch near the cap: batches until the delta holds a fifth as
-	// many entries as the class sums (the cap is a quarter).
+	// One large epoch: batches until the delta holds a fifth as many
+	// entries as the class sums.
 	next := 40_000
 	for 5*(e.dTauV1.Len()+e.dTauV2.Len()) < e.tauV1.Len()+e.tauV2.Len() {
 		e.ApplyAll(ups[next : next+100])
@@ -238,8 +246,8 @@ func TestEngineDeltaShrinksAfterPeak(t *testing.T) {
 	}
 }
 
-// TestEngineReportChoices: SumsNone carries no class sums, SumsNode one
-// node's entries, and both the full report's counters.
+// TestEngineReportChoices: ProcCounters carries no class sums,
+// NodeCounters one node's entries, and both the full report's counters.
 func TestEngineReportChoices(t *testing.T) {
 	e, err := NewEngine(Config{M: 4, C: 10, Seed: 6, TrackLocal: true})
 	if err != nil {
@@ -248,27 +256,27 @@ func TestEngineReportChoices(t *testing.T) {
 	defer e.Close()
 	e.AddAll(gen.Shuffle(gen.HolmeKim(500, 4, 0.5, 1), 1))
 	full := e.Aggregates()
-	none, _ := e.Report(SumsNone, 0)
+	none := e.ProcCounters()
 	if none.TracksLocal() || none.EtaV != nil {
-		t.Fatal("SumsNone report carries class sums")
+		t.Fatal("ProcCounters carries class sums")
 	}
 	if !reflect.DeepEqual(none.GlobalEstimate(), full.GlobalEstimate()) {
-		t.Fatal("SumsNone report's global estimate differs from the full report's")
+		t.Fatal("ProcCounters' global estimate differs from the full report's")
 	}
 	n := 0
 	full.EachLocal(func(v graph.NodeID, local float64) {
 		if n++; n > 50 {
 			return
 		}
-		one, _ := e.Report(SumsNode, v)
+		one := e.NodeCounters(v)
 		if one.TauV1.Len()+one.TauV2.Len()+one.EtaV.Len() > 3 {
-			t.Fatalf("SumsNode report for %d holds other nodes", v)
+			t.Fatalf("NodeCounters(%d) holds other nodes", v)
 		}
 		if got := one.LocalOf(v); got != local {
-			t.Fatalf("SumsNode LocalOf(%d) = %v, want %v", v, got, local)
+			t.Fatalf("NodeCounters(%d).LocalOf = %v, want %v", v, got, local)
 		}
 	})
-	if one, _ := e.Report(SumsNode, 1<<30); one.LocalOf(1<<30) != 0 || one.TauV1.Len() != 0 {
-		t.Fatal("SumsNode report for an unseen node is not empty")
+	if one := e.NodeCounters(1 << 30); one.LocalOf(1<<30) != 0 || one.TauV1.Len() != 0 {
+		t.Fatal("NodeCounters for an unseen node is not empty")
 	}
 }

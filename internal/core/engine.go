@@ -36,7 +36,7 @@ type Engine struct {
 	// probes it once per endpoint to find the processors holding both
 	// endpoints of an event.
 	dict nodeDict
-	// tauV1, tauV2 and etaV are the per-node class sums Report hands
+	// tauV1, tauV2 and etaV are the per-node class sums the reports hand
 	// out: Σ τ⁽ⁱ⁾_v over the full-group processors, over the partial
 	// group, and Σ η⁽ⁱ⁾_v over all processors. They are the engine's only
 	// per-node counters: the walk adds each processor's updates straight
@@ -44,11 +44,11 @@ type Engine struct {
 	// rescales them. Nil unless TrackLocal (etaV also needs η tracking).
 	tauV1, tauV2, etaV *graph.NodeTable[int64]
 	// dTauV1, dTauV2 and dEtaV are the class-sum delta: every update the
-	// walk added into tauV1, tauV2 and etaV since the last report that
-	// handed the delta over or restarted it (see Report). They are nil
-	// while nothing reads deltas: an engine starts recording at its first
-	// SumsRestart report and stops when Downsample or checkDelta drops
-	// the delta, so an engine no consumer observes records nothing.
+	// walk added into tauV1, tauV2 and etaV since the last TakeDelta (see
+	// there). They are nil while nothing reads deltas: an engine starts
+	// recording at its first TakeDelta and stops at Downsample or
+	// StopDelta, so an engine no consumer observes records nothing. A
+	// delta holds no node the class sums lack, so it never outgrows them.
 	dTauV1, dTauV2, dEtaV *graph.NodeTable[int64]
 	// evs and cols hold the events of the group being walked, resolved
 	// by stage (a lone event uses evs[0]): event j's colors are row j of
@@ -168,14 +168,10 @@ func (e *Engine) AddAll(edges []graph.Edge) {
 	}
 }
 
-// ApplyAll feeds a slice of signed stream events in order, then checks
-// the class-sum delta once (see checkDelta). Deletions require
-// Config.FullyDynamic; a rejected deletion panics with every earlier
-// event of the slice applied.
-func (e *Engine) ApplyAll(ups []graph.Update) {
-	e.applyGroups(ups)
-	e.checkDelta()
-}
+// ApplyAll feeds a slice of signed stream events in order. Deletions
+// require Config.FullyDynamic; a rejected deletion panics with every
+// earlier event of the slice applied.
+func (e *Engine) ApplyAll(ups []graph.Update) { e.applyGroups(ups) }
 
 // ApplyBatch is ApplyAll under the bulk name the shard layer uses.
 func (e *Engine) ApplyBatch(ups []graph.Update) { e.ApplyAll(ups) }
@@ -336,69 +332,30 @@ func (e *Engine) walk(ev *event, cols []int) {
 }
 
 // Aggregates gathers the per-processor counters with copies of the
-// whole class-sum tables: Report(SumsFull). The engine remains usable
+// whole class-sum tables — two slice copies each, however many nodes
+// there are. It leaves the delta alone. The engine remains usable
 // afterwards, so interval workloads can snapshot estimates mid-stream.
 func (e *Engine) Aggregates() *Aggregates {
-	agg, _ := e.Report(SumsFull, 0)
-	return agg
+	agg := e.counters()
+	agg.TauV1, agg.TauV2, agg.EtaV = agg.TauV1.Clone(), agg.TauV2.Clone(), agg.EtaV.Clone()
+	return &agg
 }
 
-// Sums selects the class sums a Report carries.
-type Sums uint8
-
-const (
-	// SumsNone carries no class sums: enough for the global estimate
-	// and every scalar read.
-	SumsNone Sums = iota
-	// SumsNode carries one node's entries, as one-entry tables (empty
-	// ones where a class has no entry for it).
-	SumsNode
-	// SumsFull carries copies of the whole tables — two slice copies
-	// each, however many nodes there are — and leaves the delta alone.
-	SumsFull
-	// SumsRestart is SumsFull that also restarts the delta: from this
-	// report on, the engine records its class-sum updates. A consumer
-	// that reads deltas takes its first, full observation with it.
-	SumsRestart
-	// SumsDelta carries the delta — the class-sum updates since the
-	// previous SumsDelta or SumsRestart report, entries that netted to
-	// zero included — and restarts it. An engine that holds no delta (no
-	// report started one, or Downsample or checkDelta dropped it) carries
-	// no class sums and Report returns false.
-	SumsDelta
-)
-
-// Report gathers the per-processor counters with the class sums sums
-// selects (node v's for SumsNode). It returns false only for SumsDelta
-// on an engine that holds no delta; the consumer then needs a
-// SumsRestart report instead. The class sums are the report's own
-// copies, and the engine remains usable afterwards.
-func (e *Engine) Report(sums Sums, v graph.NodeID) (*Aggregates, bool) {
+// ProcCounters gathers the per-processor counters alone, with no class
+// sums: enough for the global estimate and every scalar read.
+func (e *Engine) ProcCounters() *Aggregates {
 	agg := e.counters()
-	ok := true
-	switch sums {
-	case SumsNone:
-		agg.TauV1, agg.TauV2, agg.EtaV = nil, nil, nil
-	case SumsNode:
-		agg.TauV1, agg.TauV2, agg.EtaV = nodeEntry(agg.TauV1, v), nodeEntry(agg.TauV2, v), nodeEntry(agg.EtaV, v)
-	case SumsFull, SumsRestart:
-		agg.TauV1, agg.TauV2, agg.EtaV = agg.TauV1.Clone(), agg.TauV2.Clone(), agg.EtaV.Clone()
-		if sums == SumsRestart {
-			e.startDelta()
-		}
-	case SumsDelta:
-		switch {
-		case !e.cfg.TrackLocal:
-			// No class sums, so the empty delta is exact.
-		case e.dTauV1 == nil:
-			agg.TauV1, agg.TauV2, agg.EtaV = nil, nil, nil
-			ok = false
-		default:
-			agg.TauV1, agg.TauV2, agg.EtaV = e.dTauV1.Clone(), e.dTauV2.Clone(), e.dEtaV.Clone()
-			e.startDelta()
-		}
-	}
-	return &agg, ok
+	agg.TauV1, agg.TauV2, agg.EtaV = nil, nil, nil
+	return &agg
+}
+
+// NodeCounters gathers the per-processor counters with node v's
+// class-sum entries alone, as one-entry tables (empty ones where a class
+// holds no entry for v): enough for τ̂_v.
+func (e *Engine) NodeCounters(v graph.NodeID) *Aggregates {
+	agg := e.counters()
+	agg.TauV1, agg.TauV2, agg.EtaV = nodeEntry(agg.TauV1, v), nodeEntry(agg.TauV2, v), nodeEntry(agg.EtaV, v)
+	return &agg
 }
 
 // nodeEntry returns a table holding only v's entry of t (none when t
@@ -414,12 +371,31 @@ func nodeEntry(t *graph.NodeTable[int64], v graph.NodeID) *graph.NodeTable[int64
 	return out
 }
 
+// TakeDelta gathers the per-processor counters with a copy of the
+// class-sum delta — every update since the previous TakeDelta, entries
+// that netted to zero included — restarts the delta, and reports true.
+// An engine not recording a delta (no TakeDelta started one, or
+// Downsample or StopDelta ended it) hands over copies of its whole class
+// sums instead, reports false, and records from here on. Without
+// TrackLocal there are no class sums and it always reports false.
+func (e *Engine) TakeDelta() (*Aggregates, bool) {
+	if e.dTauV1 == nil {
+		agg := e.Aggregates()
+		e.startDelta()
+		return agg, false
+	}
+	agg := e.counters()
+	agg.TauV1, agg.TauV2, agg.EtaV = e.dTauV1.Clone(), e.dTauV2.Clone(), e.dEtaV.Clone()
+	e.startDelta()
+	return &agg, true
+}
+
 // startDelta empties the delta in place, keeping its capacity so a
 // steady epoch allocates nothing, or creates it. A delta the ending
 // epoch filled to less than an eighth gives its storage back instead
-// (see graph.NodeTable.Clear), so the capacity an epoch near the cap
-// reached — the preload's, say — does not stay on every later clone and
-// SumTables walk.
+// (see graph.NodeTable.Clear), so the capacity a large epoch reached —
+// the preload's, say — does not stay on every later clone and SumTables
+// walk.
 func (e *Engine) startDelta() {
 	if !e.cfg.TrackLocal {
 		return
@@ -437,26 +413,13 @@ func (e *Engine) startDelta() {
 	e.linkSums()
 }
 
-// dropDelta stops recording the delta and releases its storage.
-func (e *Engine) dropDelta() {
+// StopDelta stops recording the class-sum delta and releases its
+// storage, so the next TakeDelta hands over whole class sums. A consumer
+// that will take no more deltas calls it; Downsample does too, since it
+// rescales every class sum.
+func (e *Engine) StopDelta() {
 	e.dTauV1, e.dTauV2, e.dEtaV = nil, nil, nil
 	e.linkSums()
-}
-
-// checkDelta drops the delta once it holds more than a quarter as many
-// entries as the class sums: past that, a consumer that stopped taking
-// deltas would keep a growing copy alive, and one that still takes them
-// saves too little over a full copy. The next SumsDelta report then
-// finds none, so the observation after it is full. It runs once per
-// applied batch, off the per-event path.
-func (e *Engine) checkDelta() {
-	if e.dTauV1 == nil {
-		return
-	}
-	n := e.dTauV1.Len() + e.dTauV2.Len() + e.dEtaV.Len()
-	if 4*n > e.tauV1.Len()+e.tauV2.Len()+e.etaV.Len() {
-		e.dropDelta()
-	}
 }
 
 // counters is Aggregates without the copies: the class sums are the
@@ -736,8 +699,8 @@ func (e *Engine) Downsample(extra int) error {
 	}
 	s := 2 * uint(extra)
 	// Every class sum is about to be rescaled, so no delta can describe
-	// the change: the next observation is full.
-	e.dropDelta()
+	// the change: the next TakeDelta hands over whole class sums.
+	e.StopDelta()
 	samples := e.sampleEdges()
 	for i, p := range e.procs {
 		p.shift = newShift

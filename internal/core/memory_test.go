@@ -59,9 +59,9 @@ func TestAdjacencyBytesPerSampledEdge(t *testing.T) {
 // the sum of its parts: every processor's neighbor-set store, the node
 // dictionary, and the class-sum tables, their delta and every per-edge
 // counter table. Every 100th step an observer takes the class-sum delta
-// or restarts it, so the delta is created, cleared in place, dropped by
+// (TakeDelta), so the delta is created, cleared in place, ended by
 // Downsample, and never carried across a resume
-// (TestEngineDeltaOnlyWhenObserved checks the footprint at the cap). A
+// (TestEngineDeltaOnlyWhenObserved checks the footprint at StopDelta). A
 // transition that misses the slot total (or counts one twice) shows up
 // as a drift at the step that caused it.
 //
@@ -164,14 +164,11 @@ func testEngineLedger(t *testing.T, c int) {
 				t.Fatal(err)
 			}
 		case i%100 == 0:
-			// An observer takes the delta, or restarts it where none is
-			// held (a resume or Downsample dropped it); inserts arrive as
-			// one-event batches, each followed by the delta's cap check.
+			// An observer takes the delta, or whole class sums and a
+			// restart where none is recorded (a Downsample ended it).
 			what = "observe"
-			if _, ok := e.Report(SumsDelta, 0); ok {
+			if _, ok := e.TakeDelta(); ok {
 				delta++
-			} else {
-				e.Report(SumsRestart, 0)
 			}
 		case r < addPerMille:
 			ed := graph.Edge{U: pick(), V: pick()}.Canonical()

@@ -47,8 +47,8 @@ type proc struct {
 	// its own: the estimators read τ⁽ⁱ⁾_v and η⁽ⁱ⁾_v only through these
 	// sums. Nil unless the engine tracks them. tauDelta and etaDelta are
 	// the engine's delta tables of the same classes, which record every
-	// update too while a consumer reads deltas (see Engine.Report); nil
-	// otherwise.
+	// update too while a consumer reads deltas (see Engine.TakeDelta);
+	// nil otherwise.
 	tauSum, etaSum     *graph.NodeTable[int64]
 	tauDelta, etaDelta *graph.NodeTable[int64]
 	// tcnt holds τ⁽ⁱ⁾_g: the signed number of semi-triangle closings in

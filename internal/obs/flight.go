@@ -68,9 +68,6 @@ const (
 	// CauseDownsample: a Downsample rescaled every class sum, so no
 	// delta could describe the change.
 	CauseDownsample
-	// CauseDeltaCap: an engine dropped its delta once it outgrew a
-	// quarter of the class sums.
-	CauseDeltaCap
 	// CauseWeakened: a ranked node's estimate fell, so a node outside
 	// the ranking may now outrank it.
 	CauseWeakened
@@ -82,7 +79,6 @@ var causeNames = [causeMax]string{
 	"",
 	"first",
 	"downsample",
-	"delta_cap",
 	"weakened",
 }
 

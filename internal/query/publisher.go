@@ -49,13 +49,15 @@ type Config struct {
 // Source is the ingest side a Publisher reads from; *shard.Sharded
 // implements it. Observe must be barrier-consistent and safe for
 // concurrent use with ingest; Processed must be a cheap monotone counter.
-// Observe(true) may answer with a delta: class sums holding only the
-// updates since the previous Observe (see shard.Sharded.Observe).
-// Observe(false), and any answer without Delta set, carries whole class
-// sums. A Source serves one Publisher at a time, since each Observe takes
-// the delta the previous one restarted.
+// Observe answers with a delta — class sums holding only the updates
+// since the previous Observe (see shard.Sharded.Observe) — except the
+// first time, after a Downsample and after StopDeltas, when it carries
+// whole class sums. StopDeltas is the Publisher's last call, so a Source
+// serves one Publisher at a time: each Observe takes the delta the
+// previous one restarted.
 type Source interface {
-	Observe(delta bool) shard.Observation
+	Observe() shard.Observation
+	StopDeltas()
 	Processed() uint64
 }
 
@@ -72,10 +74,10 @@ type Source interface {
 // only the previous ranking plus the nodes the delta touched. That is
 // exact whenever no member of the previous ranking weakened, because a
 // node's τ̂_v depends only on its own class sums and on M, C and Shift.
-// The other epochs rebuild fully: the first, one whose Source could hand
-// over no delta (after a Downsample, or once a delta outgrew its cap),
-// and one in which a ranked node weakened (deletions, or η̂_v shifting
-// the c = c₁m + c₂ combination).
+// The other epochs rebuild fully: the first, one whose Source handed
+// over whole class sums instead of a delta (after a Downsample), and one
+// in which a ranked node weakened (deletions, or η̂_v shifting the
+// c = c₁m + c₂ combination).
 // The full rebuild is the same SumTables call with an empty base and the
 // same heap fed every node. FullPublishes counts these epochs, and the
 // view_publish flight event names their cause.
@@ -90,8 +92,8 @@ type Publisher struct {
 	// acViews, guarded by it, is the current view's payload bytes as last
 	// reported under mem.CompViews.
 	// closed, guarded by it too, stops publications for good: a closed
-	// publisher no longer takes the Source's deltas, which a later
-	// publisher on the same Source may be reading.
+	// publisher has stopped the Source's deltas and takes none, so a
+	// later publisher on the same Source starts from whole class sums.
 	mu      sync.Mutex
 	epoch   uint64
 	acViews int64
@@ -159,7 +161,7 @@ func (p *Publisher) publish() *View {
 	}
 	start := time.Now()
 	prev := p.cur.Load()
-	o := p.src.Observe(prev != nil && prev.counts != nil)
+	o := p.src.Observe()
 	est := o.Aggregates.GlobalEstimate()
 	p.epoch++
 	v := &View{
@@ -175,14 +177,18 @@ func (p *Publisher) publish() *View {
 		EtaSaturations: o.EtaSaturations,
 		deg:            o.Degrees,
 	}
-	cause := o.Rebuild
+	var cause obs.Cause
 	if o.Aggregates.TracksLocal() {
 		var base *core.Aggregates
 		switch {
 		case o.Delta:
 			base = prev.counts
-		case cause == obs.CauseNone:
+		case prev == nil:
 			cause = obs.CauseFirst
+		default:
+			// Whole class sums after the first epoch: a Downsample
+			// rescaled every class sum since the previous one.
+			cause = obs.CauseDownsample
 		}
 		v.counts = sumOnto(base, o.Aggregates)
 		if cause == obs.CauseNone && !v.rankDelta(p.cfg.TopK, prev, o.Aggregates) {
@@ -271,10 +277,12 @@ func (p *Publisher) loop() {
 	}
 }
 
-// Close stops the publishing goroutine and waits for any publication in
-// flight to finish. The last published view stays readable forever, and
-// Refresh returns it without observing the Source again. Close is
-// idempotent.
+// Close stops the publishing goroutine, waits for any publication in
+// flight to finish, and stops the Source's deltas at one last barrier, so
+// engines no longer record updates nobody takes. The last published view
+// stays readable forever, and Refresh returns it without observing the
+// Source again. Close is idempotent, and must run before the Source is
+// closed.
 func (p *Publisher) Close() {
 	p.once.Do(func() { close(p.stop) })
 	<-p.done
@@ -283,7 +291,10 @@ func (p *Publisher) Close() {
 	// current view's ledger charge (the view stays readable, but the
 	// publisher no longer owns its footprint).
 	p.mu.Lock()
-	p.closed = true
+	if !p.closed {
+		p.closed = true
+		p.src.StopDeltas()
+	}
 	if p.acViews != 0 {
 		p.cfg.Mem.Add(mem.CompViews, -p.acViews)
 		p.acViews = 0

@@ -12,17 +12,21 @@ import (
 )
 
 // fakeSource is a deterministic Source: Observe returns the current
-// counter state, whole, so tests control exactly what each epoch sees.
-// Its counters describe one exact processor (M = C = 1), so the global
-// estimate equals the processed count and τ̂_v equals local[v].
+// counter state, whole — as a Source does after a Downsample, so every
+// epoch ranks every node — so tests control exactly what each epoch
+// sees. Its counters describe one exact processor (M = C = 1), so the
+// global estimate equals the processed count and τ̂_v equals local[v].
 type fakeSource struct {
 	processed atomic.Uint64
 	observes  atomic.Uint64
+	stops     atomic.Uint64
 	local     map[graph.NodeID]int64
 	degrees   map[graph.NodeID]uint32
 }
 
-func (f *fakeSource) Observe(bool) shard.Observation {
+func (f *fakeSource) StopDeltas() { f.stops.Add(1) }
+
+func (f *fakeSource) Observe() shard.Observation {
 	f.observes.Add(1)
 	return shard.Observation{
 		Aggregates: aggregatesOf(1, int64(f.processed.Load()), f.local),
@@ -165,6 +169,9 @@ func TestPublisherCloseIdempotentAndStopsPublishing(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	if src.observes.Load() != observes {
 		t.Error("publisher kept observing after Close")
+	}
+	if n := src.stops.Load(); n != 1 {
+		t.Errorf("two Closes stopped the source's deltas %d times, want 1", n)
 	}
 	if p.View() != last {
 		t.Error("view changed after Close")

@@ -83,7 +83,7 @@ func TestFullyDynamicShardedMatchesEngines(t *testing.T) {
 		wantDeg[e.U]++
 		wantDeg[e.V]++
 	}
-	gotDeg := s.Observe(false).Degrees.Map()
+	gotDeg := s.Observe().Degrees.Map()
 	if !reflect.DeepEqual(gotDeg, wantDeg) {
 		t.Errorf("net degree table has %d nodes, exact live graph %d (or entries differ)", len(gotDeg), len(wantDeg))
 	}

@@ -199,8 +199,8 @@ func TestResumeChargesDegreeTable(t *testing.T) {
 
 // TestLedgerMatchesEngineFootprints drives a seeded schedule through an
 // accounted coordinator — ApplyBatch bodies of inserts, deletes, phantom
-// deletes and self-loops, Downsample(1), Observe(false) and
-// Observe(true), and WriteSnapshot followed by Resume into a fresh
+// deletes and self-loops, Downsample(1), Observe and StopDeltas, and
+// WriteSnapshot followed by Resume into a fresh
 // ledger — and after each step's barrier requires the ledger's
 // adjacency, masks and counters components to equal the sum of the shard
 // engines' footprints. No producer runs at that point, so the barrier's
@@ -296,11 +296,11 @@ func TestLedgerMatchesEngineFootprints(t *testing.T) {
 				t.Fatal(err)
 			}
 		case r < 88:
-			what = "Observe(false)"
-			s.Observe(false)
+			what = "StopDeltas"
+			s.StopDeltas()
 		case r < 96:
-			what = "Observe(true)"
-			if s.Observe(true).Delta {
+			what = "Observe"
+			if s.Observe().Delta {
 				deltas++
 			}
 		default:

@@ -3,7 +3,6 @@ package shard
 import (
 	"rept/internal/core"
 	"rept/internal/graph"
-	"rept/internal/obs"
 )
 
 // Observation is everything a read-side consumer can learn from ONE
@@ -21,11 +20,8 @@ type Observation struct {
 	// onto the class sums it already holds. A private copy: the caller
 	// may keep it indefinitely.
 	Aggregates *core.Aggregates
-	// Delta reports that Aggregates' class sums are a delta.
+	// Delta reports that Aggregates' class sums are a delta (see Observe).
 	Delta bool
-	// Rebuild says why a delta was asked for but the class sums are whole
-	// (obs.CauseDownsample or obs.CauseDeltaCap); obs.CauseNone otherwise.
-	Rebuild obs.Cause
 	// Degrees holds the stream degrees at the same prefix; nil unless
 	// Config.TrackDegrees. A private copy, like Aggregates.
 	Degrees *graph.DegreeCounts
@@ -44,18 +40,17 @@ type Observation struct {
 }
 
 // Observe drains in-flight edges and returns a barrier-consistent
-// Observation. With delta set, every engine hands over its class-sum
+// Observation at one barrier. Every engine hands over its class-sum
 // delta — the updates since the previous Observe — and restarts it, so
-// the barrier copies per-node state in proportion to what changed.
-// Without it, or when an engine holds no delta (a Downsample rescaled
-// every class sum, or the engine dropped a delta past its size cap), the
-// class sums are merged whole and every engine restarts its delta at
-// this prefix; the first Observe is such a full one. Each call takes
-// the deltas the previous one restarted, so the epoch-view publisher
-// must be its only caller, and a delta Observe is exact only after an
-// earlier Observe on the same coordinator. No other barrier
-// (Aggregates, Snapshot, checkpoints, Downsample) touches the deltas,
-// and engines no Observe reached record none.
+// the barrier copies per-node state in proportion to what changed. An
+// engine not recording a delta (before the first Observe, and after a
+// Downsample or StopDeltas) hands over its whole class sums instead and
+// starts recording. Deltas start and stop only at barriers, which every
+// engine takes in the same order, so all engines answer alike. Each call
+// takes the deltas the previous one restarted, so the epoch-view
+// publisher must be its only caller. No other barrier (Aggregates,
+// Snapshot, checkpoints) touches the deltas, and engines no Observe
+// reached record none.
 //
 // Safe for concurrent use with Add; edges added while the barrier is
 // taken land after it. Like every non-Close method, Observe panics with
@@ -64,38 +59,39 @@ type Observation struct {
 // identical.
 //
 //rept:deterministic
-func (s *Sharded) Observe(delta bool) Observation {
-	sums := core.SumsRestart
-	if delta {
-		sums = core.SumsDelta
-	}
-	bar := s.barrier(&barrier{sums: sums, observe: true})
-	var cause obs.Cause
-	switch {
-	case !delta:
-	case bar.sums == core.SumsRestart:
-		cause = obs.CauseDownsample
-	case bar.noDelta.Load():
-		cause = obs.CauseDeltaCap
-		bar = s.barrier(&barrier{sums: core.SumsRestart, observe: true})
-	}
-	total := 0
-	for _, n := range bar.sampled {
-		total += n
-	}
-	var sat uint64
-	for _, n := range bar.etaSat {
-		sat += n
+func (s *Sharded) Observe() Observation {
+	n := len(s.engines)
+	aggs, deltas := make([]*core.Aggregates, n), make([]bool, n)
+	sampled, sat := make([]int, n), make([]uint64, n)
+	var deg *graph.DegreeCounts
+	bar := s.barrier(&barrier{
+		engine: func(i int, eng *core.Engine) {
+			aggs[i], deltas[i] = eng.TakeDelta()
+			sampled[i], sat[i] = eng.SampledEdges(), eng.EtaSaturations()
+		},
+		degrees: func(t *graph.DegreeTable) { deg = t.Counts() },
+	})
+	for _, d := range deltas {
+		if d != deltas[0] {
+			panic("shard: engines disagree on whether they record a class-sum delta")
+		}
 	}
 	return Observation{
-		Aggregates:     merge(bar.aggs),
-		Delta:          bar.sums == core.SumsDelta,
-		Rebuild:        cause,
-		Degrees:        bar.degrees,
-		SampledEdges:   total,
-		EtaSaturations: sat,
+		Aggregates:     merge(aggs),
+		Delta:          deltas[0],
+		Degrees:        deg,
+		SampledEdges:   sum(sampled),
+		EtaSaturations: sum(sat),
 		Processed:      bar.processed,
 		Deleted:        bar.deleted,
 		SelfLoops:      bar.selfLoops,
 	}
+}
+
+// StopDeltas stops every engine's class-sum delta at one barrier and
+// releases its storage: the epoch-view publisher's last barrier, so a
+// delta nobody reads any more stops growing. The next Observe hands over
+// whole class sums.
+func (s *Sharded) StopDeltas() {
+	s.barrier(&barrier{engine: func(_ int, eng *core.Engine) { eng.StopDelta() }})
 }

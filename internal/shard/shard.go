@@ -191,40 +191,18 @@ type batch struct {
 	refs atomic.Int32
 }
 
-// barrier asks every shard to report at the same stream prefix: its full
-// engine state for a checkpoint (checkpoint), the outcome of a
-// Downsample (downshift > 0), or else its counters with the class sums
-// sums selects. Shards consume their channels in order, so everything
-// reported describes exactly the edges broadcast before the barrier was
-// enqueued.
+// barrier carries work to every consumer at one stream prefix. Consumers
+// take their channels in order, so the work sees exactly the edges
+// broadcast before the barrier was enqueued, on every shard alike.
 type barrier struct {
-	// sums selects the class sums each engine reports on an aggregate
-	// barrier (see core.Sums); node is the node core.SumsNode reports.
-	// observe marks the epoch-view publisher's barrier (Observe), the one
-	// the degree tracker copies its counters into.
-	sums    core.Sums
-	node    graph.NodeID
-	observe bool
-	aggs    []*core.Aggregates
-	sampled []int
-	etaSat  []uint64
-	// noDelta is set when an engine asked for core.SumsDelta held none.
-	noDelta atomic.Bool
-
-	checkpoint bool
-	states     []*snapshot.EngineState
-	// downshift, when positive, asks every shard engine to Downsample by
-	// that many halvings at the barrier prefix; errs collects each shard's
-	// outcome. The in-band delivery is what makes the adaptation
-	// stream-consistent: every shard re-partitions at exactly the same
-	// prefix, so estimates stay merge-compatible (equal shift everywhere).
-	downshift int
-	errs      []error
-	// degrees is the degree tracker's counter copy at the barrier prefix
-	// for Observe barriers, and liveEdges its live-edge set for
-	// checkpoint barriers; both nil when degree tracking is off.
-	degrees   *graph.DegreeCounts
-	liveEdges []graph.Edge
+	// engine runs on every engine shard's goroutine with the shard's index
+	// and engine, and degrees, when non-nil, on the degree tracker's with
+	// its table. Each writes its results where its caller reads them once
+	// the barrier returns, shard i only to its own slot. Only Observe and
+	// checkpoints read the degree table: it tracks the full stream,
+	// untouched by resampling.
+	engine  func(i int, eng *core.Engine)
+	degrees func(*graph.DegreeTable)
 	// processed, deleted, and selfLoops are the coordinator tallies
 	// captured while the barrier was enqueued (under the ingest mutex),
 	// so they match the stream prefix the shard reports describe.
@@ -281,11 +259,6 @@ type Sharded struct {
 	// durable ingest waits on.
 	seq       uint64
 	lastBatch uint64
-	// deltasDropped, guarded by mu, records that a Downsample barrier was
-	// issued after the last core.SumsRestart barrier: every engine has
-	// dropped its class-sum delta, so an Observe that wants one restarts
-	// them instead of asking.
-	deltasDropped bool
 
 	// sendMu and sendCond serialize deliveries in ticket order. Producers
 	// blocked here hold no ingest mutex, so ingestion keeps accepting
@@ -472,14 +445,8 @@ func (s *Sharded) runDegrees(q <-chan msg, table *graph.DegreeTable, acBytes int
 	defer s.done.Done()
 	for m := range q {
 		if m.bar != nil {
-			// Only the publisher's barriers and checkpoints read the
-			// table: degrees track the full stream, untouched by
-			// resampling, and no other read needs them.
-			switch {
-			case m.bar.observe:
-				m.bar.degrees = table.Counts()
-			case m.bar.checkpoint:
-				m.bar.liveEdges = table.LiveEdges()
+			if m.bar.degrees != nil {
+				m.bar.degrees(table)
 			}
 			m.bar.wg.Done()
 			continue
@@ -526,20 +493,7 @@ func (s *Sharded) run(i int, q <-chan msg, fp core.Footprint) {
 	eng := s.engines[i]
 	for m := range q {
 		if bar := m.bar; bar != nil {
-			switch {
-			case bar.downshift > 0:
-				bar.errs[i] = eng.Downsample(bar.downshift)
-			case bar.checkpoint:
-				bar.states[i] = eng.State()
-			default:
-				agg, ok := eng.Report(bar.sums, bar.node)
-				if !ok {
-					bar.noDelta.Store(true)
-				}
-				bar.aggs[i] = agg
-				bar.sampled[i] = eng.SampledEdges()
-				bar.etaSat[i] = eng.EtaSaturations()
-			}
+			bar.engine(i, eng)
 			fp = s.reconcile(eng, fp)
 			bar.wg.Done()
 			continue
@@ -762,11 +716,11 @@ func (s *Sharded) waitSent(ticket uint64) {
 	s.sendMu.Unlock()
 }
 
-// barrier flushes pending edges and enqueues the barrier bar describes
-// (see barrier) under a fresh ticket immediately after them, so no later
-// Add can slip between the flush and the barrier on any shard: both
-// tickets are issued inside one critical section and send delivers
-// tickets in issue order. It returns bar once every consumer reported.
+// barrier flushes pending edges and enqueues bar under a fresh ticket
+// immediately after them, so no later Add can slip between the flush and
+// the barrier on any shard: both tickets are issued inside one critical
+// section and send delivers tickets in issue order. It returns bar once
+// every consumer has run its work.
 func (s *Sharded) barrier(bar *barrier) *barrier {
 	var buf [2]msg
 	var start time.Time
@@ -781,27 +735,6 @@ func (s *Sharded) barrier(bar *barrier) *barrier {
 	}
 	if len(s.cur.ups) > 0 {
 		pend = append(pend, s.detachLocked())
-	}
-	n := len(s.engines)
-	switch {
-	case bar.downshift > 0:
-		bar.errs = make([]error, n)
-		s.deltasDropped = true
-	case bar.checkpoint:
-		bar.states = make([]*snapshot.EngineState, n)
-	default:
-		// Deciding under mu keeps the choice exact: a Downsample ticketed
-		// before this barrier has dropped every delta by the time the
-		// engines reach it.
-		if bar.sums == core.SumsDelta && s.deltasDropped {
-			bar.sums = core.SumsRestart
-		}
-		if bar.sums == core.SumsRestart {
-			s.deltasDropped = false
-		}
-		bar.aggs = make([]*core.Aggregates, n)
-		bar.sampled = make([]int, n)
-		bar.etaSat = make([]uint64, n)
 	}
 	// The tallies are only mutated under s.mu, so this read is exactly
 	// consistent with the prefix ticketed so far: every credited event
@@ -834,24 +767,41 @@ func merge(aggs []*core.Aggregates) *core.Aggregates {
 	return agg
 }
 
+// each runs read on every engine at one barrier and returns the results
+// in shard order.
+func each[T any](s *Sharded, read func(*core.Engine) T) []T {
+	out := make([]T, len(s.engines))
+	s.barrier(&barrier{engine: func(i int, eng *core.Engine) { out[i] = read(eng) }})
+	return out
+}
+
+// sum adds up the shards' tallies.
+func sum[T int | uint64](xs []T) T {
+	var n T
+	for _, x := range xs {
+		n += x
+	}
+	return n
+}
+
 // Aggregates drains in-flight edges and merges every shard's counters,
 // with copies of the whole class-sum tables, at a single consistent
 // stream prefix. The coordinator stays usable.
 func (s *Sharded) Aggregates() *core.Aggregates {
-	return merge(s.barrier(&barrier{sums: core.SumsFull}).aggs)
+	return merge(each(s, (*core.Engine).Aggregates))
 }
 
 // GlobalEstimate drains in-flight edges and evaluates the merged global
 // estimate at a consistent stream prefix. The engines report their
 // per-processor counters alone, so the barrier copies no per-node state.
 func (s *Sharded) GlobalEstimate() core.Estimate {
-	return merge(s.barrier(&barrier{sums: core.SumsNone}).aggs).GlobalEstimate()
+	return merge(each(s, (*core.Engine).ProcCounters)).GlobalEstimate()
 }
 
 // LocalOf drains in-flight edges and returns τ̂_v at a consistent stream
 // prefix: each engine reports only v's class-sum entries.
 func (s *Sharded) LocalOf(v graph.NodeID) float64 {
-	return merge(s.barrier(&barrier{sums: core.SumsNode, node: v}).aggs).LocalOf(v)
+	return merge(each(s, func(eng *core.Engine) *core.Aggregates { return eng.NodeCounters(v) })).LocalOf(v)
 }
 
 // Snapshot drains in-flight edges and returns the merged REPT estimate at
@@ -866,12 +816,7 @@ func (s *Sharded) Snapshot() core.Estimate {
 // diagnostic. It drains in-flight edges like Snapshot but copies no
 // per-node state.
 func (s *Sharded) SampledEdges() int {
-	bar := s.barrier(&barrier{sums: core.SumsNone})
-	total := 0
-	for _, n := range bar.sampled {
-		total += n
-	}
-	return total
+	return sum(each(s, (*core.Engine).SampledEdges))
 }
 
 // EtaSaturations reports how many per-edge closing-counter updates were
@@ -879,12 +824,7 @@ func (s *Sharded) SampledEdges() int {
 // core.Engine.EtaSaturations). It drains in-flight edges like Snapshot
 // but copies no per-node state.
 func (s *Sharded) EtaSaturations() uint64 {
-	bar := s.barrier(&barrier{sums: core.SumsNone})
-	var n uint64
-	for _, v := range bar.etaSat {
-		n += v
-	}
-	return n
+	return sum(each(s, (*core.Engine).EtaSaturations))
 }
 
 // Downsample halves the sampling probability extra more times on every
@@ -907,8 +847,7 @@ func (s *Sharded) Downsample(extra int) error {
 		return core.ErrEtaDownsample
 	}
 	start := time.Now()
-	bar := s.barrier(&barrier{downshift: extra})
-	for _, err := range bar.errs {
+	for _, err := range each(s, func(eng *core.Engine) error { return eng.Downsample(extra) }) {
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 
+	"rept/internal/core"
+	"rept/internal/graph"
 	"rept/internal/snapshot"
 )
 
@@ -38,20 +40,17 @@ func (s *Sharded) WriteSnapshot(w io.Writer) error {
 // quantity WAL compaction needs to decide which sealed segments the
 // checkpoint makes redundant.
 func (s *Sharded) WriteSnapshotPos(w io.Writer) (uint64, error) {
-	bar := s.barrier(&barrier{checkpoint: true})
 	st := &snapshot.ShardedState{
 		Fingerprint:  s.cfg.fingerprint(),
 		ShardCount:   len(s.engines),
-		Processed:    bar.processed,
-		Deleted:      bar.deleted,
-		SelfLoops:    bar.selfLoops,
 		TrackDegrees: s.cfg.TrackDegrees,
-		Degrees:      bar.liveEdges,
-		Shards:       make([]snapshot.EngineState, len(bar.states)),
+		Shards:       make([]snapshot.EngineState, len(s.engines)),
 	}
-	for i, es := range bar.states {
-		st.Shards[i] = *es
-	}
+	bar := s.barrier(&barrier{
+		engine:  func(i int, eng *core.Engine) { st.Shards[i] = *eng.State() },
+		degrees: func(t *graph.DegreeTable) { st.Degrees = t.LiveEdges() },
+	})
+	st.Processed, st.Deleted, st.SelfLoops = bar.processed, bar.deleted, bar.selfLoops
 	return bar.processed, snapshot.WriteSharded(w, st)
 }
 

@@ -394,16 +394,17 @@ func TestViewRefreshAllocsIndependentOfNodes(t *testing.T) {
 }
 
 // TestViewEpochsMatchFullMerge is the delta-publishing gate. A seeded
-// schedule of inserts, churn (deletes and re-inserts), one burst past the
-// delta cap, Downsample (which publishes its own epoch), Views.Close
-// followed by a fresh StartViews, a WriteSnapshot + Resume, and deletions
-// of the ranking leader's edges runs on a c < m, a c = c₁m and a
-// c = c₁m + c₂ layout; the last carries η_v in its delta and skips
-// Downsample, which η-tracking layouts refuse. After every epoch the
-// view must equal a full merge at the same prefix: Local() the
+// schedule of inserts, churn (deletes and re-inserts), one burst in which
+// most nodes gain class-sum entries, Downsample (which publishes its own
+// epoch), Views.Close followed by a fresh StartViews, a WriteSnapshot +
+// Resume, and deletions of the ranking leader's edges runs on a c < m, a
+// c = c₁m and a c = c₁m + c₂ layout; the last carries η_v in its delta
+// and skips Downsample, which η-tracking layouts refuse. After every
+// epoch the view must equal a full merge at the same prefix: Local() the
 // snapshot's local map in keys and values, TopK a full scan's ranking,
-// Global bit for bit. No published view may change afterwards, and the
-// schedule must reach every full-rebuild cause as well as delta epochs.
+// Global bit for bit. No published view may change afterwards, the burst
+// epoch must take a delta, and the schedule must reach every
+// full-rebuild cause as well as delta epochs.
 func TestViewEpochsMatchFullMerge(t *testing.T) {
 	for _, lay := range []struct {
 		name string
@@ -470,7 +471,8 @@ func testViewEpochs(t *testing.T, m, c int) {
 	causes := map[string]int{}
 	var prev *rept.View
 	var prevLocal map[rept.NodeID]float64
-	check := func(epoch int, what string, v *rept.View) {
+	// check returns the epoch's rebuild cause.
+	check := func(epoch int, what string, v *rept.View) string {
 		t.Helper()
 		snap := est.SnapshotNow()
 		if math.Float64bits(v.Global) != math.Float64bits(snap.Global) {
@@ -515,7 +517,7 @@ func testViewEpochs(t *testing.T, m, c int) {
 					t.Fatalf("epoch %d (%s): latest view_publish event is for view epoch %d, want %d", epoch, what, ev.Value, v.Epoch)
 				}
 				causes[ev.Cause]++
-				break
+				return ev.Cause
 			}
 		}
 	}
@@ -556,8 +558,7 @@ func testViewEpochs(t *testing.T, m, c int) {
 			views = start(est)
 			check(epoch, "resumed StartViews", views.View())
 		case 8:
-			// Most nodes gain class-sum entries at once, past the
-			// delta's cap.
+			// Most nodes gain class-sum entries at once.
 			what, n = "burst", 0
 			ups := make([]rept.Update, 10_000)
 			for i := range ups {
@@ -581,9 +582,13 @@ func testViewEpochs(t *testing.T, m, c int) {
 			est.ApplyAll(ups)
 		}
 		churn(n)
-		check(epoch, what, views.Refresh())
+		// Only a first epoch or one after a Downsample hands over whole
+		// class sums; a burst is a delta like any other epoch.
+		if cause := check(epoch, what, views.Refresh()); what == "burst" && cause != "" && cause != "weakened" {
+			t.Errorf("burst epoch rebuilt from whole class sums (cause %q)", cause)
+		}
 	}
-	for _, cause := range []string{"", "first", "delta_cap", "weakened"} {
+	for _, cause := range []string{"", "first", "weakened"} {
 		if causes[cause] == 0 {
 			t.Errorf("no epoch with cause %q (causes %v)", cause, causes)
 		}
@@ -592,6 +597,100 @@ func testViewEpochs(t *testing.T, m, c int) {
 		t.Errorf("no epoch with cause %q (causes %v)", "downsample", causes)
 	}
 	t.Logf("epochs by cause: %v", causes)
+}
+
+// TestViewRefreshTakesOneBarrier: with telemetry attached, every epoch
+// takes exactly one barrier — a steady churn epoch, a burst in which most
+// nodes gain class-sum entries, the epoch a Downsample(1) publishes (whose
+// engines hand over whole class sums), and the delta epoch after it.
+func TestViewRefreshTakesOneBarrier(t *testing.T) {
+	est, err := rept.NewConcurrent(rept.ConcurrentConfig{
+		M: 4, C: 8, Shards: 2, Seed: 11, TrackLocal: true, FullyDynamic: true, TrackDegrees: true,
+		Telemetry: rept.NewTelemetry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer est.Close()
+	edges := gen.Shuffle(gen.HolmeKim(6000, 8, 0.8, 21), 5)
+	est.AddAll(edges[:30_000])
+	views, err := est.StartViews(rept.ViewConfig{Interval: time.Hour, TopK: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	barriers := est.Telemetry().Pipeline().Barrier
+	next := 30_000
+	churn := func() {
+		ups := make([]rept.Update, 0, 150)
+		for _, e := range edges[next-50 : next] {
+			ups = append(ups, rept.Remove(e.U, e.V))
+		}
+		for _, e := range edges[next : next+100] {
+			ups = append(ups, rept.Insert(e.U, e.V))
+		}
+		next += 100
+		est.ApplyAll(ups)
+	}
+	epoch := func(what string, wantBarriers uint64, step func()) {
+		t.Helper()
+		before, epochBefore := barriers.Count(), views.View().Epoch
+		step()
+		if got, e := barriers.Count()-before, views.View().Epoch; got != wantBarriers || e != epochBefore+1 {
+			t.Errorf("%s: %d barriers and %d epochs, want %d barriers and one epoch", what, got, e-epochBefore, wantBarriers)
+		}
+	}
+	epoch("churn", 1, func() { churn(); views.Refresh() })
+	epoch("burst", 1, func() {
+		est.AddAll(edges[next : next+15_000])
+		next += 15_000
+		views.Refresh()
+	})
+	epoch("Downsample(1) and its epoch", 2, func() {
+		if err := est.Downsample(1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	epoch("churn after Downsample", 1, func() { churn(); views.Refresh() })
+}
+
+// TestClosedViewsLeaveNoDelta: Views.Close stops every engine's class-sum
+// delta, so an estimator whose views published a few epochs and were
+// closed, and which then ingested more, holds exactly the counter bytes
+// of a twin that never started views.
+func TestClosedViewsLeaveNoDelta(t *testing.T) {
+	cfg := rept.ConcurrentConfig{M: 4, C: 8, Shards: 2, Seed: 3, TrackLocal: true}
+	viewed, err := rept.NewConcurrent(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer viewed.Close()
+	twin, err := rept.NewConcurrent(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+	edges := gen.Shuffle(gen.HolmeKim(20_000, 5, 0.5, 7), 3)
+	feed := func(part []rept.Edge) {
+		viewed.AddAll(part)
+		twin.AddAll(part)
+	}
+	feed(edges[:50_000])
+	views, err := viewed.StartViews(rept.ViewConfig{Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		feed(edges[50_000+i*1000 : 51_000+i*1000])
+		views.Refresh()
+	}
+	views.Close()
+	feed(edges[53_000:53_500])
+	// A barrier on each, so the ledgers hold every batch.
+	viewed.SampledEdges()
+	twin.SampledEdges()
+	if got, want := viewed.MemStats().ByComponent["counters"], twin.MemStats().ByComponent["counters"]; got != want {
+		t.Fatalf("counters after Views.Close: %d B, %d B on a twin that never started views", got, want)
+	}
 }
 
 // TestScalarReadsCopyNoPerNodeState: without views, Global,

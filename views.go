@@ -52,8 +52,9 @@ type ViewConfig struct {
 func (c *Concurrent) StartViews(cfg ViewConfig) (*Views, error) {
 	c.viewsMu.Lock()
 	defer c.viewsMu.Unlock()
-	// Checked before the new publisher's first barrier, which restarts
-	// every engine's class-sum delta under a running publisher's feet.
+	// Checked before the new publisher's first barrier, which would take
+	// the class-sum deltas a running publisher reads. A closed one has
+	// stopped them, so the new one's first epoch is whole.
 	if p := c.views.Load(); p != nil && !p.Closed() {
 		return nil, errViewsStarted
 	}
