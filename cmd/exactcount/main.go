@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"rept"
-	"rept/internal/graph"
 )
 
 func main() {
@@ -41,7 +40,7 @@ func run(args []string, out io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("-in is required")
 	}
-	edges, err := graph.ReadEdgeListFile(*in, graph.ReadOptions{})
+	edges, err := rept.ReadEdgeListFile(*in)
 	if err != nil {
 		return err
 	}

@@ -2,11 +2,12 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"rept/internal/graph"
+	"rept"
 )
 
 func TestGenModels(t *testing.T) {
@@ -24,7 +25,7 @@ func TestGenModels(t *testing.T) {
 		if err := run(append(args, "-out", path), &out, &errOut); err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		edges, err := graph.ReadEdgeListFile(path, graph.ReadOptions{})
+		edges, err := rept.ReadEdgeListFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +40,11 @@ func TestGenDatasetToStdout(t *testing.T) {
 	if err := run([]string{"-dataset", "sim-youtube", "-scale", "0.05"}, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
-	edges, err := graph.ReadEdgeList(strings.NewReader(out.String()), graph.ReadOptions{})
+	path := filepath.Join(t.TempDir(), "out.txt")
+	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	edges, err := rept.ReadEdgeListFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

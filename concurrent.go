@@ -79,13 +79,12 @@ type Concurrent struct {
 	viewsMu sync.Mutex
 
 	// Durable-mode state, set by ResumeDurable (nil/zero otherwise): the
-	// write-ahead log, the automatic-compaction trigger channel, and the
-	// compactor goroutine's lifetime.
-	lg           *wal.Log
-	compactEvery uint64
-	compactCh    chan struct{}
-	compactWG    sync.WaitGroup
-	compactErrs  atomic.Uint64
+	// write-ahead log, and the automatic compactor's stop channel and
+	// goroutine lifetime.
+	lg          *wal.Log
+	compactStop chan struct{}
+	compactWG   sync.WaitGroup
+	compactErrs atomic.Uint64
 }
 
 var _ Counter = (*Concurrent)(nil)

@@ -122,13 +122,15 @@
 // epoch's barrier the engines hand over their deltas and restart them,
 // the new view's tables are graph.SumTables(previous view's tables,
 // merged deltas), and the top-K ranks only the previous ranking plus the
-// nodes the deltas touched. That is exact while no ranked node weakens,
-// since τ̂_v depends only on v's own class sums and on M, C and the
-// sample shift. Deltas start and stop only at barriers: a Downsample
-// ends them, since it rescales every class sum, and so does the last
-// barrier Views.Close takes. The first epoch, one after a Downsample
-// (whose engines hand over whole class sums), and one in which a ranked
-// node weakened rebuild from every node instead. The View keeps the
+// nodes the deltas touched. That is exact unless the new ranking's
+// weakest member fell below the previous ranking's weakest, since τ̂_v
+// depends only on v's own class sums and on M, C and the sample shift,
+// so every other node is still outranked by that previous member. Deltas
+// start and stop only at barriers: a Downsample ends them, since it
+// rescales every class sum, and so does the last barrier Views.Close
+// takes. The first epoch, one after a Downsample (whose engines hand
+// over whole class sums), and one whose ranking weakened that far
+// rebuild from every node instead. The View keeps the
 // merged tables and evaluates τ̂_v when a reader probes a node (LocalOf,
 // CC, Stat); Local and Degrees build a full map only when a caller asks
 // for one. On the benchmark's read-mix workload (2 cores)
@@ -252,10 +254,15 @@
 // (zero loss window), appended in interval mode (loss window of at most
 // the sync interval on power failure). Appends are group-committed by a
 // dedicated logger goroutine off the allocation-free ingest hot path.
-// The log folds itself into incremental checkpoints
-// (WALOptions.CompactEvery, or CompactWAL on demand): a
-// barrier-consistent snapshot becomes the recovery base and the sealed
-// segments it covers are deleted, bounding replay time and disk usage.
+// Every ingest path logs its events, but only the Durable methods wait
+// for the log. The log folds itself into incremental checkpoints
+// (WALOptions.CompactEvery, or CompactWAL on demand): the logger checks
+// after every group commit, so events from every ingest path count, and
+// a barrier-consistent snapshot becomes the recovery base and the
+// sealed segments it covers are deleted, bounding replay time and disk
+// usage. Downsample is not logged; a checkpoint taken after it carries
+// the new sample shift, so an adaptation survives a crash once a
+// compaction covers it.
 // Recovery is snapshot-plus-tail — restore the log's checkpoint, replay
 // the surviving records through the normal ingest path — and lands
 // bit-for-bit on the acknowledged prefix: a torn final record is the

@@ -60,10 +60,12 @@ type WALOptions struct {
 	// (default 64 MiB).
 	SegmentBytes int64
 	// CompactEvery folds the log into an incremental checkpoint whenever
-	// at least this many events have accumulated past the last one: a
-	// barrier-consistent snapshot replaces the sealed segments it covers,
-	// bounding both recovery time and disk usage. Zero disables automatic
-	// compaction; CompactWAL remains available.
+	// at least this many durable events have accumulated past the last
+	// one: a barrier-consistent snapshot replaces the sealed segments it
+	// covers, bounding both recovery time and disk usage. The log checks
+	// after every group commit, so events from every ingest path count,
+	// whether or not their caller waited for the log. Zero disables
+	// automatic compaction; CompactWAL remains available.
 	CompactEvery uint64
 }
 
@@ -82,9 +84,10 @@ type WALOptions struct {
 // backup and migration are a file copy.
 //
 // The returned estimator accepts all the usual methods; events fed
-// through any ingest path are logged, but only ApplyBatchDurable and
-// ApplyAllDurable wait for the log's acknowledgment. Close flushes,
-// group-commits the tail, and closes the log.
+// through any ingest path are logged and count towards CompactEvery, but
+// only ApplyBatchDurable and ApplyAllDurable wait for the log's
+// acknowledgment. Close flushes, group-commits the tail, and closes the
+// log.
 func ResumeDurable(cfg ConcurrentConfig, opt WALOptions) (*Concurrent, error) {
 	// Checked before the disk backend creates opt.Dir, so a rejected
 	// configuration leaves no directory behind.
@@ -118,7 +121,7 @@ func ResumeDurable(cfg ConcurrentConfig, opt WALOptions) (*Concurrent, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rept: %w", err)
 	}
-	pos, err := rec.Replay(sh.Position(), func(ups []graph.Update) error {
+	pos, err := rec.Replay(sh.Processed(), func(ups []graph.Update) error {
 		if !cfg.FullyDynamic {
 			for _, up := range ups {
 				if up.Del {
@@ -133,7 +136,7 @@ func ResumeDurable(cfg ConcurrentConfig, opt WALOptions) (*Concurrent, error) {
 		sh.Close()
 		return nil, fmt.Errorf("rept: wal replay: %w", err)
 	}
-	if got := sh.Position(); got != pos {
+	if got := sh.Processed(); got != pos {
 		sh.Close()
 		return nil, fmt.Errorf("rept: wal replay: %w: estimator at position %d after replaying to %d", wal.ErrCorrupt, got, pos)
 	}
@@ -148,13 +151,26 @@ func ResumeDurable(cfg ConcurrentConfig, opt WALOptions) (*Concurrent, error) {
 		sh.Close()
 		return nil, fmt.Errorf("rept: %w", err)
 	}
-	sh.StartWAL(lg, opt.SyncInterval)
-	c := &Concurrent{sh: sh, cfg: cfg, tele: cfg.Telemetry, acct: ac, lg: lg, compactEvery: opt.CompactEvery}
-	if opt.CompactEvery > 0 {
-		c.compactCh = make(chan struct{}, 1)
+	c := &Concurrent{sh: sh, cfg: cfg, tele: cfg.Telemetry, acct: ac, lg: lg}
+	var committed func()
+	if every := opt.CompactEvery; every > 0 {
+		// Triggers coalesce through a 1-buffered channel: at most one
+		// compaction runs at a time, and a burst of triggers folds into
+		// the pending pass.
+		trigger := make(chan struct{}, 1)
+		committed = func() {
+			if st := lg.Stats(); st.DurablePos-st.CheckpointPos >= every {
+				select {
+				case trigger <- struct{}{}:
+				default: // a compaction is already pending
+				}
+			}
+		}
+		c.compactStop = make(chan struct{})
 		c.compactWG.Add(1)
-		go c.compactor()
+		go c.compactor(trigger)
 	}
+	sh.StartWAL(lg, opt.SyncInterval, committed)
 	return c, nil
 }
 
@@ -168,7 +184,7 @@ func ResumeDurable(cfg ConcurrentConfig, opt WALOptions) (*Concurrent, error) {
 // them); the log failure is sticky and every later call fails too.
 // Without a WAL (NewConcurrent) it is ApplyAll and returns nil.
 func (c *Concurrent) ApplyAllDurable(ups []Update) error {
-	return c.compactAfter(c.sh.ApplyBatchDurable(ups))
+	return c.sh.ApplyBatchDurable(ups)
 }
 
 // ApplyBatchDurable is ApplyBatch with ApplyAllDurable's durability
@@ -179,23 +195,7 @@ func (c *Concurrent) ApplyBatchDurable(b *Batch) error {
 	if b == nil {
 		return nil
 	}
-	return c.compactAfter(c.sh.ApplyBatchDurable(b.ups))
-}
-
-// compactAfter passes a durable ingest's result through, first waking the
-// compactor once the log has grown CompactEvery events past its last
-// checkpoint.
-func (c *Concurrent) compactAfter(err error) error {
-	if err == nil && c.compactCh != nil {
-		st := c.lg.Stats()
-		if st.DurablePos-st.CheckpointPos >= c.compactEvery {
-			select {
-			case c.compactCh <- struct{}{}:
-			default: // a compaction is already pending or running
-			}
-		}
-	}
-	return err
+	return c.sh.ApplyBatchDurable(b.ups)
 }
 
 // Durable reports whether a write-ahead log is attached (the estimator
@@ -205,7 +205,7 @@ func (c *Concurrent) Durable() bool { return c.lg != nil }
 // Position returns the estimator's stream position: accepted non-loop
 // events since birth, the scale the write-ahead log addresses records
 // by. After ResumeDurable it equals the recovered log's end.
-func (c *Concurrent) Position() uint64 { return c.sh.Position() }
+func (c *Concurrent) Position() uint64 { return c.sh.Processed() }
 
 // WALStats reports the write-ahead log's positions, segment footprint,
 // and failure flag; zero-valued without a WAL.
@@ -227,18 +227,24 @@ func (c *Concurrent) CompactWAL() error {
 	return c.lg.Compact(c.sh.WriteSnapshotPos)
 }
 
-// compactor runs automatic compactions off the ingest path; triggers are
-// coalesced through a 1-buffered channel, so at most one compaction runs
-// at a time and a burst of triggers folds into one pass.
-func (c *Concurrent) compactor() {
+// compactor runs automatic compactions off the ingest path, one per
+// trigger the WAL goroutine sends, until stopCompactor closes
+// compactStop. The trigger channel is never closed: the WAL goroutine may
+// still send on it while the estimator shuts down.
+func (c *Concurrent) compactor(trigger <-chan struct{}) {
 	defer c.compactWG.Done()
-	for range c.compactCh {
-		if err := c.lg.Compact(c.sh.WriteSnapshotPos); err != nil {
-			// Compaction failure is not a durability failure: the log
-			// still holds everything, the previous checkpoint is intact,
-			// and recovery just replays a longer tail. Count it (see
-			// WALCompactionFailures) and keep serving.
-			c.compactErrs.Add(1)
+	for {
+		select {
+		case <-c.compactStop:
+			return
+		case <-trigger:
+			if err := c.lg.Compact(c.sh.WriteSnapshotPos); err != nil {
+				// Compaction failure is not a durability failure: the log
+				// still holds everything, the previous checkpoint is
+				// intact, and recovery just replays a longer tail. Count
+				// it (see WALCompactionFailures) and keep serving.
+				c.compactErrs.Add(1)
+			}
 		}
 	}
 }
@@ -253,10 +259,10 @@ func (c *Concurrent) WALCompactionFailures() uint64 { return c.compactErrs.Load(
 // goroutine out; idempotent, and a no-op when automatic compaction was
 // never enabled.
 func (c *Concurrent) stopCompactor() {
-	if c.compactCh == nil {
+	if c.compactStop == nil {
 		return
 	}
-	close(c.compactCh)
+	close(c.compactStop)
 	c.compactWG.Wait()
-	c.compactCh = nil
+	c.compactStop = nil
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"rept"
 	"rept/internal/exper"
@@ -373,5 +374,124 @@ func TestCompactWALFlightEvent(t *testing.T) {
 	}
 	if want := c.WALStats().CheckpointPos; len(got) != 1 || got[0] != want {
 		t.Fatalf("checkpoint flight events carry positions %v, want exactly [%d]", got, want)
+	}
+}
+
+// waitWAL polls the estimator's log until cond holds, failing the test
+// after 10 s with the last stats it read.
+func waitWAL(t *testing.T, c *rept.Concurrent, cond func(rept.WALStats) bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(c.WALStats()); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("log still at %+v after 10s", c.WALStats())
+		}
+	}
+}
+
+// TestDurableCompactsWithoutWaiters: automatic compaction keys on the
+// log's group commits, not on callers that wait for them, so events fed
+// through ApplyAll fold into checkpoints and trim the segments they
+// cover, under per-batch and interval sync alike.
+func TestDurableCompactsWithoutWaiters(t *testing.T) {
+	ups := durableStream(6000)
+	for _, interval := range []time.Duration{0, 5 * time.Millisecond} {
+		c, err := rept.ResumeDurable(durableConfig(), rept.WALOptions{
+			Backend:      wal.NewMemBackend(),
+			SyncInterval: interval,
+			SegmentBytes: 4096,
+			CompactEvery: 1000,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < len(ups); i += 250 {
+			c.ApplyAll(ups[i : i+250])
+		}
+		waitWAL(t, c, func(st rept.WALStats) bool { return st.CheckpointPos >= 5000 && st.Segments <= 2 })
+		c.Close()
+	}
+}
+
+// TestDurableDownsampleCompactCrash is where an adaptation, automatic
+// compaction, a crash and recovery meet. Downsample is not a log record,
+// so only a checkpoint taken after it carries the new sample shift; once
+// compaction covers it, the recovered estimator has the shift and, fed
+// the rest of the stream, equals a never-crashed reference that
+// downsampled at the same position. The ApplyAll run shows that events
+// nobody waited for count towards compaction too.
+func TestDurableDownsampleCompactCrash(t *testing.T) {
+	const cut, crashAt, total = 2500, 5000, 6000
+	cfg := durableConfig()
+	ups := durableStream(total)
+
+	ref, err := rept.NewConcurrent(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	ref.ApplyAll(ups[:cut])
+	if err := ref.Downsample(1); err != nil {
+		t.Fatal(err)
+	}
+	ref.ApplyAll(ups[cut:])
+	var want bytes.Buffer
+	if err := ref.WriteSnapshot(&want); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		feed func(*rept.Concurrent, []rept.Update) error
+	}{
+		{"ApplyAll", func(c *rept.Concurrent, ups []rept.Update) error { c.ApplyAll(ups); return nil }},
+		{"ApplyAllDurable", (*rept.Concurrent).ApplyAllDurable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			be := wal.NewMemBackend()
+			opt := rept.WALOptions{Backend: be, CompactEvery: 1000}
+			feed := func(c *rept.Concurrent, ups []rept.Update) {
+				t.Helper()
+				for len(ups) > 0 {
+					n := min(250, len(ups))
+					if err := tc.feed(c, ups[:n]); err != nil {
+						t.Fatal(err)
+					}
+					ups = ups[n:]
+				}
+			}
+			c, err := rept.ResumeDurable(cfg, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feed(c, ups[:cut])
+			if err := c.Downsample(1); err != nil {
+				t.Fatal(err)
+			}
+			feed(c, ups[cut:crashAt])
+			waitWAL(t, c, func(st rept.WALStats) bool { return st.CheckpointPos >= 3500 })
+			be.Crash()
+			c.Close()
+
+			c2, err := rept.ResumeDurable(cfg, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c2.Close()
+			if got := c2.SampleShift(); got != 1 {
+				t.Fatalf("recovered at sample shift %d, want 1", got)
+			}
+			pos := c2.Processed()
+			if pos < 3500 || pos > crashAt {
+				t.Fatalf("recovered at position %d, want one in [3500, %d]", pos, crashAt)
+			}
+			feed(c2, ups[pos:])
+			var got bytes.Buffer
+			if err := c2.WriteSnapshot(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatal("recovered estimator differs from the reference that downsampled at the same position")
+			}
+		})
 	}
 }

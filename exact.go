@@ -1,6 +1,9 @@
 package rept
 
-import "rept/internal/graph"
+import (
+	"rept/internal/graph"
+	"rept/internal/stream"
+)
 
 // ExactResult holds exact triangle statistics of a stream, including the
 // paper's η statistics that drive the variance of sampling estimators.
@@ -49,7 +52,12 @@ func ExactCount(edges []Edge, opt ExactOptions) *ExactResult {
 // ReadEdgeListFile loads a SNAP-style text edge list ("u v" per line, '#'
 // and '%' comments) with node ids that fit in uint32.
 func ReadEdgeListFile(path string) ([]Edge, error) {
-	return graph.ReadEdgeListFile(path, graph.ReadOptions{})
+	src, err := stream.OpenFile(path)
+	if err != nil {
+		return nil, err
+	}
+	defer src.Close()
+	return stream.Collect(src)
 }
 
 // WriteEdgeListFile writes a stream as a text edge list, preserving order.

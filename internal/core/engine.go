@@ -475,14 +475,6 @@ func (e *Engine) LocalOf(v graph.NodeID) float64 {
 // deletions) fed so far. It is monotone in stream position.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Position returns the engine's stream position — identical to
-// Processed, under the name the durability layer's contract uses: a
-// write-ahead log addresses records by position, an engine restored
-// from a snapshot at position P must be fed exactly the events at
-// positions ≥ P (through Apply/ApplyAll, the replay entry points), and
-// after replay Position equals the log's end.
-func (e *Engine) Position() uint64 { return e.processed }
-
 // Deleted returns the number of non-loop deletion events fed so far
 // (always 0 unless Config.FullyDynamic).
 func (e *Engine) Deleted() uint64 { return e.deleted }

@@ -5,77 +5,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 )
 
-// ReadOptions controls edge-list parsing.
-type ReadOptions struct {
-	Dedup     bool // drop edges already seen (keeps first arrival)
-	DropLoops bool // drop self-loops
-}
-
-// ReadEdgeList parses a SNAP-style whitespace-separated edge list: one
-// "u v" pair per line, with '#' and '%' comment lines ignored. Node ids
-// must fit in uint32.
-func ReadEdgeList(r io.Reader, opt ReadOptions) ([]Edge, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	var (
-		edges []Edge
-		seen  map[uint64]struct{}
-		line  int
-	)
-	if opt.Dedup {
-		seen = make(map[uint64]struct{})
-	}
-	for sc.Scan() {
-		line++
-		txt := strings.TrimSpace(sc.Text())
-		if txt == "" || txt[0] == '#' || txt[0] == '%' {
-			continue
-		}
-		fields := strings.Fields(txt)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("graph: line %d: expected two node ids, got %q", line, txt)
-		}
-		u, err := parseNode(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: %w", line, err)
-		}
-		v, err := parseNode(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: %w", line, err)
-		}
-		e := Edge{u, v}
-		if opt.DropLoops && e.IsSelfLoop() {
-			continue
-		}
-		if seen != nil {
-			k := e.Key()
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-		}
-		edges = append(edges, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("graph: reading edge list: %w", err)
-	}
-	return edges, nil
-}
-
-func parseNode(s string) (NodeID, error) {
-	n, err := strconv.ParseUint(s, 10, 32)
-	if err != nil {
-		return 0, fmt.Errorf("bad node id %q: %w", s, err)
-	}
-	return NodeID(n), nil
-}
-
 // WriteEdgeList writes the stream as a text edge list, one edge per line,
-// preserving stream order.
+// preserving stream order. The stream package reads it back.
 func WriteEdgeList(w io.Writer, edges []Edge) error {
 	bw := bufio.NewWriter(w)
 	for _, e := range edges {
@@ -84,16 +17,6 @@ func WriteEdgeList(w io.Writer, edges []Edge) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadEdgeListFile reads an edge list from path.
-func ReadEdgeListFile(path string, opt ReadOptions) ([]Edge, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("graph: %w", err)
-	}
-	defer f.Close()
-	return ReadEdgeList(f, opt)
 }
 
 // WriteEdgeListFile writes the stream to path, creating or truncating it.

@@ -1,77 +1,44 @@
-package graph
+package graph_test
 
 import (
-	"bytes"
+	"os"
 	"path/filepath"
-	"strings"
 	"testing"
+
+	"rept/internal/graph"
+	"rept/internal/stream"
 )
 
-func TestReadEdgeList(t *testing.T) {
-	in := `# comment
-% another comment
-0 1
-1 2	extra-col-ignored
-2 0
-
-0 1
-3 3
-`
-	edges, err := ReadEdgeList(strings.NewReader(in), ReadOptions{})
+// readBack reads the edge list at path through stream.FileSource, the
+// one SNAP edge-list parser.
+func readBack(t *testing.T, path string) []graph.Edge {
+	t.Helper()
+	src, err := stream.OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Edge{{0, 1}, {1, 2}, {2, 0}, {0, 1}, {3, 3}}
-	if len(edges) != len(want) {
-		t.Fatalf("got %d edges, want %d", len(edges), len(want))
-	}
-	for i := range want {
-		if edges[i] != want[i] {
-			t.Errorf("edge %d = %v, want %v", i, edges[i], want[i])
-		}
-	}
-}
-
-func TestReadEdgeListDedupAndLoops(t *testing.T) {
-	in := "0 1\n1 0\n2 2\n1 2\n"
-	edges, err := ReadEdgeList(strings.NewReader(in), ReadOptions{Dedup: true, DropLoops: true})
+	defer src.Close()
+	edges, err := stream.Collect(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Edge{{0, 1}, {1, 2}}
-	if len(edges) != len(want) {
-		t.Fatalf("got %v, want %v", edges, want)
-	}
-	for i := range want {
-		if edges[i] != want[i] {
-			t.Fatalf("got %v, want %v", edges, want)
-		}
-	}
-}
-
-func TestReadEdgeListErrors(t *testing.T) {
-	cases := []string{
-		"0\n",             // single field
-		"a b\n",           // non-numeric
-		"1 99999999999\n", // overflows uint32
-	}
-	for _, in := range cases {
-		if _, err := ReadEdgeList(strings.NewReader(in), ReadOptions{}); err == nil {
-			t.Errorf("ReadEdgeList(%q): got nil error", in)
-		}
-	}
+	return edges
 }
 
 func TestEdgeListRoundTrip(t *testing.T) {
-	stream := []Edge{{5, 1}, {2, 7}, {0, 0}, {1, 5}}
-	var buf bytes.Buffer
-	if err := WriteEdgeList(&buf, stream); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadEdgeList(&buf, ReadOptions{})
+	stream := []graph.Edge{{U: 5, V: 1}, {U: 2, V: 7}, {U: 0, V: 0}, {U: 1, V: 5}}
+	path := filepath.Join(t.TempDir(), "g.txt")
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := graph.WriteEdgeList(f, stream); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back := readBack(t, path)
 	if len(back) != len(stream) {
 		t.Fatalf("round trip length %d, want %d", len(back), len(stream))
 	}
@@ -84,18 +51,15 @@ func TestEdgeListRoundTrip(t *testing.T) {
 
 func TestEdgeListFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.txt")
-	stream := []Edge{{1, 2}, {3, 4}}
-	if err := WriteEdgeListFile(path, stream); err != nil {
+	stream := []graph.Edge{{U: 1, V: 2}, {U: 3, V: 4}}
+	if err := graph.WriteEdgeListFile(path, stream); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadEdgeListFile(path, ReadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := readBack(t, path)
 	if len(back) != 2 || back[0] != stream[0] || back[1] != stream[1] {
 		t.Fatalf("got %v, want %v", back, stream)
 	}
-	if _, err := ReadEdgeListFile(filepath.Join(t.TempDir(), "missing"), ReadOptions{}); err == nil {
-		t.Error("reading missing file: got nil error")
+	if err := graph.WriteEdgeListFile(filepath.Join(t.TempDir(), "missing", "g.txt"), stream); err == nil {
+		t.Error("writing into a missing directory: got nil error")
 	}
 }

@@ -68,8 +68,9 @@ const (
 	// CauseDownsample: a Downsample rescaled every class sum, so no
 	// delta could describe the change.
 	CauseDownsample
-	// CauseWeakened: a ranked node's estimate fell, so a node outside
-	// the ranking may now outrank it.
+	// CauseWeakened: the delta ranking's weakest member fell below the
+	// previous ranking's weakest, so a node outside the candidates may
+	// now outrank it.
 	CauseWeakened
 	causeMax
 )

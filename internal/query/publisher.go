@@ -72,12 +72,12 @@ type Source interface {
 // The Source hands over the merged class-sum delta, the new view's class
 // sums are graph.SumTables(previous view's, delta), and the top-K ranks
 // only the previous ranking plus the nodes the delta touched. That is
-// exact whenever no member of the previous ranking weakened, because a
-// node's τ̂_v depends only on its own class sums and on M, C and Shift.
-// The other epochs rebuild fully: the first, one whose Source handed
-// over whole class sums instead of a delta (after a Downsample), and one
-// in which a ranked node weakened (deletions, or η̂_v shifting the
-// c = c₁m + c₂ combination).
+// exact unless the new ranking's weakest member fell below the previous
+// ranking's weakest, because a node's τ̂_v depends only on its own class
+// sums and on M, C and Shift. The other epochs rebuild fully: the first,
+// one whose Source handed over whole class sums instead of a delta
+// (after a Downsample), and one whose ranking weakened that far
+// (deletions, or η̂_v shifting the c = c₁m + c₂ combination).
 // The full rebuild is the same SumTables call with an empty base and the
 // same heap fed every node. FullPublishes counts these epochs, and the
 // view_publish flight event names their cause.

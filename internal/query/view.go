@@ -222,19 +222,16 @@ func (v *View) rank(k int, each func(fn func(n graph.NodeID, local float64))) {
 }
 
 // rankDelta ranks the previous view's ranking plus the nodes whose class
-// sums the delta touched and returns true; it returns false without
-// ranking when a member of the previous ranking weakened. Every other
-// node kept its class sums, and τ̂_v depends only on v's class sums and
-// on M, C and Shift, so each was outranked by all of the previous
-// ranking before and still is: the k strongest candidates are the k
-// strongest nodes. A weakened member may fall below a node outside the
-// candidates, so that epoch needs the full scan.
+// sums the delta touched, and reports whether that ranking is exact.
+// Every other node kept its class sums, and τ̂_v depends only on v's
+// class sums and on M, C and Shift, so each was outranked by the previous
+// ranking's weakest member and still is. The ranking is therefore exact
+// when the previous one held fewer than k nodes (then it held every node
+// with class sums, and the candidates are all of them), or when its
+// weakest member is at least as strong as the previous weakest. Only a
+// ranking that weakened below that mark may have lost its place to a node
+// outside the candidates, and that epoch needs the full scan.
 func (v *View) rankDelta(k int, prev *View, delta *core.Aggregates) bool {
-	for _, s := range prev.TopK {
-		if !(v.counts.LocalOf(s.Node) >= s.Local) {
-			return false
-		}
-	}
 	v.rank(k, func(fn func(graph.NodeID, float64)) {
 		for _, s := range prev.TopK {
 			if !delta.TauV1.Has(s.Node) && !delta.TauV2.Has(s.Node) {
@@ -243,5 +240,6 @@ func (v *View) rankDelta(k int, prev *View, delta *core.Aggregates) bool {
 		}
 		delta.EachLocal(func(n graph.NodeID, _ float64) { fn(n, v.counts.LocalOf(n)) })
 	})
-	return true
+	n := len(prev.TopK)
+	return n < k || n == 0 || !stronger(prev.TopK[n-1], v.TopK[n-1])
 }

@@ -98,7 +98,7 @@ func TestLedgerComponentsPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.StartWAL(lg, 0)
+	s.StartWAL(lg, 0, nil)
 	if got, want := ac.Bytes(mem.CompRings), int64(s.Shards()+2)*queue; got != want {
 		t.Errorf("rings = %d bytes after StartWAL, want %d (one more queue)", got, want)
 	}

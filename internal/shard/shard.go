@@ -21,7 +21,11 @@
 // only parallelism: each engine runs single-threaded in its own.
 // Snapshots use an in-band barrier message so every shard reports its
 // counters at exactly the same stream prefix, without stopping ingestion
-// for longer than a flush.
+// for longer than a flush. Delivery tickets only order this fan-out;
+// durability is tracked in stream positions, the count of accepted
+// events that Processed reports and the write-ahead log addresses its
+// records by, so a durable producer waits for the log to reach the
+// position one past its last event.
 //
 // ApplyBatch is the one bulk producer: a caller batch becomes a few
 // ticketed segments of at most BatchSize events, issued in one critical
@@ -211,11 +215,10 @@ type barrier struct {
 }
 
 // msg is one item of a consumer queue: either an edge batch or a
-// barrier. ticket is the delivery ticket the message was issued under:
-// send delivers tickets in issue order, and the WAL goroutine uses the
-// ticket as the durability watermark (engine shards ignore it — their
-// ordering comes from the queue itself). Tickets start at 1, so a zero
-// msg means "nothing to send".
+// barrier. ticket is the delivery ticket the message was issued under;
+// it only orders delivery (send delivers tickets in issue order), and no
+// consumer reads it. Durability is tracked in stream positions instead.
+// Tickets start at 1, so a zero msg means "nothing to send".
 type msg struct {
 	b      *batch
 	bar    *barrier
@@ -254,11 +257,8 @@ type Sharded struct {
 	// seq is the last delivery ticket issued; a detached batch or barrier
 	// owns exactly one ticket and send delivers tickets in order, so the
 	// channel sequence every consumer sees is identical to the order the
-	// critical sections ran in. lastBatch is the latest ticket that
-	// belongs to a BATCH (barriers get tickets too): the watermark a
-	// durable ingest waits on.
-	seq       uint64
-	lastBatch uint64
+	// critical sections ran in.
+	seq uint64
 
 	// sendMu and sendCond serialize deliveries in ticket order. Producers
 	// blocked here hold no ingest mutex, so ingestion keeps accepting
@@ -581,8 +581,8 @@ func (s *Sharded) apply(up graph.Update) {
 // core.ErrClosed after Close.
 func (s *Sharded) ApplyBatch(ups []graph.Update) { s.ingest(ups) }
 
-// ingest is ApplyBatch's body. It returns the ticket of the last batch
-// holding the call's events — the watermark a durable caller waits on —
+// ingest is ApplyBatch's body. It returns the stream position one past
+// the call's last event — the log position a durable caller waits on —
 // and the WAL runner to wait with, nil until StartWAL.
 func (s *Sharded) ingest(ups []graph.Update) (uint64, *walRunner) {
 	var (
@@ -624,11 +624,11 @@ func (s *Sharded) ingest(ups []graph.Update) (uint64, *walRunner) {
 		pend = append(pend, s.detachLocked())
 	}
 	// The shared buffer is empty now, so everything this call accepted
-	// sits at or below the last batch ticket. Tallies are credited before
-	// unlock: barrier-consistency of snapshots versus Processed is what
-	// aligns checkpoint positions with the log.
-	wait := s.lastBatch
-	s.processed.Add(accepted)
+	// sits below the position it leaves Processed at, in batches detached
+	// for every consumer, the WAL logger included. Tallies are credited
+	// before unlock: barrier-consistency of snapshots versus Processed is
+	// what aligns checkpoint positions with the log.
+	pos := s.processed.Add(accepted)
 	s.deleted.Add(dels)
 	s.selfLoops.Add(loops)
 	w := s.wal
@@ -641,7 +641,7 @@ func (s *Sharded) ingest(ups []graph.Update) (uint64, *walRunner) {
 		s.obs.Dispatch.ObserveDuration(d)
 		s.obs.Flight.Record(obs.KindDispatch, -1, accepted, d)
 	}
-	return wait, w
+	return pos, w
 }
 
 // pendInline sizes the stack buffers that collect detached batches inside
@@ -657,7 +657,6 @@ func (s *Sharded) detachLocked() msg {
 	b := s.cur
 	b.refs.Store(int32(s.fanout()))
 	s.seq++
-	s.lastBatch = s.seq
 	s.cur = s.getBatch()
 	return msg{b: b, ticket: s.seq}
 }
@@ -864,8 +863,11 @@ func (s *Sharded) Downsample(extra int) error {
 func (s *Sharded) SampleShift() int { return int(s.sampleShift.Load()) }
 
 // Processed returns the number of non-loop events (insertions plus
-// deletions) accepted so far. It counts arrivals, including events still
-// buffered in flight, and is monotone in stream position.
+// deletions) accepted so far, including events still buffered in flight:
+// the coordinator's stream position, the quantity snapshots persist and
+// the write-ahead log addresses its records by. A coordinator restored
+// from a snapshot at position P and fed the events at positions ≥ P
+// reproduces the original bit for bit.
 func (s *Sharded) Processed() uint64 { return s.processed.Load() }
 
 // Deleted returns the number of non-loop deletion events accepted so far

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -15,18 +16,11 @@ import (
 // configuration before replaying a single event.
 func (c Config) FingerprintHash() uint64 { return c.fingerprint().Hash() }
 
-// Position returns the coordinator's stream position: the number of
-// accepted non-loop events since birth, the same quantity snapshots
-// persist as Processed and the WAL addresses records by. A coordinator
-// restored from a snapshot at position P and fed the events at positions
-// ≥ P reproduces the original bit for bit — Position is the replay entry
-// point's contract.
-func (s *Sharded) Position() uint64 { return s.processed.Load() }
-
-// walRunner is the durable-mode bookkeeping shared between producers
-// blocked in ApplyBatchDurable and the WAL goroutine: watermarks over
-// delivery tickets, advanced as batches are appended to and synced into
-// the log, plus the sticky WAL error.
+// walRunner is the durable-mode state shared between producers blocked
+// in ApplyBatchDurable and the WAL goroutine. It keeps no watermark and
+// no error of its own: producers wait on the log's positions and read
+// its sticky error, and the WAL goroutine wakes them whenever either may
+// have moved.
 type walRunner struct {
 	lg *wal.Log
 	// interval > 0 selects interval sync: ApplyBatchDurable returns once
@@ -34,55 +28,38 @@ type walRunner struct {
 	// period (bounded loss window). interval <= 0 is per-batch sync:
 	// ApplyBatchDurable returns only after its events are DURABLE.
 	interval time.Duration
+	// committed, when non-nil, runs on the WAL goroutine after every
+	// successful group commit.
+	committed func()
 
-	mu       sync.Mutex
-	cond     sync.Cond
-	appended uint64 // ticket of the last batch written into the log
-	durable  uint64 // ticket of the last batch covered by a sync
-	err      error  // sticky: the log refused a write or sync
+	mu   sync.Mutex
+	cond sync.Cond
 }
 
-// publish advances the watermarks and wakes waiting producers.
-func (r *walRunner) publish(appended, durable uint64) {
+// wake rouses every producer waiting on the log.
+func (r *walRunner) wake() {
 	r.mu.Lock()
-	if appended > r.appended {
-		r.appended = appended
-	}
-	if durable > r.durable {
-		r.durable = durable
-	}
 	r.cond.Broadcast()
 	r.mu.Unlock()
 }
 
-// fail records the sticky WAL error and wakes waiting producers.
-func (r *walRunner) fail(err error) {
-	r.mu.Lock()
-	if r.err == nil {
-		r.err = err
-	}
-	r.cond.Broadcast()
-	r.mu.Unlock()
-}
-
-// wait blocks until the batch holding the caller's events is
-// acknowledged under the configured sync mode, or the log has failed.
-// A ticket that made the watermark before the failure stays
-// acknowledged: its bytes are on disk.
-func (r *walRunner) wait(ticket uint64) error {
-	perBatch := r.interval <= 0
+// wait blocks until the log acknowledges every event below stream
+// position pos under the configured sync mode, or the log has failed.
+// A position the log reached before the failure stays acknowledged.
+func (r *walRunner) wait(pos uint64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
-		w := r.appended
-		if perBatch {
-			w = r.durable
+		st := r.lg.Stats()
+		w := st.DurablePos
+		if r.interval > 0 {
+			w = st.AppendedPos
 		}
-		if w >= ticket {
+		if w >= pos {
 			return nil
 		}
-		if r.err != nil {
-			return r.err
+		if err := r.lg.Err(); err != nil {
+			return err
 		}
 		r.cond.Wait()
 	}
@@ -91,45 +68,38 @@ func (r *walRunner) wait(ticket uint64) error {
 // StartWAL attaches a write-ahead log to the coordinator: a dedicated
 // logger goroutine joins the broadcast fan-out and receives exactly the
 // ticketed batch sequence the engine shards do, so the log's event order
-// IS the engines' apply order. Events already buffered (a recovery
-// replay's leftovers) are flushed to the engines first and are NOT
-// logged — recovery replays come FROM the log.
+// IS the engines' apply order, and the log's position is the
+// coordinator's Processed. committed, when non-nil, runs on the logger
+// goroutine after every successful group commit, whichever ingest path
+// fed the events; it must not block.
 //
 // StartWAL must be called before the coordinator is shared with
-// concurrent producers (immediately after New or Resume); it panics if
-// called twice or after Close. Once attached, ApplyBatchDurable blocks
-// until the log acknowledges its events; the plain ingest methods keep
-// working and are logged too, but do not wait.
-func (s *Sharded) StartWAL(lg *wal.Log, syncInterval time.Duration) {
-	var buf [1]msg
-	pend := buf[:0]
+// concurrent producers (immediately after New or Resume and the replay
+// of the log's tail), with no event buffered and the log appended up to
+// Processed; it panics otherwise, and if called twice or after Close.
+// Once attached, ApplyBatchDurable blocks until the log acknowledges its
+// events; the plain ingest methods keep working and are logged too, but
+// do not wait.
+func (s *Sharded) StartWAL(lg *wal.Log, syncInterval time.Duration, committed func()) {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	logPos, pos := lg.Stats().AppendedPos, s.processed.Load()
+	switch {
+	case s.closed:
 		panic(core.ErrClosed)
-	}
-	if s.wal != nil {
-		s.mu.Unlock()
+	case s.wal != nil:
 		panic("shard: StartWAL called twice")
+	case len(s.cur.ups) > 0:
+		panic("shard: StartWAL with events buffered")
+	case logPos != pos:
+		panic(fmt.Sprintf("shard: StartWAL with the log at position %d and the coordinator at %d", logPos, pos))
 	}
-	if len(s.cur.ups) > 0 {
-		pend = append(pend, s.detachLocked())
-	}
-	last := s.seq
-	s.mu.Unlock()
-	s.sendAll(pend)
-	// Batches detached before this point carried the old fan-out count
-	// and must be fully delivered before the WAL queue joins it.
-	s.waitSent(last)
-
-	s.mu.Lock()
 	q := s.newQueue()
 	s.queues = append(s.queues, q)
-	s.wal = &walRunner{lg: lg, interval: syncInterval}
+	s.wal = &walRunner{lg: lg, interval: syncInterval, committed: committed}
 	s.wal.cond.L = &s.wal.mu
 	s.done.Add(1)
 	go s.runWAL(q)
-	s.mu.Unlock()
 }
 
 // ApplyBatchDurable is ApplyBatch with a durability barrier: it returns
@@ -142,11 +112,11 @@ func (s *Sharded) StartWAL(lg *wal.Log, syncInterval time.Duration) {
 // them, and the caller must not acknowledge. Without StartWAL it is
 // ApplyBatch and returns nil.
 func (s *Sharded) ApplyBatchDurable(ups []graph.Update) error {
-	ticket, w := s.ingest(ups)
+	pos, w := s.ingest(ups)
 	if w == nil {
 		return nil
 	}
-	return w.wait(ticket)
+	return w.wait(pos)
 }
 
 // runWAL is the dedicated logger goroutine: it consumes the same
@@ -155,7 +125,8 @@ func (s *Sharded) ApplyBatchDurable(ups []graph.Update) error {
 // drained since the last one. In per-batch mode the sync happens as soon
 // as the queue runs dry; in interval mode on a ticker, trading a bounded
 // loss window for fewer syncs. The ticker and the queue share one
-// select, so a queue that never runs dry still syncs every period.
+// select, so a queue that never runs dry still syncs every period. Once
+// the log fails, its sticky error refuses every later append and sync.
 func (s *Sharded) runWAL(q <-chan msg) {
 	defer s.done.Done()
 	r := s.wal
@@ -165,20 +136,17 @@ func (s *Sharded) runWAL(q <-chan msg) {
 		defer t.Stop()
 		tick = t.C
 	}
-	var lastTicket uint64 // last batch ticket appended to the log
-	failed := false
 	dirty := false // appended but not yet synced
 	commit := func() {
-		if failed || !dirty {
-			return
-		}
-		if err := r.lg.Commit(); err != nil {
-			failed = true
-			r.fail(err)
+		if !dirty {
 			return
 		}
 		dirty = false
-		r.publish(lastTicket, lastTicket)
+		err := r.lg.Commit()
+		r.wake()
+		if err == nil && r.committed != nil {
+			r.committed()
+		}
 	}
 	for {
 		select {
@@ -193,14 +161,10 @@ func (s *Sharded) runWAL(q <-chan msg) {
 			if m.bar != nil {
 				m.bar.wg.Done()
 			} else {
-				if !failed && len(m.b.ups) > 0 {
-					if err := r.lg.Append(m.b.ups); err != nil {
-						failed = true
-						r.fail(err)
-					} else {
-						lastTicket = m.ticket
-						dirty = true
-					}
+				if err := r.lg.Append(m.b.ups); err != nil {
+					r.wake()
+				} else {
+					dirty = true
 				}
 				if m.b.refs.Add(-1) == 0 {
 					s.putBatch(m.b)
@@ -212,9 +176,9 @@ func (s *Sharded) runWAL(q <-chan msg) {
 				// the next sync amortizes over is still arriving.
 			case tick == nil:
 				commit()
-			case dirty && !failed:
+			case dirty:
 				// Interval mode acknowledges on append.
-				r.publish(lastTicket, 0)
+				r.wake()
 			}
 		}
 	}

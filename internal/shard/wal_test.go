@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,22 +32,63 @@ func newDurable(t *testing.T, cfg Config, be wal.Backend, interval time.Duration
 	if err != nil {
 		t.Fatal(err)
 	}
-	pos, err := rec.Replay(s.Position(), func(ups []graph.Update) error {
+	pos, err := rec.Replay(s.Processed(), func(ups []graph.Update) error {
 		s.ApplyBatch(ups)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Position(); got != pos {
+	if got := s.Processed(); got != pos {
 		t.Fatalf("replayed coordinator at position %d, log ends at %d", got, pos)
 	}
 	lg, err := rec.Log(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.StartWAL(lg, interval)
+	s.StartWAL(lg, interval, nil)
 	return s, lg
+}
+
+// TestStartWALRefusesUnloggedState: the log's position must be the
+// coordinator's Processed, so StartWAL refuses a coordinator holding
+// buffered events or one ahead of the log, either of which would leave
+// events in the engines that the log never sees.
+func TestStartWALRefusesUnloggedState(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		feed func(*Sharded)
+	}{
+		{"buffered", func(s *Sharded) { s.Add(1, 2) }},
+		{"ahead of the log", func(s *Sharded) { s.ApplyBatch(walStream(10)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(durableTestConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			rec, err := wal.Recover(wal.NewMemBackend(), s.cfg.FingerprintHash())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rec.Replay(0, func([]graph.Update) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+			lg, err := rec.Log(wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lg.Close()
+			tc.feed(s)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("StartWAL accepted a coordinator the log does not cover")
+				}
+			}()
+			s.StartWAL(lg, 0, nil)
+		})
+	}
 }
 
 // durableTestConfig keeps the tests fast but multi-shard.
@@ -124,7 +166,7 @@ func TestDurableIngestCrashRecoveryBitForBit(t *testing.T) {
 
 	s2, _ := newDurable(t, cfg, be, 0, wal.Options{SegmentBytes: 2048})
 	defer s2.Close()
-	pos := s2.Position()
+	pos := s2.Processed()
 	if pos < acked {
 		t.Fatalf("recovered position %d < acknowledged %d: acknowledged events lost", pos, acked)
 	}
@@ -159,7 +201,7 @@ func TestDurableRecoveryWithCompaction(t *testing.T) {
 
 	s2, _ := newDurable(t, cfg, be, 0, wal.Options{SegmentBytes: 1024})
 	defer s2.Close()
-	if pos := s2.Position(); pos != 2000 {
+	if pos := s2.Processed(); pos != 2000 {
 		t.Fatalf("recovered position %d, want 2000", pos)
 	}
 	got := snapshotBytes(t, s2)
@@ -193,6 +235,55 @@ func TestDurableIngestRefusesAfterSyncFailure(t *testing.T) {
 	}
 	if !lg.Stats().Failed {
 		t.Fatal("log stats do not report the failure")
+	}
+}
+
+// TestDurableConcurrentWaiters: producers racing through
+// ApplyBatchDurable each return only once the log's durable position
+// covers their events, and once a sync fails, every producer still
+// waiting gets the log's sticky error instead of sleeping forever.
+func TestDurableConcurrentWaiters(t *testing.T) {
+	cfg := durableTestConfig()
+	cfg.BatchSize, cfg.QueueLen = 16, 2
+	be := wal.NewMemBackend()
+	s, lg := newDurable(t, cfg, be, 0, wal.Options{})
+	defer s.Close()
+
+	const producers, each, body = 4, 600, 24
+	ups := walStream(producers * each)
+	// Every call needs a sync and at most one call per producer is in
+	// flight, so the 100 calls take at least 25 syncs: the 10th fails
+	// with calls acknowledged before it and calls still waiting.
+	be.FailSync(10)
+	var wg sync.WaitGroup
+	var acked, refused atomic.Int64
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(part []graph.Update) {
+			defer wg.Done()
+			for i := 0; i < len(part); i += body {
+				b := part[i:min(i+body, len(part))]
+				before := s.Processed()
+				if err := s.ApplyBatchDurable(b); err != nil {
+					if !errors.Is(err, wal.ErrInjected) {
+						t.Errorf("durable ingest: %v, want ErrInjected", err)
+					}
+					refused.Add(1)
+					continue
+				}
+				acked.Add(1)
+				if d, end := lg.Stats().DurablePos, before+uint64(len(b)); d < end {
+					t.Errorf("acknowledged with the log durable to %d, below position %d", d, end)
+				}
+			}
+		}(ups[p*each : (p+1)*each])
+	}
+	wg.Wait()
+	if acked.Load() == 0 || refused.Load() == 0 {
+		t.Fatalf("%d calls acknowledged and %d refused, want both before and after the failed sync", acked.Load(), refused.Load())
+	}
+	if !errors.Is(lg.Err(), wal.ErrInjected) {
+		t.Fatalf("log error %v, want ErrInjected", lg.Err())
 	}
 }
 
@@ -230,7 +321,7 @@ func TestDurableFallsBackWithoutWAL(t *testing.T) {
 	if err := s.ApplyBatchDurable(walStream(100)); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Position(); got != 100 {
+	if got := s.Processed(); got != 100 {
 		t.Fatalf("position %d, want 100", got)
 	}
 }
@@ -334,7 +425,7 @@ func TestWALIntervalSyncUnderLoad(t *testing.T) {
 		t.Fatalf("no sync after %v of back-to-back batches at a %v interval (appended %d)",
 			time.Since(start), interval, st.AppendedPos)
 	}
-	waitFor(t, func() bool { return lg.Stats().DurablePos == s.Position() })
+	waitFor(t, func() bool { return lg.Stats().DurablePos == s.Processed() })
 }
 
 // TestQueueBackpressure: a consumer that falls QueueLen batches behind
@@ -425,7 +516,7 @@ func TestTinyQueuesOneSequence(t *testing.T) {
 
 	replayed, _ := newDurable(t, cfg, be, 0, wal.Options{})
 	defer replayed.Close()
-	if got := replayed.Position(); got != producers*uint64(len(edges)) {
+	if got := replayed.Processed(); got != producers*uint64(len(edges)) {
 		t.Fatalf("replayed position %d, want %d", got, producers*len(edges))
 	}
 	if !bytes.Equal(snapshotBytes(t, replayed), want) {

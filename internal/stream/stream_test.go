@@ -32,7 +32,9 @@ func TestSliceSource(t *testing.T) {
 
 func TestFileSource(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "edges.txt")
-	content := "# header\n0 1\n\n% comment\n2 3\n"
+	// Comments, blank lines and columns past the second are skipped;
+	// duplicates and self-loops pass through (Dedup filters them).
+	content := "# header\n0 1\n\n% comment\n2 3\n1 2\textra-col-ignored\n0 1\n3 3\n"
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -45,28 +47,39 @@ func TestFileSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+	want := []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}, {U: 1, V: 2}, {U: 0, V: 1}, {U: 3, V: 3}}
+	if len(got) != len(want) {
 		t.Fatalf("Collect = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Collect = %v, want %v", got, want)
+		}
 	}
 }
 
 func TestFileSourceParseError(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.txt")
-	if err := os.WriteFile(path, []byte("0 1\nnot numbers\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	src, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	if _, err := Collect(src); err == nil {
-		t.Error("Collect on malformed file: got nil error")
-	}
-	// Subsequent Next calls must keep failing.
-	if _, ok := src.Next(); ok {
-		t.Error("Next after error returned ok")
+	for _, bad := range []string{
+		"not numbers\n",   // non-numeric
+		"0\n",             // single field
+		"1 99999999999\n", // overflows uint32
+	} {
+		path := filepath.Join(t.TempDir(), "bad.txt")
+		if err := os.WriteFile(path, []byte("0 1\n"+bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		src, err := OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Collect(src); err == nil {
+			t.Errorf("Collect on %q: got nil error", bad)
+		}
+		// Subsequent Next calls must keep failing.
+		if _, ok := src.Next(); ok {
+			t.Errorf("Next after error on %q returned ok", bad)
+		}
+		src.Close()
 	}
 }
 

@@ -73,10 +73,11 @@ type Stats struct {
 }
 
 // Log is an open write-ahead log. Append, Commit, and Close must be
-// driven by ONE goroutine (the ingest layer's dedicated logger); Compact
-// and Stats are safe from any goroutine concurrently with it. Errors are
-// sticky: after a failed write or sync the log refuses further appends,
-// because a hole in the middle of a segment cannot be represented.
+// driven by ONE goroutine (the ingest layer's dedicated logger); Compact,
+// Stats and Err are safe from any goroutine concurrently with it. Errors
+// are sticky: after a failed write or sync the log refuses further
+// appends, because a hole in the middle of a segment cannot be
+// represented.
 type Log struct {
 	be Backend
 	fp uint64
@@ -123,7 +124,9 @@ type Log struct {
 	statSegments atomic.Int64
 	statActiveB  atomic.Int64
 	statSealedB  atomic.Int64
-	statFailed   atomic.Bool
+	// failed publishes the sticky error to Err readers on other
+	// goroutines; closing the log sets err but not failed.
+	failed atomic.Pointer[error]
 }
 
 // open starts a fresh active segment at position pos over the given
@@ -232,9 +235,7 @@ func (l *Log) Append(ups []graph.Update) error {
 	binary.LittleEndian.PutUint32(l.buf[0:4], uint32(len(l.buf)-recHdrLen))
 	binary.LittleEndian.PutUint32(l.buf[4:8], crc32.ChecksumIEEE(l.buf[recHdrLen:]))
 	if _, err := l.active.Write(l.buf); err != nil {
-		l.err = err
-		l.statFailed.Store(true)
-		return err
+		return l.fail(err)
 	}
 	l.pos += uint64(len(ups))
 	l.activeBytes += int64(len(l.buf))
@@ -265,9 +266,7 @@ func (l *Log) Commit() error {
 		start = time.Now()
 	}
 	if err := l.active.Sync(); err != nil {
-		l.err = err
-		l.statFailed.Store(true)
-		return err
+		return l.fail(err)
 	}
 	if l.syncHist != nil {
 		d := time.Since(start)
@@ -286,8 +285,7 @@ func (l *Log) Commit() error {
 // through its end.
 func (l *Log) rotate() error {
 	if err := l.active.Close(); err != nil {
-		l.err = err
-		l.statFailed.Store(true)
+		l.fail(err)
 		return fmt.Errorf("wal: sealing segment: %w", err)
 	}
 	l.mu.Lock()
@@ -296,9 +294,7 @@ func (l *Log) rotate() error {
 	l.statSealedB.Store(l.sealedBytes)
 	l.mu.Unlock()
 	if err := l.startSegment(l.pos); err != nil {
-		l.err = err
-		l.statFailed.Store(true)
-		return err
+		return l.fail(err)
 	}
 	l.statSegments.Add(1)
 	return nil
@@ -377,8 +373,25 @@ func (l *Log) Stats() Stats {
 		Segments:      int(l.statSegments.Load()),
 		ActiveBytes:   l.statActiveB.Load(),
 		LiveBytes:     l.statSealedB.Load() + l.statActiveB.Load(),
-		Failed:        l.statFailed.Load(),
+		Failed:        l.Err() != nil,
 	}
+}
+
+// fail makes err the log's sticky error and returns it.
+func (l *Log) fail(err error) error {
+	l.err = err
+	l.failed.Store(&err)
+	return err
+}
+
+// Err returns the sticky error that stopped the log accepting writes, or
+// nil while it is healthy. Safe from any goroutine; closing the log is not
+// a failure.
+func (l *Log) Err() error {
+	if p := l.failed.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Close syncs and closes the active segment; appends after Close fail.
@@ -392,9 +405,7 @@ func (l *Log) Close() error {
 	var ret error
 	if l.err == nil {
 		if err := l.active.Sync(); err != nil {
-			l.err = err
-			l.statFailed.Store(true)
-			ret = err
+			ret = l.fail(err)
 		} else {
 			l.statDurable.Store(l.pos)
 		}

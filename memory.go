@@ -93,10 +93,12 @@ func (c *Concurrent) MemTotalBytes() int64 { return c.acct.MemoryTotal() }
 // the view never keeps answering from the sample before the adaptation
 // (an idle stream would otherwise publish nothing new). It fails with
 // ErrEtaDownsample on η-tracking configurations (see that error), and is
-// NOT logged to the write-ahead log: recovery restores the
-// pre-adaptation sampling state (checkpoints carry the shift, the log
-// tail replays into it), and the controller simply re-adapts if the
-// recovered footprint still exceeds the budget.
+// NOT logged to the write-ahead log: recovery restores the sampling state
+// of the log's last checkpoint (checkpoints carry the shift, the log tail
+// replays into it). An adaptation therefore survives a crash once a
+// compaction covers it — automatic compaction counts events from every
+// ingest path — and after one made since, the controller simply
+// re-adapts if the recovered footprint still exceeds the budget.
 func (c *Concurrent) Downsample(extra int) error {
 	if err := c.sh.Downsample(extra); err != nil {
 		return fmt.Errorf("rept: %w", err)

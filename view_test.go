@@ -596,6 +596,11 @@ func testViewEpochs(t *testing.T, m, c int) {
 	if !etaLayout && causes["downsample"] == 0 {
 		t.Errorf("no epoch with cause %q (causes %v)", "downsample", causes)
 	}
+	// A ranked node's fall alone does not force the full scan; only a
+	// ranking that weakened below the previous weakest member does.
+	if causes["weakened"] >= causes[""] {
+		t.Errorf("%d weakened epochs against %d delta epochs, want fewer full scans than delta epochs (causes %v)", causes["weakened"], causes[""], causes)
+	}
 	t.Logf("epochs by cause: %v", causes)
 }
 
