@@ -235,10 +235,10 @@ func TestDownsampleRepublishesIdleView(t *testing.T) {
 	}
 }
 
-// TestDownsampleFlightEvent: with telemetry attached, each Downsample
-// leaves one downsample flight event carrying the new cumulative shift.
+// TestDownsampleFlightEvent: each Downsample leaves one downsample flight
+// event carrying the new cumulative shift.
 func TestDownsampleFlightEvent(t *testing.T) {
-	est, err := rept.NewConcurrent(rept.ConcurrentConfig{M: 4, C: 8, Seed: 2, Telemetry: rept.NewTelemetry()})
+	est, err := rept.NewConcurrent(rept.ConcurrentConfig{M: 4, C: 8, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

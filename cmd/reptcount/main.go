@@ -62,8 +62,12 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		res := rept.ExactCount(edges, rept.ExactOptions{Local: *local, Eta: true})
+		ratio := 0.0
+		if res.Tau > 0 {
+			ratio = float64(res.Eta) / float64(res.Tau)
+		}
 		fmt.Fprintf(out, "nodes=%d edges=%d\n", res.Nodes, res.Edges)
-		fmt.Fprintf(out, "triangles=%d eta=%d\n", res.Tau, res.Eta)
+		fmt.Fprintf(out, "triangles=%d eta=%d eta/tau=%.2f\n", res.Tau, res.Eta, ratio)
 		if *local {
 			printTopUint(out, res.TauV, *top)
 		}
@@ -80,7 +84,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "edges=%d sampled=%d\n", est.Processed(), est.SampledEdges())
 		fmt.Fprintf(out, "triangles≈%.1f\n", res.Global)
 		if *local {
-			printTopFloat(out, res.Local, *top)
+			printTopFloat(out, res.Local, *top, "τ_v≈%.1f")
 		}
 	case "mascot", "triest", "gps":
 		// Budget defaults need |E|; buffer the stream once.
@@ -101,7 +105,7 @@ func run(args []string, out io.Writer) error {
 			if l, ok := counter.(interface {
 				Locals() map[rept.NodeID]float64
 			}); ok {
-				printTopFloat(out, l.Locals(), *top)
+				printTopFloat(out, l.Locals(), *top, "τ_v≈%.1f")
 			}
 		}
 	default:
@@ -155,7 +159,9 @@ func newBaseline(algo string, m, budget, edges int, seed int64, local bool) (rep
 	return nil, fmt.Errorf("unknown baseline %q", algo)
 }
 
-func printTopFloat(out io.Writer, m map[rept.NodeID]float64, k int) {
+// printTopFloat prints the k nodes with the largest values in m, largest
+// first, each value through the format value.
+func printTopFloat(out io.Writer, m map[rept.NodeID]float64, k int, value string) {
 	type kv struct {
 		v rept.NodeID
 		x float64
@@ -174,14 +180,15 @@ func printTopFloat(out io.Writer, m map[rept.NodeID]float64, k int) {
 		k = len(all)
 	}
 	for i := 0; i < k; i++ {
-		fmt.Fprintf(out, "  node %-10d τ_v≈%.1f\n", all[i].v, all[i].x)
+		fmt.Fprintf(out, "  node %-10d "+value+"\n", all[i].v, all[i].x)
 	}
 }
 
+// printTopUint is printTopFloat for exact counts, printed as integers.
 func printTopUint(out io.Writer, m map[rept.NodeID]uint64, k int) {
 	f := make(map[rept.NodeID]float64, len(m))
 	for v, x := range m {
 		f[v] = float64(x)
 	}
-	printTopFloat(out, f, k)
+	printTopFloat(out, f, k, "τ_v=%.0f")
 }

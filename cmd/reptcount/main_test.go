@@ -23,17 +23,27 @@ func writeStream(t *testing.T) string {
 }
 
 func TestRunExact(t *testing.T) {
-	path := writeStream(t)
-	var out bytes.Buffer
-	if err := run([]string{"-in", path, "-algo", "exact", "-local", "-top", "3", "-dedup"}, &out); err != nil {
+	k10 := filepath.Join(t.TempDir(), "k10.txt")
+	if err := graph.WriteEdgeListFile(k10, gen.Complete(10)); err != nil {
 		t.Fatal(err)
 	}
-	s := out.String()
-	if !strings.Contains(s, "triangles=") || !strings.Contains(s, "eta=") {
-		t.Errorf("missing exact output: %q", s)
-	}
-	if !strings.Contains(s, "node ") {
-		t.Errorf("missing -local output: %q", s)
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-in", writeStream(t), "-local", "-top", "3", "-dedup"}, []string{"triangles=", "eta=", "eta/tau=", "node "}},
+		// K10: τ = C(10,3) = 120, τ_v = C(9,2) = 36.
+		{[]string{"-in", k10, "-local", "-top", "2"}, []string{"triangles=120", "τ_v=36\n"}},
+	} {
+		var out bytes.Buffer
+		if err := run(append([]string{"-algo", "exact"}, tc.args...), &out); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(out.String(), w) {
+				t.Errorf("%v: missing %q in %q", tc.args, w, out.String())
+			}
+		}
 	}
 }
 
@@ -75,5 +85,8 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-in", path, "-algo", "rept", "-m", "0"}, &out); err == nil {
 		t.Error("bad m: got nil error")
+	}
+	if err := run([]string{"-bogusflag"}, &out); err == nil {
+		t.Error("unknown flag: got nil error")
 	}
 }

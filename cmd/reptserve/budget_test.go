@@ -257,9 +257,7 @@ func TestStatsBudgetAndMemoryBlocks(t *testing.T) {
 // recorded keeps reporting the full ring occupancy, and malformed values
 // are a 400.
 func TestFlightLimit(t *testing.T) {
-	est, err := rept.NewConcurrent(rept.ConcurrentConfig{
-		M: 2, C: 4, Seed: 1, Telemetry: rept.NewTelemetry(),
-	})
+	est, err := rept.NewConcurrent(rept.ConcurrentConfig{M: 2, C: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@
 // can only shed.
 //
 // Observability: /metrics renders every series from the estimator's
-// telemetry bundle (see rept.NewTelemetry) — ingest tallies, WAL
+// telemetry bundle (see rept.Concurrent.Telemetry) — ingest tallies, WAL
 // positions, per-shard queue depth and throughput, and latency
 // histograms for every pipeline stage (NDJSON parse, shard dispatch,
 // batch apply, barrier, WAL append and fsync, view publish). Recording
@@ -300,10 +300,6 @@ func run(args []string) error {
 		// both, and the O(V + E) table is cheap next to the local
 		// counters.
 		TrackDegrees: *local,
-		// The telemetry bundle wires stage-latency histograms, per-shard
-		// series, and the flight recorder through the whole pipeline; the
-		// server's /metrics and /debug/flight serve from it.
-		Telemetry: rept.NewTelemetry(),
 	}
 	if err := cfg.Validate(); err != nil {
 		return err

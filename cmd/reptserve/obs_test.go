@@ -58,9 +58,7 @@ func histCount(exp *obs.Exposition, name string) float64 {
 // counter with its deprecated alias, and non-zero stage histograms for
 // every stage a non-durable server exercises.
 func TestMetricsConformance(t *testing.T) {
-	est, err := rept.NewConcurrent(rept.ConcurrentConfig{
-		M: 2, C: 4, Shards: 2, Seed: 1, Telemetry: rept.NewTelemetry(),
-	})
+	est, err := rept.NewConcurrent(rept.ConcurrentConfig{M: 2, C: 4, Shards: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,9 +170,7 @@ func TestMetricsConformance(t *testing.T) {
 // checks that the WAL series and the append/fsync stage histograms are
 // live and the scrape stays conformant.
 func TestMetricsConformanceDurable(t *testing.T) {
-	est, err := rept.ResumeDurable(rept.ConcurrentConfig{
-		M: 2, C: 4, Seed: 1, Telemetry: rept.NewTelemetry(),
-	}, rept.WALOptions{Dir: t.TempDir()})
+	est, err := rept.ResumeDurable(rept.ConcurrentConfig{M: 2, C: 4, Seed: 1}, rept.WALOptions{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,9 +239,7 @@ func TestReadyzEndpoint(t *testing.T) {
 // dump must be ordered by sequence and contain parse, dispatch, apply,
 // and view-publish events with plausible payloads.
 func TestFlightEndpoint(t *testing.T) {
-	est, err := rept.NewConcurrent(rept.ConcurrentConfig{
-		M: 2, C: 4, Seed: 1, Telemetry: rept.NewTelemetry(),
-	})
+	est, err := rept.NewConcurrent(rept.ConcurrentConfig{M: 2, C: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,13 +66,10 @@ type Server struct {
 	requests atomic.Uint64
 	counters map[string]*obs.Counter
 
-	// tele is the estimator's telemetry bundle (or a private one when the
-	// estimator was built without ConcurrentConfig.Telemetry); its
-	// registry backs /metrics and its flight recorder /debug/flight. pipe
-	// is the stage-instrument bundle the ingest handler records parse
-	// latency into.
+	// tele is the estimator's telemetry bundle: its registry backs
+	// /metrics and its flight recorder /debug/flight, and the ingest
+	// handler records parse latency and sheds into its pipeline.
 	tele *rept.Telemetry
-	pipe *obs.Pipeline
 
 	// ready is the /readyz state: true once construction finished (the
 	// estimator recovered and the first view published), false again
@@ -121,20 +118,12 @@ func NewServer(est *rept.Concurrent) *Server {
 			views = est.Views()
 		}
 	}
-	tele := est.Telemetry()
-	if tele == nil {
-		// An uninstrumented estimator still gets a registry so /metrics
-		// works; the pipeline stage histograms then record only what the
-		// server itself observes (parse latency).
-		tele = rept.NewTelemetry()
-	}
 	s := &Server{
 		est:      est,
 		views:    views,
 		mux:      http.NewServeMux(),
 		start:    time.Now(),
-		tele:     tele,
-		pipe:     tele.Pipeline(),
+		tele:     est.Telemetry(),
 		durable:  est.Durable(),
 		counters: make(map[string]*obs.Counter, len(endpoints)),
 	}
@@ -197,7 +186,7 @@ func (s *Server) SetAccessLog(l *slog.Logger, logAll bool, slow time.Duration) {
 // registry. All series are read at scrape time from atomics or the last
 // published view — never through a barrier — so scrapes stay cheap and
 // keep answering through shutdown. Called once per server; the registry
-// panics on duplicates, so two servers must not share one telemetry.
+// panics on duplicates, so two servers must not wrap one estimator.
 func (s *Server) registerMetrics() {
 	reg := s.tele.Registry()
 	est := s.est
@@ -525,7 +514,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	// shed flight event carrying the ledger total it was refused at.
 	if c := s.ctrl; c != nil && c.ShouldShed() {
 		c.CountShed()
-		s.pipe.Flight.Record(obs.KindShed, -1, uint64(s.est.MemTotalBytes()), 0)
+		s.tele.Flight().Record(obs.KindShed, -1, uint64(s.est.MemTotalBytes()), 0)
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "memory budget exceeded; ingest is shedding while the estimator adapts (retry shortly)")
 		return
@@ -570,8 +559,9 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 			return true
 		}
 		d := time.Since(segStart)
-		s.pipe.Parse.ObserveDuration(d)
-		s.pipe.Flight.Record(obs.KindParse, -1, uint64(batch.Len()), d)
+		pipe := s.tele.Pipeline()
+		pipe.Parse.ObserveDuration(d)
+		pipe.Flight.Record(obs.KindParse, -1, uint64(batch.Len()), d)
 		credited := false
 		ok := s.estCall(func() {
 			walErr = s.est.ApplyBatchDurable(batch)

@@ -41,13 +41,6 @@ type ConcurrentConfig struct {
 	// the live graph: the table keeps the live-edge set (O(V + E) memory),
 	// which snapshots carry.
 	TrackDegrees bool
-	// Telemetry attaches an observability bundle (see NewTelemetry):
-	// stage-latency histograms across the ingest pipeline, per-shard
-	// series, and a flight recorder. Nil runs uninstrumented. Telemetry
-	// is operational state — it does not affect estimates, snapshots, or
-	// the WAL fingerprint — and one bundle must not be shared between
-	// estimators.
-	Telemetry *Telemetry
 }
 
 // Concurrent is a REPT estimator that is safe for concurrent use by any
@@ -61,8 +54,10 @@ type ConcurrentConfig struct {
 // stream prefix, so a Snapshot taken while producers are still adding
 // edges reflects exactly the adds that completed before it.
 type Concurrent struct {
-	sh   *shard.Sharded
-	cfg  ConcurrentConfig
+	sh  *shard.Sharded
+	cfg ConcurrentConfig
+	// tele is the estimator's own telemetry bundle; always non-nil (see
+	// Telemetry).
 	tele *Telemetry
 	// acct is the per-component byte ledger; always non-nil (see
 	// MemStats). The shard goroutines reconcile it to their engines' and
@@ -90,9 +85,9 @@ type Concurrent struct {
 var _ Counter = (*Concurrent)(nil)
 
 // shardConfig maps the public configuration onto the coordinator's.
-// NewConcurrent and ResumeConcurrent must build from the identical
-// mapping or a restored estimator could silently differ from the one
-// that wrote the snapshot.
+// Every constructor must build from the identical mapping (see open) or
+// a restored estimator could silently differ from the one that wrote
+// the snapshot.
 func (c ConcurrentConfig) shardConfig() shard.Config {
 	return shard.Config{
 		M:            c.M,
@@ -103,8 +98,22 @@ func (c ConcurrentConfig) shardConfig() shard.Config {
 		FullyDynamic: c.FullyDynamic,
 		TrackEta:     c.TrackEta,
 		TrackDegrees: c.TrackDegrees,
-		Obs:          c.Telemetry.obsPipeline(),
 	}
+}
+
+// open builds an estimator for c: its byte ledger, its telemetry bundle,
+// and the coordinator build makes from the shard configuration with both
+// attached. NewConcurrent, ResumeConcurrent and ResumeDurable construct
+// through it alone.
+func (c ConcurrentConfig) open(build func(shard.Config) (*shard.Sharded, error)) (*Concurrent, error) {
+	tele, acct := NewTelemetry(), mem.New()
+	scfg := c.shardConfig()
+	scfg.Obs, scfg.Mem = tele.pipe, acct
+	sh, err := build(scfg)
+	if err != nil {
+		return nil, fmt.Errorf("rept: %w", err)
+	}
+	return &Concurrent{sh: sh, cfg: c, tele: tele, acct: acct}, nil
 }
 
 // Validate reports whether the configuration is usable: M and C at least
@@ -123,16 +132,7 @@ func (c ConcurrentConfig) Validate() error {
 var errViewsStarted = errors.New("rept: views already started")
 
 // NewConcurrent builds a concurrency-safe REPT estimator.
-func NewConcurrent(cfg ConcurrentConfig) (*Concurrent, error) {
-	ac := mem.New()
-	scfg := cfg.shardConfig()
-	scfg.Mem = ac
-	sh, err := shard.New(scfg)
-	if err != nil {
-		return nil, fmt.Errorf("rept: %w", err)
-	}
-	return &Concurrent{sh: sh, cfg: cfg, tele: cfg.Telemetry, acct: ac}, nil
-}
+func NewConcurrent(cfg ConcurrentConfig) (*Concurrent, error) { return cfg.open(shard.New) }
 
 // Add feeds one stream edge; self-loops are ignored. Safe for concurrent
 // use.
@@ -189,10 +189,7 @@ func (c *Concurrent) ApplyBatch(b *Batch) {
 // whether views are running. The estimator keeps accepting edges.
 // SnapshotNow is the same operation under the name the view-era read API
 // uses; prefer View for high-rate queries.
-func (c *Concurrent) Snapshot() Estimate {
-	res := c.sh.Snapshot()
-	return Estimate{Global: res.Global, Local: res.Local, Variance: res.Variance, EtaHat: res.EtaHat}
-}
+func (c *Concurrent) Snapshot() Estimate { return c.sh.Snapshot() }
 
 // SnapshotNow is the explicit fresh-barrier escape hatch: it always pays
 // one cross-shard barrier and returns the estimate at the current stream
@@ -280,14 +277,7 @@ func (c *Concurrent) WriteSnapshot(w io.Writer) error { return c.sh.WriteSnapsho
 // (Seed, shard index). Mismatches are rejected with an error wrapping
 // ErrSnapshotMismatch.
 func ResumeConcurrent(cfg ConcurrentConfig, r io.Reader) (*Concurrent, error) {
-	ac := mem.New()
-	scfg := cfg.shardConfig()
-	scfg.Mem = ac
-	sh, err := shard.Resume(scfg, r)
-	if err != nil {
-		return nil, fmt.Errorf("rept: %w", err)
-	}
-	return &Concurrent{sh: sh, cfg: cfg, tele: cfg.Telemetry, acct: ac}, nil
+	return cfg.open(func(scfg shard.Config) (*shard.Sharded, error) { return shard.Resume(scfg, r) })
 }
 
 // Close stops the view publisher (when started), flushes pending edges,

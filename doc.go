@@ -323,25 +323,26 @@
 // (queries and readiness keep serving), reporting every state
 // transition through /stats, /readyz, and /metrics. A successful
 // Downsample publishes a fresh view epoch while views run, and leaves a
-// downsample event in the flight recorder when telemetry is attached.
+// downsample event in the estimator's flight recorder.
 //
 // # Observability
 //
-// NewTelemetry builds the estimator's observability bundle — a
-// dependency-free metrics registry preloaded with latency histograms
-// for every pipeline stage (NDJSON parse, shard dispatch, queue wait,
-// engine apply, barrier, WAL append and fsync, view publish), per-shard
-// queue-depth/batch/throughput series, Go runtime health series, and a
-// lock-free flight recorder of recent pipeline events — and
-// ConcurrentConfig.Telemetry attaches it before construction. The
-// record path is zero-allocation (enforced by AllocsPerRun gates and
-// the hotpathalloc analyzer) and nil-guarded, so an uninstrumented
-// estimator pays one branch per site and an instrumented one stays
-// within 5% of it (gated in CI). Telemetry.WritePrometheus renders the
-// text exposition format that cmd/reptserve serves on /metrics, next to
-// /debug/flight (the flight-recorder dump) and /readyz (readiness, as
-// distinct from /healthz liveness); the format is round-trip checked by
-// the conformance parser in internal/obs.
+// Every Concurrent builds its own observability bundle
+// (Concurrent.Telemetry) — a dependency-free metrics registry preloaded
+// with latency histograms for every pipeline stage (NDJSON parse, shard
+// dispatch, queue wait, engine apply, barrier, WAL append and fsync,
+// view publish), per-shard queue-depth/batch/throughput series, Go
+// runtime health series, and a lock-free flight recorder of recent
+// pipeline events, among them every Downsample and every WAL
+// compaction. The record path is zero-allocation (enforced by
+// AllocsPerRun gates and the hotpathalloc analyzer), and shard-level
+// ingest with the bundle stays within 5% of ingest without one (gated
+// in CI). NewTelemetry builds a standalone bundle, attached to no
+// estimator. Telemetry.WritePrometheus renders the text exposition
+// format that cmd/reptserve serves on /metrics, next to /debug/flight
+// (the flight-recorder dump) and /readyz (readiness, as distinct from
+// /healthz liveness); the format is round-trip checked by the
+// conformance parser in internal/obs.
 //
 // # Static analysis
 //

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"rept/internal/graph"
-	"rept/internal/mem"
 	"rept/internal/shard"
 	"rept/internal/wal"
 )
@@ -105,22 +104,20 @@ func ResumeDurable(cfg ConcurrentConfig, opt WALOptions) (*Concurrent, error) {
 			return nil, fmt.Errorf("rept: %w", err)
 		}
 	}
-	ac := mem.New()
-	scfg := cfg.shardConfig()
-	scfg.Mem = ac
-	rec, err := wal.Recover(be, scfg.FingerprintHash())
+	rec, err := wal.Recover(be, cfg.shardConfig().FingerprintHash())
 	if err != nil {
 		return nil, fmt.Errorf("rept: wal recovery: %w", err)
 	}
-	var sh *shard.Sharded
-	if rec.Snapshot != nil {
-		sh, err = shard.Resume(scfg, bytes.NewReader(rec.Snapshot))
-	} else {
-		sh, err = shard.New(scfg)
-	}
+	c, err := cfg.open(func(scfg shard.Config) (*shard.Sharded, error) {
+		if rec.Snapshot != nil {
+			return shard.Resume(scfg, bytes.NewReader(rec.Snapshot))
+		}
+		return shard.New(scfg)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("rept: %w", err)
+		return nil, err
 	}
+	sh := c.sh
 	pos, err := rec.Replay(sh.Processed(), func(ups []graph.Update) error {
 		if !cfg.FullyDynamic {
 			for _, up := range ups {
@@ -140,18 +137,12 @@ func ResumeDurable(cfg ConcurrentConfig, opt WALOptions) (*Concurrent, error) {
 		sh.Close()
 		return nil, fmt.Errorf("rept: wal replay: %w: estimator at position %d after replaying to %d", wal.ErrCorrupt, got, pos)
 	}
-	wopt := wal.Options{SegmentBytes: opt.SegmentBytes, Mem: ac}
-	if pipe := cfg.Telemetry.obsPipeline(); pipe != nil {
-		wopt.AppendHist = pipe.WALAppend
-		wopt.SyncHist = pipe.WALSync
-		wopt.Flight = pipe.Flight
-	}
-	lg, err := rec.Log(wopt)
+	lg, err := rec.Log(wal.Options{SegmentBytes: opt.SegmentBytes, Obs: c.tele.pipe, Mem: c.acct})
 	if err != nil {
 		sh.Close()
 		return nil, fmt.Errorf("rept: %w", err)
 	}
-	c := &Concurrent{sh: sh, cfg: cfg, tele: cfg.Telemetry, acct: ac, lg: lg}
+	c.lg = lg
 	var committed func()
 	if every := opt.CompactEvery; every > 0 {
 		// Triggers coalesce through a 1-buffered channel: at most one

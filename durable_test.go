@@ -353,9 +353,7 @@ func TestResumeDurableFromCopiedSnapshot(t *testing.T) {
 // TestCompactWALFlightEvent: a compaction leaves exactly one checkpoint
 // flight event, whose value is the position the checkpoint covers.
 func TestCompactWALFlightEvent(t *testing.T) {
-	cfg := durableConfig()
-	cfg.Telemetry = rept.NewTelemetry()
-	c, err := rept.ResumeDurable(cfg, rept.WALOptions{Backend: wal.NewMemBackend()})
+	c, err := rept.ResumeDurable(durableConfig(), rept.WALOptions{Backend: wal.NewMemBackend()})
 	if err != nil {
 		t.Fatal(err)
 	}

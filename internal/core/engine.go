@@ -177,8 +177,12 @@ func (e *Engine) ApplyAll(ups []graph.Update) { e.applyGroups(ups) }
 func (e *Engine) ApplyBatch(ups []graph.Update) { e.ApplyAll(ups) }
 
 // one resolves a lone event and walks it. It stages nothing: with no
-// other event to overlap its misses with, staging would only read
-// everything twice.
+// other event to overlap its misses with, staging only reads everything
+// twice. Walked through applyGroups as groups of one, lone events ran
+// slower on every single-event benchmark (median ns/op of 20
+// alternating rounds at -cpu 1 on a 2-core Xeon VM, this path → staged):
+// BenchmarkREPTPerEdge 392 → 418, BenchmarkFullyDynamicChurnPerEvent
+// 277 → 312, BenchmarkFullyDynamicDeleteOnly 366 → 390.
 //
 //rept:hotpath
 func (e *Engine) one(up graph.Update) {

@@ -68,6 +68,9 @@ type Estimate struct {
 	Combined bool
 }
 
+// StdErr returns sqrt(Variance) (NaN when Variance is unavailable).
+func (e Estimate) StdErr() float64 { return math.Sqrt(e.Variance) }
+
 // Estimate evaluates the paper's estimators on the gathered counters,
 // the per-node ones included.
 func (a *Aggregates) Estimate() Estimate {

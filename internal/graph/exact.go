@@ -22,10 +22,10 @@ type ExactResult struct {
 
 	// Eta is the number of unordered pairs (σ, σ*) of distinct triangles
 	// sharing an edge g such that g is the last stream edge of neither σ
-	// nor σ* (paper Table I). Zero unless Options.Eta.
+	// nor σ* (paper Table I). Zero unless ExactOptions.Eta.
 	Eta uint64
 	// EtaV[v] restricts Eta to pairs of triangles that both contain v.
-	// Nil unless Options.EtaLocal.
+	// Nil unless ExactOptions.EtaLocal.
 	EtaV map[NodeID]uint64
 }
 

@@ -32,13 +32,12 @@ type Config struct {
 	// DefaultTopK; meaningless without local tracking), fixed for the
 	// publisher's life.
 	TopK int
-	// PublishHist, when non-nil, records the latency of every epoch
-	// materialization (barrier snapshot + view build + atomic swap).
-	PublishHist *obs.Histogram
-	// Flight, when non-nil, receives one view_publish event per epoch
-	// (value = the epoch number), marked with the cause when the epoch
-	// ranked every node (see Publisher).
-	Flight *obs.Flight
+	// Obs, when non-nil, receives the latency of every epoch
+	// materialization (barrier snapshot + view build + atomic swap) in
+	// its ViewPublish histogram, and one view_publish flight event per
+	// epoch (value = the epoch number), marked with the cause when the
+	// epoch ranked every node (see Publisher). Nil records nothing.
+	Obs *obs.Pipeline
 	// Mem, when non-nil, receives the published view's payload bytes under
 	// mem.CompViews, reconciled at every epoch swap. Only the CURRENT view
 	// is charged — superseded views a reader still retains are that
@@ -204,10 +203,10 @@ func (p *Publisher) publish() *View {
 		p.cfg.Mem.Add(mem.CompViews, fp-p.acViews)
 		p.acViews = fp
 	}
-	if p.cfg.PublishHist != nil {
+	if pipe := p.cfg.Obs; pipe != nil {
 		d := time.Since(start)
-		p.cfg.PublishHist.ObserveDuration(d)
-		p.cfg.Flight.RecordCause(obs.KindViewPublish, -1, v.Epoch, d, cause)
+		pipe.ViewPublish.ObserveDuration(d)
+		pipe.Flight.RecordCause(obs.KindViewPublish, -1, v.Epoch, d, cause)
 	}
 	return v
 }

@@ -25,16 +25,14 @@ type Options struct {
 	// the active segment at or past this many bytes, the segment is
 	// sealed and a fresh one started. Defaults to DefaultSegmentBytes.
 	SegmentBytes int64
-	// AppendHist, when non-nil, records the latency of every Append
-	// (record encode plus buffered write). Telemetry only; nil disables.
-	AppendHist *obs.Histogram
-	// SyncHist, when non-nil, records the latency of every Commit sync —
-	// the group-commit fsync, usually the widest bar in the pipeline.
-	SyncHist *obs.Histogram
-	// Flight, when non-nil, receives one wal_append event per Append
-	// (value = events in the record) and one wal_sync event per Commit
-	// (value = the durable stream position).
-	Flight *obs.Flight
+	// Obs, when non-nil, receives the log's telemetry: the latency of
+	// every Append (record encode plus buffered write) in its WALAppend
+	// histogram and of every Commit sync (the group-commit fsync, usually
+	// the widest bar in the pipeline) in WALSync, and flight events — one
+	// wal_append per Append (value = events in the record), one wal_sync
+	// per Commit (value = the durable stream position), and one
+	// checkpoint per Compact. Nil runs uninstrumented.
+	Obs *obs.Pipeline
 	// Mem, when non-nil, receives the log's byte accounting: the reused
 	// group-commit record buffer under mem.CompWALBuffers (heap), and the
 	// live segment bytes owned by this log — sealed clean extents plus
@@ -84,11 +82,8 @@ type Log struct {
 
 	segBytes int64
 
-	// Telemetry instruments (Options.AppendHist/SyncHist/Flight); nil
-	// when off.
-	appendHist *obs.Histogram
-	syncHist   *obs.Histogram
-	flight     *obs.Flight
+	// obs is the telemetry (Options.Obs); nil when off.
+	obs *obs.Pipeline
 
 	// acct receives byte accounting (Options.Mem; nil-safe). acBuf is the
 	// record buffer capacity last reported under CompWALBuffers
@@ -138,16 +133,14 @@ func open(be Backend, fp uint64, opt Options, pos, ckptPos uint64, sealed []segm
 		segBytes = DefaultSegmentBytes
 	}
 	l := &Log{
-		be:         be,
-		fp:         fp,
-		segBytes:   segBytes,
-		appendHist: opt.AppendHist,
-		syncHist:   opt.SyncHist,
-		flight:     opt.Flight,
-		acct:       opt.Mem,
-		pos:        pos,
-		ckptPos:    ckptPos,
-		sealed:     sealed,
+		be:       be,
+		fp:       fp,
+		segBytes: segBytes,
+		obs:      opt.Obs,
+		acct:     opt.Mem,
+		pos:      pos,
+		ckptPos:  ckptPos,
+		sealed:   sealed,
 	}
 	// A recovered segment whose base is exactly pos would collide with
 	// the new active segment's name. Its clean extent is necessarily
@@ -212,7 +205,7 @@ func (l *Log) Append(ups []graph.Update) error {
 		return l.err
 	}
 	var start time.Time
-	if l.appendHist != nil {
+	if l.obs != nil {
 		start = time.Now()
 	}
 	l.buf = l.buf[:0]
@@ -246,10 +239,10 @@ func (l *Log) Append(ups []graph.Update) error {
 		l.acct.Add(mem.CompWALBuffers, c-l.acBuf)
 		l.acBuf = c
 	}
-	if l.appendHist != nil {
+	if l.obs != nil {
 		d := time.Since(start)
-		l.appendHist.ObserveDuration(d)
-		l.flight.Record(obs.KindWALAppend, -1, uint64(len(ups)), d)
+		l.obs.WALAppend.ObserveDuration(d)
+		l.obs.Flight.Record(obs.KindWALAppend, -1, uint64(len(ups)), d)
 	}
 	return nil
 }
@@ -262,16 +255,16 @@ func (l *Log) Commit() error {
 		return l.err
 	}
 	var start time.Time
-	if l.syncHist != nil {
+	if l.obs != nil {
 		start = time.Now()
 	}
 	if err := l.active.Sync(); err != nil {
 		return l.fail(err)
 	}
-	if l.syncHist != nil {
+	if l.obs != nil {
 		d := time.Since(start)
-		l.syncHist.ObserveDuration(d)
-		l.flight.Record(obs.KindWALSync, -1, l.pos, d)
+		l.obs.WALSync.ObserveDuration(d)
+		l.obs.Flight.Record(obs.KindWALSync, -1, l.pos, d)
 	}
 	l.statDurable.Store(l.pos)
 	if l.activeBytes >= l.segBytes {
@@ -308,8 +301,9 @@ func (l *Log) rotate() error {
 // point leaves the previous checkpoint and all segments intact, so the
 // directory stays recoverable. Safe to call concurrently with Append,
 // Commit, and other Compact calls (concurrent compactions serialize).
-// Each compaction that publishes its checkpoint leaves one checkpoint
-// flight event: the position covered and the compaction's wall time.
+// With Options.Obs, each compaction that publishes its checkpoint leaves
+// one checkpoint flight event: the position covered and the compaction's
+// wall time.
 func (l *Log) Compact(write func(io.Writer) (uint64, error)) error {
 	l.compactMu.Lock()
 	defer l.compactMu.Unlock()
@@ -360,7 +354,9 @@ func (l *Log) Compact(write func(io.Writer) (uint64, error)) error {
 		}
 		l.statSegments.Add(-1)
 	}
-	l.flight.Record(obs.KindCheckpoint, -1, pos, time.Since(start))
+	if l.obs != nil {
+		l.obs.Flight.Record(obs.KindCheckpoint, -1, pos, time.Since(start))
+	}
 	return firstErr
 }
 

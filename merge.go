@@ -48,6 +48,5 @@ func Merge(ests ...*Estimator) (Estimate, error) {
 	if err != nil {
 		return Estimate{}, fmt.Errorf("rept: %w", err)
 	}
-	res := merged.Estimate()
-	return Estimate{Global: res.Global, Local: res.Local, Variance: res.Variance, EtaHat: res.EtaHat}, nil
+	return merged.Estimate(), nil
 }

@@ -3,7 +3,6 @@ package rept
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"rept/internal/core"
 	"rept/internal/graph"
@@ -82,26 +81,13 @@ type Config struct {
 	TrackEta bool
 }
 
-// Estimate is a snapshot of the estimator's output.
-type Estimate struct {
-	// Global is τ̂, the estimated number of triangles seen so far.
-	Global float64
-	// Local maps nodes to τ̂_v. Nil unless Config.TrackLocal. Nodes absent
-	// from the map have estimate 0.
-	Local map[NodeID]float64
-	// Variance is the plug-in estimate of Var(Global): the paper's closed
-	// form with τ̂ and η̂ substituted for τ and η. NaN when the required η
-	// counters were not tracked (see Config.TrackEta). A normal-theory
-	// confidence interval is Global ± z·StdErr().
-	Variance float64
-	// EtaHat is the streaming estimate η̂ of the paper's η statistic (0
-	// when not tracked). Large η̂/Global ratios signal streams where
-	// naive parallel sampling would do badly.
-	EtaHat float64
-}
-
-// StdErr returns sqrt(Variance) (NaN when Variance is unavailable).
-func (e Estimate) StdErr() float64 { return math.Sqrt(e.Variance) }
+// Estimate is a snapshot of an estimator's output: τ̂ (Global), τ̂_v for
+// every node that appeared in a sampled semi-triangle (Local, nil unless
+// TrackLocal), η̂ (EtaHat), the plug-in variance of τ̂ (Variance, NaN
+// when the η counters it needs were not tracked; see Config.TrackEta)
+// and its square root (StdErr), and whether the paper's inverse-variance
+// combination produced τ̂ (Combined).
+type Estimate = core.Estimate
 
 // Estimator is the streaming REPT estimator (paper Algorithms 1 and 2).
 // It is driven by a single caller; ingest from many goroutines, or over
@@ -165,10 +151,7 @@ func (e *Estimator) ApplyAll(ups []Update) { e.eng.ApplyAll(ups) }
 
 // Result returns the current estimates. It may be called mid-stream; the
 // estimator keeps accepting edges afterwards.
-func (e *Estimator) Result() Estimate {
-	res := e.eng.Result()
-	return Estimate{Global: res.Global, Local: res.Local, Variance: res.Variance, EtaHat: res.EtaHat}
-}
+func (e *Estimator) Result() Estimate { return e.eng.Result() }
 
 // Global returns the current global triangle count estimate.
 func (e *Estimator) Global() float64 { return e.eng.GlobalEstimate().Global }

@@ -417,7 +417,6 @@ func TestViewEpochsMatchFullMerge(t *testing.T) {
 func testViewEpochs(t *testing.T, m, c int) {
 	etaLayout := c > m && c%m != 0
 	cfg := rept.ConcurrentConfig{M: m, C: c, Shards: 2, Seed: 11, TrackLocal: true, FullyDynamic: true, TrackDegrees: true}
-	cfg.Telemetry = rept.NewTelemetry()
 	start := func(est *rept.Concurrent) *rept.Views {
 		t.Helper()
 		views, err := est.StartViews(rept.ViewConfig{Interval: time.Hour, TopK: 20})
@@ -551,7 +550,6 @@ func testViewEpochs(t *testing.T, m, c int) {
 				t.Fatal(err)
 			}
 			est.Close()
-			cfg.Telemetry = rept.NewTelemetry()
 			if est, err = rept.ResumeConcurrent(cfg, &buf); err != nil {
 				t.Fatal(err)
 			}
@@ -604,14 +602,13 @@ func testViewEpochs(t *testing.T, m, c int) {
 	t.Logf("epochs by cause: %v", causes)
 }
 
-// TestViewRefreshTakesOneBarrier: with telemetry attached, every epoch
-// takes exactly one barrier — a steady churn epoch, a burst in which most
-// nodes gain class-sum entries, the epoch a Downsample(1) publishes (whose
-// engines hand over whole class sums), and the delta epoch after it.
+// TestViewRefreshTakesOneBarrier: every epoch takes exactly one barrier —
+// a steady churn epoch, a burst in which most nodes gain class-sum
+// entries, the epoch a Downsample(1) publishes (whose engines hand over
+// whole class sums), and the delta epoch after it.
 func TestViewRefreshTakesOneBarrier(t *testing.T) {
 	est, err := rept.NewConcurrent(rept.ConcurrentConfig{
 		M: 4, C: 8, Shards: 2, Seed: 11, TrackLocal: true, FullyDynamic: true, TrackDegrees: true,
-		Telemetry: rept.NewTelemetry(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -58,16 +58,12 @@ func (c *Concurrent) StartViews(cfg ViewConfig) (*Views, error) {
 	if p := c.views.Load(); p != nil && !p.Closed() {
 		return nil, errViewsStarted
 	}
-	qcfg := query.Config{
+	p := query.NewPublisher(c.sh, query.Config{
 		Interval: cfg.Interval,
 		TopK:     cfg.TopK,
+		Obs:      c.tele.pipe,
 		Mem:      c.acct,
-	}
-	if pipe := c.tele.obsPipeline(); pipe != nil {
-		qcfg.PublishHist = pipe.ViewPublish
-		qcfg.Flight = pipe.Flight
-	}
-	p := query.NewPublisher(c.sh, qcfg)
+	})
 	c.views.Store(p)
 	return p, nil
 }
