@@ -3,9 +3,9 @@ package rept
 // Batch is a reusable buffer of signed stream events for the bulk
 // ingest path (Concurrent.ApplyBatch): callers accumulate a request's
 // (or an interval's) events into a Batch and hand the whole thing to
-// the estimator at once, so the ingest mutex, ticket acquisition,
-// ordered delivery, degree tracking, and barrier bookkeeping are paid
-// per segment of up to 1024 events instead of per event.
+// the estimator at once, so the ingest mutex, the fan-out to every
+// consumer queue, degree tracking, and barrier bookkeeping are paid per
+// segment of up to 1024 events instead of per event.
 //
 // The zero value is ready to use. Reset keeps the backing array, so a
 // long-lived Batch reaches a steady state where filling and applying
@@ -31,7 +31,3 @@ func (b *Batch) Len() int { return len(b.ups) }
 
 // Reset empties the batch for reuse, keeping the backing array.
 func (b *Batch) Reset() { b.ups = b.ups[:0] }
-
-// Updates exposes the buffered events. The returned slice aliases the
-// batch's backing array; it is invalidated by the next Push/Reset.
-func (b *Batch) Updates() []Update { return b.ups }

@@ -313,6 +313,20 @@ func run(args []string) error {
 	if *memTick <= 0 {
 		return fmt.Errorf("-mem-tick: must be positive (got %v)", *memTick)
 	}
+	// Zero selects a default or turns a feature off; a negative value is
+	// refused rather than read as either.
+	if *shards < 0 {
+		return fmt.Errorf("-shards: must not be negative (got %d)", *shards)
+	}
+	if *walSeg < 0 {
+		return fmt.Errorf("-wal-segment-bytes: must not be negative (got %d)", *walSeg)
+	}
+	if *grace < 0 {
+		return fmt.Errorf("-grace: must not be negative (got %v)", *grace)
+	}
+	if *slowLog < 0 {
+		return fmt.Errorf("-slow-log: must not be negative (got %v)", *slowLog)
+	}
 	var walOpt rept.WALOptions
 	if *walDir != "" {
 		sync, err := parseWALSync(*walSync)
@@ -388,7 +402,7 @@ func run(args []string) error {
 
 	if *walDir != "" {
 		fmt.Fprintf(os.Stderr, "reptserve: wal recovered to position %d (dir=%s sync=%s)\n",
-			est.Position(), *walDir, *walSync)
+			est.Processed(), *walDir, *walSync)
 	}
 
 	var psrv *http.Server

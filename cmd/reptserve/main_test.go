@@ -323,7 +323,8 @@ func TestRunFlagErrors(t *testing.T) {
 			t.Errorf("-wal-dir after run with %v: %v, want it never created", tc.args, err)
 		}
 	}
-	// A non-positive -topk, -view-interval or -mem-tick is refused, not
+	// A non-positive -topk, -view-interval or -mem-tick, and a negative
+	// -shards, -wal-segment-bytes, -grace or -slow-log, is refused, not
 	// replaced by a default. No listener can open the address, so a check
 	// that came after the listener would fail there instead of serving.
 	for _, tc := range []struct {
@@ -334,6 +335,10 @@ func TestRunFlagErrors(t *testing.T) {
 		{[]string{"-view-interval", "0"}, "-view-interval:"},
 		{[]string{"-mem-tick", "-1s", "-mem-budget", "64M"}, "-mem-tick:"},
 		{[]string{"-mem-tick", "0"}, "-mem-tick:"},
+		{[]string{"-shards", "-1"}, "-shards:"},
+		{[]string{"-wal-segment-bytes", "-1"}, "-wal-segment-bytes:"},
+		{[]string{"-grace", "-1s"}, "-grace:"},
+		{[]string{"-slow-log", "-1s"}, "-slow-log:"},
 	} {
 		err := run(append([]string{"-addr", "127.0.0.1:-1"}, tc.args...))
 		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {

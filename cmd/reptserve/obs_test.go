@@ -115,7 +115,7 @@ func TestMetricsConformance(t *testing.T) {
 	}
 
 	// The batch-size histogram registers with every telemetry bundle and
-	// records on each delivered batch ticket.
+	// records on each delivered batch.
 	if f := exp.Family("rept_batch_events"); f == nil || f.Type != "histogram" {
 		t.Errorf("rept_batch_events must be a histogram family, got %+v", f)
 	} else if histCount(exp, "rept_batch_events") == 0 {

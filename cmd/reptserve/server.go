@@ -57,7 +57,7 @@ var endpoints = []string{
 // read throughput does not collapse under ingest. Every view-backed
 // response reports the epoch it answered from, its wall-clock age, and
 // the processed count it describes; `?fresh=1` forces a fresh barrier
-// epoch first (the SnapshotNow escape hatch over HTTP).
+// epoch first (the Concurrent.Snapshot escape hatch over HTTP).
 type Server struct {
 	est      *rept.Concurrent
 	views    *rept.Views

@@ -1,10 +1,9 @@
 // Command reptvet drives the REPT invariant analyzers (hotpathalloc,
-// detorder, satarith, viewaccess, lockdiscipline) over Go packages and
-// exits non-zero when any diagnostic is reported. It is the CI gate that
-// turns the repository's runtime invariants — the zero-allocation hot
-// path, deterministic encode/merge iteration, saturating counter
-// arithmetic, epoch-view access discipline, and the shard ingest lock
-// discipline — into compile-time failures.
+// detorder, satarith, viewaccess) over Go packages and exits non-zero
+// when any diagnostic is reported. It is the CI gate that turns the
+// repository's runtime invariants — the zero-allocation hot path,
+// deterministic encode/merge iteration, saturating counter arithmetic,
+// and epoch-view access discipline — into compile-time failures.
 //
 // Usage:
 //
@@ -25,7 +24,6 @@ import (
 	"rept/internal/analysis/detorder"
 	"rept/internal/analysis/hotpathalloc"
 	"rept/internal/analysis/load"
-	"rept/internal/analysis/lockdiscipline"
 	"rept/internal/analysis/satarith"
 	"rept/internal/analysis/viewaccess"
 )
@@ -36,7 +34,6 @@ var analyzers = []*analysis.Analyzer{
 	detorder.Analyzer,
 	satarith.Analyzer,
 	viewaccess.Analyzer,
-	lockdiscipline.Analyzer,
 }
 
 func main() {

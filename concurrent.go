@@ -171,7 +171,7 @@ func (c *Concurrent) Delete(u, v NodeID) { c.sh.Delete(u, v) }
 func (c *Concurrent) ApplyAll(ups []Update) { c.sh.ApplyBatch(ups) }
 
 // ApplyBatch feeds every event in b, in order, under one critical
-// section: the events ship as ticketed segments of at most 1024 events,
+// section: the events ship as segments of at most 1024 events,
 // each handed to every shard as one message, and every shard engine
 // applies them through its presence-mask walk. The batch is
 // copied during the call; the caller may Reset and refill it
@@ -186,21 +186,17 @@ func (c *Concurrent) ApplyBatch(b *Batch) {
 
 // Snapshot drains in-flight edges and returns the merged estimate at a
 // consistent stream prefix — a full cross-shard barrier, regardless of
-// whether views are running. The estimator keeps accepting edges.
-// SnapshotNow is the same operation under the name the view-era read API
-// uses; prefer View for high-rate queries.
+// whether views are running. It is the explicit fresh-barrier escape
+// hatch: even while views are serving bounded-stale answers, it returns
+// the estimate at the current stream prefix. The estimator keeps
+// accepting edges. Prefer View for high-rate queries.
 func (c *Concurrent) Snapshot() Estimate { return c.sh.Snapshot() }
-
-// SnapshotNow is the explicit fresh-barrier escape hatch: it always pays
-// one cross-shard barrier and returns the estimate at the current stream
-// prefix, even while views are serving bounded-stale answers.
-func (c *Concurrent) SnapshotNow() Estimate { return c.Snapshot() }
 
 // Global returns the global triangle count estimate. While views are
 // running (StartViews) it answers from the current epoch view — lock-free
 // and barrier-free, stale by at most the publish interval; otherwise it
 // pays one barrier at which the engines report their per-processor
-// counters alone, copying no per-node state. Use SnapshotNow for a
+// counters alone, copying no per-node state. Use Snapshot for a
 // guaranteed-fresh value.
 func (c *Concurrent) Global() float64 {
 	if p := c.views.Load(); p != nil {
@@ -234,7 +230,9 @@ func (c *Concurrent) Locals() map[NodeID]float64 {
 }
 
 // Processed returns the number of non-loop events (insertions plus
-// deletions) accepted so far, including events still buffered in flight.
+// deletions) accepted so far, including events still buffered in flight:
+// the stream position the write-ahead log addresses its records by.
+// After ResumeDurable it equals the recovered log's end.
 func (c *Concurrent) Processed() uint64 { return c.sh.Processed() }
 
 // Deleted returns the number of non-loop deletion events accepted so far

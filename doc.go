@@ -43,9 +43,10 @@
 // A Concurrent estimator spreads its C logical processors over
 // independent engine shards (whole processor groups with independent hash
 // seeds, the distributed layout of paper Section III-B) and broadcasts
-// batched edges to them over one buffered channel per shard, in one
-// ticket order for every consumer. Per-event Adds share one buffer under
-// a mutex; callers that already hold many events fill a reusable Batch
+// batched edges to them over one buffered channel per shard. Every send
+// happens under the ingest mutex, so every consumer sees the batches in
+// the order the mutex was granted. Per-event Adds share one buffer under
+// that mutex; callers that already hold many events fill a reusable Batch
 // and call ApplyBatch (or ApplyBatchDurable with a WAL), which takes the
 // mutex once and ships the batch as segments of at most 1024 events.
 // Shards are the only parallelism: each engine runs single-threaded in
@@ -149,7 +150,7 @@
 // Age keeps growing). Reads through a View are monotone
 // (epochs only move forward) but NOT read-your-writes: an edge added a
 // moment ago appears only in the next epoch. Callers that need the
-// current prefix use Views().Refresh() or SnapshotNow(), both of which
+// current prefix use Views().Refresh() or Snapshot(), both of which
 // pay the barrier. While views are running, Global, Local, and Locals
 // answer from the current View under exactly these semantics.
 //
@@ -348,11 +349,10 @@
 //
 // The invariants above — allocation-free hot paths, deterministic map
 // iteration in snapshot/merge code, saturating (never wrapping) counter
-// arithmetic, epoch views that are re-loaded rather than cached, and no
-// blocking operations under the sharded ingest mutex — are enforced by
-// a bundled static-analysis suite, not just by tests. Functions, types,
-// and fields opt in with //rept: directives (hotpath, deterministic,
-// satcounter, viewholder, ingestmu, and their escape hatches), and
+// arithmetic, and epoch views that are re-loaded rather than cached —
+// are enforced by a bundled static-analysis suite, not just by tests.
+// Functions, types, and fields opt in with //rept: directives (hotpath,
+// deterministic, satcounter, viewholder, and their escape hatches), and
 // `go run ./cmd/reptvet ./...` type-checks the module and reports every
 // violation; CI runs it as a required gate. See internal/analysis and
 // the README's "Static analysis" section.

@@ -193,11 +193,6 @@ func (c *Concurrent) ApplyBatchDurable(b *Batch) error {
 // came from ResumeDurable).
 func (c *Concurrent) Durable() bool { return c.lg != nil }
 
-// Position returns the estimator's stream position: accepted non-loop
-// events since birth, the scale the write-ahead log addresses records
-// by. After ResumeDurable it equals the recovered log's end.
-func (c *Concurrent) Position() uint64 { return c.sh.Processed() }
-
 // WALStats reports the write-ahead log's positions, segment footprint,
 // and failure flag; zero-valued without a WAL.
 func (c *Concurrent) WALStats() WALStats {

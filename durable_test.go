@@ -48,7 +48,7 @@ func TestResumeDurableRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Position(); got != 0 {
+	if got := c.Processed(); got != 0 {
 		t.Fatalf("fresh durable estimator at position %d, want 0", got)
 	}
 	for i := 0; i < 2000; i += 250 {
@@ -66,7 +66,7 @@ func TestResumeDurableRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if got := c2.Position(); got != 2000 {
+	if got := c2.Processed(); got != 2000 {
 		t.Fatalf("reopened at position %d, want 2000", got)
 	}
 	if err := c2.ApplyAllDurable(ups[2000:]); err != nil {
@@ -122,7 +122,7 @@ func TestResumeDurableManualCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if got := c2.Position(); got != 1500 {
+	if got := c2.Processed(); got != 1500 {
 		t.Fatalf("recovered position %d, want 1500", got)
 	}
 }
@@ -201,7 +201,7 @@ func TestDurableSelfLoopsNotLogged(t *testing.T) {
 	if got := c.SelfLoops(); got != 1 {
 		t.Fatalf("SelfLoops = %d, want 1", got)
 	}
-	if got := c.Position(); got != 2 {
+	if got := c.Processed(); got != 2 {
 		t.Fatalf("Position = %d, want 2 (loops are not stream events)", got)
 	}
 	c.Close()
@@ -211,7 +211,7 @@ func TestDurableSelfLoopsNotLogged(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if got := c2.Position(); got != 2 {
+	if got := c2.Processed(); got != 2 {
 		t.Fatalf("recovered Position = %d, want 2", got)
 	}
 	if got := c2.SelfLoops(); got != 0 {
@@ -317,7 +317,7 @@ func TestResumeDurableFromCopiedSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Position(); got != uint64(cut) {
+	if got := c.Processed(); got != uint64(cut) {
 		t.Fatalf("recovered from the copied image at position %d, want %d", got, cut)
 	}
 	if err := c.ApplyAllDurable(suffix); err != nil {

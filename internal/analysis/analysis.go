@@ -3,10 +3,9 @@
 // type-checked package through a Pass and reports position-anchored
 // diagnostics. It exists because the REPT invariants that matter most —
 // the zero-allocation hot path, deterministic iteration wherever state is
-// encoded or merged, saturating counter arithmetic, epoch-view access
-// discipline, and the ingest-mutex lock discipline — are properties the
-// compiler does not check and runtime tests catch only on exercised
-// paths. cmd/reptvet drives every registered analyzer over ./... as a
+// encoded or merged, saturating counter arithmetic, and epoch-view
+// access discipline — are properties the compiler does not check and
+// runtime tests catch only on exercised paths. cmd/reptvet drives every registered analyzer over ./... as a
 // failing CI gate.
 //
 // Analyzers are configured by //rept:* directive comments in the source

@@ -19,11 +19,6 @@ import (
 //	                      whose arithmetic must go through //rept:sathelper
 //	//rept:sathelper      on a function: implements saturating arithmetic
 //	                      for a //rept:satcounter type
-//	//rept:ingestmu       on a mutex field: no channel operations or
-//	                      blocking calls may run while it is held
-//	//rept:locksheld      on a function: analyzed as if the ingest mutex
-//	                      is already held on entry (functions whose name
-//	                      ends in "Locked" get this implicitly)
 //	//rept:viewholder     on a field or statement line: deliberate
 //	                      retention of an epoch view, exempt from
 //	                      viewaccess

@@ -5,20 +5,20 @@ import "strconv"
 // Pipeline bundles the stage-latency histograms and the flight recorder
 // that instrument the ingest path end to end: NDJSON parse → shard
 // dispatch → queue wait → engine apply → barrier → WAL append/fsync →
-// view publish. Every field is optional-by-nil at the recording sites
-// (a nil *Pipeline or nil *Flight records nothing), so library code can
-// be instrumented unconditionally and pay nothing when telemetry is
-// off.
+// view publish. Recording sites skip a nil *Pipeline, but a non-nil one
+// must be whole, as NewPipeline builds it: a nil *Flight records
+// nothing, while a nil *Histogram panics on its first observation.
 type Pipeline struct {
 	Reg *Registry
 
 	// Parse is the server-side NDJSON scan+decode time per flushed batch.
 	Parse *Histogram
-	// Dispatch is the whole AddAll/ApplyAll call: batching, ticket wait,
-	// and fan-out to every shard channel.
+	// Dispatch is the whole AddAll/ApplyAll call: batching, the wait for
+	// the ingest lock, and fan-out to every shard channel.
 	Dispatch *Histogram
-	// QueueWait is the ordered-delivery wait plus channel sends for one
-	// batch ticket.
+	// QueueWait is the channel sends of one batch or barrier to every
+	// consumer queue, made under the ingest lock; a wait behind another
+	// producer's sends counts in Dispatch instead.
 	QueueWait *Histogram
 	// Apply is one engine's ApplyAll over one delivered batch.
 	Apply *Histogram
@@ -33,7 +33,7 @@ type Pipeline struct {
 	ViewPublish *Histogram
 	// BatchSizes is the events-per-delivered-batch size histogram — the
 	// direct readout of how well callers amortize dispatch overhead
-	// (ApplyBatch lands a body's length per ticket up to BatchSize,
+	// (ApplyBatch lands a body's length per batch up to BatchSize,
 	// per-event feeding lands BatchSize unless a barrier cuts in).
 	BatchSizes *Histogram
 
@@ -58,14 +58,14 @@ func NewPipeline(reg *Registry) *Pipeline {
 	return &Pipeline{
 		Reg:         reg,
 		Parse:       reg.Histogram("rept_stage_parse_seconds", "NDJSON scan and decode latency per ingested batch."),
-		Dispatch:    reg.Histogram("rept_stage_dispatch_seconds", "Full shard dispatch latency per batch: batching, ticketing, and fan-out."),
-		QueueWait:   reg.Histogram("rept_stage_queue_wait_seconds", "Ordered-delivery wait plus channel-send latency per batch ticket."),
+		Dispatch:    reg.Histogram("rept_stage_dispatch_seconds", "Full shard dispatch latency per batch: batching, ingest-lock wait, and fan-out."),
+		QueueWait:   reg.Histogram("rept_stage_queue_wait_seconds", "Channel-send latency per delivered batch or barrier, under the ingest lock."),
 		Apply:       reg.Histogram("rept_stage_apply_seconds", "Engine apply latency per delivered batch, per shard."),
 		Barrier:     reg.Histogram("rept_stage_barrier_seconds", "Full-quiesce barrier latency: drain all shards and collect tallies."),
 		WALAppend:   reg.Histogram("rept_stage_wal_append_seconds", "WAL record encode and buffered write latency per batch."),
 		WALSync:     reg.Histogram("rept_stage_wal_fsync_seconds", "WAL group-commit fsync latency."),
 		ViewPublish: reg.Histogram("rept_stage_view_publish_seconds", "Epoch view build and publish latency."),
-		BatchSizes:  reg.SizeHistogram("rept_batch_events", "Events per delivered batch ticket."),
+		BatchSizes:  reg.SizeHistogram("rept_batch_events", "Events per delivered batch."),
 		Flight:      NewFlight(DefaultFlightEvents),
 		ShardQueueDepth: reg.GaugeVec("rept_shard_queue_depth",
 			"Batches waiting in each shard's ingest queue.", "shard"),

@@ -10,8 +10,8 @@ import (
 // TestDispatchSteadyStateZeroAlloc gates the per-event dispatch path:
 // with the batch free list warm, a churn block fed one event at a time
 // through Delete and Add and sized exactly to the batch length — so each
-// round fills the shared buffer once and delivers exactly one full batch
-// through the ticketed send path — must not allocate on the producer
+// round fills the shared buffer once and sends exactly one full batch
+// under the ingest mutex — must not allocate on the producer
 // side, and the consumer goroutines (engine shards plus the degree
 // tracker) must stay allocation-free on churn too, since AllocsPerRun
 // counts every goroutine's allocations.

@@ -149,7 +149,8 @@ func TestApplyBatchSaturatedProducers(t *testing.T) {
 // TestCloseDuringApplyBatch races Close against in-flight ApplyBatch
 // callers: each call must either complete fully (its events counted) or
 // panic with core.ErrClosed having accepted nothing — and nothing may
-// deadlock, since Close waits for every issued ticket.
+// deadlock, since Close closes the queues under the ingest mutex that
+// every send holds.
 func TestCloseDuringApplyBatch(t *testing.T) {
 	ups := signedStream(t)
 	s, err := New(Config{M: 2, C: 8, Shards: 2, Seed: 3,

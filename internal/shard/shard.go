@@ -13,26 +13,26 @@
 //
 // Unlike core.Engine, whose Add must be driven by one caller, Sharded.Add
 // is safe for any number of goroutines: producers append to a shared batch
-// under a short critical section, and full batches are handed to every
-// consumer goroutine (the engine shards, the degree tracker, the WAL
-// logger) over one buffered channel each, in ticket order, so every
-// consumer sees the same sequence. A hand-off carries a whole batch, so
-// its cost is paid per batch, not per event. The shard goroutines are the
-// only parallelism: each engine runs single-threaded in its own.
-// Snapshots use an in-band barrier message so every shard reports its
-// counters at exactly the same stream prefix, without stopping ingestion
-// for longer than a flush. Delivery tickets only order this fan-out;
-// durability is tracked in stream positions, the count of accepted
-// events that Processed reports and the write-ahead log addresses its
-// records by, so a durable producer waits for the log to reach the
-// position one past its last event.
+// under the ingest mutex, and full batches are handed to every consumer
+// goroutine (the engine shards, the degree tracker, the WAL logger) over
+// one buffered channel each, sent inside the same critical section, so
+// every consumer sees the sequence in which the critical sections ran. A
+// hand-off carries a whole batch, so its cost is paid per batch, not per
+// event. The shard goroutines are the only parallelism: each engine runs
+// single-threaded in its own. Snapshots use an in-band barrier message so
+// every shard reports its counters at exactly the same stream prefix,
+// without stopping ingestion for longer than a flush. Durability is
+// tracked in stream positions, the count of accepted events that
+// Processed reports and the write-ahead log addresses its records by, so
+// a durable producer waits for the log to reach the position one past its
+// last event.
 //
 // ApplyBatch is the one bulk producer: a caller batch becomes a few
-// ticketed segments of at most BatchSize events, issued in one critical
-// section, so ticket acquisition, degree tracking, and barrier
-// bookkeeping are paid per segment rather than per event. Every shard
-// engine applies every delivery through core.Engine's presence-mask walk,
-// which visits only the processors that can actually see a triangle.
+// segments of at most BatchSize events, detached and sent in one critical
+// section, so locking, degree tracking, and barrier bookkeeping are paid
+// per segment rather than per event. Every shard engine applies every
+// delivery through core.Engine's presence-mask walk, which visits only
+// the processors that can actually see a triangle.
 package shard
 
 import (
@@ -215,14 +215,10 @@ type barrier struct {
 }
 
 // msg is one item of a consumer queue: either an edge batch or a
-// barrier. ticket is the delivery ticket the message was issued under;
-// it only orders delivery (send delivers tickets in issue order), and no
-// consumer reads it. Durability is tracked in stream positions instead.
-// Tickets start at 1, so a zero msg means "nothing to send".
+// barrier.
 type msg struct {
-	b      *batch
-	bar    *barrier
-	ticket uint64
+	b   *batch
+	bar *barrier
 }
 
 // Sharded is a concurrency-safe REPT front end over N engine shards. All
@@ -242,31 +238,16 @@ type Sharded struct {
 	// wal is the durable-mode bookkeeping; nil until StartWAL.
 	wal *walRunner
 
-	// mu guards cur, closed, and delivery-ticket issue. It is the ingest
-	// critical section every producer passes through, so no channel send
-	// or other blocking operation may run while it is held — a send to a
-	// backed-up shard channel under mu would stall every producer behind
-	// one slow consumer. Batches detached under mu are delivered through
-	// send after unlock, in ticket order; reptvet's lockdiscipline
-	// analyzer enforces the no-blocking rule.
-	//
-	//rept:ingestmu
+	// mu guards cur, closed, queues, and the fan-out. It is the ingest
+	// critical section every producer, barrier, and Close passes through,
+	// and each sends what it detached to every consumer queue before
+	// unlocking, so every consumer receives the messages in the order the
+	// critical sections ran. A send to a full queue blocks under mu: that
+	// is the backpressure, and it cannot deadlock, because no consumer
+	// (engine shard, degree tracker, WAL logger, barrier work) takes mu.
 	mu     sync.Mutex
 	cur    *batch
 	closed bool
-	// seq is the last delivery ticket issued; a detached batch or barrier
-	// owns exactly one ticket and send delivers tickets in order, so the
-	// channel sequence every consumer sees is identical to the order the
-	// critical sections ran in.
-	seq uint64
-
-	// sendMu and sendCond serialize deliveries in ticket order. Producers
-	// blocked here hold no ingest mutex, so ingestion keeps accepting
-	// events while a backed-up shard applies backpressure. sentSeq is the
-	// last ticket fully delivered to every consumer channel.
-	sendMu   sync.Mutex
-	sendCond sync.Cond
-	sentSeq  uint64
 
 	// free recycles broadcast batch buffers. A buffered channel rather
 	// than a sync.Pool: batches are always released by a shard goroutine
@@ -333,7 +314,6 @@ func build(cfg Config, restore []snapshot.EngineState, liveEdges []graph.Edge) (
 		acct:     cfg.Mem,
 	}
 	s.free = make(chan *batch, queueLen+8)
-	s.sendCond.L = &s.sendMu
 	for i, sc := range sub {
 		var eng *core.Engine
 		var err error
@@ -413,8 +393,6 @@ func (s *Sharded) newQueue() chan msg {
 // getBatch returns a recycled batch buffer, allocating only when the
 // free list is empty (start-up, or bursts beyond the in-flight bound).
 // It runs under the ingest mutex; the select is non-blocking.
-//
-//rept:locksheld
 func (s *Sharded) getBatch() *batch {
 	select {
 	case b := <-s.free:
@@ -535,11 +513,10 @@ func (s *Sharded) Delete(u, v graph.NodeID) {
 }
 
 // apply appends one event under the ingest mutex; a batch that fills
-// detaches inside the critical section and is delivered after unlock.
+// detaches and is sent inside the same critical section.
 //
 //rept:hotpath
 func (s *Sharded) apply(up graph.Update) {
-	var full msg
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -551,29 +528,26 @@ func (s *Sharded) apply(up graph.Update) {
 		return
 	}
 	s.cur.ups = append(s.cur.ups, up)
-	if len(s.cur.ups) >= s.batchLen {
-		full = s.detachLocked()
-	}
 	// Counted before the unlock so a concurrent Snapshot can never
 	// reflect an event that Processed does not yet count.
 	s.processed.Add(1)
 	if up.Del {
 		s.deleted.Add(1)
 	}
-	s.mu.Unlock()
-	if full.ticket != 0 {
-		s.send(full)
+	if len(s.cur.ups) >= s.batchLen {
+		s.sendLocked(s.detachLocked())
 	}
+	s.mu.Unlock()
 }
 
 // ApplyBatch feeds a slice of signed stream events in order — the one
 // bulk producer. Under one critical section it appends the call's events
-// behind whatever earlier per-event Adds left in the shared buffer and
+// behind whatever earlier per-event Adds left in the shared buffer,
 // detaches the buffer every BatchSize events and once more at the end,
-// so the call ships as ticketed segments of at most BatchSize events and
-// nothing it accepted waits in the buffer after it returns. Each segment
-// travels every consumer queue as one message and is applied by each
-// shard engine through its presence-mask walk.
+// and sends the detached segments, so the call ships as segments of at
+// most BatchSize events and nothing it accepted waits in the buffer after
+// it returns. Each segment travels every consumer queue as one message
+// and is applied by each shard engine through its presence-mask walk.
 //
 // Self-loops are skipped (and tallied) like everywhere else. Deletion
 // events require Config.FullyDynamic and panic with core.ErrNotDynamic
@@ -587,7 +561,7 @@ func (s *Sharded) ApplyBatch(ups []graph.Update) { s.ingest(ups) }
 func (s *Sharded) ingest(ups []graph.Update) (uint64, *walRunner) {
 	var (
 		accepted, dels, loops uint64
-		buf                   [pendInline]msg
+		buf                   [8]msg
 	)
 	var start time.Time
 	if s.obs != nil {
@@ -600,7 +574,10 @@ func (s *Sharded) ingest(ups []graph.Update) (uint64, *walRunner) {
 			}
 		}
 	}
-	pend := buf[:0]
+	// Segments collect on the stack (a bulk call that detaches more than
+	// eight spills to the heap) and are sent once the append loop is done,
+	// still inside the critical section.
+	full := buf[:0]
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -617,26 +594,29 @@ func (s *Sharded) ingest(ups []graph.Update) (uint64, *walRunner) {
 			dels++
 		}
 		if len(s.cur.ups) >= s.batchLen {
-			pend = append(pend, s.detachLocked())
+			full = append(full, s.detachLocked())
 		}
 	}
 	if len(s.cur.ups) > 0 {
-		pend = append(pend, s.detachLocked())
+		full = append(full, s.detachLocked())
 	}
 	// The shared buffer is empty now, so everything this call accepted
-	// sits below the position it leaves Processed at, in batches detached
-	// for every consumer, the WAL logger included. Tallies are credited
-	// before unlock: barrier-consistency of snapshots versus Processed is
-	// what aligns checkpoint positions with the log.
+	// sits below the position it leaves Processed at, in batches sent to
+	// every consumer, the WAL logger included. Tallies are credited under
+	// the lock: barrier-consistency of snapshots versus Processed is what
+	// aligns checkpoint positions with the log.
 	pos := s.processed.Add(accepted)
 	s.deleted.Add(dels)
 	s.selfLoops.Add(loops)
+	for _, m := range full {
+		s.sendLocked(m)
+	}
 	w := s.wal
 	s.mu.Unlock()
-	s.sendAll(pend)
 	if s.obs != nil {
-		// Dispatch covers batching and fan-out; a durable caller's wait is
-		// accounted to the WAL append/fsync histograms instead.
+		// Dispatch covers batching, the wait for the ingest lock, and the
+		// fan-out; a durable caller's wait is accounted to the WAL
+		// append/fsync histograms instead.
 		d := time.Since(start)
 		s.obs.Dispatch.ObserveDuration(d)
 		s.obs.Flight.Record(obs.KindDispatch, -1, accepted, d)
@@ -644,30 +624,21 @@ func (s *Sharded) ingest(ups []graph.Update) (uint64, *walRunner) {
 	return pos, w
 }
 
-// pendInline sizes the stack buffers that collect detached batches inside
-// one critical section; bulk calls that detach more simply spill the
-// pending list to the heap.
-const pendInline = 8
-
-// detachLocked issues the filled current batch a delivery ticket,
-// installs a fresh buffer, and returns the delivery for the caller to
-// send after unlock. Caller holds s.mu and guarantees the batch is
-// non-empty.
+// detachLocked installs a fresh buffer and returns the filled current
+// batch as a message for every consumer. Caller holds s.mu and
+// guarantees the batch is non-empty.
 func (s *Sharded) detachLocked() msg {
 	b := s.cur
 	b.refs.Store(int32(s.fanout()))
-	s.seq++
 	s.cur = s.getBatch()
-	return msg{b: b, ticket: s.seq}
+	return msg{b: b}
 }
 
-// send delivers one ticketed message to every consumer queue. Tickets
-// are delivered strictly in issue order: the sender of ticket t waits
-// until t-1 has been fully delivered, so every consumer sees the exact
-// sequence the ingest critical sections produced. A send may block on a
-// backed-up consumer (that is the backpressure), but the caller holds no
-// ingest mutex, so other producers keep appending meanwhile.
-func (s *Sharded) send(m msg) {
+// sendLocked delivers m to every consumer queue. Caller holds s.mu, so
+// the sequence every consumer sees is the order the ingest critical
+// sections ran in. A send may block on a backed-up consumer while the
+// lock is held; that is the backpressure every producer shares.
+func (s *Sharded) sendLocked(m msg) {
 	var start time.Time
 	events := -1
 	if s.obs != nil {
@@ -678,19 +649,11 @@ func (s *Sharded) send(m msg) {
 			events = len(m.b.ups)
 		}
 	}
-	s.sendMu.Lock()
-	for s.sentSeq+1 != m.ticket {
-		s.sendCond.Wait()
-	}
 	for _, q := range s.queues {
 		q <- m
 	}
-	s.sentSeq = m.ticket
-	s.sendCond.Broadcast()
-	s.sendMu.Unlock()
 	if s.obs != nil {
-		// Queue wait covers the ordered-delivery wait plus the (possibly
-		// backpressured) channel sends for this ticket.
+		// Queue wait covers the (possibly backpressured) channel sends.
 		s.obs.QueueWait.ObserveSince(start)
 		if events >= 0 {
 			s.obs.BatchSizes.Observe(uint64(events))
@@ -698,54 +661,32 @@ func (s *Sharded) send(m msg) {
 	}
 }
 
-// sendAll delivers the pending items collected by one critical section.
-func (s *Sharded) sendAll(pend []msg) {
-	for _, m := range pend {
-		s.send(m)
-	}
-}
-
-// waitSent blocks until every ticket up to and including ticket has been
-// delivered to all consumer channels.
-func (s *Sharded) waitSent(ticket uint64) {
-	s.sendMu.Lock()
-	for s.sentSeq < ticket {
-		s.sendCond.Wait()
-	}
-	s.sendMu.Unlock()
-}
-
-// barrier flushes pending edges and enqueues bar under a fresh ticket
-// immediately after them, so no later Add can slip between the flush and
-// the barrier on any shard: both tickets are issued inside one critical
-// section and send delivers tickets in issue order. It returns bar once
-// every consumer has run its work.
+// barrier flushes pending edges and sends bar immediately after them in
+// one critical section, so no later Add can slip between the flush and
+// the barrier on any shard. It returns bar once every consumer has run
+// its work.
 func (s *Sharded) barrier(bar *barrier) *barrier {
-	var buf [2]msg
 	var start time.Time
 	if s.obs != nil {
 		start = time.Now()
 	}
-	pend := buf[:0]
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		panic(core.ErrClosed)
 	}
 	if len(s.cur.ups) > 0 {
-		pend = append(pend, s.detachLocked())
+		s.sendLocked(s.detachLocked())
 	}
 	// The tallies are only mutated under s.mu, so this read is exactly
-	// consistent with the prefix ticketed so far: every credited event
-	// sits in a batch whose ticket precedes the barrier's.
+	// consistent with the prefix sent so far: every credited event sits in
+	// a batch queued ahead of the barrier.
 	bar.processed = s.processed.Load()
 	bar.deleted = s.deleted.Load()
 	bar.selfLoops = s.selfLoops.Load()
 	bar.wg.Add(s.fanout())
-	s.seq++
-	pend = append(pend, msg{bar: bar, ticket: s.seq})
+	s.sendLocked(msg{bar: bar})
 	s.mu.Unlock()
-	s.sendAll(pend)
 	bar.wg.Wait()
 	if s.obs != nil {
 		d := time.Since(start)
@@ -884,27 +825,21 @@ func (s *Sharded) Shards() int { return len(s.engines) }
 // underlying engines. Close is idempotent; any other method called after
 // Close panics with core.ErrClosed.
 func (s *Sharded) Close() {
-	var buf [1]msg
-	pend := buf[:0]
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return
 	}
 	if len(s.cur.ups) > 0 {
-		pend = append(pend, s.detachLocked())
+		s.sendLocked(s.detachLocked())
 	}
 	s.closed = true
-	last := s.seq
-	s.mu.Unlock()
-	s.sendAll(pend)
-	// closed stops new tickets from being issued, but producers that
-	// detached a batch before we flipped it may still be delivering;
-	// wait for every issued ticket before closing the queues. The WAL
-	// goroutine group-commits whatever is still unsynced before exiting.
-	s.waitSent(last)
+	// Every send runs under s.mu, so none is in flight once closed is set.
+	// The WAL goroutine group-commits whatever is still unsynced before
+	// exiting.
 	for _, q := range s.queues {
 		close(q)
 	}
+	s.mu.Unlock()
 	s.done.Wait()
 }

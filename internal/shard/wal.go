@@ -67,11 +67,13 @@ func (r *walRunner) wait(pos uint64) error {
 
 // StartWAL attaches a write-ahead log to the coordinator: a dedicated
 // logger goroutine joins the broadcast fan-out and receives exactly the
-// ticketed batch sequence the engine shards do, so the log's event order
-// IS the engines' apply order, and the log's position is the
-// coordinator's Processed. committed, when non-nil, runs on the logger
-// goroutine after every successful group commit, whichever ingest path
-// fed the events; it must not block.
+// batch sequence the engine shards do, so the log's event order IS the
+// engines' apply order, and the log's position is the coordinator's
+// Processed. The logger's queue joins the fan-out under the ingest
+// mutex, which every send holds too, so no send can miss it or race the
+// append. committed, when non-nil, runs on the logger goroutine after
+// every successful group commit, whichever ingest path fed the events;
+// it must not block.
 //
 // StartWAL must be called before the coordinator is shared with
 // concurrent producers (immediately after New or Resume and the replay
@@ -120,7 +122,7 @@ func (s *Sharded) ApplyBatchDurable(ups []graph.Update) error {
 }
 
 // runWAL is the dedicated logger goroutine: it consumes the same
-// ticketed batch/barrier sequence as the engine shards, appends each
+// batch/barrier sequence as the engine shards, appends each
 // batch to the log, and group-commits — one sync covers every batch
 // drained since the last one. In per-batch mode the sync happens as soon
 // as the queue runs dry; in interval mode on a ticker, trading a bounded

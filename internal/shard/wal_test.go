@@ -431,7 +431,10 @@ func TestWALIntervalSyncUnderLoad(t *testing.T) {
 // TestQueueBackpressure: a consumer that falls QueueLen batches behind
 // blocks the producer instead of dropping or buffering without bound,
 // the producer resumes once the consumer drains, and Close delivers every
-// queued batch: the log ends holding and syncing every event.
+// queued batch: the log ends holding and syncing every event. A barrier
+// and a per-event producer that arrive behind the blocked send both
+// finish once the consumer drains, and the event Add accepted reaches
+// the log too.
 func TestQueueBackpressure(t *testing.T) {
 	cfg := durableTestConfig()
 	cfg.BatchSize, cfg.QueueLen = 16, 2
@@ -459,15 +462,30 @@ func TestQueueBackpressure(t *testing.T) {
 		t.Fatal("producer finished while the WAL consumer was stalled")
 	case <-time.After(20 * time.Millisecond):
 	}
+	snapped, added := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(snapped)
+		s.Snapshot()
+	}()
+	go func() {
+		defer close(added)
+		s.Add(1, 2)
+	}()
 	be.gate.Unlock()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("producer still blocked after the WAL consumer resumed")
+	for _, c := range []struct {
+		name string
+		done <-chan struct{}
+	}{{"producer", done}, {"Snapshot", snapped}, {"Add", added}} {
+		select {
+		case <-c.done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s still blocked after the WAL consumer resumed", c.name)
+		}
 	}
 	s.Close()
-	if st := lg.Stats(); st.AppendedPos != uint64(len(ups)) || st.DurablePos != uint64(len(ups)) {
-		t.Fatalf("log after Close: appended %d, durable %d, want %d", st.AppendedPos, st.DurablePos, len(ups))
+	want := uint64(len(ups) + 1)
+	if st := lg.Stats(); st.AppendedPos != want || st.DurablePos != want {
+		t.Fatalf("log after Close: appended %d, durable %d, want %d", st.AppendedPos, st.DurablePos, want)
 	}
 }
 

@@ -139,9 +139,6 @@ func (e *Estimator) AddAll(edges []Edge) { e.eng.AddAll(edges) }
 // Estimator.PairingStats).
 func (e *Estimator) Delete(u, v NodeID) { e.eng.Delete(u, v) }
 
-// DeleteEdge feeds one stream edge deletion.
-func (e *Estimator) DeleteEdge(edge Edge) { e.eng.Delete(edge.U, edge.V) }
-
 // Apply feeds one signed stream event (deletions require
 // Config.FullyDynamic).
 func (e *Estimator) Apply(up Update) { e.eng.Apply(up) }

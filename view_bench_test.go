@@ -87,13 +87,13 @@ func BenchmarkReadPathViewParallel(b *testing.B) {
 // BenchmarkReadPathBarrierUnderIngest measures the pre-view read path:
 // every single-node query pays a cross-shard barrier and materializes the
 // full local map (what Concurrent.Local did before views, still available
-// as SnapshotNow).
+// as Snapshot).
 func BenchmarkReadPathBarrierUnderIngest(b *testing.B) {
 	est := benchViewEstimator(b, 2)
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		sink += est.SnapshotNow().Local[rept.NodeID(i%5000)]
+		sink += est.Snapshot().Local[rept.NodeID(i%5000)]
 	}
 	_ = sink
 }

@@ -35,7 +35,7 @@ func TestViewMatchesSnapshotAtSameEpoch(t *testing.T) {
 
 	est.AddAll(gen.Shuffle(gen.HolmeKim(800, 5, 0.4, 3), 11))
 	v := est.Views().Refresh()
-	snap := est.SnapshotNow()
+	snap := est.Snapshot()
 
 	if v.Global != snap.Global {
 		t.Errorf("view global %v != snapshot global %v", v.Global, snap.Global)
@@ -277,7 +277,7 @@ func TestStartViewsLifecycle(t *testing.T) {
 		t.Error("View/Views non-nil before StartViews")
 	}
 	est.Add(1, 2)
-	if got := est.Global(); got != est.SnapshotNow().Global {
+	if got := est.Global(); got != est.Snapshot().Global {
 		t.Errorf("barrier-path Global() = %v, want snapshot value", got)
 	}
 
@@ -473,7 +473,7 @@ func testViewEpochs(t *testing.T, m, c int) {
 	// check returns the epoch's rebuild cause.
 	check := func(epoch int, what string, v *rept.View) string {
 		t.Helper()
-		snap := est.SnapshotNow()
+		snap := est.Snapshot()
 		if math.Float64bits(v.Global) != math.Float64bits(snap.Global) {
 			t.Fatalf("epoch %d (%s): view Global %v, full merge %v", epoch, what, v.Global, snap.Global)
 		}
@@ -713,7 +713,7 @@ func TestScalarReadsCopyNoPerNodeState(t *testing.T) {
 	if mib := float64(est.MemStats().ByComponent["counters"]) / (1 << 20); mib < 2 {
 		t.Fatalf("class sums take %.2f MiB; the test needs MiB-sized ones", mib)
 	}
-	full := est.SnapshotNow().Local
+	full := est.Snapshot().Local
 	var nodes []rept.NodeID
 	for n := range full {
 		if len(nodes) == 5 {
@@ -809,7 +809,7 @@ func TestViewDeltasUnderConcurrentDownsample(t *testing.T) {
 	}()
 	wg.Wait()
 	v := views.Refresh()
-	snap := est.SnapshotNow()
+	snap := est.Snapshot()
 	if v.Global != snap.Global || !reflect.DeepEqual(v.Local(), snap.Local) {
 		t.Fatalf("after concurrent Downsample: view global %v with %d locals, full merge %v with %d", v.Global, len(v.Local()), snap.Global, len(snap.Local))
 	}
