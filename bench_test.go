@@ -23,6 +23,7 @@ import (
 	"rept/internal/graph"
 	"rept/internal/mem"
 	"rept/internal/shard"
+	"rept/internal/wal"
 )
 
 // benchProfile is the quick profile with a fixed tiny scale so benchmark
@@ -159,6 +160,39 @@ func BenchmarkREPTPerEdgeWAL(b *testing.B) {
 			done += end - i
 		}
 		est.Close()
+	}
+}
+
+// BenchmarkCompactWALChurn measures one WAL compaction of a
+// durable-churn-sized sample: a fully-dynamic M=10, C=10 durable
+// estimator on an in-memory backend, holding a Reinsert churn sample (35 %
+// deletions) of over 100k sampled edges. One op is one CompactWAL — the
+// barrier that exports every processor's sample, the snapshot encode and
+// the checkpoint write — so ns/op and B/op are the cost each automatic
+// compaction adds to a server running that stream.
+func BenchmarkCompactWALChurn(b *testing.B) {
+	base := gen.Shuffle(gen.HolmeKim(30_000, 8, 0.3, 42), 3)
+	ups := exper.DynStream(base, exper.DynOptions{Pattern: exper.Reinsert, DeleteFrac: 0.35, Seed: 11})
+	c, err := rept.ResumeDurable(
+		rept.ConcurrentConfig{M: 10, C: 10, Seed: 1, FullyDynamic: true},
+		rept.WALOptions{Backend: wal.NewMemBackend()},
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.ApplyAllDurable(ups); err != nil {
+		b.Fatal(err)
+	}
+	if n := c.SampledEdges(); n < 100_000 {
+		b.Fatalf("churn sample holds %d edges, want at least 100k", n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.CompactWAL(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -83,10 +83,11 @@ import (
 // defaultBenchmarks are the datapoints gated by default: the insert-only,
 // fully-dynamic, and durable (write-ahead-logged) per-event ingest costs,
 // the cost of publishing one epoch view on a quiescent estimator and of
-// one that carries an interval's updates, and one engine at the e2e
-// shard shape. A benchmark missing from the old baseline is skipped with
-// a note, so newly added datapoints phase in on their first run.
-const defaultBenchmarks = "BenchmarkREPTPerEdge,BenchmarkFullyDynamicChurnPerEvent,BenchmarkREPTPerEdgeWAL,BenchmarkBatchIngestPerEvent,BenchmarkViewPublishIdle,BenchmarkViewPublishEpoch,BenchmarkEngineShardPowerLaw"
+// one that carries an interval's updates, one engine at the e2e shard
+// shape, and one WAL compaction of a churn sample. A benchmark missing
+// from the old baseline is skipped with a note, so newly added
+// datapoints phase in on their first run.
+const defaultBenchmarks = "BenchmarkREPTPerEdge,BenchmarkFullyDynamicChurnPerEvent,BenchmarkREPTPerEdgeWAL,BenchmarkBatchIngestPerEvent,BenchmarkViewPublishIdle,BenchmarkViewPublishEpoch,BenchmarkEngineShardPowerLaw,BenchmarkCompactWALChurn"
 
 // result is one benchmark's summary in a recording: the medians of its
 // runs (see summarize), or one parsed line.

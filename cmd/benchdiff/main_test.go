@@ -202,6 +202,7 @@ func TestRunLatestPointer(t *testing.T) {
 		"BenchmarkViewPublishIdle-8 \\t 1000 \\t 900000 ns/op",
 		"BenchmarkViewPublishEpoch-8 \\t 1000 \\t 1700000 ns/op",
 		"BenchmarkEngineShardPowerLaw-8 \\t 1 \\t 1300000000 ns/op \\t 812.5 ns/event",
+		"BenchmarkCompactWALChurn-8 \\t 50 \\t 25000000 ns/op",
 	))
 	fresh := writeFile(t, dir, "BENCH_new.json", jsonBench(
 		"BenchmarkREPTPerEdge-8 \\t 1000000 \\t 1300 ns/op", // +30% > 25%
@@ -211,6 +212,7 @@ func TestRunLatestPointer(t *testing.T) {
 		"BenchmarkViewPublishIdle-8 \\t 1000 \\t 900000 ns/op",
 		"BenchmarkViewPublishEpoch-8 \\t 1000 \\t 1700000 ns/op",
 		"BenchmarkEngineShardPowerLaw-8 \\t 1 \\t 1300000000 ns/op \\t 812.5 ns/event",
+		"BenchmarkCompactWALChurn-8 \\t 50 \\t 25000000 ns/op",
 	))
 	pointer := filepath.Join(dir, "LATEST")
 

@@ -168,7 +168,8 @@ func TestMetricsConformance(t *testing.T) {
 
 // TestMetricsConformanceDurable boots a WAL-backed server in-process and
 // checks that the WAL series and the append/fsync stage histograms are
-// live and the scrape stays conformant.
+// live, that one POST /checkpoint is one compaction observation, and
+// that the scrape stays conformant.
 func TestMetricsConformanceDurable(t *testing.T) {
 	est, err := rept.ResumeDurable(rept.ConcurrentConfig{M: 2, C: 4, Seed: 1}, rept.WALOptions{Dir: t.TempDir()})
 	if err != nil {
@@ -187,6 +188,9 @@ func TestMetricsConformanceDurable(t *testing.T) {
 		t.Fatal("ingest response does not report durable=true")
 	}
 	settle(t, ts.URL)
+	if _, resp := postCheckpoint(t, ts.URL); resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /checkpoint: status %d", resp.StatusCode)
+	}
 
 	exp := scrapeMetrics(t, ts.URL)
 	requireConformant(t, exp)
@@ -197,6 +201,9 @@ func TestMetricsConformanceDurable(t *testing.T) {
 		if histCount(exp, h) == 0 {
 			t.Errorf("%s_count = 0 after durable ingest, want > 0", h)
 		}
+	}
+	if n := histCount(exp, "rept_stage_wal_compact_seconds"); n != 1 {
+		t.Errorf("rept_stage_wal_compact_seconds_count = %v after one checkpoint, want 1", n)
 	}
 }
 

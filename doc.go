@@ -261,7 +261,9 @@
 // after every group commit, so events from every ingest path count, and
 // a barrier-consistent snapshot becomes the recovery base and the
 // sealed segments it covers are deleted, bounding replay time and disk
-// usage. Downsample is not logged; a checkpoint taken after it carries
+// usage. Each crossing of CompactEvery gets at most one compaction: a
+// trigger that arrives while one runs is checked again against the
+// checkpoint it installs. Downsample is not logged; a checkpoint taken after it carries
 // the new sample shift, so an adaptation survives a crash once a
 // compaction covers it.
 // Recovery is snapshot-plus-tail — restore the log's checkpoint, replay
@@ -331,8 +333,8 @@
 // Every Concurrent builds its own observability bundle
 // (Concurrent.Telemetry) — a dependency-free metrics registry preloaded
 // with latency histograms for every pipeline stage (NDJSON parse, shard
-// dispatch, queue wait, engine apply, barrier, WAL append and fsync,
-// view publish), per-shard queue-depth/batch/throughput series, Go
+// dispatch, queue wait, engine apply, barrier, WAL append, fsync and
+// compaction, view publish), per-shard queue-depth/batch/throughput series, Go
 // runtime health series, and a lock-free flight recorder of recent
 // pipeline events, among them every Downsample and every WAL
 // compaction. The record path is zero-allocation (enforced by

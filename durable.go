@@ -63,8 +63,11 @@ type WALOptions struct {
 	// one: a barrier-consistent snapshot replaces the sealed segments it
 	// covers, bounding both recovery time and disk usage. The log checks
 	// after every group commit, so events from every ingest path count,
-	// whether or not their caller waited for the log. Zero disables
-	// automatic compaction; CompactWAL remains available.
+	// whether or not their caller waited for the log. Each crossing gets
+	// at most one compaction: a trigger that arrives while a compaction
+	// runs is checked again against the checkpoint that compaction
+	// installs. Zero disables automatic compaction; CompactWAL remains
+	// available.
 	CompactEvery uint64
 }
 
@@ -150,7 +153,7 @@ func ResumeDurable(cfg ConcurrentConfig, opt WALOptions) (*Concurrent, error) {
 		// the pending pass.
 		trigger := make(chan struct{}, 1)
 		committed = func() {
-			if st := lg.Stats(); st.DurablePos-st.CheckpointPos >= every {
+			if compactDue(lg.Stats(), every) {
 				select {
 				case trigger <- struct{}{}:
 				default: // a compaction is already pending
@@ -159,7 +162,7 @@ func ResumeDurable(cfg ConcurrentConfig, opt WALOptions) (*Concurrent, error) {
 		}
 		c.compactStop = make(chan struct{})
 		c.compactWG.Add(1)
-		go c.compactor(trigger)
+		go c.compactor(trigger, every)
 	}
 	sh.StartWAL(lg, opt.SyncInterval, committed)
 	return c, nil
@@ -213,17 +216,31 @@ func (c *Concurrent) CompactWAL() error {
 	return c.lg.Compact(c.sh.WriteSnapshotPos)
 }
 
-// compactor runs automatic compactions off the ingest path, one per
-// trigger the WAL goroutine sends, until stopCompactor closes
-// compactStop. The trigger channel is never closed: the WAL goroutine may
-// still send on it while the estimator shuts down.
-func (c *Concurrent) compactor(trigger <-chan struct{}) {
+// compactDue reports whether at least every durable events lie past
+// the log's checkpoint. A checkpoint can cover events the log has
+// appended but not yet synced, so the durable position may trail it.
+func compactDue(st wal.Stats, every uint64) bool {
+	return st.DurablePos >= st.CheckpointPos+every
+}
+
+// compactor runs automatic compactions off the ingest path until
+// stopCompactor closes compactStop. A trigger from the WAL goroutine
+// starts one only if compactDue still holds: group commits made during a
+// compaction see the old checkpoint and queue a trigger, which the
+// checkpoint that compaction installs usually answers, so each crossing
+// of the threshold gets one compaction. The trigger channel is never
+// closed: the WAL goroutine may still send on it while the estimator
+// shuts down.
+func (c *Concurrent) compactor(trigger <-chan struct{}, every uint64) {
 	defer c.compactWG.Done()
 	for {
 		select {
 		case <-c.compactStop:
 			return
 		case <-trigger:
+			if !compactDue(c.lg.Stats(), every) {
+				continue
+			}
 			if err := c.lg.Compact(c.sh.WriteSnapshotPos); err != nil {
 				// Compaction failure is not a durability failure: the log
 				// still holds everything, the previous checkpoint is

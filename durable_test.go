@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -351,7 +352,8 @@ func TestResumeDurableFromCopiedSnapshot(t *testing.T) {
 }
 
 // TestCompactWALFlightEvent: a compaction leaves exactly one checkpoint
-// flight event, whose value is the position the checkpoint covers.
+// flight event, whose value is the position the checkpoint covers, and
+// one observation in the compaction histogram.
 func TestCompactWALFlightEvent(t *testing.T) {
 	c, err := rept.ResumeDurable(durableConfig(), rept.WALOptions{Backend: wal.NewMemBackend()})
 	if err != nil {
@@ -372,6 +374,9 @@ func TestCompactWALFlightEvent(t *testing.T) {
 	}
 	if want := c.WALStats().CheckpointPos; len(got) != 1 || got[0] != want {
 		t.Fatalf("checkpoint flight events carry positions %v, want exactly [%d]", got, want)
+	}
+	if n := c.Telemetry().Pipeline().WALCompact.Count(); n != 1 {
+		t.Fatalf("compaction histogram holds %d observations, want 1", n)
 	}
 }
 
@@ -407,6 +412,63 @@ func TestDurableCompactsWithoutWaiters(t *testing.T) {
 		}
 		waitWAL(t, c, func(st rept.WALStats) bool { return st.CheckpointPos >= 5000 && st.Segments <= 2 })
 		c.Close()
+	}
+}
+
+// holdFirstCheckpoint is a WAL backend whose first checkpoint creation
+// blocks until release is closed, and which counts every checkpoint
+// creation.
+type holdFirstCheckpoint struct {
+	wal.Backend
+	entered, release chan struct{}
+	creates          atomic.Int32
+}
+
+func (b *holdFirstCheckpoint) Create(name string) (wal.File, error) {
+	if name == wal.CheckpointTmp && b.creates.Add(1) == 1 {
+		close(b.entered)
+		<-b.release
+	}
+	return b.Backend.Create(name)
+}
+
+// TestDurableStaleTriggerCompactsOnce: group commits made while a
+// compaction runs still see the old checkpoint and queue a trigger, but
+// the checkpoint that compaction installs covers their events, so one
+// crossing of CompactEvery writes one checkpoint.
+func TestDurableStaleTriggerCompactsOnce(t *testing.T) {
+	be := &holdFirstCheckpoint{Backend: wal.NewMemBackend(), entered: make(chan struct{}), release: make(chan struct{})}
+	c, err := rept.ResumeDurable(durableConfig(), rept.WALOptions{Backend: be, CompactEvery: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	released := false
+	defer func() {
+		if !released { // let a failed test's Close stop the compactor
+			close(be.release)
+		}
+	}()
+	ups := durableStream(1150)
+	if err := c.ApplyAllDurable(ups[:1000]); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-be.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no compaction started 10s after CompactEvery durable events")
+	}
+	for i := 1000; i < len(ups); i += 50 {
+		if err := c.ApplyAllDurable(ups[i : i+50]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(be.release)
+	released = true
+	waitWAL(t, c, func(st rept.WALStats) bool { return st.CheckpointPos == uint64(len(ups)) })
+	c.Close()
+	if n := be.creates.Load(); n != 1 {
+		t.Fatalf("%d checkpoints written for one crossing of CompactEvery, want 1", n)
 	}
 }
 

@@ -29,6 +29,9 @@ type Pipeline struct {
 	WALAppend *Histogram
 	// WALSync is one Log.Commit (the group-commit fsync).
 	WALSync *Histogram
+	// WALCompact is one Log.Compact that published its checkpoint: the
+	// snapshot barrier, encode, write and sync, and the segment trim.
+	WALCompact *Histogram
 	// ViewPublish is one epoch snapshot build + atomic swap.
 	ViewPublish *Histogram
 	// BatchSizes is the events-per-delivered-batch size histogram — the
@@ -64,6 +67,7 @@ func NewPipeline(reg *Registry) *Pipeline {
 		Barrier:     reg.Histogram("rept_stage_barrier_seconds", "Full-quiesce barrier latency: drain all shards and collect tallies."),
 		WALAppend:   reg.Histogram("rept_stage_wal_append_seconds", "WAL record encode and buffered write latency per batch."),
 		WALSync:     reg.Histogram("rept_stage_wal_fsync_seconds", "WAL group-commit fsync latency."),
+		WALCompact:  reg.Histogram("rept_stage_wal_compact_seconds", "WAL compaction latency per published checkpoint: snapshot, write, sync and segment trim."),
 		ViewPublish: reg.Histogram("rept_stage_view_publish_seconds", "Epoch view build and publish latency."),
 		BatchSizes:  reg.SizeHistogram("rept_batch_events", "Events per delivered batch."),
 		Flight:      NewFlight(DefaultFlightEvents),

@@ -2,28 +2,37 @@ package snapshot
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash"
 	"hash/crc32"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"rept/internal/graph"
 )
 
-// encoder writes the snapshot wire format, tracking the running CRC and
-// the first error so call sites can stay linear.
+// chunk is how many encoded bytes the encoder gathers before it
+// checksums them and hands them to the writer, both in one call.
+const chunk = 64 << 10
+
+// encoder writes the snapshot wire format: it appends every field to one
+// buffer, which reaches the running CRC and the writer a chunk at a
+// time, and keeps the first error so call sites can stay linear.
 type encoder struct {
-	w   *bufio.Writer
-	crc hash.Hash32
-	buf [binary.MaxVarintLen64]byte
+	w   io.Writer
+	crc uint32
+	buf []byte
 	err error
+	// Sort scratch, reused across every list of one snapshot.
+	edgeTmp    []graph.Edge
+	kvs, kvTmp []keyVal
 }
 
 func newEncoder(w io.Writer) *encoder {
-	return &encoder{w: bufio.NewWriter(w), crc: crc32.NewIEEE()}
+	return &encoder{w: w, buf: make([]byte, 0, chunk+binary.MaxVarintLen64)}
 }
 
 func (e *encoder) fail(err error) {
@@ -32,18 +41,27 @@ func (e *encoder) fail(err error) {
 	}
 }
 
-func (e *encoder) write(p []byte) {
-	if e.err != nil {
-		return
+// flush checksums and writes the gathered bytes.
+func (e *encoder) flush() {
+	if e.err == nil {
+		e.crc = crc32.Update(e.crc, crc32.IEEETable, e.buf)
+		_, err := e.w.Write(e.buf)
+		e.fail(err)
 	}
-	e.crc.Write(p)
-	_, err := e.w.Write(p)
-	e.fail(err)
+	e.buf = e.buf[:0]
+}
+
+// room flushes once a whole chunk is gathered; every field appender ends
+// with it, so the buffer never outgrows a chunk by more than one field.
+func (e *encoder) room() {
+	if len(e.buf) >= chunk {
+		e.flush()
+	}
 }
 
 func (e *encoder) byte(b byte) {
-	e.buf[0] = b
-	e.write(e.buf[:1])
+	e.buf = append(e.buf, b)
+	e.room()
 }
 
 func (e *encoder) bool(b bool) {
@@ -55,38 +73,38 @@ func (e *encoder) bool(b bool) {
 }
 
 func (e *encoder) uvarint(x uint64) {
-	n := binary.PutUvarint(e.buf[:], x)
-	e.write(e.buf[:n])
+	e.buf = binary.AppendUvarint(e.buf, x)
+	e.room()
 }
 
 // svarint writes a zigzag-encoded signed varint — the encoding of the
 // statistical counters, which fully-dynamic streams drive transiently
 // negative.
 func (e *encoder) svarint(x int64) {
-	n := binary.PutVarint(e.buf[:], x)
-	e.write(e.buf[:n])
+	e.buf = binary.AppendVarint(e.buf, x)
+	e.room()
 }
 
 func (e *encoder) u64(x uint64) {
-	binary.LittleEndian.PutUint64(e.buf[:8], x)
-	e.write(e.buf[:8])
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, x)
+	e.room()
 }
 
 func (e *encoder) header(kind byte) {
-	e.write(magic[:])
+	e.buf = append(e.buf, magic[:]...)
 	e.uvarint(Version)
 	e.byte(kind)
 }
 
-// trailer appends the CRC (not itself checksummed) and flushes.
+// trailer writes out what is gathered, then the CRC, which is not itself
+// checksummed.
 func (e *encoder) trailer() {
+	e.flush()
 	if e.err != nil {
 		return
 	}
-	binary.LittleEndian.PutUint32(e.buf[:4], e.crc.Sum32())
-	_, err := e.w.Write(e.buf[:4])
+	_, err := e.w.Write(binary.LittleEndian.AppendUint32(e.buf, e.crc))
 	e.fail(err)
-	e.fail(e.w.Flush())
 }
 
 func (e *encoder) fingerprint(f Fingerprint) {
@@ -119,43 +137,64 @@ func (e *encoder) engineBody(st *EngineState) {
 	e.nodeTable(st.EtaV)
 }
 
-// deltaKeys writes a strictly-increasing key sequence: count, first key
-// raw, then deltas. When val is non-nil it is called after each key to
-// append the key's accompanying value — the one shared shape behind the
-// edge sets, the per-edge counter map and the class-sum tables. It sorts
-// keys in place before writing, which is what makes the encodings of
-// maps and tables canonical.
-//
-//rept:sorter
-func (e *encoder) deltaKeys(keys []uint64, val func(k uint64)) {
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	e.uvarint(uint64(len(keys)))
-	prev := uint64(0)
-	for i, k := range keys {
-		if i == 0 {
-			e.uvarint(k)
-		} else {
-			if k == prev {
-				e.fail(fmt.Errorf("snapshot: duplicate key %#x", k))
-				return
-			}
-			e.uvarint(k - prev)
-		}
-		prev = k
-		if val != nil {
-			val(k)
-		}
+// Every key list — the edge sets, the per-edge counter maps and the
+// class-sum tables — is written the same way: sorted by key, which is
+// what makes the encodings of maps and tables canonical, then its count,
+// its first key raw and every later key as the delta from the one
+// before, each followed by the key's value where it has one.
+
+// delta writes the i-th key k of a sorted list whose previous key is
+// prev, and reports false, failing the encoder, when k repeats prev.
+func (e *encoder) delta(i int, k, prev uint64) bool {
+	if i == 0 {
+		e.uvarint(k)
+		return true
 	}
+	if k == prev {
+		e.fail(fmt.Errorf("snapshot: duplicate key %#x", k))
+		return false
+	}
+	e.uvarint(k - prev)
+	return true
 }
 
 // edgeList writes an edge set — a processor's sampled edges or the degree
-// tracker's live edges — as delta-encoded sorted canonical keys.
+// tracker's live edges — as delta-encoded canonical keys, sorting edges
+// in place by canonical key first.
 func (e *encoder) edgeList(edges []graph.Edge) {
-	keys := make([]uint64, len(edges))
+	sortByKey(edges, &e.edgeTmp, graph.Edge.Key)
+	e.uvarint(uint64(len(edges)))
+	prev := uint64(0)
 	for i, ed := range edges {
-		keys[i] = ed.Key()
+		k := ed.Key()
+		if !e.delta(i, k, prev) {
+			return
+		}
+		prev = k
 	}
-	e.deltaKeys(keys, nil)
+}
+
+// keyVal is one entry of a keyed table on its way to the encoder.
+type keyVal struct {
+	k uint64
+	v int64
+}
+
+// keyVals sorts kvs by key and writes them, each key with its signed
+// value.
+//
+//rept:sorter
+func (e *encoder) keyVals(kvs []keyVal) {
+	sortByKey(kvs, &e.kvTmp, func(kv keyVal) uint64 { return kv.k })
+	e.uvarint(uint64(len(kvs)))
+	prev := uint64(0)
+	for i, kv := range kvs {
+		if !e.delta(i, kv.k, prev) {
+			return
+		}
+		e.svarint(kv.v)
+		prev = kv.k
+	}
 }
 
 // nodeTable writes a per-node class-sum table: a presence flag (nil
@@ -167,9 +206,10 @@ func (e *encoder) nodeTable(t *graph.NodeTable[int64]) {
 		return
 	}
 	e.bool(true)
-	keys := make([]uint64, 0, t.Len())
-	t.Each(func(v graph.NodeID, _ int64) { keys = append(keys, uint64(v)) })
-	e.deltaKeys(keys, func(k uint64) { e.svarint(t.Get(graph.NodeID(k))) })
+	kvs := e.kvs[:0]
+	t.Each(func(v graph.NodeID, x int64) { kvs = append(kvs, keyVal{uint64(v), x}) })
+	e.kvs = kvs
+	e.keyVals(kvs)
 }
 
 // tcntMap writes the per-edge closing counters, sorted by edge key.
@@ -179,11 +219,69 @@ func (e *encoder) tcntMap(m map[uint64]int32) {
 		return
 	}
 	e.bool(true)
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+	kvs := e.kvs[:0]
+	for k, v := range m {
+		kvs = append(kvs, keyVal{k, int64(v)})
 	}
-	e.deltaKeys(keys, func(k uint64) { e.svarint(int64(m[k])) })
+	e.kvs = kvs
+	e.keyVals(kvs)
+}
+
+// radixMin is the list length from which sortByKey sorts by radix: below
+// it, zeroing and summing the eight 256-entry byte counts costs about as
+// much as sorting the list by comparison.
+const radixMin = 256
+
+// sortByKey sorts xs in place by ascending key, growing *tmp to scratch
+// of len(xs) when the radix sort needs it.
+//
+//rept:sorter
+func sortByKey[T any](xs []T, tmp *[]T, key func(T) uint64) {
+	if len(xs) < radixMin {
+		slices.SortFunc(xs, func(a, b T) int { return cmp.Compare(key(a), key(b)) })
+		return
+	}
+	if cap(*tmp) < len(xs) {
+		*tmp = make([]T, len(xs))
+	}
+	radixSort(xs, (*tmp)[:len(xs)], key)
+}
+
+// radixSort sorts xs by ascending key with a least-significant-digit
+// radix sort through tmp, which has xs's length: one pass counts all
+// eight key bytes, then one stable scatter pass runs per byte on which
+// the keys differ — a byte every key shares has all its count in one
+// bucket and is skipped. The result ends up in xs.
+func radixSort[T any](xs, tmp []T, key func(T) uint64) {
+	var counts [8][256]int
+	for _, x := range xs {
+		k := key(x)
+		for b := range counts {
+			counts[b][byte(k>>(8*b))]++
+		}
+	}
+	first := key(xs[0])
+	src, dst := xs, tmp
+	for b := range counts {
+		c, shift := &counts[b], 8*b
+		if c[byte(first>>shift)] == len(xs) {
+			continue
+		}
+		sum := 0
+		for d, n := range c {
+			c[d] = sum
+			sum += n
+		}
+		for _, x := range src {
+			d := byte(key(x) >> shift)
+			dst[c[d]] = x
+			c[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &xs[0] {
+		copy(xs, src)
+	}
 }
 
 // decoder reads the snapshot wire format. Every byte consumed before the

@@ -27,11 +27,12 @@ type Options struct {
 	SegmentBytes int64
 	// Obs, when non-nil, receives the log's telemetry: the latency of
 	// every Append (record encode plus buffered write) in its WALAppend
-	// histogram and of every Commit sync (the group-commit fsync, usually
-	// the widest bar in the pipeline) in WALSync, and flight events — one
-	// wal_append per Append (value = events in the record), one wal_sync
-	// per Commit (value = the durable stream position), and one
-	// checkpoint per Compact. Nil runs uninstrumented.
+	// histogram, of every Commit sync (the group-commit fsync, usually
+	// the widest bar in the pipeline) in WALSync and of every Compact
+	// that publishes its checkpoint in WALCompact, and flight events —
+	// one wal_append per Append (value = events in the record), one
+	// wal_sync per Commit (value = the durable stream position), and one
+	// checkpoint per published checkpoint. Nil runs uninstrumented.
 	Obs *obs.Pipeline
 	// Mem, when non-nil, receives the log's byte accounting: the reused
 	// group-commit record buffer under mem.CompWALBuffers (heap), and the
@@ -302,8 +303,8 @@ func (l *Log) rotate() error {
 // directory stays recoverable. Safe to call concurrently with Append,
 // Commit, and other Compact calls (concurrent compactions serialize).
 // With Options.Obs, each compaction that publishes its checkpoint leaves
-// one checkpoint flight event: the position covered and the compaction's
-// wall time.
+// one checkpoint flight event, carrying the position covered and the
+// compaction's wall time, and one WALCompact observation of that time.
 func (l *Log) Compact(write func(io.Writer) (uint64, error)) error {
 	l.compactMu.Lock()
 	defer l.compactMu.Unlock()
@@ -355,7 +356,9 @@ func (l *Log) Compact(write func(io.Writer) (uint64, error)) error {
 		l.statSegments.Add(-1)
 	}
 	if l.obs != nil {
-		l.obs.Flight.Record(obs.KindCheckpoint, -1, pos, time.Since(start))
+		d := time.Since(start)
+		l.obs.WALCompact.ObserveDuration(d)
+		l.obs.Flight.Record(obs.KindCheckpoint, -1, pos, d)
 	}
 	return firstErr
 }
