@@ -163,13 +163,13 @@ func BenchmarkREPTPerEdgeWAL(b *testing.B) {
 	}
 }
 
-// BenchmarkCompactWALChurn measures one WAL compaction of a
-// durable-churn-sized sample: a fully-dynamic M=10, C=10 durable
-// estimator on an in-memory backend, holding a Reinsert churn sample (35 %
-// deletions) of over 100k sampled edges. One op is one CompactWAL — the
-// barrier that exports every processor's sample, the snapshot encode and
-// the checkpoint write — so ns/op and B/op are the cost each automatic
-// compaction adds to a server running that stream.
+// BenchmarkCompactWALChurn measures one WAL compaction of a churn
+// sample: a fully-dynamic M=10, C=10 durable estimator on an in-memory
+// backend, holding a Reinsert churn sample (35 % deletions) of 151,850
+// sampled edges — about a quarter of the 0.5–0.7M that the e2ebench
+// durable-churn workload checkpoints, with no class-sum or per-edge
+// counter tables. One op is one CompactWAL: the barrier that exports
+// every processor's sample, the snapshot encode and the checkpoint write.
 func BenchmarkCompactWALChurn(b *testing.B) {
 	base := gen.Shuffle(gen.HolmeKim(30_000, 8, 0.3, 42), 3)
 	ups := exper.DynStream(base, exper.DynOptions{Pattern: exper.Reinsert, DeleteFrac: 0.35, Seed: 11})

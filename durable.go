@@ -218,9 +218,11 @@ func (c *Concurrent) CompactWAL() error {
 
 // compactDue reports whether at least every durable events lie past
 // the log's checkpoint. A checkpoint can cover events the log has
-// appended but not yet synced, so the durable position may trail it.
+// appended but not yet synced, so the durable position may trail it; and
+// every may be near the top of uint64 to mean "never", so the check
+// subtracts only once it knows the difference is not negative.
 func compactDue(st wal.Stats, every uint64) bool {
-	return st.DurablePos >= st.CheckpointPos+every
+	return st.DurablePos >= st.CheckpointPos && st.DurablePos-st.CheckpointPos >= every
 }
 
 // compactor runs automatic compactions off the ingest path until

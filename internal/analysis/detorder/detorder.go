@@ -10,9 +10,9 @@
 //
 //   - collect-and-sort: the range body only appends to slices, and every
 //     such slice is subsequently passed to sort.*/slices.* or to a
-//     function annotated //rept:sorter (the idiom of
-//     internal/snapshot/codec.go, where keyVals sorts the entries a
-//     table or map was collected into before encoding them)
+//     function annotated //rept:sorter (the sortedKeys idiom of
+//     internal/snapshot/codec.go, where deltaKeys sorts its key slice
+//     before encoding)
 //   - integer accumulation: every statement is a commutative integer
 //     update (`x += v`, `x++`, bit-or/xor/and assignment) or a keyed copy
 //     `dst[k] = v` under the range's own key — order-independent by

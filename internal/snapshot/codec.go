@@ -2,7 +2,6 @@ package snapshot
 
 import (
 	"bufio"
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash"
@@ -22,13 +21,11 @@ const chunk = 64 << 10
 // buffer, which reaches the running CRC and the writer a chunk at a
 // time, and keeps the first error so call sites can stay linear.
 type encoder struct {
-	w   io.Writer
-	crc uint32
-	buf []byte
-	err error
-	// Sort scratch, reused across every list of one snapshot.
-	edgeTmp    []graph.Edge
-	kvs, kvTmp []keyVal
+	w    io.Writer
+	crc  uint32
+	buf  []byte
+	keys []uint64 // sort scratch, reused across every key list
+	err  error
 }
 
 func newEncoder(w io.Writer) *encoder {
@@ -137,64 +134,44 @@ func (e *encoder) engineBody(st *EngineState) {
 	e.nodeTable(st.EtaV)
 }
 
-// Every key list — the edge sets, the per-edge counter maps and the
-// class-sum tables — is written the same way: sorted by key, which is
-// what makes the encodings of maps and tables canonical, then its count,
-// its first key raw and every later key as the delta from the one
-// before, each followed by the key's value where it has one.
-
-// delta writes the i-th key k of a sorted list whose previous key is
-// prev, and reports false, failing the encoder, when k repeats prev.
-func (e *encoder) delta(i int, k, prev uint64) bool {
-	if i == 0 {
-		e.uvarint(k)
-		return true
+// deltaKeys writes a strictly-increasing key sequence: count, first key
+// raw, then deltas. When val is non-nil it is called after each key to
+// append the key's accompanying value — the one shared shape behind the
+// edge sets, the per-edge counter map and the class-sum tables. It sorts
+// keys in place before writing, which is what makes the encodings of
+// maps and tables canonical.
+//
+//rept:sorter
+func (e *encoder) deltaKeys(keys []uint64, val func(k uint64)) {
+	slices.Sort(keys)
+	e.uvarint(uint64(len(keys)))
+	prev := uint64(0)
+	for i, k := range keys {
+		if i == 0 {
+			e.uvarint(k)
+		} else {
+			if k == prev {
+				e.fail(fmt.Errorf("snapshot: duplicate key %#x", k))
+				return
+			}
+			e.uvarint(k - prev)
+		}
+		prev = k
+		if val != nil {
+			val(k)
+		}
 	}
-	if k == prev {
-		e.fail(fmt.Errorf("snapshot: duplicate key %#x", k))
-		return false
-	}
-	e.uvarint(k - prev)
-	return true
 }
 
 // edgeList writes an edge set — a processor's sampled edges or the degree
-// tracker's live edges — as delta-encoded canonical keys, sorting edges
-// in place by canonical key first.
+// tracker's live edges — as delta-encoded sorted canonical keys.
 func (e *encoder) edgeList(edges []graph.Edge) {
-	sortByKey(edges, &e.edgeTmp, graph.Edge.Key)
-	e.uvarint(uint64(len(edges)))
-	prev := uint64(0)
-	for i, ed := range edges {
-		k := ed.Key()
-		if !e.delta(i, k, prev) {
-			return
-		}
-		prev = k
+	keys := e.keys[:0]
+	for _, ed := range edges {
+		keys = append(keys, ed.Key())
 	}
-}
-
-// keyVal is one entry of a keyed table on its way to the encoder.
-type keyVal struct {
-	k uint64
-	v int64
-}
-
-// keyVals sorts kvs by key and writes them, each key with its signed
-// value.
-//
-//rept:sorter
-func (e *encoder) keyVals(kvs []keyVal) {
-	sortByKey(kvs, &e.kvTmp, func(kv keyVal) uint64 { return kv.k })
-	e.uvarint(uint64(len(kvs)))
-	prev := uint64(0)
-	for i, kv := range kvs {
-		if !e.delta(i, kv.k, prev) {
-			return
-		}
-		e.svarint(kv.v)
-		prev = kv.k
-	}
+	e.keys = keys
+	e.deltaKeys(keys, nil)
 }
 
 // nodeTable writes a per-node class-sum table: a presence flag (nil
@@ -206,10 +183,10 @@ func (e *encoder) nodeTable(t *graph.NodeTable[int64]) {
 		return
 	}
 	e.bool(true)
-	kvs := e.kvs[:0]
-	t.Each(func(v graph.NodeID, x int64) { kvs = append(kvs, keyVal{uint64(v), x}) })
-	e.kvs = kvs
-	e.keyVals(kvs)
+	keys := e.keys[:0]
+	t.Each(func(v graph.NodeID, _ int64) { keys = append(keys, uint64(v)) })
+	e.keys = keys
+	e.deltaKeys(keys, func(k uint64) { e.svarint(t.Get(graph.NodeID(k))) })
 }
 
 // tcntMap writes the per-edge closing counters, sorted by edge key.
@@ -219,69 +196,12 @@ func (e *encoder) tcntMap(m map[uint64]int32) {
 		return
 	}
 	e.bool(true)
-	kvs := e.kvs[:0]
-	for k, v := range m {
-		kvs = append(kvs, keyVal{k, int64(v)})
+	keys := e.keys[:0]
+	for k := range m {
+		keys = append(keys, k)
 	}
-	e.kvs = kvs
-	e.keyVals(kvs)
-}
-
-// radixMin is the list length from which sortByKey sorts by radix: below
-// it, zeroing and summing the eight 256-entry byte counts costs about as
-// much as sorting the list by comparison.
-const radixMin = 256
-
-// sortByKey sorts xs in place by ascending key, growing *tmp to scratch
-// of len(xs) when the radix sort needs it.
-//
-//rept:sorter
-func sortByKey[T any](xs []T, tmp *[]T, key func(T) uint64) {
-	if len(xs) < radixMin {
-		slices.SortFunc(xs, func(a, b T) int { return cmp.Compare(key(a), key(b)) })
-		return
-	}
-	if cap(*tmp) < len(xs) {
-		*tmp = make([]T, len(xs))
-	}
-	radixSort(xs, (*tmp)[:len(xs)], key)
-}
-
-// radixSort sorts xs by ascending key with a least-significant-digit
-// radix sort through tmp, which has xs's length: one pass counts all
-// eight key bytes, then one stable scatter pass runs per byte on which
-// the keys differ — a byte every key shares has all its count in one
-// bucket and is skipped. The result ends up in xs.
-func radixSort[T any](xs, tmp []T, key func(T) uint64) {
-	var counts [8][256]int
-	for _, x := range xs {
-		k := key(x)
-		for b := range counts {
-			counts[b][byte(k>>(8*b))]++
-		}
-	}
-	first := key(xs[0])
-	src, dst := xs, tmp
-	for b := range counts {
-		c, shift := &counts[b], 8*b
-		if c[byte(first>>shift)] == len(xs) {
-			continue
-		}
-		sum := 0
-		for d, n := range c {
-			c[d] = sum
-			sum += n
-		}
-		for _, x := range src {
-			d := byte(key(x) >> shift)
-			dst[c[d]] = x
-			c[d]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &xs[0] {
-		copy(xs, src)
-	}
+	e.keys = keys
+	e.deltaKeys(keys, func(k uint64) { e.svarint(int64(m[k])) })
 }
 
 // decoder reads the snapshot wire format. Every byte consumed before the

@@ -2,10 +2,9 @@ package snapshot
 
 import (
 	"bytes"
-	"cmp"
+	"maps"
 	"math"
 	"math/rand/v2"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -13,9 +12,9 @@ import (
 	"rept/internal/graph"
 )
 
-// radixNode draws a node id over the whole uint32 range, hitting the
+// randNode draws a node id over the whole uint32 range, hitting the
 // range's ends and middle often.
-func radixNode(rng *rand.Rand) graph.NodeID {
+func randNode(rng *rand.Rand) graph.NodeID {
 	switch rng.IntN(8) {
 	case 0:
 		return 0
@@ -28,13 +27,13 @@ func radixNode(rng *rand.Rand) graph.NodeID {
 	}
 }
 
-// radixEdges returns n distinct non-loop edges, endpoints drawn by u and
-// v, each in a random orientation.
-func radixEdges(rng *rand.Rand, n int, u, v func() graph.NodeID) []graph.Edge {
+// randEdges returns n distinct non-loop edges with endpoints drawn by
+// node, each in a random orientation.
+func randEdges(rng *rand.Rand, n int, node func() graph.NodeID) []graph.Edge {
 	seen := make(map[uint64]bool, n)
 	out := make([]graph.Edge, 0, n)
 	for len(out) < n {
-		e := graph.Edge{U: u(), V: v()}
+		e := graph.Edge{U: node(), V: node()}
 		if e.U == e.V || seen[e.Key()] {
 			continue
 		}
@@ -47,8 +46,7 @@ func radixEdges(rng *rand.Rand, n int, u, v func() graph.NodeID) []graph.Edge {
 	return out
 }
 
-// sortedCanonical returns edges canonical and sorted by key, through
-// slices.Sort over their keys.
+// sortedCanonical returns edges canonical and sorted by key.
 func sortedCanonical(edges []graph.Edge) []graph.Edge {
 	keys := make([]uint64, len(edges))
 	for i, e := range edges {
@@ -62,99 +60,59 @@ func sortedCanonical(edges []graph.Edge) []graph.Edge {
 	return out
 }
 
-// radixLists are edge lists of at least radixMin edges, so the encoder
-// sorts them by radix — full-range ids in random orientation (all eight
-// key bytes vary), small ids already sorted and canonical (three bytes
-// vary, an odd number of scatter passes), and ids reverse-sorted with
-// every edge reversed — and one list too short for it.
-func radixLists(rng *rand.Rand) [][]graph.Edge {
-	wide := func() graph.NodeID { return radixNode(rng) }
-	full := radixEdges(rng, 3*radixMin, wide, wide)
-	small := sortedCanonical(radixEdges(rng, radixMin,
-		func() graph.NodeID { return graph.NodeID(rng.IntN(1 << 8)) },
-		func() graph.NodeID { return graph.NodeID(1<<8 + rng.IntN(1<<16-1<<8)) }))
-	mid := func() graph.NodeID { return graph.NodeID(rng.IntN(1 << 20)) }
-	reversed := sortedCanonical(radixEdges(rng, 2*radixMin, mid, mid))
+// TestEncodingMatchesSorted: the encoder sorts every key list itself, so
+// edge lists in any order and orientation encode to the bytes of the same
+// state pre-sorted, and decode to the canonical sorted sets. The lists
+// differ in length, so the key scratch the encoder reuses across lists
+// shrinks and regrows, and the encoding spans several 64 KiB chunks.
+func TestEncodingMatchesSorted(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 9))
+	full := randEdges(rng, 20_000, func() graph.NodeID { return randNode(rng) })
+	reversed := sortedCanonical(randEdges(rng, 500, func() graph.NodeID { return graph.NodeID(rng.IntN(1 << 20)) }))
 	slices.Reverse(reversed)
 	for i, e := range reversed {
 		reversed[i] = graph.Edge{U: e.V, V: e.U}
 	}
-	return [][]graph.Edge{full, small, reversed, full[:radixMin/2]}
-}
-
-// radixSums returns class sums for n distinct full-range node ids, in the
-// order drawn.
-func radixSums(rng *rand.Rand, n int) []keyVal {
-	seen := make(map[graph.NodeID]bool, n)
-	var out []keyVal
-	for len(out) < n {
-		v := radixNode(rng)
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, keyVal{uint64(v), rng.Int64N(1<<40) - 1<<39})
-		}
+	lists := [][]graph.Edge{reversed, full, full[:100], nil}
+	sums := make(map[graph.NodeID]int64)
+	for len(sums) < 3000 {
+		sums[randNode(rng)] = rng.Int64N(1<<40) - 1<<39
 	}
-	return out
-}
 
-// radixState builds an η- and local-tracking engine state from the
-// lists: each list a processor's sampled edges with a closing counter per
-// edge, a signed function of its key, and the class sums inserted into
-// their tables in the order given.
-func radixState(lists [][]graph.Edge, sums [3][]keyVal) *EngineState {
-	st := &EngineState{Fingerprint: Fingerprint{M: 2, C: len(lists), Seed: 5, TrackLocal: true, TrackEta: true}}
-	for _, edges := range lists {
-		tcnt := make(map[uint64]int32, len(edges))
-		for _, e := range edges {
-			tcnt[e.Key()] = int32(e.Key()*0x9e3779b97f4a7c15>>44) - 1<<19
+	state := func(lists [][]graph.Edge) *EngineState {
+		st := &EngineState{Fingerprint: Fingerprint{M: 2, C: len(lists), Seed: 5, TrackLocal: true, TrackEta: true}}
+		for _, edges := range lists {
+			tcnt := make(map[uint64]int32, len(edges))
+			for _, e := range edges {
+				tcnt[e.Key()] = int32(e.Key()*0x9e3779b97f4a7c15>>44) - 1<<19
+			}
+			st.Procs = append(st.Procs, ProcState{Edges: edges, Tcnt: tcnt})
 		}
-		st.Procs = append(st.Procs, ProcState{Edges: slices.Clone(edges), Tcnt: tcnt})
+		st.TauV1, st.TauV2, st.EtaV = tableOf(sums), tableOf(sums), &graph.NodeTable[int64]{}
+		return st
 	}
-	tables := make([]*graph.NodeTable[int64], 3)
-	for i, kvs := range sums {
-		tables[i] = &graph.NodeTable[int64]{}
-		for _, kv := range kvs {
-			tables[i].Add(graph.NodeID(kv.k), kv.v)
-		}
-	}
-	st.TauV1, st.TauV2, st.EtaV = tables[0], tables[1], tables[2]
-	return st
-}
-
-// TestRadixEncodingMatchesSorted: lists long enough for the radix sort
-// encode to the bytes of the same state pre-sorted with slices.Sort, and
-// decode to the canonical sorted sets, whatever the id range, edge
-// orientation, input order or table layout.
-func TestRadixEncodingMatchesSorted(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 9))
-	lists := radixLists(rng)
-	sums := [3][]keyVal{radixSums(rng, 2*radixMin), radixSums(rng, radixMin), radixSums(rng, 10)}
-	raw := radixState(lists, sums)
-
-	sortedLists := make([][]graph.Edge, len(lists))
+	sorted := make([][]graph.Edge, len(lists))
 	for i, edges := range lists {
-		sortedLists[i] = sortedCanonical(edges)
+		sorted[i] = sortedCanonical(edges)
 	}
-	var sortedSums [3][]keyVal
-	for i, kvs := range sums {
-		sortedSums[i] = slices.Clone(kvs)
-		slices.SortFunc(sortedSums[i], func(a, b keyVal) int { return cmp.Compare(a.k, b.k) })
-	}
-	presorted := radixState(sortedLists, sortedSums)
+	raw := state(lists)
 
 	data := encodeEngine(t, raw)
-	if want := encodeEngine(t, presorted); !bytes.Equal(data, want) {
-		t.Fatal("radix-sorted encoding differs from the encoding of the pre-sorted state")
+	if len(data) < 2*chunk {
+		t.Fatalf("encoding is %d bytes, want at least two %d-byte chunks", len(data), chunk)
+	}
+	if want := encodeEngine(t, state(sorted)); !bytes.Equal(data, want) {
+		t.Fatal("encoding differs from the encoding of the pre-sorted state")
 	}
 	got, err := ReadEngine(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range got.Procs {
-		if !reflect.DeepEqual(p.Edges, sortedLists[i]) {
-			t.Errorf("proc %d decoded %d edges, not the %d canonical sorted ones", i, len(p.Edges), len(sortedLists[i]))
+		if !slices.Equal(p.Edges, sorted[i]) {
+			t.Errorf("proc %d decoded %d edges, not the %d canonical sorted ones", i, len(p.Edges), len(sorted[i]))
 		}
-		if !reflect.DeepEqual(p.Tcnt, raw.Procs[i].Tcnt) {
+		if !maps.Equal(p.Tcnt, raw.Procs[i].Tcnt) {
 			t.Errorf("proc %d closing counters differ after the round trip", i)
 		}
 	}
@@ -163,12 +121,12 @@ func TestRadixEncodingMatchesSorted(t *testing.T) {
 	}
 }
 
-// TestRadixDuplicateKey: a repeated edge in a radix-sorted list, in
-// either orientation and however often, still fails the encode.
-func TestRadixDuplicateKey(t *testing.T) {
+// TestWriteDuplicateKey: a repeated edge, in either orientation and
+// however often, fails the encode.
+func TestWriteDuplicateKey(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4, 2))
-	edges := radixLists(rng)[0]
-	same := make([]graph.Edge, radixMin)
+	edges := randEdges(rng, 1000, func() graph.NodeID { return randNode(rng) })
+	same := make([]graph.Edge, 300)
 	for i := range same {
 		same[i] = graph.Edge{U: 1, V: 2}
 	}

@@ -46,7 +46,7 @@
 //
 // The whole package is marked deterministic: encodings are canonical, so
 // no code here may depend on map iteration order (reptvet's detorder
-// enforces this — collect entries and sort them, as keyVals does).
+// enforces this — collect keys and sort, as deltaKeys does).
 //
 //rept:deterministic
 package snapshot
@@ -178,9 +178,9 @@ type ProcState struct {
 	// (malformed streams).
 	Di, Do, Phantom uint64
 	// Edges is the sampled edge set E⁽ⁱ⁾, in any order and orientation
-	// (core.Engine.State lists it in node-dictionary order). WriteEngine
-	// and WriteSharded sort it in place by canonical key; ReadEngine and
-	// ReadSharded return it sorted, each edge canonical.
+	// (core.Engine.State lists it in node-dictionary order); the encoder
+	// writes it sorted by canonical key, so ReadEngine and ReadSharded
+	// return it sorted, each edge canonical.
 	Edges []graph.Edge
 	// Tcnt maps each sampled edge's key to its signed per-edge closing
 	// counter (Algorithm 2's η bookkeeping); nil when η was not tracked.
@@ -222,7 +222,7 @@ type ShardedState struct {
 	// contract (a restore must not silently lose or invent degrees).
 	TrackDegrees bool
 	// Degrees is the degree tracker's live-edge set at the checkpoint
-	// prefix, in any order (WriteSharded sorts it in place); nil unless
+	// prefix, in any order (the encoder sorts it); nil unless
 	// TrackDegrees. A restore rebuilds the degree table edge by edge, so
 	// the table keeps dropping re-sent insertions and deletions of edges
 	// that are not live exactly as the one that wrote the snapshot.
@@ -230,9 +230,7 @@ type ShardedState struct {
 	Shards  []EngineState
 }
 
-// WriteEngine writes st as a single-engine snapshot. It sorts each
-// processor's edge list in place by canonical key: the lists keep their
-// edges, but not their order.
+// WriteEngine writes st as a single-engine snapshot.
 func WriteEngine(w io.Writer, st *EngineState) error {
 	if len(st.Procs) != st.C {
 		return fmt.Errorf("snapshot: engine state has %d processors, fingerprint says C=%d", len(st.Procs), st.C)
@@ -250,9 +248,7 @@ func ReadEngine(r io.Reader) (*EngineState, error) {
 	return eng, err
 }
 
-// WriteSharded writes st as a multi-shard snapshot. Like WriteEngine, it
-// sorts each edge list in place by canonical key, the live-edge set
-// included.
+// WriteSharded writes st as a multi-shard snapshot.
 func WriteSharded(w io.Writer, st *ShardedState) error {
 	if len(st.Shards) != st.ShardCount {
 		return fmt.Errorf("snapshot: sharded state has %d shards, header says %d", len(st.Shards), st.ShardCount)
